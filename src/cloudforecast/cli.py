@@ -96,8 +96,6 @@ def _cast(key: str, value):
     try:
         if key == "shortlist_n":
             return int(value)
-        if isinstance(default, bool):
-            return value.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(value)
         if isinstance(default, float):
@@ -248,7 +246,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def _analysis_setup(args: argparse.Namespace):
+    """Settings, workflow, catalog, metrics, providers, store, cache path and
+    probe fan-out shared by `analyze` and `probe`."""
     settings = load_settings(args)
     spec = _load_workflow(args.workflow)
     catalog = _load_catalog(settings)
@@ -256,16 +256,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     mode = settings["probe_mode"]
     providers = _build_providers(mode, settings, spec, catalog, metrics)
     store, cache_path = _open_store(settings)
+    max_parallel = 1 if mode == "synthetic" else probe_config_from(settings).max_parallel_probes
+    return settings, spec, catalog, metrics, providers, store, cache_path, max_parallel
 
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    settings, spec, catalog, metrics, providers, store, cache_path, max_parallel = (
+        _analysis_setup(args)
+    )
     if args.dump_candidates:
         graphs = enumerate_candidates(spec, catalog, metrics)
         Path(args.dump_candidates).write_text("".join(dump_graph(g) for g in graphs))
 
-    max_parallel = 1 if mode == "synthetic" else probe_config_from(settings).max_parallel_probes
     report = rank_regions(
         spec, catalog, store, providers, scoring_config_from(settings), max_parallel
     )
-    report = replace(report, provenance={**report.provenance, "probe_mode": mode})
+    report = replace(report, provenance={**report.provenance, "probe_mode": settings["probe_mode"]})
     if args.no_timestamps:
         report = replace(report, generated_at=None)
     if cache_path:
@@ -275,15 +281,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    settings = load_settings(args)
-    spec = _load_workflow(args.workflow)
-    catalog = _load_catalog(settings)
-    metrics = _parse_metrics(settings["metrics"])
-    mode = settings["probe_mode"]
-    providers = _build_providers(mode, settings, spec, catalog, metrics)
-    store, cache_path = _open_store(settings)
-
-    max_parallel = 1 if mode == "synthetic" else probe_config_from(settings).max_parallel_probes
+    _, spec, catalog, _, providers, store, cache_path, max_parallel = _analysis_setup(args)
     lines = []
     for metric in METRIC_ORDER:
         if metric not in providers:

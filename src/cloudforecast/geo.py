@@ -166,9 +166,10 @@ def default_region_catalog() -> RegionCatalog:
 
 
 def build_location_table(*sources: Iterable[tuple[str, Coordinate]]) -> LocationTable:
-    """Merge (hostname, coordinate) streams; later sources win on conflict."""
+    """Merge (endpoint, coordinate) streams, keyed by `host_of(endpoint)` as
+    `resolve_location` looks them up; later sources win on conflict."""
     merged: dict[str, Coordinate] = {}
     for source in sources:
-        for host, coord in source:
-            merged[host.lower()] = coord
+        for endpoint, coord in source:
+            merged[host_of(endpoint)] = coord
     return LocationTable(merged)

@@ -110,14 +110,11 @@ class SyntheticNetworkModel:
     base_latency_ms: float = 5.0
     ms_per_100km: float = 1.0
     http_overhead_ms: float = 20.0
-    jitter: float = 0.0  # reserved; the model must stay deterministic
 
     def __post_init__(self):
         for name in ("base_latency_ms", "ms_per_100km", "http_overhead_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.jitter != 0:
-            raise ValueError("jitter is fixed at 0")
 
     def ping_ms(self, km: float) -> float:
         return self.base_latency_ms + self.ms_per_100km * (km / 100.0)
@@ -354,6 +351,30 @@ class EchoProber:
 _default_prober = EchoProber()
 
 
+def sample_rtts(once: Callable[[], float | None], samples: int) -> list[float]:
+    """Run one probe `samples` times; keep the round trips (ms) that completed."""
+    return [rtt for rtt in (once() for _ in range(samples)) if rtt is not None]
+
+
+def _from_rtts(
+    pair: Pair, metric: Metric, rtts: list[float], config: ProbeConfig, note: str
+) -> Measurement:
+    """Aggregate the completed round trips; no round trip at all is a failure."""
+    if not rtts:
+        return _failed(pair, metric, config.samples_per_pair, note)
+    return Measurement(
+        src=pair[0],
+        dst=pair[1],
+        metric=metric,
+        value=aggregate(rtts, config.aggregator),
+        unit="ms",
+        samples=len(rtts),
+        success=True,
+        taken_at=time.time(),
+        note=note,
+    )
+
+
 def measure_latency(
     pair: Pair,
     config: ProbeConfig,
@@ -363,24 +384,8 @@ def measure_latency(
     prober = prober or _default_prober
     host = host_of(pair[1])
     timeout_s = config.timeout_ms / 1000.0
-    rtts = []
-    for _ in range(config.samples_per_pair):
-        rtt = prober.probe(host, timeout_s)
-        if rtt is not None:
-            rtts.append(rtt)
-    if not rtts:
-        return _failed(pair, Metric.PING, config.samples_per_pair, f"echo/{prober.mode}")
-    return Measurement(
-        src=pair[0],
-        dst=pair[1],
-        metric=Metric.PING,
-        value=aggregate(rtts, config.aggregator),
-        unit="ms",
-        samples=len(rtts),
-        success=True,
-        taken_at=time.time(),
-        note=f"echo/{prober.mode}",
-    )
+    rtts = sample_rtts(lambda: prober.probe(host, timeout_s), config.samples_per_pair)
+    return _from_rtts(pair, Metric.PING, rtts, config, f"echo/{prober.mode}")
 
 
 def as_url(endpoint: str) -> str:
@@ -392,31 +397,22 @@ def as_url(endpoint: str) -> str:
     return endpoint
 
 
+def http_get_ms(url: str, timeout_s: float) -> float | None:
+    """One timed GET in ms; any completed response counts, a transport error is None."""
+    start = time.perf_counter()
+    try:
+        requests.get(url, timeout=timeout_s)
+    except requests.RequestException:
+        return None
+    return (time.perf_counter() - start) * 1000.0
+
+
 def measure_http_rtt(pair: Pair, config: ProbeConfig) -> Measurement:
     """Timed GET requests against the pair's dst; any completed response counts."""
     url = as_url(pair[1])
     timeout_s = config.timeout_ms / 1000.0
-    rtts = []
-    for _ in range(config.samples_per_pair):
-        start = time.perf_counter()
-        try:
-            requests.get(url, timeout=timeout_s)
-        except requests.RequestException:
-            continue
-        rtts.append((time.perf_counter() - start) * 1000.0)
-    if not rtts:
-        return _failed(pair, Metric.HTTP_RTT, config.samples_per_pair, "http-get")
-    return Measurement(
-        src=pair[0],
-        dst=pair[1],
-        metric=Metric.HTTP_RTT,
-        value=aggregate(rtts, config.aggregator),
-        unit="ms",
-        samples=len(rtts),
-        success=True,
-        taken_at=time.time(),
-        note="http-get",
-    )
+    rtts = sample_rtts(lambda: http_get_ms(url, timeout_s), config.samples_per_pair)
+    return _from_rtts(pair, Metric.HTTP_RTT, rtts, config, "http-get")
 
 
 class AgentClient:
@@ -515,11 +511,11 @@ def agent_providers(
     config: ProbeConfig,
     locations: LocationTable,
     agent_port: int = 9001,
-    agent_scheme: str = "http",
 ) -> dict[Metric, PairProvider]:
     """Ask the probe agent at the pair's region side to measure the other side."""
     region_hosts = {region.probe_host for region in catalog.regions}
-    request_timeout_s = (config.samples_per_pair * config.timeout_ms) / 1000.0 + 10.0
+    samples, timeout_ms = config.samples_per_pair, config.timeout_ms
+    request_timeout_s = (samples * timeout_ms) / 1000.0 + 10.0
 
     def split(pair: Pair) -> tuple[str, str] | None:
         if pair[0] in region_hosts:
@@ -528,56 +524,28 @@ def agent_providers(
             return pair[1], pair[0]
         return None
 
-    def agent_for(region_host: str) -> AgentClient:
-        # probe_host may carry a port for probing; the agent has its own port
-        return AgentClient(
-            f"{agent_scheme}://{host_of(region_host)}:{agent_port}", request_timeout_s
-        )
-
-    def from_reply(pair: Pair, metric: Metric, reply: dict, note: str) -> Measurement:
+    def via_agent(
+        pair: Pair, metric: Metric, ask: Callable[[AgentClient, str], dict], note: str
+    ) -> Measurement:
+        sides = split(pair)
+        if sides is None:
+            return _failed(pair, metric, samples, "agent/no-region-side")
+        region_host, target = sides
+        try:
+            # probe_host may carry a port for probing; the agent has its own port
+            agent = AgentClient(f"http://{host_of(region_host)}:{agent_port}", request_timeout_s)
+            reply = ask(agent, target)
+        except (requests.RequestException, ValueError):
+            return _failed(pair, metric, samples, "agent/unreachable")
         rtts = [float(v) for v in reply.get("rtts_ms", [])]
-        if not reply.get("ok") or not rtts:
-            return _failed(pair, metric, config.samples_per_pair, note)
-        return Measurement(
-            src=pair[0],
-            dst=pair[1],
-            metric=metric,
-            value=aggregate(rtts, config.aggregator),
-            unit="ms",
-            samples=len(rtts),
-            success=True,
-            taken_at=time.time(),
-            note=note,
-        )
-
-    def ping(pair: Pair) -> Measurement:
-        sides = split(pair)
-        if sides is None:
-            return _failed(pair, Metric.PING, config.samples_per_pair, "agent/no-region-side")
-        region_host, target = sides
-        try:
-            reply = agent_for(region_host).ping(
-                host_of(target), config.samples_per_pair, config.timeout_ms
-            )
-        except (requests.RequestException, ValueError):
-            return _failed(pair, Metric.PING, config.samples_per_pair, "agent/unreachable")
-        return from_reply(pair, Metric.PING, reply, "agent/ping")
-
-    def http_rtt(pair: Pair) -> Measurement:
-        sides = split(pair)
-        if sides is None:
-            return _failed(pair, Metric.HTTP_RTT, config.samples_per_pair, "agent/no-region-side")
-        region_host, target = sides
-        try:
-            reply = agent_for(region_host).http(
-                as_url(target), config.samples_per_pair, config.timeout_ms
-            )
-        except (requests.RequestException, ValueError):
-            return _failed(pair, Metric.HTTP_RTT, config.samples_per_pair, "agent/unreachable")
-        return from_reply(pair, Metric.HTTP_RTT, reply, "agent/http")
+        return _from_rtts(pair, metric, rtts if reply.get("ok") else [], config, note)
 
     return {
         Metric.DISTANCE: lambda pair: measure_distance(pair, locations),
-        Metric.PING: ping,
-        Metric.HTTP_RTT: http_rtt,
+        Metric.PING: lambda pair: via_agent(
+            pair, Metric.PING, lambda a, t: a.ping(host_of(t), samples, timeout_ms), "agent/ping"
+        ),
+        Metric.HTTP_RTT: lambda pair: via_agent(
+            pair, Metric.HTTP_RTT, lambda a, t: a.http(as_url(t), samples, timeout_ms), "agent/http"
+        ),
     }

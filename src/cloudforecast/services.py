@@ -13,11 +13,10 @@ import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 from urllib.parse import parse_qs, urlparse
 
-import requests
-
-from .measurement import EchoProber, as_url
+from .measurement import EchoProber, as_url, http_get_ms, sample_rtts
 
 
 class _JsonRequestHandler(BaseHTTPRequestHandler):
@@ -65,29 +64,18 @@ class AgentHandler(_JsonRequestHandler):
     def _ping(self) -> dict:
         params = self.query()
         host = params["host"]
-        samples = self.int_param(params, "samples", 5, minimum=1)
-        timeout_s = self.int_param(params, "timeout_ms", 3000, minimum=1) / 1000.0
         prober: EchoProber = self.server.prober  # type: ignore[attr-defined]
-        rtts = []
-        for _ in range(samples):
-            rtt = prober.probe(host, timeout_s)
-            if rtt is not None:
-                rtts.append(rtt)
-        return {"ok": bool(rtts), "rtts_ms": rtts, "failures": samples - len(rtts)}
+        return self._sampled(params, lambda timeout_s: prober.probe(host, timeout_s))
 
     def _http(self) -> dict:
         params = self.query()
         url = as_url(params["url"])
+        return self._sampled(params, lambda timeout_s: http_get_ms(url, timeout_s))
+
+    def _sampled(self, params: dict, probe: Callable[[float], float | None]) -> dict:
         samples = self.int_param(params, "samples", 5, minimum=1)
         timeout_s = self.int_param(params, "timeout_ms", 3000, minimum=1) / 1000.0
-        rtts = []
-        for _ in range(samples):
-            start = time.perf_counter()
-            try:
-                requests.get(url, timeout=timeout_s)
-            except requests.RequestException:
-                continue
-            rtts.append((time.perf_counter() - start) * 1000.0)
+        rtts = sample_rtts(lambda: probe(timeout_s), samples)
         return {"ok": bool(rtts), "rtts_ms": rtts, "failures": samples - len(rtts)}
 
 

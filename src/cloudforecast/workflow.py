@@ -65,20 +65,45 @@ class WorkflowSpec:
         return [e for e in self.edges if e.src == node_id]
 
 
-def validate_dag(spec: WorkflowSpec) -> list[str]:
-    """Check every workflow invariant; returns all violations (empty list = ok)."""
+def _node_violations(nodes: Iterable[WorkflowNode], label: str) -> list[str]:
+    """Empty or duplicate ids, empty endpoints and negative service times."""
     violations: list[str] = []
     seen_ids: set[str] = set()
-    for node in spec.nodes:
+    for node in nodes:
         if not node.id:
-            violations.append("node with empty id")
+            violations.append(f"{label} with empty id")
         elif node.id in seen_ids:
-            violations.append(f"duplicate node id: {node.id}")
+            violations.append(f"duplicate {label} id: {node.id}")
         seen_ids.add(node.id)
         if not node.endpoint:
-            violations.append(f"node '{node.id}': empty endpoint")
+            violations.append(f"{label} '{node.id}': empty endpoint")
         if node.service_time_ms < 0:
-            violations.append(f"node '{node.id}': negative service_time_ms")
+            violations.append(f"{label} '{node.id}': negative service_time_ms")
+    return violations
+
+
+def _peel(node_ids: Iterable[str], edges: Iterable[WorkflowEdge]) -> tuple[list[str], list[str]]:
+    """Kahn peeling, ties broken lexicographically: (order, sorted ids left on a cycle)."""
+    indeg = {nid: 0 for nid in node_ids}
+    out = defaultdict(list)
+    for edge in edges:
+        indeg[edge.dst] += 1
+        out[edge.src].append(edge.dst)
+    heap = sorted(nid for nid, d in indeg.items() if d == 0)
+    order: list[str] = []
+    while heap:
+        nid = heapq.heappop(heap)
+        order.append(nid)
+        for child in out[nid]:
+            indeg[child] -= 1
+            if indeg[child] == 0:
+                heapq.heappush(heap, child)
+    return order, sorted(nid for nid, d in indeg.items() if d > 0)
+
+
+def validate_dag(spec: WorkflowSpec) -> list[str]:
+    """Check every workflow invariant; returns all violations (empty list = ok)."""
+    violations = _node_violations(spec.nodes, "node")
 
     known = {n.id for n in spec.nodes}
     usable_edges = []
@@ -94,23 +119,8 @@ def validate_dag(spec: WorkflowSpec) -> list[str]:
         if not dangling:
             usable_edges.append(edge)
 
-    # cycle detection by Kahn peeling over well-formed edges
-    indeg = {nid: 0 for nid in known}
-    out = defaultdict(list)
-    for edge in usable_edges:
-        indeg[edge.dst] += 1
-        out[edge.src].append(edge.dst)
-    queue = [nid for nid, d in indeg.items() if d == 0]
-    removed = 0
-    while queue:
-        nid = queue.pop()
-        removed += 1
-        for child in out[nid]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                queue.append(child)
-    if removed < len(known):
-        cyclic = sorted(nid for nid, d in indeg.items() if d > 0)
+    _, cyclic = _peel(known, usable_edges)
+    if cyclic:
         violations.append("cycle involving nodes {%s}" % ", ".join(cyclic))
 
     incoming = {e.dst for e in usable_edges}
@@ -145,22 +155,8 @@ def topological_order(spec: WorkflowSpec) -> list[str]:
             raise SpecValidationError(
                 f"dangling edge {edge.src}->{edge.dst}: unknown node id"
             )
-    indeg = {nid: 0 for nid in known}
-    out = defaultdict(list)
-    for edge in spec.edges:
-        indeg[edge.dst] += 1
-        out[edge.src].append(edge.dst)
-    heap = sorted(nid for nid, d in indeg.items() if d == 0)
-    order: list[str] = []
-    while heap:
-        nid = heapq.heappop(heap)
-        order.append(nid)
-        for child in out[nid]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                heapq.heappush(heap, child)
-    if len(order) < len(known):
-        cyclic = sorted(nid for nid, d in indeg.items() if d > 0)
+    order, cyclic = _peel(known, spec.edges)
+    if cyclic:
         raise CycleError("cycle involving nodes {%s}" % ", ".join(cyclic))
     return order
 
@@ -246,18 +242,7 @@ def parse_node_pool(document: str) -> list[WorkflowNode]:
     if not isinstance(data["nodes"], list):
         raise SpecValidationError("pool 'nodes' must be a list")
     nodes = [_parse_node(entry, f"nodes[{i}]") for i, entry in enumerate(data["nodes"])]
-    violations = []
-    seen = set()
-    for node in nodes:
-        if not node.id:
-            violations.append("pool node with empty id")
-        elif node.id in seen:
-            violations.append(f"duplicate pool node id: {node.id}")
-        seen.add(node.id)
-        if not node.endpoint:
-            violations.append(f"pool node '{node.id}': empty endpoint")
-        if node.service_time_ms < 0:
-            violations.append(f"pool node '{node.id}': negative service_time_ms")
+    violations = _node_violations(nodes, "pool node")
     if violations:
         raise SpecValidationError("; ".join(violations), violations=violations)
     return nodes
@@ -338,9 +323,7 @@ def generate_random_workflow(
 
 
 def node_locations(spec: WorkflowSpec) -> Iterable[tuple[str, Coordinate]]:
-    """(host, coordinate) pairs for every located node, keyed by endpoint host."""
-    from .geo import host_of
-
+    """(endpoint, coordinate) pairs for every located node."""
     for node in spec.nodes:
         if node.location is not None:
-            yield host_of(node.endpoint), node.location
+            yield node.endpoint, node.location

@@ -138,7 +138,7 @@ def test_synthetic_ping_monotone_in_distance():
 
 
 def test_model_rejects_jitter_and_negatives():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SyntheticNetworkModel(jitter=1.0)
     with pytest.raises(ValueError):
         SyntheticNetworkModel(base_latency_ms=-1)
@@ -349,6 +349,21 @@ def test_http_rtt_loopback_smoke():
         config = ProbeConfig(samples_per_pair=2, timeout_ms=1000)
         m = measure_http_rtt(("here", f"http://127.0.0.1:{port}/v1/health"), config)
         assert m.success and m.value > 0.0
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_http_rtt_counts_error_response_as_round_trip():
+    # any completed response counts, here the stub node's 404 for an unknown path
+    server = make_node_server("127.0.0.1", 0)
+    start_in_thread(server)
+    try:
+        port = server.server_address[1]
+        config = ProbeConfig(samples_per_pair=2, timeout_ms=1000)
+        m = measure_http_rtt(("here", f"http://127.0.0.1:{port}/nope"), config)
+        assert m.success and m.samples == 2
+        assert m.note == "http-get"
     finally:
         server.shutdown()
         server.server_close()

@@ -190,6 +190,18 @@ def test_colocated_region_wins_under_synthetic_model(fig1_spec, catalog):
     assert report.entries[0].region == best.id == "near"
 
 
+def test_region_probe_host_with_port_ranks(fig1_spec):
+    # probe_host may carry a port; the region must still geolocate by its host
+    from cloudforecast.measurement import location_index, synthetic_providers, SyntheticNetworkModel
+
+    cat = RegionCatalog((Region("local", "127.0.0.101:9002", Coordinate(10.0, 20.0)),))
+    providers = synthetic_providers(SyntheticNetworkModel(), location_index(fig1_spec, cat))
+    report = rank_regions(fig1_spec, cat, MeasurementStore(), providers, ScoringConfig())
+    assert [e.region for e in report.entries] == ["local"]
+    entry = report.entries[0]
+    assert entry.rank == 1 and entry.distance_score.value > 0.0
+
+
 def test_non_shortlisted_ranked_by_distance(fig1_spec):
     regions = tuple(
         Region(f"r{i}", f"r{i}.example.org", Coordinate(0, 0)) for i in range(3)

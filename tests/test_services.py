@@ -74,6 +74,17 @@ def test_agent_http_probe(agent, node):
     assert reply["ok"] is True and len(reply["rtts_ms"]) == 2
 
 
+def test_agent_http_probe_counts_error_response(agent, node):
+    # the node answers 404 for an unknown path: a completed round trip all the same
+    reply = requests.get(
+        _url(agent, "/v1/http"),
+        params={"url": _url(node, "/nope"), "samples": 2, "timeout_ms": 1000},
+        timeout=10,
+    ).json()
+    assert reply["ok"] is True
+    assert reply["failures"] == 0 and len(reply["rtts_ms"]) == 2
+
+
 def test_agent_http_probe_failure_counts(agent):
     reply = requests.get(
         _url(agent, "/v1/http"),
