@@ -2,7 +2,9 @@
 
 Every data-flow edge (u, v) is split into two legs routed through the
 candidate region's orchestrator: u -> region and region -> v, so each
-candidate graph is a star around the region.
+candidate graph is a star around the region. Scoring needs only each graph's
+unique endpoint pairs and how many edges share each (`hub_legs`,
+`weighted_pairs`); the edge lists remain as the debug view.
 """
 
 from dataclasses import dataclass
@@ -88,6 +90,31 @@ def measurement_pairs(graph: CandidateGraph) -> list[Pair]:
         if edge.pair not in seen:
             seen.add(edge.pair)
             pairs.append(edge.pair)
+    return pairs
+
+
+Legs = dict[tuple[str, bool], int]
+
+
+def hub_legs(spec: WorkflowSpec) -> Legs:
+    """The legs of every workflow edge routed through a hub, as
+    (endpoint, to_hub) -> multiplicity, in first-seen edge order."""
+    endpoint = {node.id: node.endpoint for node in spec.nodes}
+    legs: Legs = {}
+    for origin in spec.edges:
+        for leg in ((endpoint[origin.src], True), (endpoint[origin.dst], False)):
+            legs[leg] = legs.get(leg, 0) + 1
+    return legs
+
+
+def weighted_pairs(legs: Legs, hub: str) -> dict[Pair, int]:
+    """Unique measurement pairs of the candidate graph around `hub`, each with
+    the number of its candidate edges, in `measurement_pairs` order. An
+    endpoint equal to the hub merges its two legs into one (hub, hub) pair."""
+    pairs: dict[Pair, int] = {}
+    for (endpoint, to_hub), n in legs.items():
+        pair = (endpoint, hub) if to_hub else (hub, endpoint)
+        pairs[pair] = pairs.get(pair, 0) + n
     return pairs
 
 

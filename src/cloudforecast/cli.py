@@ -14,10 +14,10 @@ from pathlib import Path
 from .candidates import (
     METRIC_ORDER,
     Metric,
-    build_candidate_graph,
     dump_graph,
     enumerate_candidates,
-    measurement_pairs,
+    hub_legs,
+    weighted_pairs,
 )
 from .errors import (
     CatalogError,
@@ -282,15 +282,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     _, spec, catalog, _, providers, store, cache_path, max_parallel = _analysis_setup(args)
+    legs = hub_legs(spec)
     lines = []
     for metric in METRIC_ORDER:
         if metric not in providers:
             continue
         for region in catalog.regions:
-            graph = build_candidate_graph(spec, region, metric)
-            measured = collect_measurements(
-                store, measurement_pairs(graph), metric, providers[metric], max_parallel
-            )
+            pairs = list(weighted_pairs(legs, region.probe_host))
+            measured = collect_measurements(store, pairs, metric, providers[metric], max_parallel)
             for pair, m in measured.items():
                 status = "ok" if m.success else "FAIL"
                 lines.append(

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping
 from urllib.parse import urlparse
@@ -73,6 +73,8 @@ class LocationTable:
     """Hostname -> coordinate lookup used to geolocate endpoints."""
 
     entries: Mapping[str, Coordinate]
+    # endpoint -> coordinate, filled by `locate`
+    _located: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized = {}
@@ -84,6 +86,22 @@ class LocationTable:
 
     def get(self, host: str) -> Coordinate | None:
         return self.entries.get(host.lower())
+
+    def locate(self, endpoint: str, fallback: Coordinate | None = None) -> Coordinate:
+        """Geolocate an endpoint, falling back when allowed. An endpoint string
+        found in the table is parsed only the first time; concurrent first
+        lookups may both parse it and store the same coordinate."""
+        coord = self._located.get(endpoint)
+        if coord is not None:
+            return coord
+        host = host_of(endpoint)
+        coord = self.get(host)
+        if coord is not None:
+            self._located[endpoint] = coord
+            return coord
+        if fallback is not None:
+            return fallback
+        raise UnknownLocationError(f"no known location for host '{host}'")
 
 
 def haversine_km(a: Coordinate, b: Coordinate) -> float:
@@ -111,13 +129,7 @@ def resolve_location(
     fallback: Coordinate | None = None,
 ) -> Coordinate:
     """Geolocate an endpoint via the table, falling back when allowed."""
-    host = host_of(endpoint)
-    coord = table.get(host)
-    if coord is not None:
-        return coord
-    if fallback is not None:
-        return fallback
-    raise UnknownLocationError(f"no known location for host '{host}'")
+    return table.locate(endpoint, fallback)
 
 
 def load_region_catalog(document: str) -> RegionCatalog:

@@ -6,6 +6,7 @@ can penalize unreachable endpoints instead of aborting the analysis.
 """
 
 import json
+import math
 import os
 import socket
 import statistics
@@ -13,21 +14,22 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import requests
 
 from .candidates import Metric, Pair
+from .errors import DocumentFormatError
 from .geo import (
     LocationTable,
     RegionCatalog,
     build_location_table,
     haversine_km,
     host_of,
-    resolve_location,
 )
+from .jsondoc import check_fields
 from .workflow import WorkflowSpec, node_locations
 
 PairProvider = Callable[[Pair], "Measurement"]
@@ -54,6 +56,14 @@ def aggregate(values: list[float], aggregator: Aggregator) -> float:
     return min(values)
 
 
+def check_finite(config, names: tuple[str, ...]) -> None:
+    """Reject a nan or infinite value in any of the named numeric fields."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     samples_per_pair: int = 5
@@ -62,6 +72,7 @@ class ProbeConfig:
     max_parallel_probes: int = 8
 
     def __post_init__(self):
+        check_finite(self, ("samples_per_pair", "timeout_ms", "max_parallel_probes"))
         if self.samples_per_pair < 1:
             raise ValueError("samples_per_pair must be >= 1")
         if self.timeout_ms <= 0:
@@ -89,6 +100,10 @@ class Measurement:
             raise ValueError("samples must be >= 1")
 
 
+# fields a measurement cache record must have; `note` is optional
+_RECORD_FIELDS = ("src", "dst", "metric", "value", "unit", "samples", "success", "taken_at")
+
+
 def _failed(pair: Pair, metric: Metric, samples: int, note: str) -> Measurement:
     return Measurement(
         src=pair[0],
@@ -112,7 +127,9 @@ class SyntheticNetworkModel:
     http_overhead_ms: float = 20.0
 
     def __post_init__(self):
-        for name in ("base_latency_ms", "ms_per_100km", "http_overhead_ms"):
+        names = ("base_latency_ms", "ms_per_100km", "http_overhead_ms")
+        check_finite(self, names)
+        for name in names:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -171,16 +188,29 @@ class MeasurementStore:
             return len(self._entries)
 
     def save(self, path: str) -> None:
-        """One JSON record per key, sorted, so repeated runs reuse probes."""
+        """One JSON record per key, sorted, so repeated runs reuse probes.
+
+        The file is replaced atomically: a failed save leaves the old one."""
         with self._lock:
             entries = sorted(self._entries.items())
-        lines = []
-        for _, m in entries:
-            record = asdict(m)
-            record["metric"] = m.metric.value
-            lines.append(json.dumps(record, sort_keys=True))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        # record fields in sorted order, as the file format has them
+        lines = [
+            json.dumps({
+                "dst": m.dst, "metric": m.metric.value, "note": m.note, "samples": m.samples,
+                "src": m.src, "success": m.success, "taken_at": m.taken_at, "unit": m.unit,
+                "value": m.value,
+            })
+            for _, m in entries
+        ]
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write("\n".join(lines) + ("\n" if lines else ""))
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(
@@ -194,13 +224,21 @@ class MeasurementStore:
         if not os.path.exists(path):
             return store
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
-                record["metric"] = Metric(record["metric"])
-                store.put(Measurement(**record))
+                where = f"{path}:{lineno}"
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DocumentFormatError(f"{where}: not a JSON record: {exc.msg}") from exc
+                try:
+                    record["metric"] = Metric(record["metric"])
+                    store.put(Measurement(**record))
+                except (KeyError, TypeError, ValueError) as exc:
+                    check_fields(record, _RECORD_FIELDS, ("note",), where)
+                    raise DocumentFormatError(f"{where}: {exc}") from exc
         return store
 
 
@@ -214,8 +252,8 @@ def location_index(spec: WorkflowSpec, catalog: RegionCatalog | None = None) -> 
 
 def measure_distance(pair: Pair, locations: LocationTable) -> Measurement:
     """Great-circle distance between the pair's endpoint coordinates."""
-    a = resolve_location(pair[0], locations)
-    b = resolve_location(pair[1], locations)
+    a = locations.locate(pair[0])
+    b = locations.locate(pair[1])
     return Measurement(
         src=pair[0],
         dst=pair[1],
@@ -236,8 +274,8 @@ def synthetic_measure(
     locations: LocationTable,
 ) -> Measurement:
     """Deterministic model measurement derived purely from coordinates."""
-    a = resolve_location(pair[0], locations)
-    b = resolve_location(pair[1], locations)
+    a = locations.locate(pair[0])
+    b = locations.locate(pair[1])
     km = haversine_km(a, b)
     if metric is Metric.DISTANCE:
         value, unit = km, "km"

@@ -7,19 +7,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .candidates import (
-    CandidateGraph,
-    Metric,
-    Pair,
-    build_candidate_graph,
-    measurement_pairs,
-)
+from .candidates import CandidateGraph, Metric, Pair, hub_legs, weighted_pairs
 from .errors import MissingMeasurementError
 from .geo import RegionCatalog
 from .measurement import (
     Measurement,
     MeasurementStore,
     PairProvider,
+    check_finite,
     collect_measurements,
 )
 from .workflow import WorkflowSpec
@@ -43,6 +38,7 @@ class ScoringConfig:
     failure_penalty: float = DEFAULT_FAILURE_PENALTY
 
     def __post_init__(self):
+        check_finite(self, ("weight_ping", "weight_http", "failure_penalty"))
         if self.shortlist_n is not None and self.shortlist_n < 1:
             raise ValueError("shortlist_n must be >= 1")
         if self.weight_ping < 0 or self.weight_http < 0:
@@ -95,6 +91,27 @@ def score_graph(
     return GraphScore(region=graph.region.id, metric=graph.metric, value=total, failed_edges=failed)
 
 
+def score_pairs(
+    region: str,
+    metric: Metric,
+    pairs: Mapping[Pair, int],
+    measurements: Mapping[Pair, Measurement],
+    failure_penalty: float = DEFAULT_FAILURE_PENALTY,
+) -> GraphScore:
+    """`score_graph` from the unique pairs: each pair's value (or the penalty,
+    if it failed) counts once per candidate edge it carries."""
+    total = 0.0
+    failed = 0
+    for pair, n in pairs.items():
+        measurement = measurements[pair]
+        if measurement.success:
+            total += n * measurement.value
+        else:
+            total += n * failure_penalty
+            failed += n
+    return GraphScore(region=region, metric=metric, value=total, failed_edges=failed)
+
+
 def shortlist_by_distance(
     distance_scores: list[GraphScore],
     n: int,
@@ -126,19 +143,26 @@ def rank_regions(
 
     The providers mapping decides which metrics are evaluated; distance is
     mandatory because shortlisting is built on it. Non-shortlisted regions
-    are ranked after shortlisted ones by their distance score.
+    are ranked after shortlisted ones by their distance score. A region's
+    candidate graph is scored from its unique (endpoint, hub) pairs, weighted
+    by the number of edges each carries, without building the edges.
     """
     if Metric.DISTANCE not in providers:
         raise ValueError("a distance provider is required for shortlisting")
 
+    legs = hub_legs(spec)
+    hubs = {region.id: region.probe_host for region in catalog.regions}
+
     def scored(metric: Metric, region_ids: list[str]) -> dict[str, GraphScore]:
         scores = {}
         for region_id in region_ids:
-            graph = build_candidate_graph(spec, catalog.by_id(region_id), metric)
+            pairs = weighted_pairs(legs, hubs[region_id])
             measured = collect_measurements(
-                store, measurement_pairs(graph), metric, providers[metric], max_parallel
+                store, list(pairs), metric, providers[metric], max_parallel
             )
-            scores[region_id] = score_graph(graph, measured, config.failure_penalty)
+            scores[region_id] = score_pairs(
+                region_id, metric, pairs, measured, config.failure_penalty
+            )
         return scores
 
     all_ids = catalog.ids

@@ -6,6 +6,7 @@ Wire protocols:
          GET /v1/health -> {"ok": true}
   node:  GET /work?delay_ms=<n>&bytes=<n> -> n pseudo-random bytes after the delay
          GET /v1/health -> {"ok": true}
+A parameter outside its range (see the MAX_* bounds) is answered with 400.
 """
 
 import json
@@ -17,6 +18,13 @@ from typing import Callable
 from urllib.parse import parse_qs, urlparse
 
 from .measurement import EchoProber, as_url, http_get_ms, sample_rtts
+
+# Upper bounds on request parameters, so one request cannot hold a handler
+# thread or stream data without limit; a larger value is answered with 400.
+MAX_SAMPLES = 100  # agent: probes per request
+MAX_TIMEOUT_MS = 60_000  # agent: per-probe timeout
+MAX_DELAY_MS = 600_000  # node: service time
+MAX_BYTES = 1 << 30  # node: payload size
 
 
 class _JsonRequestHandler(BaseHTTPRequestHandler):
@@ -37,10 +45,14 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
         raw = parse_qs(urlparse(self.path).query)
         return {key: values[-1] for key, values in raw.items()}
 
-    def int_param(self, params: dict, name: str, default: int, minimum: int = 0) -> int:
+    def int_param(
+        self, params: dict, name: str, default: int, maximum: int, minimum: int = 0
+    ) -> int:
         value = int(params.get(name, default))
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}")
+        if value > maximum:
+            raise ValueError(f"{name} must be <= {maximum}")
         return value
 
 
@@ -73,8 +85,8 @@ class AgentHandler(_JsonRequestHandler):
         return self._sampled(params, lambda timeout_s: http_get_ms(url, timeout_s))
 
     def _sampled(self, params: dict, probe: Callable[[float], float | None]) -> dict:
-        samples = self.int_param(params, "samples", 5, minimum=1)
-        timeout_s = self.int_param(params, "timeout_ms", 3000, minimum=1) / 1000.0
+        samples = self.int_param(params, "samples", 5, MAX_SAMPLES, minimum=1)
+        timeout_s = self.int_param(params, "timeout_ms", 3000, MAX_TIMEOUT_MS, minimum=1) / 1000.0
         rtts = sample_rtts(lambda: probe(timeout_s), samples)
         return {"ok": bool(rtts), "rtts_ms": rtts, "failures": samples - len(rtts)}
 
@@ -96,8 +108,8 @@ class StubNodeHandler(_JsonRequestHandler):
 
     def _work(self):
         params = self.query()
-        delay_ms = self.int_param(params, "delay_ms", 0)
-        size = self.int_param(params, "bytes", 0)
+        delay_ms = self.int_param(params, "delay_ms", 0, MAX_DELAY_MS)
+        size = self.int_param(params, "bytes", 0, MAX_BYTES)
         if delay_ms:
             time.sleep(delay_ms / 1000.0)
         self.send_response(200)

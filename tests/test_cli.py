@@ -453,6 +453,38 @@ def test_bad_env_integer_rejected(fig1_file, capsys, monkeypatch):
     assert "samples_per_pair" in err
 
 
+@pytest.mark.parametrize(
+    "flag, field",
+    [
+        ("--weight-ping", "weight_ping"),
+        ("--weight-http", "weight_http"),
+        ("--failure-penalty", "failure_penalty"),
+        ("--base-latency-ms", "base_latency_ms"),
+        ("--ms-per-100km", "ms_per_100km"),
+        ("--http-overhead-ms", "http_overhead_ms"),
+        ("--timeout-ms", "timeout_ms"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_setting_exits_2(fig1_file, capsys, flag, field, value):
+    code, out, err = run_cli(["analyze", "-w", fig1_file, "--format", "json", flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be finite" in err
+
+
+def test_corrupt_cache_file_exits_2_naming_file_and_line(fig1_file, tmp_path, capsys):
+    cache = tmp_path / "probes.cache"
+    code, _, _ = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
+    assert code == 0
+    lines = cache.read_text().splitlines()
+    lines[1] = lines[1].replace('"note"', '"notes"')
+    cache.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
+    assert code == 2 and out == ""
+    assert f"{cache}:2: unknown field(s): notes" in err
+
+
 def test_unreadable_config_file_rejected(fig1_file, capsys):
     code, _, err = run_cli(["analyze", "-w", fig1_file, "--config", "/nope/conf.json"], capsys)
     assert code == 2

@@ -164,3 +164,24 @@ def test_region_invariants():
 def test_location_table_rejects_empty_hostname():
     with pytest.raises(ValueError):
         LocationTable({"": Coordinate(0, 0)})
+
+
+def test_locate_parses_each_endpoint_once(monkeypatch):
+    import cloudforecast.geo as geo
+
+    parsed = []
+    real_host_of = geo.host_of
+    monkeypatch.setattr(geo, "host_of", lambda e: parsed.append(e) or real_host_of(e))
+    table = LocationTable({"paris.example.org": PARIS})
+    for _ in range(3):
+        assert table.locate("http://Paris.example.org/run") == PARIS
+        assert resolve_location("paris.example.org:8080", table) == PARIS
+    assert parsed == ["http://Paris.example.org/run", "paris.example.org:8080"]
+
+
+def test_locate_never_remembers_a_fallback():
+    table = LocationTable({"paris.example.org": PARIS})
+    assert table.locate("lost.example.org", fallback=LONDON) == LONDON
+    assert table.locate("lost.example.org", fallback=PARIS) == PARIS
+    with pytest.raises(UnknownLocationError, match="lost.example.org"):
+        table.locate("lost.example.org")

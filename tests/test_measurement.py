@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cloudforecast import (
     Coordinate,
+    DocumentFormatError,
     LocationTable,
     Measurement,
     MeasurementStore,
@@ -231,6 +232,80 @@ def test_store_load_later_record_wins(tmp_path):
     path.write_text(first + path.read_text())
     loaded = MeasurementStore.load(str(path))
     assert loaded.get(("a", "b"), Metric.PING).value == 2.0
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"bogus": 1, "dst": "b", "metric": "ping", "note": "", "samples": 1, "src": "a", '
+         '"success": true, "taken_at": 1.0, "unit": "ms", "value": 2.0}',
+         "unknown field(s): bogus"),
+        ('{"dst": "b", "metric": "ping", "samples": 1, "src": "a", '
+         '"success": true, "taken_at": 1.0, "unit": "ms"}', "missing required field(s): value"),
+        ('{"dst": "b", "samples": 1, "src": "a", '
+         '"success": true, "taken_at": 1.0, "unit": "ms", "value": 2.0}',
+         "missing required field(s): metric"),
+        ('["a", "b"]', "expected an object"),
+        ("{not json", "not a JSON record"),
+    ],
+    ids=["unknown-field", "missing-field", "missing-metric", "not-an-object", "non-json"],
+)
+def test_store_load_bad_record_names_file_and_line(tmp_path, record, message):
+    path = tmp_path / "bad.cache"
+    store = MeasurementStore(ttl_s=3600)
+    store.put(_measurement("a", "b", Metric.PING, 1.0))
+    store.save(str(path))
+    path.write_text(path.read_text() + "\n" + record + "\n")
+    with pytest.raises(DocumentFormatError) as info:
+        MeasurementStore.load(str(path))
+    assert str(info.value).startswith(f"{path}:3: ")
+    assert message in str(info.value)
+
+
+def test_store_save_failing_halfway_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "probes.cache"
+    store = MeasurementStore(ttl_s=3600)
+    store.put(_measurement("a", "b", Metric.PING, 1.0))
+    store.save(str(path))
+    old = path.read_text()
+    store.put(_measurement("c", "d", Metric.PING, 2.0))
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("cloudforecast.measurement.os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        store.save(str(path))
+    assert path.read_text() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["probes.cache"]  # no temp file left
+
+
+def test_store_save_writes_sorted_record_fields(tmp_path):
+    path = tmp_path / "probes.cache"
+    store = MeasurementStore(ttl_s=3600)
+    store.put(_measurement("a", "b", Metric.PING, 1.5, taken_at=100.0))
+    store.save(str(path))
+    assert path.read_text() == (
+        '{"dst": "b", "metric": "ping", "note": "", "samples": 1, "src": "a", '
+        '"success": true, "taken_at": 100.0, "unit": "ms", "value": 1.5}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (SyntheticNetworkModel, "base_latency_ms"),
+        (SyntheticNetworkModel, "ms_per_100km"),
+        (SyntheticNetworkModel, "http_overhead_ms"),
+        (ProbeConfig, "timeout_ms"),
+        (ProbeConfig, "samples_per_pair"),
+        (ProbeConfig, "max_parallel_probes"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_configs_reject_non_finite_values(config, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        config(**{field: value})
 
 
 def test_provider_invocations_bounded_by_distinct_keys():

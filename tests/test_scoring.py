@@ -1,3 +1,5 @@
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from cloudforecast import (
     Coordinate,
     GraphScore,
+    Measurement,
     MeasurementStore,
     Metric,
     MissingMeasurementError,
@@ -21,6 +24,8 @@ from cloudforecast import (
     score_graph,
     shortlist_by_distance,
 )
+from cloudforecast.candidates import hub_legs, measurement_pairs, weighted_pairs
+from cloudforecast.measurement import SyntheticNetworkModel, location_index, synthetic_providers
 from cloudforecast.scoring import report_from_json, report_to_json, RankingReport
 from conftest import EXPECTED_RANKING, REFERENCE_FINAL_SCORES
 from helpers import fixed_value_provider, per_region_edge_providers
@@ -430,3 +435,163 @@ def test_scoring_config_invariants():
         ScoringConfig(shortlist_n=0)
     with pytest.raises(ValueError):
         ScoringConfig(failure_penalty=-1.0)
+
+
+# -- the weighted-pair core against the per-edge sums ----------------------------
+
+def _checksum_provider(metric, failing=frozenset()):
+    """Symmetric fixture provider: the value is a checksum of the unordered
+    pair; a pair fails when its endpoint set is in `failing` or by checksum."""
+
+    def provider(pair):
+        digest = zlib.crc32("|".join(sorted(pair)).encode())
+        ok = frozenset(pair) not in failing and digest % 7 != 0
+        return Measurement(
+            src=pair[0], dst=pair[1], metric=metric, value=(digest % 997) + 0.25 if ok else 0.0,
+            unit="km" if metric is Metric.DISTANCE else "ms", samples=1, success=ok,
+            taken_at=1.0e9, note="fixture",
+        )
+
+    return provider
+
+
+def _per_edge_score(spec, region, metric, provider, penalty):
+    """The candidate graph's score summed edge by edge."""
+    graph = build_candidate_graph(spec, region, metric)
+    return score_graph(graph, {e.pair: provider(e.pair) for e in graph.edges}, penalty)
+
+
+def _assert_matches_per_edge_sums(spec, catalog, providers, config):
+    report = rank_regions(spec, catalog, MeasurementStore(), providers, config)
+    for entry in report.entries:
+        region = catalog.by_id(entry.region)
+        for score in (entry.distance_score, entry.ping_score, entry.http_score):
+            if score is None:
+                continue
+            want = _per_edge_score(
+                spec, region, score.metric, providers[score.metric], config.failure_penalty
+            )
+            assert score.value == pytest.approx(want.value, rel=1e-12, abs=1e-9)
+            assert score.failed_edges == want.failed_edges
+    return report
+
+
+SHARED = "shared.example.org"
+HUB = "hub.example.org"
+
+# A and B share one endpoint; C's endpoint is region "hubbed"'s probe host
+SHARED_SPEC = WorkflowSpec(
+    name="shared",
+    nodes=(
+        WorkflowNode(id="A", endpoint=SHARED, role="source"),
+        WorkflowNode(id="B", endpoint=SHARED, role="source"),
+        WorkflowNode(id="C", endpoint=HUB),
+        WorkflowNode(id="D", endpoint="http://d.example.org/run"),
+        WorkflowNode(id="E", endpoint="e.example.org:8080"),
+    ),
+    edges=(
+        WorkflowEdge("A", "C"), WorkflowEdge("B", "C"), WorkflowEdge("C", "D"),
+        WorkflowEdge("A", "D"), WorkflowEdge("B", "E"), WorkflowEdge("D", "E"),
+    ),
+)
+SHARED_CATALOG = RegionCatalog(
+    (
+        Region("hubbed", HUB, Coordinate(0, 0)),
+        Region("r1", "r1.example.org", Coordinate(0, 1)),
+        Region("r2", "r2.example.org", Coordinate(0, 2)),
+    )
+)
+
+
+def test_weighted_pairs_merge_shared_endpoints_and_hub_legs():
+    legs = hub_legs(SHARED_SPEC)
+    assert legs[(SHARED, True)] == 4  # A and B are the source of four edges
+    hubbed = weighted_pairs(legs, HUB)
+    assert hubbed[(HUB, HUB)] == 3  # C -> hub once, hub -> C twice
+    for region in SHARED_CATALOG.regions:
+        pairs = weighted_pairs(legs, region.probe_host)
+        graph = build_candidate_graph(SHARED_SPEC, region, Metric.PING)
+        assert list(pairs) == measurement_pairs(graph)  # same pairs, first-seen order
+        assert sum(pairs.values()) == len(graph.edges) == 12
+
+
+def test_rank_regions_equals_per_edge_sums_with_failures():
+    # the shared endpoint fails towards r1 and the merged (hub, hub) pair fails in "hubbed"
+    failing = frozenset({frozenset({SHARED, "r1.example.org"}), frozenset({HUB})})
+    providers = {m: _checksum_provider(m, failing) for m in Metric}
+    report = _assert_matches_per_edge_sums(
+        SHARED_SPEC, SHARED_CATALOG, providers, ScoringConfig(failure_penalty=1.0e4)
+    )
+    failed = {e.region: e.distance_score.failed_edges for e in report.entries}
+    assert failed["r1"] >= 4 and failed["hubbed"] >= 3
+
+
+POOL = [f"h{i}.example.org" for i in range(5)]
+COORDS = st.tuples(
+    st.floats(min_value=-60, max_value=60), st.floats(min_value=-179, max_value=179)
+)
+
+
+@st.composite
+def workflows(draw, min_nodes=1):
+    """Random DAGs over a small endpoint pool, so nodes share endpoints."""
+    n = draw(st.integers(min_value=min_nodes, max_value=7))
+    nodes = tuple(
+        WorkflowNode(id=f"n{i}", endpoint=draw(st.sampled_from(POOL)),
+                     location=Coordinate(*draw(COORDS)))
+        for i in range(n)
+    )
+    links = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    edges = tuple(dict.fromkeys(
+        WorkflowEdge(f"n{min(u, v)}", f"n{max(u, v)}") for u, v in links if u != v
+    ))
+    return WorkflowSpec(name="random", nodes=nodes, edges=edges)
+
+
+@given(
+    spec=workflows(),
+    hosts=st.lists(st.sampled_from(POOL + ["r0.example.org", "r1.example.org"]),
+                   min_size=1, max_size=4, unique=True),
+    failing=st.sets(st.frozensets(st.sampled_from(POOL + ["r0.example.org"]), min_size=1,
+                                  max_size=2), max_size=4),
+    shortlist_n=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_rank_regions_equals_per_edge_sums_on_random_workflows(spec, hosts, failing, shortlist_n):
+    catalog = RegionCatalog(
+        tuple(Region(f"r{i}", host, Coordinate(0, i)) for i, host in enumerate(hosts))
+    )
+    providers = {m: _checksum_provider(m, frozenset(failing)) for m in Metric}
+    config = ScoringConfig(shortlist_n=shortlist_n, failure_penalty=5.0e3)
+    _assert_matches_per_edge_sums(spec, catalog, providers, config)
+
+
+@given(
+    spec=workflows(min_nodes=2),
+    regions=st.lists(COORDS, min_size=1, max_size=5),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_edge_order_does_not_change_the_synthetic_report(spec, regions, data):
+    catalog = RegionCatalog(
+        tuple(Region(f"r{i}", f"r{i}.example.org", Coordinate(*c)) for i, c in enumerate(regions))
+    )
+    permuted = WorkflowSpec(
+        name=spec.name, nodes=spec.nodes, edges=tuple(data.draw(st.permutations(spec.edges)))
+    )
+
+    def report(s):
+        providers = synthetic_providers(SyntheticNetworkModel(), location_index(s, catalog))
+        config = ScoringConfig(shortlist_n=2)
+        return rank_regions(s, catalog, MeasurementStore(), providers, config)
+
+    base, other = report(spec), report(permuted)
+    assert [e.region for e in other.entries] == [e.region for e in base.entries]
+    for a, b in zip(base.entries, other.entries):
+        assert b.shortlisted == a.shortlisted
+        assert b.final_score == pytest.approx(a.final_score, rel=1e-9, abs=1e-9)
+        for x, y in ((a.distance_score, b.distance_score), (a.ping_score, b.ping_score),
+                     (a.http_score, b.http_score)):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert y.value == pytest.approx(x.value, rel=1e-9, abs=1e-9)

@@ -12,7 +12,15 @@ from cloudforecast import (
     RegionCatalog,
 )
 from cloudforecast.measurement import agent_providers, location_index
-from cloudforecast.services import make_agent_server, make_node_server, start_in_thread
+from cloudforecast.services import (
+    MAX_BYTES,
+    MAX_DELAY_MS,
+    MAX_SAMPLES,
+    MAX_TIMEOUT_MS,
+    make_agent_server,
+    make_node_server,
+    start_in_thread,
+)
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 
 
@@ -127,6 +135,23 @@ def test_node_work_defaults(node):
 def test_node_negative_params_rejected(node):
     response = requests.get(_url(node, "/work"), params={"bytes": -1}, timeout=2)
     assert response.status_code == 400
+
+
+@pytest.mark.parametrize(
+    "server, path, params, name, cap",
+    [
+        ("agent", "/v1/ping", {"host": "127.0.0.1", "timeout_ms": 100}, "samples", MAX_SAMPLES),
+        ("agent", "/v1/http", {"url": "http://127.0.0.1:1/", "samples": 1}, "timeout_ms",
+         MAX_TIMEOUT_MS),
+        ("node", "/work", {}, "delay_ms", MAX_DELAY_MS),
+        ("node", "/work", {}, "bytes", MAX_BYTES),
+    ],
+)
+def test_parameter_above_its_cap_is_400(request, server, path, params, name, cap):
+    addr = request.getfixturevalue(server)
+    response = requests.get(_url(addr, path), params={**params, name: cap + 1}, timeout=5)
+    assert response.status_code == 400
+    assert response.json() == {"ok": False, "error": f"{name} must be <= {cap}"}
 
 
 def test_bind_conflict_raises(node):
