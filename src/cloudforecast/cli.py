@@ -87,21 +87,36 @@ DEFAULTS: dict = {
 
 PROBE_MODES = ("synthetic", "local", "agent")
 
+INT_SETTINGS = frozenset({"seed", "shortlist_n", "samples_per_pair", "max_parallel_probes",
+                          "agent_port"})
 
-def _cast(key: str, value):
+
+def _cast(key: str, value: str):
     """Coerce env/config-file strings to the type of the default."""
-    if value is None or not isinstance(value, str):
-        return value
-    default = DEFAULTS[key]
     try:
-        if key == "shortlist_n":
+        if key in INT_SETTINGS:
             return int(value)
-        if isinstance(default, int):
-            return int(value)
-        if isinstance(default, float):
+        if isinstance(DEFAULTS[key], float):
             return float(value)
     except ValueError:
         raise ValueError(f"invalid value for {key!r}: {value!r}")
+    return value
+
+
+def _config_value(key: str, value):
+    """A config-file value checked against its setting's type. Strings are
+    cast as environment values are; null only keeps a None default."""
+    if isinstance(value, str):
+        return _cast(key, value)
+    default = DEFAULTS[key]
+    if key in INT_SETTINGS:
+        kind, ok = "an integer", type(value) is int  # not a bool, not 2.0
+    elif isinstance(default, float):
+        kind, ok = "a number", type(value) in (int, float)
+    else:
+        kind, ok = "a string", False
+    if not (ok or (value is None and default is None)):
+        raise ValueError(f"config file: {key} must be {kind}, got {value!r}")
     return value
 
 
@@ -117,11 +132,13 @@ def load_settings(args: argparse.Namespace) -> dict:
             raise ValueError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file: line {exc.lineno}: {exc.msg}")
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file: expected an object, got {type(file_values).__name__}")
         unknown = sorted(set(file_values) - set(DEFAULTS))
         if unknown:
             raise ValueError(f"config file: unknown key(s): {', '.join(unknown)}")
         for key, value in file_values.items():
-            settings[key] = _cast(key, value) if isinstance(value, str) else value
+            settings[key] = _config_value(key, value)
 
     for key in DEFAULTS:
         env_value = os.environ.get(ENV_PREFIX + key.upper())

@@ -78,10 +78,11 @@ def simulate_execution(
 ) -> ExecutionResult:
     """Deterministic makespan under the synthetic latency model."""
     order = topological_order(spec)
-    coords = {
-        node.id: resolve_location(node.endpoint, locations, fallback=node.location)
-        for node in spec.nodes
-    }
+    coords = {}
+    service: dict[str, float] = {}
+    for node in spec.nodes:
+        coords[node.id] = resolve_location(node.endpoint, locations, fallback=node.location)
+        service[node.id] = node.service_time_ms
 
     def leg_ms(a: Coordinate, b: Coordinate) -> float:
         return model.ping_ms(haversine_km(a, b))
@@ -92,10 +93,9 @@ def simulate_execution(
 
     finish: dict[str, float] = {}
     for nid in order:
-        service = spec.node(nid).service_time_ms
         incoming = in_edges[nid]
         if not incoming:
-            finish[nid] = service
+            finish[nid] = service[nid]
             continue
         arrival = max(
             finish[e.src]
@@ -103,7 +103,7 @@ def simulate_execution(
             + leg_ms(vantage.location, coords[e.dst])
             for e in incoming
         )
-        finish[nid] = service + arrival
+        finish[nid] = service[nid] + arrival
 
     makespan = max(finish.values(), default=0.0)
     return ExecutionResult(
@@ -148,14 +148,14 @@ def live_execute(
         if nid not in node_urls:
             raise NodeUnreachableError(nid, "no URL configured")
 
+    service = {node.id: node.service_time_ms for node in spec.nodes}
     pending_parents = {nid: set() for nid in order}
     children: dict[str, list[str]] = {nid: [] for nid in order}
+    out_kb = dict.fromkeys(order, 0)
     for edge in spec.edges:
         pending_parents[edge.dst].add(edge.src)
         children[edge.src].append(edge.dst)
-    out_bytes = {
-        nid: int(sum(e.payload_kb for e in spec.out_edges(nid)) * 1024) for nid in order
-    }
+        out_kb[edge.src] += edge.payload_kb
 
     finish_ms: dict[str, float] = {}
     start = time.perf_counter()
@@ -164,14 +164,13 @@ def live_execute(
     with ThreadPoolExecutor(max_workers=config.max_parallel_probes) as pool:
         while ready or running:
             for nid in ready:
-                node = spec.node(nid)
                 running[
                     pool.submit(
                         _fetch_node_output,
                         nid,
                         node_urls[nid],
-                        node.service_time_ms,
-                        out_bytes[nid],
+                        service[nid],
+                        int(out_kb[nid] * 1024),
                         config,
                     )
                 ] = nid

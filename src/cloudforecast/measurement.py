@@ -145,7 +145,8 @@ class MeasurementStore:
 
     Symmetric metrics share one entry per unordered pair via key
     canonicalization. Thread-safe; concurrent misses may probe twice
-    (last write wins).
+    (last write wins). The store remembers the cache file its entries
+    equal, so saving them back to it writes nothing.
     """
 
     def __init__(
@@ -157,14 +158,30 @@ class MeasurementStore:
             raise ValueError("ttl_s must be positive")
         self.ttl_s = ttl_s
         self.symmetric_metrics = symmetric_metrics
-        self._entries: dict[tuple[str, str, str], Measurement] = {}
+        self._entries: dict[tuple[str, str, Metric], Measurement] = {}
         self._lock = threading.Lock()
+        # identity of the file whose records equal the entries, if any
+        self._synced: tuple[int, int, int, int] | None = None
 
-    def canonical_key(self, pair: Pair, metric: Metric) -> tuple[str, str, str]:
+    def canonical_key(self, pair: Pair, metric: Metric) -> tuple[str, str, Metric]:
         src, dst = pair
         if metric in self.symmetric_metrics and dst < src:
             src, dst = dst, src
-        return (src, dst, metric.value)
+        return (src, dst, metric)
+
+    def fold_pairs(self, pairs: dict[Pair, int], metric: Metric) -> dict[Pair, int]:
+        """Merge each pair into an earlier one with the same key, summing their
+        multiplicities, so every key is looked up once. For an asymmetric
+        metric no two pairs share a key and `pairs` comes back as it is."""
+        if metric not in self.symmetric_metrics:
+            return pairs
+        folded: dict[Pair, int] = {}
+        for (src, dst), n in pairs.items():
+            if (dst, src) in folded:  # the only other pair with this key
+                folded[(dst, src)] += n
+            else:
+                folded[(src, dst)] = n
+        return folded
 
     def get(self, pair: Pair, metric: Metric, now: float | None = None) -> Measurement | None:
         key = self.canonical_key(pair, metric)
@@ -175,6 +192,7 @@ class MeasurementStore:
                 return None
             if now - entry.taken_at > self.ttl_s:
                 del self._entries[key]
+                self._synced = None
                 return None
             return entry
 
@@ -182,6 +200,7 @@ class MeasurementStore:
         key = self.canonical_key((measurement.src, measurement.dst), measurement.metric)
         with self._lock:
             self._entries[key] = measurement
+            self._synced = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -190,27 +209,32 @@ class MeasurementStore:
     def save(self, path: str) -> None:
         """One JSON record per key, sorted, so repeated runs reuse probes.
 
-        The file is replaced atomically: a failed save leaves the old one."""
+        Nothing is written when `path` is still the file the entries were
+        loaded from or last saved to. Otherwise the file is replaced
+        atomically: a failed save leaves the old one."""
         with self._lock:
+            if self._synced is not None and self._synced == _file_identity(path):
+                return
             entries = sorted(self._entries.items())
-        # record fields in sorted order, as the file format has them
-        lines = [
-            json.dumps({
-                "dst": m.dst, "metric": m.metric.value, "note": m.note, "samples": m.samples,
-                "src": m.src, "success": m.success, "taken_at": m.taken_at, "unit": m.unit,
-                "value": m.value,
-            })
-            for _, m in entries
-        ]
-        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write("\n".join(lines) + ("\n" if lines else ""))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            # record fields in sorted order, as the file format has them
+            lines = [
+                json.dumps({
+                    "dst": m.dst, "metric": m.metric.value, "note": m.note,
+                    "samples": m.samples, "src": m.src, "success": m.success,
+                    "taken_at": m.taken_at, "unit": m.unit, "value": m.value,
+                })
+                for _, m in entries
+            ]
+            tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+            try:
+                with open(tmp, "w") as fh:
+                    fh.write("\n".join(lines) + ("\n" if lines else ""))
+                os.replace(tmp, path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+            self._synced = _file_identity(path)
 
     @classmethod
     def load(
@@ -221,25 +245,60 @@ class MeasurementStore:
     ) -> "MeasurementStore":
         """Read a cache file; on duplicate keys the later record wins."""
         store = cls(ttl_s=ttl_s, symmetric_metrics=symmetric_metrics)
-        if not os.path.exists(path):
+        try:
+            fh = open(path)
+        except FileNotFoundError:
             return store
-        with open(path) as fh:
+        # the store is not shared yet, so records go straight into its entries
+        entries, key = store._entries, store.canonical_key
+        records = 0
+        with fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                where = f"{path}:{lineno}"
-                try:
-                    record = json.loads(line)
+                try:  # json.loads of the stripped line, without its per-call set-up
+                    record, end = _raw_decode(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as exc:
-                    raise DocumentFormatError(f"{where}: not a JSON record: {exc.msg}") from exc
+                    raise DocumentFormatError(
+                        f"{path}:{lineno}: not a JSON record: {exc.msg}"
+                    ) from exc
                 try:
-                    record["metric"] = Metric(record["metric"])
-                    store.put(Measurement(**record))
+                    record["metric"] = _METRIC_BY_VALUE[record["metric"]]
+                    m = Measurement(**record)
                 except (KeyError, TypeError, ValueError) as exc:
-                    check_fields(record, _RECORD_FIELDS, ("note",), where)
-                    raise DocumentFormatError(f"{where}: {exc}") from exc
+                    raise _bad_record(record, f"{path}:{lineno}", exc) from exc
+                entries[key((m.src, m.dst), m.metric)] = m
+                records += 1
+            if records == len(entries):  # no record was overridden by a later one
+                store._synced = _file_identity(fh.fileno())
         return store
+
+
+_METRIC_BY_VALUE = {metric.value: metric for metric in Metric}
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _file_identity(file: str | int) -> tuple[int, int, int, int] | None:
+    """Device, inode, size and mtime of a path or open descriptor; None if missing."""
+    try:
+        st = os.stat(file)
+    except FileNotFoundError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _bad_record(record, where: str, exc: Exception) -> DocumentFormatError:
+    """The load error for a record that is not a valid measurement, worded
+    as the field check, `Metric(...)` or `Measurement(...)` words it."""
+    check_fields(record, _RECORD_FIELDS, ("note",), where)
+    try:
+        Metric(record["metric"])
+    except ValueError as metric_exc:
+        exc = metric_exc
+    return DocumentFormatError(f"{where}: {exc}")
 
 
 def location_index(spec: WorkflowSpec, catalog: RegionCatalog | None = None) -> LocationTable:
@@ -573,6 +632,8 @@ def agent_providers(
             # probe_host may carry a port for probing; the agent has its own port
             agent = AgentClient(f"http://{host_of(region_host)}:{agent_port}", request_timeout_s)
             reply = ask(agent, target)
+        except requests.HTTPError as exc:  # the agent answered, and refused
+            return _failed(pair, metric, samples, f"agent/http-{exc.response.status_code}")
         except (requests.RequestException, ValueError):
             return _failed(pair, metric, samples, "agent/unreachable")
         rtts = [float(v) for v in reply.get("rtts_ms", [])]

@@ -145,7 +145,9 @@ def rank_regions(
     mandatory because shortlisting is built on it. Non-shortlisted regions
     are ranked after shortlisted ones by their distance score. A region's
     candidate graph is scored from its unique (endpoint, hub) pairs, weighted
-    by the number of edges each carries, without building the edges.
+    by the number of edges each carries, without building the edges; pairs
+    that share a store key (both directions of a symmetric metric) are
+    measured once.
     """
     if Metric.DISTANCE not in providers:
         raise ValueError("a distance provider is required for shortlisting")
@@ -156,7 +158,7 @@ def rank_regions(
     def scored(metric: Metric, region_ids: list[str]) -> dict[str, GraphScore]:
         scores = {}
         for region_id in region_ids:
-            pairs = weighted_pairs(legs, hubs[region_id])
+            pairs = store.fold_pairs(weighted_pairs(legs, hubs[region_id]), metric)
             measured = collect_measurements(
                 store, list(pairs), metric, providers[metric], max_parallel
             )

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -483,6 +484,60 @@ def test_corrupt_cache_file_exits_2_naming_file_and_line(fig1_file, tmp_path, ca
     code, out, err = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
     assert code == 2 and out == ""
     assert f"{cache}:2: unknown field(s): notes" in err
+
+
+def test_analyze_cache_rerun_leaves_the_file_untouched(fig1_file, tmp_path, capsys):
+    cache = tmp_path / "probes.cache"
+    code, first_out, _ = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
+    assert code == 0
+    os.utime(cache, ns=(10**9, 10**9))  # any rewrite now shows in the mtime
+    before = (cache.read_bytes(), cache.stat().st_mtime_ns)
+    code, out, _ = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
+    assert code == 0 and out == first_out
+    assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"samples_per_pair": 1e999}', "samples_per_pair must be an integer, got inf"),
+        ('{"samples_per_pair": 2.5}', "samples_per_pair must be an integer, got 2.5"),
+        ('{"samples_per_pair": true}', "samples_per_pair must be an integer, got True"),
+        ('{"shortlist_n": 2.7}', "shortlist_n must be an integer"),
+        ('{"max_parallel_probes": 2.0}', "max_parallel_probes must be an integer"),
+        ('{"seed": null}', "seed must be an integer"),
+        ('{"timeout_ms": true}', "timeout_ms must be a number, got True"),
+        ('{"cache": 5}', "cache must be a string, got 5"),
+        ('{"metrics": ["ping"]}', "metrics must be a string"),
+    ],
+    ids=["overflow", "fraction", "bool", "shortlist-fraction", "integral-float", "null-seed",
+         "bool-number", "fd-cache", "list-metrics"],
+)
+def test_config_file_value_must_have_its_settings_type(fig1_file, tmp_path, capsys, text,
+                                                       message):
+    config = tmp_path / "conf.json"
+    config.write_text(text)
+    code, out, err = run_cli(["analyze", "-w", fig1_file, "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    assert f"config file: {message}" in err
+
+
+@pytest.mark.parametrize("text", ["[1]", '["format"]', '"csv"'])
+def test_config_file_that_is_not_an_object_exits_2(fig1_file, tmp_path, capsys, text):
+    config = tmp_path / "conf.json"
+    config.write_text(text)
+    code, out, err = run_cli(["analyze", "-w", fig1_file, "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    assert "config file: expected an object" in err
+
+
+def test_config_file_accepts_nulls_for_unset_defaults_and_numbers(fig1_file, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text('{"shortlist_n": null, "samples_per_pair": 3, "cache": null, '
+                      '"timeout_ms": 100}')
+    code, out, err = run_cli(["analyze", "-w", fig1_file, "--config", str(config)], capsys)
+    assert code == 0, err
+    assert out.count("true") == 8  # every region shortlisted
 
 
 def test_unreadable_config_file_rejected(fig1_file, capsys):

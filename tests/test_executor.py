@@ -264,3 +264,32 @@ def test_live_execute_missing_url_rejected():
     spec = _path_spec([1, 1], name="nourl")
     with pytest.raises(NodeUnreachableError, match="'B'"):
         live_execute(spec, {"A": "http://127.0.0.1:1"}, ProbeConfig(timeout_ms=100))
+
+
+def test_live_execute_asks_each_node_for_its_service_time_and_out_bytes(monkeypatch):
+    spec = WorkflowSpec(
+        name="fan",
+        nodes=(
+            WorkflowNode(id="A", endpoint="a.example.org", role="source", service_time_ms=5),
+            WorkflowNode(id="B", endpoint="b.example.org", service_time_ms=7),
+            WorkflowNode(id="C", endpoint="c.example.org", service_time_ms=11),
+        ),
+        edges=(
+            WorkflowEdge("A", "B", payload_kb=1.5), WorkflowEdge("A", "C", payload_kb=0.25),
+            WorkflowEdge("B", "C", payload_kb=2.0),
+        ),
+    )
+    asked = {}
+
+    def fetch(node_id, base_url, delay_ms, out_bytes, config):
+        asked[node_id] = (delay_ms, out_bytes)
+        return b""
+
+    monkeypatch.setattr("cloudforecast.executor._fetch_node_output", fetch)
+    live_execute(spec, {nid: "http://unused" for nid in "ABC"}, ProbeConfig())
+    assert asked == {
+        nid: (spec.node(nid).service_time_ms,
+              int(sum(e.payload_kb for e in spec.out_edges(nid)) * 1024))
+        for nid in "ABC"
+    }
+    assert asked["A"] == (5, 1792) and asked["C"] == (11, 0)

@@ -1,5 +1,8 @@
 import math
+import os
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -289,6 +292,156 @@ def test_store_save_writes_sorted_record_fields(tmp_path):
         '{"dst": "b", "metric": "ping", "note": "", "samples": 1, "src": "a", '
         '"success": true, "taken_at": 100.0, "unit": "ms", "value": 1.5}\n'
     )
+
+
+def _write_cache(path, *measurements):
+    """Save the measurements to `path` and set the file's mtime far back, so
+    any rewrite shows in `st_mtime_ns`."""
+    store = MeasurementStore(ttl_s=3600)
+    for m in measurements:
+        store.put(m)
+    store.save(str(path))
+    os.utime(path, ns=(10**9, 10**9))
+
+
+def _refuse_replace(monkeypatch):
+    def refuse(src, dst):
+        raise AssertionError(f"rewrote {dst}")
+
+    monkeypatch.setattr("cloudforecast.measurement.os.replace", refuse)
+
+
+def test_store_save_of_unchanged_entries_leaves_the_file_untouched(tmp_path, monkeypatch):
+    path = tmp_path / "probes.cache"
+    _write_cache(path, _measurement("a", "b", Metric.PING, 1.0),
+                 _measurement("c", "a", Metric.DISTANCE, 2.0))
+    before = (path.read_bytes(), path.stat().st_mtime_ns)
+    loaded = MeasurementStore.load(str(path))
+    assert loaded.get(("a", "c"), Metric.DISTANCE).value == 2.0  # a hit changes nothing
+    fresh = MeasurementStore()
+    fresh.put(_measurement("a", "b", Metric.PING, 1.0))
+    fresh.save(str(tmp_path / "fresh.cache"))
+    _refuse_replace(monkeypatch)
+    loaded.save(str(path))
+    loaded.save(str(path))
+    fresh.save(str(tmp_path / "fresh.cache"))  # its last save wrote that file
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.cache", "probes.cache"]
+
+
+def _put_one(store, path):
+    store.put(_measurement("x", "y", Metric.PING, 3.0))
+    return path
+
+
+def _evict_one(store, path):
+    assert store.get(("a", "b"), Metric.PING, now=time.time() + 7200) is None
+    return path
+
+
+def _other_path(store, path):
+    return path.with_name("other.cache")
+
+
+@pytest.mark.parametrize("change", [_put_one, _evict_one, _other_path],
+                         ids=["put", "ttl-eviction", "other-path"])
+def test_store_save_writes_after_a_change_or_to_another_path(tmp_path, change):
+    path = tmp_path / "probes.cache"
+    _write_cache(path, _measurement("a", "b", Metric.PING, 1.0))
+    store = MeasurementStore.load(str(path))
+    target = change(store, path)
+    store.save(str(target))
+    assert target.stat().st_mtime_ns != 10**9
+    assert len(MeasurementStore.load(str(target))) == len(store)
+
+
+def test_store_save_writes_when_the_file_was_replaced_since_load(tmp_path):
+    path = tmp_path / "probes.cache"
+    _write_cache(path, _measurement("a", "b", Metric.PING, 1.0))
+    store = MeasurementStore.load(str(path))
+    ours = path.read_text()
+    _write_cache(path, _measurement("c", "d", Metric.PING, 2.0))  # another writer
+    store.save(str(path))
+    assert path.read_text() == ours
+
+
+def test_store_save_compacts_a_file_with_duplicate_keys(tmp_path):
+    path = tmp_path / "dup.cache"
+    _write_cache(path, _measurement("a", "b", Metric.PING, 1.0, taken_at=100.0))
+    first = path.read_text()
+    _write_cache(path, _measurement("a", "b", Metric.PING, 2.0, taken_at=100.0))
+    last = path.read_text()
+    path.write_text(first + last)
+    MeasurementStore.load(str(path)).save(str(path))
+    assert path.read_text() == last
+
+
+def test_store_load_of_a_missing_file_then_save_creates_it(tmp_path):
+    path = tmp_path / "new.cache"
+    store = MeasurementStore.load(str(path))
+    store.save(str(path))
+    assert path.exists() and path.read_text() == ""
+    store.put(_measurement("a", "b", Metric.PING, 1.0))
+    store.save(str(path))
+    assert len(MeasurementStore.load(str(path))) == 1
+
+
+def test_store_concurrent_puts_and_saves_lose_no_entry(tmp_path):
+    path = str(tmp_path / "probes.cache")
+    store = MeasurementStore()
+    for i in range(300):  # so that each save serializes for a while
+        store.put(_measurement("base", f"d{i}", Metric.PING, 1.0))
+    store.save(path)
+
+    def work(worker):
+        for i in range(20):
+            store.put(_measurement(f"w{worker}", f"d{i}", Metric.PING, 1.0))
+            store.save(path)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    store.save(path)  # a save that raced a put must not have marked the file current
+    assert len(MeasurementStore.load(path)) == 300 + 8 * 20
+
+
+def test_store_keys_hold_the_metric_member():
+    store = MeasurementStore()
+    key = store.canonical_key(("b", "a"), Metric.PING)
+    assert key == ("a", "b", Metric.PING) and key[2] is Metric.PING
+
+
+_GOOD = ('{"dst": "b", "metric": "ping", "note": "", "samples": 1, "src": "a", '
+         '"success": true, "taken_at": 1.0, "unit": "ms", "value": 2.0}')
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (_GOOD.replace('"ping"', '"warp"'), "'warp' is not a valid Metric"),
+        (_GOOD.replace('"ping"', '["ping"]'), "['ping'] is not a valid Metric"),
+        (_GOOD.replace('"samples": 1', '"samples": 0'), "samples must be >= 1"),
+        (_GOOD.replace("2.0", "-2.0"), "successful measurement value must be >= 0"),
+        (_GOOD + " {}", "not a JSON record: Extra data"),
+        ('"text"', "expected an object, got str"),
+    ],
+    ids=["unknown-metric", "unhashable-metric", "zero-samples", "negative-value",
+         "trailing-data", "string"],
+)
+def test_store_load_rejects_invalid_values_naming_file_and_line(tmp_path, record, message):
+    path = tmp_path / "bad.cache"
+    path.write_text(f"{_GOOD}\n\n  {record}  \n")
+    with pytest.raises(DocumentFormatError) as info:
+        MeasurementStore.load(str(path))
+    assert str(info.value) == f"{path}:3: {message}"
 
 
 @pytest.mark.parametrize(

@@ -595,3 +595,37 @@ def test_edge_order_does_not_change_the_synthetic_report(spec, regions, data):
             assert (x is None) == (y is None)
             if x is not None:
                 assert y.value == pytest.approx(x.value, rel=1e-9, abs=1e-9)
+
+
+class CountingStore(MeasurementStore):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.gets = []
+
+    def get(self, pair, metric, now=None):
+        self.gets.append(self.canonical_key(pair, metric))
+        return super().get(pair, metric, now)
+
+
+@pytest.mark.parametrize("symmetric", [frozenset(Metric), frozenset()],
+                         ids=["symmetric", "asymmetric"])
+def test_rank_regions_looks_each_store_key_up_once(symmetric):
+    providers = {m: _checksum_provider(m) for m in Metric}
+    calls = []
+    counted = {m: (lambda pair, p=p: calls.append(pair) or p(pair)) for m, p in providers.items()}
+    store = CountingStore(symmetric_metrics=symmetric)
+    rank_regions(SHARED_SPEC, SHARED_CATALOG, store, counted, ScoringConfig())
+    assert len(store.gets) == len(set(store.gets)) == len(store) == len(calls)
+    hub = SHARED_CATALOG.by_id("r1").probe_host
+    assert (hub, HUB) in calls  # edge A -> C routes hub -> C first
+    # with a symmetric store the later (C, hub) leg is folded into it, not looked up
+    assert ((HUB, hub) in calls) == (not symmetric)
+
+
+def test_fold_pairs_keeps_the_first_seen_pair_and_sums():
+    pairs = {("e", "h"): 2, ("h", "f"): 1, ("h", "e"): 3, ("h", "h"): 4}
+    store = MeasurementStore()
+    assert store.fold_pairs(pairs, Metric.PING) == {("e", "h"): 5, ("h", "f"): 1, ("h", "h"): 4}
+    assert list(store.fold_pairs(pairs, Metric.PING)) == [("e", "h"), ("h", "f"), ("h", "h")]
+    asymmetric = MeasurementStore(symmetric_metrics=frozenset())
+    assert asymmetric.fold_pairs(pairs, Metric.PING) == pairs

@@ -211,3 +211,22 @@ def test_agent_providers_fail_without_region_side(agent):
     )
     m = providers[Metric.PING](("x.example.org", "y.example.org"))
     assert not m.success and "no-region-side" in m.note
+
+
+def test_agent_error_reply_is_reported_with_its_status(agent):
+    region = Region("loop", "127.0.0.1", Coordinate(0, 0))
+    catalog = RegionCatalog((region,))
+    spec = WorkflowSpec(
+        name="x",
+        nodes=(WorkflowNode(id="A", endpoint="127.0.0.1", location=Coordinate(0, 0)),),
+    )
+    too_many = ProbeConfig(samples_per_pair=MAX_SAMPLES + 1, timeout_ms=200)
+    providers = agent_providers(catalog, too_many, location_index(spec, catalog), agent[1])
+    for metric in (Metric.PING, Metric.HTTP_RTT):
+        m = providers[metric](("127.0.0.1", "127.0.0.1"))
+        assert not m.success and m.note == "agent/http-400"
+    # no agent listening is a transport error
+    closed = agent_providers(catalog, ProbeConfig(samples_per_pair=1, timeout_ms=200),
+                             location_index(spec, catalog), agent_port=1)
+    m = closed[Metric.PING](("127.0.0.1", "127.0.0.1"))
+    assert not m.success and m.note == "agent/unreachable"
