@@ -8,7 +8,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .candidates import (
@@ -23,7 +23,6 @@ from .errors import (
     CatalogError,
     CloudForecastError,
     DocumentFormatError,
-    NodeUnreachableError,
     SpecValidationError,
     UnknownLocationError,
 )
@@ -38,6 +37,8 @@ from .executor import (
 )
 from .geo import Coordinate, default_region_catalog, load_region_catalog
 from .measurement import (
+    DEFAULT_AGENT_PORT,
+    DEFAULT_TTL_S,
     Aggregator,
     MeasurementStore,
     ProbeConfig,
@@ -61,67 +62,83 @@ from .workflow import (
 
 ENV_PREFIX = "CLOUDFORECAST_"
 
-DEFAULTS: dict = {
-    "probe_mode": "synthetic",
-    "regions": None,
-    "format": "table",
-    "seed": 0,
-    "cache": None,
-    "cache_ttl_s": 3600.0,
-    "metrics": "distance,ping,http_rtt",
-    "shortlist_n": None,
-    "weight_ping": 1.0,
-    "weight_http": 1.0,
-    "failure_penalty": 1.0e8,
-    "samples_per_pair": 5,
-    "timeout_ms": 3000.0,
-    "aggregator": "mean",
-    "max_parallel_probes": 8,
-    "base_latency_ms": 5.0,
-    "ms_per_100km": 1.0,
-    "http_overhead_ms": 20.0,
-    "agent_port": 9001,
-    "pool": None,
-    "local": "0,0",
-}
-
-PROBE_MODES = ("synthetic", "local", "agent")
-
-INT_SETTINGS = frozenset({"seed", "shortlist_n", "samples_per_pair", "max_parallel_probes",
-                          "agent_port"})
+KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _cast(key: str, value: str):
-    """Coerce env/config-file strings to the type of the default."""
-    try:
-        if key in INT_SETTINGS:
-            return int(value)
-        if isinstance(DEFAULTS[key], float):
-            return float(value)
-    except ValueError:
-        raise ValueError(f"invalid value for {key!r}: {value!r}")
-    return value
+@dataclass(frozen=True)
+class Setting:
+    """A setting's name, default, type, help, flag spellings and allowed values.
+    Range checks are left to the configs that use the value."""
+
+    name: str
+    default: object
+    kind: type  # int, float or str
+    help: str = ""
+    flags: tuple[str, ...] | None = None  # None: --name-with-dashes
+    choices: tuple[str, ...] | None = None
+
+    def convert(self, value):
+        """The one check of a flag, environment or config-file value: a string is
+        parsed; JSON must have the type (an integer is also a number), null only
+        keeps a None default. The error is argparse's, which shows its message."""
+        if value is None and self.default is None:
+            return None
+        try:
+            if isinstance(value, str):
+                value = self.kind(value)
+            elif self.kind is float and type(value) is int:
+                value = float(value)
+            elif type(value) is not self.kind:  # not a bool for an integer, nor 2.0
+                raise ValueError
+        except (ValueError, OverflowError):
+            wanted = KIND_NAMES[self.kind]
+        else:
+            if self.choices is None or value in self.choices:
+                return value
+            wanted = f"one of {self.choices}"
+        raise argparse.ArgumentTypeError(f"{self.name} must be {wanted}, got {value!r}")
 
 
-def _config_value(key: str, value):
-    """A config-file value checked against its setting's type. Strings are
-    cast as environment values are; null only keeps a None default."""
-    if isinstance(value, str):
-        return _cast(key, value)
-    default = DEFAULTS[key]
-    if key in INT_SETTINGS:
-        kind, ok = "an integer", type(value) is int  # not a bool, not 2.0
-    elif isinstance(default, float):
-        kind, ok = "a number", type(value) in (int, float)
-    else:
-        kind, ok = "a string", False
-    if not (ok or (value is None and default is None)):
-        raise ValueError(f"config file: {key} must be {kind}, got {value!r}")
-    return value
+# the probe, scoring and synthetic-model defaults are their dataclasses' own
+_PROBE, _SCORING, _MODEL = ProbeConfig(), ScoringConfig(), SyntheticNetworkModel()
+
+SETTINGS = {setting.name: setting for setting in (
+    Setting("probe_mode", "synthetic", str, "measurement source",
+            choices=("synthetic", "local", "agent")),
+    Setting("regions", None, str, "region catalog file (default: bundled 8-region catalog)",
+            flags=("-r", "--regions")),
+    Setting("format", "table", str, "output format", choices=("table", "json", "csv")),
+    Setting("seed", 0, int, "random seed"),
+    Setting("cache", None, str, "measurement cache file reused across runs"),
+    Setting("cache_ttl_s", DEFAULT_TTL_S, float),
+    Setting("metrics", "distance,ping,http_rtt", str, "comma list of distance,ping,http_rtt"),
+    Setting("shortlist_n", _SCORING.shortlist_n, int, "evaluate ping/HTTP only for the n "
+            "distance-closest regions (default: all)", flags=("--shortlist",)),
+    Setting("weight_ping", _SCORING.weight_ping, float, "ping weight in the final score"),
+    Setting("weight_http", _SCORING.weight_http, float, "HTTP weight in the final score"),
+    Setting("failure_penalty", _SCORING.failure_penalty, float, "score added per failed edge"),
+    Setting("samples_per_pair", _PROBE.samples_per_pair, int, "probes per endpoint pair"),
+    Setting("timeout_ms", _PROBE.timeout_ms, float, "per-probe timeout"),
+    Setting("aggregator", _PROBE.aggregator.value, str, "sample aggregation",
+            choices=tuple(a.value for a in Aggregator)),
+    Setting("max_parallel_probes", _PROBE.max_parallel_probes, int, "probe fan-out bound"),
+    Setting("base_latency_ms", _MODEL.base_latency_ms, float, "synthetic model base latency"),
+    Setting("ms_per_100km", _MODEL.ms_per_100km, float, "synthetic model slope"),
+    Setting("http_overhead_ms", _MODEL.http_overhead_ms, float, "synthetic model HTTP overhead"),
+    Setting("agent_port", DEFAULT_AGENT_PORT, int, "probe-agent port in agent mode"),
+    Setting("pool", None, str, "node pool file for generation (default: bundled pool)"),
+    Setting("local", "0,0", str, "local vantage as 'lat,lon'"),
+)}
+
+DEFAULTS: dict = {name: setting.default for name, setting in SETTINGS.items()}
+
+# no flag, or a flag that only some commands take; every other flag is shared
+NOT_SHARED = ("cache_ttl_s", "metrics", "local")
 
 
 def load_settings(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, environment and flags (in that order)."""
+    """Merge defaults, config file, environment and flags (in that order).
+    Flags were converted when parsed; the other sources are converted here."""
     settings = dict(DEFAULTS)
 
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
@@ -134,52 +151,28 @@ def load_settings(args: argparse.Namespace) -> dict:
             raise ValueError(f"config file: line {exc.lineno}: {exc.msg}")
         if not isinstance(file_values, dict):
             raise ValueError(f"config file: expected an object, got {type(file_values).__name__}")
-        unknown = sorted(set(file_values) - set(DEFAULTS))
+        unknown = sorted(set(file_values) - set(SETTINGS))
         if unknown:
             raise ValueError(f"config file: unknown key(s): {', '.join(unknown)}")
         for key, value in file_values.items():
-            settings[key] = _config_value(key, value)
+            try:
+                settings[key] = SETTINGS[key].convert(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config file: {exc}") from None
 
-    for key in DEFAULTS:
+    for key in SETTINGS:
         env_value = os.environ.get(ENV_PREFIX + key.upper())
         if env_value is not None:
-            settings[key] = _cast(key, env_value)
-
-    for key in DEFAULTS:
+            settings[key] = SETTINGS[key].convert(env_value)
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
-
-    if settings["probe_mode"] not in PROBE_MODES:
-        raise ValueError(f"probe_mode must be one of {PROBE_MODES}, got {settings['probe_mode']!r}")
     return settings
 
 
-def probe_config_from(settings: dict) -> ProbeConfig:
-    return ProbeConfig(
-        samples_per_pair=int(settings["samples_per_pair"]),
-        timeout_ms=float(settings["timeout_ms"]),
-        aggregator=Aggregator(settings["aggregator"]),
-        max_parallel_probes=int(settings["max_parallel_probes"]),
-    )
-
-
-def scoring_config_from(settings: dict) -> ScoringConfig:
-    n = settings["shortlist_n"]
-    return ScoringConfig(
-        shortlist_n=None if n is None else int(n),
-        weight_ping=float(settings["weight_ping"]),
-        weight_http=float(settings["weight_http"]),
-        failure_penalty=float(settings["failure_penalty"]),
-    )
-
-
-def model_from(settings: dict) -> SyntheticNetworkModel:
-    return SyntheticNetworkModel(
-        base_latency_ms=float(settings["base_latency_ms"]),
-        ms_per_100km=float(settings["ms_per_100km"]),
-        http_overhead_ms=float(settings["http_overhead_ms"]),
-    )
+def config_from(cls, settings: dict):
+    """A probe, scoring or synthetic-model config from the settings named as its fields."""
+    return cls(**{f.name: settings[f.name] for f in fields(cls)})
 
 
 def _load_catalog(settings: dict):
@@ -219,11 +212,13 @@ def _parse_metrics(text: str) -> list[Metric]:
 
 
 def _parse_latlon(text: str) -> Coordinate:
+    """A 'lat,lon' text; well-formed but out of range gives Coordinate's error."""
     try:
         lat_text, lon_text = text.split(",", 1)
-        return Coordinate(float(lat_text), float(lon_text))
-    except (ValueError, TypeError):
+        lat, lon = float(lat_text), float(lon_text)
+    except ValueError:
         raise ValueError(f"expected 'lat,lon', got {text!r}")
+    return Coordinate(lat, lon)
 
 
 def _parse_listen(text: str) -> tuple[str, int]:
@@ -233,27 +228,25 @@ def _parse_listen(text: str) -> tuple[str, int]:
     return host, int(port_text)
 
 
-def _build_providers(mode: str, settings: dict, spec, catalog, metrics: list[Metric]):
+def _build_providers(settings: dict, pconfig: ProbeConfig, spec, catalog,
+                     metrics: list[Metric]):
     locations = location_index(spec, catalog)
-    pconfig = probe_config_from(settings)
-    if mode == "synthetic":
-        providers = synthetic_providers(model_from(settings), locations)
-    elif mode == "local":
+    if settings["probe_mode"] == "synthetic":
+        providers = synthetic_providers(config_from(SyntheticNetworkModel, settings), locations)
+    elif settings["probe_mode"] == "local":
         providers = local_providers(pconfig, locations)
     else:
-        providers = agent_providers(
-            catalog, pconfig, locations, agent_port=int(settings["agent_port"])
-        )
+        providers = agent_providers(catalog, pconfig, locations, agent_port=settings["agent_port"])
     wanted = set(metrics) | {Metric.DISTANCE}  # shortlisting always needs distance
     return {metric: providers[metric] for metric in METRIC_ORDER if metric in wanted}
 
 
-def _open_store(settings: dict) -> tuple[MeasurementStore, str | None]:
+def _open_store(settings: dict) -> MeasurementStore:
     cache = settings["cache"]
-    ttl = float(settings["cache_ttl_s"])
+    ttl = settings["cache_ttl_s"]
     if cache:
-        return MeasurementStore.load(cache, ttl_s=ttl), cache
-    return MeasurementStore(ttl_s=ttl), None
+        return MeasurementStore.load(cache, ttl_s=ttl)
+    return MeasurementStore(ttl_s=ttl)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -263,42 +256,38 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _analysis_setup(args: argparse.Namespace):
-    """Settings, workflow, catalog, metrics, providers, store, cache path and
-    probe fan-out shared by `analyze` and `probe`."""
-    settings = load_settings(args)
+def _analysis_setup(args: argparse.Namespace, settings: dict):
+    """Workflow, catalog, metrics, providers, store and probe fan-out for `analyze` and `probe`."""
     spec = _load_workflow(args.workflow)
     catalog = _load_catalog(settings)
     metrics = _parse_metrics(settings["metrics"])
-    mode = settings["probe_mode"]
-    providers = _build_providers(mode, settings, spec, catalog, metrics)
-    store, cache_path = _open_store(settings)
-    max_parallel = 1 if mode == "synthetic" else probe_config_from(settings).max_parallel_probes
-    return settings, spec, catalog, metrics, providers, store, cache_path, max_parallel
+    pconfig = config_from(ProbeConfig, settings)
+    providers = _build_providers(settings, pconfig, spec, catalog, metrics)
+    store = _open_store(settings)
+    max_parallel = 1 if settings["probe_mode"] == "synthetic" else pconfig.max_parallel_probes
+    return spec, catalog, metrics, providers, store, max_parallel
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    settings, spec, catalog, metrics, providers, store, cache_path, max_parallel = (
-        _analysis_setup(args)
-    )
+def cmd_analyze(args: argparse.Namespace, settings: dict) -> int:
+    spec, catalog, metrics, providers, store, max_parallel = _analysis_setup(args, settings)
     if args.dump_candidates:
         graphs = enumerate_candidates(spec, catalog, metrics)
         Path(args.dump_candidates).write_text("".join(dump_graph(g) for g in graphs))
 
     report = rank_regions(
-        spec, catalog, store, providers, scoring_config_from(settings), max_parallel
+        spec, catalog, store, providers, config_from(ScoringConfig, settings), max_parallel
     )
     report = replace(report, provenance={**report.provenance, "probe_mode": settings["probe_mode"]})
     if args.no_timestamps:
         report = replace(report, generated_at=None)
-    if cache_path:
-        store.save(cache_path)
+    if settings["cache"]:
+        store.save(settings["cache"])
     _emit(render_report(report, settings["format"]), args.out)
     return 0
 
 
-def cmd_probe(args: argparse.Namespace) -> int:
-    _, spec, catalog, _, providers, store, cache_path, max_parallel = _analysis_setup(args)
+def cmd_probe(args: argparse.Namespace, settings: dict) -> int:
+    spec, catalog, _, providers, store, max_parallel = _analysis_setup(args, settings)
     legs = hub_legs(spec)
     lines = []
     for metric in METRIC_ORDER:
@@ -313,24 +302,22 @@ def cmd_probe(args: argparse.Namespace) -> int:
                     f"{metric.value:9} {region.id:16} {pair[0]} -> {pair[1]}  "
                     f"{m.value:.3f} {m.unit}  {status}"
                 )
-    if cache_path:
-        store.save(cache_path)
+    if settings["cache"]:
+        store.save(settings["cache"])
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    settings = load_settings(args)
+def cmd_generate(args: argparse.Namespace, settings: dict) -> int:
     pool = _load_pool(settings)
     spec = generate_random_workflow(
-        WorkflowPattern(args.pattern), args.nodes, pool, int(settings["seed"])
+        WorkflowPattern(args.pattern), args.nodes, pool, settings["seed"]
     )
     _emit(render_workflow(spec), args.out)
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    settings = load_settings(args)
+def cmd_simulate(args: argparse.Namespace, settings: dict) -> int:
     spec = _load_workflow(args.workflow)
     runs_ms: list[float] = []
 
@@ -341,7 +328,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if not node_id or not url:
                 raise ValueError(f"expected 'node-id=URL', got {item!r}")
             node_urls[node_id] = url
-        config = probe_config_from(settings)
+        config = config_from(ProbeConfig, settings)
         for _ in range(args.repeat):
             result = live_execute(spec, node_urls, config)
             runs_ms.append(result.makespan_ms)
@@ -360,7 +347,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 )
             vantage = Vantage(region.id, region.location)
         locations = location_index(spec, catalog)
-        result = simulate_execution(spec, vantage, model_from(settings), locations)
+        model = config_from(SyntheticNetworkModel, settings)
+        result = simulate_execution(spec, vantage, model, locations)
         runs_ms.append(result.makespan_ms)
 
     mean_makespan = sum(runs_ms) / len(runs_ms)
@@ -410,13 +398,12 @@ def _experiment_specs(args: argparse.Namespace, settings: dict) -> list:
             doc = json.loads(Path(args.recipe).read_text())
             recipe = doc["workflows"] if isinstance(doc, dict) else doc
         pool = _load_pool(settings)
-        base_seed = int(settings["seed"])
         specs = [
             generate_random_workflow(
                 WorkflowPattern(entry["pattern"]),
                 int(entry["nodes"]),
                 pool,
-                int(entry.get("seed", base_seed + i)),
+                int(entry.get("seed", settings["seed"] + i)),
             )
             for i, entry in enumerate(recipe)
         ]
@@ -425,13 +412,16 @@ def _experiment_specs(args: argparse.Namespace, settings: dict) -> list:
     return specs
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    settings = load_settings(args)
+def cmd_experiment(args: argparse.Namespace, settings: dict) -> int:
+    try:
+        local = Vantage("local", _parse_latlon(settings["local"]))
+    except ValueError as exc:
+        raise ValueError(f"local: {exc}")
     specs = _experiment_specs(args, settings)
     catalog = _load_catalog(settings)
-    local = Vantage("local", _parse_latlon(settings["local"]))
     report = run_experiment(
-        specs, catalog, model_from(settings), local, scoring_config_from(settings)
+        specs, catalog, config_from(SyntheticNetworkModel, settings), local,
+        config_from(ScoringConfig, settings),
     )
 
     out_dir = Path(args.out_dir)
@@ -468,11 +458,11 @@ def _serve(make_server, listen: str, label: str) -> int:
     return 0
 
 
-def cmd_agent(args: argparse.Namespace) -> int:
+def cmd_agent(args: argparse.Namespace, settings: dict) -> int:
     return _serve(make_agent_server, args.listen, "agent")
 
 
-def cmd_node(args: argparse.Namespace) -> int:
+def cmd_node(args: argparse.Namespace, settings: dict) -> int:
     return _serve(make_node_server, args.listen, "stub node")
 
 
@@ -483,44 +473,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
+    s = SETTINGS[name]
+    shown = s.help if s.default is None else f"{s.help} (default: {s.default})"
+    parser.add_argument(*s.flags or ["--" + name.replace("_", "-")], dest=name, type=s.convert,
+                        choices=s.choices, help=shown)
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--probe-mode", dest="probe_mode", choices=PROBE_MODES,
-                        help="measurement source (default: synthetic)")
-    shared.add_argument("-r", "--regions",
-                        help="region catalog file (default: bundled 8-region catalog)")
+    for name in SETTINGS:
+        if name not in NOT_SHARED:
+            _add_flag(shared, name)
     shared.add_argument("--out", help="write output to this file instead of stdout")
-    shared.add_argument("--format", choices=("table", "json", "csv"),
-                        help="output format (default: table)")
-    shared.add_argument("--seed", type=int, help="random seed (default: 0)")
     shared.add_argument("--config", help="JSON config file merged below env and flags")
-    shared.add_argument("--cache", help="measurement cache file reused across runs")
-    shared.add_argument("--samples-per-pair", dest="samples_per_pair", type=_positive_int,
-                        help="probes per endpoint pair (default: 5)")
-    shared.add_argument("--timeout-ms", dest="timeout_ms", type=float,
-                        help="per-probe timeout (default: 3000)")
-    shared.add_argument("--aggregator", choices=tuple(a.value for a in Aggregator),
-                        help="sample aggregation (default: mean)")
-    shared.add_argument("--max-parallel-probes", dest="max_parallel_probes", type=_positive_int,
-                        help="probe fan-out bound (default: 8)")
-    shared.add_argument("--shortlist", dest="shortlist_n", type=_positive_int,
-                        help="evaluate ping/HTTP only for the n distance-closest regions "
-                             "(default: all)")
-    shared.add_argument("--weight-ping", dest="weight_ping", type=float,
-                        help="ping weight in the final score (default: 1.0)")
-    shared.add_argument("--weight-http", dest="weight_http", type=float,
-                        help="HTTP weight in the final score (default: 1.0)")
-    shared.add_argument("--failure-penalty", dest="failure_penalty", type=float,
-                        help="score added per failed edge (default: 1e8)")
-    shared.add_argument("--base-latency-ms", dest="base_latency_ms", type=float,
-                        help="synthetic model base latency (default: 5.0)")
-    shared.add_argument("--ms-per-100km", dest="ms_per_100km", type=float,
-                        help="synthetic model slope (default: 1.0)")
-    shared.add_argument("--http-overhead-ms", dest="http_overhead_ms", type=float,
-                        help="synthetic model HTTP overhead (default: 20.0)")
-    shared.add_argument("--agent-port", dest="agent_port", type=_positive_int,
-                        help="probe-agent port in agent mode (default: 9001)")
-    shared.add_argument("--pool", help="node pool file for generation (default: bundled pool)")
 
     parser = argparse.ArgumentParser(
         prog="cloudforecast",
@@ -531,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[shared],
                        help="rank regions for a workflow")
     p.add_argument("-w", "--workflow", required=True, help="workflow file")
-    p.add_argument("--metrics", help="comma list of distance,ping,http_rtt (default: all)")
+    _add_flag(p, "metrics")
     p.add_argument("--dump-candidates", help="write the candidate-graph edge lists to this file")
     p.add_argument("--no-timestamps", action="store_true", help="omit timestamps from the report")
     p.set_defaults(func=cmd_analyze)
@@ -539,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", parents=[shared],
                        help="measure all workflow/region pairs and print them")
     p.add_argument("-w", "--workflow", required=True)
-    p.add_argument("--metrics", help="comma list of distance,ping,http_rtt (default: all)")
+    _add_flag(p, "metrics")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("generate", parents=[shared], help="generate a random workflow")
@@ -565,12 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recipe", default="default",
                    help="'default' or a JSON recipe file (default: bundled recipe)")
     p.add_argument("--workflow-dir", help="run every .workflow/.json file in this directory")
-    p.add_argument("--local", help="local vantage as 'lat,lon' (default: 0,0)")
+    _add_flag(p, "local")
     p.add_argument("--out-dir", default=".", help="directory for experiment.csv and chart data")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("agent", parents=[shared], help="run the probe agent service")
-    p.add_argument("--listen", default="127.0.0.1:9001", help="host:port to bind")
+    p.add_argument("--listen", default=f"127.0.0.1:{DEFAULT_AGENT_PORT}", help="host:port to bind")
     p.set_defaults(func=cmd_agent)
 
     p = sub.add_parser("node", parents=[shared], help="run a stub workflow node")
@@ -583,18 +549,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (DocumentFormatError, SpecValidationError, CatalogError, ValueError) as exc:
+    try:  # every command's settings are checked before it starts
+        return args.func(args, load_settings(args))
+    except (DocumentFormatError, SpecValidationError, CatalogError, ValueError,
+            argparse.ArgumentTypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except UnknownLocationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (NodeUnreachableError, CloudForecastError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (CloudForecastError, OSError) as exc:  # NodeUnreachableError included
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -38,6 +38,9 @@ UNIT_BY_METRIC = {Metric.DISTANCE: "km", Metric.PING: "ms", Metric.HTTP_RTT: "ms
 
 _TCP_PROBE_PORTS = (80, 443)
 
+DEFAULT_TTL_S = 3600.0
+DEFAULT_AGENT_PORT = 9001
+
 
 class Aggregator(str, Enum):
     MEAN = "mean"
@@ -72,6 +75,8 @@ class ProbeConfig:
     max_parallel_probes: int = 8
 
     def __post_init__(self):
+        # a name becomes its member, since `aggregate` tells them apart by identity
+        object.__setattr__(self, "aggregator", Aggregator(self.aggregator))
         check_finite(self, ("samples_per_pair", "timeout_ms", "max_parallel_probes"))
         if self.samples_per_pair < 1:
             raise ValueError("samples_per_pair must be >= 1")
@@ -104,18 +109,25 @@ class Measurement:
 _RECORD_FIELDS = ("src", "dst", "metric", "value", "unit", "samples", "success", "taken_at")
 
 
-def _failed(pair: Pair, metric: Metric, samples: int, note: str) -> Measurement:
+def _measurement(
+    pair: Pair, metric: Metric, value: float, samples: int, note: str, success: bool = True
+) -> Measurement:
+    """A measurement of the pair taken now, in the metric's unit."""
     return Measurement(
         src=pair[0],
         dst=pair[1],
         metric=metric,
-        value=0.0,
+        value=value,
         unit=UNIT_BY_METRIC[metric],
-        samples=max(1, samples),
-        success=False,
+        samples=samples,
+        success=success,
         taken_at=time.time(),
         note=note,
     )
+
+
+def _failed(pair: Pair, metric: Metric, samples: int, note: str) -> Measurement:
+    return _measurement(pair, metric, 0.0, max(1, samples), note, success=False)
 
 
 @dataclass(frozen=True)
@@ -151,12 +163,14 @@ class MeasurementStore:
 
     def __init__(
         self,
-        ttl_s: float = 3600.0,
+        ttl_s: float = DEFAULT_TTL_S,
         symmetric_metrics: frozenset[Metric] = frozenset(Metric),
     ):
+        self.ttl_s = ttl_s
+        # a nan TTL would never expire an entry: `age > nan` is always false
+        check_finite(self, ("ttl_s",))
         if ttl_s <= 0:
             raise ValueError("ttl_s must be positive")
-        self.ttl_s = ttl_s
         self.symmetric_metrics = symmetric_metrics
         self._entries: dict[tuple[str, str, Metric], Measurement] = {}
         self._lock = threading.Lock()
@@ -240,7 +254,7 @@ class MeasurementStore:
     def load(
         cls,
         path: str,
-        ttl_s: float = 3600.0,
+        ttl_s: float = DEFAULT_TTL_S,
         symmetric_metrics: frozenset[Metric] = frozenset(Metric),
     ) -> "MeasurementStore":
         """Read a cache file; on duplicate keys the later record wins."""
@@ -313,17 +327,7 @@ def measure_distance(pair: Pair, locations: LocationTable) -> Measurement:
     """Great-circle distance between the pair's endpoint coordinates."""
     a = locations.locate(pair[0])
     b = locations.locate(pair[1])
-    return Measurement(
-        src=pair[0],
-        dst=pair[1],
-        metric=Metric.DISTANCE,
-        value=haversine_km(a, b),
-        unit="km",
-        samples=1,
-        success=True,
-        taken_at=time.time(),
-        note="haversine",
-    )
+    return _measurement(pair, Metric.DISTANCE, haversine_km(a, b), 1, "haversine")
 
 
 def synthetic_measure(
@@ -337,22 +341,12 @@ def synthetic_measure(
     b = locations.locate(pair[1])
     km = haversine_km(a, b)
     if metric is Metric.DISTANCE:
-        value, unit = km, "km"
+        value = km
     elif metric is Metric.PING:
-        value, unit = model.ping_ms(km), "ms"
+        value = model.ping_ms(km)
     else:
-        value, unit = model.http_ms(km), "ms"
-    return Measurement(
-        src=pair[0],
-        dst=pair[1],
-        metric=metric,
-        value=value,
-        unit=unit,
-        samples=1,
-        success=True,
-        taken_at=time.time(),
-        note="synthetic",
-    )
+        value = model.http_ms(km)
+    return _measurement(pair, metric, value, 1, "synthetic")
 
 
 def _icmp_checksum(data: bytes) -> int:
@@ -459,17 +453,7 @@ def _from_rtts(
     """Aggregate the completed round trips; no round trip at all is a failure."""
     if not rtts:
         return _failed(pair, metric, config.samples_per_pair, note)
-    return Measurement(
-        src=pair[0],
-        dst=pair[1],
-        metric=metric,
-        value=aggregate(rtts, config.aggregator),
-        unit="ms",
-        samples=len(rtts),
-        success=True,
-        taken_at=time.time(),
-        note=note,
-    )
+    return _measurement(pair, metric, aggregate(rtts, config.aggregator), len(rtts), note)
 
 
 def measure_latency(
@@ -607,9 +591,11 @@ def agent_providers(
     catalog: RegionCatalog,
     config: ProbeConfig,
     locations: LocationTable,
-    agent_port: int = 9001,
+    agent_port: int = DEFAULT_AGENT_PORT,
 ) -> dict[Metric, PairProvider]:
     """Ask the probe agent at the pair's region side to measure the other side."""
+    if not 0 < agent_port < 65536:
+        raise ValueError(f"agent_port must be in 1..65535, got {agent_port}")
     region_hosts = {region.probe_host for region in catalog.regions}
     samples, timeout_ms = config.samples_per_pair, config.timeout_ms
     request_timeout_s = (samples * timeout_ms) / 1000.0 + 10.0

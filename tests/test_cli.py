@@ -653,3 +653,224 @@ def test_every_command_has_help(command, capsys):
     assert code == 0
     assert "usage:" in out
     assert "--probe-mode" in out
+
+
+# Every setting that has a flag, as (name, argv before the value, text, value).
+# The config-file form of a numeric value is its JSON number, so "2" checks that
+# a JSON integer becomes a float for a float setting.
+SETTING_CASES = [
+    ("probe_mode", ["--probe-mode"], "local", "local"),
+    ("regions", ["-r"], "cat.json", "cat.json"),
+    ("format", ["--format"], "csv", "csv"),
+    ("seed", ["--seed"], "7", 7),
+    ("cache", ["--cache"], "p.cache", "p.cache"),
+    ("metrics", ["--metrics"], "ping", "ping"),
+    ("shortlist_n", ["--shortlist"], "3", 3),
+    ("weight_ping", ["--weight-ping"], "2", 2.0),
+    ("weight_http", ["--weight-http"], "0.5", 0.5),
+    ("failure_penalty", ["--failure-penalty"], "5", 5.0),
+    ("samples_per_pair", ["--samples-per-pair"], "3", 3),
+    ("timeout_ms", ["--timeout-ms"], "250", 250.0),
+    ("aggregator", ["--aggregator"], "median", "median"),
+    ("max_parallel_probes", ["--max-parallel-probes"], "2", 2),
+    ("base_latency_ms", ["--base-latency-ms"], "1.5", 1.5),
+    ("ms_per_100km", ["--ms-per-100km"], "2", 2.0),
+    ("http_overhead_ms", ["--http-overhead-ms"], "7", 7.0),
+    ("agent_port", ["--agent-port"], "9100", 9100),
+    ("pool", ["--pool"], "pool.json", "pool.json"),
+    ("local", ["--local"], "10,20", "10,20"),
+]
+
+
+@pytest.fixture
+def no_setting_env(monkeypatch):
+    for key in list(os.environ):
+        if key.startswith("CLOUDFORECAST_"):
+            monkeypatch.delenv(key)
+
+
+def _settings_from(argv):
+    from cloudforecast.cli import build_parser, load_settings
+
+    return load_settings(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("name, flag, text, value", SETTING_CASES,
+                         ids=[case[0] for case in SETTING_CASES])
+def test_flag_environment_and_config_file_give_the_same_value(
+    no_setting_env, tmp_path, monkeypatch, name, flag, text, value
+):
+    command = ["experiment"] if name == "local" else ["analyze", "-w", "unused"]
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({name: json.loads(text) if isinstance(value, (int, float))
+                                  else text}))
+    from_config = _settings_from(command + ["--config", str(config)])[name]
+    from_flag = _settings_from(command + flag + [text])[name]
+    monkeypatch.setenv(f"CLOUDFORECAST_{name.upper()}", text)
+    from_env = _settings_from(command)[name]
+    for got in (from_flag, from_env, from_config):
+        assert got == value and type(got) is type(value)
+
+
+def test_cache_ttl_from_environment_and_config_file_is_a_float(no_setting_env, tmp_path,
+                                                               monkeypatch):
+    config = tmp_path / "conf.json"
+    config.write_text('{"cache_ttl_s": 60}')
+    from_config = _settings_from(["analyze", "-w", "unused", "--config", str(config)])
+    monkeypatch.setenv("CLOUDFORECAST_CACHE_TTL_S", "60")
+    from_env = _settings_from(["analyze", "-w", "unused"])
+    for got in (from_config["cache_ttl_s"], from_env["cache_ttl_s"]):
+        assert got == 60.0 and type(got) is float
+
+
+# (name, flag, bad text, bad config-file value, message); the agent_port cases
+# run in agent mode against a loopback catalog, so no host outside is asked
+BAD_VALUES = [
+    ("probe_mode", "--probe-mode", "psychic", "psychic", "probe_mode must be one of"),
+    ("format", "--format", "xml", "xml", "format must be one of"),
+    ("aggregator", "--aggregator", "mode", "mode", "aggregator must be one of"),
+    ("seed", "--seed", "x", 1.5, "seed must be an integer"),
+    ("timeout_ms", "--timeout-ms", "soon", "soon", "timeout_ms must be a number"),
+    ("weight_ping", "--weight-ping", "heavy", "heavy", "weight_ping must be a number"),
+    ("samples_per_pair", "--samples-per-pair", "0", 0, "samples_per_pair must be >= 1"),
+    ("shortlist_n", "--shortlist", "0", 0, "shortlist_n must be >= 1"),
+    ("max_parallel_probes", "--max-parallel-probes", "0", 0,
+     "max_parallel_probes must be >= 1"),
+    ("agent_port", "--agent-port", "0", 0, "agent_port must be in 1..65535, got 0"),
+    ("agent_port", "--agent-port", "70000", 70000, "agent_port must be in 1..65535, got 70000"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("name, flag, text, doc_value, message", BAD_VALUES,
+                         ids=[f"{case[0]}-{case[2]}" for case in BAD_VALUES])
+def test_bad_setting_is_refused_from_every_source_before_any_work(
+    no_setting_env, tmp_path, capsys, monkeypatch, source, name, flag, text, doc_value, message
+):
+    import cloudforecast.cli as cli
+
+    def no_ranking(*args, **kwargs):
+        raise AssertionError("ranking started with a bad setting")
+
+    monkeypatch.setattr(cli, "rank_regions", no_ranking)
+    workflow, regions = _loopback_workflow_and_catalog(tmp_path, 1)
+    argv = ["analyze", "-w", workflow, "-r", regions]
+    if name == "agent_port":
+        argv += ["--probe-mode", "agent"]
+    if source == "flag":
+        argv += [flag, text]
+    elif source == "env":
+        monkeypatch.setenv(f"CLOUDFORECAST_{name.upper()}", text)
+    else:
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({name: doc_value}))
+        argv += ["--config", str(config)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_environment_format_is_checked_before_simulating(fig1_file, no_setting_env, capsys,
+                                                         monkeypatch):
+    import cloudforecast.cli as cli
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated with a bad format")
+
+    monkeypatch.setattr(cli, "simulate_execution", no_simulation)
+    monkeypatch.setenv("CLOUDFORECAST_FORMAT", "xml")
+    code, out, err = run_cli(["simulate", "-w", fig1_file], capsys)
+    assert code == 2 and out == ""
+    assert "format must be one of ('table', 'json', 'csv'), got 'xml'" in err
+
+
+def test_service_commands_check_settings_before_starting(no_setting_env, capsys, monkeypatch):
+    import cloudforecast.cli as cli
+
+    def no_server(*args, **kwargs):
+        raise AssertionError("started serving with a bad setting")
+
+    monkeypatch.setattr(cli, "_serve", no_server)
+    monkeypatch.setenv("CLOUDFORECAST_SEED", "x")
+    for command in ("agent", "node"):
+        code, _, err = run_cli([command, "--listen", "127.0.0.1:0"], capsys)
+        assert code == 2
+        assert "seed must be an integer, got 'x'" in err
+
+
+def _option_help(help_text, flag):
+    """One option's entry in `--help` output, whitespace normalized."""
+    options = " ".join(help_text.split("options:", 1)[1].split())
+    start = options.index(flag + " ")
+    end = options.find(" -", start + len(flag))
+    return options[start:] if end < 0 else options[start:end]
+
+
+def _declared_help_defaults():
+    from cloudforecast import ProbeConfig, ScoringConfig, SyntheticNetworkModel
+
+    probe, scoring, model = ProbeConfig(), ScoringConfig(), SyntheticNetworkModel()
+    return {
+        "--probe-mode": "synthetic",
+        "--regions": "bundled 8-region catalog",
+        "--format": "table",
+        "--seed": 0,
+        "--shortlist": "all",
+        "--weight-ping": scoring.weight_ping,
+        "--weight-http": scoring.weight_http,
+        "--failure-penalty": scoring.failure_penalty,
+        "--samples-per-pair": probe.samples_per_pair,
+        "--timeout-ms": probe.timeout_ms,
+        "--aggregator": probe.aggregator.value,
+        "--max-parallel-probes": probe.max_parallel_probes,
+        "--base-latency-ms": model.base_latency_ms,
+        "--ms-per-100km": model.ms_per_100km,
+        "--http-overhead-ms": model.http_overhead_ms,
+        "--agent-port": 9001,
+        "--pool": "bundled pool",
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["analyze", "probe", "generate", "simulate", "experiment", "agent", "node"]
+)
+def test_help_shows_each_setting_default_as_declared(command, capsys):
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == 0
+    defaults = _declared_help_defaults()
+    if command in ("analyze", "probe"):
+        defaults["--metrics"] = "distance,ping,http_rtt"
+    if command == "experiment":
+        defaults["--local"] = "0,0"
+    for flag, default in defaults.items():
+        assert f"(default: {default})" in _option_help(out, flag), flag
+    options = out.split("options:", 1)[1]
+    assert ("--metrics " in options) == (command in ("analyze", "probe"))
+    assert ("--local " in options) == (command == "experiment")
+    assert "--cache-ttl" not in options
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_cache_ttl_exits_2(fig1_file, tmp_path, no_setting_env, capsys, monkeypatch,
+                                      value):
+    cache = tmp_path / "probes.cache"
+    monkeypatch.setenv("CLOUDFORECAST_CACHE_TTL_S", value)
+    code, out, err = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
+    assert code == 2 and out == ""
+    assert f"ttl_s must be finite, got {value}" in err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "local, message",
+    [("91,0", "local: latitude out of range [-90, 90]: 91.0"),
+     ("0,181", "local: longitude out of range [-180, 180]: 181.0"),
+     ("north", "local: expected 'lat,lon', got 'north'")],
+)
+def test_experiment_local_out_of_range_names_the_coordinate_error(tmp_path, capsys, local,
+                                                                  message):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["experiment", f"--local={local}", "--out-dir", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert message in err
+    assert not out_dir.exists()

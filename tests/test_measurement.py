@@ -601,3 +601,28 @@ def test_http_rtt_closed_port_fails():
     config = ProbeConfig(samples_per_pair=1, timeout_ms=100)
     m = measure_http_rtt(("here", "http://127.0.0.1:1/"), config)
     assert not m.success
+
+
+@pytest.mark.parametrize("ttl", [float("nan"), float("inf"), -float("inf")])
+def test_store_rejects_a_non_finite_ttl(tmp_path, ttl):
+    # `age > nan` is always false, so a nan TTL would never expire an entry
+    with pytest.raises(ValueError, match="ttl_s must be finite"):
+        MeasurementStore(ttl_s=ttl)
+    with pytest.raises(ValueError, match="ttl_s must be finite"):
+        MeasurementStore.load(str(tmp_path / "missing.cache"), ttl_s=ttl)
+
+
+def test_probe_config_takes_an_aggregator_name():
+    config = ProbeConfig(aggregator="median")
+    assert config.aggregator is Aggregator.MEDIAN
+    assert aggregate([1.0, 2.0, 9.0], config.aggregator) == 2.0
+    with pytest.raises(ValueError):
+        ProbeConfig(aggregator="mode")
+
+
+@pytest.mark.parametrize("port", [0, -1, 65536])
+def test_agent_providers_reject_a_port_out_of_range(catalog, fig1_spec, port):
+    from cloudforecast.measurement import agent_providers, location_index
+
+    with pytest.raises(ValueError, match=f"agent_port must be in 1..65535, got {port}"):
+        agent_providers(catalog, ProbeConfig(), location_index(fig1_spec, catalog), agent_port=port)
