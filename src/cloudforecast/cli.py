@@ -50,7 +50,6 @@ from .measurement import (
     synthetic_providers,
 )
 from .scoring import ScoringConfig, rank_regions, render_report
-from .services import make_agent_server, make_node_server
 from .workflow import (
     WorkflowPattern,
     default_node_pool,
@@ -167,6 +166,12 @@ def load_settings(args: argparse.Namespace) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
+
+    formats = getattr(args, "formats", None)  # set by the commands that lack a layout
+    if formats is not None and settings["format"] not in formats:
+        raise ValueError(
+            f"format: {args.command} prints {' or '.join(formats)}, not {settings['format']!r}"
+        )
     return settings
 
 
@@ -211,14 +216,21 @@ def _parse_metrics(text: str) -> list[Metric]:
     return metrics
 
 
-def _parse_latlon(text: str) -> Coordinate:
-    """A 'lat,lon' text; well-formed but out of range gives Coordinate's error."""
+def _latlon(text: str) -> tuple[float, float] | None:
+    """The two numbers of a 'lat,lon' text, or None if it is not shaped so."""
     try:
         lat_text, lon_text = text.split(",", 1)
-        lat, lon = float(lat_text), float(lon_text)
+        return float(lat_text), float(lon_text)
     except ValueError:
+        return None
+
+
+def _parse_latlon(text: str) -> Coordinate:
+    """A 'lat,lon' text; well-formed but out of range gives Coordinate's error."""
+    latlon = _latlon(text)
+    if latlon is None:
         raise ValueError(f"expected 'lat,lon', got {text!r}")
-    return Coordinate(lat, lon)
+    return Coordinate(*latlon)
 
 
 def _parse_listen(text: str) -> tuple[str, int]:
@@ -335,9 +347,13 @@ def cmd_simulate(args: argparse.Namespace, settings: dict) -> int:
     else:
         catalog = None
         vantage_text = args.vantage or settings["local"]
-        try:
-            vantage = Vantage("local", _parse_latlon(vantage_text))
-        except ValueError:
+        latlon = _latlon(vantage_text)
+        if latlon is not None:  # out of range gives Coordinate's error, not a region lookup
+            try:
+                vantage = Vantage("local", Coordinate(*latlon))
+            except ValueError as exc:
+                raise ValueError(f"vantage: {exc}")
+        else:
             catalog = _load_catalog(settings)
             try:
                 region = catalog.by_id(vantage_text)
@@ -458,11 +474,16 @@ def _serve(make_server, listen: str, label: str) -> int:
     return 0
 
 
+# the services, and with them http.server, load only for the commands that serve
 def cmd_agent(args: argparse.Namespace, settings: dict) -> int:
+    from .services import make_agent_server
+
     return _serve(make_agent_server, args.listen, "agent")
 
 
 def cmd_node(args: argparse.Namespace, settings: dict) -> int:
+    from .services import make_node_server
+
     return _serve(make_node_server, args.listen, "stub node")
 
 
@@ -506,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measure all workflow/region pairs and print them")
     p.add_argument("-w", "--workflow", required=True)
     _add_flag(p, "metrics")
-    p.set_defaults(func=cmd_probe)
+    p.set_defaults(func=cmd_probe, formats=("table",))
 
     p = sub.add_parser("generate", parents=[shared], help="generate a random workflow")
     p.add_argument("-p", "--pattern", required=True,
@@ -524,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node-id=URL mapping for live transport (repeatable)")
     p.add_argument("--repeat", type=_positive_int, default=1,
                    help="live runs to execute; the reported makespan is their mean")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, formats=("table", "json"))
 
     p = sub.add_parser("experiment", parents=[shared],
                        help="rank + simulate a batch of workflows and report speedups")
@@ -533,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workflow-dir", help="run every .workflow/.json file in this directory")
     _add_flag(p, "local")
     p.add_argument("--out-dir", default=".", help="directory for experiment.csv and chart data")
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, formats=("table",))
 
     p = sub.add_parser("agent", parents=[shared], help="run the probe agent service")
     p.add_argument("--listen", default=f"127.0.0.1:{DEFAULT_AGENT_PORT}", help="host:port to bind")

@@ -7,6 +7,7 @@ through the orchestrator; transfers overlap fully (no bandwidth contention).
 
 import csv
 import io
+import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -14,19 +15,28 @@ from enum import Enum
 from statistics import fmean
 from typing import Mapping, Sequence
 
-import requests
-
 from .errors import NodeUnreachableError
 from .geo import Coordinate, LocationTable, RegionCatalog, haversine_km, resolve_location
 from .measurement import (
     MeasurementStore,
     ProbeConfig,
     SyntheticNetworkModel,
+    lazy_requests,
     location_index,
     synthetic_providers,
 )
 from .scoring import ScoringConfig, rank_regions
 from .workflow import WorkflowSpec, topological_order
+
+
+def __getattr__(name: str):
+    # this module's own `requests` attribute, so node GETs are told apart from probe GETs
+    return lazy_requests(globals(), name)
+
+
+def _requests():
+    """This module's `requests` attribute as it is now (see `lazy_requests`)."""
+    return sys.modules[__name__].requests
 
 
 class Transport(str, Enum):
@@ -124,15 +134,16 @@ def _fetch_node_output(
 ) -> bytes:
     timeout_s = (config.timeout_ms + delay_ms) / 1000.0 + 1.0
     url = f"{base_url.rstrip('/')}/work"
+    http = _requests()
     try:
-        response = requests.get(
+        response = http.get(
             url,
             params={"delay_ms": int(delay_ms), "bytes": out_bytes},
             timeout=timeout_s,
         )
         response.raise_for_status()
         return response.content
-    except requests.RequestException as exc:
+    except http.RequestException as exc:
         raise NodeUnreachableError(node_id, str(exc)) from exc
 
 
@@ -158,6 +169,7 @@ def live_execute(
         out_kb[edge.src] += edge.payload_kb
 
     finish_ms: dict[str, float] = {}
+    _requests()  # import it before the clock starts, not inside the first timed GET
     start = time.perf_counter()
     ready = [nid for nid in order if not pending_parents[nid]]
     running = {}

@@ -11,14 +11,13 @@ import os
 import socket
 import statistics
 import struct
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
-
-import requests
 
 from .candidates import Metric, Pair
 from .errors import DocumentFormatError
@@ -40,6 +39,31 @@ _TCP_PROBE_PORTS = (80, 443)
 
 DEFAULT_TTL_S = 3600.0
 DEFAULT_AGENT_PORT = 9001
+
+
+def lazy_requests(module_globals: dict, name: str):
+    """The body of a PEP 562 module `__getattr__` for a module that sends GETs.
+
+    `requests` is imported on its first access and kept as the module's
+    attribute, so a synthetic run, which sends none, never loads it. Call
+    sites read the attribute through the module when they run, so a
+    replacement set on the module (a test's stand-in, a tracing proxy) is the
+    one they call."""
+    if name != "requests":
+        raise AttributeError(f"module {module_globals['__name__']!r} has no attribute {name!r}")
+    import requests
+
+    module_globals["requests"] = requests
+    return requests
+
+
+def __getattr__(name: str):
+    return lazy_requests(globals(), name)
+
+
+def _requests():
+    """This module's `requests` attribute as it is now (see `lazy_requests`)."""
+    return sys.modules[__name__].requests
 
 
 class Aggregator(str, Enum):
@@ -480,10 +504,11 @@ def as_url(endpoint: str) -> str:
 
 def http_get_ms(url: str, timeout_s: float) -> float | None:
     """One timed GET in ms; any completed response counts, a transport error is None."""
+    http = _requests()
     start = time.perf_counter()
     try:
-        requests.get(url, timeout=timeout_s)
-    except requests.RequestException:
+        http.get(url, timeout=timeout_s)
+    except http.RequestException:
         return None
     return (time.perf_counter() - start) * 1000.0
 
@@ -504,7 +529,7 @@ class AgentClient:
         self.request_timeout_s = request_timeout_s
 
     def _call(self, endpoint: str, params: dict) -> dict:
-        response = requests.get(
+        response = _requests().get(
             f"{self.base_url}{endpoint}", params=params, timeout=self.request_timeout_s
         )
         response.raise_for_status()
@@ -513,7 +538,7 @@ class AgentClient:
     def health(self) -> bool:
         try:
             return bool(self._call("/v1/health", {}).get("ok"))
-        except requests.RequestException:
+        except _requests().RequestException:
             return False
 
     def ping(self, host: str, samples: int, timeout_ms: float) -> dict:
@@ -618,9 +643,9 @@ def agent_providers(
             # probe_host may carry a port for probing; the agent has its own port
             agent = AgentClient(f"http://{host_of(region_host)}:{agent_port}", request_timeout_s)
             reply = ask(agent, target)
-        except requests.HTTPError as exc:  # the agent answered, and refused
+        except _requests().HTTPError as exc:  # the agent answered, and refused
             return _failed(pair, metric, samples, f"agent/http-{exc.response.status_code}")
-        except (requests.RequestException, ValueError):
+        except (_requests().RequestException, ValueError):
             return _failed(pair, metric, samples, "agent/unreachable")
         rtts = [float(v) for v in reply.get("rtts_ms", [])]
         return _from_rtts(pair, metric, rtts if reply.get("ok") else [], config, note)

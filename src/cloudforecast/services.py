@@ -123,14 +123,20 @@ class StubNodeHandler(_JsonRequestHandler):
             remaining -= len(chunk)
 
 
+class _Server(ThreadingHTTPServer):
+    # socketserver's default backlog of 5 overflows under a burst of probe
+    # connects, and each dropped SYN stalls its client for a ~1 s retransmit
+    request_queue_size = 128
+
+
 def make_agent_server(host: str, port: int) -> ThreadingHTTPServer:
-    server = ThreadingHTTPServer((host, port), AgentHandler)
+    server = _Server((host, port), AgentHandler)
     server.prober = EchoProber()  # type: ignore[attr-defined]
     return server
 
 
 def make_node_server(host: str, port: int) -> ThreadingHTTPServer:
-    return ThreadingHTTPServer((host, port), StubNodeHandler)
+    return _Server((host, port), StubNodeHandler)
 
 
 def start_in_thread(server: ThreadingHTTPServer) -> threading.Thread:

@@ -874,3 +874,66 @@ def test_experiment_local_out_of_range_names_the_coordinate_error(tmp_path, caps
     assert code == 2 and out == ""
     assert message in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "vantage, code, message",
+    [("91,0", 2, "vantage: latitude out of range [-90, 90]: 91.0"),
+     ("0,181", 2, "vantage: longitude out of range [-180, 180]: 181.0"),
+     ("north", 2, "vantage 'north' is neither 'lat,lon' nor a region id"),
+     ("us-east-1", 0, "")],
+)
+def test_simulate_vantage_out_of_range_names_the_coordinate_error(fig1_file, no_setting_env,
+                                                                  capsys, vantage, code,
+                                                                  message):
+    got, out, err = run_cli(["simulate", "-w", fig1_file, "--vantage", vantage], capsys)
+    assert got == code
+    if code:
+        assert out == "" and message in err
+    else:
+        assert f"vantage: {vantage} (simulated)" in out
+
+
+# (command, format it lacks, the layouts it has)
+MISSING_FORMATS = [("simulate", "csv", "table or json"), ("probe", "json", "table"),
+                   ("probe", "csv", "table"), ("experiment", "json", "table")]
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("command, fmt, layouts", MISSING_FORMATS,
+                         ids=[f"{case[0]}-{case[1]}" for case in MISSING_FORMATS])
+def test_format_a_command_lacks_is_refused_from_every_source_before_any_work(
+    fig1_file, no_setting_env, tmp_path, capsys, monkeypatch, source, command, fmt, layouts
+):
+    import cloudforecast.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started with format {fmt}")
+
+    for name in ("_load_workflow", "_experiment_specs"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = [command, "--out-dir", str(tmp_path)] if command == "experiment" else [
+        command, "-w", fig1_file]
+    if source == "flag":
+        argv += ["--format", fmt]
+    elif source == "env":
+        monkeypatch.setenv("CLOUDFORECAST_FORMAT", fmt)
+    else:
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"format": fmt}))
+        argv += ["--config", str(config)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"format: {command} prints {layouts}, not '{fmt}'" in err
+
+
+@pytest.mark.parametrize("command, fmt", [("probe", "table"), ("experiment", "table"),
+                                          ("generate", "json")])
+def test_format_a_command_has_or_ignores_is_accepted(fig1_file, no_setting_env, tmp_path,
+                                                     capsys, command, fmt):
+    argv = {"probe": ["probe", "-w", fig1_file, "--metrics", "distance"],
+            "experiment": ["experiment", "--out-dir", str(tmp_path)],
+            "generate": ["generate", "-p", "sequential", "-n", "2"]}[command]
+    code, out, err = run_cli(argv + ["--format", fmt], capsys)
+    assert code == 0, err
+    assert out

@@ -1,3 +1,4 @@
+import socket
 import time
 
 import pytest
@@ -230,3 +231,19 @@ def test_agent_error_reply_is_reported_with_its_status(agent):
                              location_index(spec, catalog), agent_port=1)
     m = closed[Metric.PING](("127.0.0.1", "127.0.0.1"))
     assert not m.success and m.note == "agent/unreachable"
+
+
+@pytest.mark.parametrize("make_server", [make_agent_server, make_node_server])
+def test_server_accept_queue_holds_a_burst_of_connects(make_server):
+    # nothing accepts yet, so every connect must wait in the listen backlog;
+    # with socketserver's default of 5 the rest lose their SYN and time out
+    server = make_server("127.0.0.1", 0)
+    clients = []
+    try:
+        for _ in range(32):
+            clients.append(socket.create_connection(server.server_address, timeout=0.5))
+    finally:
+        for client in clients:
+            client.close()
+        server.server_close()
+    assert len(clients) == 32
