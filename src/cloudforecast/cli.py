@@ -276,8 +276,7 @@ def _analysis_setup(args: argparse.Namespace, settings: dict):
     pconfig = config_from(ProbeConfig, settings)
     providers = _build_providers(settings, pconfig, spec, catalog, metrics)
     store = _open_store(settings)
-    max_parallel = 1 if settings["probe_mode"] == "synthetic" else pconfig.max_parallel_probes
-    return spec, catalog, metrics, providers, store, max_parallel
+    return spec, catalog, metrics, providers, store, pconfig.max_parallel_probes
 
 
 def cmd_analyze(args: argparse.Namespace, settings: dict) -> int:

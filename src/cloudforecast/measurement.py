@@ -1,8 +1,10 @@
 """Edge-weight measurement: distance, echo latency, HTTP round-trip, synthetic model.
 
-Providers are callables `(src, dst) -> Measurement` for one metric. Live probe
-failures never raise; they come back as success=False measurements so scoring
-can penalize unreachable endpoints instead of aborting the analysis.
+Providers are callables `(src, dst) -> Measurement` for one metric; one may
+also carry `many(pairs) -> list[Measurement]`, which measures a batch in one
+call. Live probe failures never raise; they come back as success=False
+measurements so scoring can penalize unreachable endpoints instead of
+aborting the analysis.
 """
 
 import json
@@ -17,7 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 from .candidates import Metric, Pair
 from .errors import DocumentFormatError
@@ -110,8 +112,7 @@ class ProbeConfig:
             raise ValueError("max_parallel_probes must be >= 1")
 
 
-@dataclass(frozen=True)
-class Measurement:
+class _MeasurementFields(NamedTuple):
     src: str
     dst: str
     metric: Metric
@@ -122,11 +123,24 @@ class Measurement:
     taken_at: float
     note: str = ""
 
-    def __post_init__(self):
-        if self.success and self.value < 0:
+
+class Measurement(_MeasurementFields):
+    """One measured value of a pair: an immutable tuple, cheap to build in
+    bulk, that every constructor (positional, keyword, `_make`, `_replace`)
+    checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, src, dst, metric, value, unit, samples, success, taken_at, note=""):
+        if success and value < 0:
             raise ValueError("successful measurement value must be >= 0")
-        if self.samples < 1:
+        if samples < 1:
             raise ValueError("samples must be >= 1")
+        return tuple.__new__(cls, (src, dst, metric, value, unit, samples, success, taken_at, note))
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it too
+        return cls(*iterable)
 
 
 # fields a measurement cache record must have; `note` is optional
@@ -222,23 +236,59 @@ class MeasurementStore:
         return folded
 
     def get(self, pair: Pair, metric: Metric, now: float | None = None) -> Measurement | None:
-        key = self.canonical_key(pair, metric)
+        return self._lookup((pair,), metric, now)[0].get(pair)
+
+    def get_many(
+        self, pairs: Iterable[Pair], metric: Metric, now: float | None = None
+    ) -> tuple[dict[Pair, Measurement], dict[tuple[str, str, Metric], list[Pair]]]:
+        """The unexpired entries of the pairs, in pair order, and the other
+        pairs grouped by store key, in first-seen order. An expired entry is
+        dropped from the store. A subclass that overrides `get` has each
+        lookup made through it."""
+        if type(self).get is MeasurementStore.get:
+            return self._lookup(pairs, metric, now)
         now = time.time() if now is None else now
-        with self._lock:
-            entry = self._entries.get(key)
+        found: dict[Pair, Measurement] = {}
+        missing: dict[tuple[str, str, Metric], list[Pair]] = {}
+        for pair in pairs:
+            entry = self.get(pair, metric, now)
             if entry is None:
-                return None
-            if now - entry.taken_at > self.ttl_s:
-                del self._entries[key]
-                self._synced = None
-                return None
-            return entry
+                missing.setdefault(self.canonical_key(pair, metric), []).append(pair)
+            else:
+                found[pair] = entry
+        return found, missing
+
+    def _lookup(self, pairs, metric, now):
+        """`get_many` in one pass under the lock, at one clock reading."""
+        now = time.time() if now is None else now
+        key_of, ttl_s = self.canonical_key, self.ttl_s
+        found: dict[Pair, Measurement] = {}
+        missing: dict[tuple[str, str, Metric], list[Pair]] = {}
+        with self._lock:
+            entries = self._entries
+            for pair in pairs:
+                key = key_of(pair, metric)
+                entry = entries.get(key)
+                if entry is not None and now - entry.taken_at > ttl_s:
+                    del entries[key]
+                    self._synced = None
+                    entry = None
+                if entry is None:
+                    missing.setdefault(key, []).append(pair)
+                else:
+                    found[pair] = entry
+        return found, missing
 
     def put(self, measurement: Measurement) -> None:
-        key = self.canonical_key((measurement.src, measurement.dst), measurement.metric)
-        with self._lock:
-            self._entries[key] = measurement
-            self._synced = None
+        self.put_many((measurement,))
+
+    def put_many(self, measurements: Iterable[Measurement]) -> None:
+        """Store each measurement under the key of its own pair and metric."""
+        new = {self.canonical_key((m.src, m.dst), m.metric): m for m in measurements}
+        if new:
+            with self._lock:
+                self._entries.update(new)
+                self._synced = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -363,14 +413,50 @@ def synthetic_measure(
     """Deterministic model measurement derived purely from coordinates."""
     a = locations.locate(pair[0])
     b = locations.locate(pair[1])
-    km = haversine_km(a, b)
-    if metric is Metric.DISTANCE:
-        value = km
-    elif metric is Metric.PING:
-        value = model.ping_ms(km)
-    else:
-        value = model.http_ms(km)
+    (value,) = _synthetic_values([haversine_km(a, b)], metric, model)
     return _measurement(pair, metric, value, 1, "synthetic")
+
+
+def _synthetic_values(kms: list[float], metric: Metric, model: SyntheticNetworkModel) -> list[float]:
+    """The model's value of the metric for each great-circle distance."""
+    if metric is Metric.DISTANCE:
+        return kms
+    formula = model.ping_ms if metric is Metric.PING else model.http_ms
+    return [formula(km) for km in kms]
+
+
+class SyntheticProvider:
+    """The synthetic model's provider of one metric. Called with a pair it is
+    `synthetic_measure`; `many` measures a batch at one clock reading from
+    `km`, the kilometres of each pair, which the providers of one
+    `synthetic_providers` call share, so each pair's distance is computed
+    once for all three metrics."""
+
+    def __init__(
+        self,
+        metric: Metric,
+        model: SyntheticNetworkModel,
+        locations: LocationTable,
+        km: dict[Pair, float],
+    ):
+        self.metric, self.model, self.locations, self.km = metric, model, locations, km
+
+    def __call__(self, pair: Pair) -> Measurement:
+        return synthetic_measure(pair, self.metric, self.model, self.locations)
+
+    def many(self, pairs: list[Pair]) -> list[Measurement]:
+        locate, memo = self.locations.locate, self.km
+        kms = []
+        for pair in pairs:
+            km = memo.get(pair)
+            if km is None:
+                km = memo[pair] = haversine_km(locate(pair[0]), locate(pair[1]))
+            kms.append(km)
+        metric, unit, now = self.metric, UNIT_BY_METRIC[self.metric], time.time()
+        return [
+            Measurement(src, dst, metric, value, unit, 1, True, now, "synthetic")
+            for (src, dst), value in zip(pairs, _synthetic_values(kms, metric, self.model))
+        ]
 
 
 def _icmp_checksum(data: bytes) -> int:
@@ -559,16 +645,7 @@ def get_or_measure(
     provider: PairProvider,
 ) -> Measurement:
     """Return the unexpired cached measurement or invoke the provider and cache it."""
-    cached = store.get(pair, metric)
-    if cached is not None:
-        return cached
-    measurement = provider(pair)
-    if measurement.metric is not metric:
-        raise ValueError(
-            f"provider returned {measurement.metric.value}, expected {metric.value}"
-        )
-    store.put(measurement)
-    return measurement
+    return collect_measurements(store, [pair], metric, provider)[pair]
 
 
 def collect_measurements(
@@ -578,24 +655,44 @@ def collect_measurements(
     provider: PairProvider,
     max_parallel: int = 1,
 ) -> dict[Pair, Measurement]:
-    """Measure (or fetch from cache) every pair, optionally fanning out probes."""
+    """Measure (or fetch from cache) every pair as one batch: one store
+    lookup, one measurement per missing store key, one store write. A
+    provider with `many` measures the batch in one call; a per-pair provider
+    is fanned out over up to `max_parallel` threads."""
+    found, missing = store.get_many(pairs, metric)
+    if not missing:
+        return found
+    measured = _measure_each(provider, [group[0] for group in missing.values()], max_parallel)
+    for m in measured:
+        if m.metric is not metric:
+            raise ValueError(f"provider returned {m.metric.value}, expected {metric.value}")
+    store.put_many(measured)
+    for group, m in zip(missing.values(), measured):
+        for pair in group:
+            found[pair] = m
+    return {pair: found[pair] for pair in pairs}
+
+
+def _measure_each(provider: PairProvider, pairs: list[Pair], max_parallel: int) -> list[Measurement]:
+    """One measurement per pair, in pair order."""
+    many = getattr(provider, "many", None)
+    if many is not None:
+        measured = list(many(pairs))
+        if len(measured) != len(pairs):
+            raise ValueError(f"provider measured {len(measured)} pairs, asked for {len(pairs)}")
+        return measured
     if max_parallel <= 1 or len(pairs) <= 1:
-        return {pair: get_or_measure(store, pair, metric, provider) for pair in pairs}
+        return [provider(pair) for pair in pairs]
     with ThreadPoolExecutor(max_workers=min(max_parallel, len(pairs))) as pool:
-        futures = {
-            pair: pool.submit(get_or_measure, store, pair, metric, provider) for pair in pairs
-        }
-        return {pair: future.result() for pair, future in futures.items()}
+        return list(pool.map(provider, pairs))
 
 
 def synthetic_providers(
     model: SyntheticNetworkModel,
     locations: LocationTable,
-) -> dict[Metric, PairProvider]:
-    return {
-        metric: (lambda pair, m=metric: synthetic_measure(pair, m, model, locations))
-        for metric in Metric
-    }
+) -> dict[Metric, SyntheticProvider]:
+    km: dict[Pair, float] = {}
+    return {metric: SyntheticProvider(metric, model, locations, km) for metric in Metric}
 
 
 def local_providers(
