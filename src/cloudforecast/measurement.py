@@ -9,6 +9,7 @@ aborting the analysis.
 
 import json
 import math
+import operator
 import os
 import socket
 import statistics
@@ -191,12 +192,14 @@ class SyntheticNetworkModel:
 
 
 class MeasurementStore:
-    """TTL cache of measurements keyed by (src, dst, metric).
+    """TTL cache of measurements: one table per metric, keyed by the
+    (src, dst) pair.
 
-    Symmetric metrics share one entry per unordered pair via key
-    canonicalization. Thread-safe; concurrent misses may probe twice
-    (last write wins). The store remembers the cache file its entries
-    equal, so saving them back to it writes nothing.
+    A symmetric metric keeps one entry per unordered pair, under the pair
+    with the smaller endpoint first (`canonical_key`). Thread-safe;
+    concurrent misses may probe twice (last write wins). The store remembers
+    the cache file its entries equal, so saving them back to it writes
+    nothing.
     """
 
     def __init__(
@@ -210,7 +213,7 @@ class MeasurementStore:
         if ttl_s <= 0:
             raise ValueError("ttl_s must be positive")
         self.symmetric_metrics = symmetric_metrics
-        self._entries: dict[tuple[str, str, Metric], Measurement] = {}
+        self._entries: dict[Metric, dict[Pair, Measurement]] = {metric: {} for metric in Metric}
         self._lock = threading.Lock()
         # identity of the file whose records equal the entries, if any
         self._synced: tuple[int, int, int, int] | None = None
@@ -261,20 +264,20 @@ class MeasurementStore:
     def _lookup(self, pairs, metric, now):
         """`get_many` in one pass under the lock, at one clock reading."""
         now = time.time() if now is None else now
-        key_of, ttl_s = self.canonical_key, self.ttl_s
+        symmetric, ttl_s = metric in self.symmetric_metrics, self.ttl_s
         found: dict[Pair, Measurement] = {}
         missing: dict[tuple[str, str, Metric], list[Pair]] = {}
         with self._lock:
-            entries = self._entries
+            table = self._entries[metric]
             for pair in pairs:
-                key = key_of(pair, metric)
-                entry = entries.get(key)
+                key = (pair[1], pair[0]) if symmetric and pair[1] < pair[0] else pair
+                entry = table.get(key)
                 if entry is not None and now - entry.taken_at > ttl_s:
-                    del entries[key]
+                    del table[key]
                     self._synced = None
                     entry = None
                 if entry is None:
-                    missing.setdefault(key, []).append(pair)
+                    missing.setdefault((*key, metric), []).append(pair)
                 else:
                     found[pair] = entry
         return found, missing
@@ -284,15 +287,23 @@ class MeasurementStore:
 
     def put_many(self, measurements: Iterable[Measurement]) -> None:
         """Store each measurement under the key of its own pair and metric."""
-        new = {self.canonical_key((m.src, m.dst), m.metric): m for m in measurements}
-        if new:
+        symmetric = self.symmetric_metrics
+        keyed = []
+        for m in measurements:
+            src, dst, metric = m.src, m.dst, m.metric
+            if dst < src and metric in symmetric:
+                src, dst = dst, src
+            keyed.append((metric, (src, dst), m))
+        if keyed:
             with self._lock:
-                self._entries.update(new)
+                tables = self._entries
+                for metric, key, m in keyed:
+                    tables[metric][key] = m
                 self._synced = None
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return sum(map(len, self._entries.values()))
 
     def save(self, path: str) -> None:
         """One JSON record per key, sorted, so repeated runs reuse probes.
@@ -303,7 +314,12 @@ class MeasurementStore:
         with self._lock:
             if self._synced is not None and self._synced == _file_identity(path):
                 return
-            entries = sorted(self._entries.items())
+            # sorted by (src, dst, metric) key: a stable sort by pair of the
+            # tables taken in metric order
+            entries = [
+                entry for metric in sorted(self._entries) for entry in self._entries[metric].items()
+            ]
+            entries.sort(key=_pair_of_entry)
             # record fields in sorted order, as the file format has them
             lines = [
                 json.dumps({
@@ -337,8 +353,8 @@ class MeasurementStore:
             fh = open(path)
         except FileNotFoundError:
             return store
-        # the store is not shared yet, so records go straight into its entries
-        entries, key = store._entries, store.canonical_key
+        # the store is not shared yet, so records go straight into its tables
+        tables = store._entries
         records = 0
         with fh:
             for lineno, line in enumerate(fh, 1):
@@ -354,18 +370,32 @@ class MeasurementStore:
                         f"{path}:{lineno}: not a JSON record: {exc.msg}"
                     ) from exc
                 try:
-                    record["metric"] = _METRIC_BY_VALUE[record["metric"]]
-                    m = Measurement(**record)
+                    if len(record) == 9:  # every field, `note` too: build by position
+                        (src, dst, metric, value, unit, samples, success, taken_at,
+                         note) = _record_values(record)
+                        metric = _METRIC_BY_VALUE[metric]
+                        m = Measurement(
+                            src, dst, metric, value, unit, samples, success, taken_at, note
+                        )
+                    else:
+                        record["metric"] = _METRIC_BY_VALUE[record["metric"]]
+                        m = Measurement(**record)
+                        src, dst, metric = m.src, m.dst, m.metric
+                    if dst < src and metric in symmetric_metrics:
+                        src, dst = dst, src
+                    tables[metric][(src, dst)] = m
                 except (KeyError, TypeError, ValueError) as exc:
                     raise _bad_record(record, f"{path}:{lineno}", exc) from exc
-                entries[key((m.src, m.dst), m.metric)] = m
                 records += 1
-            if records == len(entries):  # no record was overridden by a later one
+            if records == len(store):  # no record was overridden by a later one
                 store._synced = _file_identity(fh.fileno())
         return store
 
 
 _METRIC_BY_VALUE = {metric.value: metric for metric in Metric}
+# a record's values in `Measurement` field order
+_record_values = operator.itemgetter(*_RECORD_FIELDS, "note")
+_pair_of_entry = operator.itemgetter(0)
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -386,6 +416,9 @@ def _bad_record(record, where: str, exc: Exception) -> DocumentFormatError:
         Metric(record["metric"])
     except ValueError as metric_exc:
         exc = metric_exc
+    for name in ("src", "dst"):
+        if not isinstance(record[name], str):
+            exc = f"{name} must be a string, got {record[name]!r}"
     return DocumentFormatError(f"{where}: {exc}")
 
 

@@ -147,7 +147,8 @@ def rank_regions(
     candidate graph is scored from its unique (endpoint, hub) pairs, weighted
     by the number of edges each carries, without building the edges; pairs
     that share a store key (both directions of a symmetric metric) are
-    measured once.
+    measured once. Each region's pairs are built once and serve every metric
+    whose store key folds them alike.
     """
     if Metric.DISTANCE not in providers:
         raise ValueError("a distance provider is required for shortlisting")
@@ -155,29 +156,41 @@ def rank_regions(
     legs = hub_legs(spec)
     hubs = {region.id: region.probe_host for region in catalog.regions}
 
-    def scored(metric: Metric, region_ids: list[str]) -> dict[str, GraphScore]:
-        scores = {}
-        for region_id in region_ids:
-            pairs = store.fold_pairs(weighted_pairs(legs, hubs[region_id]), metric)
-            measured = collect_measurements(
-                store, list(pairs), metric, providers[metric], max_parallel
-            )
-            scores[region_id] = score_pairs(
-                region_id, metric, pairs, measured, config.failure_penalty
-            )
-        return scores
+    def pairs_of(region_id: str, metric: Metric) -> dict[Pair, int]:
+        return store.fold_pairs(weighted_pairs(legs, hubs[region_id]), metric)
+
+    def score(region_id: str, metric: Metric, pairs: dict[Pair, int]) -> GraphScore:
+        measured = collect_measurements(store, list(pairs), metric, providers[metric], max_parallel)
+        return score_pairs(region_id, metric, pairs, measured, config.failure_penalty)
 
     all_ids = catalog.ids
-    distance_scores = scored(Metric.DISTANCE, all_ids)
     n = len(all_ids) if config.shortlist_n is None else min(config.shortlist_n, len(all_ids))
+    # the pairs of the n regions nearest so far: only a shortlisted region is
+    # scored again, so the others' pairs need not stay alive
+    kept: dict[str, dict[Pair, int]] = {}
+    distance_scores: dict[str, GraphScore] = {}
+    for region_id in all_ids:
+        pairs = kept[region_id] = pairs_of(region_id, Metric.DISTANCE)
+        distance_scores[region_id] = score(region_id, Metric.DISTANCE, pairs)
+        if len(kept) > n:
+            del kept[max(kept, key=lambda r: (distance_scores[r].value, r))]
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)
 
-    ping_scores = (
-        scored(Metric.PING, shortlisted_ids) if Metric.PING in providers else {}
-    )
-    http_scores = (
-        scored(Metric.HTTP_RTT, shortlisted_ids) if Metric.HTTP_RTT in providers else {}
-    )
+    def scored(metric: Metric) -> dict[str, GraphScore]:
+        if metric not in providers:
+            return {}
+        symmetric = store.symmetric_metrics
+        reuse = (metric in symmetric) == (Metric.DISTANCE in symmetric)
+        scores = {}
+        for region_id in shortlisted_ids:
+            pairs = kept.get(region_id) if reuse else None
+            if pairs is None:  # folded otherwise, or a nan distance broke the order
+                pairs = pairs_of(region_id, metric)
+            scores[region_id] = score(region_id, metric, pairs)
+        return scores
+
+    ping_scores = scored(Metric.PING)
+    http_scores = scored(Metric.HTTP_RTT)
 
     def combined(region_id: str) -> float:
         ping = ping_scores.get(region_id)
