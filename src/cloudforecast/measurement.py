@@ -219,6 +219,7 @@ class MeasurementStore:
         self._synced: tuple[int, int, int, int] | None = None
 
     def canonical_key(self, pair: Pair, metric: Metric) -> tuple[str, str, Metric]:
+        # the rule is written out again, per key, in `_lookup`, `put_many` and `load`
         src, dst = pair
         if metric in self.symmetric_metrics and dst < src:
             src, dst = dst, src
@@ -291,7 +292,7 @@ class MeasurementStore:
         keyed = []
         for m in measurements:
             src, dst, metric = m.src, m.dst, m.metric
-            if dst < src and metric in symmetric:
+            if metric in symmetric and dst < src:
                 src, dst = dst, src
             keyed.append((metric, (src, dst), m))
         if keyed:
@@ -370,21 +371,19 @@ class MeasurementStore:
                         f"{path}:{lineno}: not a JSON record: {exc.msg}"
                     ) from exc
                 try:
-                    if len(record) == 9:  # every field, `note` too: build by position
-                        (src, dst, metric, value, unit, samples, success, taken_at,
-                         note) = _record_values(record)
-                        metric = _METRIC_BY_VALUE[metric]
-                        m = Measurement(
-                            src, dst, metric, value, unit, samples, success, taken_at, note
-                        )
-                    else:
-                        record["metric"] = _METRIC_BY_VALUE[record["metric"]]
-                        m = Measurement(**record)
-                        src, dst, metric = m.src, m.dst, m.metric
-                    if dst < src and metric in symmetric_metrics:
+                    record.setdefault("note", "")  # AttributeError: not an object
+                    if len(record) != 9:  # a field missing or unknown: `_bad_record` names it
+                        raise KeyError
+                    (src, dst, metric, value, unit, samples, success, taken_at,
+                     note) = _record_values(record)
+                    if not (isinstance(src, str) and isinstance(dst, str)):
+                        raise TypeError  # worded by `_bad_record`
+                    metric = _METRIC_BY_VALUE[metric]
+                    m = Measurement(src, dst, metric, value, unit, samples, success, taken_at, note)
+                    if metric in symmetric_metrics and dst < src:
                         src, dst = dst, src
                     tables[metric][(src, dst)] = m
-                except (KeyError, TypeError, ValueError) as exc:
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise _bad_record(record, f"{path}:{lineno}", exc) from exc
                 records += 1
             if records == len(store):  # no record was overridden by a later one
@@ -410,7 +409,8 @@ def _file_identity(file: str | int) -> tuple[int, int, int, int] | None:
 
 def _bad_record(record, where: str, exc: Exception) -> DocumentFormatError:
     """The load error for a record that is not a valid measurement, worded
-    as the field check, `Metric(...)` or `Measurement(...)` words it."""
+    as the field check, `Metric(...)`, the endpoint type check or
+    `Measurement(...)` words it."""
     check_fields(record, _RECORD_FIELDS, ("note",), where)
     try:
         Metric(record["metric"])
@@ -419,6 +419,7 @@ def _bad_record(record, where: str, exc: Exception) -> DocumentFormatError:
     for name in ("src", "dst"):
         if not isinstance(record[name], str):
             exc = f"{name} must be a string, got {record[name]!r}"
+            break
     return DocumentFormatError(f"{where}: {exc}")
 
 

@@ -164,16 +164,12 @@ def rank_regions(
         return score_pairs(region_id, metric, pairs, measured, config.failure_penalty)
 
     all_ids = catalog.ids
-    n = len(all_ids) if config.shortlist_n is None else min(config.shortlist_n, len(all_ids))
-    # the pairs of the n regions nearest so far: only a shortlisted region is
-    # scored again, so the others' pairs need not stay alive
-    kept: dict[str, dict[Pair, int]] = {}
+    distance_pairs: dict[str, dict[Pair, int]] = {}
     distance_scores: dict[str, GraphScore] = {}
     for region_id in all_ids:
-        pairs = kept[region_id] = pairs_of(region_id, Metric.DISTANCE)
+        pairs = distance_pairs[region_id] = pairs_of(region_id, Metric.DISTANCE)
         distance_scores[region_id] = score(region_id, Metric.DISTANCE, pairs)
-        if len(kept) > n:
-            del kept[max(kept, key=lambda r: (distance_scores[r].value, r))]
+    n = len(all_ids) if config.shortlist_n is None else min(config.shortlist_n, len(all_ids))
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)
 
     def scored(metric: Metric) -> dict[str, GraphScore]:
@@ -181,13 +177,14 @@ def rank_regions(
             return {}
         symmetric = store.symmetric_metrics
         reuse = (metric in symmetric) == (Metric.DISTANCE in symmetric)
-        scores = {}
-        for region_id in shortlisted_ids:
-            pairs = kept.get(region_id) if reuse else None
-            if pairs is None:  # folded otherwise, or a nan distance broke the order
-                pairs = pairs_of(region_id, metric)
-            scores[region_id] = score(region_id, metric, pairs)
-        return scores
+        return {
+            region_id: score(
+                region_id,
+                metric,
+                distance_pairs[region_id] if reuse else pairs_of(region_id, metric),
+            )
+            for region_id in shortlisted_ids
+        }
 
     ping_scores = scored(Metric.PING)
     http_scores = scored(Metric.HTTP_RTT)

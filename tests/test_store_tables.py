@@ -1,10 +1,9 @@
 """The store's per-metric tables seen from outside: a warm ranking over a
-loaded cache equals the cold one, `load`'s two record paths (every field,
-built by position, or some field left out) check alike, and a ranking builds
-each region's pairs once for all metrics."""
+loaded cache equals the cold one, `load` checks a record with or without its
+optional `note` alike, and a ranking builds each region's pairs once for all
+metrics."""
 
 import json
-import math
 import os
 import tempfile
 
@@ -171,31 +170,7 @@ def test_each_metric_measures_the_pairs_its_own_symmetry_folds(fig1_spec, catalo
         assert {store.canonical_key(pair, metric)[:2] for pair in calls} == keys
 
 
-def test_a_nan_distance_does_not_lose_a_shortlisted_regions_pairs():
-    # a nan score sorts nowhere: the shortlist may name a region whose pairs
-    # the running cut dropped, and those are then built again
-    spec = WorkflowSpec(name="one", nodes=(WorkflowNode(id="a", endpoint="a.example.org"),
-                                            WorkflowNode(id="b", endpoint="b.example.org")),
-                        edges=(WorkflowEdge("a", "b"),))
-    catalog = RegionCatalog(tuple(Region(f"r{i}", f"r{i}.example.org", Coordinate(0, i))
-                                  for i in range(3)))
-    km = {"r0.example.org": 1.0, "r1.example.org": math.nan, "r2.example.org": 2.0}
-
-    def provider(metric):
-        def measure(pair):
-            hub = pair[1] if pair[1].startswith("r") else pair[0]
-            value = km[hub] if metric is Metric.DISTANCE else 10.0
-            return Measurement(pair[0], pair[1], metric, value, "ms", 1, True, 1.0e12)
-        return measure
-
-    report = rank_regions(spec, catalog, MeasurementStore(), {m: provider(m) for m in Metric},
-                          ScoringConfig(shortlist_n=1))
-    (first, *_) = report.entries
-    assert first.shortlisted and first.ping_score.value == 20.0
-    assert first.http_score.value == 20.0
-
-
-# -- the two record paths of `load` ------------------------------------------------------
+# -- the records of `load` ---------------------------------------------------------------
 
 RECORD = {"dst": "b", "metric": "ping", "note": "fixture", "samples": 1, "src": "a",
           "success": True, "taken_at": 1.0e12, "unit": "ms", "value": 2.0}
@@ -215,14 +190,17 @@ def _load_one(tmp_path, record, **kwargs):
         ({**RECORD, "metric": "warp"}, "'warp' is not a valid Metric"),
         ({**RECORD, "src": 7}, "src must be a string, got 7"),
         ({**RECORD, "dst": ["b"]}, "dst must be a string, got ['b']"),
+        ({**RECORD, "src": 1, "dst": 2}, "src must be a string, got 1"),
         ({k: v for k, v in {**RECORD, "src": None}.items() if k != "note"},
          "src must be a string, got None"),
     ],
-    ids=["misspelled-note", "unknown-metric", "int-src", "list-dst", "null-src-without-note"],
+    ids=["misspelled-note", "unknown-metric", "int-src", "list-dst", "int-pair",
+         "null-src-without-note"],
 )
-def test_a_bad_record_names_file_and_line_on_either_path(tmp_path, record, message):
+@pytest.mark.parametrize("symmetric", ["symmetric", "asymmetric"])
+def test_a_bad_cache_record_names_file_and_line(tmp_path, record, message, symmetric):
     with pytest.raises(DocumentFormatError) as info:
-        _load_one(tmp_path, record)
+        _load_one(tmp_path, record, symmetric_metrics=SYMMETRIES[symmetric])
     assert str(info.value) == f"{tmp_path / 'probes.cache'}:1: {message}"
 
 
