@@ -36,6 +36,7 @@ from .executor import (
     simulate_execution,
 )
 from .geo import Coordinate, default_region_catalog, load_region_catalog
+from .jsondoc import as_int, as_string, check_fields, load_document
 from .measurement import (
     DEFAULT_AGENT_PORT,
     DEFAULT_TTL_S,
@@ -399,29 +400,63 @@ DEFAULT_RECIPE = (
 )
 
 
+def _read_recipe(path: str) -> tuple[str, list]:
+    """A recipe file's entries, checked, and the name of their list in error
+    messages. The file holds the list, or an object with it under
+    "workflows"; each entry is {"pattern", "nodes", optional "seed"}."""
+    try:
+        doc = load_document(Path(path).read_text(), "recipe")
+    except DocumentFormatError as exc:
+        raise DocumentFormatError(f"{path}: {exc}") from exc
+    where = path
+    if isinstance(doc, dict):
+        check_fields(doc, ["workflows"], [], path)
+        doc, where = doc["workflows"], f"{path}: workflows"
+    if not isinstance(doc, list):
+        raise DocumentFormatError(f"{where}: expected a list of workflows, got {type(doc).__name__}")
+    patterns = [p.value for p in WorkflowPattern]
+    for i, entry in enumerate(doc):
+        ctx = f"{where}[{i}]"
+        check_fields(entry, ["pattern", "nodes"], ["seed"], ctx)
+        if as_string(entry["pattern"], f"{ctx}.pattern") not in patterns:
+            raise DocumentFormatError(
+                f"{ctx}.pattern: expected one of {', '.join(patterns)}, got {entry['pattern']!r}"
+            )
+        as_int(entry["nodes"], f"{ctx}.nodes")
+        if "seed" in entry:
+            as_int(entry["seed"], f"{ctx}.seed")
+    return where, doc
+
+
 def _experiment_specs(args: argparse.Namespace, settings: dict) -> list:
     if args.workflow_dir:
         paths = sorted(
             p for p in Path(args.workflow_dir).iterdir()
             if p.suffix in (".workflow", ".json")
         )
-        specs = [parse_workflow(p.read_text()) for p in paths]
+        specs = []
+        for p in paths:
+            try:
+                specs.append(parse_workflow(p.read_text()))
+            except (DocumentFormatError, SpecValidationError) as exc:
+                raise type(exc)(f"{p}: {exc}") from exc
     else:
         if args.recipe == "default":
-            recipe = DEFAULT_RECIPE
+            where, recipe = "default recipe", DEFAULT_RECIPE
         else:
-            doc = json.loads(Path(args.recipe).read_text())
-            recipe = doc["workflows"] if isinstance(doc, dict) else doc
+            where, recipe = _read_recipe(args.recipe)
         pool = _load_pool(settings)
-        specs = [
-            generate_random_workflow(
-                WorkflowPattern(entry["pattern"]),
-                int(entry["nodes"]),
-                pool,
-                int(entry.get("seed", settings["seed"] + i)),
-            )
-            for i, entry in enumerate(recipe)
-        ]
+        specs = []
+        for i, entry in enumerate(recipe):
+            try:
+                specs.append(generate_random_workflow(
+                    WorkflowPattern(entry["pattern"]),
+                    entry["nodes"],
+                    pool,
+                    entry.get("seed", settings["seed"] + i),
+                ))
+            except SpecValidationError as exc:
+                raise SpecValidationError(f"{where}[{i}]: {exc}") from exc
     if not specs:
         raise ValueError("experiment needs at least one workflow")
     return specs

@@ -179,9 +179,17 @@ def default_region_catalog() -> RegionCatalog:
 
 def build_location_table(*sources: Iterable[tuple[str, Coordinate]]) -> LocationTable:
     """Merge (endpoint, coordinate) streams, keyed by `host_of(endpoint)` as
-    `resolve_location` looks them up; later sources win on conflict."""
+    `resolve_location` looks them up; later sources win on conflict. Each
+    endpoint is parsed once, and the table starts out knowing where every
+    merged endpoint is, so `locate` parses none of them again."""
     merged: dict[str, Coordinate] = {}
+    hosts: dict[str, str] = {}
     for source in sources:
         for endpoint, coord in source:
-            merged[host_of(endpoint)] = coord
-    return LocationTable(merged)
+            host = hosts.get(endpoint)
+            if host is None:
+                host = hosts[endpoint] = host_of(endpoint)
+            merged[host] = coord
+    table = LocationTable(merged)
+    table._located.update((endpoint, table.get(host)) for endpoint, host in hosts.items())
+    return table

@@ -46,6 +46,12 @@ def as_number(value: Any, context: str) -> float:
     return float(value)
 
 
+def as_int(value: Any, context: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentFormatError(f"{context}: expected an integer, got {value!r}")
+    return value
+
+
 def as_string(value: Any, context: str) -> str:
     if not isinstance(value, str):
         raise DocumentFormatError(f"{context}: expected a string, got {value!r}")

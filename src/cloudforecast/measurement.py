@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
-from .candidates import Metric, Pair
+from .candidates import Legs, Metric, Pair
 from .errors import DocumentFormatError
 from .geo import (
     LocationTable,
@@ -133,15 +133,39 @@ class Measurement(_MeasurementFields):
     __slots__ = ()
 
     def __new__(cls, src, dst, metric, value, unit, samples, success, taken_at, note=""):
-        if success and value < 0:
-            raise ValueError("successful measurement value must be >= 0")
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
+        check_measured((value,), samples, success, taken_at)
         return tuple.__new__(cls, (src, dst, metric, value, unit, samples, success, taken_at, note))
 
     @classmethod
     def _make(cls, iterable):  # `_replace` builds through it too
         return cls(*iterable)
+
+
+_isfinite = math.isfinite
+
+
+def check_measured(values, samples, success, taken_at) -> None:
+    """The rule every measurement keeps, for values that share the other
+    fields: a successful value is finite and >= 0, there is at least one
+    sample, success is a bool and the time is finite. `Measurement` checks
+    its one value with it, a batch builder all of a batch's values at once
+    before building the rows unchecked."""
+    if success and values and min(values) < 0:
+        raise ValueError("successful measurement value must be >= 0")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if success is not True and success is not False:
+        raise ValueError(f"success must be true or false, got {success!r}")
+    # the sum of finite values overflows only past 1.7e308: then each is checked
+    if success and not _isfinite(sum(values)) and not all(map(_isfinite, values)):
+        bad = next(value for value in values if not _isfinite(value))
+        raise ValueError(f"successful measurement value must be finite, got {bad}")
+    try:
+        finite = _isfinite(taken_at)
+    except TypeError:
+        finite = False
+    if not finite:  # a nan time would never expire: `age > ttl` is always false
+        raise ValueError(f"taken_at must be a finite number, got {taken_at!r}")
 
 
 # fields a measurement cache record must have; `note` is optional
@@ -228,7 +252,9 @@ class MeasurementStore:
     def fold_pairs(self, pairs: dict[Pair, int], metric: Metric) -> dict[Pair, int]:
         """Merge each pair into an earlier one with the same key, summing their
         multiplicities, so every key is looked up once. For an asymmetric
-        metric no two pairs share a key and `pairs` comes back as it is."""
+        metric no two pairs share a key and `pairs` comes back as it is. A
+        ranking folds the legs once instead (`fold_legs`); this per-hub fold
+        is the reference the tests hold that to."""
         if metric not in self.symmetric_metrics:
             return pairs
         folded: dict[Pair, int] = {}
@@ -237,6 +263,22 @@ class MeasurementStore:
                 folded[(dst, src)] += n
             else:
                 folded[(src, dst)] = n
+        return folded
+
+    def fold_legs(self, legs: Legs, metric: Metric) -> Legs:
+        """`fold_pairs` done once for every hub: an endpoint's two legs map to
+        reversed pairs around any hub, so for a symmetric metric the later
+        leg merges into the first-seen one, and `weighted_pairs` of the result
+        equals `fold_pairs` of `weighted_pairs`, order and multiplicities
+        alike."""
+        if metric not in self.symmetric_metrics:
+            return legs
+        folded: Legs = {}
+        for (endpoint, to_hub), n in legs.items():
+            if (endpoint, not to_hub) in folded:
+                folded[(endpoint, not to_hub)] += n
+            else:
+                folded[(endpoint, to_hub)] = n
         return folded
 
     def get(self, pair: Pair, metric: Metric, now: float | None = None) -> Measurement | None:
@@ -287,19 +329,16 @@ class MeasurementStore:
         self.put_many((measurement,))
 
     def put_many(self, measurements: Iterable[Measurement]) -> None:
-        """Store each measurement under the key of its own pair and metric."""
+        """Store each measurement under the key of its own pair and metric, in
+        one pass under the lock."""
         symmetric = self.symmetric_metrics
-        keyed = []
-        for m in measurements:
-            src, dst, metric = m.src, m.dst, m.metric
-            if metric in symmetric and dst < src:
-                src, dst = dst, src
-            keyed.append((metric, (src, dst), m))
-        if keyed:
-            with self._lock:
-                tables = self._entries
-                for metric, key, m in keyed:
-                    tables[metric][key] = m
+        with self._lock:
+            tables = self._entries
+            for m in measurements:
+                src, dst, metric = m.src, m.dst, m.metric
+                if metric in symmetric and dst < src:
+                    src, dst = dst, src
+                tables[metric][(src, dst)] = m
                 self._synced = None
 
     def __len__(self) -> int:
@@ -379,7 +418,10 @@ class MeasurementStore:
                     if not (isinstance(src, str) and isinstance(dst, str)):
                         raise TypeError  # worded by `_bad_record`
                     metric = _METRIC_BY_VALUE[metric]
-                    m = Measurement(src, dst, metric, value, unit, samples, success, taken_at, note)
+                    check_measured((value,), samples, success, taken_at)
+                    m = _new_measurement(
+                        Measurement, (src, dst, metric, value, unit, samples, success, taken_at, note)
+                    )
                     if metric in symmetric_metrics and dst < src:
                         src, dst = dst, src
                     tables[metric][(src, dst)] = m
@@ -395,6 +437,8 @@ _METRIC_BY_VALUE = {metric.value: metric for metric in Metric}
 # a record's values in `Measurement` field order
 _record_values = operator.itemgetter(*_RECORD_FIELDS, "note")
 _pair_of_entry = operator.itemgetter(0)
+# builds a `Measurement` from values already passed through `check_measured`
+_new_measurement = tuple.__new__
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -487,9 +531,12 @@ class SyntheticProvider:
                 km = memo[pair] = haversine_km(locate(pair[0]), locate(pair[1]))
             kms.append(km)
         metric, unit, now = self.metric, UNIT_BY_METRIC[self.metric], time.time()
+        values = _synthetic_values(kms, metric, self.model)
+        check_measured(values, 1, True, now)
+        new = _new_measurement
         return [
-            Measurement(src, dst, metric, value, unit, 1, True, now, "synthetic")
-            for (src, dst), value in zip(pairs, _synthetic_values(kms, metric, self.model))
+            new(Measurement, (src, dst, metric, value, unit, 1, True, now, "synthetic"))
+            for (src, dst), value in zip(pairs, values)
         ]
 
 
@@ -696,11 +743,17 @@ def collect_measurements(
     found, missing = store.get_many(pairs, metric)
     if not missing:
         return found
-    measured = _measure_each(provider, [group[0] for group in missing.values()], max_parallel)
+    # every pair its own miss: the misses are the pairs, in pair order
+    alone = len(missing) == len(pairs)
+    measured = _measure_each(
+        provider, pairs if alone else [group[0] for group in missing.values()], max_parallel
+    )
     for m in measured:
         if m.metric is not metric:
             raise ValueError(f"provider returned {m.metric.value}, expected {metric.value}")
     store.put_many(measured)
+    if alone:
+        return dict(zip(pairs, measured))
     for group, m in zip(missing.values(), measured):
         for pair in group:
             found[pair] = m

@@ -147,17 +147,19 @@ def rank_regions(
     candidate graph is scored from its unique (endpoint, hub) pairs, weighted
     by the number of edges each carries, without building the edges; pairs
     that share a store key (both directions of a symmetric metric) are
-    measured once. Each region's pairs are built once and serve every metric
-    whose store key folds them alike.
+    measured once. The workflow's legs are folded by each metric's store key
+    once per ranking, and each region's pairs are built once and serve every
+    metric whose store key folds them alike.
     """
     if Metric.DISTANCE not in providers:
         raise ValueError("a distance provider is required for shortlisting")
 
     legs = hub_legs(spec)
+    folded_legs = {metric: store.fold_legs(legs, metric) for metric in providers}
     hubs = {region.id: region.probe_host for region in catalog.regions}
 
     def pairs_of(region_id: str, metric: Metric) -> dict[Pair, int]:
-        return store.fold_pairs(weighted_pairs(legs, hubs[region_id]), metric)
+        return weighted_pairs(folded_legs[metric], hubs[region_id])
 
     def score(region_id: str, metric: Metric, pairs: dict[Pair, int]) -> GraphScore:
         measured = collect_measurements(store, list(pairs), metric, providers[metric], max_parallel)

@@ -937,3 +937,58 @@ def test_format_a_command_has_or_ignores_is_accepted(fig1_file, no_setting_env, 
     code, out, err = run_cli(argv + ["--format", fmt], capsys)
     assert code == 0, err
     assert out
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"x": 1}', "{path}: unknown field(s): x"),
+    ('{"workflows": {"pattern": "mixed"}}', "{path}: workflows: expected a list of workflows"),
+    ('[{"nodes": 3}]', "{path}[0]: missing required field(s): pattern"),
+    ('[5]', "{path}[0]: expected an object, got int"),
+    ('{"workflows": [{"pattern": "sequential", "nodes": 3}, {"pattern": "zigzag", "nodes": 3}]}',
+     "{path}: workflows[1].pattern: expected one of sequential, fan_in, fan_out, mixed, "
+     "got 'zigzag'"),
+    ('[{"pattern": "mixed", "nodes": "3"}]', "{path}[0].nodes: expected an integer, got '3'"),
+    ('[{"pattern": "mixed", "nodes": 3, "seed": 1.5}]',
+     "{path}[0].seed: expected an integer, got 1.5"),
+    ('[{"pattern": "mixed", "nodes": 0}]', "{path}[0]: node_count must be >= 1, got 0"),
+    ("[{", "{path}: invalid recipe: line 1, column 3"),
+], ids=["unknown-field", "not-a-list", "missing-pattern", "not-an-object", "bad-pattern",
+        "string-nodes", "float-seed", "zero-nodes", "not-json"])
+def test_experiment_bad_recipe_exits_2_naming_file_entry_and_field(tmp_path, capsys, doc,
+                                                                    message):
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(doc)
+    code, out, err = run_cli(
+        ["experiment", "--recipe", str(recipe), "--out-dir", str(tmp_path / "o")], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message.format(path=recipe))
+    assert "Traceback" not in err
+
+
+def test_experiment_bad_workflow_in_dir_exits_2_naming_the_file(tmp_path, capsys):
+    wf_dir = tmp_path / "flows"
+    wf_dir.mkdir()
+    (wf_dir / "a.workflow").write_text(FIG1_DOC)
+    (wf_dir / "b.json").write_text("{not json")
+    code, _, err = run_cli(
+        ["experiment", "--workflow-dir", str(wf_dir), "--out-dir", str(tmp_path / "o")], capsys
+    )
+    assert code == 2
+    assert err.startswith(f"error: {wf_dir / 'b.json'}: invalid workflow: line 1, column 2")
+
+
+def test_analyze_with_a_nan_cache_record_exits_2_instead_of_ranking_nan(fig1_file, tmp_path,
+                                                                         capsys):
+    cache = tmp_path / "probes.cache"
+    assert run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)[0] == 0
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    lineno = next(i for i, r in enumerate(records, 1) if r["metric"] == "ping")
+    for record in records:
+        if record["metric"] == "ping":
+            record["value"] = float("nan")
+    cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: {cache}:{lineno}: "
+                   "successful measurement value must be finite, got nan\n")

@@ -1,0 +1,171 @@
+"""The cold batch path: a ranking folds the workflow's legs once instead of
+each region's pairs, the synthetic batch provider checks a batch's values
+once by the rule every `Measurement` keeps, and a batch whose pairs are each
+their own miss is returned without regrouping."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cloudforecast import measurement
+from cloudforecast.candidates import Metric, weighted_pairs
+from cloudforecast.geo import Coordinate, LocationTable, Region, RegionCatalog
+from cloudforecast.measurement import (
+    Measurement,
+    MeasurementStore,
+    SyntheticNetworkModel,
+    check_measured,
+    collect_measurements,
+    synthetic_providers,
+)
+from cloudforecast.scoring import ScoringConfig, rank_regions
+from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
+
+ENDPOINTS = ["e0", "e1", "e2", "hub"]
+SYMMETRIES = {"symmetric": frozenset(Metric), "asymmetric": frozenset(),
+              "ping-only": frozenset({Metric.PING})}
+
+
+def _legs(draws):
+    """Legs as `hub_legs` builds them: multiplicities summed in first-seen order."""
+    legs = {}
+    for endpoint, to_hub in draws:
+        legs[(endpoint, to_hub)] = legs.get((endpoint, to_hub), 0) + 1
+    return legs
+
+
+# -- folding the legs once ---------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    draws=st.lists(st.tuples(st.sampled_from(ENDPOINTS), st.booleans()), max_size=16),
+    hub=st.sampled_from(ENDPOINTS + ["other"]),
+    symmetric=st.sampled_from(sorted(SYMMETRIES)),
+    metric=st.sampled_from(list(Metric)),
+)
+def test_folding_the_legs_once_equals_folding_each_hubs_pairs(draws, hub, symmetric, metric):
+    # endpoints repeat, and "hub" is both an endpoint and, when drawn, the hub
+    legs = _legs(draws)
+    store = MeasurementStore(symmetric_metrics=SYMMETRIES[symmetric])
+    reference = store.fold_pairs(weighted_pairs(legs, hub), metric)
+    assert list(weighted_pairs(store.fold_legs(legs, metric), hub).items()) == \
+        list(reference.items())
+
+
+def test_fold_legs_keeps_the_first_seen_leg_and_sums():
+    legs = {("e", False): 2, ("f", True): 1, ("e", True): 3}
+    assert list(MeasurementStore().fold_legs(legs, Metric.PING).items()) == \
+        [(("e", False), 5), (("f", True), 1)]
+    asymmetric = MeasurementStore(symmetric_metrics=frozenset())
+    assert asymmetric.fold_legs(legs, Metric.PING) is legs
+
+
+SPEC = WorkflowSpec(
+    name="folds",
+    nodes=tuple(WorkflowNode(id=n, endpoint=e, location=Coordinate(i, i))
+                for i, (n, e) in enumerate([("a", "x.example.org"), ("b", "y.example.org"),
+                                            ("c", "x.example.org"), ("d", "r1.example.org")])),
+    edges=(WorkflowEdge("a", "b"), WorkflowEdge("b", "c"), WorkflowEdge("c", "d")),
+)
+
+
+@pytest.mark.parametrize("symmetric", sorted(SYMMETRIES))
+def test_a_ranking_folds_the_legs_once_per_metric_and_no_regions_pairs(symmetric, monkeypatch):
+    catalog = RegionCatalog(tuple(
+        Region(f"r{i}", f"r{i}.example.org", Coordinate(10 * i, -10 * i)) for i in range(4)
+    ))
+    folds = []
+    fold_legs = MeasurementStore.fold_legs
+    monkeypatch.setattr(MeasurementStore, "fold_legs",
+                        lambda self, legs, metric: folds.append(metric) or fold_legs(self, legs, metric))
+    monkeypatch.setattr(MeasurementStore, "fold_pairs", None)  # not called by a ranking
+    store = MeasurementStore(symmetric_metrics=SYMMETRIES[symmetric])
+    providers = synthetic_providers(SyntheticNetworkModel(), measurement.location_index(SPEC, catalog))
+    report = rank_regions(SPEC, catalog, store, providers, ScoringConfig(shortlist_n=2))
+    assert sorted(folds) == sorted(Metric)
+    assert len(report.entries) == 4
+
+
+# -- one check per batch --------------------------------------------------------------
+
+TABLE = LocationTable({"a.example.org": Coordinate(0, 0), "b.example.org": Coordinate(1, 1)})
+PAIR = ("a.example.org", "b.example.org")
+CANDIDATES = [0.0, -0.0, 1.5, 1e308, -1e-300, -1.0, math.nan, math.inf, -math.inf]
+
+
+def _measurement_error(value):
+    try:
+        Measurement(*PAIR, Metric.PING, value, "ms", 1, True, 1.0e9, "synthetic")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _batch_error(values, monkeypatch):
+    monkeypatch.setattr(measurement, "_synthetic_values", lambda kms, metric, model: list(values))
+    provider = synthetic_providers(SyntheticNetworkModel(), TABLE)[Metric.PING]
+    try:
+        batch = provider.many([PAIR] * len(values))
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(m) is Measurement for m in batch)
+    assert [m.value for m in batch] == list(values)
+    return None
+
+
+@pytest.mark.parametrize("value", CANDIDATES, ids=repr)
+def test_the_batch_provider_rejects_a_value_as_measurement_does(value, monkeypatch):
+    assert _batch_error([value], monkeypatch) == _measurement_error(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.sampled_from(CANDIDATES), min_size=1, max_size=6))
+def test_the_batch_provider_rejects_a_batch_when_measurement_rejects_one_value(values):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        rejected = _batch_error(values, monkeypatch) is not None
+    assert rejected == any(_measurement_error(v) is not None for v in values)
+
+
+def test_check_measured_is_the_rule_of_every_field():
+    check_measured([], 1, True, 0.0)  # an empty batch has nothing to reject
+    for args, message in [
+        (((-1.0,), 1, True, 0.0), "successful measurement value must be >= 0"),
+        (((1.0,), 0, True, 0.0), "samples must be >= 1"),
+        (((1.0,), 1, "false", 0.0), "success must be true or false, got 'false'"),
+        (((math.nan,), 1, True, 0.0), "successful measurement value must be finite, got nan"),
+        (((1.0,), 1, True, math.inf), "taken_at must be a finite number, got inf"),
+        (((1.0,), 1, True, "now"), "taken_at must be a finite number, got 'now'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            check_measured(*args)
+        assert str(info.value) == message
+    # a failure may carry any value, a non-finite one included
+    check_measured((math.nan, -math.inf), 1, False, 0.0)
+
+
+# -- a batch of lone misses ---------------------------------------------------------------
+
+class Batch:
+    def __init__(self):
+        self.asked = []
+
+    def many(self, pairs):
+        self.asked.append(list(pairs))
+        return [Measurement(s, d, Metric.PING, float(len(s + d)), "ms", 1, True, 1.0e12)
+                for s, d in pairs]
+
+
+@pytest.mark.parametrize("pairs, asked", [
+    ([("a", "b"), ("c", "a"), ("b", "c")], [("a", "b"), ("c", "a"), ("b", "c")]),
+    ([("a", "b"), ("b", "a"), ("a", "b"), ("c", "a")], [("a", "b"), ("c", "a")]),
+], ids=["each-its-own-miss", "shared-keys"])
+def test_collect_measurements_answers_in_pair_order_either_way(pairs, asked):
+    store, provider = MeasurementStore(), Batch()
+    measured = collect_measurements(store, pairs, Metric.PING, provider)
+    assert provider.asked == [asked]
+    assert list(measured) == list(dict.fromkeys(pairs))
+    for (src, dst), m in measured.items():
+        assert {m.src, m.dst} == {src, dst}
+    assert len(store) == len(asked)

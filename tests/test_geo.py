@@ -185,3 +185,22 @@ def test_locate_never_remembers_a_fallback():
     assert table.locate("lost.example.org", fallback=PARIS) == PARIS
     with pytest.raises(UnknownLocationError, match="lost.example.org"):
         table.locate("lost.example.org")
+
+
+def test_build_location_table_parses_each_endpoint_once_and_later_sources_win(monkeypatch):
+    import cloudforecast.geo as geo
+
+    parsed = []
+    real_host_of = geo.host_of
+    monkeypatch.setattr(geo, "host_of", lambda e: parsed.append(e) or real_host_of(e))
+    nodes = [("http://paris.example.org/run", PARIS), ("paris.example.org:8080", PARIS),
+             ("http://paris.example.org/run", PARIS), ("london.example.org", LONDON)]
+    # a region whose probe host is a node's host: the later source's coordinate wins
+    regions = [("PARIS.example.org", LONDON)]
+    table = geo.build_location_table(nodes, regions)
+    endpoints = list(dict.fromkeys(e for e, _ in nodes + regions))
+    assert parsed == endpoints
+    for endpoint in endpoints:
+        assert table.locate(endpoint) == LONDON
+    assert parsed == endpoints  # `locate` parsed none of them again
+    assert table.get("paris.example.org") == LONDON

@@ -626,3 +626,37 @@ def test_agent_providers_reject_a_port_out_of_range(catalog, fig1_spec, port):
 
     with pytest.raises(ValueError, match=f"agent_port must be in 1..65535, got {port}"):
         agent_providers(catalog, ProbeConfig(), location_index(fig1_spec, catalog), agent_port=port)
+
+
+# a cache record that would rank with a nan, count a string as a success or never expire
+POISONED = {
+    "nan-value": ("value", "NaN", "successful measurement value must be finite, got nan"),
+    "inf-value": ("value", "Infinity", "successful measurement value must be finite, got inf"),
+    "string-success": ("success", '"false"', "success must be true or false, got 'false'"),
+    "nan-taken-at": ("taken_at", "NaN", "taken_at must be a finite number, got nan"),
+    "inf-taken-at": ("taken_at", "-Infinity", "taken_at must be a finite number, got -inf"),
+}
+
+
+@pytest.mark.parametrize("field, value, message", POISONED.values(), ids=list(POISONED))
+def test_store_load_rejects_a_poisoned_record_naming_file_and_line(tmp_path, field, value,
+                                                                    message):
+    fields = {"dst": '"b"', "metric": '"ping"', "note": '""', "samples": "1", "src": '"a"',
+              "success": "true", "taken_at": "1.0", "unit": '"ms"', "value": "2.0"}
+    good = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    fields[field] = value
+    poisoned = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    path = tmp_path / "poisoned.cache"
+    path.write_text(good.replace('"ping"', '"distance"') + "\n" + poisoned + "\n")
+    with pytest.raises(DocumentFormatError) as info:
+        MeasurementStore.load(str(path))
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+def test_store_load_keeps_a_failed_record_whatever_its_value(tmp_path):
+    path = tmp_path / "failed.cache"
+    path.write_text('{"dst": "b", "metric": "ping", "note": "echo/tcp-connect", "samples": 5, '
+                    '"src": "a", "success": false, "taken_at": 1.0e12, "unit": "ms", '
+                    '"value": NaN}\n')
+    loaded = MeasurementStore.load(str(path)).get(("a", "b"), Metric.PING, now=1.0e12)
+    assert loaded.success is False and math.isnan(loaded.value)
