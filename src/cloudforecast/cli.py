@@ -9,7 +9,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 from .candidates import (
     METRIC_ORDER,
@@ -144,7 +143,8 @@ def load_settings(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         try:
-            file_values = json.loads(Path(config_path).read_text())
+            with open(config_path) as f:
+                file_values = json.load(f)
         except OSError as exc:
             raise ValueError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
@@ -181,22 +181,37 @@ def config_from(cls, settings: dict):
     return cls(**{f.name: settings[f.name] for f in fields(cls)})
 
 
+def _read_file(path: str, parse):
+    """`parse` of the text of the file at `path`; a document error names the file."""
+    with open(path) as f:
+        text = f.read()
+    try:
+        return parse(text)
+    except (DocumentFormatError, SpecValidationError, CatalogError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _write_file(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _load_catalog(settings: dict):
     path = settings["regions"]
     if path is None:
         return default_region_catalog()
-    return load_region_catalog(Path(path).read_text())
+    return _read_file(path, load_region_catalog)
 
 
 def _load_workflow(path: str):
-    return parse_workflow(Path(path).read_text())
+    return _read_file(path, parse_workflow)
 
 
 def _load_pool(settings: dict):
     path = settings["pool"]
     if path is None:
         return default_node_pool()
-    return parse_node_pool(Path(path).read_text())
+    return _read_file(path, parse_node_pool)
 
 
 def _parse_metrics(text: str) -> list[Metric]:
@@ -264,7 +279,7 @@ def _open_store(settings: dict) -> MeasurementStore:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -284,7 +299,7 @@ def cmd_analyze(args: argparse.Namespace, settings: dict) -> int:
     spec, catalog, metrics, providers, store, max_parallel = _analysis_setup(args, settings)
     if args.dump_candidates:
         graphs = enumerate_candidates(spec, catalog, metrics)
-        Path(args.dump_candidates).write_text("".join(dump_graph(g) for g in graphs))
+        _write_file(args.dump_candidates, "".join(dump_graph(g) for g in graphs))
 
     report = rank_regions(
         spec, catalog, store, providers, config_from(ScoringConfig, settings), max_parallel
@@ -404,10 +419,7 @@ def _read_recipe(path: str) -> tuple[str, list]:
     """A recipe file's entries, checked, and the name of their list in error
     messages. The file holds the list, or an object with it under
     "workflows"; each entry is {"pattern", "nodes", optional "seed"}."""
-    try:
-        doc = load_document(Path(path).read_text(), "recipe")
-    except DocumentFormatError as exc:
-        raise DocumentFormatError(f"{path}: {exc}") from exc
+    doc = _read_file(path, lambda text: load_document(text, "recipe"))
     where = path
     if isinstance(doc, dict):
         check_fields(doc, ["workflows"], [], path)
@@ -430,16 +442,9 @@ def _read_recipe(path: str) -> tuple[str, list]:
 
 def _experiment_specs(args: argparse.Namespace, settings: dict) -> list:
     if args.workflow_dir:
-        paths = sorted(
-            p for p in Path(args.workflow_dir).iterdir()
-            if p.suffix in (".workflow", ".json")
-        )
-        specs = []
-        for p in paths:
-            try:
-                specs.append(parse_workflow(p.read_text()))
-            except (DocumentFormatError, SpecValidationError) as exc:
-                raise type(exc)(f"{p}: {exc}") from exc
+        names = sorted(name for name in os.listdir(args.workflow_dir)
+                       if os.path.splitext(name)[1] in (".workflow", ".json"))
+        specs = [_load_workflow(os.path.join(args.workflow_dir, name)) for name in names]
     else:
         if args.recipe == "default":
             where, recipe = "default recipe", DEFAULT_RECIPE
@@ -474,10 +479,9 @@ def cmd_experiment(args: argparse.Namespace, settings: dict) -> int:
         config_from(ScoringConfig, settings),
     )
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "experiment.csv").write_text(experiment_csv(report))
-    (out_dir / "speedup_chart.dat").write_text(chart_data(report))
+    os.makedirs(args.out_dir or os.curdir, exist_ok=True)  # '' is the current directory
+    _write_file(os.path.join(args.out_dir, "experiment.csv"), experiment_csv(report))
+    _write_file(os.path.join(args.out_dir, "speedup_chart.dat"), chart_data(report))
 
     speedups = [row.speedup_pct for row in report.rows]
     for row in report.rows:

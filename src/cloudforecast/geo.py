@@ -2,8 +2,8 @@
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterable, Mapping
 from urllib.parse import urlparse
 
@@ -171,10 +171,15 @@ def render_region_catalog(catalog: RegionCatalog) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def bundled_text(name: str) -> str:
+    """The text of a file in the package's `data` directory."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
+        return f.read()
+
+
 def default_region_catalog() -> RegionCatalog:
     """The bundled 8-region catalog."""
-    text = resources.files("cloudforecast.data").joinpath("regions.default").read_text()
-    return load_region_catalog(text)
+    return load_region_catalog(bundled_text("regions.default"))
 
 
 def build_location_table(*sources: Iterable[tuple[str, Coordinate]]) -> LocationTable:

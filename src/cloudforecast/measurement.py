@@ -11,13 +11,10 @@ import json
 import math
 import operator
 import os
-import socket
-import statistics
 import struct
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
@@ -76,6 +73,7 @@ class Aggregator(str, Enum):
 
 
 def aggregate(values: list[float], aggregator: Aggregator) -> float:
+    import statistics
     if not values:
         raise ValueError("cannot aggregate zero samples")
     if aggregator is Aggregator.MEAN:
@@ -577,6 +575,7 @@ class EchoProber:
             return self._seq
 
     def _icmp_once(self, ip: str, timeout_s: float) -> float | None:
+        import socket  # only probing uses it, and it is imported before any clock starts
         try:
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM, socket.IPPROTO_ICMP)
         except OSError:
@@ -599,6 +598,7 @@ class EchoProber:
             sock.close()
 
     def _tcp_once(self, ip: str, timeout_s: float) -> float | None:
+        import socket
         deadline = time.perf_counter() + timeout_s
         for port in _TCP_PROBE_PORTS:
             remaining = deadline - time.perf_counter()
@@ -621,6 +621,7 @@ class EchoProber:
 
     def probe(self, host: str, timeout_s: float) -> float | None:
         """One echo round trip in ms, or None on failure."""
+        import socket
         try:
             ip = socket.getaddrinfo(host, None, socket.AF_INET, socket.SOCK_STREAM)[0][4][0]
         except socket.gaierror:
@@ -770,6 +771,7 @@ def _measure_each(provider: PairProvider, pairs: list[Pair], max_parallel: int) 
         return measured
     if max_parallel <= 1 or len(pairs) <= 1:
         return [provider(pair) for pair in pairs]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=min(max_parallel, len(pairs))) as pool:
         return list(pool.map(provider, pairs))
 

@@ -6,11 +6,10 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from importlib import resources
 from typing import Iterable, Sequence
 
 from .errors import CycleError, SpecValidationError
-from .geo import Coordinate
+from .geo import Coordinate, bundled_text
 from .jsondoc import as_number, as_string, check_fields, load_document
 
 
@@ -250,8 +249,7 @@ def parse_node_pool(document: str) -> list[WorkflowNode]:
 
 def default_node_pool() -> list[WorkflowNode]:
     """The bundled 16-host pool used by generate/experiment defaults."""
-    text = resources.files("cloudforecast.data").joinpath("nodes.default").read_text()
-    return parse_node_pool(text)
+    return parse_node_pool(bundled_text("nodes.default"))
 
 
 def _rerole(nodes: Sequence[WorkflowNode], edges: Sequence[WorkflowEdge]) -> tuple[WorkflowNode, ...]:

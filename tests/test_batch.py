@@ -2,6 +2,7 @@
 `collect_measurements` over a batch, the synthetic batch provider and the
 tuple-built `Measurement`."""
 
+import concurrent.futures
 import json
 import time
 from pathlib import Path
@@ -231,7 +232,7 @@ def test_a_batch_provider_is_never_fanned_out(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(measurement, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     measured = collect_measurements(MeasurementStore(), BOTH_WAYS, Metric.PING,
                                     CountingBatch(), max_parallel=8)
     assert list(measured) == BOTH_WAYS
@@ -381,7 +382,7 @@ def test_synthetic_analyze_output_does_not_depend_on_the_probe_fan_out(fig1_file
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(measurement, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     code8, eight, err = run_cli(argv + ["--max-parallel-probes", "8"], capsys)
     assert code == code8 == 0, err
     assert eight == one

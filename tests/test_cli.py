@@ -244,6 +244,26 @@ def test_experiment_workflow_dir(tmp_path, fig1_file, capsys):
     assert "image-pipeline" in (out_dir / "experiment.csv").read_text()
 
 
+@pytest.mark.parametrize("out_dir", ["", "new/nested"])
+def test_experiment_reads_the_dir_in_name_order_and_writes_where_told(tmp_path, monkeypatch,
+                                                                       capsys, out_dir):
+    wf_dir = tmp_path / "flows"
+    wf_dir.mkdir()
+    names = ["e.json", "d.workflow", "c.json", "b.workflow", "a.json", "f.txt", "g.workflow.bak"]
+    for name in names:
+        (wf_dir / name).write_text(FIG1_DOC.replace("image-pipeline", f"flow-{name[0]}"))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        ["experiment", "--workflow-dir", str(wf_dir), "--out-dir", out_dir], capsys
+    )
+    assert code == 0, err
+    flows = [f"flow-{letter}" for letter in "abcde"]
+    assert [line.split(":")[0] for line in out.splitlines()[:-2]] == flows
+    rows = (tmp_path / out_dir / "experiment.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["workflow", *flows]
+    assert (tmp_path / out_dir / "speedup_chart.dat").exists()
+
+
 def test_experiment_empty_dir_is_error(tmp_path, capsys):
     wf_dir = tmp_path / "empty"
     wf_dir.mkdir()
@@ -976,6 +996,24 @@ def test_experiment_bad_workflow_in_dir_exits_2_naming_the_file(tmp_path, capsys
     )
     assert code == 2
     assert err.startswith(f"error: {wf_dir / 'b.json'}: invalid workflow: line 1, column 2")
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["analyze", "-w", "{bad}"], "{bad",
+     "invalid workflow: line 1, column 2: Expecting property name enclosed in double quotes"),
+    (["analyze", "-w", "FIG1", "--regions", "{bad}"], "[1]",
+     "catalog: expected an object, got list"),
+    (["generate", "-p", "sequential", "-n", "3", "--pool", "{bad}"], "[1]",
+     "pool: expected an object, got list"),
+], ids=["workflow", "regions", "pool"])
+def test_a_bad_document_exits_2_naming_its_file(fig1_file, tmp_path, capsys, argv, doc,
+                                                message):
+    bad = tmp_path / "bad.doc"
+    bad.write_text(doc)
+    argv = [{"{bad}": str(bad), "FIG1": fig1_file}.get(arg, arg) for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: {message}\n"
 
 
 def test_analyze_with_a_nan_cache_record_exits_2_instead_of_ranking_nan(fig1_file, tmp_path,

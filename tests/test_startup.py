@@ -2,8 +2,10 @@
 
 `measurement` and `executor` import `requests` on first use, so a synthetic
 run never loads it, and each keeps it as its own module attribute, which a
-tracer or a test may replace. Each check runs in a fresh interpreter, since
-other tests import `requests` and the services into this one.
+tracer or a test may replace. The standard-library modules that only probes,
+thread pools and live runs use are imported by the code that uses them, and
+before any clock it reads starts. Each check runs in a fresh interpreter,
+since other tests import `requests` and the services into this one.
 """
 
 import os
@@ -11,16 +13,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_fresh(script: str) -> None:
-    """Run `script` in a new interpreter with the package on its path."""
+def run_fresh(script: str, *args: str, flags: tuple[str, ...] = ()) -> None:
+    """Run `script` with `args` in a new interpreter, started with `flags`,
+    with the package on its path."""
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("CLOUDFORECAST_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", script, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stdout + done.stderr
 
@@ -28,7 +33,7 @@ def run_fresh(script: str) -> None:
 COLD_START = r"""
 import contextlib, io, sys
 
-HEAVY = ("requests", "urllib3", "http.server")
+HEAVY = ("requests", "urllib3", "http.server", "concurrent.futures", "statistics", "socket")
 
 def loaded():
     return [name for name in HEAVY if name in sys.modules]
@@ -63,6 +68,32 @@ assert executor.requests is requests
 
 def test_synthetic_analyze_loads_no_http_client_and_a_cold_get_works():
     run_fresh(COLD_START)
+
+
+NO_SITE = r"""
+import contextlib, io, sys
+
+UNUSED = ("socket", "statistics", "concurrent.futures", "pathlib", "importlib.resources")
+
+def loaded():
+    return [name for name in UNUSED if name in sys.modules]
+
+assert loaded() == [], loaded()
+from cloudforecast import cli
+for argv in (["analyze", "-w", "samples/fig1.workflow"],
+             ["simulate", "-w", "samples/fig1.workflow", "--vantage", "us-east-1"],
+             ["experiment", "--out-dir", sys.argv[1]]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    assert out.getvalue(), argv
+    assert loaded() == [], (argv, loaded())
+"""
+
+
+def test_synthetic_commands_load_no_unused_stdlib_module_without_site(tmp_path):
+    # -S: no site hook (a .pth file may import importlib.resources and pathlib)
+    run_fresh(NO_SITE, str(tmp_path), flags=("-S",))
 
 
 STAND_INS = r"""
@@ -148,13 +179,14 @@ import time
 from cloudforecast import ProbeConfig, executor
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 
-assert "requests" not in sys.modules
+EARLY = ("requests", "concurrent.futures")
+assert not any(name in sys.modules for name in EARLY)
 loaded_at_clock = []
 
 
 class Clock:
     def perf_counter(self):
-        loaded_at_clock.append("requests" in sys.modules)
+        loaded_at_clock.append(all(name in sys.modules for name in EARLY))
         return time.perf_counter()
 
 
@@ -175,3 +207,37 @@ assert loaded_at_clock and all(loaded_at_clock), loaded_at_clock
 
 def test_a_live_run_imports_requests_before_its_clock_starts():
     run_fresh(LIVE_CLOCK)
+
+
+PROBE_CLOCK = r"""
+import sys
+import time
+from cloudforecast import ProbeConfig, measurement
+
+assert "socket" not in sys.modules
+loaded_at_clock = []
+
+
+class Clock:
+    time = staticmethod(time.time)
+
+    def perf_counter(self):
+        loaded_at_clock.append("socket" in sys.modules)
+        return time.perf_counter()
+
+
+measurement.time = Clock()
+prober = measurement.EchoProber()
+prober._mode = {"self-test": None}.get(sys.argv[1], sys.argv[1])
+m = measurement.measure_latency(("here", "127.0.0.1"), ProbeConfig(samples_per_pair=2,
+                                                                   timeout_ms=250), prober)
+assert m.note == f"echo/{prober.mode}", m
+assert all(loaded_at_clock), loaded_at_clock
+assert loaded_at_clock or prober.mode == "icmp", "the tcp-connect probe reads the clock"
+"""
+
+
+@pytest.mark.parametrize("mode", ["self-test", "icmp", "tcp-connect"])
+def test_an_echo_probe_imports_socket_before_its_clock_starts(mode):
+    # loopback only; with unprivileged ICMP refused, a forced icmp probe fails before timing
+    run_fresh(PROBE_CLOCK, mode)
