@@ -56,7 +56,6 @@ from .measurement import (
     MeasurementStore,
     ProbeConfig,
     SyntheticNetworkModel,
-    get_or_measure,
     location_index,
     measure_distance,
     measure_http_rtt,

@@ -251,8 +251,8 @@ def _parse_latlon(text: str) -> Coordinate:
 
 def _parse_listen(text: str) -> tuple[str, int]:
     host, _, port_text = text.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise ValueError(f"expected 'host:port', got {text!r}")
+    if not host or not port_text.isdigit() or int(port_text) > 65535:
+        raise ValueError(f"expected 'host:port' with a port in 0..65535, got {text!r}")
     return host, int(port_text)
 
 

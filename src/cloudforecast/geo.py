@@ -1,6 +1,5 @@
 """Coordinates, great-circle distance, endpoint geolocation and the region catalog."""
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -159,16 +158,6 @@ def load_region_catalog(document: str) -> RegionCatalog:
         except ValueError as exc:
             raise CatalogError(f"{ctx}: {exc}") from exc
     return RegionCatalog(tuple(regions))
-
-
-def render_region_catalog(catalog: RegionCatalog) -> str:
-    doc = {
-        "regions": [
-            {"id": r.id, "probe_host": r.probe_host, "lat": r.location.lat, "lon": r.location.lon}
-            for r in catalog.regions
-        ]
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def bundled_text(name: str) -> str:

@@ -241,7 +241,7 @@ class MeasurementStore:
         self._synced: tuple[int, int, int, int] | None = None
 
     def canonical_key(self, pair: Pair, metric: Metric) -> tuple[str, str, Metric]:
-        # the rule is written out again, per key, in `_lookup`, `put_many` and `load`
+        # the rule is written out again, per key, in `get_many`, `put_many` and `load`
         src, dst = pair
         if metric in self.symmetric_metrics and dst < src:
             src, dst = dst, src
@@ -280,30 +280,15 @@ class MeasurementStore:
         return folded
 
     def get(self, pair: Pair, metric: Metric, now: float | None = None) -> Measurement | None:
-        return self._lookup((pair,), metric, now)[0].get(pair)
+        return self.get_many((pair,), metric, now)[0].get(pair)
 
     def get_many(
         self, pairs: Iterable[Pair], metric: Metric, now: float | None = None
     ) -> tuple[dict[Pair, Measurement], dict[tuple[str, str, Metric], list[Pair]]]:
         """The unexpired entries of the pairs, in pair order, and the other
-        pairs grouped by store key, in first-seen order. An expired entry is
-        dropped from the store. A subclass that overrides `get` has each
-        lookup made through it."""
-        if type(self).get is MeasurementStore.get:
-            return self._lookup(pairs, metric, now)
-        now = time.time() if now is None else now
-        found: dict[Pair, Measurement] = {}
-        missing: dict[tuple[str, str, Metric], list[Pair]] = {}
-        for pair in pairs:
-            entry = self.get(pair, metric, now)
-            if entry is None:
-                missing.setdefault(self.canonical_key(pair, metric), []).append(pair)
-            else:
-                found[pair] = entry
-        return found, missing
-
-    def _lookup(self, pairs, metric, now):
-        """`get_many` in one pass under the lock, at one clock reading."""
+        pairs grouped by store key, in first-seen order: one pass under the
+        lock, at one clock reading. An expired entry is dropped from the
+        store."""
         now = time.time() if now is None else now
         symmetric, ttl_s = metric in self.symmetric_metrics, self.ttl_s
         found: dict[Pair, Measurement] = {}
@@ -624,7 +609,7 @@ class EchoProber:
         import socket
         try:
             ip = socket.getaddrinfo(host, None, socket.AF_INET, socket.SOCK_STREAM)[0][4][0]
-        except socket.gaierror:
+        except (socket.gaierror, UnicodeError):  # unknown, or not encodable as a DNS name
             return None
         if self.mode == "icmp":
             return self._icmp_once(ip, timeout_s)
@@ -676,7 +661,7 @@ def http_get_ms(url: str, timeout_s: float) -> float | None:
     start = time.perf_counter()
     try:
         http.get(url, timeout=timeout_s)
-    except http.RequestException:
+    except (http.RequestException, ValueError):  # urllib3's LocationParseError is a ValueError
         return None
     return (time.perf_counter() - start) * 1000.0
 
@@ -718,16 +703,6 @@ class AgentClient:
         return self._call(
             "/v1/http", {"url": url, "samples": samples, "timeout_ms": int(timeout_ms)}
         )
-
-
-def get_or_measure(
-    store: MeasurementStore,
-    pair: Pair,
-    metric: Metric,
-    provider: PairProvider,
-) -> Measurement:
-    """Return the unexpired cached measurement or invoke the provider and cache it."""
-    return collect_measurements(store, [pair], metric, provider)[pair]
 
 
 def collect_measurements(
@@ -833,8 +808,14 @@ def agent_providers(
             return _failed(pair, metric, samples, f"agent/http-{exc.response.status_code}")
         except (_requests().RequestException, ValueError):
             return _failed(pair, metric, samples, "agent/unreachable")
-        rtts = [float(v) for v in reply.get("rtts_ms", [])]
-        return _from_rtts(pair, metric, rtts if reply.get("ok") else [], config, note)
+        # a reply is an object whose rtts_ms lists finite non-negative numbers
+        rtts = reply.get("rtts_ms", []) if isinstance(reply, dict) else None
+        if not isinstance(rtts, list) or not all(
+            type(v) in (int, float) and 0 <= v <= sys.float_info.max for v in rtts
+        ):
+            return _failed(pair, metric, samples, "agent/bad-reply")
+        rtts = [float(v) for v in rtts] if reply.get("ok") else []
+        return _from_rtts(pair, metric, rtts, config, note)
 
     return {
         Metric.DISTANCE: lambda pair: measure_distance(pair, locations),

@@ -255,17 +255,6 @@ def _score_to_json(score: GraphScore | None) -> dict | None:
     }
 
 
-def _score_from_json(data: dict | None) -> GraphScore | None:
-    if data is None:
-        return None
-    return GraphScore(
-        region=data["region"],
-        metric=Metric(data["metric"]),
-        value=data["value"],
-        failed_edges=data["failed_edges"],
-    )
-
-
 def report_to_json(report: RankingReport) -> str:
     doc = {
         "workflow": report.workflow,
@@ -286,29 +275,6 @@ def report_to_json(report: RankingReport) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> RankingReport:
-    doc = json.loads(text)
-    entries = tuple(
-        RankingEntry(
-            region=e["region"],
-            final_score=e["final_score"],
-            shortlisted=e["shortlisted"],
-            rank=e["rank"],
-            distance_score=_score_from_json(e["distance_score"]),
-            ping_score=_score_from_json(e["ping_score"]),
-            http_score=_score_from_json(e["http_score"]),
-        )
-        for e in doc["entries"]
-    )
-    return RankingReport(
-        workflow=doc["workflow"],
-        entries=entries,
-        config=doc["config"],
-        provenance=doc["provenance"],
-        generated_at=doc["generated_at"],
-    )
 
 
 def render_report(report: RankingReport, format: str = "table") -> str:

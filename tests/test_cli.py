@@ -50,10 +50,11 @@ def test_analyze_readme_sample_file(capsys):
 
 
 def test_analyze_short_region_flag(fig1_file, tmp_path, capsys):
-    from cloudforecast.geo import default_region_catalog, render_region_catalog
-
     regions = tmp_path / "regions.json"
-    regions.write_text(render_region_catalog(default_region_catalog()))
+    regions.write_text(json.dumps({"regions": [
+        {"id": r.id, "probe_host": r.probe_host, "lat": r.location.lat, "lon": r.location.lon}
+        for r in default_region_catalog().regions
+    ]}))
     code, out, _ = run_cli(["analyze", "-w", fig1_file, "-r", str(regions)], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 11
@@ -399,6 +400,35 @@ def test_analyze_local_mode_against_loopback(tmp_path, capsys):
         node.server_close()
 
 
+@pytest.mark.parametrize("metric", ["ping", "http_rtt"])
+def test_analyze_local_mode_sinks_the_edge_to_an_unencodable_host(metric, tmp_path, capsys):
+    # a 64-character DNS label cannot be encoded: a failed probe, not an error
+    from pathlib import Path
+
+    from cloudforecast.services import make_node_server, start_in_thread
+
+    node = make_node_server("127.0.0.1", 0)
+    start_in_thread(node)
+    try:
+        workflow, regions = _loopback_workflow_and_catalog(tmp_path, node.server_address[1])
+        doc = json.loads(Path(workflow).read_text())
+        doc["nodes"][1]["endpoint"] = f"http://{'a' * 64}.example.org/b"
+        Path(workflow).write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["analyze", "-w", workflow, "--regions", regions, "--probe-mode", "local",
+             "--metrics", metric, "--samples-per-pair", "1", "--timeout-ms", "1000",
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == 0, err
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[2]) >= 1.0e8  # the failure penalty
+        assert int(row[7]) == 1  # only the edge to the unencodable host
+    finally:
+        node.shutdown()
+        node.server_close()
+
+
 def test_analyze_agent_mode_against_loopback(tmp_path, capsys):
     from cloudforecast.services import make_agent_server, make_node_server, start_in_thread
 
@@ -663,6 +693,13 @@ def test_node_bind_conflict_exits_1(capsys):
 def test_bad_listen_spec_exits_2(capsys):
     code, _, err = run_cli(["agent", "--listen", "nonsense"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["agent", "node"])
+def test_listen_port_out_of_range_exits_2(command, capsys):
+    code, _, err = run_cli([command, "--listen", "127.0.0.1:70000"], capsys)
+    assert code == 2
+    assert "port in 0..65535" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -15,7 +16,7 @@ from cloudforecast import (
     load_region_catalog,
     resolve_location,
 )
-from cloudforecast.geo import EARTH_RADIUS_KM, host_of, render_region_catalog
+from cloudforecast.geo import EARTH_RADIUS_KM, host_of
 from helpers import slc_km
 
 LONDON = Coordinate(51.5074, -0.1278)
@@ -129,7 +130,11 @@ def test_default_catalog_has_the_eight_regions():
 
 def test_catalog_round_trip():
     catalog = default_region_catalog()
-    assert load_region_catalog(render_region_catalog(catalog)) == catalog
+    document = json.dumps({"regions": [
+        {"id": r.id, "probe_host": r.probe_host, "lat": r.location.lat, "lon": r.location.lon}
+        for r in catalog.regions
+    ]})
+    assert load_region_catalog(document) == catalog
 
 
 def test_catalog_duplicate_id_rejected():

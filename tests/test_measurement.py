@@ -19,14 +19,13 @@ from cloudforecast import (
     ProbeConfig,
     SyntheticNetworkModel,
     UnknownLocationError,
-    get_or_measure,
     measure_distance,
     measure_http_rtt,
     measure_latency,
     synthetic_measure,
 )
 from cloudforecast.geo import EARTH_RADIUS_KM
-from cloudforecast.measurement import Aggregator, aggregate
+from cloudforecast.measurement import Aggregator, aggregate, collect_measurements
 from cloudforecast.services import make_node_server, start_in_thread
 from helpers import slc_km
 
@@ -175,8 +174,8 @@ class CountingProvider:
 def test_cache_hit_skips_provider():
     store = MeasurementStore(ttl_s=60)
     provider = CountingProvider()
-    m1 = get_or_measure(store, ("a", "b"), Metric.PING, provider)
-    m2 = get_or_measure(store, ("a", "b"), Metric.PING, provider)
+    m1 = collect_measurements(store, [("a", "b")], Metric.PING, provider)[("a", "b")]
+    m2 = collect_measurements(store, [("a", "b")], Metric.PING, provider)[("a", "b")]
     assert provider.calls == 1
     assert m1 == m2
 
@@ -184,25 +183,25 @@ def test_cache_hit_skips_provider():
 def test_expired_entry_reinvokes_provider():
     store = MeasurementStore(ttl_s=0.01)
     provider = CountingProvider()
-    get_or_measure(store, ("a", "b"), Metric.PING, provider)
+    collect_measurements(store, [("a", "b")], Metric.PING, provider)[("a", "b")]
     time.sleep(0.03)
-    get_or_measure(store, ("a", "b"), Metric.PING, provider)
+    collect_measurements(store, [("a", "b")], Metric.PING, provider)[("a", "b")]
     assert provider.calls == 2
 
 
 def test_symmetric_metric_shares_cache_entry():
     store = MeasurementStore(ttl_s=60)
     provider = CountingProvider()
-    get_or_measure(store, ("a", "b"), Metric.PING, provider)
-    get_or_measure(store, ("b", "a"), Metric.PING, provider)
+    collect_measurements(store, [("a", "b")], Metric.PING, provider)[("a", "b")]
+    collect_measurements(store, [("b", "a")], Metric.PING, provider)[("b", "a")]
     assert provider.calls == 1
 
 
 def test_asymmetric_store_keeps_directions_apart():
     store = MeasurementStore(ttl_s=60, symmetric_metrics=frozenset())
     provider = CountingProvider()
-    get_or_measure(store, ("a", "b"), Metric.PING, provider)
-    get_or_measure(store, ("b", "a"), Metric.PING, provider)
+    collect_measurements(store, [("a", "b")], Metric.PING, provider)[("a", "b")]
+    collect_measurements(store, [("b", "a")], Metric.PING, provider)[("b", "a")]
     assert provider.calls == 2
 
 
@@ -474,13 +473,11 @@ def test_provider_invocations_bounded_by_distinct_keys():
             pair = (rng.choice(hosts), rng.choice(hosts))
             metric = rng.choice(list(Metric))
             keys.add(store.canonical_key(pair, metric))
-            get_or_measure(store, pair, metric, providers[metric])
+            collect_measurements(store, [pair], metric, providers[metric])[pair]
         assert sum(p.calls for p in providers.values()) <= len(keys)
 
 
 def test_collect_measurements_parallel_fanout():
-    from cloudforecast.measurement import collect_measurements
-
     store = MeasurementStore(ttl_s=60)
     provider = CountingProvider()
     pairs = [(f"s{i}", f"d{i}") for i in range(8)]
@@ -601,6 +598,28 @@ def test_http_rtt_closed_port_fails():
     config = ProbeConfig(samples_per_pair=1, timeout_ms=100)
     m = measure_http_rtt(("here", "http://127.0.0.1:1/"), config)
     assert not m.success
+
+
+# a 64-character label is no DNS name: encoding it fails before any packet is sent
+UNENCODABLE = "a" * 64 + ".example.org"
+
+
+def _no_connect(sock, address):
+    raise AssertionError(f"connect to {address} attempted")
+
+
+def test_echo_probe_of_an_unencodable_host_is_a_failed_sample(monkeypatch):
+    from cloudforecast import EchoProber
+
+    monkeypatch.setattr(socket.socket, "connect", _no_connect)
+    assert EchoProber().probe(UNENCODABLE, 0.1) is None
+
+
+def test_http_get_of_an_unencodable_host_is_a_failed_sample(monkeypatch):
+    from cloudforecast.measurement import http_get_ms
+
+    monkeypatch.setattr(socket.socket, "connect", _no_connect)
+    assert http_get_ms(f"http://{UNENCODABLE}/", 0.1) is None
 
 
 @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), -float("inf")])

@@ -1,3 +1,4 @@
+import math
 import socket
 import time
 
@@ -231,6 +232,46 @@ def test_agent_error_reply_is_reported_with_its_status(agent):
                              location_index(spec, catalog), agent_port=1)
     m = closed[Metric.PING](("127.0.0.1", "127.0.0.1"))
     assert not m.success and m.note == "agent/unreachable"
+
+
+# replies an agent must not be trusted with: not an object, or rtts_ms not a
+# list of finite non-negative numbers
+BAD_REPLIES = {
+    "list": [12.0],
+    "number-rtts": {"ok": True, "rtts_ms": 5},
+    "string-rtt": {"ok": True, "rtts_ms": ["x"]},
+    "negative-rtt": {"ok": True, "rtts_ms": [-1.0]},
+    "nan-rtt": {"ok": True, "rtts_ms": [math.nan]},
+    "inf-rtt": {"ok": True, "rtts_ms": [math.inf]},
+    "bool-rtt": {"ok": True, "rtts_ms": [True]},
+    "huge-int-rtt": {"ok": True, "rtts_ms": [10**400]},
+}
+
+
+def _replying_agent(monkeypatch, reply):
+    monkeypatch.setattr(AgentClient, "ping", lambda self, *args: reply)
+    monkeypatch.setattr(AgentClient, "http", lambda self, *args: reply)
+    catalog = RegionCatalog((Region("loop", "127.0.0.1", Coordinate(0, 0)),))
+    spec = WorkflowSpec(
+        name="x",
+        nodes=(WorkflowNode(id="A", endpoint="127.0.0.1", location=Coordinate(0, 0)),),
+    )
+    return agent_providers(catalog, ProbeConfig(samples_per_pair=2, timeout_ms=200),
+                           location_index(spec, catalog))
+
+
+@pytest.mark.parametrize("reply", BAD_REPLIES.values(), ids=list(BAD_REPLIES))
+@pytest.mark.parametrize("metric", [Metric.PING, Metric.HTTP_RTT])
+def test_a_malformed_agent_reply_is_a_failed_measurement(monkeypatch, metric, reply):
+    m = _replying_agent(monkeypatch, reply)[metric](("127.0.0.1", "target.example.org"))
+    assert not m.success and m.note == "agent/bad-reply"
+
+
+@pytest.mark.parametrize("metric", [Metric.PING, Metric.HTTP_RTT])
+def test_a_well_formed_agent_reply_is_aggregated(monkeypatch, metric):
+    reply = {"ok": True, "rtts_ms": [0, 3.0], "failures": 0}
+    m = _replying_agent(monkeypatch, reply)[metric](("127.0.0.1", "target.example.org"))
+    assert m.success and m.value == 1.5 and m.samples == 2
 
 
 @pytest.mark.parametrize("make_server", [make_agent_server, make_node_server])
