@@ -213,97 +213,66 @@ class SyntheticNetworkModel:
         return self.ping_ms(km) + self.http_overhead_ms
 
 
+def fold_legs(legs: Legs) -> Legs:
+    """The legs with an endpoint's two directions merged into the one seen
+    first, multiplicities summed. Every metric is keyed by the unordered
+    pair, and an endpoint's two legs are reversed pairs around any hub, so a
+    ranking folds the legs once and every region's weighted pairs come out
+    one per store key."""
+    folded: Legs = {}
+    for (endpoint, to_hub), n in legs.items():
+        if (endpoint, not to_hub) in folded:
+            folded[(endpoint, not to_hub)] += n
+        else:
+            folded[(endpoint, to_hub)] = n
+    return folded
+
+
 class MeasurementStore:
     """TTL cache of measurements: one table per metric, keyed by the
-    (src, dst) pair.
+    unordered pair, stored with the smaller endpoint first.
 
-    A symmetric metric keeps one entry per unordered pair, under the pair
-    with the smaller endpoint first (`canonical_key`). Thread-safe;
-    concurrent misses may probe twice (last write wins). The store remembers
-    the cache file its entries equal, so saving them back to it writes
-    nothing.
+    Thread-safe; concurrent misses may probe twice (last write wins). The
+    store remembers the cache file its entries equal, so saving them back
+    to it writes nothing.
     """
 
-    def __init__(
-        self,
-        ttl_s: float = DEFAULT_TTL_S,
-        symmetric_metrics: frozenset[Metric] = frozenset(Metric),
-    ):
+    def __init__(self, ttl_s: float = DEFAULT_TTL_S):
         self.ttl_s = ttl_s
         # a nan TTL would never expire an entry: `age > nan` is always false
         check_finite(self, ("ttl_s",))
         if ttl_s <= 0:
             raise ValueError("ttl_s must be positive")
-        self.symmetric_metrics = symmetric_metrics
         self._entries: dict[Metric, dict[Pair, Measurement]] = {metric: {} for metric in Metric}
         self._lock = threading.Lock()
         # identity of the file whose records equal the entries, if any
         self._synced: tuple[int, int, int, int] | None = None
-
-    def canonical_key(self, pair: Pair, metric: Metric) -> tuple[str, str, Metric]:
-        # the rule is written out again, per key, in `get_many`, `put_many` and `load`
-        src, dst = pair
-        if metric in self.symmetric_metrics and dst < src:
-            src, dst = dst, src
-        return (src, dst, metric)
-
-    def fold_pairs(self, pairs: dict[Pair, int], metric: Metric) -> dict[Pair, int]:
-        """Merge each pair into an earlier one with the same key, summing their
-        multiplicities, so every key is looked up once. For an asymmetric
-        metric no two pairs share a key and `pairs` comes back as it is. A
-        ranking folds the legs once instead (`fold_legs`); this per-hub fold
-        is the reference the tests hold that to."""
-        if metric not in self.symmetric_metrics:
-            return pairs
-        folded: dict[Pair, int] = {}
-        for (src, dst), n in pairs.items():
-            if (dst, src) in folded:  # the only other pair with this key
-                folded[(dst, src)] += n
-            else:
-                folded[(src, dst)] = n
-        return folded
-
-    def fold_legs(self, legs: Legs, metric: Metric) -> Legs:
-        """`fold_pairs` done once for every hub: an endpoint's two legs map to
-        reversed pairs around any hub, so for a symmetric metric the later
-        leg merges into the first-seen one, and `weighted_pairs` of the result
-        equals `fold_pairs` of `weighted_pairs`, order and multiplicities
-        alike."""
-        if metric not in self.symmetric_metrics:
-            return legs
-        folded: Legs = {}
-        for (endpoint, to_hub), n in legs.items():
-            if (endpoint, not to_hub) in folded:
-                folded[(endpoint, not to_hub)] += n
-            else:
-                folded[(endpoint, to_hub)] = n
-        return folded
 
     def get(self, pair: Pair, metric: Metric, now: float | None = None) -> Measurement | None:
         return self.get_many((pair,), metric, now)[0].get(pair)
 
     def get_many(
         self, pairs: Iterable[Pair], metric: Metric, now: float | None = None
-    ) -> tuple[dict[Pair, Measurement], dict[tuple[str, str, Metric], list[Pair]]]:
+    ) -> tuple[dict[Pair, Measurement], dict[Pair, list[Pair]]]:
         """The unexpired entries of the pairs, in pair order, and the other
         pairs grouped by store key, in first-seen order: one pass under the
         lock, at one clock reading. An expired entry is dropped from the
         store."""
         now = time.time() if now is None else now
-        symmetric, ttl_s = metric in self.symmetric_metrics, self.ttl_s
+        ttl_s = self.ttl_s
         found: dict[Pair, Measurement] = {}
-        missing: dict[tuple[str, str, Metric], list[Pair]] = {}
+        missing: dict[Pair, list[Pair]] = {}
         with self._lock:
             table = self._entries[metric]
             for pair in pairs:
-                key = (pair[1], pair[0]) if symmetric and pair[1] < pair[0] else pair
+                key = (pair[1], pair[0]) if pair[1] < pair[0] else pair
                 entry = table.get(key)
                 if entry is not None and now - entry.taken_at > ttl_s:
                     del table[key]
                     self._synced = None
                     entry = None
                 if entry is None:
-                    missing.setdefault((*key, metric), []).append(pair)
+                    missing.setdefault(key, []).append(pair)
                 else:
                     found[pair] = entry
         return found, missing
@@ -314,14 +283,11 @@ class MeasurementStore:
     def put_many(self, measurements: Iterable[Measurement]) -> None:
         """Store each measurement under the key of its own pair and metric, in
         one pass under the lock."""
-        symmetric = self.symmetric_metrics
         with self._lock:
             tables = self._entries
             for m in measurements:
-                src, dst, metric = m.src, m.dst, m.metric
-                if metric in symmetric and dst < src:
-                    src, dst = dst, src
-                tables[metric][(src, dst)] = m
+                src, dst = m.src, m.dst
+                tables[m.metric][(dst, src) if dst < src else (src, dst)] = m
                 self._synced = None
 
     def __len__(self) -> int:
@@ -364,14 +330,9 @@ class MeasurementStore:
             self._synced = _file_identity(path)
 
     @classmethod
-    def load(
-        cls,
-        path: str,
-        ttl_s: float = DEFAULT_TTL_S,
-        symmetric_metrics: frozenset[Metric] = frozenset(Metric),
-    ) -> "MeasurementStore":
+    def load(cls, path: str, ttl_s: float = DEFAULT_TTL_S) -> "MeasurementStore":
         """Read a cache file; on duplicate keys the later record wins."""
-        store = cls(ttl_s=ttl_s, symmetric_metrics=symmetric_metrics)
+        store = cls(ttl_s=ttl_s)
         try:
             fh = open(path)
         except FileNotFoundError:
@@ -405,9 +366,7 @@ class MeasurementStore:
                     m = _new_measurement(
                         Measurement, (src, dst, metric, value, unit, samples, success, taken_at, note)
                     )
-                    if metric in symmetric_metrics and dst < src:
-                        src, dst = dst, src
-                    tables[metric][(src, dst)] = m
+                    tables[metric][(dst, src) if dst < src else (src, dst)] = m
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise _bad_record(record, f"{path}:{lineno}", exc) from exc
                 records += 1
@@ -686,12 +645,14 @@ class AgentClient:
             f"{self.base_url}{endpoint}", params=params, timeout=self.request_timeout_s
         )
         response.raise_for_status()
-        return response.json()
+        # decoded here, so a body that is not JSON raises json's own error,
+        # not requests' (which is also a transport error)
+        return json.loads(response.content)
 
     def health(self) -> bool:
         try:
             return bool(self._call("/v1/health", {}).get("ok"))
-        except _requests().RequestException:
+        except (_requests().RequestException, ValueError):
             return False
 
     def ping(self, host: str, samples: int, timeout_ms: float) -> dict:
@@ -806,6 +767,8 @@ def agent_providers(
             reply = ask(agent, target)
         except _requests().HTTPError as exc:  # the agent answered, and refused
             return _failed(pair, metric, samples, f"agent/http-{exc.response.status_code}")
+        except (json.JSONDecodeError, UnicodeDecodeError):  # an answer that is not JSON text
+            return _failed(pair, metric, samples, "agent/bad-reply")
         except (_requests().RequestException, ValueError):
             return _failed(pair, metric, samples, "agent/unreachable")
         # a reply is an object whose rtts_ms lists finite non-negative numbers

@@ -16,6 +16,7 @@ from .measurement import (
     PairProvider,
     check_finite,
     collect_measurements,
+    fold_legs,
 )
 from .workflow import WorkflowSpec
 
@@ -145,46 +146,33 @@ def rank_regions(
     mandatory because shortlisting is built on it. Non-shortlisted regions
     are ranked after shortlisted ones by their distance score. A region's
     candidate graph is scored from its unique (endpoint, hub) pairs, weighted
-    by the number of edges each carries, without building the edges; pairs
-    that share a store key (both directions of a symmetric metric) are
-    measured once. The workflow's legs are folded by each metric's store key
-    once per ranking, and each region's pairs are built once and serve every
-    metric whose store key folds them alike.
+    by the number of edges each carries, without building the edges. The
+    store keys every metric by the unordered pair, so the workflow's legs
+    are folded once per ranking, and each region's pairs are built once and
+    serve every metric.
     """
     if Metric.DISTANCE not in providers:
         raise ValueError("a distance provider is required for shortlisting")
 
-    legs = hub_legs(spec)
-    folded_legs = {metric: store.fold_legs(legs, metric) for metric in providers}
-    hubs = {region.id: region.probe_host for region in catalog.regions}
-
-    def pairs_of(region_id: str, metric: Metric) -> dict[Pair, int]:
-        return weighted_pairs(folded_legs[metric], hubs[region_id])
+    legs = fold_legs(hub_legs(spec))
 
     def score(region_id: str, metric: Metric, pairs: dict[Pair, int]) -> GraphScore:
         measured = collect_measurements(store, list(pairs), metric, providers[metric], max_parallel)
         return score_pairs(region_id, metric, pairs, measured, config.failure_penalty)
 
-    all_ids = catalog.ids
-    distance_pairs: dict[str, dict[Pair, int]] = {}
+    region_pairs: dict[str, dict[Pair, int]] = {}
     distance_scores: dict[str, GraphScore] = {}
-    for region_id in all_ids:
-        pairs = distance_pairs[region_id] = pairs_of(region_id, Metric.DISTANCE)
-        distance_scores[region_id] = score(region_id, Metric.DISTANCE, pairs)
-    n = len(all_ids) if config.shortlist_n is None else min(config.shortlist_n, len(all_ids))
+    for region in catalog.regions:
+        pairs = region_pairs[region.id] = weighted_pairs(legs, region.probe_host)
+        distance_scores[region.id] = score(region.id, Metric.DISTANCE, pairs)
+    n = min(config.shortlist_n or len(catalog.regions), len(catalog.regions))
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)
 
     def scored(metric: Metric) -> dict[str, GraphScore]:
         if metric not in providers:
             return {}
-        symmetric = store.symmetric_metrics
-        reuse = (metric in symmetric) == (Metric.DISTANCE in symmetric)
         return {
-            region_id: score(
-                region_id,
-                metric,
-                distance_pairs[region_id] if reuse else pairs_of(region_id, metric),
-            )
+            region_id: score(region_id, metric, region_pairs[region_id])
             for region_id in shortlisted_ids
         }
 

@@ -7,11 +7,23 @@ that tests cross-check rather than mirror the production code paths.
 import itertools
 import math
 
+from hypothesis import strategies as st
+
 from cloudforecast import Coordinate, Metric, WorkflowSpec
 from cloudforecast.candidates import Pair
+from cloudforecast.geo import Region, RegionCatalog
 from cloudforecast.measurement import Measurement
+from cloudforecast.workflow import WorkflowEdge, WorkflowNode
 
 EARTH_RADIUS_KM = 6371.0
+
+# the metric sets `--metrics` can ask for: distance always, ping and HTTP at will
+SUBSETS = {
+    "all": frozenset(Metric),
+    "distance+ping": frozenset({Metric.DISTANCE, Metric.PING}),
+    "distance+http_rtt": frozenset({Metric.DISTANCE, Metric.HTTP_RTT}),
+    "distance": frozenset({Metric.DISTANCE}),
+}
 
 
 def slc_km(a: Coordinate, b: Coordinate) -> float:
@@ -45,6 +57,22 @@ def longest_path_ms(spec: WorkflowSpec) -> float:
         return service[nid] + max(best_from(c) for c in children[nid])
 
     return max((best_from(n.id) for n in spec.nodes), default=0.0)
+
+
+def canonical_key(pair: Pair, metric: Metric) -> tuple[str, str, Metric]:
+    """The store key of a pair: every metric is keyed by the unordered pair."""
+    return (*sorted(pair), metric)
+
+
+def fold_pairs(pairs: dict[Pair, int]) -> dict[Pair, int]:
+    """Merge each pair into the first-seen pair with the same endpoints,
+    summing multiplicities: one entry per store key (oracle for `fold_legs`)."""
+    first: dict[frozenset, Pair] = {}
+    folded: dict[Pair, int] = {}
+    for pair, n in pairs.items():
+        kept = first.setdefault(frozenset(pair), pair)
+        folded[kept] = folded.get(kept, 0) + n
+    return folded
 
 
 def fixed_value_provider(
@@ -129,3 +157,32 @@ def spearman(xs: list[float], ys: list[float]) -> float:
     if vx == 0 or vy == 0:
         return 1.0 if rx == ry else 0.0
     return cov / (vx * vy)
+
+
+# -- random synthetic inputs for the ranking properties ----------------------------
+
+HOSTS = [f"h{i}.example.net" for i in range(6)]
+COORDS = st.tuples(st.floats(min_value=-60, max_value=60), st.floats(min_value=-179, max_value=179))
+
+
+@st.composite
+def synthetic_inputs(draw):
+    """A random DAG whose nodes may share endpoints (one location per
+    endpoint), and a catalog whose hubs may be node endpoints."""
+    hosts = draw(st.lists(st.sampled_from(HOSTS), min_size=2, max_size=6, unique=True))
+    where = {host: Coordinate(*draw(COORDS)) for host in hosts}
+    n = draw(st.integers(min_value=2, max_value=8))
+    endpoints = [draw(st.sampled_from(hosts)) for _ in range(n)]
+    nodes = tuple(WorkflowNode(id=f"n{i}", endpoint=e, location=where[e])
+                  for i, e in enumerate(endpoints))
+    links = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14))
+    edges = tuple(dict.fromkeys(
+        WorkflowEdge(f"n{min(u, v)}", f"n{max(u, v)}") for u, v in links if u != v
+    ))
+    region_hosts = draw(st.lists(st.sampled_from(hosts + ["r0.example.org", "r1.example.org"]),
+                                 min_size=1, max_size=5, unique=True))
+    catalog = RegionCatalog(tuple(
+        Region(f"r{i}", host, where.get(host) or Coordinate(*draw(COORDS)))
+        for i, host in enumerate(region_hosts)
+    ))
+    return WorkflowSpec(name="random", nodes=nodes, edges=edges), catalog

@@ -28,6 +28,7 @@ from cloudforecast.measurement import (
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import parse_workflow
 from conftest import FIG1_DOC
+from helpers import canonical_key, fold_pairs
 
 MODEL = SyntheticNetworkModel()
 
@@ -127,9 +128,8 @@ def test_get_many_groups_misses_by_key_in_first_seen_order():
     pairs = [("c", "d"), ("b", "a"), ("d", "c"), ("a", "b"), ("e", "f"), ("c", "d")]
     found, missing = store.get_many(pairs, Metric.PING)
     assert list(found) == [("b", "a"), ("a", "b")] and set(found.values()) == {hit}
-    assert missing == {("c", "d", Metric.PING): [("c", "d"), ("d", "c"), ("c", "d")],
-                       ("e", "f", Metric.PING): [("e", "f")]}
-    assert list(missing) == [("c", "d", Metric.PING), ("e", "f", Metric.PING)]
+    assert missing == {("c", "d"): [("c", "d"), ("d", "c"), ("c", "d")], ("e", "f"): [("e", "f")]}
+    assert list(missing) == [("c", "d"), ("e", "f")]
 
 
 def test_get_many_reads_the_clock_once(monkeypatch):
@@ -142,12 +142,14 @@ def test_get_many_reads_the_clock_once(monkeypatch):
 
 
 def test_put_many_keys_each_measurement_by_its_own_pair():
-    store = MeasurementStore(symmetric_metrics=frozenset({Metric.PING}))
+    store = MeasurementStore()
     store.put_many([_m("b", "a"), _m("b", "a", Metric.HTTP_RTT), _m("c", "d", value=2.0)])
     assert len(store) == 3
-    assert store.get(("a", "b"), Metric.PING).src == "b"
-    assert store.get(("a", "b"), Metric.HTTP_RTT) is None  # asymmetric metric
-    assert store.get(("b", "a"), Metric.HTTP_RTT) is not None
+    for metric in (Metric.PING, Metric.HTTP_RTT):  # both directions read the one entry
+        assert store.get(("a", "b"), metric) is store.get(("b", "a"), metric)
+        assert store.get(("a", "b"), metric).src == "b"
+    assert store.get(("d", "c"), Metric.PING).value == 2.0
+    assert store.get(("c", "d"), Metric.HTTP_RTT) is None  # each metric its own table
 
 
 def _cache_with_an_expired_record(path):
@@ -161,7 +163,7 @@ def test_an_expired_entry_read_through_get_many_is_dropped_and_the_file_rewritte
     path = tmp_path / "probes.cache"
     store = _cache_with_an_expired_record(path)
     found, missing = store.get_many([("a", "b"), ("c", "d")], Metric.PING)
-    assert list(found) == [("c", "d")] and list(missing) == [("a", "b", Metric.PING)]
+    assert list(found) == [("c", "d")] and list(missing) == [("a", "b")]
     assert len(store) == 1
     store.save(str(path))  # the eviction alone makes the file stale
     assert [json.loads(line)["src"] for line in path.read_text().splitlines()] == ["c"]
@@ -202,13 +204,6 @@ def test_a_batch_provider_is_asked_for_each_missing_key_once():
     assert list(measured) == BOTH_WAYS
     again = collect_measurements(store, BOTH_WAYS, Metric.PING, provider)
     assert again == measured and len(provider.batches) == 1
-
-
-def test_an_asymmetric_store_measures_each_direction():
-    store = MeasurementStore(symmetric_metrics=frozenset())
-    provider = CountingBatch()
-    collect_measurements(store, BOTH_WAYS, Metric.PING, provider)
-    assert provider.batches == [BOTH_WAYS]
 
 
 @pytest.mark.parametrize("provider", [Counting(Metric.DISTANCE), CountingBatch(Metric.DISTANCE)],
@@ -284,8 +279,7 @@ def test_a_synthetic_ranking_computes_each_distance_once(fig1_spec, catalog, mon
     rank_regions(fig1_spec, catalog, store, providers, ScoringConfig(shortlist_n=shortlist_n))
     legs = hub_legs(fig1_spec)
     distinct = {pair for region in catalog.regions
-                for pair in store.fold_pairs(weighted_pairs(legs, region.probe_host),
-                                             Metric.DISTANCE)}
+                for pair in fold_pairs(weighted_pairs(legs, region.probe_host))}
     assert len(calls) == len(distinct)
 
 
@@ -363,9 +357,8 @@ def test_local_probe_sends_one_round_of_probes_per_store_key(workflow, parallel,
     assert code == 0, err
     spec = parse_workflow(Path(workflow).read_text())
     catalog = default_region_catalog()
-    store = MeasurementStore()
     legs = hub_legs(spec)
-    keys = {metric: {store.canonical_key(pair, metric) for region in catalog.regions
+    keys = {metric: {canonical_key(pair, metric) for region in catalog.regions
                      for pair in weighted_pairs(legs, region.probe_host)}
             for metric in (Metric.PING, Metric.HTTP_RTT)}
     assert len(probes) == 2 * len(keys[Metric.PING])

@@ -2,8 +2,10 @@
 wraps them, so a refactor that drops one fails here and not only in a traced
 benchmark run. The tracer module is read, never installed."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -41,18 +43,14 @@ def test_the_store_load_is_still_a_classmethod():
     assert isinstance(vars(MeasurementStore)["load"], classmethod)
 
 
-def _bench_names(filename):
-    """The package names a benchmark module calls: each attribute chain on a
-    module alias (`M.MeasurementStore.load`, alias `self.M` or `M`), as
-    (module, attribute path), and each name imported `from cloudforecast…`."""
-    import ast
-
+def _scan(filename):
+    """A benchmark module's syntax tree, its module aliases (`self.G, self.M,
+    ... = geo, measurement, ...`: alias -> package module) and a function
+    that gives an expression's attribute chain on an alias (`self.M` or `M`)
+    as a list of names, or None."""
     tree = ast.parse((TRACER.parent / filename).read_text())
-    imported, aliases = [], {}
+    aliases = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cloudforecast"):
-            imported += [(node.module, (alias.name,)) for alias in node.names]
-        # self.G, self.M, ... = geo, measurement, ...
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
             for target in node.targets:
                 if isinstance(target, ast.Tuple):
@@ -70,12 +68,42 @@ def _bench_names(filename):
             return None if head is None else head + [node.attr]
         return None
 
+    return tree, aliases, chain
+
+
+def _bench_names(filename):
+    """The package names a benchmark module calls: each attribute chain on a
+    module alias (`M.MeasurementStore.load`, alias `self.M` or `M`), as
+    (module, attribute path), and each name imported `from cloudforecast…`."""
+    tree, aliases, chain = _scan(filename)
+    imported = [(node.module, (alias.name,)) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cloudforecast")
+                for alias in node.names]
     called = set()
     for node in ast.walk(tree):
         names = chain(node)
         if names and len(names) > 1:
             called.add((aliases[names[0]], tuple(names[1:])))
     return imported + sorted(called)
+
+
+def _bench_calls(filename):
+    """Each distinct call a benchmark module makes through a module alias,
+    as (module, attribute path, positional count, keyword names) -> the
+    first line it is on. A call that spreads `*args` or `**kwargs` is left
+    out: its arguments are not known before it runs."""
+    tree, aliases, chain = _scan(filename)
+    calls = {}
+    for node in sorted((n for n in ast.walk(tree) if isinstance(n, ast.Call)),
+                       key=lambda n: n.lineno):
+        names = chain(node.func)
+        spread = any(isinstance(arg, ast.Starred) for arg in node.args) or \
+            any(keyword.arg is None for keyword in node.keywords)
+        if names and len(names) > 1 and not spread:
+            key = (aliases[names[0]], tuple(names[1:]), len(node.args),
+                   tuple(keyword.arg for keyword in node.keywords))
+            calls.setdefault(key, node.lineno)
+    return calls
 
 
 BENCH_NAMES = [(f, m, path) for f in ("workloads.py", "stubs.py") for m, path in _bench_names(f)]
@@ -94,3 +122,32 @@ def test_every_name_the_benchmark_calls_exists(filename, module, path):
     for attr in path:
         assert hasattr(owner, attr), f"{filename} uses {module}.{'.'.join(path)}"
         owner = getattr(owner, attr)
+
+
+BENCH_CALLS = [(f, line, *call) for f in ("workloads.py", "stubs.py")
+               for call, line in _bench_calls(f).items()]
+
+
+def _call_id(path, positional, keywords):
+    """`ScoringConfig(0, shortlist_n=)`: the callee, its positional count and keywords."""
+    return f"{'.'.join(path)}({', '.join([str(positional)] + [f'{k}=' for k in keywords])})"
+
+
+def test_the_benchmark_calls_are_found():
+    # the scan found the store's load and the scoring config, keywords and all
+    found = [call[2:] for call in BENCH_CALLS]
+    assert ("cloudforecast.measurement", ("MeasurementStore", "load"), 1, ()) in found
+    assert ("cloudforecast.scoring", ("ScoringConfig",), 0, ("shortlist_n",)) in found
+
+
+@pytest.mark.parametrize("filename, line, module, path, positional, keywords", BENCH_CALLS,
+                         ids=[f"{f}:{_call_id(*call)}" for f, _, _, *call in BENCH_CALLS])
+def test_every_benchmark_call_fits_its_callee(filename, line, module, path, positional, keywords):
+    callee = importlib.import_module(module)
+    for attr in path:
+        callee = getattr(callee, attr)
+    try:
+        inspect.signature(callee).bind(*range(positional), **dict.fromkeys(keywords))
+    except TypeError as exc:
+        pytest.fail(f"{filename}:{line} calls {'.'.join(path)} with {positional} positional "
+                    f"argument(s) and keywords {list(keywords)}: {exc}")

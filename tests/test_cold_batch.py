@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import measurement
-from cloudforecast.candidates import Metric, weighted_pairs
+from cloudforecast import measurement, scoring
+from cloudforecast.candidates import Metric, hub_legs, weighted_pairs
 from cloudforecast.geo import Coordinate, LocationTable, Region, RegionCatalog
 from cloudforecast.measurement import (
     Measurement,
@@ -18,14 +18,14 @@ from cloudforecast.measurement import (
     SyntheticNetworkModel,
     check_measured,
     collect_measurements,
+    fold_legs,
     synthetic_providers,
 )
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
+from helpers import SUBSETS, fold_pairs, synthetic_inputs
 
 ENDPOINTS = ["e0", "e1", "e2", "hub"]
-SYMMETRIES = {"symmetric": frozenset(Metric), "asymmetric": frozenset(),
-              "ping-only": frozenset({Metric.PING})}
 
 
 def _legs(draws):
@@ -42,24 +42,18 @@ def _legs(draws):
 @given(
     draws=st.lists(st.tuples(st.sampled_from(ENDPOINTS), st.booleans()), max_size=16),
     hub=st.sampled_from(ENDPOINTS + ["other"]),
-    symmetric=st.sampled_from(sorted(SYMMETRIES)),
-    metric=st.sampled_from(list(Metric)),
 )
-def test_folding_the_legs_once_equals_folding_each_hubs_pairs(draws, hub, symmetric, metric):
+def test_folding_the_legs_once_equals_folding_each_hubs_pairs(draws, hub):
     # endpoints repeat, and "hub" is both an endpoint and, when drawn, the hub
     legs = _legs(draws)
-    store = MeasurementStore(symmetric_metrics=SYMMETRIES[symmetric])
-    reference = store.fold_pairs(weighted_pairs(legs, hub), metric)
-    assert list(weighted_pairs(store.fold_legs(legs, metric), hub).items()) == \
-        list(reference.items())
+    reference = fold_pairs(weighted_pairs(legs, hub))
+    assert list(weighted_pairs(fold_legs(legs), hub).items()) == list(reference.items())
 
 
 def test_fold_legs_keeps_the_first_seen_leg_and_sums():
     legs = {("e", False): 2, ("f", True): 1, ("e", True): 3}
-    assert list(MeasurementStore().fold_legs(legs, Metric.PING).items()) == \
-        [(("e", False), 5), (("f", True), 1)]
-    asymmetric = MeasurementStore(symmetric_metrics=frozenset())
-    assert asymmetric.fold_legs(legs, Metric.PING) is legs
+    assert list(fold_legs(legs).items()) == [(("e", False), 5), (("f", True), 1)]
+    assert legs == {("e", False): 2, ("f", True): 1, ("e", True): 3}  # not folded in place
 
 
 SPEC = WorkflowSpec(
@@ -71,21 +65,54 @@ SPEC = WorkflowSpec(
 )
 
 
-@pytest.mark.parametrize("symmetric", sorted(SYMMETRIES))
-def test_a_ranking_folds_the_legs_once_per_metric_and_no_regions_pairs(symmetric, monkeypatch):
+@pytest.mark.parametrize("subset", sorted(SUBSETS))
+def test_a_ranking_folds_the_legs_once_and_no_regions_pairs(subset, monkeypatch):
     catalog = RegionCatalog(tuple(
         Region(f"r{i}", f"r{i}.example.org", Coordinate(10 * i, -10 * i)) for i in range(4)
     ))
     folds = []
-    fold_legs = MeasurementStore.fold_legs
-    monkeypatch.setattr(MeasurementStore, "fold_legs",
-                        lambda self, legs, metric: folds.append(metric) or fold_legs(self, legs, metric))
-    monkeypatch.setattr(MeasurementStore, "fold_pairs", None)  # not called by a ranking
-    store = MeasurementStore(symmetric_metrics=SYMMETRIES[symmetric])
-    providers = synthetic_providers(SyntheticNetworkModel(), measurement.location_index(SPEC, catalog))
-    report = rank_regions(SPEC, catalog, store, providers, ScoringConfig(shortlist_n=2))
-    assert sorted(folds) == sorted(Metric)
+    monkeypatch.setattr(scoring, "fold_legs", lambda legs: folds.append(legs) or fold_legs(legs))
+    synthetic = synthetic_providers(SyntheticNetworkModel(), measurement.location_index(SPEC, catalog))
+    providers = {metric: synthetic[metric] for metric in SUBSETS[subset]}
+    report = rank_regions(SPEC, catalog, MeasurementStore(), providers, ScoringConfig(shortlist_n=2))
+    assert folds == [hub_legs(SPEC)]
     assert len(report.entries) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    inputs=synthetic_inputs(),
+    subset=st.sampled_from(sorted(SUBSETS)),
+    shortlist_n=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+)
+def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, subset,
+                                                                        shortlist_n):
+    spec, catalog = inputs
+    metrics = SUBSETS[subset]
+    synthetic = synthetic_providers(SyntheticNetworkModel(), measurement.location_index(spec, catalog))
+    lookups = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(scoring, "collect_measurements",
+                            lambda store, pairs, metric, *rest: lookups.append((metric, pairs))
+                            or collect_measurements(store, pairs, metric, *rest))
+        report = rank_regions(spec, catalog, MeasurementStore(),
+                              {metric: synthetic[metric] for metric in metrics},
+                              ScoringConfig(shortlist_n=shortlist_n))
+    legs = hub_legs(spec)
+
+    def keys(region_id):  # one pair per store key, as the per-hub oracle folds them
+        return list(fold_pairs(weighted_pairs(legs, catalog.by_id(region_id).probe_host)))
+
+    # distance for every region in catalog order, then each other metric for the
+    # shortlist in distance order
+    shortlist = sorted((e for e in report.entries if e.shortlisted),
+                       key=lambda e: (e.distance_score.value, e.region))
+    expected = [(Metric.DISTANCE, keys(region_id)) for region_id in catalog.ids] + [
+        (metric, keys(e.region))
+        for metric in (Metric.PING, Metric.HTTP_RTT) if metric in metrics
+        for e in shortlist
+    ]
+    assert lookups == expected
 
 
 # -- one check per batch --------------------------------------------------------------

@@ -30,7 +30,7 @@ from cloudforecast.candidates import hub_legs, measurement_pairs, weighted_pairs
 from cloudforecast.measurement import SyntheticNetworkModel, location_index, synthetic_providers
 from cloudforecast.scoring import report_to_json, RankingReport
 from conftest import EXPECTED_RANKING, REFERENCE_FINAL_SCORES
-from helpers import fixed_value_provider, per_region_edge_providers
+from helpers import canonical_key, fixed_value_provider, fold_pairs, per_region_edge_providers
 
 REGION = Region("r1", "r1.example.org", Coordinate(0, 0))
 
@@ -613,29 +613,23 @@ class CountingStore(MeasurementStore):
 
     def get_many(self, pairs, metric, now=None):
         pairs = list(pairs)
-        self.gets.extend(self.canonical_key(pair, metric) for pair in pairs)
+        self.gets.extend(canonical_key(pair, metric) for pair in pairs)
         return super().get_many(pairs, metric, now)
 
 
-@pytest.mark.parametrize("symmetric", [frozenset(Metric), frozenset()],
-                         ids=["symmetric", "asymmetric"])
-def test_rank_regions_looks_each_store_key_up_once(symmetric):
+def test_rank_regions_looks_each_store_key_up_once():
     providers = {m: _checksum_provider(m) for m in Metric}
     calls = []
     counted = {m: (lambda pair, p=p: calls.append(pair) or p(pair)) for m, p in providers.items()}
-    store = CountingStore(symmetric_metrics=symmetric)
+    store = CountingStore()
     rank_regions(SHARED_SPEC, SHARED_CATALOG, store, counted, ScoringConfig())
     assert len(store.gets) == len(set(store.gets)) == len(store) == len(calls)
     hub = SHARED_CATALOG.by_id("r1").probe_host
     assert (hub, HUB) in calls  # edge A -> C routes hub -> C first
-    # with a symmetric store the later (C, hub) leg is folded into it, not looked up
-    assert ((HUB, hub) in calls) == (not symmetric)
+    assert (HUB, hub) not in calls  # the later (C, hub) leg is folded into it, not looked up
 
 
 def test_fold_pairs_keeps_the_first_seen_pair_and_sums():
     pairs = {("e", "h"): 2, ("h", "f"): 1, ("h", "e"): 3, ("h", "h"): 4}
-    store = MeasurementStore()
-    assert store.fold_pairs(pairs, Metric.PING) == {("e", "h"): 5, ("h", "f"): 1, ("h", "h"): 4}
-    assert list(store.fold_pairs(pairs, Metric.PING)) == [("e", "h"), ("h", "f"), ("h", "h")]
-    asymmetric = MeasurementStore(symmetric_metrics=frozenset())
-    assert asymmetric.fold_pairs(pairs, Metric.PING) == pairs
+    assert fold_pairs(pairs) == {("e", "h"): 5, ("h", "f"): 1, ("h", "h"): 4}
+    assert list(fold_pairs(pairs)) == [("e", "h"), ("h", "f"), ("h", "h")]

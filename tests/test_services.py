@@ -1,6 +1,7 @@
 import math
 import socket
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -248,16 +249,21 @@ BAD_REPLIES = {
 }
 
 
-def _replying_agent(monkeypatch, reply):
-    monkeypatch.setattr(AgentClient, "ping", lambda self, *args: reply)
-    monkeypatch.setattr(AgentClient, "http", lambda self, *args: reply)
+def _loopback_agent_providers(samples=1, **kwargs):
+    """Agent providers for one region on loopback (`agent_port` in kwargs)."""
     catalog = RegionCatalog((Region("loop", "127.0.0.1", Coordinate(0, 0)),))
     spec = WorkflowSpec(
         name="x",
         nodes=(WorkflowNode(id="A", endpoint="127.0.0.1", location=Coordinate(0, 0)),),
     )
-    return agent_providers(catalog, ProbeConfig(samples_per_pair=2, timeout_ms=200),
-                           location_index(spec, catalog))
+    return agent_providers(catalog, ProbeConfig(samples_per_pair=samples, timeout_ms=200),
+                           location_index(spec, catalog), **kwargs)
+
+
+def _replying_agent(monkeypatch, reply):
+    monkeypatch.setattr(AgentClient, "ping", lambda self, *args: reply)
+    monkeypatch.setattr(AgentClient, "http", lambda self, *args: reply)
+    return _loopback_agent_providers(samples=2)
 
 
 @pytest.mark.parametrize("reply", BAD_REPLIES.values(), ids=list(BAD_REPLIES))
@@ -272,6 +278,54 @@ def test_a_well_formed_agent_reply_is_aggregated(monkeypatch, metric):
     reply = {"ok": True, "rtts_ms": [0, 3.0], "failures": 0}
     m = _replying_agent(monkeypatch, reply)[metric](("127.0.0.1", "target.example.org"))
     assert m.success and m.value == 1.5 and m.samples == 2
+
+
+class _FixedReply(BaseHTTPRequestHandler):
+    """Answers every GET with the server's `reply`: (status, body)."""
+
+    def do_GET(self):
+        status, body = self.server.reply
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def fixed_agent():
+    """A loopback agent that answers every GET with its `reply`."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FixedReply)
+    start_in_thread(server)
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+AGENT_ANSWERS = {
+    "html": ((200, b"<html>not json</html>"), "agent/bad-reply"),
+    "not-utf8": ((200, b"\x80\xff not json"), "agent/bad-reply"),
+    "empty": ((200, b""), "agent/bad-reply"),
+    "unavailable": ((503, b"<html>busy</html>"), "agent/http-503"),
+}
+
+
+@pytest.mark.parametrize("answer", AGENT_ANSWERS.values(), ids=list(AGENT_ANSWERS))
+@pytest.mark.parametrize("metric", [Metric.PING, Metric.HTTP_RTT])
+def test_an_agent_answer_that_is_not_json_is_a_failed_measurement(fixed_agent, metric, answer):
+    fixed_agent.reply, note = answer
+    port = fixed_agent.server_address[1]
+    m = _loopback_agent_providers(agent_port=port)[metric](("127.0.0.1", "target.example.org"))
+    assert not m.success and m.note == note
+    assert AgentClient(f"http://127.0.0.1:{port}").health() is False
+
+
+@pytest.mark.parametrize("metric", [Metric.PING, Metric.HTTP_RTT])
+def test_a_refused_agent_port_is_unreachable(metric):
+    m = _loopback_agent_providers(agent_port=1)[metric](("127.0.0.1", "target.example.org"))
+    assert not m.success and m.note == "agent/unreachable"
 
 
 @pytest.mark.parametrize("make_server", [make_agent_server, make_node_server])

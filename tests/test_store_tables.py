@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudforecast import scoring
-from cloudforecast.candidates import Metric, hub_legs, weighted_pairs
+from cloudforecast.candidates import Metric
 from cloudforecast.errors import DocumentFormatError
-from cloudforecast.geo import Coordinate, Region, RegionCatalog
 from cloudforecast.measurement import (
     Measurement,
     MeasurementStore,
@@ -23,13 +22,8 @@ from cloudforecast.measurement import (
     synthetic_providers,
 )
 from cloudforecast.scoring import ScoringConfig, rank_regions
-from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
-
-SYMMETRIES = {
-    "symmetric": frozenset(Metric),
-    "asymmetric": frozenset(),
-    "ping-only": frozenset({Metric.PING}),
-}
+from cloudforecast.workflow import WorkflowSpec
+from helpers import SUBSETS, synthetic_inputs
 
 
 def _scores(report):
@@ -58,57 +52,31 @@ class Refusing:
 
 # -- warm equals cold ---------------------------------------------------------------
 
-HOSTS = [f"h{i}.example.net" for i in range(6)]
-COORDS = st.tuples(st.floats(min_value=-60, max_value=60), st.floats(min_value=-179, max_value=179))
-
-
-@st.composite
-def synthetic_inputs(draw):
-    """A random DAG whose nodes may share endpoints (one location per
-    endpoint), and a catalog whose hubs may be node endpoints."""
-    hosts = draw(st.lists(st.sampled_from(HOSTS), min_size=2, max_size=6, unique=True))
-    where = {host: Coordinate(*draw(COORDS)) for host in hosts}
-    n = draw(st.integers(min_value=2, max_value=8))
-    endpoints = [draw(st.sampled_from(hosts)) for _ in range(n)]
-    nodes = tuple(WorkflowNode(id=f"n{i}", endpoint=e, location=where[e])
-                  for i, e in enumerate(endpoints))
-    links = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14))
-    edges = tuple(dict.fromkeys(
-        WorkflowEdge(f"n{min(u, v)}", f"n{max(u, v)}") for u, v in links if u != v
-    ))
-    region_hosts = draw(st.lists(st.sampled_from(hosts + ["r0.example.org", "r1.example.org"]),
-                                 min_size=1, max_size=5, unique=True))
-    catalog = RegionCatalog(tuple(
-        Region(f"r{i}", host, where.get(host) or Coordinate(*draw(COORDS)))
-        for i, host in enumerate(region_hosts)
-    ))
-    return WorkflowSpec(name="random", nodes=nodes, edges=edges), catalog
-
-
 @given(
     inputs=synthetic_inputs(),
-    symmetric=st.sampled_from(sorted(SYMMETRIES)),
+    subset=st.sampled_from(sorted(SUBSETS)),
     shortlist_n=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
     data=st.data(),
 )
 @settings(max_examples=100, deadline=None)
-def test_a_warm_ranking_over_the_saved_cache_equals_the_cold_one(inputs, symmetric,
+def test_a_warm_ranking_over_the_saved_cache_equals_the_cold_one(inputs, subset,
                                                                   shortlist_n, data):
     spec, catalog = inputs
-    symmetric = SYMMETRIES[symmetric]
+    metrics = SUBSETS[subset]
     config = ScoringConfig(shortlist_n=shortlist_n)
-    cold_store = MeasurementStore(symmetric_metrics=symmetric)
-    providers = synthetic_providers(SyntheticNetworkModel(), location_index(spec, catalog))
+    cold_store = MeasurementStore()
+    synthetic = synthetic_providers(SyntheticNetworkModel(), location_index(spec, catalog))
+    providers = {metric: synthetic[metric] for metric in metrics}
     cold = rank_regions(spec, catalog, cold_store, providers, config)
     calls = []
-    refusing = {metric: Refusing(calls) for metric in Metric}
+    refusing = {metric: Refusing(calls) for metric in metrics}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "probes.cache")
         cold_store.save(path)
         saved = os.stat(path).st_mtime_ns
 
         def warm(s):
-            store = MeasurementStore.load(path, symmetric_metrics=symmetric)
+            store = MeasurementStore.load(path)
             return store, rank_regions(s, catalog, store, refusing, config)
 
         warm_store, report = warm(spec)
@@ -135,39 +103,21 @@ def test_a_warm_ranking_over_the_saved_cache_equals_the_cold_one(inputs, symmetr
 # -- the pairs of a region are built once ---------------------------------------------
 
 @pytest.mark.parametrize("shortlist_n", [None, 3])
-@pytest.mark.parametrize("symmetric", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("subset", sorted(SUBSETS))
 def test_a_ranking_builds_each_regions_pairs_once(fig1_spec, catalog, monkeypatch,
-                                                  symmetric, shortlist_n):
+                                                  subset, shortlist_n):
     built = []
     weighted_pairs = scoring.weighted_pairs
     monkeypatch.setattr(scoring, "weighted_pairs",
                         lambda legs, hub: built.append(hub) or weighted_pairs(legs, hub))
-    store = MeasurementStore(symmetric_metrics=SYMMETRIES[symmetric])
-    providers = synthetic_providers(SyntheticNetworkModel(), location_index(fig1_spec, catalog))
-    config = ScoringConfig(shortlist_n=shortlist_n)
-    report = rank_regions(fig1_spec, catalog, store, providers, config)
-    assert sorted(built) == sorted(region.probe_host for region in catalog.regions)
-    scored = sum(e.ping_score is not None for e in report.entries)
-    assert scored == (shortlist_n or len(catalog.regions))
-
-
-@pytest.mark.parametrize("symmetric", [frozenset({Metric.DISTANCE}), frozenset({Metric.PING})],
-                         ids=["distance-only", "ping-only"])
-def test_each_metric_measures_the_pairs_its_own_symmetry_folds(fig1_spec, catalog, symmetric):
-    store = MeasurementStore(symmetric_metrics=symmetric)
-    measured = {metric: [] for metric in Metric}
     synthetic = synthetic_providers(SyntheticNetworkModel(), location_index(fig1_spec, catalog))
-    providers = {metric: (lambda pair, m=metric: measured[m].append(pair) or synthetic[m](pair))
-                 for metric in Metric}
-    report = rank_regions(fig1_spec, catalog, store, providers, ScoringConfig(shortlist_n=3))
-    legs = hub_legs(fig1_spec)
-    for metric, calls in measured.items():
-        regions = [e.region for e in report.entries if metric is Metric.DISTANCE or e.shortlisted]
-        keys = {store.canonical_key(pair, metric)[:2]
-                for region in regions
-                for pair in weighted_pairs(legs, catalog.by_id(region).probe_host)}
-        assert len(calls) == len(keys)
-        assert {store.canonical_key(pair, metric)[:2] for pair in calls} == keys
+    providers = {metric: synthetic[metric] for metric in SUBSETS[subset]}
+    config = ScoringConfig(shortlist_n=shortlist_n)
+    report = rank_regions(fig1_spec, catalog, MeasurementStore(), providers, config)
+    assert sorted(built) == sorted(region.probe_host for region in catalog.regions)
+    for metric, attr in ((Metric.PING, "ping_score"), (Metric.HTTP_RTT, "http_score")):
+        scored = sum(getattr(e, attr) is not None for e in report.entries)
+        assert scored == ((shortlist_n or len(catalog.regions)) if metric in providers else 0)
 
 
 # -- the records of `load` ---------------------------------------------------------------
@@ -197,19 +147,17 @@ def _load_one(tmp_path, record, **kwargs):
     ids=["misspelled-note", "unknown-metric", "int-src", "list-dst", "int-pair",
          "null-src-without-note"],
 )
-@pytest.mark.parametrize("symmetric", ["symmetric", "asymmetric"])
-def test_a_bad_cache_record_names_file_and_line(tmp_path, record, message, symmetric):
+def test_a_bad_cache_record_names_file_and_line(tmp_path, record, message):
     with pytest.raises(DocumentFormatError) as info:
-        _load_one(tmp_path, record, symmetric_metrics=SYMMETRIES[symmetric])
+        _load_one(tmp_path, record)
     assert str(info.value) == f"{tmp_path / 'probes.cache'}:1: {message}"
 
 
-@pytest.mark.parametrize("symmetric", ["symmetric", "asymmetric"])
-def test_a_record_without_note_loads_with_an_empty_note(tmp_path, symmetric):
+def test_a_record_without_note_loads_with_an_empty_note(tmp_path):
     record = {k: v for k, v in {**RECORD, "src": "z"}.items() if k != "note"}
-    _, store = _load_one(tmp_path, record, symmetric_metrics=SYMMETRIES[symmetric])
-    pair = ("b", "z") if symmetric == "symmetric" else ("z", "b")
-    loaded = store.get(pair, Metric.PING)
+    _, store = _load_one(tmp_path, record)
+    loaded = store.get(("b", "z"), Metric.PING)
+    assert loaded is store.get(("z", "b"), Metric.PING)
     assert loaded == Measurement("z", "b", Metric.PING, 2.0, "ms", 1, True, 1.0e12, "")
     assert loaded.metric is Metric.PING
 
@@ -228,17 +176,17 @@ def test_putting_nothing_keeps_a_loaded_store_in_sync_with_its_file(tmp_path, mo
 
 
 def test_save_orders_records_by_pair_then_metric_across_the_tables(tmp_path):
-    store = MeasurementStore(symmetric_metrics=frozenset({Metric.DISTANCE}))
+    store = MeasurementStore()
     store.put_many([
         Measurement(src, dst, metric, 1.0, "ms", 1, True, 1.0e12)
         for metric in (Metric.PING, Metric.HTTP_RTT, Metric.DISTANCE)
         for src, dst in (("b", "a"), ("a", "b"), ("a", "c"))
-    ])
+    ] + [Measurement("c", "a", Metric.PING, 2.0, "ms", 1, True, 1.0e12)])
     path = tmp_path / "probes.cache"
     store.save(str(path))
     records = map(json.loads, path.read_text().splitlines())
     keys = [(r["src"], r["dst"], r["metric"]) for r in records]
-    # distance folds ("b", "a") into ("a", "b"); the later measurement wins and keeps its pair
+    # both directions share a key; the later measurement wins and keeps its pair,
+    # and records sort by key, so ping's ("c", "a") sits with the ("a", "c") records
     assert keys == [("a", "b", "distance"), ("a", "b", "http_rtt"), ("a", "b", "ping"),
-                    ("a", "c", "distance"), ("a", "c", "http_rtt"), ("a", "c", "ping"),
-                    ("b", "a", "http_rtt"), ("b", "a", "ping")]
+                    ("a", "c", "distance"), ("a", "c", "http_rtt"), ("c", "a", "ping")]
