@@ -7,9 +7,8 @@ unique endpoint pairs and how many edges share each (`hub_legs`,
 `weighted_pairs`); the edge lists remain as the debug view.
 """
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geo import Region, RegionCatalog
 from .workflow import WorkflowEdge, WorkflowSpec
@@ -31,8 +30,7 @@ class Leg(str, Enum):
     FROM_ORCHESTRATOR = "from_orchestrator"
 
 
-@dataclass(frozen=True)
-class CandidateEdge:
+class CandidateEdge(NamedTuple):
     src: str
     dst: str
     origin: WorkflowEdge
@@ -43,8 +41,7 @@ class CandidateEdge:
         return (self.src, self.dst)
 
 
-@dataclass(frozen=True)
-class CandidateGraph:
+class CandidateGraph(NamedTuple):
     region: Region
     metric: Metric
     edges: tuple[CandidateEdge, ...]

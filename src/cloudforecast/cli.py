@@ -8,7 +8,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .candidates import (
     METRIC_ORDER,
@@ -64,8 +64,7 @@ ENV_PREFIX = "CLOUDFORECAST_"
 KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-@dataclass(frozen=True)
-class Setting:
+class Setting(NamedTuple):
     """A setting's name, default, type, help, flag spellings and allowed values.
     Range checks are left to the configs that use the value."""
 
@@ -98,7 +97,7 @@ class Setting:
         raise argparse.ArgumentTypeError(f"{self.name} must be {wanted}, got {value!r}")
 
 
-# the probe, scoring and synthetic-model defaults are their dataclasses' own
+# the probe, scoring and synthetic-model defaults are their records' own
 _PROBE, _SCORING, _MODEL = ProbeConfig(), ScoringConfig(), SyntheticNetworkModel()
 
 SETTINGS = {setting.name: setting for setting in (
@@ -178,7 +177,7 @@ def load_settings(args: argparse.Namespace) -> dict:
 
 def config_from(cls, settings: dict):
     """A probe, scoring or synthetic-model config from the settings named as its fields."""
-    return cls(**{f.name: settings[f.name] for f in fields(cls)})
+    return cls(**{name: settings[name] for name in cls._fields})
 
 
 def _read_file(path: str, parse):
@@ -304,9 +303,9 @@ def cmd_analyze(args: argparse.Namespace, settings: dict) -> int:
     report = rank_regions(
         spec, catalog, store, providers, config_from(ScoringConfig, settings), max_parallel
     )
-    report = replace(report, provenance={**report.provenance, "probe_mode": settings["probe_mode"]})
+    report = report._replace(provenance={**report.provenance, "probe_mode": settings["probe_mode"]})
     if args.no_timestamps:
-        report = replace(report, generated_at=None)
+        report = report._replace(generated_at=None)
     if settings["cache"]:
         store.save(settings["cache"])
     _emit(render_report(report, settings["format"]), args.out)

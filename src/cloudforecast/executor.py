@@ -10,9 +10,8 @@ import io
 import math
 import sys
 import time
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import NodeUnreachableError
 from .geo import Coordinate, LocationTable, RegionCatalog, haversine_km, resolve_location
@@ -24,6 +23,7 @@ from .measurement import (
     location_index,
     synthetic_providers,
 )
+from .records import Checked
 from .scoring import ScoringConfig, rank_regions
 from .workflow import WorkflowSpec, topological_order
 
@@ -43,20 +43,23 @@ class Transport(str, Enum):
     LIVE = "live"
 
 
-@dataclass(frozen=True)
-class Vantage:
-    """Where the orchestrator runs: "local" or a region id, plus its position."""
-
+class _VantageFields(NamedTuple):
     id: str
     location: Coordinate
 
-    def __post_init__(self):
-        if not self.id:
+
+class Vantage(Checked, _VantageFields):
+    """Where the orchestrator runs: "local" or a region id, plus its position."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, location: Coordinate):
+        if not id:
             raise ValueError("vantage id must be non-empty")
+        return tuple.__new__(cls, (id, location))
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(NamedTuple):
     workflow: str
     vantage: str
     makespan_ms: float
@@ -64,8 +67,7 @@ class ExecutionResult:
     transport: Transport
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     workflow: str
     baseline_ms: float
     best_region: str
@@ -73,8 +75,7 @@ class ExperimentRow:
     speedup_pct: float
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     rows: tuple[ExperimentRow, ...]
     mean_speedup_pct: float
 

@@ -2,59 +2,71 @@
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 from urllib.parse import urlparse
 
 from .errors import CatalogError, UnknownLocationError
 from .jsondoc import as_number, as_string, check_fields, load_document
+from .records import Checked
 
 EARTH_RADIUS_KM = 6371.0
 
 
-@dataclass(frozen=True)
-class Coordinate:
-    """Position in decimal degrees, lat in [-90, 90], lon in [-180, 180]."""
-
+class _CoordinateFields(NamedTuple):
     lat: float
     lon: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ValueError(f"coordinate must be finite, got ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range [-90, 90]: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range [-180, 180]: {self.lon}")
+
+class Coordinate(Checked, _CoordinateFields):
+    """Position in decimal degrees, lat in [-90, 90], lon in [-180, 180]."""
+
+    __slots__ = ()
+
+    def __new__(cls, lat: float, lon: float):
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise ValueError(f"coordinate must be finite, got ({lat}, {lon})")
+        if not -90.0 <= lat <= 90.0:
+            raise ValueError(f"latitude out of range [-90, 90]: {lat}")
+        if not -180.0 <= lon <= 180.0:
+            raise ValueError(f"longitude out of range [-180, 180]: {lon}")
+        return tuple.__new__(cls, (lat, lon))
 
 
-@dataclass(frozen=True)
-class Region:
-    """A candidate orchestrator location."""
-
+class _RegionFields(NamedTuple):
     id: str
     probe_host: str
     location: Coordinate
 
-    def __post_init__(self):
-        if not self.id:
+
+class Region(Checked, _RegionFields):
+    """A candidate orchestrator location."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, probe_host: str, location: Coordinate):
+        if not id:
             raise ValueError("region id must be non-empty")
-        if not self.probe_host:
-            raise ValueError(f"region '{self.id}': probe_host must be non-empty")
+        if not probe_host:
+            raise ValueError(f"region '{id}': probe_host must be non-empty")
+        return tuple.__new__(cls, (id, probe_host, location))
 
 
-@dataclass(frozen=True)
-class RegionCatalog:
+class _RegionCatalogFields(NamedTuple):
     regions: tuple[Region, ...]
 
-    def __post_init__(self):
-        if not self.regions:
+
+class RegionCatalog(Checked, _RegionCatalogFields):
+    __slots__ = ()
+
+    def __new__(cls, regions: tuple[Region, ...]):
+        if not regions:
             raise CatalogError("region catalog is empty")
         seen = set()
-        for region in self.regions:
+        for region in regions:
             if region.id in seen:
                 raise CatalogError(f"duplicate region id: {region.id}")
             seen.add(region.id)
+        return tuple.__new__(cls, (regions,))
 
     def by_id(self, region_id: str) -> Region:
         for region in self.regions:
@@ -67,21 +79,24 @@ class RegionCatalog:
         return [r.id for r in self.regions]
 
 
-@dataclass(frozen=True)
 class LocationTable:
-    """Hostname -> coordinate lookup used to geolocate endpoints."""
+    """Hostname -> coordinate lookup used to geolocate endpoints. Its fields
+    are read-only; `_located` is a memo, endpoint -> coordinate, that
+    `locate` fills."""
 
-    entries: Mapping[str, Coordinate]
-    # endpoint -> coordinate, filled by `locate`
-    _located: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("entries", "_located")
 
-    def __post_init__(self):
+    def __init__(self, entries: Mapping[str, Coordinate]):
         normalized = {}
-        for host, coord in self.entries.items():
+        for host, coord in entries.items():
             if not host:
                 raise ValueError("location table hostnames must be non-empty")
             normalized[host.lower()] = coord
         object.__setattr__(self, "entries", normalized)
+        object.__setattr__(self, "_located", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
     def get(self, host: str) -> Coordinate | None:
         return self.entries.get(host.lower())

@@ -15,7 +15,6 @@ import struct
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
@@ -29,6 +28,7 @@ from .geo import (
     host_of,
 )
 from .jsondoc import check_fields
+from .records import Checked
 from .workflow import WorkflowSpec, node_locations
 
 PairProvider = Callable[[Pair], "Measurement"]
@@ -92,23 +92,35 @@ def check_finite(config, names: tuple[str, ...]) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    samples_per_pair: int = 5
-    timeout_ms: float = 3000.0
-    aggregator: Aggregator = Aggregator.MEAN
-    max_parallel_probes: int = 8
+class _ProbeConfigFields(NamedTuple):  # the defaults are `ProbeConfig`'s
+    samples_per_pair: int
+    timeout_ms: float
+    aggregator: Aggregator
+    max_parallel_probes: int
 
-    def __post_init__(self):
+
+class ProbeConfig(Checked, _ProbeConfigFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        samples_per_pair: int = 5,
+        timeout_ms: float = 3000.0,
+        aggregator: Aggregator = Aggregator.MEAN,
+        max_parallel_probes: int = 8,
+    ):
         # a name becomes its member, since `aggregate` tells them apart by identity
-        object.__setattr__(self, "aggregator", Aggregator(self.aggregator))
+        self = tuple.__new__(
+            cls, (samples_per_pair, timeout_ms, Aggregator(aggregator), max_parallel_probes)
+        )
         check_finite(self, ("samples_per_pair", "timeout_ms", "max_parallel_probes"))
-        if self.samples_per_pair < 1:
+        if samples_per_pair < 1:
             raise ValueError("samples_per_pair must be >= 1")
-        if self.timeout_ms <= 0:
+        if timeout_ms <= 0:
             raise ValueError("timeout_ms must be positive")
-        if self.max_parallel_probes < 1:
+        if max_parallel_probes < 1:
             raise ValueError("max_parallel_probes must be >= 1")
+        return self
 
 
 class _MeasurementFields(NamedTuple):
@@ -123,7 +135,7 @@ class _MeasurementFields(NamedTuple):
     note: str = ""
 
 
-class Measurement(_MeasurementFields):
+class Measurement(Checked, _MeasurementFields):
     """One measured value of a pair: an immutable tuple, cheap to build in
     bulk, that every constructor (positional, keyword, `_make`, `_replace`)
     checks."""
@@ -133,10 +145,6 @@ class Measurement(_MeasurementFields):
     def __new__(cls, src, dst, metric, value, unit, samples, success, taken_at, note=""):
         check_measured((value,), samples, success, taken_at)
         return tuple.__new__(cls, (src, dst, metric, value, unit, samples, success, taken_at, note))
-
-    @classmethod
-    def _make(cls, iterable):  # `_replace` builds through it too
-        return cls(*iterable)
 
 
 _isfinite = math.isfinite
@@ -191,20 +199,26 @@ def _failed(pair: Pair, metric: Metric, samples: int, note: str) -> Measurement:
     return _measurement(pair, metric, 0.0, max(1, samples), note, success=False)
 
 
-@dataclass(frozen=True)
-class SyntheticNetworkModel:
+class _SyntheticNetworkModelFields(NamedTuple):  # the defaults are `SyntheticNetworkModel`'s
+    base_latency_ms: float
+    ms_per_100km: float
+    http_overhead_ms: float
+
+
+class SyntheticNetworkModel(Checked, _SyntheticNetworkModelFields):
     """Deterministic stand-in for live probing: latency grows linearly with distance."""
 
-    base_latency_ms: float = 5.0
-    ms_per_100km: float = 1.0
-    http_overhead_ms: float = 20.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = ("base_latency_ms", "ms_per_100km", "http_overhead_ms")
-        check_finite(self, names)
-        for name in names:
+    def __new__(
+        cls, base_latency_ms: float = 5.0, ms_per_100km: float = 1.0, http_overhead_ms: float = 20.0
+    ):
+        self = tuple.__new__(cls, (base_latency_ms, ms_per_100km, http_overhead_ms))
+        check_finite(self, cls._fields)
+        for name in cls._fields:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        return self
 
     def ping_ms(self, km: float) -> float:
         return self.base_latency_ms + self.ms_per_100km * (km / 100.0)
@@ -651,9 +665,11 @@ class AgentClient:
 
     def health(self) -> bool:
         try:
-            return bool(self._call("/v1/health", {}).get("ok"))
+            reply = self._call("/v1/health", {})
         except (_requests().RequestException, ValueError):
             return False
+        # JSON that is not an object (a list, a string, null) is no health reply
+        return isinstance(reply, dict) and bool(reply.get("ok"))
 
     def ping(self, host: str, samples: int, timeout_ms: float) -> dict:
         return self._call(

@@ -4,8 +4,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .candidates import CandidateGraph, Metric, Pair, hub_legs, weighted_pairs
 from .errors import MissingMeasurementError
@@ -18,40 +17,50 @@ from .measurement import (
     collect_measurements,
     fold_legs,
 )
+from .records import Checked
 from .workflow import WorkflowSpec
 
 DEFAULT_FAILURE_PENALTY = 1.0e8
 
 
-@dataclass(frozen=True)
-class GraphScore:
+class GraphScore(NamedTuple):
     region: str
     metric: Metric
     value: float
     failed_edges: int = 0
 
 
-@dataclass(frozen=True)
-class ScoringConfig:
-    shortlist_n: int | None = None  # None = whole catalog
-    weight_ping: float = 1.0
-    weight_http: float = 1.0
-    failure_penalty: float = DEFAULT_FAILURE_PENALTY
+class _ScoringConfigFields(NamedTuple):  # the defaults are `ScoringConfig`'s
+    shortlist_n: int | None
+    weight_ping: float
+    weight_http: float
+    failure_penalty: float
 
-    def __post_init__(self):
+
+class ScoringConfig(Checked, _ScoringConfigFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        shortlist_n: int | None = None,  # None = whole catalog
+        weight_ping: float = 1.0,
+        weight_http: float = 1.0,
+        failure_penalty: float = DEFAULT_FAILURE_PENALTY,
+    ):
+        self = tuple.__new__(cls, (shortlist_n, weight_ping, weight_http, failure_penalty))
         check_finite(self, ("weight_ping", "weight_http", "failure_penalty"))
-        if self.shortlist_n is not None and self.shortlist_n < 1:
+        if shortlist_n is not None and shortlist_n < 1:
             raise ValueError("shortlist_n must be >= 1")
-        if self.weight_ping < 0 or self.weight_http < 0:
+        if weight_ping < 0 or weight_http < 0:
             raise ValueError("metric weights must be non-negative")
-        if self.weight_ping + self.weight_http <= 0:
+        if weight_ping + weight_http <= 0:
             raise ValueError("weight_ping + weight_http must be positive")
-        if self.failure_penalty < 0:
+        if failure_penalty < 0:
             raise ValueError("failure_penalty must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class RankingEntry:
+class RankingEntry(NamedTuple):
     region: str
     final_score: float
     shortlisted: bool
@@ -61,13 +70,27 @@ class RankingEntry:
     http_score: GraphScore | None = None
 
 
-@dataclass(frozen=True)
-class RankingReport:
+class _RankingReportFields(NamedTuple):
     workflow: str
     entries: tuple[RankingEntry, ...]
-    config: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-    generated_at: float | None = None
+    config: dict
+    provenance: dict
+    generated_at: float | None
+
+
+class RankingReport(_RankingReportFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        workflow: str,
+        entries: tuple[RankingEntry, ...],
+        config: dict | None = None,  # None: a new empty dict
+        provenance: dict | None = None,  # None: a new empty dict
+        generated_at: float | None = None,
+    ):
+        return tuple.__new__(cls, (workflow, entries, {} if config is None else config,
+                                   {} if provenance is None else provenance, generated_at))
 
 
 def score_graph(

@@ -4,13 +4,13 @@ import heapq
 import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CycleError, SpecValidationError
 from .geo import Coordinate, bundled_text
 from .jsondoc import as_number, as_string, check_fields, load_document
+from .records import Checked
 
 
 class NodeRole(str, Enum):
@@ -25,31 +25,39 @@ class WorkflowPattern(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class WorkflowNode:
+class _WorkflowNodeFields(NamedTuple):  # the defaults are `WorkflowNode`'s
     id: str
     endpoint: str
-    role: NodeRole = NodeRole.SERVICE
-    location: Coordinate | None = None
-    service_time_ms: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.role, NodeRole):
-            object.__setattr__(self, "role", NodeRole(self.role))
+    role: NodeRole
+    location: Coordinate | None
+    service_time_ms: float
 
 
-@dataclass(frozen=True)
-class WorkflowEdge:
+class WorkflowNode(Checked, _WorkflowNodeFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        endpoint: str,
+        role: NodeRole = NodeRole.SERVICE,
+        location: Coordinate | None = None,
+        service_time_ms: float = 0.0,
+    ):
+        # a role name becomes its member, since roles are told apart by identity
+        return tuple.__new__(cls, (id, endpoint, NodeRole(role), location, service_time_ms))
+
+
+class WorkflowEdge(NamedTuple):
     src: str
     dst: str
     payload_kb: float = 0.0
 
 
-@dataclass(frozen=True)
-class WorkflowSpec:
+class WorkflowSpec(NamedTuple):
     name: str
-    nodes: tuple[WorkflowNode, ...] = field(default_factory=tuple)
-    edges: tuple[WorkflowEdge, ...] = field(default_factory=tuple)
+    nodes: tuple[WorkflowNode, ...] = ()
+    edges: tuple[WorkflowEdge, ...] = ()
 
     def node(self, node_id: str) -> WorkflowNode:
         for n in self.nodes:
@@ -256,7 +264,7 @@ def _rerole(nodes: Sequence[WorkflowNode], edges: Sequence[WorkflowEdge]) -> tup
     # in-degree-0 nodes feed data in, so they become sources
     with_incoming = {e.dst for e in edges}
     return tuple(
-        replace(n, role=NodeRole.SERVICE if n.id in with_incoming else NodeRole.SOURCE)
+        n._replace(role=NodeRole.SERVICE if n.id in with_incoming else NodeRole.SOURCE)
         for n in nodes
     )
 

@@ -17,6 +17,7 @@ from cloudforecast import (
     MeasurementStore,
     Metric,
     ProbeConfig,
+    ScoringConfig,
     SyntheticNetworkModel,
     UnknownLocationError,
     measure_distance,
@@ -438,12 +439,17 @@ def test_store_load_rejects_invalid_values_naming_file_and_line(tmp_path, record
         (ProbeConfig, "timeout_ms"),
         (ProbeConfig, "samples_per_pair"),
         (ProbeConfig, "max_parallel_probes"),
+        (ScoringConfig, "weight_ping"),
+        (ScoringConfig, "weight_http"),
+        (ScoringConfig, "failure_penalty"),
     ],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_configs_reject_non_finite_values(config, field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         config(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        config()._replace(**{field: value})
 
 
 def test_provider_invocations_bounded_by_distinct_keys():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import zlib
 
@@ -275,9 +274,17 @@ def test_render_rejects_unknown_format():
 
 
 def _report_doc(report):
-    """The document a report renders to as JSON: every field, entries as a list."""
-    doc = dataclasses.asdict(report)
-    doc["entries"] = list(doc["entries"])
+    """The document a report renders to as JSON: every field of the report,
+    of its entries and of their scores, entries as a list."""
+    def score(s):
+        return None if s is None else s._asdict()
+
+    doc = report._asdict()
+    doc["entries"] = [
+        {**e._asdict(), "distance_score": score(e.distance_score),
+         "ping_score": score(e.ping_score), "http_score": score(e.http_score)}
+        for e in report.entries
+    ]
     return doc
 
 

@@ -322,6 +322,12 @@ def test_an_agent_answer_that_is_not_json_is_a_failed_measurement(fixed_agent, m
     assert AgentClient(f"http://127.0.0.1:{port}").health() is False
 
 
+@pytest.mark.parametrize("body", [b"[1]", b'"ok"', b"null"], ids=["list", "string", "null"])
+def test_a_health_answer_that_is_not_a_json_object_is_unhealthy(fixed_agent, body):
+    fixed_agent.reply = (200, body)
+    assert AgentClient(f"http://127.0.0.1:{fixed_agent.server_address[1]}").health() is False
+
+
 @pytest.mark.parametrize("metric", [Metric.PING, Metric.HTTP_RTT])
 def test_a_refused_agent_port_is_unreachable(metric):
     m = _loopback_agent_providers(agent_port=1)[metric](("127.0.0.1", "target.example.org"))

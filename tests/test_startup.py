@@ -4,7 +4,8 @@
 run never loads it, and each keeps it as its own module attribute, which a
 tracer or a test may replace. The standard-library modules that only probes,
 thread pools and live runs use are imported by the code that uses them, and
-before any clock it reads starts. Each check runs in a fresh interpreter,
+before any clock it reads starts. The records are `NamedTuple`s, so no
+command loads `dataclasses` or, with it, `inspect`. Each check runs in a fresh interpreter,
 since other tests import `requests` and the services into this one.
 """
 
@@ -33,7 +34,8 @@ def run_fresh(script: str, *args: str, flags: tuple[str, ...] = ()) -> None:
 COLD_START = r"""
 import contextlib, io, sys
 
-HEAVY = ("requests", "urllib3", "http.server", "concurrent.futures", "statistics", "socket")
+HEAVY = ("requests", "urllib3", "http.server", "concurrent.futures", "statistics", "socket",
+         "dataclasses", "inspect")
 
 def loaded():
     return [name for name in HEAVY if name in sys.modules]
@@ -42,11 +44,17 @@ import cloudforecast
 assert loaded() == [], loaded()
 from cloudforecast import cli
 assert loaded() == [], loaded()
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    assert cli.main(["analyze", "-w", "samples/fig1.workflow"]) == 0
-assert len(out.getvalue().splitlines()) == 11, out.getvalue()
-assert loaded() == [], loaded()
+outputs = {}
+for argv in (["analyze", "-w", "samples/fig1.workflow"],
+             ["simulate", "-w", "samples/fig1.workflow", "--vantage", "us-east-1"],
+             ["experiment", "--out-dir", sys.argv[1]]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    outputs[argv[0]] = out.getvalue()
+    assert loaded() == [], (argv, loaded())
+assert len(outputs["analyze"].splitlines()) == 11, outputs["analyze"]
+assert outputs["simulate"] and outputs["experiment"], outputs
 
 # the first GET imports `requests` itself
 from cloudforecast.measurement import http_get_ms
@@ -66,14 +74,15 @@ assert executor.requests is requests
 """
 
 
-def test_synthetic_analyze_loads_no_http_client_and_a_cold_get_works():
-    run_fresh(COLD_START)
+def test_synthetic_analyze_loads_no_http_client_and_a_cold_get_works(tmp_path):
+    run_fresh(COLD_START, str(tmp_path))
 
 
 NO_SITE = r"""
 import contextlib, io, sys
 
-UNUSED = ("socket", "statistics", "concurrent.futures", "pathlib", "importlib.resources")
+UNUSED = ("socket", "statistics", "concurrent.futures", "pathlib", "importlib.resources",
+          "dataclasses", "inspect")
 
 def loaded():
     return [name for name in UNUSED if name in sys.modules]
