@@ -231,21 +231,18 @@ def _parse_metrics(text: str) -> list[Metric]:
     return metrics
 
 
-def _latlon(text: str) -> tuple[float, float] | None:
-    """The two numbers of a 'lat,lon' text, or None if it is not shaped so."""
+def _coordinate(text: str, field: str) -> Coordinate | None:
+    """The coordinate of a 'lat,lon' text, or None if it is not shaped so;
+    well-formed but out of range gives Coordinate's error, under the field."""
     try:
         lat_text, lon_text = text.split(",", 1)
-        return float(lat_text), float(lon_text)
+        lat, lon = float(lat_text), float(lon_text)
     except ValueError:
         return None
-
-
-def _parse_latlon(text: str) -> Coordinate:
-    """A 'lat,lon' text; well-formed but out of range gives Coordinate's error."""
-    latlon = _latlon(text)
-    if latlon is None:
-        raise ValueError(f"expected 'lat,lon', got {text!r}")
-    return Coordinate(*latlon)
+    try:
+        return Coordinate(lat, lon)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 def _parse_listen(text: str) -> tuple[str, int]:
@@ -315,17 +312,17 @@ def cmd_analyze(args: argparse.Namespace, settings: dict) -> int:
 def cmd_probe(args: argparse.Namespace, settings: dict) -> int:
     spec, catalog, _, providers, store, max_parallel = _analysis_setup(args, settings)
     legs = hub_legs(spec)
+    pairs_of = {region.id: weighted_pairs(legs, region.probe_host) for region in catalog.regions}
+    batch = [pair for pairs in pairs_of.values() for pair in pairs]
     lines = []
-    for metric in METRIC_ORDER:
-        if metric not in providers:
-            continue
-        for region in catalog.regions:
-            pairs = list(weighted_pairs(legs, region.probe_host))
-            measured = collect_measurements(store, pairs, metric, providers[metric], max_parallel)
-            for pair, m in measured.items():
+    for metric, provider in providers.items():  # built in METRIC_ORDER
+        measured = collect_measurements(store, batch, metric, provider, max_parallel)
+        for region_id, pairs in pairs_of.items():
+            for pair in pairs:
+                m = measured[pair]
                 status = "ok" if m.success else "FAIL"
                 lines.append(
-                    f"{metric.value:9} {region.id:16} {pair[0]} -> {pair[1]}  "
+                    f"{metric.value:9} {region_id:16} {pair[0]} -> {pair[1]}  "
                     f"{m.value:.3f} {m.unit}  {status}"
                 )
     if settings["cache"]:
@@ -361,20 +358,15 @@ def cmd_simulate(args: argparse.Namespace, settings: dict) -> int:
     else:
         catalog = None
         vantage_text = args.vantage or settings["local"]
-        latlon = _latlon(vantage_text)
-        if latlon is not None:  # out of range gives Coordinate's error, not a region lookup
-            try:
-                vantage = Vantage("local", Coordinate(*latlon))
-            except ValueError as exc:
-                raise ValueError(f"vantage: {exc}")
+        location = _coordinate(vantage_text, "vantage")
+        if location is not None:
+            vantage = Vantage("local", location)
         else:
             catalog = _load_catalog(settings)
             try:
                 region = catalog.by_id(vantage_text)
             except KeyError:
-                raise ValueError(
-                    f"vantage {vantage_text!r} is neither 'lat,lon' nor a region id"
-                )
+                raise ValueError(f"vantage {vantage_text!r} is neither 'lat,lon' nor a region id")
             vantage = Vantage(region.id, region.location)
         locations = location_index(spec, catalog)
         model = config_from(SyntheticNetworkModel, settings)
@@ -467,10 +459,10 @@ def _experiment_specs(args: argparse.Namespace, settings: dict) -> list:
 
 
 def cmd_experiment(args: argparse.Namespace, settings: dict) -> int:
-    try:
-        local = Vantage("local", _parse_latlon(settings["local"]))
-    except ValueError as exc:
-        raise ValueError(f"local: {exc}")
+    location = _coordinate(settings["local"], "local")
+    if location is None:
+        raise ValueError(f"local: expected 'lat,lon', got {settings['local']!r}")
+    local = Vantage("local", location)
     specs = _experiment_specs(args, settings)
     catalog = _load_catalog(settings)
     report = run_experiment(

@@ -5,6 +5,7 @@ taking defaults.
 """
 
 import json
+import math
 from typing import Any, Iterable
 
 from .errors import DocumentFormatError
@@ -41,9 +42,16 @@ def check_fields(
 
 
 def as_number(value: Any, context: str) -> float:
+    """A JSON number as a finite float: not NaN, Infinity or an integer too large for one."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentFormatError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        if math.isfinite(value):
+            return float(value)
+        shown = repr(value)
+    except OverflowError:
+        shown = "an integer too large for a float"
+    raise DocumentFormatError(f"{context}: expected a finite number, got {shown}")
 
 
 def as_int(value: Any, context: str) -> int:

@@ -85,10 +85,15 @@ def aggregate(values: list[float], aggregator: Aggregator) -> float:
 
 
 def check_finite(config, names: tuple[str, ...]) -> None:
-    """Reject a nan or infinite value in any of the named numeric fields."""
+    """Reject a nan or infinite value, or an integer too large for a float,
+    in any of the named numeric fields."""
     for name in names:
         value = getattr(config, name)
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite, value = False, "an integer too large for a float"
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -171,36 +171,33 @@ def rank_regions(
     candidate graph is scored from its unique (endpoint, hub) pairs, weighted
     by the number of edges each carries, without building the edges. The
     store keys every metric by the unordered pair, so the workflow's legs
-    are folded once per ranking, and each region's pairs are built once and
-    serve every metric.
+    are folded once per ranking and each region's pairs built once. Each
+    metric is one batch over the pairs of the regions it scores: all of them
+    for distance, the shortlist in distance order for ping and HTTP.
     """
     if Metric.DISTANCE not in providers:
         raise ValueError("a distance provider is required for shortlisting")
 
     legs = fold_legs(hub_legs(spec))
+    pairs_of = {region.id: weighted_pairs(legs, region.probe_host) for region in catalog.regions}
 
-    def score(region_id: str, metric: Metric, pairs: dict[Pair, int]) -> GraphScore:
-        measured = collect_measurements(store, list(pairs), metric, providers[metric], max_parallel)
-        return score_pairs(region_id, metric, pairs, measured, config.failure_penalty)
+    def scored(metric: Metric, region_ids: list[str]) -> dict[str, GraphScore]:
+        if metric not in providers:
+            return {}
+        batch = [pair for region_id in region_ids for pair in pairs_of[region_id]]
+        measured = collect_measurements(store, batch, metric, providers[metric], max_parallel)
+        return {
+            region_id: score_pairs(region_id, metric, pairs_of[region_id], measured,
+                                   config.failure_penalty)
+            for region_id in region_ids
+        }
 
-    region_pairs: dict[str, dict[Pair, int]] = {}
-    distance_scores: dict[str, GraphScore] = {}
-    for region in catalog.regions:
-        pairs = region_pairs[region.id] = weighted_pairs(legs, region.probe_host)
-        distance_scores[region.id] = score(region.id, Metric.DISTANCE, pairs)
+    distance_scores = scored(Metric.DISTANCE, list(pairs_of))
     n = min(config.shortlist_n or len(catalog.regions), len(catalog.regions))
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)
 
-    def scored(metric: Metric) -> dict[str, GraphScore]:
-        if metric not in providers:
-            return {}
-        return {
-            region_id: score(region_id, metric, region_pairs[region_id])
-            for region_id in shortlisted_ids
-        }
-
-    ping_scores = scored(Metric.PING)
-    http_scores = scored(Metric.HTTP_RTT)
+    ping_scores = scored(Metric.PING, shortlisted_ids)
+    http_scores = scored(Metric.HTTP_RTT, shortlisted_ids)
 
     def combined(region_id: str) -> float:
         ping = ping_scores.get(region_id)

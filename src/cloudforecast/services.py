@@ -28,7 +28,24 @@ MAX_BYTES = 1 << 30  # node: payload size
 
 
 class _JsonRequestHandler(BaseHTTPRequestHandler):
+    """Answers /v1/health, a path of `routes` (path -> method that sends the
+    answer), or 404; a bad or missing parameter is answered with 400."""
+
     protocol_version = "HTTP/1.1"
+    routes: dict[str, Callable] = {}
+
+    def do_GET(self):
+        path = urlparse(self.path).path
+        route = self.routes.get(path)
+        try:
+            if path == "/v1/health":
+                self.send_json(200, {"ok": True})
+            elif route is not None:
+                route(self)
+            else:
+                self.send_json(404, {"ok": False, "error": f"unknown path {path}"})
+        except (ValueError, KeyError) as exc:
+            self.send_json(400, {"ok": False, "error": str(exc)})
 
     def log_message(self, format, *args):  # quiet by default
         pass
@@ -59,52 +76,28 @@ class _JsonRequestHandler(BaseHTTPRequestHandler):
 class AgentHandler(_JsonRequestHandler):
     """Probes targets on behalf of a remote analyzer."""
 
-    def do_GET(self):
-        path = urlparse(self.path).path
-        try:
-            if path == "/v1/health":
-                self.send_json(200, {"ok": True})
-            elif path == "/v1/ping":
-                self.send_json(200, self._ping())
-            elif path == "/v1/http":
-                self.send_json(200, self._http())
-            else:
-                self.send_json(404, {"ok": False, "error": f"unknown path {path}"})
-        except (ValueError, KeyError) as exc:
-            self.send_json(400, {"ok": False, "error": str(exc)})
-
-    def _ping(self) -> dict:
+    def _ping(self) -> None:
         params = self.query()
         host = params["host"]
         prober: EchoProber = self.server.prober  # type: ignore[attr-defined]
-        return self._sampled(params, lambda timeout_s: prober.probe(host, timeout_s))
+        self._sampled(params, lambda timeout_s: prober.probe(host, timeout_s))
 
-    def _http(self) -> dict:
+    def _http(self) -> None:
         params = self.query()
         url = as_url(params["url"])
-        return self._sampled(params, lambda timeout_s: http_get_ms(url, timeout_s))
+        self._sampled(params, lambda timeout_s: http_get_ms(url, timeout_s))
 
-    def _sampled(self, params: dict, probe: Callable[[float], float | None]) -> dict:
+    def _sampled(self, params: dict, probe: Callable[[float], float | None]) -> None:
         samples = self.int_param(params, "samples", 5, MAX_SAMPLES, minimum=1)
         timeout_s = self.int_param(params, "timeout_ms", 3000, MAX_TIMEOUT_MS, minimum=1) / 1000.0
         rtts = sample_rtts(lambda: probe(timeout_s), samples)
-        return {"ok": bool(rtts), "rtts_ms": rtts, "failures": samples - len(rtts)}
+        self.send_json(200, {"ok": bool(rtts), "rtts_ms": rtts, "failures": samples - len(rtts)})
+
+    routes = {"/v1/ping": _ping, "/v1/http": _http}
 
 
 class StubNodeHandler(_JsonRequestHandler):
     """Minimal workflow node: burns service time, then emits a payload."""
-
-    def do_GET(self):
-        path = urlparse(self.path).path
-        try:
-            if path == "/v1/health":
-                self.send_json(200, {"ok": True})
-            elif path == "/work":
-                self._work()
-            else:
-                self.send_json(404, {"ok": False, "error": f"unknown path {path}"})
-        except (ValueError, KeyError) as exc:
-            self.send_json(400, {"ok": False, "error": str(exc)})
 
     def _work(self):
         params = self.query()
@@ -121,6 +114,8 @@ class StubNodeHandler(_JsonRequestHandler):
             chunk = os.urandom(min(remaining, 65536))
             self.wfile.write(chunk)
             remaining -= len(chunk)
+
+    routes = {"/work": _work}
 
 
 class _Server(ThreadingHTTPServer):

@@ -5,6 +5,7 @@ that tests cross-check rather than mirror the production code paths.
 """
 
 import itertools
+import json
 import math
 
 from hypothesis import strategies as st
@@ -73,6 +74,26 @@ def fold_pairs(pairs: dict[Pair, int]) -> dict[Pair, int]:
         kept = first.setdefault(frozenset(pair), pair)
         folded[kept] = folded.get(kept, 0) + n
     return folded
+
+
+# JSON number texts a document must not take for a float, and how the error shows each
+NON_FINITE = {
+    "nan": ("NaN", "nan"),
+    "inf": ("Infinity", "inf"),
+    "-inf": ("-Infinity", "-inf"),
+    "huge": ("1" + "0" * 400, "an integer too large for a float"),
+}
+
+
+def with_raw_value(document: str, path: tuple, raw: str) -> str:
+    """The JSON document with the value at `path` (keys and indexes) replaced
+    by the raw number text, which `json.dumps` could not write."""
+    doc = json.loads(document)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = "@raw@"
+    return json.dumps(doc).replace('"@raw@"', raw)
 
 
 def fixed_value_provider(

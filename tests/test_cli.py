@@ -6,6 +6,7 @@ import pytest
 from cloudforecast import Coordinate, default_region_catalog, haversine_km, parse_workflow
 from cloudforecast.cli import main
 from conftest import FIG1_DOC
+from helpers import NON_FINITE, with_raw_value
 
 
 def run_cli(argv, capsys):
@@ -522,6 +523,41 @@ def test_non_finite_setting_exits_2(fig1_file, capsys, flag, field, value):
     assert code == 2
     assert out == ""
     assert f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("field", ["samples_per_pair", "max_parallel_probes"])
+def test_an_integer_setting_too_large_for_a_float_exits_2(fig1_file, no_setting_env, tmp_path,
+                                                          capsys, monkeypatch, source, field):
+    huge = "1" + "0" * 400
+    argv = ["analyze", "-w", fig1_file]
+    if source == "flag":
+        argv += ["--" + field.replace("_", "-"), huge]
+    elif source == "env":
+        monkeypatch.setenv("CLOUDFORECAST_" + field.upper(), huge)
+    else:
+        config = tmp_path / "conf.json"
+        config.write_text(f'{{"{field}": {huge}}}')
+        argv += ["--config", str(config)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {field} must be finite, got an integer too large for a float\n"
+
+
+@pytest.mark.parametrize("raw, shown", NON_FINITE.values(), ids=list(NON_FINITE))
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_a_workflow_number_that_is_not_a_finite_float_exits_2_naming_the_field(
+    fig1_file, no_setting_env, capsys, command, raw, shown
+):
+    with open(fig1_file) as f:
+        doc = f.read()
+    with open(fig1_file, "w") as f:
+        f.write(with_raw_value(doc, ("nodes", 1, "service_time_ms"), raw))
+    argv = [command, "-w", fig1_file] + (["--vantage", "us-east-1"] if command == "simulate" else [])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: {fig1_file}: nodes[1].service_time_ms: "
+                   f"expected a finite number, got {shown}\n")
 
 
 def test_corrupt_cache_file_exits_2_naming_file_and_line(fig1_file, tmp_path, capsys):

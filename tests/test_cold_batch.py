@@ -1,16 +1,19 @@
 """The cold batch path: a ranking folds the workflow's legs once instead of
-each region's pairs, the synthetic batch provider checks a batch's values
-once by the rule every `Measurement` keeps, and a batch whose pairs are each
-their own miss is returned without regrouping."""
+each region's pairs and measures each metric as one batch over every region
+it scores, the synthetic batch provider checks a batch's values once by the
+rule every `Measurement` keeps, and a batch whose pairs are each their own
+miss is returned without regrouping."""
 
+import concurrent.futures
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import measurement, scoring
+from cloudforecast import default_region_catalog, measurement, parse_workflow, scoring
 from cloudforecast.candidates import Metric, hub_legs, weighted_pairs
+from cloudforecast.cli import main
 from cloudforecast.geo import Coordinate, LocationTable, Region, RegionCatalog
 from cloudforecast.measurement import (
     Measurement,
@@ -23,7 +26,8 @@ from cloudforecast.measurement import (
 )
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
-from helpers import SUBSETS, fold_pairs, synthetic_inputs
+from conftest import FIG1_DOC
+from helpers import SUBSETS, canonical_key, fold_pairs, synthetic_inputs
 
 ENDPOINTS = ["e0", "e1", "e2", "hub"]
 
@@ -103,16 +107,74 @@ def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, s
     def keys(region_id):  # one pair per store key, as the per-hub oracle folds them
         return list(fold_pairs(weighted_pairs(legs, catalog.by_id(region_id).probe_host)))
 
-    # distance for every region in catalog order, then each other metric for the
-    # shortlist in distance order
+    # one lookup per metric: distance over every region in catalog order, then
+    # each other metric over the shortlist in distance order, the regions'
+    # folded pairs concatenated
     shortlist = sorted((e for e in report.entries if e.shortlisted),
                        key=lambda e: (e.distance_score.value, e.region))
-    expected = [(Metric.DISTANCE, keys(region_id)) for region_id in catalog.ids] + [
-        (metric, keys(e.region))
+    expected = [(Metric.DISTANCE, [pair for region_id in catalog.ids for pair in keys(region_id)])]
+    expected += [
+        (metric, [pair for e in shortlist for pair in keys(e.region)])
         for metric in (Metric.PING, Metric.HTTP_RTT) if metric in metrics
-        for e in shortlist
     ]
     assert lookups == expected
+
+
+def _ranked(report):
+    """Everything a ranking reports but its time, with each score to the bit."""
+    def exact(score):
+        return None if score is None else (score.metric, score.value.hex(), score.failed_edges)
+
+    return [(e.rank, e.region, e.shortlisted, e.final_score.hex(), exact(e.distance_score),
+             exact(e.ping_score), exact(e.http_score)) for e in report.entries], report.provenance
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    inputs=synthetic_inputs(),
+    subset=st.sampled_from(sorted(SUBSETS)),
+    shortlist_n=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+    data=st.data(),
+)
+def test_permuting_the_catalog_leaves_the_ranking_unchanged(inputs, subset, shortlist_n, data):
+    spec, catalog = inputs
+    shuffled = RegionCatalog(tuple(data.draw(st.permutations(catalog.regions))))
+    reports = []
+    for regions in (catalog, shuffled):
+        synthetic = synthetic_providers(SyntheticNetworkModel(),
+                                        measurement.location_index(spec, regions))
+        reports.append(rank_regions(spec, regions, MeasurementStore(),
+                                    {metric: synthetic[metric] for metric in SUBSETS[subset]},
+                                    ScoringConfig(shortlist_n=shortlist_n)))
+    assert _ranked(reports[0]) == _ranked(reports[1])
+
+
+# -- one probe pool per metric in the live modes ------------------------------------
+
+@pytest.mark.parametrize("command", ["analyze", "probe"])
+def test_a_local_run_builds_one_pool_per_metric_and_probes_each_key_once(command, fig1_file,
+                                                                         capsys, monkeypatch):
+    pools, pinged, fetched = [], [], []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(measurement.EchoProber, "probe",
+                        lambda self, host, timeout_s: pinged.append(host) or 1.0)
+    monkeypatch.setattr(measurement, "http_get_ms",
+                        lambda url, timeout_s: fetched.append(url) or 2.0)
+    code = main([command, "-w", fig1_file, "--probe-mode", "local", "--samples-per-pair", "1",
+                 "--max-parallel-probes", "8"])
+    assert code == 0, capsys.readouterr().err
+
+    assert len(pools) <= len(Metric)
+    spec, catalog = parse_workflow(FIG1_DOC), default_region_catalog()
+    keys = {canonical_key(pair, Metric.PING) for region in catalog.regions
+            for pair in weighted_pairs(hub_legs(spec), region.probe_host)}
+    assert len(pinged) == len(fetched) == len(keys)
 
 
 # -- one check per batch --------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cloudforecast import (
     CatalogError,
     Coordinate,
+    DocumentFormatError,
     LocationTable,
     UnknownLocationError,
     default_region_catalog,
@@ -17,7 +18,7 @@ from cloudforecast import (
     resolve_location,
 )
 from cloudforecast.geo import EARTH_RADIUS_KM, host_of
-from helpers import slc_km
+from helpers import NON_FINITE, slc_km, with_raw_value
 
 LONDON = Coordinate(51.5074, -0.1278)
 PARIS = Coordinate(48.8566, 2.3522)
@@ -144,6 +145,14 @@ def test_catalog_duplicate_id_rejected():
     ]}"""
     with pytest.raises(CatalogError, match="duplicate"):
         load_region_catalog(doc)
+
+
+@pytest.mark.parametrize("raw, shown", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_catalog_rejects_a_lat_that_is_not_a_finite_float(raw, shown):
+    doc = json.dumps({"regions": [{"id": "r", "probe_host": "r.example.org", "lat": 1, "lon": 2}]})
+    with pytest.raises(DocumentFormatError) as info:
+        load_region_catalog(with_raw_value(doc, ("regions", 0, "lat"), raw))
+    assert str(info.value) == f"regions[0].lat: expected a finite number, got {shown}"
 
 
 def test_catalog_empty_rejected():

@@ -452,6 +452,12 @@ def test_configs_reject_non_finite_values(config, field, value):
         config()._replace(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["samples_per_pair", "max_parallel_probes"])
+def test_probe_config_rejects_an_integer_too_large_for_a_float(field):
+    with pytest.raises(ValueError, match=f"{field} must be finite, got an integer too large"):
+        ProbeConfig(**{field: 10**400})
+
+
 def test_provider_invocations_bounded_by_distinct_keys():
     import random as _random
 

@@ -19,7 +19,8 @@ from cloudforecast import (
     topological_order,
     validate_dag,
 )
-from helpers import all_topological_orders
+from conftest import FIG1_DOC
+from helpers import NON_FINITE, all_topological_orders, with_raw_value
 
 POOL = default_node_pool()
 
@@ -105,6 +106,30 @@ def test_parse_rejects_out_of_range_location():
     )
     with pytest.raises(SpecValidationError, match="latitude"):
         parse_workflow(doc)
+
+
+@pytest.mark.parametrize("raw, shown", NON_FINITE.values(), ids=list(NON_FINITE))
+@pytest.mark.parametrize("path, field", [
+    (("nodes", 1, "service_time_ms"), "nodes[1].service_time_ms"),
+    (("edges", 0, "payload_kb"), "edges[0].payload_kb"),
+    (("nodes", 1, "location", "lat"), "nodes[1].location.lat"),
+])
+def test_parse_rejects_a_number_that_is_not_a_finite_float(path, field, raw, shown):
+    doc = with_raw_value(FIG1_DOC, path, raw)
+    with pytest.raises(DocumentFormatError) as info:
+        parse_workflow(doc)
+    assert str(info.value) == f"{field}: expected a finite number, got {shown}"
+
+
+@pytest.mark.parametrize("raw, shown", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_a_pool_node_rejects_a_number_that_is_not_a_finite_float(raw, shown):
+    from cloudforecast.workflow import parse_node_pool
+
+    pool = json.dumps({"nodes": [{"id": "A", "endpoint": "a.example.org", "role": "service",
+                                  "service_time_ms": 5}]})
+    with pytest.raises(DocumentFormatError) as info:
+        parse_node_pool(with_raw_value(pool, ("nodes", 0, "service_time_ms"), raw))
+    assert str(info.value) == f"nodes[0].service_time_ms: expected a finite number, got {shown}"
 
 
 def test_parse_rejects_missing_required_field():
