@@ -3,7 +3,7 @@
 Every data-flow edge (u, v) is split into two legs routed through the
 candidate region's orchestrator: u -> region and region -> v, so each
 candidate graph is a star around the region. Scoring needs only each graph's
-unique endpoint pairs and how many edges share each (`hub_legs`,
+pairs, one per unordered pair, and how many edges share each (`hub_legs`,
 `weighted_pairs`); the edge lists remain as the debug view.
 """
 
@@ -94,25 +94,24 @@ Legs = dict[tuple[str, bool], int]
 
 
 def hub_legs(spec: WorkflowSpec) -> Legs:
-    """The legs of every workflow edge routed through a hub, as
-    (endpoint, to_hub) -> multiplicity, in first-seen edge order."""
+    """The legs of every workflow edge routed through a hub, one per endpoint,
+    as (endpoint, to_hub) -> multiplicity in first-seen edge order. Every
+    metric is keyed by the unordered pair, and an endpoint's two legs are
+    reversed pairs around any hub, so its second direction is counted in the
+    first one seen."""
     endpoint = {node.id: node.endpoint for node in spec.nodes}
     legs: Legs = {}
     for origin in spec.edges:
-        for leg in ((endpoint[origin.src], True), (endpoint[origin.dst], False)):
+        for end, to_hub in ((endpoint[origin.src], True), (endpoint[origin.dst], False)):
+            leg = (end, not to_hub) if (end, not to_hub) in legs else (end, to_hub)
             legs[leg] = legs.get(leg, 0) + 1
     return legs
 
 
 def weighted_pairs(legs: Legs, hub: str) -> dict[Pair, int]:
-    """Unique measurement pairs of the candidate graph around `hub`, each with
-    the number of its candidate edges, in `measurement_pairs` order. An
-    endpoint equal to the hub merges its two legs into one (hub, hub) pair."""
-    pairs: dict[Pair, int] = {}
-    for (endpoint, to_hub), n in legs.items():
-        pair = (endpoint, hub) if to_hub else (hub, endpoint)
-        pairs[pair] = pairs.get(pair, 0) + n
-    return pairs
+    """The measurement pairs of the candidate graph around `hub`, one per
+    store key, each with the number of its candidate edges."""
+    return {((end, hub) if to_hub else (hub, end)): n for (end, to_hub), n in legs.items()}
 
 
 def dump_graph(graph: CandidateGraph) -> str:

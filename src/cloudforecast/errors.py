@@ -26,7 +26,7 @@ class CatalogError(CloudForecastError):
 
 
 class UnknownLocationError(CloudForecastError):
-    """No coordinate is known for an endpoint and no fallback was given."""
+    """No coordinate is known for an endpoint."""
 
 
 class MissingMeasurementError(CloudForecastError):

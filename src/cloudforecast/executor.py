@@ -91,7 +91,7 @@ def simulate_execution(
     coords = {}
     service: dict[str, float] = {}
     for node in spec.nodes:
-        coords[node.id] = resolve_location(node.endpoint, locations, fallback=node.location)
+        coords[node.id] = resolve_location(node.endpoint, locations)
         service[node.id] = node.service_time_ms
 
     def leg_ms(a: Coordinate, b: Coordinate) -> float:

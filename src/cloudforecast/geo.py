@@ -101,10 +101,10 @@ class LocationTable:
     def get(self, host: str) -> Coordinate | None:
         return self.entries.get(host.lower())
 
-    def locate(self, endpoint: str, fallback: Coordinate | None = None) -> Coordinate:
-        """Geolocate an endpoint, falling back when allowed. An endpoint string
-        found in the table is parsed only the first time; concurrent first
-        lookups may both parse it and store the same coordinate."""
+    def locate(self, endpoint: str) -> Coordinate:
+        """Geolocate an endpoint. An endpoint string found in the table is
+        parsed only the first time; concurrent first lookups may both parse
+        it and store the same coordinate."""
         coord = self._located.get(endpoint)
         if coord is not None:
             return coord
@@ -113,8 +113,6 @@ class LocationTable:
         if coord is not None:
             self._located[endpoint] = coord
             return coord
-        if fallback is not None:
-            return fallback
         raise UnknownLocationError(f"no known location for host '{host}'")
 
 
@@ -137,13 +135,9 @@ def host_of(endpoint: str) -> str:
     return parsed.hostname
 
 
-def resolve_location(
-    endpoint: str,
-    table: LocationTable,
-    fallback: Coordinate | None = None,
-) -> Coordinate:
-    """Geolocate an endpoint via the table, falling back when allowed."""
-    return table.locate(endpoint, fallback)
+def resolve_location(endpoint: str, table: LocationTable) -> Coordinate:
+    """Geolocate an endpoint via the table."""
+    return table.locate(endpoint)
 
 
 def load_region_catalog(document: str) -> RegionCatalog:

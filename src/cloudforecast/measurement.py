@@ -18,7 +18,7 @@ import time
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
-from .candidates import Legs, Metric, Pair
+from .candidates import Metric, Pair
 from .errors import DocumentFormatError
 from .geo import (
     LocationTable,
@@ -29,7 +29,7 @@ from .geo import (
 )
 from .jsondoc import check_fields
 from .records import Checked
-from .workflow import WorkflowSpec, node_locations
+from .workflow import WorkflowSpec
 
 PairProvider = Callable[[Pair], "Measurement"]
 
@@ -84,6 +84,9 @@ def aggregate(values: list[float], aggregator: Aggregator) -> float:
     return min(values)
 
 
+_TOO_LARGE = "an integer too large for a float"
+
+
 def check_finite(config, names: tuple[str, ...]) -> None:
     """Reject a nan or infinite value, or an integer too large for a float,
     in any of the named numeric fields."""
@@ -92,7 +95,7 @@ def check_finite(config, names: tuple[str, ...]) -> None:
         try:
             finite = math.isfinite(value)
         except OverflowError:
-            finite, value = False, "an integer too large for a float"
+            finite, value = False, _TOO_LARGE
         if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
@@ -167,14 +170,19 @@ def check_measured(values, samples, success, taken_at) -> None:
         raise ValueError("samples must be >= 1")
     if success is not True and success is not False:
         raise ValueError(f"success must be true or false, got {success!r}")
-    # the sum of finite values overflows only past 1.7e308: then each is checked
-    if success and not _isfinite(sum(values)) and not all(map(_isfinite, values)):
-        bad = next(value for value in values if not _isfinite(value))
-        raise ValueError(f"successful measurement value must be finite, got {bad}")
+    try:
+        # the sum of finite values overflows only past 1.7e308: then each is checked
+        if success and not _isfinite(sum(values)) and not all(map(_isfinite, values)):
+            bad = next(value for value in values if not _isfinite(value))
+            raise ValueError(f"successful measurement value must be finite, got {bad}")
+    except OverflowError:  # an integer value past the float range
+        raise ValueError(f"successful measurement value must be finite, got {_TOO_LARGE}") from None
     try:
         finite = _isfinite(taken_at)
     except TypeError:
         finite = False
+    except OverflowError:
+        raise ValueError(f"taken_at must be a finite number, got {_TOO_LARGE}") from None
     if not finite:  # a nan time would never expire: `age > ttl` is always false
         raise ValueError(f"taken_at must be a finite number, got {taken_at!r}")
 
@@ -230,21 +238,6 @@ class SyntheticNetworkModel(Checked, _SyntheticNetworkModelFields):
 
     def http_ms(self, km: float) -> float:
         return self.ping_ms(km) + self.http_overhead_ms
-
-
-def fold_legs(legs: Legs) -> Legs:
-    """The legs with an endpoint's two directions merged into the one seen
-    first, multiplicities summed. Every metric is keyed by the unordered
-    pair, and an endpoint's two legs are reversed pairs around any hub, so a
-    ranking folds the legs once and every region's weighted pairs come out
-    one per store key."""
-    folded: Legs = {}
-    for (endpoint, to_hub), n in legs.items():
-        if (endpoint, not to_hub) in folded:
-            folded[(endpoint, not to_hub)] += n
-        else:
-            folded[(endpoint, to_hub)] = n
-    return folded
 
 
 class MeasurementStore:
@@ -430,10 +423,11 @@ def _bad_record(record, where: str, exc: Exception) -> DocumentFormatError:
 
 def location_index(spec: WorkflowSpec, catalog: RegionCatalog | None = None) -> LocationTable:
     """Host -> coordinate table over workflow nodes and (optionally) catalog regions."""
+    node_entries = ((n.endpoint, n.location) for n in spec.nodes if n.location is not None)
     region_entries = (
         ((r.probe_host, r.location) for r in catalog.regions) if catalog else ()
     )
-    return build_location_table(node_locations(spec), region_entries)
+    return build_location_table(node_entries, region_entries)
 
 
 def measure_distance(pair: Pair, locations: LocationTable) -> Measurement:
@@ -667,14 +661,6 @@ class AgentClient:
         # decoded here, so a body that is not JSON raises json's own error,
         # not requests' (which is also a transport error)
         return json.loads(response.content)
-
-    def health(self) -> bool:
-        try:
-            reply = self._call("/v1/health", {})
-        except (_requests().RequestException, ValueError):
-            return False
-        # JSON that is not an object (a list, a string, null) is no health reply
-        return isinstance(reply, dict) and bool(reply.get("ok"))
 
     def ping(self, host: str, samples: int, timeout_ms: float) -> dict:
         return self._call(

@@ -15,7 +15,6 @@ from .measurement import (
     PairProvider,
     check_finite,
     collect_measurements,
-    fold_legs,
 )
 from .records import Checked
 from .workflow import WorkflowSpec
@@ -169,16 +168,16 @@ def rank_regions(
     mandatory because shortlisting is built on it. Non-shortlisted regions
     are ranked after shortlisted ones by their distance score. A region's
     candidate graph is scored from its unique (endpoint, hub) pairs, weighted
-    by the number of edges each carries, without building the edges. The
-    store keys every metric by the unordered pair, so the workflow's legs
-    are folded once per ranking and each region's pairs built once. Each
-    metric is one batch over the pairs of the regions it scores: all of them
-    for distance, the shortlist in distance order for ping and HTTP.
+    by the number of edges each carries, without building the edges: the
+    workflow's legs are counted once per ranking, one per store key, and
+    each region's pairs built once. Each metric is one batch over the pairs
+    of the regions it scores: all of them for distance, the shortlist in
+    distance order for ping and HTTP.
     """
     if Metric.DISTANCE not in providers:
         raise ValueError("a distance provider is required for shortlisting")
 
-    legs = fold_legs(hub_legs(spec))
+    legs = hub_legs(spec)
     pairs_of = {region.id: weighted_pairs(legs, region.probe_host) for region in catalog.regions}
 
     def scored(metric: Metric, region_ids: list[str]) -> dict[str, GraphScore]:
@@ -237,30 +236,17 @@ def rank_regions(
         "metrics": sorted(m.value for m in providers),
         "cache_entries": len(store),
     }
-    config_echo = {
-        "shortlist_n": config.shortlist_n,
-        "weight_ping": config.weight_ping,
-        "weight_http": config.weight_http,
-        "failure_penalty": config.failure_penalty,
-    }
     return RankingReport(
         workflow=spec.name,
         entries=entries,
-        config=config_echo,
+        config=config._asdict(),
         provenance=provenance,
         generated_at=time.time(),
     )
 
 
 def _score_to_json(score: GraphScore | None) -> dict | None:
-    if score is None:
-        return None
-    return {
-        "region": score.region,
-        "metric": score.metric.value,
-        "value": score.value,
-        "failed_edges": score.failed_edges,
-    }
+    return None if score is None else score._asdict()
 
 
 def report_to_json(report: RankingReport) -> str:

@@ -59,18 +59,6 @@ class WorkflowSpec(NamedTuple):
     nodes: tuple[WorkflowNode, ...] = ()
     edges: tuple[WorkflowEdge, ...] = ()
 
-    def node(self, node_id: str) -> WorkflowNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
-    def in_edges(self, node_id: str) -> list[WorkflowEdge]:
-        return [e for e in self.edges if e.dst == node_id]
-
-    def out_edges(self, node_id: str) -> list[WorkflowEdge]:
-        return [e for e in self.edges if e.src == node_id]
-
 
 def _node_violations(nodes: Iterable[WorkflowNode], label: str) -> list[str]:
     """Empty or duplicate ids, empty endpoints and negative service times."""
@@ -326,10 +314,3 @@ def generate_random_workflow(
     if violations:  # pragma: no cover - generator guarantees validity
         raise SpecValidationError("generated workflow invalid: " + "; ".join(violations))
     return spec
-
-
-def node_locations(spec: WorkflowSpec) -> Iterable[tuple[str, Coordinate]]:
-    """(endpoint, coordinate) pairs for every located node."""
-    for node in spec.nodes:
-        if node.location is not None:
-            yield node.endpoint, node.location

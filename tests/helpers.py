@@ -67,13 +67,24 @@ def canonical_key(pair: Pair, metric: Metric) -> tuple[str, str, Metric]:
 
 def fold_pairs(pairs: dict[Pair, int]) -> dict[Pair, int]:
     """Merge each pair into the first-seen pair with the same endpoints,
-    summing multiplicities: one entry per store key (oracle for `fold_legs`)."""
+    summing multiplicities: one entry per store key."""
     first: dict[frozenset, Pair] = {}
     folded: dict[Pair, int] = {}
     for pair, n in pairs.items():
         kept = first.setdefault(frozenset(pair), pair)
         folded[kept] = folded.get(kept, 0) + n
     return folded
+
+
+def folded_hub_pairs(spec: WorkflowSpec, hub: str) -> dict[Pair, int]:
+    """Every edge's two legs around the hub as pairs, folded by `fold_pairs`
+    (oracle for `weighted_pairs(hub_legs(spec), hub)`)."""
+    endpoint = {node.id: node.endpoint for node in spec.nodes}
+    pairs: dict[Pair, int] = {}
+    for edge in spec.edges:
+        for pair in ((endpoint[edge.src], hub), (hub, endpoint[edge.dst])):
+            pairs[pair] = pairs.get(pair, 0) + 1
+    return fold_pairs(pairs)
 
 
 # JSON number texts a document must not take for a float, and how the error shows each

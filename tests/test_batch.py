@@ -28,7 +28,7 @@ from cloudforecast.measurement import (
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import parse_workflow
 from conftest import FIG1_DOC
-from helpers import canonical_key, fold_pairs
+from helpers import canonical_key, folded_hub_pairs
 
 MODEL = SyntheticNetworkModel()
 
@@ -277,9 +277,8 @@ def test_a_synthetic_ranking_computes_each_distance_once(fig1_spec, catalog, mon
     store = MeasurementStore()
     providers = synthetic_providers(MODEL, location_index(fig1_spec, catalog))
     rank_regions(fig1_spec, catalog, store, providers, ScoringConfig(shortlist_n=shortlist_n))
-    legs = hub_legs(fig1_spec)
     distinct = {pair for region in catalog.regions
-                for pair in fold_pairs(weighted_pairs(legs, region.probe_host))}
+                for pair in folded_hub_pairs(fig1_spec, region.probe_host)}
     assert len(calls) == len(distinct)
 
 
@@ -319,8 +318,8 @@ def workflow(request, tmp_path):
 
 
 def _probe_lines(spec, catalog, store):
-    """`probe`'s lines from the per-pair model, with both directions of a pair
-    showing the measurement of the first one seen."""
+    """`probe`'s lines from the per-pair model: one line per store key, in
+    the direction its legs were first seen."""
     locations = location_index(spec, catalog)
     legs = hub_legs(spec)
     lines = []

@@ -1,10 +1,20 @@
 import json
 import os
+import zlib
+from collections import Counter
 
 import pytest
 
-from cloudforecast import Coordinate, default_region_catalog, haversine_km, parse_workflow
+from cloudforecast import (
+    Coordinate,
+    default_region_catalog,
+    haversine_km,
+    measurement,
+    parse_workflow,
+)
 from cloudforecast.cli import main
+from cloudforecast.geo import host_of
+from cloudforecast.measurement import EchoProber, as_url
 from conftest import FIG1_DOC
 from helpers import NON_FINITE, with_raw_value
 
@@ -460,8 +470,31 @@ def test_probe_prints_measurements(fig1_file, capsys):
     code, out, _ = run_cli(["probe", "-w", fig1_file, "--metrics", "distance"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 8 * 4  # 8 regions x 4 pairs
+    assert len(lines) == 8 * 3  # 8 regions x 3 store keys
     assert all("ok" in line for line in lines)
+
+
+def test_local_probe_prints_each_measured_pair_once_with_its_destinations_answer(
+        fig1_file, capsys, monkeypatch):
+    def answer(name):  # a different round trip for each host or URL
+        return 1.0 + zlib.crc32(name.encode()) % 100
+
+    monkeypatch.setattr(EchoProber, "mode", "icmp")
+    monkeypatch.setattr(EchoProber, "probe", lambda self, host, timeout_s: answer(host))
+    monkeypatch.setattr(measurement, "http_get_ms", lambda url, timeout_s: answer(url))
+    code, out, err = run_cli(["probe", "-w", fig1_file, "--probe-mode", "local",
+                              "--samples-per-pair", "1"], capsys)
+    assert code == 0, err
+    keys = []
+    for line in out.splitlines():
+        metric, region, src, _, dst, value, _, _ = line.split()
+        keys.append((metric, region, frozenset((src, dst))))
+        if metric != "distance":  # the value probed is the destination's
+            probed = host_of(dst) if metric == "ping" else as_url(dst)
+            assert float(value) == answer(probed), line
+    # every (metric, region, store key) once: 8 regions x 3 keys per metric
+    assert len(keys) == len(set(keys)) == 8 * 3 * 3
+    assert Counter(metric for metric, _, _ in keys) == {"distance": 24, "ping": 24, "http_rtt": 24}
 
 
 def test_env_overrides_default_format(fig1_file, capsys, monkeypatch):
@@ -570,6 +603,24 @@ def test_corrupt_cache_file_exits_2_naming_file_and_line(fig1_file, tmp_path, ca
     code, out, err = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
     assert code == 2 and out == ""
     assert f"{cache}:2: unknown field(s): notes" in err
+
+
+@pytest.mark.parametrize("field, message", [
+    ("value", "successful measurement value must be finite"),
+    ("taken_at", "taken_at must be a finite number"),
+], ids=["huge-value", "huge-taken-at"])
+def test_a_cache_number_too_large_for_a_float_exits_2_naming_file_and_line(
+        fig1_file, tmp_path, capsys, field, message):
+    cache = tmp_path / "probes.cache"
+    code, _, _ = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
+    assert code == 0
+    raw, shown = NON_FINITE["huge"]
+    lines = cache.read_text().splitlines()
+    lines[1] = with_raw_value(lines[1], (field,), raw)
+    cache.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
+    assert code == 2 and out == ""
+    assert f"{cache}:2: {message}, got {shown}" in err and "Traceback" not in err
 
 
 def test_analyze_cache_rerun_leaves_the_file_untouched(fig1_file, tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""The cold batch path: a ranking folds the workflow's legs once instead of
-each region's pairs and measures each metric as one batch over every region
-it scores, the synthetic batch provider checks a batch's values once by the
-rule every `Measurement` keeps, and a batch whose pairs are each their own
-miss is returned without regrouping."""
+"""The cold batch path: a ranking counts the workflow's legs once, an
+endpoint's two directions folded into one, instead of folding each region's
+pairs, and measures each metric as one batch over every region it scores,
+the synthetic batch provider checks a batch's values once by the rule every
+`Measurement` keeps, and a batch whose pairs are each their own miss is
+returned without regrouping."""
 
 import concurrent.futures
 import math
@@ -21,43 +22,52 @@ from cloudforecast.measurement import (
     SyntheticNetworkModel,
     check_measured,
     collect_measurements,
-    fold_legs,
     synthetic_providers,
 )
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 from conftest import FIG1_DOC
-from helpers import SUBSETS, canonical_key, fold_pairs, synthetic_inputs
+from helpers import SUBSETS, canonical_key, folded_hub_pairs, synthetic_inputs
 
-ENDPOINTS = ["e0", "e1", "e2", "hub"]
-
-
-def _legs(draws):
-    """Legs as `hub_legs` builds them: multiplicities summed in first-seen order."""
-    legs = {}
-    for endpoint, to_hub in draws:
-        legs[(endpoint, to_hub)] = legs.get((endpoint, to_hub), 0) + 1
-    return legs
+# node id -> endpoint: "a" and "c" share one, and "hub" is also a hub drawn below
+NODES = {"a": "e0", "b": "e1", "c": "e0", "d": "hub", "f": "e2"}
 
 
-# -- folding the legs once ---------------------------------------------------------
+def _spec(edges):
+    return WorkflowSpec(name="legs",
+                        nodes=tuple(WorkflowNode(id=n, endpoint=e) for n, e in NODES.items()),
+                        edges=tuple(WorkflowEdge(src, dst) for src, dst in edges))
+
+
+# -- counting the legs once ---------------------------------------------------------
 
 @settings(max_examples=300, deadline=None)
 @given(
-    draws=st.lists(st.tuples(st.sampled_from(ENDPOINTS), st.booleans()), max_size=16),
-    hub=st.sampled_from(ENDPOINTS + ["other"]),
+    edges=st.lists(st.tuples(st.sampled_from(list(NODES)), st.sampled_from(list(NODES))),
+                   max_size=8),
+    hub=st.sampled_from(sorted(set(NODES.values())) + ["other"]),
 )
-def test_folding_the_legs_once_equals_folding_each_hubs_pairs(draws, hub):
-    # endpoints repeat, and "hub" is both an endpoint and, when drawn, the hub
-    legs = _legs(draws)
-    reference = fold_pairs(weighted_pairs(legs, hub))
-    assert list(weighted_pairs(fold_legs(legs), hub).items()) == list(reference.items())
+def test_counting_the_legs_once_equals_folding_each_hubs_pairs(edges, hub):
+    spec = _spec(edges)
+    reference = folded_hub_pairs(spec, hub)
+    assert list(weighted_pairs(hub_legs(spec), hub).items()) == list(reference.items())
 
 
-def test_fold_legs_keeps_the_first_seen_leg_and_sums():
-    legs = {("e", False): 2, ("f", True): 1, ("e", True): 3}
-    assert list(fold_legs(legs).items()) == [(("e", False), 5), (("f", True), 1)]
-    assert legs == {("e", False): 2, ("f", True): 1, ("e", True): 3}  # not folded in place
+def test_hub_legs_keeps_each_endpoints_first_seen_direction_and_sums():
+    # e is first seen as a destination, f as a source, g as a destination
+    spec = WorkflowSpec(name="dirs",
+                        nodes=tuple(WorkflowNode(id=n, endpoint=n) for n in "efg"),
+                        edges=(WorkflowEdge("f", "e"), WorkflowEdge("e", "g"),
+                               WorkflowEdge("e", "f"), WorkflowEdge("g", "e")))
+    assert list(hub_legs(spec).items()) == [(("f", True), 2), (("e", False), 4),
+                                            (("g", False), 2)]
+
+
+def test_hub_legs_counts_an_edge_between_two_nodes_of_one_endpoint_as_one_leg():
+    # "a" and "c" share e0, so the edge's to-hub and from-hub legs are one store key
+    legs = hub_legs(_spec([("a", "c"), ("c", "b")]))
+    assert list(legs.items()) == [(("e0", True), 3), (("e1", False), 1)]
+    assert list(weighted_pairs(legs, "hub").items()) == [(("e0", "hub"), 3), (("hub", "e1"), 1)]
 
 
 SPEC = WorkflowSpec(
@@ -70,16 +80,16 @@ SPEC = WorkflowSpec(
 
 
 @pytest.mark.parametrize("subset", sorted(SUBSETS))
-def test_a_ranking_folds_the_legs_once_and_no_regions_pairs(subset, monkeypatch):
+def test_a_ranking_counts_the_legs_once_and_folds_no_regions_pairs(subset, monkeypatch):
     catalog = RegionCatalog(tuple(
         Region(f"r{i}", f"r{i}.example.org", Coordinate(10 * i, -10 * i)) for i in range(4)
     ))
-    folds = []
-    monkeypatch.setattr(scoring, "fold_legs", lambda legs: folds.append(legs) or fold_legs(legs))
+    counted = []
+    monkeypatch.setattr(scoring, "hub_legs", lambda spec: counted.append(spec) or hub_legs(spec))
     synthetic = synthetic_providers(SyntheticNetworkModel(), measurement.location_index(SPEC, catalog))
     providers = {metric: synthetic[metric] for metric in SUBSETS[subset]}
     report = rank_regions(SPEC, catalog, MeasurementStore(), providers, ScoringConfig(shortlist_n=2))
-    assert folds == [hub_legs(SPEC)]
+    assert counted == [SPEC]
     assert len(report.entries) == 4
 
 
@@ -102,10 +112,9 @@ def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, s
         report = rank_regions(spec, catalog, MeasurementStore(),
                               {metric: synthetic[metric] for metric in metrics},
                               ScoringConfig(shortlist_n=shortlist_n))
-    legs = hub_legs(spec)
 
     def keys(region_id):  # one pair per store key, as the per-hub oracle folds them
-        return list(fold_pairs(weighted_pairs(legs, catalog.by_id(region_id).probe_host)))
+        return list(folded_hub_pairs(spec, catalog.by_id(region_id).probe_host))
 
     # one lookup per metric: distance over every region in catalog order, then
     # each other metric over the shortlist in distance order, the regions'
@@ -226,6 +235,10 @@ def test_check_measured_is_the_rule_of_every_field():
         (((math.nan,), 1, True, 0.0), "successful measurement value must be finite, got nan"),
         (((1.0,), 1, True, math.inf), "taken_at must be a finite number, got inf"),
         (((1.0,), 1, True, "now"), "taken_at must be a finite number, got 'now'"),
+        (((10**400,), 1, True, 0.0),
+         "successful measurement value must be finite, got an integer too large for a float"),
+        (((1.0,), 1, True, 10**400),
+         "taken_at must be a finite number, got an integer too large for a float"),
     ]:
         with pytest.raises(ValueError) as info:
             check_measured(*args)

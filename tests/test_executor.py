@@ -288,8 +288,8 @@ def test_live_execute_asks_each_node_for_its_service_time_and_out_bytes(monkeypa
     monkeypatch.setattr("cloudforecast.executor._fetch_node_output", fetch)
     live_execute(spec, {nid: "http://unused" for nid in "ABC"}, ProbeConfig())
     assert asked == {
-        nid: (spec.node(nid).service_time_ms,
-              int(sum(e.payload_kb for e in spec.out_edges(nid)) * 1024))
-        for nid in "ABC"
+        n.id: (n.service_time_ms,
+               int(sum(e.payload_kb for e in spec.edges if e.src == n.id) * 1024))
+        for n in spec.nodes
     }
     assert asked["A"] == (5, 1792) and asked["C"] == (11, 0)

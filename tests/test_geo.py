@@ -107,9 +107,8 @@ def test_resolve_location_direct_hit():
     assert resolve_location("http://host.a/x", table) == Coordinate(1, 2)
 
 
-def test_resolve_location_fallback_and_error():
+def test_resolve_location_error():
     empty = LocationTable({})
-    assert resolve_location("host.b", empty, fallback=Coordinate(0, 0)) == Coordinate(0, 0)
     with pytest.raises(UnknownLocationError):
         resolve_location("host.c", empty)
 
@@ -193,10 +192,8 @@ def test_locate_parses_each_endpoint_once(monkeypatch):
     assert parsed == ["http://Paris.example.org/run", "paris.example.org:8080"]
 
 
-def test_locate_never_remembers_a_fallback():
+def test_locate_raises_for_an_unknown_host():
     table = LocationTable({"paris.example.org": PARIS})
-    assert table.locate("lost.example.org", fallback=LONDON) == LONDON
-    assert table.locate("lost.example.org", fallback=PARIS) == PARIS
     with pytest.raises(UnknownLocationError, match="lost.example.org"):
         table.locate("lost.example.org")
 

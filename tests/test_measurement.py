@@ -28,7 +28,7 @@ from cloudforecast import (
 from cloudforecast.geo import EARTH_RADIUS_KM
 from cloudforecast.measurement import Aggregator, aggregate, collect_measurements
 from cloudforecast.services import make_node_server, start_in_thread
-from helpers import canonical_key, slc_km
+from helpers import NON_FINITE, canonical_key, slc_km
 
 TABLE = LocationTable(
     {
@@ -646,12 +646,15 @@ def test_agent_providers_reject_a_port_out_of_range(catalog, fig1_spec, port):
 
 
 # a cache record that would rank with a nan, count a string as a success or never expire
+HUGE, TOO_LARGE = NON_FINITE["huge"]
 POISONED = {
     "nan-value": ("value", "NaN", "successful measurement value must be finite, got nan"),
     "inf-value": ("value", "Infinity", "successful measurement value must be finite, got inf"),
     "string-success": ("success", '"false"', "success must be true or false, got 'false'"),
     "nan-taken-at": ("taken_at", "NaN", "taken_at must be a finite number, got nan"),
     "inf-taken-at": ("taken_at", "-Infinity", "taken_at must be a finite number, got -inf"),
+    "huge-value": ("value", HUGE, f"successful measurement value must be finite, got {TOO_LARGE}"),
+    "huge-taken-at": ("taken_at", HUGE, f"taken_at must be a finite number, got {TOO_LARGE}"),
 }
 
 

@@ -164,14 +164,8 @@ def test_bind_conflict_raises(node):
 
 def test_agent_client_wrapper(agent):
     client = AgentClient(f"http://{agent[0]}:{agent[1]}")
-    assert client.health() is True
     reply = client.ping("127.0.0.1", samples=2, timeout_ms=500)
     assert reply["ok"] and len(reply["rtts_ms"]) == 2
-
-
-def test_agent_client_health_false_when_down():
-    client = AgentClient("http://127.0.0.1:1", request_timeout_s=0.3)
-    assert client.health() is False
 
 
 def test_agent_providers_end_to_end(agent, node):
@@ -319,13 +313,6 @@ def test_an_agent_answer_that_is_not_json_is_a_failed_measurement(fixed_agent, m
     port = fixed_agent.server_address[1]
     m = _loopback_agent_providers(agent_port=port)[metric](("127.0.0.1", "target.example.org"))
     assert not m.success and m.note == note
-    assert AgentClient(f"http://127.0.0.1:{port}").health() is False
-
-
-@pytest.mark.parametrize("body", [b"[1]", b'"ok"', b"null"], ids=["list", "string", "null"])
-def test_a_health_answer_that_is_not_a_json_object_is_unhealthy(fixed_agent, body):
-    fixed_agent.reply = (200, body)
-    assert AgentClient(f"http://127.0.0.1:{fixed_agent.server_address[1]}").health() is False
 
 
 @pytest.mark.parametrize("metric", [Metric.PING, Metric.HTTP_RTT])

@@ -156,8 +156,6 @@ with pytest.MonkeyPatch.context() as mp:
     mp.setattr(executor, "requests", node_gets)
     assert measurement.http_get_ms("http://up.test/", 1.0) is not None
     assert measurement.http_get_ms("http://down.test/", 1.0) is None
-    assert measurement.AgentClient("http://up.test:9").health()
-    assert not measurement.AgentClient("http://down.test:9").health()
     assert ping(("up.test", "target.test")).success
     assert ping(("down.test", "target.test")).note == "agent/unreachable"
     assert ping(("refuses.test", "target.test")).note == "agent/http-503"
@@ -167,7 +165,6 @@ with pytest.MonkeyPatch.context() as mp:
 
 assert probe_gets.urls == [
     "http://up.test/", "http://down.test/",
-    "http://up.test:9/v1/health", "http://down.test:9/v1/health",
     "http://up.test:9/v1/ping", "http://down.test:9/v1/ping", "http://refuses.test:9/v1/ping",
 ], probe_gets.urls
 assert node_gets.urls == ["http://up.test/work", "http://down.test/work"], node_gets.urls
