@@ -11,7 +11,6 @@ import sys
 from typing import NamedTuple
 
 from .candidates import (
-    METRIC_ORDER,
     Metric,
     dump_graph,
     enumerate_candidates,
@@ -47,6 +46,7 @@ from .measurement import (
     collect_measurements,
     local_providers,
     location_index,
+    measure_distance,
     synthetic_providers,
 )
 from .scoring import ScoringConfig, rank_regions, render_report
@@ -252,19 +252,6 @@ def _parse_listen(text: str) -> tuple[str, int]:
     return host, int(port_text)
 
 
-def _build_providers(settings: dict, pconfig: ProbeConfig, spec, catalog,
-                     metrics: list[Metric]):
-    locations = location_index(spec, catalog)
-    if settings["probe_mode"] == "synthetic":
-        providers = synthetic_providers(config_from(SyntheticNetworkModel, settings), locations)
-    elif settings["probe_mode"] == "local":
-        providers = local_providers(pconfig, locations)
-    else:
-        providers = agent_providers(catalog, pconfig, locations, agent_port=settings["agent_port"])
-    wanted = set(metrics) | {Metric.DISTANCE}  # shortlisting always needs distance
-    return {metric: providers[metric] for metric in METRIC_ORDER if metric in wanted}
-
-
 def _open_store(settings: dict) -> MeasurementStore:
     cache = settings["cache"]
     ttl = settings["cache_ttl_s"]
@@ -281,18 +268,26 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _analysis_setup(args: argparse.Namespace, settings: dict):
-    """Workflow, catalog, metrics, providers, store and probe fan-out for `analyze` and `probe`."""
+    """Workflow, catalog, metrics, locations, providers, store and probe fan-out."""
     spec = _load_workflow(args.workflow)
     catalog = _load_catalog(settings)
     metrics = _parse_metrics(settings["metrics"])
     pconfig = config_from(ProbeConfig, settings)
-    providers = _build_providers(settings, pconfig, spec, catalog, metrics)
+    locations = location_index(spec, catalog)
+    if settings["probe_mode"] == "synthetic":
+        providers = synthetic_providers(config_from(SyntheticNetworkModel, settings), locations)
+    elif settings["probe_mode"] == "local":
+        providers = local_providers(pconfig, locations)
+    else:
+        providers = agent_providers(catalog, pconfig, locations, agent_port=settings["agent_port"])
+    # ping before HTTP; distance has no provider, ranking computes it from the coordinates
+    providers = {metric: p for metric, p in providers.items() if metric in metrics}
     store = _open_store(settings)
-    return spec, catalog, metrics, providers, store, pconfig.max_parallel_probes
+    return spec, catalog, metrics, locations, providers, store, pconfig.max_parallel_probes
 
 
 def cmd_analyze(args: argparse.Namespace, settings: dict) -> int:
-    spec, catalog, metrics, providers, store, max_parallel = _analysis_setup(args, settings)
+    spec, catalog, metrics, _, providers, store, max_parallel = _analysis_setup(args, settings)
     if args.dump_candidates:
         graphs = enumerate_candidates(spec, catalog, metrics)
         _write_file(args.dump_candidates, "".join(dump_graph(g) for g in graphs))
@@ -310,13 +305,16 @@ def cmd_analyze(args: argparse.Namespace, settings: dict) -> int:
 
 
 def cmd_probe(args: argparse.Namespace, settings: dict) -> int:
-    spec, catalog, _, providers, store, max_parallel = _analysis_setup(args, settings)
+    spec, catalog, _, locations, providers, store, max_parallel = _analysis_setup(args, settings)
     legs = hub_legs(spec)
     pairs_of = {region.id: weighted_pairs(legs, region.probe_host) for region in catalog.regions}
     batch = [pair for pairs in pairs_of.values() for pair in pairs]
     lines = []
-    for metric, provider in providers.items():  # built in METRIC_ORDER
-        measured = collect_measurements(store, batch, metric, provider, max_parallel)
+    for metric in (Metric.DISTANCE, *providers):
+        if metric is Metric.DISTANCE:  # computed from the coordinates, never stored
+            measured = {pair: measure_distance(pair, locations) for pair in batch}
+        else:
+            measured = collect_measurements(store, batch, metric, providers[metric], max_parallel)
         for region_id, pairs in pairs_of.items():
             for pair in pairs:
                 m = measured[pair]

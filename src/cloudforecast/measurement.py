@@ -2,7 +2,9 @@
 
 Providers are callables `(src, dst) -> Measurement` for one metric; one may
 also carry `many(pairs) -> list[Measurement]`, which measures a batch in one
-call. Live probe failures never raise; they come back as success=False
+call. Every mode's providers measure ping and HTTP only: ranking computes
+distance from the coordinates (`measure_distance` is its per-pair form).
+Live probe failures never raise; they come back as success=False
 measurements so scoring can penalize unreachable endpoints instead of
 aborting the analysis.
 """
@@ -461,9 +463,9 @@ def _synthetic_values(kms: list[float], metric: Metric, model: SyntheticNetworkM
 class SyntheticProvider:
     """The synthetic model's provider of one metric. Called with a pair it is
     `synthetic_measure`; `many` measures a batch at one clock reading from
-    `km`, the kilometres of each pair, which the providers of one
-    `synthetic_providers` call share, so each pair's distance is computed
-    once for all three metrics."""
+    `km`, the kilometres of each pair, which the ping and HTTP providers of
+    one `synthetic_providers` call share, so each pair's distance is
+    computed once for both."""
 
     def __init__(
         self,
@@ -724,7 +726,8 @@ def synthetic_providers(
     locations: LocationTable,
 ) -> dict[Metric, SyntheticProvider]:
     km: dict[Pair, float] = {}
-    return {metric: SyntheticProvider(metric, model, locations, km) for metric in Metric}
+    return {metric: SyntheticProvider(metric, model, locations, km)
+            for metric in (Metric.PING, Metric.HTTP_RTT)}
 
 
 def local_providers(
@@ -735,7 +738,6 @@ def local_providers(
     """Probe each pair's dst from the analysis machine (vantage approximation)."""
     prober = prober or EchoProber()
     return {
-        Metric.DISTANCE: lambda pair: measure_distance(pair, locations),
         Metric.PING: lambda pair: measure_latency(pair, config, prober),
         Metric.HTTP_RTT: lambda pair: measure_http_rtt(pair, config),
     }
@@ -788,7 +790,6 @@ def agent_providers(
         return _from_rtts(pair, metric, rtts, config, note)
 
     return {
-        Metric.DISTANCE: lambda pair: measure_distance(pair, locations),
         Metric.PING: lambda pair: via_agent(
             pair, Metric.PING, lambda a, t: a.ping(host_of(t), samples, timeout_ms), "agent/ping"
         ),

@@ -8,13 +8,14 @@ from typing import Mapping, NamedTuple
 
 from .candidates import CandidateGraph, Metric, Pair, hub_legs, weighted_pairs
 from .errors import MissingMeasurementError
-from .geo import RegionCatalog
+from .geo import RegionCatalog, haversine_km
 from .measurement import (
     Measurement,
     MeasurementStore,
     PairProvider,
     check_finite,
     collect_measurements,
+    location_index,
 )
 from .records import Checked
 from .workflow import WorkflowSpec
@@ -164,25 +165,26 @@ def rank_regions(
 ) -> RankingReport:
     """Distance-shortlist, then score shortlisted regions by ping+HTTP.
 
-    The providers mapping decides which metrics are evaluated; distance is
-    mandatory because shortlisting is built on it. Non-shortlisted regions
-    are ranked after shortlisted ones by their distance score. A region's
-    candidate graph is scored from its unique (endpoint, hub) pairs, weighted
-    by the number of edges each carries, without building the edges: the
-    workflow's legs are counted once per ranking, one per store key, and
-    each region's pairs built once. Each metric is one batch over the pairs
-    of the regions it scores: all of them for distance, the shortlist in
-    distance order for ping and HTTP.
+    The providers mapping decides which of ping and HTTP are evaluated.
+    Every region is scored by distance, computed from the coordinates
+    without the store unless a distance provider is passed. Non-shortlisted
+    regions are ranked after shortlisted ones by their distance score. A
+    region's candidate graph is scored from its unique (endpoint, hub)
+    pairs, weighted by the number of edges each carries, without building
+    the edges: the workflow's legs are counted once per ranking, one per
+    store key, and a region's pairs built once, if a provider scores it.
+    Each provider's metric is one batch over the pairs of the regions it
+    scores: all of them for distance, the shortlist for ping and HTTP.
     """
-    if Metric.DISTANCE not in providers:
-        raise ValueError("a distance provider is required for shortlisting")
-
     legs = hub_legs(spec)
-    pairs_of = {region.id: weighted_pairs(legs, region.probe_host) for region in catalog.regions}
+    hub_of = {region.id: region.probe_host for region in catalog.regions}
+    pairs_of: dict[str, dict[Pair, int]] = {}
 
     def scored(metric: Metric, region_ids: list[str]) -> dict[str, GraphScore]:
         if metric not in providers:
             return {}
+        pairs_of.update((r, weighted_pairs(legs, hub_of[r])) for r in region_ids
+                        if r not in pairs_of)
         batch = [pair for region_id in region_ids for pair in pairs_of[region_id]]
         measured = collect_measurements(store, batch, metric, providers[metric], max_parallel)
         return {
@@ -191,7 +193,17 @@ def rank_regions(
             for region_id in region_ids
         }
 
-    distance_scores = scored(Metric.DISTANCE, list(pairs_of))
+    distance_scores = scored(Metric.DISTANCE, list(hub_of))
+    if Metric.DISTANCE not in providers:
+        # from the coordinates, as `score_pairs` sums `weighted_pairs`: in leg
+        # order from 0.0, each pair's two points in order, so every bit is the same
+        locate = location_index(spec, catalog).locate
+        points = [(locate(end), to_hub, n) for (end, to_hub), n in legs.items()]
+        for region in catalog.regions:
+            hub, total = locate(region.probe_host), 0.0
+            for point, to_hub, n in points:
+                total += n * (haversine_km(point, hub) if to_hub else haversine_km(hub, point))
+            distance_scores[region.id] = GraphScore(region.id, Metric.DISTANCE, total)
     n = min(config.shortlist_n or len(catalog.regions), len(catalog.regions))
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)
 
@@ -233,7 +245,7 @@ def rank_regions(
     provenance = {
         "graphs_scored": sum(len(scores) for scores in measured),
         "failed_edges": sum(s.failed_edges for scores in measured for s in scores.values()),
-        "metrics": sorted(m.value for m in providers),
+        "metrics": sorted({Metric.DISTANCE.value, *(m.value for m in providers)}),
         "cache_entries": len(store),
     }
     return RankingReport(

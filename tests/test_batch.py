@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import measurement
+from cloudforecast import measurement, scoring
 from cloudforecast.candidates import METRIC_ORDER, Metric, hub_legs, weighted_pairs
 from cloudforecast.cli import main
 from cloudforecast.geo import Coordinate, LocationTable, default_region_catalog
@@ -243,12 +243,13 @@ coordinates = st.builds(Coordinate, st.floats(-90, 90), st.floats(-180, 180))
 @given(
     coords=st.lists(coordinates, min_size=len(HOSTS), max_size=len(HOSTS)),
     pairs=st.lists(st.tuples(st.sampled_from(HOSTS), st.sampled_from(HOSTS)), max_size=20),
-    order=st.permutations(list(Metric)),
+    order=st.permutations([Metric.PING, Metric.HTTP_RTT]),
 )
 def test_synthetic_batch_equals_the_per_pair_model_bit_for_bit(coords, pairs, order):
     table = LocationTable(dict(zip(HOSTS, coords)))
     providers = synthetic_providers(MODEL, table)
-    for metric in order:  # later metrics read the kilometres the first one computed
+    assert set(providers) == {Metric.PING, Metric.HTTP_RTT}  # ranking computes distance
+    for metric in order:  # the later metric reads the kilometres the first one computed
         batch = providers[metric].many(pairs)
         assert len(batch) == len(pairs)
         for got, pair in zip(batch, pairs):
@@ -271,15 +272,22 @@ def test_synthetic_batch_reads_the_clock_once(monkeypatch):
 @pytest.mark.parametrize("shortlist_n", [None, 3])
 def test_a_synthetic_ranking_computes_each_distance_once(fig1_spec, catalog, monkeypatch,
                                                          shortlist_n):
-    calls = []
+    # distance: once per (region, leg); the model: once per shortlisted store
+    # key, for ping and HTTP together
+    calls = {scoring: [], measurement: []}
     haversine = measurement.haversine_km
-    monkeypatch.setattr(measurement, "haversine_km", lambda a, b: calls.append(1) or haversine(a, b))
+    for module, log in calls.items():
+        monkeypatch.setattr(module, "haversine_km",
+                            lambda a, b, log=log: log.append(1) or haversine(a, b))
     store = MeasurementStore()
     providers = synthetic_providers(MODEL, location_index(fig1_spec, catalog))
-    rank_regions(fig1_spec, catalog, store, providers, ScoringConfig(shortlist_n=shortlist_n))
-    distinct = {pair for region in catalog.regions
-                for pair in folded_hub_pairs(fig1_spec, region.probe_host)}
-    assert len(calls) == len(distinct)
+    report = rank_regions(fig1_spec, catalog, store, providers,
+                          ScoringConfig(shortlist_n=shortlist_n))
+    legs = sum(len(folded_hub_pairs(fig1_spec, region.probe_host)) for region in catalog.regions)
+    assert len(calls[scoring]) == legs
+    shortlisted = {canonical_key(pair, Metric.PING) for e in report.entries if e.shortlisted
+                   for pair in folded_hub_pairs(fig1_spec, catalog.by_id(e.region).probe_host)}
+    assert len(calls[measurement]) == len(shortlisted)
 
 
 # -- the CLI over the batch path ------------------------------------------------------

@@ -715,7 +715,7 @@ def test_generate_with_custom_pool(tmp_path, capsys):
 def test_probe_cache_persists(fig1_file, tmp_path, capsys):
     cache = tmp_path / "probe.cache"
     code, _, _ = run_cli(
-        ["probe", "-w", fig1_file, "--metrics", "distance", "--cache", str(cache)], capsys
+        ["probe", "-w", fig1_file, "--metrics", "ping", "--cache", str(cache)], capsys
     )
     assert code == 0
     assert cache.read_text().strip()

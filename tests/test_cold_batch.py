@@ -87,7 +87,7 @@ def test_a_ranking_counts_the_legs_once_and_folds_no_regions_pairs(subset, monke
     counted = []
     monkeypatch.setattr(scoring, "hub_legs", lambda spec: counted.append(spec) or hub_legs(spec))
     synthetic = synthetic_providers(SyntheticNetworkModel(), measurement.location_index(SPEC, catalog))
-    providers = {metric: synthetic[metric] for metric in SUBSETS[subset]}
+    providers = {metric: p for metric, p in synthetic.items() if metric in SUBSETS[subset]}
     report = rank_regions(SPEC, catalog, MeasurementStore(), providers, ScoringConfig(shortlist_n=2))
     assert counted == [SPEC]
     assert len(report.entries) == 4
@@ -98,30 +98,37 @@ def test_a_ranking_counts_the_legs_once_and_folds_no_regions_pairs(subset, monke
     inputs=synthetic_inputs(),
     subset=st.sampled_from(sorted(SUBSETS)),
     shortlist_n=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+    distance_provider=st.booleans(),
 )
 def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, subset,
-                                                                        shortlist_n):
+                                                                        shortlist_n,
+                                                                        distance_provider):
     spec, catalog = inputs
     metrics = SUBSETS[subset]
-    synthetic = synthetic_providers(SyntheticNetworkModel(), measurement.location_index(spec, catalog))
+    locations = measurement.location_index(spec, catalog)
+    providers = {metric: p for metric, p in synthetic_providers(SyntheticNetworkModel(),
+                                                                 locations).items()
+                 if metric in metrics}
+    if distance_provider:  # measured through the store; otherwise computed without it
+        providers[Metric.DISTANCE] = lambda pair: measurement.measure_distance(pair, locations)
     lookups = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(scoring, "collect_measurements",
                             lambda store, pairs, metric, *rest: lookups.append((metric, pairs))
                             or collect_measurements(store, pairs, metric, *rest))
-        report = rank_regions(spec, catalog, MeasurementStore(),
-                              {metric: synthetic[metric] for metric in metrics},
+        report = rank_regions(spec, catalog, MeasurementStore(), providers,
                               ScoringConfig(shortlist_n=shortlist_n))
 
     def keys(region_id):  # one pair per store key, as the per-hub oracle folds them
         return list(folded_hub_pairs(spec, catalog.by_id(region_id).probe_host))
 
-    # one lookup per metric: distance over every region in catalog order, then
-    # each other metric over the shortlist in distance order, the regions'
-    # folded pairs concatenated
+    # one lookup per provider's metric: distance over every region in catalog
+    # order, then each other metric over the shortlist in distance order, the
+    # regions' folded pairs concatenated
     shortlist = sorted((e for e in report.entries if e.shortlisted),
                        key=lambda e: (e.distance_score.value, e.region))
-    expected = [(Metric.DISTANCE, [pair for region_id in catalog.ids for pair in keys(region_id)])]
+    expected = [(Metric.DISTANCE, [pair for region_id in catalog.ids for pair in keys(region_id)])
+                ] if distance_provider else []
     expected += [
         (metric, [pair for e in shortlist for pair in keys(e.region)])
         for metric in (Metric.PING, Metric.HTTP_RTT) if metric in metrics
@@ -153,7 +160,8 @@ def test_permuting_the_catalog_leaves_the_ranking_unchanged(inputs, subset, shor
         synthetic = synthetic_providers(SyntheticNetworkModel(),
                                         measurement.location_index(spec, regions))
         reports.append(rank_regions(spec, regions, MeasurementStore(),
-                                    {metric: synthetic[metric] for metric in SUBSETS[subset]},
+                                    {metric: p for metric, p in synthetic.items()
+                                     if metric in SUBSETS[subset]},
                                     ScoringConfig(shortlist_n=shortlist_n)))
     assert _ranked(reports[0]) == _ranked(reports[1])
 

@@ -1,7 +1,7 @@
 """The store's per-metric tables seen from outside: a warm ranking over a
 loaded cache equals the cold one, `load` checks a record with or without its
 optional `note` alike, and a ranking builds each region's pairs once for all
-metrics."""
+per-pair metrics, and only for the regions such a metric scores."""
 
 import json
 import os
@@ -66,10 +66,10 @@ def test_a_warm_ranking_over_the_saved_cache_equals_the_cold_one(inputs, subset,
     config = ScoringConfig(shortlist_n=shortlist_n)
     cold_store = MeasurementStore()
     synthetic = synthetic_providers(SyntheticNetworkModel(), location_index(spec, catalog))
-    providers = {metric: synthetic[metric] for metric in metrics}
+    providers = {metric: p for metric, p in synthetic.items() if metric in metrics}
     cold = rank_regions(spec, catalog, cold_store, providers, config)
     calls = []
-    refusing = {metric: Refusing(calls) for metric in metrics}
+    refusing = {metric: Refusing(calls) for metric in providers}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "probes.cache")
         cold_store.save(path)
@@ -111,10 +111,13 @@ def test_a_ranking_builds_each_regions_pairs_once(fig1_spec, catalog, monkeypatc
     monkeypatch.setattr(scoring, "weighted_pairs",
                         lambda legs, hub: built.append(hub) or weighted_pairs(legs, hub))
     synthetic = synthetic_providers(SyntheticNetworkModel(), location_index(fig1_spec, catalog))
-    providers = {metric: synthetic[metric] for metric in SUBSETS[subset]}
+    providers = {metric: p for metric, p in synthetic.items() if metric in SUBSETS[subset]}
     config = ScoringConfig(shortlist_n=shortlist_n)
     report = rank_regions(fig1_spec, catalog, MeasurementStore(), providers, config)
-    assert sorted(built) == sorted(region.probe_host for region in catalog.regions)
+    # at most once, and only for the regions a per-pair metric scores: the shortlist
+    scored = [catalog.by_id(e.region).probe_host for e in report.entries
+              if e.shortlisted and providers]
+    assert sorted(built) == sorted(scored)
     for metric, attr in ((Metric.PING, "ping_score"), (Metric.HTTP_RTT, "http_score")):
         scored = sum(getattr(e, attr) is not None for e in report.entries)
         assert scored == ((shortlist_n or len(catalog.regions)) if metric in providers else 0)
