@@ -14,7 +14,14 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import NodeUnreachableError
-from .geo import Coordinate, LocationTable, RegionCatalog, haversine_km, resolve_location
+from .geo import (
+    Coordinate,
+    LocationTable,
+    RegionCatalog,
+    prepare_point,
+    prepared_km,
+    resolve_location,
+)
 from .measurement import (
     MeasurementStore,
     ProbeConfig,
@@ -88,14 +95,15 @@ def simulate_execution(
 ) -> ExecutionResult:
     """Deterministic makespan under the synthetic latency model."""
     order = topological_order(spec)
-    coords = {}
+    hub = prepare_point(vantage.location)
+    to_hub_ms: dict[str, float] = {}
+    from_hub_ms: dict[str, float] = {}
     service: dict[str, float] = {}
     for node in spec.nodes:
-        coords[node.id] = resolve_location(node.endpoint, locations)
+        point = prepare_point(resolve_location(node.endpoint, locations))
+        to_hub_ms[node.id] = model.ping_ms(prepared_km(point, hub))
+        from_hub_ms[node.id] = model.ping_ms(prepared_km(hub, point))
         service[node.id] = node.service_time_ms
-
-    def leg_ms(a: Coordinate, b: Coordinate) -> float:
-        return model.ping_ms(haversine_km(a, b))
 
     in_edges: dict[str, list] = {nid: [] for nid in order}
     for edge in spec.edges:
@@ -107,12 +115,7 @@ def simulate_execution(
         if not incoming:
             finish[nid] = service[nid]
             continue
-        arrival = max(
-            finish[e.src]
-            + leg_ms(coords[e.src], vantage.location)
-            + leg_ms(vantage.location, coords[e.dst])
-            for e in incoming
-        )
+        arrival = max(finish[e.src] + to_hub_ms[e.src] + from_hub_ms[e.dst] for e in incoming)
         finish[nid] = service[nid] + arrival
 
     makespan = max(finish.values(), default=0.0)
@@ -228,12 +231,12 @@ def run_experiment(
     """Rank each workflow, then compare simulated local vs rank-1-region execution."""
     if not specs:
         raise ValueError("no workflows to run")
-    store = MeasurementStore()
     rows = []
     for spec in specs:
+        # a store of its own: another workflow may put the same endpoint elsewhere
         locations = location_index(spec, catalog)
         providers = synthetic_providers(model, locations)
-        report = rank_regions(spec, catalog, store, providers, config)
+        report = rank_regions(spec, catalog, MeasurementStore(), providers, config)
         best_id = report.entries[0].region
         best_region = catalog.by_id(best_id)
         baseline = simulate_execution(spec, local, model, locations)

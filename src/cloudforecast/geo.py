@@ -126,10 +126,43 @@ def haversine_km(a: Coordinate, b: Coordinate) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, h)))
 
 
+Point = tuple[float, float, float]
+
+
+def prepare_point(c: Coordinate) -> Point:
+    """(lat, lon, cos(radians(lat))): what `prepared_km` needs of a coordinate."""
+    return (c.lat, c.lon, math.cos(math.radians(c.lat)))
+
+
+def prepared_km(a: Point, b: Point) -> float:
+    """`haversine_km` of the two prepared coordinates, bit for bit: the same
+    expression in the same order, with each point's cosine computed once by
+    `prepare_point` instead of once per pair."""
+    lat_a, lon_a, cos_a = a
+    lat_b, lon_b, cos_b = b
+    h = (math.sin(math.radians(lat_b - lat_a) / 2.0) ** 2
+         + cos_a * cos_b * math.sin(math.radians(lon_b - lon_a) / 2.0) ** 2)
+    # `min(1.0, h)` as a comparison: the same float, without a builtin call
+    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h if h < 1.0 else 1.0))
+
+
+# a host `host_of` splits itself; any other character goes to `urlparse`
+_HOST_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.-")
+_PORT_CHARS = frozenset("0123456789")
+
+
 def host_of(endpoint: str) -> str:
-    """Extract the hostname from a bare host, host:port, or URL."""
+    """Extract the hostname from a bare host, host:port, or URL. A plain
+    endpoint, `[scheme://]host[:port][/...]` with an ASCII-letter scheme, a
+    host of ASCII letters, digits, '.' and '-' and a digit port, is split
+    here; `urlparse`, which gives the same host for it, reads any other."""
     endpoint = endpoint.strip()
-    parsed = urlparse(endpoint if "://" in endpoint else f"//{endpoint}")
+    scheme, url, rest = endpoint.partition("://")
+    host, _, port = (rest if url else endpoint).partition("/")[0].partition(":")
+    if (host and _HOST_CHARS.issuperset(host) and _PORT_CHARS.issuperset(port)
+            and (not url or (scheme.isascii() and scheme.isalpha()))):
+        return host.lower()
+    parsed = urlparse(endpoint if url else f"//{endpoint}")
     if not parsed.hostname:
         raise UnknownLocationError(f"cannot extract a host from endpoint {endpoint!r}")
     return parsed.hostname

@@ -28,6 +28,8 @@ from .geo import (
     build_location_table,
     haversine_km,
     host_of,
+    prepare_point,
+    prepared_km,
 )
 from .jsondoc import check_fields
 from .records import Checked
@@ -465,7 +467,8 @@ class SyntheticProvider:
     `synthetic_measure`; `many` measures a batch at one clock reading from
     `km`, the kilometres of each pair, which the ping and HTTP providers of
     one `synthetic_providers` call share, so each pair's distance is
-    computed once for both."""
+    computed once for both, by `prepared_km` from each host's point
+    prepared once per batch."""
 
     def __init__(
         self,
@@ -480,13 +483,14 @@ class SyntheticProvider:
         return synthetic_measure(pair, self.metric, self.model, self.locations)
 
     def many(self, pairs: list[Pair]) -> list[Measurement]:
-        locate, memo = self.locations.locate, self.km
-        kms = []
-        for pair in pairs:
-            km = memo.get(pair)
-            if km is None:
-                km = memo[pair] = haversine_km(locate(pair[0]), locate(pair[1]))
-            kms.append(km)
+        memo = self.km
+        missing = [pair for pair in pairs if pair not in memo]
+        if missing:
+            locate = self.locations.locate
+            hosts = dict.fromkeys(host for pair in missing for host in pair)
+            point = {host: prepare_point(locate(host)) for host in hosts}
+            memo.update((pair, prepared_km(point[pair[0]], point[pair[1]])) for pair in missing)
+        kms = [memo[pair] for pair in pairs]
         metric, unit, now = self.metric, UNIT_BY_METRIC[self.metric], time.time()
         values = _synthetic_values(kms, metric, self.model)
         check_measured(values, 1, True, now)

@@ -8,7 +8,7 @@ from typing import Mapping, NamedTuple
 
 from .candidates import CandidateGraph, Metric, Pair, hub_legs, weighted_pairs
 from .errors import MissingMeasurementError
-from .geo import RegionCatalog, haversine_km
+from .geo import RegionCatalog, prepare_point, prepared_km
 from .measurement import (
     Measurement,
     MeasurementStore,
@@ -198,11 +198,11 @@ def rank_regions(
         # from the coordinates, as `score_pairs` sums `weighted_pairs`: in leg
         # order from 0.0, each pair's two points in order, so every bit is the same
         locate = location_index(spec, catalog).locate
-        points = [(locate(end), to_hub, n) for (end, to_hub), n in legs.items()]
+        points = [(prepare_point(locate(end)), to_hub, n) for (end, to_hub), n in legs.items()]
         for region in catalog.regions:
-            hub, total = locate(region.probe_host), 0.0
+            hub, total = prepare_point(locate(region.probe_host)), 0.0
             for point, to_hub, n in points:
-                total += n * (haversine_km(point, hub) if to_hub else haversine_km(hub, point))
+                total += n * (prepared_km(point, hub) if to_hub else prepared_km(hub, point))
             distance_scores[region.id] = GraphScore(region.id, Metric.DISTANCE, total)
     n = min(config.shortlist_n or len(catalog.regions), len(catalog.regions))
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)

@@ -7,10 +7,11 @@ that tests cross-check rather than mirror the production code paths.
 import itertools
 import json
 import math
+from urllib.parse import urlparse
 
 from hypothesis import strategies as st
 
-from cloudforecast import Coordinate, Metric, WorkflowSpec
+from cloudforecast import Coordinate, Metric, UnknownLocationError, WorkflowSpec
 from cloudforecast.candidates import Pair
 from cloudforecast.geo import Region, RegionCatalog
 from cloudforecast.measurement import Measurement
@@ -33,6 +34,30 @@ def slc_km(a: Coordinate, b: Coordinate) -> float:
     dl = math.radians(b.lon - a.lon)
     cosine = math.sin(p1) * math.sin(p2) + math.cos(p1) * math.cos(p2) * math.cos(dl)
     return EARTH_RADIUS_KM * math.acos(max(-1.0, min(1.0, cosine)))
+
+
+def urlparse_host_of(endpoint: str) -> str:
+    """The host of an endpoint as `urlparse` alone reads it (oracle for
+    `geo.host_of`, which splits plain endpoints itself)."""
+    endpoint = endpoint.strip()
+    parsed = urlparse(endpoint if "://" in endpoint else f"//{endpoint}")
+    if not parsed.hostname:
+        raise UnknownLocationError(f"cannot extract a host from endpoint {endpoint!r}")
+    return parsed.hostname
+
+
+def antipode(c: Coordinate) -> Coordinate:
+    """The point opposite `c`: distances to it reach the haversine's 1.0 clamp."""
+    return Coordinate(-c.lat, c.lon - 180.0 if c.lon >= 0 else c.lon + 180.0)
+
+
+# any coordinate, a pole, or a point on the +-180 degree seam
+EDGE_COORDS = st.one_of(
+    st.builds(Coordinate, st.floats(min_value=-90, max_value=90),
+              st.floats(min_value=-180, max_value=180)),
+    st.builds(Coordinate, st.sampled_from([-90.0, 90.0]), st.floats(min_value=-180, max_value=180)),
+    st.builds(Coordinate, st.floats(min_value=-90, max_value=90), st.sampled_from([-180.0, 180.0])),
+)
 
 
 def all_topological_orders(node_ids: list[str], edges: list[tuple[str, str]]) -> list[list[str]]:

@@ -273,12 +273,12 @@ def test_synthetic_batch_reads_the_clock_once(monkeypatch):
 def test_a_synthetic_ranking_computes_each_distance_once(fig1_spec, catalog, monkeypatch,
                                                          shortlist_n):
     # distance: once per (region, leg); the model: once per shortlisted store
-    # key, for ping and HTTP together
+    # key, for ping and HTTP together; each through the kilometre kernel
     calls = {scoring: [], measurement: []}
-    haversine = measurement.haversine_km
+    kernel = measurement.prepared_km
     for module, log in calls.items():
-        monkeypatch.setattr(module, "haversine_km",
-                            lambda a, b, log=log: log.append(1) or haversine(a, b))
+        monkeypatch.setattr(module, "prepared_km",
+                            lambda a, b, log=log: log.append(1) or kernel(a, b))
     store = MeasurementStore()
     providers = synthetic_providers(MODEL, location_index(fig1_spec, catalog))
     report = rank_regions(fig1_spec, catalog, store, providers,

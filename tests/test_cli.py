@@ -256,6 +256,33 @@ def test_experiment_workflow_dir(tmp_path, fig1_file, capsys):
     assert "image-pipeline" in (out_dir / "experiment.csv").read_text()
 
 
+def _one_edge_flow(name, lat, lon):
+    """Both endpoints at one place, so the region nearest it is the best."""
+    nodes = [{"id": nid, "endpoint": f"{nid}.example.net", "role": role,
+              "location": {"lat": lat, "lon": lon}}
+             for nid, role in (("src", "source"), ("dst", "service"))]
+    return json.dumps({"name": name, "nodes": nodes, "edges": [{"from": "src", "to": "dst"}]})
+
+
+def test_experiment_workflows_that_place_one_endpoint_apart_do_not_share_measurements(
+        tmp_path, capsys):
+    # the same two endpoints, at New York in one workflow and at Tokyo in the other
+    flows = {"a-newyork": (40.71, -74.01), "b-tokyo": (35.68, 139.69)}
+    best = {}
+    for run, names in (("together", list(flows)), ("alone", ["b-tokyo"])):
+        wf_dir = tmp_path / run
+        wf_dir.mkdir()
+        for name in names:
+            (wf_dir / f"{name}.workflow").write_text(_one_edge_flow(name, *flows[name]))
+        code, _, err = run_cli(["experiment", "--workflow-dir", str(wf_dir),
+                                "--out-dir", str(tmp_path / f"out-{run}")], capsys)
+        assert code == 0, err
+        rows = (tmp_path / f"out-{run}" / "experiment.csv").read_text().splitlines()[1:]
+        best[run] = {row.split(",")[0]: row.split(",")[2] for row in rows}
+    assert best["together"] == {"a-newyork": "us-east-1", "b-tokyo": "ap-northeast-1"}
+    assert best["alone"] == {"b-tokyo": "ap-northeast-1"}
+
+
 @pytest.mark.parametrize("out_dir", ["", "new/nested"])
 def test_experiment_reads_the_dir_in_name_order_and_writes_where_told(tmp_path, monkeypatch,
                                                                        capsys, out_dir):

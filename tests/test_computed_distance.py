@@ -26,10 +26,10 @@ from cloudforecast.measurement import (
     measure_distance,
     synthetic_providers,
 )
-from cloudforecast.scoring import ScoringConfig, rank_regions
+from cloudforecast.scoring import ScoringConfig, rank_regions, score_pairs
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 from conftest import FIG1_DOC
-from helpers import COORDS, SUBSETS
+from helpers import COORDS, EDGE_COORDS, SUBSETS, antipode
 
 
 def answer(name: str) -> float:
@@ -106,6 +106,34 @@ def located_inputs(draw):
 
 
 # -- computed equals measured, bit for bit ------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_computed_distances_are_the_per_pair_sums_at_poles_seams_and_antipodes(data):
+    # node n0 feeds every other node, so its leg's multiplicity is above 1
+    points = data.draw(st.lists(EDGE_COORDS, min_size=3, max_size=6))
+    near = st.sampled_from(points)
+    hubs = data.draw(st.lists(st.one_of(EDGE_COORDS, near, near.map(antipode)),
+                              min_size=1, max_size=4))
+    extra = data.draw(st.lists(st.tuples(st.integers(1, len(points) - 1),
+                                         st.integers(1, len(points) - 1)), max_size=6))
+    nodes = tuple(WorkflowNode(f"n{i}", f"h{i}.example.net", location=point)
+                  for i, point in enumerate(points))
+    edges = tuple(dict.fromkeys([WorkflowEdge("n0", f"n{i}") for i in range(1, len(points))] + [
+        WorkflowEdge(f"n{min(u, v)}", f"n{max(u, v)}") for u, v in extra if u != v]))
+    spec = WorkflowSpec(name="edges", nodes=nodes, edges=edges)
+    catalog = RegionCatalog(tuple(Region(f"r{i}", f"r{i}.example.org", hub)
+                                  for i, hub in enumerate(hubs)))
+    report = rank_regions(spec, catalog, MeasurementStore(), {}, ScoringConfig())
+    locations = location_index(spec, catalog)
+    legs = hub_legs(spec)
+    assert max(legs.values()) > 1
+    for entry in report.entries:
+        pairs = weighted_pairs(legs, catalog.by_id(entry.region).probe_host)
+        measured = {pair: measure_distance(pair, locations) for pair in pairs}
+        want = score_pairs(entry.region, Metric.DISTANCE, pairs, measured)
+        assert entry.distance_score.value.hex() == want.value.hex()
+
 
 @settings(max_examples=200, deadline=None)
 @given(

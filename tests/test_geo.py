@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudforecast import (
@@ -17,8 +17,15 @@ from cloudforecast import (
     load_region_catalog,
     resolve_location,
 )
-from cloudforecast.geo import EARTH_RADIUS_KM, host_of
-from helpers import NON_FINITE, slc_km, with_raw_value
+from cloudforecast.geo import EARTH_RADIUS_KM, host_of, prepare_point, prepared_km
+from helpers import (
+    EDGE_COORDS,
+    NON_FINITE,
+    antipode,
+    slc_km,
+    urlparse_host_of,
+    with_raw_value,
+)
 
 LONDON = Coordinate(51.5074, -0.1278)
 PARIS = Coordinate(48.8566, 2.3522)
@@ -100,6 +107,58 @@ def test_host_extraction():
     assert host_of("HOST.C:8080/path") == "host.c"
     with pytest.raises(UnknownLocationError):
         host_of("")
+
+
+# a point and a second one: itself, its antipode, or any edge coordinate
+KERNEL_PAIRS = EDGE_COORDS.flatmap(
+    lambda a: st.tuples(st.just(a), st.one_of(st.just(a), st.just(antipode(a)), EDGE_COORDS))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=KERNEL_PAIRS)
+@example(pair=(Coordinate(-87.5, 0.0), Coordinate(87.5, -180.0)))  # h rounds above 1.0
+def test_the_kilometre_kernel_is_haversine_km_to_the_bit_in_both_directions(pair):
+    a, b = pair
+    pa, pb = prepare_point(a), prepare_point(b)
+    assert prepared_km(pa, pb).hex() == haversine_km(a, b).hex()
+    assert prepared_km(pb, pa).hex() == haversine_km(b, a).hex()
+
+
+def _outcome(function, endpoint):
+    try:
+        return function(endpoint)
+    except (UnknownLocationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# [space][scheme://][userinfo@]host[:port][/path][space], each part plain or awkward
+_LABEL = st.text("abcXYZ019-.", min_size=1, max_size=8)
+ENDPOINTS = st.builds(
+    lambda *parts: "".join(parts),
+    st.sampled_from(["", " ", "\t", "\n ", "\x00"]),
+    st.sampled_from(["", "http://", "HTTPS://", "git+ssh://", "://", "a:b://", "1x://", "h\tttp://"]),
+    st.sampled_from(["", "user@", "u:p@", "@"]),
+    st.one_of(_LABEL, st.sampled_from(["", "[::1]", "[fe80::1%eth0]", "[::1", "Ex%41MPLE.net",
+                                      "b\u00fccher.de", "ho st", "h\u0661.net", "ho\tst", "\u00c5.se"])),
+    st.sampled_from(["", ":", ":8080", ":abc", ":\u0663", ":-1", ":80:90"]),
+    st.sampled_from(["", "/", "/p", "/p?u=http://x", "?q=1", "#f", "/a\tb\nc", "/\u00e9"]),
+    st.sampled_from(["", " ", "\t", "\r\n", "\u3000"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(endpoint=ENDPOINTS)
+@example(endpoint="host/p?u=http://x")
+@example(endpoint="HOST.C:8080/path")
+def test_host_of_reads_every_endpoint_form_as_urlparse_does(endpoint):
+    assert _outcome(host_of, endpoint) == _outcome(urlparse_host_of, endpoint)
+
+
+@settings(max_examples=500, deadline=None)
+@given(endpoint=st.one_of(st.text(), st.text(":/?#@[]%.-aZ09 \t\n\x00\u00e9\u0661")))
+def test_host_of_reads_arbitrary_text_as_urlparse_does(endpoint):
+    assert _outcome(host_of, endpoint) == _outcome(urlparse_host_of, endpoint)
 
 
 def test_resolve_location_direct_hit():
