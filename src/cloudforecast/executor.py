@@ -3,6 +3,9 @@
 The timing model: a node may start once every input has arrived; each edge
 (u, v) costs lat(u -> vantage) + lat(vantage -> v) because all data moves
 through the orchestrator; transfers overlap fully (no bandwidth contention).
+A simulation computes one kilometre, so one latency, per node: the kilometre
+kernel `prepared_km` gives the same bits in either direction, so a node's
+leg to the vantage and its leg back cost the same.
 """
 
 import csv
@@ -96,13 +99,11 @@ def simulate_execution(
     """Deterministic makespan under the synthetic latency model."""
     order = topological_order(spec)
     hub = prepare_point(vantage.location)
-    to_hub_ms: dict[str, float] = {}
-    from_hub_ms: dict[str, float] = {}
+    hub_ms: dict[str, float] = {}
     service: dict[str, float] = {}
     for node in spec.nodes:
         point = prepare_point(resolve_location(node.endpoint, locations))
-        to_hub_ms[node.id] = model.ping_ms(prepared_km(point, hub))
-        from_hub_ms[node.id] = model.ping_ms(prepared_km(hub, point))
+        hub_ms[node.id] = model.ping_ms(prepared_km(point, hub))
         service[node.id] = node.service_time_ms
 
     in_edges: dict[str, list] = {nid: [] for nid in order}
@@ -115,7 +116,7 @@ def simulate_execution(
         if not incoming:
             finish[nid] = service[nid]
             continue
-        arrival = max(finish[e.src] + to_hub_ms[e.src] + from_hub_ms[e.dst] for e in incoming)
+        arrival = max(finish[e.src] + hub_ms[e.src] + hub_ms[e.dst] for e in incoming)
         finish[nid] = service[nid] + arrival
 
     makespan = max(finish.values(), default=0.0)
@@ -164,11 +165,12 @@ def live_execute(
 
     service = {node.id: node.service_time_ms for node in spec.nodes}
     pending_parents = {nid: set() for nid in order}
-    children: dict[str, list[str]] = {nid: [] for nid in order}
+    # a child once per parent, in edge order, however many edges join them
+    children: dict[str, dict[str, None]] = {nid: {} for nid in order}
     out_kb = dict.fromkeys(order, 0)
     for edge in spec.edges:
         pending_parents[edge.dst].add(edge.src)
-        children[edge.src].append(edge.dst)
+        children[edge.src][edge.dst] = None
         out_kb[edge.src] += edge.payload_kb
 
     finish_ms: dict[str, float] = {}
@@ -199,7 +201,7 @@ def live_execute(
                 finish_ms[nid] = (time.perf_counter() - start) * 1000.0
                 for child in children[nid]:
                     pending_parents[child].discard(nid)
-                    if not pending_parents[child] and child not in finish_ms:
+                    if not pending_parents[child]:
                         ready.append(child)
 
     makespan = max(finish_ms.values(), default=0.0)

@@ -180,8 +180,6 @@ def load_region_catalog(document: str) -> RegionCatalog:
     raw = data["regions"]
     if not isinstance(raw, list):
         raise CatalogError("catalog 'regions' must be a list")
-    if not raw:
-        raise CatalogError("region catalog is empty")
     regions = []
     for i, entry in enumerate(raw):
         ctx = f"regions[{i}]"

@@ -261,7 +261,7 @@ class MeasurementStore:
             raise ValueError("ttl_s must be positive")
         self._entries: dict[Metric, dict[Pair, Measurement]] = {metric: {} for metric in Metric}
         self._lock = threading.Lock()
-        # identity of the file whose records equal the entries, if any
+        # identity of the file whose records equal the unexpired entries, if any
         self._synced: tuple[int, int, int, int] | None = None
 
     def get(self, pair: Pair, metric: Metric, now: float | None = None) -> Measurement | None:
@@ -311,7 +311,7 @@ class MeasurementStore:
             return sum(map(len, self._entries.values()))
 
     def save(self, path: str) -> None:
-        """One JSON record per key, sorted, so repeated runs reuse probes.
+        """One JSON record per unexpired key, sorted, so later runs reuse probes.
 
         Nothing is written when `path` is still the file the entries were
         loaded from or last saved to. Otherwise the file is replaced
@@ -319,10 +319,12 @@ class MeasurementStore:
         with self._lock:
             if self._synced is not None and self._synced == _file_identity(path):
                 return
+            now, ttl_s = time.time(), self.ttl_s
             # sorted by (src, dst, metric) key: a stable sort by pair of the
             # tables taken in metric order
             entries = [
                 entry for metric in sorted(self._entries) for entry in self._entries[metric].items()
+                if not now - entry[1].taken_at > ttl_s
             ]
             entries.sort(key=_pair_of_entry)
             # record fields in sorted order, as the file format has them
@@ -347,7 +349,8 @@ class MeasurementStore:
 
     @classmethod
     def load(cls, path: str, ttl_s: float = DEFAULT_TTL_S) -> "MeasurementStore":
-        """Read a cache file; on duplicate keys the later record wins."""
+        """Read a cache file; on duplicate keys the later record wins. The
+        next `save` rewrites a file that holds an expired record."""
         store = cls(ttl_s=ttl_s)
         try:
             fh = open(path)
@@ -355,7 +358,7 @@ class MeasurementStore:
             return store
         # the store is not shared yet, so records go straight into its tables
         tables = store._entries
-        records = 0
+        records, now, expired = 0, time.time(), False
         with fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -386,7 +389,8 @@ class MeasurementStore:
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise _bad_record(record, f"{path}:{lineno}", exc) from exc
                 records += 1
-            if records == len(store):  # no record was overridden by a later one
+                expired = expired or now - taken_at > ttl_s
+            if records == len(store) and not expired:  # none overridden by a later one
                 store._synced = _file_identity(fh.fileno())
         return store
 

@@ -148,11 +148,13 @@ def shortlist_by_distance(
     return ids[:n], ids[n:]
 
 
-def final_score(ping: GraphScore, http: GraphScore, config: ScoringConfig) -> float:
-    """Weighted combination of the ping and HTTP sums (penalties already folded in)."""
-    if ping.region != http.region:
+def final_score(ping: GraphScore | None, http: GraphScore | None, config: ScoringConfig) -> float:
+    """Weighted sum of whichever of the ping and HTTP sums were measured
+    (penalties already folded in); 0.0 if neither was."""
+    if ping and http and ping.region != http.region:
         raise ValueError(f"region mismatch: {ping.region} vs {http.region}")
-    return config.weight_ping * ping.value + config.weight_http * http.value
+    return sum((weight * score.value for weight, score
+                in ((config.weight_ping, ping), (config.weight_http, http)) if score), 0.0)
 
 
 def rank_regions(
@@ -196,13 +198,14 @@ def rank_regions(
     distance_scores = scored(Metric.DISTANCE, list(hub_of))
     if Metric.DISTANCE not in providers:
         # from the coordinates, as `score_pairs` sums `weighted_pairs`: in leg
-        # order from 0.0, each pair's two points in order, so every bit is the same
+        # order from 0.0, so every bit is the same. A leg's direction needs no
+        # reading: `prepared_km` gives the same bits either way round.
         locate = location_index(spec, catalog).locate
-        points = [(prepare_point(locate(end)), to_hub, n) for (end, to_hub), n in legs.items()]
+        points = [(prepare_point(locate(end)), n) for (end, _), n in legs.items()]
         for region in catalog.regions:
             hub, total = prepare_point(locate(region.probe_host)), 0.0
-            for point, to_hub, n in points:
-                total += n * (prepared_km(point, hub) if to_hub else prepared_km(hub, point))
+            for point, n in points:
+                total += n * prepared_km(point, hub)
             distance_scores[region.id] = GraphScore(region.id, Metric.DISTANCE, total)
     n = min(config.shortlist_n or len(catalog.regions), len(catalog.regions))
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)
@@ -210,35 +213,24 @@ def rank_regions(
     ping_scores = scored(Metric.PING, shortlisted_ids)
     http_scores = scored(Metric.HTTP_RTT, shortlisted_ids)
 
-    def combined(region_id: str) -> float:
-        ping = ping_scores.get(region_id)
-        http = http_scores.get(region_id)
-        if ping is not None and http is not None:
-            return final_score(ping, http, config)
-        if ping is not None:
-            return config.weight_ping * ping.value
-        if http is not None:
-            return config.weight_http * http.value
-        return distance_scores[region_id].value  # distance-only analysis
-
-    ranked: list[tuple[bool, float, str]] = [
-        (True, combined(region_id), region_id) for region_id in shortlisted_ids
-    ] + [
-        (False, distance_scores[region_id].value, region_id) for region_id in remainder_ids
-    ]
-    ranked.sort(key=lambda row: (not row[0], row[1], row[2]))
+    # a distance-only analysis ranks the shortlist by distance
+    final = {r: s.value for r, s in distance_scores.items()}
+    if ping_scores or http_scores:
+        final.update((r, final_score(ping_scores.get(r), http_scores.get(r), config))
+                     for r in shortlisted_ids)
+    shortlisted_ids.sort(key=lambda r: (final[r], r))
 
     entries = tuple(
         RankingEntry(
             region=region_id,
-            final_score=score,
-            shortlisted=shortlisted,
+            final_score=final[region_id],
+            shortlisted=i < n,
             rank=i + 1,
             distance_score=distance_scores[region_id],
             ping_score=ping_scores.get(region_id),
             http_score=http_scores.get(region_id),
         )
-        for i, (shortlisted, score, region_id) in enumerate(ranked)
+        for i, region_id in enumerate(shortlisted_ids + remainder_ids)
     )
 
     measured = [distance_scores, ping_scores, http_scores]

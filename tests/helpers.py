@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cloudforecast import Coordinate, Metric, UnknownLocationError, WorkflowSpec
 from cloudforecast.candidates import Pair
-from cloudforecast.geo import Region, RegionCatalog
+from cloudforecast.geo import Region, RegionCatalog, haversine_km
 from cloudforecast.measurement import Measurement
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode
 
@@ -83,6 +83,31 @@ def longest_path_ms(spec: WorkflowSpec) -> float:
         return service[nid] + max(best_from(c) for c in children[nid])
 
     return max((best_from(n.id) for n in spec.nodes), default=0.0)
+
+
+def per_edge_finish_ms(spec: WorkflowSpec, vantage: Coordinate, model) -> dict[str, float]:
+    """Each node's finish time when every edge (u, v) costs
+    `ping_ms(haversine_km(u, vantage)) + ping_ms(haversine_km(vantage, v))`,
+    by recursion over each node's parents (oracle for `simulate_execution`,
+    which computes one latency per node)."""
+    node = {n.id: n for n in spec.nodes}
+    incoming: dict[str, list[WorkflowEdge]] = {nid: [] for nid in node}
+    for e in spec.edges:
+        incoming[e.dst].append(e)
+    finish: dict[str, float] = {}
+
+    def finish_of(nid: str) -> float:
+        if nid not in finish:
+            arrivals = [
+                finish_of(e.src) + model.ping_ms(haversine_km(node[e.src].location, vantage))
+                + model.ping_ms(haversine_km(vantage, node[nid].location))
+                for e in incoming[nid]
+            ]
+            service = node[nid].service_time_ms
+            finish[nid] = service + max(arrivals) if arrivals else service
+        return finish[nid]
+
+    return {nid: finish_of(nid) for nid in node}
 
 
 def canonical_key(pair: Pair, metric: Metric) -> tuple[str, str, Metric]:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,8 @@ from cloudforecast import (
     speedup_percent,
 )
 from cloudforecast.measurement import location_index
-from cloudforecast.services import make_node_server, start_in_thread
-from helpers import longest_path_ms
+from cloudforecast.services import StubNodeHandler, make_node_server, start_in_thread
+from helpers import EDGE_COORDS, longest_path_ms, per_edge_finish_ms
 
 ZERO_MODEL = SyntheticNetworkModel(base_latency_ms=0.0, ms_per_100km=0.0, http_overhead_ms=0.0)
 ORIGIN = Vantage("local", Coordinate(0, 0))
@@ -97,6 +98,28 @@ def test_simulation_matches_longest_path_oracle_on_random_dags():
         spec = _random_dag(rng)
         result = simulate_execution(spec, ORIGIN, ZERO_MODEL, location_index(spec))
         assert result.makespan_ms == longest_path_ms(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_simulation_matches_the_per_edge_latency_oracle_to_the_bit(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    nodes = tuple(
+        WorkflowNode(id=f"n{i}", endpoint=f"n{i}.example.org", location=data.draw(EDGE_COORDS),
+                     service_time_ms=data.draw(st.floats(min_value=0.0, max_value=500.0)))
+        for i in range(n)
+    )
+    links = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=16))
+    edges = tuple(WorkflowEdge(f"n{min(u, v)}", f"n{max(u, v)}") for u, v in links if u != v)
+    spec = WorkflowSpec(name="edges", nodes=nodes, edges=edges)
+    vantage = data.draw(EDGE_COORDS)
+    model = SyntheticNetworkModel(*data.draw(st.tuples(*[st.floats(0.0, 100.0)] * 3)))
+    result = simulate_execution(spec, Vantage("v", vantage), model, location_index(spec))
+    expected = per_edge_finish_ms(spec, vantage, model)
+    assert {k: v.hex() for k, v in result.finish_ms.items()} == {
+        k: v.hex() for k, v in expected.items()
+    }
 
 
 def test_makespan_monotone_in_latency():
@@ -251,6 +274,35 @@ def test_live_execute_single_source_only(stub_nodes):
     result = live_execute(spec, {"A": stub_nodes[0]}, ProbeConfig(timeout_ms=2000))
     assert result.makespan_ms > 0
     assert set(result.finish_ms) == {"A"}
+
+
+def test_live_execute_fetches_each_node_once_over_a_duplicated_edge():
+    gets = Counter()
+
+    class CountingNode(StubNodeHandler):
+        def _work(self):
+            gets[self.server.server_address[1], self.query()["bytes"]] += 1
+            super()._work()
+
+        routes = {"/work": _work}
+
+    servers = [make_node_server("127.0.0.1", 0) for _ in range(3)]
+    for server in servers:
+        server.RequestHandlerClass = CountingNode
+        start_in_thread(server)
+    try:
+        a_to_b = WorkflowEdge("A", "B", payload_kb=1.0)
+        edges = (a_to_b, a_to_b, WorkflowEdge("B", "C", payload_kb=1.0))
+        spec = _path_spec([1, 1, 1], name="dup")._replace(edges=edges)
+        ports = {nid: s.server_address[1] for nid, s in zip("ABC", servers)}
+        live_execute(spec, {nid: f"http://127.0.0.1:{p}" for nid, p in ports.items()},
+                     ProbeConfig(timeout_ms=2000))
+    finally:
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+    # one GET per node; both A -> B edges' payloads count toward A's output
+    assert gets == {(ports["A"], "2048"): 1, (ports["B"], "1024"): 1, (ports["C"], "0"): 1}
 
 
 def test_live_execute_unreachable_node_names_it():

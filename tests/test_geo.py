@@ -123,6 +123,8 @@ def test_the_kilometre_kernel_is_haversine_km_to_the_bit_in_both_directions(pair
     pa, pb = prepare_point(a), prepare_point(b)
     assert prepared_km(pa, pb).hex() == haversine_km(a, b).hex()
     assert prepared_km(pb, pa).hex() == haversine_km(b, a).hex()
+    # symmetric to the bit: what lets a ranking and a simulation skip a leg's direction
+    assert prepared_km(pa, pb).hex() == prepared_km(pb, pa).hex()
 
 
 def _outcome(function, endpoint):

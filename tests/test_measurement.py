@@ -278,11 +278,12 @@ def test_store_save_failing_halfway_keeps_old_file(tmp_path, monkeypatch):
 def test_store_save_writes_sorted_record_fields(tmp_path):
     path = tmp_path / "probes.cache"
     store = MeasurementStore(ttl_s=3600)
-    store.put(_measurement("a", "b", Metric.PING, 1.5, taken_at=100.0))
+    taken_at = float(int(time.time()))  # recent: `save` leaves out expired records
+    store.put(_measurement("a", "b", Metric.PING, 1.5, taken_at=taken_at))
     store.save(str(path))
     assert path.read_text() == (
         '{"dst": "b", "metric": "ping", "note": "", "samples": 1, "src": "a", '
-        '"success": true, "taken_at": 100.0, "unit": "ms", "value": 1.5}\n'
+        f'"success": true, "taken_at": {taken_at!r}, "unit": "ms", "value": 1.5}}\n'
     )
 
 
@@ -319,6 +320,25 @@ def test_store_save_of_unchanged_entries_leaves_the_file_untouched(tmp_path, mon
     fresh.save(str(tmp_path / "fresh.cache"))  # its last save wrote that file
     assert (path.read_bytes(), path.stat().st_mtime_ns) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.cache", "probes.cache"]
+
+
+def test_store_save_leaves_out_expired_records_no_lookup_evicts(tmp_path):
+    fresh = _measurement("a", "b", Metric.PING, 1.0)
+    stale = _measurement("c", "d", Metric.PING, 2.0, taken_at=time.time() - 7200)
+
+    def saved(name, ttl_s, *measurements):
+        store = MeasurementStore(ttl_s=ttl_s)
+        store.put_many(measurements)
+        store.save(str(tmp_path / name))
+        return tmp_path / name
+
+    wanted = saved("fresh.cache", 3600, fresh).read_text()
+    assert saved("from-memory.cache", 3600, fresh, stale).read_text() == wanted
+    path = saved("probes.cache", 10**6, fresh, stale)  # neither record expires under this TTL
+    assert len(path.read_text().splitlines()) == 2
+    # no lookup asks for (c, d), so only the save can drop it
+    MeasurementStore.load(str(path), ttl_s=3600).save(str(path))
+    assert path.read_text() == wanted
 
 
 def _put_one(store, path):

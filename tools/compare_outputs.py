@@ -1,0 +1,165 @@
+"""Compare what two checkouts of cloudforecast output, byte for byte.
+
+    python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+Each tree runs in interpreters of its own, with `PYTHONPATH=<tree>/src` and
+no CLOUDFORECAST_* settings, in a scratch directory of its own. The outputs
+compared are:
+
+- `analyze` of the tree's samples/fig1.workflow as table, json and csv with
+  `--no-timestamps`, and with `--metrics distance` and with
+  `--metrics distance,ping --shortlist 3`;
+- `experiment --seed 7`: its stdout, experiment.csv and speedup_chart.dat;
+- `simulate --vantage us-east-1`, and `--vantage 40,-74 --format json`;
+- synthetic `probe` of fig1;
+- the `float.hex` of every score, with the config and the provenance, of
+  rankings of inputs from bench/workloads.py's generators (200 nodes x 64
+  regions at seed 41 with shortlist 16, and 60 x 30 with shortlist 7),
+  under each metric set and with the edges as written and reversed; and of
+  the simulated finish times of every node from every region and from 0,0.
+
+The generators are imported from the tree's bench/ directory and only
+called. Exit status: 0 when every output is the same, 1 when one differs,
+2 when a command fails in either tree.
+"""
+
+import difflib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+CLI = [
+    ("analyze-table", ["analyze", "-w", "{fig1}", "--no-timestamps"]),
+    ("analyze-json", ["analyze", "-w", "{fig1}", "--no-timestamps", "--format", "json"]),
+    ("analyze-csv", ["analyze", "-w", "{fig1}", "--no-timestamps", "--format", "csv"]),
+    ("analyze-distance", ["analyze", "-w", "{fig1}", "--no-timestamps", "--metrics", "distance"]),
+    ("analyze-distance-ping-3", ["analyze", "-w", "{fig1}", "--no-timestamps",
+                                 "--metrics", "distance,ping", "--shortlist", "3",
+                                 "--format", "json"]),
+    ("experiment", ["experiment", "--seed", "7", "--out-dir", "{out}"]),
+    ("simulate-region", ["simulate", "-w", "{fig1}", "--vantage", "us-east-1"]),
+    ("simulate-coordinate", ["simulate", "-w", "{fig1}", "--vantage", "40,-74",
+                             "--format", "json"]),
+    ("probe", ["probe", "-w", "{fig1}"]),
+]
+EXPERIMENT_FILES = ("experiment.csv", "speedup_chart.dat")
+# (nodes, regions, seed, shortlist) of the generated rankings
+GENERATED = ((200, 64, 41, 16), (60, 30, 41, 7))
+
+
+class CommandFailed(Exception):
+    pass
+
+
+def _env(tree: str, *paths: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CLOUDFORECAST_")}
+    env["PYTHONPATH"] = os.pathsep.join(os.path.join(tree, p) for p in paths)
+    return env
+
+
+def _run(argv: list[str], tree: str, cwd: str, *paths: str) -> str:
+    proc = subprocess.run(argv, cwd=cwd, env=_env(tree, *paths), capture_output=True,
+                          text=True, timeout=600)
+    if proc.returncode != 0:
+        raise CommandFailed(f"{tree}: {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
+
+
+def collect(tree: str) -> dict[str, str]:
+    """Every compared output of the tree, by name."""
+    tree = os.path.abspath(tree)
+    outputs = {}
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
+        fields = {"fig1": os.path.join(tree, "samples", "fig1.workflow"),
+                  "out": os.path.join(scratch, "out")}
+        for name, args in CLI:
+            argv = [sys.executable, "-m", "cloudforecast.cli", *(a.format(**fields) for a in args)]
+            outputs[name] = _run(argv, tree, scratch, "src")
+        for file in EXPERIMENT_FILES:
+            with open(os.path.join(fields["out"], file)) as fh:
+                outputs[f"experiment/{file}"] = fh.read()
+        argv = [sys.executable, os.path.abspath(__file__), "--dump-generated"]
+        outputs.update(json.loads(_run(argv, tree, scratch, "src", "bench")))
+    return outputs
+
+
+def dump_generated() -> dict[str, str]:
+    """The rankings and simulations of the generated inputs, every float as
+    `float.hex`, from the package and generators on `sys.path`."""
+    import random
+
+    from cloudforecast import executor, geo, measurement, scoring, workflow
+    from cloudforecast.candidates import Metric
+    from workloads import gen_regions, gen_workflow, stress_hosts
+
+    def hexed(value):
+        if isinstance(value, float):
+            return value.hex()
+        if hasattr(value, "_asdict"):
+            return hexed(value._asdict())
+        if isinstance(value, dict):
+            return {k: hexed(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [hexed(v) for v in value]
+        return value
+
+    metric_sets = {"all": tuple(Metric), "distance+ping": (Metric.DISTANCE, Metric.PING),
+                   "distance+http_rtt": (Metric.DISTANCE, Metric.HTTP_RTT),
+                   "distance": (Metric.DISTANCE,)}
+    model = measurement.SyntheticNetworkModel()
+    outputs = {}
+    for n, r, seed, shortlist in GENERATED:
+        rng = random.Random(seed)
+        doc = gen_workflow(rng, f"generated-{n}x{r}-seed{seed}", stress_hosts(rng, n))
+        regions = gen_regions(rng, [f"probe.region-{j:03d}.cloud.example" for j in range(r)])
+        catalog = geo.load_region_catalog(json.dumps({"regions": regions}))
+        config = scoring.ScoringConfig(shortlist_n=shortlist)
+        for order, edges in (("as-written", doc["edges"]), ("reversed", doc["edges"][::-1])):
+            spec = workflow.parse_workflow(json.dumps(dict(doc, edges=edges)))
+            locations = measurement.location_index(spec, catalog)
+            providers = measurement.synthetic_providers(model, locations)
+            for metrics_name, metrics in metric_sets.items():
+                chosen = {m: p for m, p in providers.items() if m in metrics}
+                report = scoring.rank_regions(spec, catalog, measurement.MeasurementStore(),
+                                              chosen, config)
+                outputs[f"rank/{n}x{r}/{order}/{metrics_name}"] = json.dumps(hexed({
+                    "config": report.config,
+                    "provenance": report.provenance,
+                    "entries": report.entries,
+                }), indent=1)
+            vantages = [executor.Vantage("local", geo.Coordinate(0.0, 0.0))]
+            vantages += [executor.Vantage(g.id, g.location) for g in catalog.regions]
+            outputs[f"simulate/{n}x{r}/{order}"] = json.dumps(hexed({
+                v.id: executor.simulate_execution(spec, v, model, locations).finish_ms
+                for v in vantages
+            }), indent=1)
+    return outputs
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--dump-generated"]:  # the child `collect` starts in each tree
+        print(json.dumps(dump_generated()))
+        return 0
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    try:
+        parent, change = collect(argv[0]), collect(argv[1])
+    except CommandFailed as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    differing = [name for name in parent if parent[name] != change.get(name)]
+    for name in parent:
+        print(f"{'DIFFERS' if name in differing else 'same':8} {name}")
+    for name in differing:
+        diff = difflib.unified_diff(parent[name].splitlines(), change[name].splitlines(),
+                                    f"parent/{name}", f"change/{name}", lineterm="", n=1)
+        print("\n".join(list(diff)[:40]))
+    print(f"{len(differing)} of {len(parent)} outputs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
