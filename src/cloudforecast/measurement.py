@@ -470,9 +470,10 @@ class SyntheticProvider:
     """The synthetic model's provider of one metric. Called with a pair it is
     `synthetic_measure`; `many` measures a batch at one clock reading from
     `km`, the kilometres of each pair, which the ping and HTTP providers of
-    one `synthetic_providers` call share, so each pair's distance is
-    computed once for both, by `prepared_km` from each host's point
-    prepared once per batch."""
+    one `synthetic_providers` call share. A pair not in `km` is computed
+    once for both, by `prepared_km` from each host's point prepared once
+    per batch. `rank_regions` fills `km` with its distance pass's
+    kilometres if `locations` has the entries of that pass's table."""
 
     def __init__(
         self,
@@ -629,11 +630,14 @@ def measure_latency(
 
 
 def as_url(endpoint: str) -> str:
-    """Default scheme http and path / for bare hostnames."""
+    """Default scheme http, and path / where the authority has none: at the
+    end, or before the query or fragment, which are kept as they are."""
     if "://" not in endpoint:
         endpoint = f"http://{endpoint}"
-    if endpoint.count("/") == 2:  # scheme://host with no path
-        endpoint += "/"
+    scheme, _, rest = endpoint.partition("://")
+    end = len(rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0])
+    if rest[end:end + 1] != "/":
+        endpoint = f"{scheme}://{rest[:end]}/{rest[end:]}"
     return endpoint
 
 
@@ -733,6 +737,7 @@ def synthetic_providers(
     model: SyntheticNetworkModel,
     locations: LocationTable,
 ) -> dict[Metric, SyntheticProvider]:
+    """The model's ping and HTTP providers over one kilometre memo."""
     km: dict[Pair, float] = {}
     return {metric: SyntheticProvider(metric, model, locations, km)
             for metric in (Metric.PING, Metric.HTTP_RTT)}

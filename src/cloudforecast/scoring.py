@@ -13,6 +13,7 @@ from .measurement import (
     Measurement,
     MeasurementStore,
     PairProvider,
+    SyntheticProvider,
     check_finite,
     collect_measurements,
     location_index,
@@ -176,7 +177,11 @@ def rank_regions(
     the edges: the workflow's legs are counted once per ranking, one per
     store key, and a region's pairs built once, if a provider scores it.
     Each provider's metric is one batch over the pairs of the regions it
-    scores: all of them for distance, the shortlist for ping and HTTP.
+    scores: all of them for distance, the shortlist for ping and HTTP. A
+    `SyntheticProvider` whose table has the entries of the computed distance
+    pass's `location_index(spec, catalog)` finds the shortlist's kilometres
+    from that pass in its `km` memo, so it measures the store misses with no
+    kernel call; over another table it computes its own.
     """
     legs = hub_legs(spec)
     hub_of = {region.id: region.probe_host for region in catalog.regions}
@@ -196,19 +201,33 @@ def rank_regions(
         }
 
     distance_scores = scored(Metric.DISTANCE, list(hub_of))
+    memos: dict[int, dict[Pair, float]] = {}  # the kilometre memos of the providers that reuse them
+    kms_of: dict[str, list[float]] = {}  # region -> its legs' kilometres, in leg order
     if Metric.DISTANCE not in providers:
         # from the coordinates, as `score_pairs` sums `weighted_pairs`: in leg
         # order from 0.0, so every bit is the same. A leg's direction needs no
         # reading: `prepared_km` gives the same bits either way round.
-        locate = location_index(spec, catalog).locate
-        points = [(prepare_point(locate(end)), n) for (end, _), n in legs.items()]
+        table = location_index(spec, catalog)
+        memos = {id(p.km): p.km for p in providers.values()
+                 if type(p) is SyntheticProvider and p.locations.entries == table.entries}
+        points = [prepare_point(table.locate(end)) for end, _ in legs]
         for region in catalog.regions:
-            hub, total = prepare_point(locate(region.probe_host)), 0.0
-            for point, n in points:
-                total += n * prepared_km(point, hub)
+            hub, total = prepare_point(table.locate(region.probe_host)), 0.0
+            kms = [prepared_km(point, hub) for point in points]
+            if memos:
+                kms_of[region.id] = kms
+            for n, km in zip(legs.values(), kms):
+                total += n * km
             distance_scores[region.id] = GraphScore(region.id, Metric.DISTANCE, total)
     n = min(config.shortlist_n or len(catalog.regions), len(catalog.regions))
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)
+
+    # the shortlist's kilometres fill the memos `SyntheticProvider.many` reads
+    for region_id in shortlisted_ids if memos else ():
+        pairs_of[region_id] = weighted_pairs(legs, hub_of[region_id])
+        for memo in memos.values():
+            memo.update(zip(pairs_of[region_id], kms_of[region_id]))
+    kms_of.clear()
 
     ping_scores = scored(Metric.PING, shortlisted_ids)
     http_scores = scored(Metric.HTTP_RTT, shortlisted_ids)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cloudforecast import measurement, scoring
 from cloudforecast.candidates import METRIC_ORDER, Metric, hub_legs, weighted_pairs
 from cloudforecast.cli import main
-from cloudforecast.geo import Coordinate, LocationTable, default_region_catalog
+from cloudforecast.geo import Coordinate, LocationTable, RegionCatalog, default_region_catalog
 from cloudforecast.measurement import (
     EchoProber,
     Measurement,
@@ -272,8 +272,8 @@ def test_synthetic_batch_reads_the_clock_once(monkeypatch):
 @pytest.mark.parametrize("shortlist_n", [None, 3])
 def test_a_synthetic_ranking_computes_each_distance_once(fig1_spec, catalog, monkeypatch,
                                                          shortlist_n):
-    # distance: once per (region, leg); the model: once per shortlisted store
-    # key, for ping and HTTP together; each through the kilometre kernel
+    # distance: once per (region, leg) through the kilometre kernel; ping and
+    # HTTP of the shortlist read those kilometres, with no kernel call of their own
     calls = {scoring: [], measurement: []}
     kernel = measurement.prepared_km
     for module, log in calls.items():
@@ -285,9 +285,87 @@ def test_a_synthetic_ranking_computes_each_distance_once(fig1_spec, catalog, mon
                           ScoringConfig(shortlist_n=shortlist_n))
     legs = sum(len(folded_hub_pairs(fig1_spec, region.probe_host)) for region in catalog.regions)
     assert len(calls[scoring]) == legs
+    assert calls[measurement] == []
     shortlisted = {canonical_key(pair, Metric.PING) for e in report.entries if e.shortlisted
                    for pair in folded_hub_pairs(fig1_spec, catalog.by_id(e.region).probe_host)}
-    assert len(calls[measurement]) == len(shortlisted)
+    assert len(store) == 2 * len(shortlisted)  # every key still measured and stored
+    assert all(e.ping_score and e.http_score for e in report.entries if e.shortlisted)
+
+
+# -- the synthetic ping and HTTP over the distance pass's kilometres -------------------
+
+def _exact(report):
+    """Every score of a ranking to the bit, with the order and the shortlist."""
+    def bits(score):
+        return None if score is None else (score.value.hex(), score.failed_edges)
+
+    return [(e.rank, e.region, e.shortlisted, e.final_score.hex(), bits(e.distance_score),
+             bits(e.ping_score), bits(e.http_score)) for e in report.entries]
+
+
+def _per_pair_ranking(spec, catalog, table, config):
+    """The ranking through per-pair `synthetic_measure` providers over `table`
+    (oracle: no batch, no kilometre memo)."""
+    providers = {metric: lambda pair, metric=metric: synthetic_measure(pair, metric, MODEL, table)
+                 for metric in (Metric.PING, Metric.HTTP_RTT)}
+    return rank_regions(spec, catalog, MeasurementStore(), providers, config)
+
+
+def test_a_seeded_store_record_wins_over_the_reused_kilometres(fig1_spec, catalog):
+    config = ScoringConfig(shortlist_n=3)
+    table = location_index(fig1_spec, catalog)
+    shortlist = [e.region for e in _per_pair_ranking(fig1_spec, catalog, table, config).entries
+                 if e.shortlisted]
+    legs = hub_legs(fig1_spec)
+    pairs = [pair for region_id in shortlist
+             for pair in weighted_pairs(legs, catalog.by_id(region_id).probe_host)]
+    # every third pair of the shortlist holds a value the model never gives
+    seeded = {(pair, metric): _m(*pair, metric=metric, value=7000.0 + i)
+              for i, pair in enumerate(pairs[::3]) for metric in (Metric.PING, Metric.HTTP_RTT)}
+    store = MeasurementStore()
+    store.put_many(seeded.values())
+    report = rank_regions(fig1_spec, catalog, store, synthetic_providers(MODEL, table), config)
+    for entry in report.entries[:3]:
+        weighted = weighted_pairs(legs, catalog.by_id(entry.region).probe_host)
+        for metric, got in ((Metric.PING, entry.ping_score), (Metric.HTTP_RTT, entry.http_score)):
+            measured = {pair: seeded.get((pair, metric))
+                        or synthetic_measure(pair, metric, MODEL, table) for pair in weighted}
+            want = scoring.score_pairs(entry.region, metric, weighted, measured)
+            assert got.value.hex() == want.value.hex()
+    assert len(store) == 2 * len(set(pairs))
+
+
+def test_providers_over_another_table_measure_with_their_own_coordinates(fig1_spec, catalog):
+    moved = fig1_spec._replace(nodes=tuple(
+        node._replace(location=Coordinate(-node.location.lat, 179.0)) if i == 0 else node
+        for i, node in enumerate(fig1_spec.nodes)))
+    table = location_index(moved, catalog)
+    assert table.entries != location_index(fig1_spec, catalog).entries
+    for shortlist_n in (None, 3):
+        config = ScoringConfig(shortlist_n=shortlist_n)
+        report = rank_regions(fig1_spec, catalog, MeasurementStore(),
+                              synthetic_providers(MODEL, table), config)
+        assert _exact(report) == _exact(_per_pair_ranking(fig1_spec, catalog, table, config))
+
+
+def test_a_provider_filed_under_another_metric_still_raises(fig1_spec, catalog):
+    ping = synthetic_providers(MODEL, location_index(fig1_spec, catalog))[Metric.PING]
+    with pytest.raises(ValueError, match="provider returned ping, expected http_rtt"):
+        rank_regions(fig1_spec, catalog, MeasurementStore(),
+                     {Metric.PING: ping, Metric.HTTP_RTT: ping}, ScoringConfig(shortlist_n=3))
+
+
+def test_a_hub_endpoint_and_a_shared_probe_host_rank_as_the_per_pair_model(catalog):
+    spec = parse_workflow(HUB_NODE_DOC)
+    twin = catalog.regions[0]._replace(id="us-east-1-twin")  # the same probe host
+    assert twin.probe_host == spec.nodes[2].endpoint
+    both = RegionCatalog(catalog.regions + (twin,))
+    table = location_index(spec, both)
+    for shortlist_n in (None, 2, 4):
+        config = ScoringConfig(shortlist_n=shortlist_n)
+        report = rank_regions(spec, both, MeasurementStore(), synthetic_providers(MODEL, table),
+                              config)
+        assert _exact(report) == _exact(_per_pair_ranking(spec, both, table, config))
 
 
 # -- the CLI over the batch path ------------------------------------------------------

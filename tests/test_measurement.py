@@ -5,6 +5,8 @@ import sys
 import threading
 import time
 
+from urllib.parse import urlsplit
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,8 @@ from cloudforecast import (
     synthetic_measure,
 )
 from cloudforecast.geo import EARTH_RADIUS_KM
-from cloudforecast.measurement import Aggregator, aggregate, collect_measurements
+from cloudforecast import measurement
+from cloudforecast.measurement import Aggregator, aggregate, as_url, collect_measurements
 from cloudforecast.services import make_node_server, start_in_thread
 from helpers import NON_FINITE, canonical_key, slc_km
 
@@ -616,6 +619,38 @@ def test_http_rtt_closed_port_fails():
     config = ProbeConfig(samples_per_pair=1, timeout_ms=100)
     m = measure_http_rtt(("here", "http://127.0.0.1:1/"), config)
     assert not m.success
+
+
+@pytest.mark.parametrize("endpoint, url", [
+    ("h.example.org", "http://h.example.org/"),
+    ("h.example.org:8080", "http://h.example.org:8080/"),
+    ("127.0.0.7", "http://127.0.0.7/"),
+    ("http://h.example.org", "http://h.example.org/"),
+    ("https://h.example.org/x?y=1#z", "https://h.example.org/x?y=1#z"),
+    ("http://h.example.org?x=1", "http://h.example.org/?x=1"),
+    ("http://h.example.org#f", "http://h.example.org/#f"),
+    ("http://h.example.org:80?q=a/b", "http://h.example.org:80/?q=a/b"),
+    ("h.example.org?x=1#f/g", "http://h.example.org/?x=1#f/g"),
+])
+def test_as_url_gives_a_root_path_and_keeps_the_query_and_fragment(endpoint, url):
+    assert as_url(endpoint) == url
+    given_parts = urlsplit(endpoint if "://" in endpoint else f"http://{endpoint}")
+    assert urlsplit(url)._replace(path="") == given_parts._replace(path="")
+
+
+@settings(max_examples=100)
+@given(host=st.from_regex(r"[a-z0-9][a-z0-9.-]{0,20}", fullmatch=True),
+       port=st.one_of(st.just(""), st.integers(1, 65535).map(lambda p: f":{p}")))
+def test_as_url_of_a_plain_host_or_host_port_appends_the_root_path(host, port):
+    assert as_url(f"{host}{port}") == f"http://{host}{port}/"
+    assert as_url(f"http://{host}{port}") == f"http://{host}{port}/"
+
+
+def test_an_http_probe_sends_the_query_of_its_endpoint(monkeypatch):
+    sent = []
+    monkeypatch.setattr(measurement, "http_get_ms", lambda url, timeout_s: sent.append(url) or 1.0)
+    m = measure_http_rtt(("here", "http://h.example.org?x=1"), ProbeConfig(samples_per_pair=1))
+    assert m.success and sent == ["http://h.example.org/?x=1"]
 
 
 # a 64-character label is no DNS name: encoding it fails before any packet is sent

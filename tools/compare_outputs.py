@@ -16,7 +16,10 @@ compared are:
   rankings of inputs from bench/workloads.py's generators (200 nodes x 64
   regions at seed 41 with shortlist 16, and 60 x 30 with shortlist 7),
   under each metric set and with the edges as written and reversed; and of
-  the simulated finish times of every node from every region and from 0,0.
+  the simulated finish times of every node from every region and from 0,0;
+- on the 200 x 64 input as written, the `float.hex` of a ranking whose
+  store is seeded with ping and HTTP records the model never gives, and of
+  a ranking whose synthetic providers locate a moved first node.
 
 The generators are imported from the tree's bench/ directory and only
 called. Exit status: 0 when every output is the same, 1 when one differs,
@@ -29,6 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 CLI = [
     ("analyze-table", ["analyze", "-w", "{fig1}", "--no-timestamps"]),
@@ -105,6 +109,13 @@ def dump_generated() -> dict[str, str]:
             return [hexed(v) for v in value]
         return value
 
+    def dumped(report):
+        return json.dumps(hexed({
+            "config": report.config,
+            "provenance": report.provenance,
+            "entries": report.entries,
+        }), indent=1)
+
     metric_sets = {"all": tuple(Metric), "distance+ping": (Metric.DISTANCE, Metric.PING),
                    "distance+http_rtt": (Metric.DISTANCE, Metric.HTTP_RTT),
                    "distance": (Metric.DISTANCE,)}
@@ -124,11 +135,9 @@ def dump_generated() -> dict[str, str]:
                 chosen = {m: p for m, p in providers.items() if m in metrics}
                 report = scoring.rank_regions(spec, catalog, measurement.MeasurementStore(),
                                               chosen, config)
-                outputs[f"rank/{n}x{r}/{order}/{metrics_name}"] = json.dumps(hexed({
-                    "config": report.config,
-                    "provenance": report.provenance,
-                    "entries": report.entries,
-                }), indent=1)
+                outputs[f"rank/{n}x{r}/{order}/{metrics_name}"] = dumped(report)
+            if (n, r, order) == (200, 64, "as-written"):
+                outputs.update(special_rankings(spec, catalog, config, model, dumped))
             vantages = [executor.Vantage("local", geo.Coordinate(0.0, 0.0))]
             vantages += [executor.Vantage(g.id, g.location) for g in catalog.regions]
             outputs[f"simulate/{n}x{r}/{order}"] = json.dumps(hexed({
@@ -136,6 +145,37 @@ def dump_generated() -> dict[str, str]:
                 for v in vantages
             }), indent=1)
     return outputs
+
+
+def special_rankings(spec, catalog, config, model, dumped) -> dict[str, str]:
+    """A ranking from a store seeded with ping and HTTP records the model
+    never gives, for every third pair of the shortlist, and one with
+    synthetic providers over a table where the first node has moved."""
+    from cloudforecast import geo, measurement, scoring
+    from cloudforecast.candidates import Metric, hub_legs, weighted_pairs
+
+    locations = measurement.location_index(spec, catalog)
+    providers = measurement.synthetic_providers(model, locations)
+    reference = scoring.rank_regions(spec, catalog, measurement.MeasurementStore(), providers,
+                                     config)
+    legs = hub_legs(spec)
+    pairs = [pair for e in reference.entries if e.shortlisted
+             for pair in weighted_pairs(legs, catalog.by_id(e.region).probe_host)]
+    store = measurement.MeasurementStore()
+    now = time.time()
+    store.put_many(measurement.Measurement(src, dst, metric, 5000.0 + i, "ms", 1, True, now)
+                   for i, (src, dst) in enumerate(pairs[::3])
+                   for metric in (Metric.PING, Metric.HTTP_RTT))
+    seeded = scoring.rank_regions(spec, catalog, store, providers, config)
+    first = spec.nodes[0]
+    moved = spec._replace(nodes=(first._replace(location=geo.Coordinate(
+        -first.location.lat, 0.0 if first.location.lon < 0 else -179.5)),) + spec.nodes[1:])
+    elsewhere = measurement.synthetic_providers(model, measurement.location_index(moved, catalog))
+    return {
+        "rank/200x64/seeded-store": dumped(seeded),
+        "rank/200x64/moved-node-providers": dumped(scoring.rank_regions(
+            spec, catalog, measurement.MeasurementStore(), elsewhere, config)),
+    }
 
 
 def main(argv: list[str]) -> int:
