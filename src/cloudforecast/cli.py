@@ -6,6 +6,7 @@ Synthetic probe mode is the default so analyses are reproducible and offline.
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import NamedTuple
@@ -371,7 +372,7 @@ def cmd_simulate(args: argparse.Namespace, settings: dict) -> int:
         result = simulate_execution(spec, vantage, model, locations)
         runs_ms.append(result.makespan_ms)
 
-    mean_makespan = sum(runs_ms) / len(runs_ms)
+    mean_makespan = math.fsum(runs_ms) / len(runs_ms)
     if settings["format"] == "json":
         doc = {
             "workflow": result.workflow,

@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import math
 import time
+from operator import mul
 from typing import Mapping, NamedTuple
 
 from .candidates import CandidateGraph, Metric, Pair, hub_legs, weighted_pairs
@@ -99,7 +101,7 @@ def score_graph(
     measurements: Mapping[Pair, Measurement],
     failure_penalty: float = DEFAULT_FAILURE_PENALTY,
 ) -> GraphScore:
-    """Sum edge weights over the candidate graph; failed edges cost the penalty."""
+    """The sequential per-edge reference sum of a candidate graph; failed edges cost the penalty."""
     total = 0.0
     failed = 0
     for edge in graph.edges:
@@ -116,6 +118,11 @@ def score_graph(
     return GraphScore(region=graph.region.id, metric=graph.metric, value=total, failed_edges=failed)
 
 
+def _leg_sum(weights, values) -> float:
+    """Every score's sum of multiplicity x value per leg, correctly rounded, so order-free."""
+    return math.fsum(map(mul, weights, values))
+
+
 def score_pairs(
     region: str,
     metric: Metric,
@@ -123,18 +130,16 @@ def score_pairs(
     measurements: Mapping[Pair, Measurement],
     failure_penalty: float = DEFAULT_FAILURE_PENALTY,
 ) -> GraphScore:
-    """`score_graph` from the unique pairs: each pair's value (or the penalty,
-    if it failed) counts once per candidate edge it carries."""
-    total = 0.0
-    failed = 0
+    """`score_graph` from the unique pairs: the `_leg_sum` of their values or failure penalties."""
+    failed, values = 0, []
     for pair, n in pairs.items():
         measurement = measurements[pair]
         if measurement.success:
-            total += n * measurement.value
+            values.append(measurement.value)
         else:
-            total += n * failure_penalty
+            values.append(failure_penalty)
             failed += n
-    return GraphScore(region=region, metric=metric, value=total, failed_edges=failed)
+    return GraphScore(region, metric, _leg_sum(pairs.values(), values), failed)
 
 
 def shortlist_by_distance(
@@ -169,19 +174,16 @@ def rank_regions(
     """Distance-shortlist, then score shortlisted regions by ping+HTTP.
 
     The providers mapping decides which of ping and HTTP are evaluated.
-    Every region is scored by distance, computed from the coordinates
-    without the store unless a distance provider is passed. Non-shortlisted
-    regions are ranked after shortlisted ones by their distance score. A
-    region's candidate graph is scored from its unique (endpoint, hub)
-    pairs, weighted by the number of edges each carries, without building
-    the edges: the workflow's legs are counted once per ranking, one per
-    store key, and a region's pairs built once, if a provider scores it.
-    Each provider's metric is one batch over the pairs of the regions it
-    scores: all of them for distance, the shortlist for ping and HTTP. A
-    `SyntheticProvider` whose table has the entries of the computed distance
+    Distance, computed from the coordinates without the store unless a
+    distance provider is passed, scores every region, and ranks those not
+    shortlisted after the shortlist. Each score is the `_leg_sum` over the
+    region's unique (endpoint, hub) pairs, weighted by the edges each
+    carries, so edge order changes no bit of it while a pair's value does
+    not depend on its direction. A metric is one batch over the pairs of
+    the regions it scores: all for distance, the shortlist for ping and
+    HTTP. A `SyntheticProvider` whose table has the entries of the distance
     pass's `location_index(spec, catalog)` finds the shortlist's kilometres
-    from that pass in its `km` memo, so it measures the store misses with no
-    kernel call; over another table it computes its own.
+    in its `km` memo, so it measures the store misses with no kernel call.
     """
     legs = hub_legs(spec)
     hub_of = {region.id: region.probe_host for region in catalog.regions}
@@ -204,21 +206,18 @@ def rank_regions(
     memos: dict[int, dict[Pair, float]] = {}  # the kilometre memos of the providers that reuse them
     kms_of: dict[str, list[float]] = {}  # region -> its legs' kilometres, in leg order
     if Metric.DISTANCE not in providers:
-        # from the coordinates, as `score_pairs` sums `weighted_pairs`: in leg
-        # order from 0.0, so every bit is the same. A leg's direction needs no
-        # reading: `prepared_km` gives the same bits either way round.
+        # from the coordinates: `prepared_km` gives the same bits either way round a leg
         table = location_index(spec, catalog)
         memos = {id(p.km): p.km for p in providers.values()
                  if type(p) is SyntheticProvider and p.locations.entries == table.entries}
         points = [prepare_point(table.locate(end)) for end, _ in legs]
         for region in catalog.regions:
-            hub, total = prepare_point(table.locate(region.probe_host)), 0.0
+            hub = prepare_point(table.locate(region.probe_host))
             kms = [prepared_km(point, hub) for point in points]
             if memos:
                 kms_of[region.id] = kms
-            for n, km in zip(legs.values(), kms):
-                total += n * km
-            distance_scores[region.id] = GraphScore(region.id, Metric.DISTANCE, total)
+            distance_scores[region.id] = GraphScore(region.id, Metric.DISTANCE,
+                                                    _leg_sum(legs.values(), kms))
     n = min(config.shortlist_n or len(catalog.regions), len(catalog.regions))
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)
 

@@ -610,12 +610,69 @@ def test_edge_order_does_not_change_the_synthetic_report(spec, regions, data):
     assert [e.region for e in other.entries] == [e.region for e in base.entries]
     for a, b in zip(base.entries, other.entries):
         assert b.shortlisted == a.shortlisted
-        assert b.final_score == pytest.approx(a.final_score, rel=1e-9, abs=1e-9)
+        assert b.final_score == a.final_score
         for x, y in ((a.distance_score, b.distance_score), (a.ping_score, b.ping_score),
                      (a.http_score, b.http_score)):
             assert (x is None) == (y is None)
             if x is not None:
-                assert y.value == pytest.approx(x.value, rel=1e-9, abs=1e-9)
+                assert y.value == x.value
+
+
+# hosts h2, h0, h0, h1, h0, h2: the sums of r0 and r1 fall within one unit
+# in the last place, so an order-dependent sum ranks them by edge order
+ULP_TIE_NODES = tuple(
+    WorkflowNode(id=f"n{i}", endpoint=f"h{h}.example.org", location=Coordinate(0, lon))
+    for i, (h, lon) in enumerate([(2, 0), (0, 0), (0, 0), (1, 0), (0, 0), (2, -8.453125)])
+)
+ULP_TIE_CATALOG = RegionCatalog(
+    (Region("r0", "r0.example.org", Coordinate(0, 0)),
+     Region("r1", "r1.example.org", Coordinate(0, -0.5)))
+)
+
+
+def test_two_regions_one_ulp_apart_rank_the_same_under_any_edge_order():
+    def ranking(edges):
+        spec = WorkflowSpec(name="ulp-tie", nodes=ULP_TIE_NODES,
+                            edges=tuple(WorkflowEdge("n0", f"n{v}") for v in edges))
+        providers = synthetic_providers(SyntheticNetworkModel(),
+                                        location_index(spec, ULP_TIE_CATALOG))
+        report = rank_regions(spec, ULP_TIE_CATALOG, MeasurementStore(), providers,
+                              ScoringConfig(shortlist_n=2))
+        return [(e.region, e.final_score.hex(),
+                 *(s.value.hex() for s in (e.distance_score, e.ping_score, e.http_score)))
+                for e in report.entries]
+
+    as_written, permuted = ranking([1, 3, 2]), ranking([3, 1, 2])
+    assert permuted == as_written
+    assert [row[0] for row in as_written] == ["r1", "r0"]
+
+
+@given(
+    spec=workflows(min_nodes=2),
+    hosts=st.lists(st.sampled_from(POOL + ["r0.example.org", "r1.example.org"]),
+                   min_size=1, max_size=4, unique=True),
+    failing=st.sets(st.frozensets(st.sampled_from(POOL + ["r0.example.org"]), min_size=1,
+                                  max_size=2), min_size=1, max_size=10),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_edge_order_does_not_change_a_report_with_failures(spec, hosts, failing, data):
+    catalog = RegionCatalog(
+        tuple(Region(f"r{i}", host, Coordinate(0, i)) for i, host in enumerate(hosts))
+    )
+    permuted = WorkflowSpec(
+        name=spec.name, nodes=spec.nodes, edges=tuple(data.draw(st.permutations(spec.edges)))
+    )
+    # direction-free values with penalty terms: the per-pair `score_pairs` path;
+    # 0.1 has bits below the values' last bit, so sums in edge order round apart
+    providers = {m: _checksum_provider(m, frozenset(failing)) for m in Metric}
+    config = ScoringConfig(shortlist_n=2, failure_penalty=0.1)
+
+    def report(s):
+        ranked = rank_regions(s, catalog, MeasurementStore(), providers, config)
+        return report_to_json(ranked._replace(generated_at=None))
+
+    assert report(permuted) == report(spec)
 
 
 class CountingStore(MeasurementStore):

@@ -21,6 +21,10 @@ compared are:
   store is seeded with ping and HTTP records the model never gives, and of
   a ranking whose synthetic providers locate a moved first node.
 
+It also prints, for each tree, whether every generated ranking's dump with
+the edges reversed is bit-identical to the one with the edges as written
+(`order-free  parent: no  change: yes`).
+
 The generators are imported from the tree's bench/ directory and only
 called. Exit status: 0 when every output is the same, 1 when one differs,
 2 when a command fails in either tree.
@@ -178,6 +182,13 @@ def special_rankings(spec, catalog, config, model, dumped) -> dict[str, str]:
     }
 
 
+def order_free(outputs: dict[str, str]) -> bool:
+    """Whether each generated ranking is the same with its edges reversed."""
+    return all(dump == outputs[name.replace("/as-written/", "/reversed/")]
+               for name, dump in outputs.items()
+               if name.startswith("rank/") and "/as-written/" in name)
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--dump-generated"]:  # the child `collect` starts in each tree
         print(json.dumps(dump_generated()))
@@ -197,6 +208,8 @@ def main(argv: list[str]) -> int:
         diff = difflib.unified_diff(parent[name].splitlines(), change[name].splitlines(),
                                     f"parent/{name}", f"change/{name}", lineterm="", n=1)
         print("\n".join(list(diff)[:40]))
+    yes = {True: "yes", False: "no"}
+    print(f"order-free  parent: {yes[order_free(parent)]}  change: {yes[order_free(change)]}")
     print(f"{len(differing)} of {len(parent)} outputs differ")
     return 1 if differing else 0
 
