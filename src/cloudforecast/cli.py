@@ -280,7 +280,7 @@ def _analysis_setup(args: argparse.Namespace, settings: dict):
     elif settings["probe_mode"] == "local":
         providers = local_providers(pconfig, locations)
     else:
-        providers = agent_providers(catalog, pconfig, locations, agent_port=settings["agent_port"])
+        providers = agent_providers(catalog, pconfig, agent_port=settings["agent_port"])
     # ping before HTTP; distance has no provider, ranking computes it from the coordinates
     providers = {metric: p for metric, p in providers.items() if metric in metrics}
     store = _open_store(settings)

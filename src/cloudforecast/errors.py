@@ -12,10 +12,6 @@ class DocumentFormatError(CloudForecastError):
 class SpecValidationError(CloudForecastError):
     """A workflow or configuration violates a documented invariant."""
 
-    def __init__(self, message: str, violations: list[str] | None = None):
-        super().__init__(message)
-        self.violations = violations or [message]
-
 
 class CycleError(SpecValidationError):
     """The edge set contains a directed cycle."""

@@ -74,10 +74,6 @@ class RegionCatalog(Checked, _RegionCatalogFields):
                 return region
         raise KeyError(region_id)
 
-    @property
-    def ids(self) -> list[str]:
-        return [r.id for r in self.regions]
-
 
 class LocationTable:
     """Hostname -> coordinate lookup used to geolocate endpoints. Its fields
@@ -98,9 +94,6 @@ class LocationTable:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
-    def get(self, host: str) -> Coordinate | None:
-        return self.entries.get(host.lower())
-
     def locate(self, endpoint: str) -> Coordinate:
         """Geolocate an endpoint. An endpoint string found in the table is
         parsed only the first time; concurrent first lookups may both parse
@@ -109,7 +102,7 @@ class LocationTable:
         if coord is not None:
             return coord
         host = host_of(endpoint)
-        coord = self.get(host)
+        coord = self.entries.get(host)
         if coord is not None:
             self._located[endpoint] = coord
             return coord
@@ -225,5 +218,5 @@ def build_location_table(*sources: Iterable[tuple[str, Coordinate]]) -> Location
                 host = hosts[endpoint] = host_of(endpoint)
             merged[host] = coord
     table = LocationTable(merged)
-    table._located.update((endpoint, table.get(host)) for endpoint, host in hosts.items())
+    table._located.update((endpoint, merged[host]) for endpoint, host in hosts.items())
     return table

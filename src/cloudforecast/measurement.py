@@ -28,8 +28,6 @@ from .geo import (
     build_location_table,
     haversine_km,
     host_of,
-    prepare_point,
-    prepared_km,
 )
 from .jsondoc import check_fields
 from .records import Checked
@@ -293,9 +291,6 @@ class MeasurementStore:
                     found[pair] = entry
         return found, missing
 
-    def put(self, measurement: Measurement) -> None:
-        self.put_many((measurement,))
-
     def put_many(self, measurements: Iterable[Measurement]) -> None:
         """Store each measurement under the key of its own pair and metric, in
         one pass under the lock."""
@@ -471,9 +466,9 @@ class SyntheticProvider:
     `synthetic_measure`; `many` measures a batch at one clock reading from
     `km`, the kilometres of each pair, which the ping and HTTP providers of
     one `synthetic_providers` call share. A pair not in `km` is computed
-    once for both, by `prepared_km` from each host's point prepared once
-    per batch. `rank_regions` fills `km` with its distance pass's
-    kilometres if `locations` has the entries of that pass's table."""
+    once for both, by `haversine_km`. `rank_regions` fills `km` with its
+    distance pass's kilometres if `locations` has the entries of that
+    pass's table."""
 
     def __init__(
         self,
@@ -492,9 +487,7 @@ class SyntheticProvider:
         missing = [pair for pair in pairs if pair not in memo]
         if missing:
             locate = self.locations.locate
-            hosts = dict.fromkeys(host for pair in missing for host in pair)
-            point = {host: prepare_point(locate(host)) for host in hosts}
-            memo.update((pair, prepared_km(point[pair[0]], point[pair[1]])) for pair in missing)
+            memo.update((pair, haversine_km(locate(pair[0]), locate(pair[1]))) for pair in missing)
         kms = [memo[pair] for pair in pairs]
         metric, unit, now = self.metric, UNIT_BY_METRIC[self.metric], time.time()
         values = _synthetic_values(kms, metric, self.model)
@@ -599,9 +592,6 @@ class EchoProber:
         return self._tcp_once(ip, timeout_s)
 
 
-_default_prober = EchoProber()
-
-
 def sample_rtts(once: Callable[[], float | None], samples: int) -> list[float]:
     """Run one probe `samples` times; keep the round trips (ms) that completed."""
     return [rtt for rtt in (once() for _ in range(samples)) if rtt is not None]
@@ -616,13 +606,8 @@ def _from_rtts(
     return _measurement(pair, metric, aggregate(rtts, config.aggregator), len(rtts), note)
 
 
-def measure_latency(
-    pair: Pair,
-    config: ProbeConfig,
-    prober: EchoProber | None = None,
-) -> Measurement:
+def measure_latency(pair: Pair, config: ProbeConfig, prober: EchoProber) -> Measurement:
     """Echo-probe the pair's dst; aggregate successful round trips."""
-    prober = prober or _default_prober
     host = host_of(pair[1])
     timeout_s = config.timeout_ms / 1000.0
     rtts = sample_rtts(lambda: prober.probe(host, timeout_s), config.samples_per_pair)
@@ -757,12 +742,11 @@ def local_providers(
 
 
 def agent_providers(
-    catalog: RegionCatalog,
-    config: ProbeConfig,
-    locations: LocationTable,
-    agent_port: int = DEFAULT_AGENT_PORT,
+    catalog: RegionCatalog, config: ProbeConfig, agent_port: int = DEFAULT_AGENT_PORT
 ) -> dict[Metric, PairProvider]:
-    """Ask the probe agent at the pair's region side to measure the other side."""
+    """Ask the probe agent at the pair's region side to measure the other side.
+    When both sides are region probe hosts, the one that sorts first measures,
+    so the agent does not depend on the pair's direction."""
     if not 0 < agent_port < 65536:
         raise ValueError(f"agent_port must be in 1..65535, got {agent_port}")
     region_hosts = {region.probe_host for region in catalog.regions}
@@ -770,10 +754,9 @@ def agent_providers(
     request_timeout_s = (samples * timeout_ms) / 1000.0 + 10.0
 
     def split(pair: Pair) -> tuple[str, str] | None:
-        if pair[0] in region_hosts:
-            return pair[0], pair[1]
-        if pair[1] in region_hosts:
-            return pair[1], pair[0]
+        for agent, target in sorted((pair, pair[::-1])):
+            if agent in region_hosts:
+                return agent, target
         return None
 
     def via_agent(

@@ -73,27 +73,12 @@ class RankingEntry(NamedTuple):
     http_score: GraphScore | None = None
 
 
-class _RankingReportFields(NamedTuple):
+class RankingReport(NamedTuple):
     workflow: str
     entries: tuple[RankingEntry, ...]
     config: dict
     provenance: dict
-    generated_at: float | None
-
-
-class RankingReport(_RankingReportFields):
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        workflow: str,
-        entries: tuple[RankingEntry, ...],
-        config: dict | None = None,  # None: a new empty dict
-        provenance: dict | None = None,  # None: a new empty dict
-        generated_at: float | None = None,
-    ):
-        return tuple.__new__(cls, (workflow, entries, {} if config is None else config,
-                                   {} if provenance is None else provenance, generated_at))
+    generated_at: float | None = None
 
 
 def score_graph(

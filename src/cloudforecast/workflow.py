@@ -207,7 +207,7 @@ def parse_workflow(document: str) -> WorkflowSpec:
     )
     violations = validate_dag(spec)
     if violations:
-        raise SpecValidationError("; ".join(violations), violations=violations)
+        raise SpecValidationError("; ".join(violations))
     return spec
 
 
@@ -239,7 +239,7 @@ def parse_node_pool(document: str) -> list[WorkflowNode]:
     nodes = [_parse_node(entry, f"nodes[{i}]") for i, entry in enumerate(data["nodes"])]
     violations = _node_violations(nodes, "pool node")
     if violations:
-        raise SpecValidationError("; ".join(violations), violations=violations)
+        raise SpecValidationError("; ".join(violations))
     return nodes
 
 

@@ -7,6 +7,7 @@ that tests cross-check rather than mirror the production code paths.
 import itertools
 import json
 import math
+import zlib
 from urllib.parse import urlparse
 
 from hypothesis import strategies as st
@@ -184,6 +185,26 @@ def fixed_value_provider(
         )
 
     return provider
+
+
+def crc_rtt_ms(base_url: str, target: str) -> float:
+    """The round trip `CrcAgentClient` reports from the agent at `base_url` to `target`."""
+    return 1.0 + zlib.crc32(f"{base_url}>{target}".encode()) % 100
+
+
+class CrcAgentClient:
+    """Stand-in for `measurement.AgentClient` that sends nothing: every round
+    trip is `crc_rtt_ms` of its URL and the target, so two agents measuring
+    the same pair answer differently."""
+
+    def __init__(self, base_url: str, request_timeout_s: float = 60.0):
+        self.base_url = base_url
+
+    def ping(self, host: str, samples: int, timeout_ms: float) -> dict:
+        return {"ok": True, "rtts_ms": [crc_rtt_ms(self.base_url, host)] * samples}
+
+    def http(self, url: str, samples: int, timeout_ms: float) -> dict:
+        return {"ok": True, "rtts_ms": [crc_rtt_ms(self.base_url, url)] * samples}
 
 
 def per_region_edge_providers(catalog, edge_values: dict[str, dict[Metric, float]]):

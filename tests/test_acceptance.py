@@ -236,7 +236,7 @@ def test_criterion_6_scoring_properties():
     for _ in range(100):  # single-edge degradation never improves the rank
         catalog = random_catalog()
         values = random_edge_values(catalog)
-        victim = rng.choice(catalog.ids)
+        victim = rng.choice([r.id for r in catalog.regions])
         metric = rng.choice([Metric.PING, Metric.HTTP_RTT])
         before = next(
             e.rank for e in ranking(catalog, values).entries if e.region == victim
@@ -264,8 +264,8 @@ def test_criterion_6_scoring_properties():
         values = random_edge_values(catalog)
         n = rng.randint(1, len(catalog.regions))
         report = ranking(catalog, values, n=n)
-        assert sorted(e.region for e in report.entries) == sorted(catalog.ids)
-        assert [e.rank for e in report.entries] == list(range(1, len(catalog.ids) + 1))
+        assert sorted(e.region for e in report.entries) == sorted([r.id for r in catalog.regions])
+        assert [e.rank for e in report.entries] == list(range(1, len([r.id for r in catalog.regions]) + 1))
         flags = [e.shortlisted for e in report.entries]
         assert flags == sorted(flags, reverse=True)
     _passed("criterion 6 - scale invariance, monotonicity, dominance, permutation (100 cases each)")

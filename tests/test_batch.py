@@ -124,7 +124,7 @@ def test_measurements_with_equal_fields_are_equal_and_hash_alike():
 def test_get_many_groups_misses_by_key_in_first_seen_order():
     store = MeasurementStore()
     hit = _m("a", "b")
-    store.put(hit)
+    store.put_many([hit])
     pairs = [("c", "d"), ("b", "a"), ("d", "c"), ("a", "b"), ("e", "f"), ("c", "d")]
     found, missing = store.get_many(pairs, Metric.PING)
     assert list(found) == [("b", "a"), ("a", "b")] and set(found.values()) == {hit}
@@ -197,7 +197,7 @@ def test_both_directions_of_a_pair_in_one_batch_are_measured_once(max_parallel):
 
 def test_a_batch_provider_is_asked_for_each_missing_key_once():
     store = MeasurementStore()
-    store.put(_m("hub", "y"))
+    store.put_many([_m("hub", "y")])
     provider = CountingBatch()
     measured = collect_measurements(store, BOTH_WAYS, Metric.PING, provider, max_parallel=8)
     assert provider.batches == [[("x", "hub"), ("hub", "hub")]]
@@ -275,10 +275,10 @@ def test_a_synthetic_ranking_computes_each_distance_once(fig1_spec, catalog, mon
     # distance: once per (region, leg) through the kilometre kernel; ping and
     # HTTP of the shortlist read those kilometres, with no kernel call of their own
     calls = {scoring: [], measurement: []}
-    kernel = measurement.prepared_km
-    for module, log in calls.items():
-        monkeypatch.setattr(module, "prepared_km",
-                            lambda a, b, log=log: log.append(1) or kernel(a, b))
+    for module, name in ((scoring, "prepared_km"), (measurement, "haversine_km")):
+        kernel, log = getattr(module, name), calls[module]
+        monkeypatch.setattr(module, name,
+                            lambda a, b, kernel=kernel, log=log: log.append(1) or kernel(a, b))
     store = MeasurementStore()
     providers = synthetic_providers(MODEL, location_index(fig1_spec, catalog))
     report = rank_regions(fig1_spec, catalog, store, providers,
@@ -415,7 +415,7 @@ def _probe_lines(spec, catalog, store):
                 m = store.get(pair, metric)
                 if m is None:
                     m = synthetic_measure(pair, metric, MODEL, locations)
-                    store.put(m)
+                    store.put_many([m])
                 lines.append(f"{metric.value:9} {region.id:16} {pair[0]} -> {pair[1]}  "
                              f"{m.value:.3f} {m.unit}  ok")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from cloudforecast.cli import main
 from cloudforecast.geo import host_of
 from cloudforecast.measurement import EchoProber, as_url
 from conftest import FIG1_DOC
-from helpers import NON_FINITE, with_raw_value
+from helpers import NON_FINITE, CrcAgentClient, crc_rtt_ms, with_raw_value
 
 
 def run_cli(argv, capsys):
@@ -491,6 +491,50 @@ def test_analyze_agent_mode_against_loopback(tmp_path, capsys):
         for server in (node, agent):
             server.shutdown()
             server.server_close()
+
+
+# node y's endpoint is region b's probe host, so region a's leg to it runs
+# between two probe hosts, and either agent could measure it
+AGENT_ORDER_DOC = {
+    "name": "agent-order",
+    "nodes": [
+        {"id": "x", "endpoint": "x.example.org", "role": "source",
+         "location": {"lat": 10, "lon": 10}},
+        {"id": "y", "endpoint": "b.example.org", "role": "service",
+         "location": {"lat": 20, "lon": 20}},
+        {"id": "z", "endpoint": "z.example.org", "role": "service",
+         "location": {"lat": 30, "lon": 30}},
+    ],
+    "edges": [{"from": "y", "to": "z"}, {"from": "x", "to": "y"}],
+}
+AGENT_ORDER_REGIONS = {"regions": [
+    {"id": "a", "probe_host": "a.example.org", "lat": 0, "lon": 0},
+    {"id": "b", "probe_host": "b.example.org", "lat": 5, "lon": 5},
+]}
+
+
+def test_agent_mode_measures_a_leg_between_probe_hosts_from_the_host_that_sorts_first(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(measurement, "AgentClient", CrcAgentClient)
+    regions = tmp_path / "regions.json"
+    regions.write_text(json.dumps(AGENT_ORDER_REGIONS))
+    outputs = []
+    for edges in (AGENT_ORDER_DOC["edges"], AGENT_ORDER_DOC["edges"][::-1]):
+        workflow = tmp_path / "workflow.json"
+        workflow.write_text(json.dumps(dict(AGENT_ORDER_DOC, edges=edges)))
+        code, out, err = run_cli(
+            ["analyze", "-w", str(workflow), "--regions", str(regions), "--probe-mode", "agent",
+             "--samples-per-pair", "1", "--format", "json", "--no-timestamps"],
+            capsys,
+        )
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[1] == outputs[0]
+    ping = {e["region"]: e["ping_score"]["value"] for e in json.loads(outputs[0])["entries"]}
+    # a's agent measures x, z and, sorting before b.example.org, the leg to y twice
+    agent = "http://a.example.org:9001"
+    assert ping["a"] == (crc_rtt_ms(agent, "x.example.org") + crc_rtt_ms(agent, "z.example.org")
+                         + 2 * crc_rtt_ms(agent, "b.example.org"))
 
 
 def test_probe_prints_measurements(fig1_file, capsys):

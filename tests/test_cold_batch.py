@@ -127,7 +127,7 @@ def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, s
     # regions' folded pairs concatenated
     shortlist = sorted((e for e in report.entries if e.shortlisted),
                        key=lambda e: (e.distance_score.value, e.region))
-    expected = [(Metric.DISTANCE, [pair for region_id in catalog.ids for pair in keys(region_id)])
+    expected = [(Metric.DISTANCE, [pair for region_id in [r.id for r in catalog.regions] for pair in keys(region_id)])
                 ] if distance_provider else []
     expected += [
         (metric, [pair for e in shortlist for pair in keys(e.region)])

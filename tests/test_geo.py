@@ -177,7 +177,7 @@ def test_resolve_location_error():
 def test_default_catalog_has_the_eight_regions():
     catalog = default_region_catalog()
     assert len(catalog.regions) == 8
-    assert catalog.ids == [
+    assert [r.id for r in catalog.regions] == [
         "us-east-1",
         "us-west-1",
         "us-west-2",
@@ -275,4 +275,4 @@ def test_build_location_table_parses_each_endpoint_once_and_later_sources_win(mo
     for endpoint in endpoints:
         assert table.locate(endpoint) == LONDON
     assert parsed == endpoints  # `locate` parsed none of them again
-    assert table.get("paris.example.org") == LONDON
+    assert table.entries["paris.example.org"] == LONDON

@@ -204,8 +204,8 @@ def test_symmetric_metric_shares_cache_entry():
 def test_store_persistence_round_trip(tmp_path):
     path = str(tmp_path / "probes.cache")
     store = MeasurementStore(ttl_s=3600)
-    store.put(_measurement("a", "b", Metric.PING, 12.5))
-    store.put(_measurement("a", "b", Metric.DISTANCE, 440.0))
+    store.put_many([_measurement("a", "b", Metric.PING, 12.5)])
+    store.put_many([_measurement("a", "b", Metric.DISTANCE, 440.0)])
     store.save(path)
     loaded = MeasurementStore.load(path, ttl_s=3600)
     assert len(loaded) == 2
@@ -221,10 +221,10 @@ def test_store_load_missing_file_is_empty(tmp_path):
 def test_store_load_later_record_wins(tmp_path):
     path = tmp_path / "dup.cache"
     store = MeasurementStore(ttl_s=3600)
-    store.put(_measurement("a", "b", Metric.PING, 1.0))
+    store.put_many([_measurement("a", "b", Metric.PING, 1.0)])
     store.save(str(path))
     first = path.read_text()
-    store.put(_measurement("a", "b", Metric.PING, 2.0))
+    store.put_many([_measurement("a", "b", Metric.PING, 2.0)])
     store.save(str(path))
     # simulate an appended file: old record first, new record after
     path.write_text(first + path.read_text())
@@ -251,7 +251,7 @@ def test_store_load_later_record_wins(tmp_path):
 def test_store_load_bad_record_names_file_and_line(tmp_path, record, message):
     path = tmp_path / "bad.cache"
     store = MeasurementStore(ttl_s=3600)
-    store.put(_measurement("a", "b", Metric.PING, 1.0))
+    store.put_many([_measurement("a", "b", Metric.PING, 1.0)])
     store.save(str(path))
     path.write_text(path.read_text() + "\n" + record + "\n")
     with pytest.raises(DocumentFormatError) as info:
@@ -263,10 +263,10 @@ def test_store_load_bad_record_names_file_and_line(tmp_path, record, message):
 def test_store_save_failing_halfway_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "probes.cache"
     store = MeasurementStore(ttl_s=3600)
-    store.put(_measurement("a", "b", Metric.PING, 1.0))
+    store.put_many([_measurement("a", "b", Metric.PING, 1.0)])
     store.save(str(path))
     old = path.read_text()
-    store.put(_measurement("c", "d", Metric.PING, 2.0))
+    store.put_many([_measurement("c", "d", Metric.PING, 2.0)])
 
     def fail(src, dst):
         raise OSError("disk full")
@@ -282,7 +282,7 @@ def test_store_save_writes_sorted_record_fields(tmp_path):
     path = tmp_path / "probes.cache"
     store = MeasurementStore(ttl_s=3600)
     taken_at = float(int(time.time()))  # recent: `save` leaves out expired records
-    store.put(_measurement("a", "b", Metric.PING, 1.5, taken_at=taken_at))
+    store.put_many([_measurement("a", "b", Metric.PING, 1.5, taken_at=taken_at)])
     store.save(str(path))
     assert path.read_text() == (
         '{"dst": "b", "metric": "ping", "note": "", "samples": 1, "src": "a", '
@@ -295,7 +295,7 @@ def _write_cache(path, *measurements):
     any rewrite shows in `st_mtime_ns`."""
     store = MeasurementStore(ttl_s=3600)
     for m in measurements:
-        store.put(m)
+        store.put_many([m])
     store.save(str(path))
     os.utime(path, ns=(10**9, 10**9))
 
@@ -315,7 +315,7 @@ def test_store_save_of_unchanged_entries_leaves_the_file_untouched(tmp_path, mon
     loaded = MeasurementStore.load(str(path))
     assert loaded.get(("a", "c"), Metric.DISTANCE).value == 2.0  # a hit changes nothing
     fresh = MeasurementStore()
-    fresh.put(_measurement("a", "b", Metric.PING, 1.0))
+    fresh.put_many([_measurement("a", "b", Metric.PING, 1.0)])
     fresh.save(str(tmp_path / "fresh.cache"))
     _refuse_replace(monkeypatch)
     loaded.save(str(path))
@@ -345,7 +345,7 @@ def test_store_save_leaves_out_expired_records_no_lookup_evicts(tmp_path):
 
 
 def _put_one(store, path):
-    store.put(_measurement("x", "y", Metric.PING, 3.0))
+    store.put_many([_measurement("x", "y", Metric.PING, 3.0)])
     return path
 
 
@@ -396,7 +396,7 @@ def test_store_load_of_a_missing_file_then_save_creates_it(tmp_path):
     store = MeasurementStore.load(str(path))
     store.save(str(path))
     assert path.exists() and path.read_text() == ""
-    store.put(_measurement("a", "b", Metric.PING, 1.0))
+    store.put_many([_measurement("a", "b", Metric.PING, 1.0)])
     store.save(str(path))
     assert len(MeasurementStore.load(str(path))) == 1
 
@@ -405,12 +405,12 @@ def test_store_concurrent_puts_and_saves_lose_no_entry(tmp_path):
     path = str(tmp_path / "probes.cache")
     store = MeasurementStore()
     for i in range(300):  # so that each save serializes for a while
-        store.put(_measurement("base", f"d{i}", Metric.PING, 1.0))
+        store.put_many([_measurement("base", f"d{i}", Metric.PING, 1.0)])
     store.save(path)
 
     def work(worker):
         for i in range(20):
-            store.put(_measurement(f"w{worker}", f"d{i}", Metric.PING, 1.0))
+            store.put_many([_measurement(f"w{worker}", f"d{i}", Metric.PING, 1.0)])
             store.save(path)
 
     interval = sys.getswitchinterval()
@@ -512,7 +512,7 @@ def test_collect_measurements_parallel_fanout():
 
 def test_latency_loopback_smoke():
     config = ProbeConfig(samples_per_pair=3, timeout_ms=500)
-    m = measure_latency(("here", "127.0.0.1"), config)
+    m = measure_latency(("here", "127.0.0.1"), config, measurement.EchoProber())
     assert m.success
     assert m.value < 5.0
     assert m.metric is Metric.PING
@@ -583,7 +583,7 @@ def test_latency_unroutable_fails_within_budget(monkeypatch):
 
 def test_latency_unresolvable_host_fails():
     config = ProbeConfig(samples_per_pair=1, timeout_ms=100)
-    m = measure_latency(("here", "blackhole.invalid"), config)
+    m = measure_latency(("here", "blackhole.invalid"), config, measurement.EchoProber())
     assert not m.success
 
 
@@ -693,11 +693,11 @@ def test_probe_config_takes_an_aggregator_name():
 
 
 @pytest.mark.parametrize("port", [0, -1, 65536])
-def test_agent_providers_reject_a_port_out_of_range(catalog, fig1_spec, port):
-    from cloudforecast.measurement import agent_providers, location_index
+def test_agent_providers_reject_a_port_out_of_range(catalog, port):
+    from cloudforecast.measurement import agent_providers
 
     with pytest.raises(ValueError, match=f"agent_port must be in 1..65535, got {port}"):
-        agent_providers(catalog, ProbeConfig(), location_index(fig1_spec, catalog), agent_port=port)
+        agent_providers(catalog, ProbeConfig(), agent_port=port)
 
 
 # a cache record that would rank with a nan, count a string as a success or never expire

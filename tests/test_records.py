@@ -156,13 +156,6 @@ def test_names_become_members_however_a_record_is_built():
     assert ProbeConfig()._replace(aggregator="median") == config
 
 
-def test_a_report_has_its_own_config_and_provenance():
-    a, b = RankingReport("w", ()), RankingReport("w", ())
-    assert a.config == a.provenance == {}
-    assert a.config is not b.config and a.provenance is not b.provenance
-    assert a.config is not a.provenance
-
-
 def test_a_location_table_is_read_only():
     table = LocationTable(entries={"Host.Example.org": HERE})
     assert LocationTable({"host.example.org": HERE}).entries == table.entries

@@ -26,10 +26,23 @@ from cloudforecast import (
     shortlist_by_distance,
 )
 from cloudforecast.candidates import hub_legs, measurement_pairs, weighted_pairs
-from cloudforecast.measurement import SyntheticNetworkModel, location_index, synthetic_providers
+from cloudforecast import measurement
+from cloudforecast.measurement import (
+    ProbeConfig,
+    SyntheticNetworkModel,
+    agent_providers,
+    location_index,
+    synthetic_providers,
+)
 from cloudforecast.scoring import report_to_json, RankingReport
 from conftest import EXPECTED_RANKING, REFERENCE_FINAL_SCORES
-from helpers import canonical_key, fixed_value_provider, fold_pairs, per_region_edge_providers
+from helpers import (
+    CrcAgentClient,
+    canonical_key,
+    fixed_value_provider,
+    fold_pairs,
+    per_region_edge_providers,
+)
 
 REGION = Region("r1", "r1.example.org", Coordinate(0, 0))
 
@@ -268,7 +281,7 @@ def test_ping_only_ranking_uses_ping_weight(fig1_spec):
 
 
 def test_render_rejects_unknown_format():
-    report = RankingReport(workflow="x", entries=())
+    report = RankingReport(workflow="x", entries=(), config={}, provenance={})
     with pytest.raises(ValueError, match="unknown report format"):
         render_report(report, "xml")
 
@@ -293,7 +306,7 @@ def test_json_round_trip_with_partial_scores(fig1_spec):
         Region(f"r{i}", f"r{i}.example.org", Coordinate(0, i)) for i in range(3)
     )
     catalog = RegionCatalog(regions)
-    edge_values = {rid: {m: float(i + 1) for m in Metric} for i, rid in enumerate(catalog.ids)}
+    edge_values = {rid: {m: float(i + 1) for m in Metric} for i, rid in enumerate([r.id for r in catalog.regions])}
     report = rank_regions(
         fig1_spec, catalog, MeasurementStore(),
         per_region_edge_providers(catalog, edge_values),
@@ -397,7 +410,7 @@ def test_ranking_is_contiguous_permutation(values, n):
         per_region_edge_providers(catalog, edge_values),
         ScoringConfig(shortlist_n=n),
     )
-    assert sorted(e.region for e in report.entries) == sorted(catalog.ids)
+    assert sorted(e.region for e in report.entries) == sorted([r.id for r in catalog.regions])
     assert [e.rank for e in report.entries] == list(range(1, len(values) + 1))
     flags = [e.shortlisted for e in report.entries]
     assert flags == sorted(flags, reverse=True)  # shortlisted first
@@ -419,13 +432,13 @@ def test_render_table_first_row(fig1_spec, catalog):
 
 
 def test_render_empty_report_is_header_only():
-    report = RankingReport(workflow="empty", entries=())
+    report = RankingReport(workflow="empty", entries=(), config={}, provenance={})
     table = render_report(report, "table")
     assert "rank" in table and len(table.splitlines()) == 3
 
 
 def test_render_json_round_trip(fig1_spec, catalog):
-    edge_values = {rid: {m: 1.0 for m in Metric} for rid in catalog.ids}
+    edge_values = {rid: {m: 1.0 for m in Metric} for rid in [r.id for r in catalog.regions]}
     report = rank_regions(
         fig1_spec, catalog, MeasurementStore(),
         per_region_edge_providers(catalog, edge_values), ScoringConfig(),
@@ -434,7 +447,7 @@ def test_render_json_round_trip(fig1_spec, catalog):
 
 
 def test_render_csv_has_all_fields(fig1_spec, catalog):
-    edge_values = {rid: {m: 2.0 for m in Metric} for rid in catalog.ids}
+    edge_values = {rid: {m: 2.0 for m in Metric} for rid in [r.id for r in catalog.regions]}
     report = rank_regions(
         fig1_spec, catalog, MeasurementStore(),
         per_region_edge_providers(catalog, edge_values), ScoringConfig(),
@@ -673,6 +686,34 @@ def test_edge_order_does_not_change_a_report_with_failures(spec, hosts, failing,
         return report_to_json(ranked._replace(generated_at=None))
 
     assert report(permuted) == report(spec)
+
+
+@given(
+    spec=workflows(min_nodes=2),
+    hosts=st.lists(st.sampled_from(POOL + ["r0.example.org"]), min_size=2, max_size=4,
+                   unique=True),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_edge_order_does_not_change_an_agent_report(spec, hosts, data):
+    # probe hosts drawn from the endpoint pool: a leg between an endpoint that
+    # is one region's probe host and another region's probe host has two
+    # agents, and `CrcAgentClient` answers differently from each
+    catalog = RegionCatalog(
+        tuple(Region(f"r{i}", host, Coordinate(0, i)) for i, host in enumerate(hosts))
+    )
+    permuted = WorkflowSpec(
+        name=spec.name, nodes=spec.nodes, edges=tuple(data.draw(st.permutations(spec.edges)))
+    )
+    providers = agent_providers(catalog, ProbeConfig(samples_per_pair=1))
+
+    def report(s):
+        ranked = rank_regions(s, catalog, MeasurementStore(), providers, ScoringConfig(shortlist_n=2))
+        return report_to_json(ranked._replace(generated_at=None))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measurement, "AgentClient", CrcAgentClient)
+        assert report(permuted) == report(spec)
 
 
 class CountingStore(MeasurementStore):

@@ -14,7 +14,7 @@ from cloudforecast import (
     Region,
     RegionCatalog,
 )
-from cloudforecast.measurement import agent_providers, location_index
+from cloudforecast.measurement import agent_providers
 from cloudforecast.services import (
     MAX_BYTES,
     MAX_DELAY_MS,
@@ -24,7 +24,6 @@ from cloudforecast.services import (
     make_node_server,
     start_in_thread,
 )
-from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 
 
 @pytest.fixture(scope="module")
@@ -173,19 +172,8 @@ def test_agent_providers_end_to_end(agent, node):
     region = Region("loop", "127.0.0.1", Coordinate(0, 0))
     catalog = RegionCatalog((region,))
     node_url = _url(node, "")
-    spec = WorkflowSpec(
-        name="loop",
-        nodes=(
-            WorkflowNode(id="A", endpoint=node_url, role="source", location=Coordinate(0, 0)),
-            WorkflowNode(id="B", endpoint=node_url, location=Coordinate(0, 0)),
-        ),
-        edges=(WorkflowEdge("A", "B"),),
-    )
     providers = agent_providers(
-        catalog,
-        ProbeConfig(samples_per_pair=2, timeout_ms=1000),
-        location_index(spec, catalog),
-        agent_port=agent[1],
+        catalog, ProbeConfig(samples_per_pair=2, timeout_ms=1000), agent_port=agent[1]
     )
     ping = providers[Metric.PING]((node_url, "127.0.0.1"))
     assert ping.success and ping.value < 50.0
@@ -196,15 +184,8 @@ def test_agent_providers_end_to_end(agent, node):
 def test_agent_providers_fail_without_region_side(agent):
     region = Region("loop", "127.0.0.1", Coordinate(0, 0))
     catalog = RegionCatalog((region,))
-    spec = WorkflowSpec(
-        name="x",
-        nodes=(WorkflowNode(id="A", endpoint="a.example.org", location=Coordinate(0, 0)),),
-    )
     providers = agent_providers(
-        catalog,
-        ProbeConfig(samples_per_pair=1, timeout_ms=200),
-        location_index(spec, catalog),
-        agent_port=agent[1],
+        catalog, ProbeConfig(samples_per_pair=1, timeout_ms=200), agent_port=agent[1]
     )
     m = providers[Metric.PING](("x.example.org", "y.example.org"))
     assert not m.success and "no-region-side" in m.note
@@ -213,18 +194,14 @@ def test_agent_providers_fail_without_region_side(agent):
 def test_agent_error_reply_is_reported_with_its_status(agent):
     region = Region("loop", "127.0.0.1", Coordinate(0, 0))
     catalog = RegionCatalog((region,))
-    spec = WorkflowSpec(
-        name="x",
-        nodes=(WorkflowNode(id="A", endpoint="127.0.0.1", location=Coordinate(0, 0)),),
-    )
     too_many = ProbeConfig(samples_per_pair=MAX_SAMPLES + 1, timeout_ms=200)
-    providers = agent_providers(catalog, too_many, location_index(spec, catalog), agent[1])
+    providers = agent_providers(catalog, too_many, agent[1])
     for metric in (Metric.PING, Metric.HTTP_RTT):
         m = providers[metric](("127.0.0.1", "127.0.0.1"))
         assert not m.success and m.note == "agent/http-400"
     # no agent listening is a transport error
     closed = agent_providers(catalog, ProbeConfig(samples_per_pair=1, timeout_ms=200),
-                             location_index(spec, catalog), agent_port=1)
+                             agent_port=1)
     m = closed[Metric.PING](("127.0.0.1", "127.0.0.1"))
     assert not m.success and m.note == "agent/unreachable"
 
@@ -246,12 +223,8 @@ BAD_REPLIES = {
 def _loopback_agent_providers(samples=1, **kwargs):
     """Agent providers for one region on loopback (`agent_port` in kwargs)."""
     catalog = RegionCatalog((Region("loop", "127.0.0.1", Coordinate(0, 0)),))
-    spec = WorkflowSpec(
-        name="x",
-        nodes=(WorkflowNode(id="A", endpoint="127.0.0.1", location=Coordinate(0, 0)),),
-    )
     return agent_providers(catalog, ProbeConfig(samples_per_pair=samples, timeout_ms=200),
-                           location_index(spec, catalog), **kwargs)
+                           **kwargs)
 
 
 def _replying_agent(monkeypatch, reply):

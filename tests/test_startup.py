@@ -110,7 +110,6 @@ import pytest
 from cloudforecast import Coordinate, Metric, ProbeConfig, Region, RegionCatalog
 from cloudforecast import executor, measurement
 from cloudforecast.errors import NodeUnreachableError
-from cloudforecast.geo import build_location_table
 
 
 class Response:
@@ -148,8 +147,7 @@ config = ProbeConfig(samples_per_pair=1, timeout_ms=100)
 catalog = RegionCatalog((Region("up", "up.test", Coordinate(0, 0)),
                          Region("down", "down.test", Coordinate(0, 0)),
                          Region("refuses", "refuses.test", Coordinate(0, 0))))
-locations = build_location_table(((r.probe_host, r.location) for r in catalog.regions))
-ping = measurement.agent_providers(catalog, config, locations, agent_port=9)[Metric.PING]
+ping = measurement.agent_providers(catalog, config, agent_port=9)[Metric.PING]
 
 with pytest.MonkeyPatch.context() as mp:
     mp.setattr(measurement, "requests", probe_gets)

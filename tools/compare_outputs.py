@@ -19,7 +19,12 @@ compared are:
   the simulated finish times of every node from every region and from 0,0;
 - on the 200 x 64 input as written, the `float.hex` of a ranking whose
   store is seeded with ping and HTTP records the model never gives, and of
-  a ranking whose synthetic providers locate a moved first node.
+  a ranking whose synthetic providers locate a moved first node;
+- `analyze --probe-mode agent --format json` of a three-node workflow one
+  of whose endpoints is another region's probe host, with the edges as
+  written and reversed, through `cloudforecast.cli.main` with a stand-in
+  `AgentClient` that answers `1 + crc32(f"{base_url}>{target}") % 100` ms,
+  so the report shows which agent measured each leg.
 
 It also prints, for each tree, whether every generated ranking's dump with
 the edges reversed is bit-identical to the one with the edges as written
@@ -37,6 +42,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import zlib
 
 CLI = [
     ("analyze-table", ["analyze", "-w", "{fig1}", "--no-timestamps"]),
@@ -148,6 +154,72 @@ def dump_generated() -> dict[str, str]:
                 v.id: executor.simulate_execution(spec, v, model, locations).finish_ms
                 for v in vantages
             }), indent=1)
+    outputs.update(agent_rankings())
+    return outputs
+
+
+# node y's endpoint is region b's probe host: region a's leg to it has two agents
+AGENT_DOC = {
+    "name": "agent-order",
+    "nodes": [
+        {"id": "x", "endpoint": "x.example.org", "role": "source",
+         "location": {"lat": 10, "lon": 10}},
+        {"id": "y", "endpoint": "b.example.org", "role": "service",
+         "location": {"lat": 20, "lon": 20}},
+        {"id": "z", "endpoint": "z.example.org", "role": "service",
+         "location": {"lat": 30, "lon": 30}},
+    ],
+    "edges": [{"from": "y", "to": "z"}, {"from": "x", "to": "y"}],
+}
+AGENT_REGIONS = {"regions": [
+    {"id": "a", "probe_host": "a.example.org", "lat": 0, "lon": 0},
+    {"id": "b", "probe_host": "b.example.org", "lat": 5, "lon": 5},
+]}
+
+
+class CrcAgentClient:
+    """Sends nothing: a round trip is a checksum of the agent's URL and the target."""
+
+    def __init__(self, base_url, request_timeout_s=60.0):
+        self.base_url = base_url
+
+    def _reply(self, target):
+        return {"ok": True, "rtts_ms": [1 + zlib.crc32(f"{self.base_url}>{target}".encode()) % 100]}
+
+    def ping(self, host, samples, timeout_ms):
+        return self._reply(host)
+
+    def http(self, url, samples, timeout_ms):
+        return self._reply(url)
+
+
+def agent_rankings() -> dict[str, str]:
+    """`analyze --probe-mode agent` of `AGENT_DOC` with the edges as written
+    and reversed, answered by `CrcAgentClient`."""
+    import contextlib
+    import io
+
+    from cloudforecast import cli, measurement
+
+    measurement.AgentClient = CrcAgentClient
+    outputs = {}
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-agent-") as scratch:
+        regions = os.path.join(scratch, "regions.json")
+        with open(regions, "w") as fh:
+            json.dump(AGENT_REGIONS, fh)
+        for order, edges in (("as-written", AGENT_DOC["edges"]),
+                             ("reversed", AGENT_DOC["edges"][::-1])):
+            workflow = os.path.join(scratch, f"{order}.workflow")
+            with open(workflow, "w") as fh:
+                json.dump(dict(AGENT_DOC, edges=edges), fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["analyze", "-w", workflow, "--regions", regions,
+                                 "--probe-mode", "agent", "--samples-per-pair", "1",
+                                 "--format", "json", "--no-timestamps"])
+            if code != 0:
+                raise CommandFailed(f"agent-mode analyze of {order} edges exited {code}")
+            outputs[f"rank/agent-order/{order}/agent"] = out.getvalue()
     return outputs
 
 
