@@ -35,7 +35,7 @@ from .executor import (
     simulate_execution,
 )
 from .geo import Coordinate, default_region_catalog, load_region_catalog
-from .jsondoc import as_int, as_string, check_fields, load_document
+from .jsondoc import as_int, as_string, check_fields, field_sets, load_document
 from .measurement import (
     DEFAULT_AGENT_PORT,
     DEFAULT_TTL_S,
@@ -140,6 +140,12 @@ def load_settings(args: argparse.Namespace) -> dict:
     Flags were converted when parsed; the other sources are converted here."""
     settings = dict(DEFAULTS)
 
+    def converted(key: str, value, source: str):
+        try:
+            return SETTINGS[key].convert(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         try:
@@ -155,15 +161,12 @@ def load_settings(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"config file: unknown key(s): {', '.join(unknown)}")
         for key, value in file_values.items():
-            try:
-                settings[key] = SETTINGS[key].convert(value)
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"config file: {exc}") from None
+            settings[key] = converted(key, value, "config file")
 
     for key in SETTINGS:
-        env_value = os.environ.get(ENV_PREFIX + key.upper())
-        if env_value is not None:
-            settings[key] = SETTINGS[key].convert(env_value)
+        env_name = ENV_PREFIX + key.upper()
+        if env_name in os.environ:
+            settings[key] = converted(key, os.environ[env_name], env_name)
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
@@ -403,6 +406,8 @@ DEFAULT_RECIPE = (
     [{"pattern": "sequential", "nodes": n} for n in (2, 3, 4, 5, 7, 10, 12)]
     + [{"pattern": "mixed", "nodes": 13}, {"pattern": "mixed", "nodes": 13}]
 )
+_RECIPE_FIELDS = field_sets(["workflows"], [])
+_RECIPE_ENTRY_FIELDS = field_sets(["pattern", "nodes"], ["seed"])
 
 
 def _read_recipe(path: str) -> tuple[str, list]:
@@ -412,14 +417,14 @@ def _read_recipe(path: str) -> tuple[str, list]:
     doc = _read_file(path, lambda text: load_document(text, "recipe"))
     where = path
     if isinstance(doc, dict):
-        check_fields(doc, ["workflows"], [], path)
+        check_fields(doc, _RECIPE_FIELDS, path)
         doc, where = doc["workflows"], f"{path}: workflows"
     if not isinstance(doc, list):
         raise DocumentFormatError(f"{where}: expected a list of workflows, got {type(doc).__name__}")
     patterns = [p.value for p in WorkflowPattern]
     for i, entry in enumerate(doc):
         ctx = f"{where}[{i}]"
-        check_fields(entry, ["pattern", "nodes"], ["seed"], ctx)
+        check_fields(entry, _RECIPE_ENTRY_FIELDS, ctx)
         if as_string(entry["pattern"], f"{ctx}.pattern") not in patterns:
             raise DocumentFormatError(
                 f"{ctx}.pattern: expected one of {', '.join(patterns)}, got {entry['pattern']!r}"

@@ -3,9 +3,9 @@
 The timing model: a node may start once every input has arrived; each edge
 (u, v) costs lat(u -> vantage) + lat(vantage -> v) because all data moves
 through the orchestrator; transfers overlap fully (no bandwidth contention).
-A simulation computes one kilometre, so one latency, per node: the kilometre
-kernel `prepared_km` gives the same bits in either direction, so a node's
-leg to the vantage and its leg back cost the same.
+A simulation computes one kilometre, so one latency, per node, in one
+`km_row` over the nodes: the kernel gives the same bits in either direction,
+so a node's leg to the vantage and its leg back cost the same.
 """
 
 import csv
@@ -17,14 +17,8 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import NodeUnreachableError
-from .geo import (
-    Coordinate,
-    LocationTable,
-    RegionCatalog,
-    prepare_point,
-    prepared_km,
-    resolve_location,
-)
+from .geo import (Coordinate, LocationTable, RegionCatalog, km_row, prepare_point,
+                  resolve_location)
 from .measurement import (
     MeasurementStore,
     ProbeConfig,
@@ -98,13 +92,10 @@ def simulate_execution(
 ) -> ExecutionResult:
     """Deterministic makespan under the synthetic latency model."""
     order = topological_order(spec)
-    hub = prepare_point(vantage.location)
-    hub_ms: dict[str, float] = {}
-    service: dict[str, float] = {}
-    for node in spec.nodes:
-        point = prepare_point(resolve_location(node.endpoint, locations))
-        hub_ms[node.id] = model.ping_ms(prepared_km(point, hub))
-        service[node.id] = node.service_time_ms
+    kms = km_row([prepare_point(resolve_location(node.endpoint, locations))
+                  for node in spec.nodes], vantage.location)
+    hub_ms = {node.id: model.ping_ms(km) for node, km in zip(spec.nodes, kms)}
+    service = {node.id: node.service_time_ms for node in spec.nodes}
 
     in_edges: dict[str, list] = {nid: [] for nid in order}
     for edge in spec.edges:
@@ -119,14 +110,8 @@ def simulate_execution(
         arrival = max(finish[e.src] + hub_ms[e.src] + hub_ms[e.dst] for e in incoming)
         finish[nid] = service[nid] + arrival
 
-    makespan = max(finish.values(), default=0.0)
-    return ExecutionResult(
-        workflow=spec.name,
-        vantage=vantage.id,
-        makespan_ms=makespan,
-        finish_ms=finish,
-        transport=Transport.SIMULATED,
-    )
+    return ExecutionResult(spec.name, vantage.id, max(finish.values(), default=0.0), finish,
+                           Transport.SIMULATED)
 
 
 def _fetch_node_output(

@@ -2,14 +2,16 @@
 
 import math
 import os
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import urlparse
 
 from .errors import CatalogError, UnknownLocationError
-from .jsondoc import as_number, as_string, check_fields, load_document
+from .jsondoc import as_number, as_string, check_fields, field_sets, load_document
 from .records import Checked
 
 EARTH_RADIUS_KM = 6371.0
+_CATALOG_FIELDS = field_sets(["regions"], [])
+_REGION_FIELDS = field_sets(["id", "probe_host", "lat", "lon"], [])
 
 
 class _CoordinateFields(NamedTuple):
@@ -123,20 +125,23 @@ Point = tuple[float, float, float]
 
 
 def prepare_point(c: Coordinate) -> Point:
-    """(lat, lon, cos(radians(lat))): what `prepared_km` needs of a coordinate."""
+    """(lat, lon, cos(radians(lat))): what `km_row` needs of a coordinate."""
     return (c.lat, c.lon, math.cos(math.radians(c.lat)))
 
 
-def prepared_km(a: Point, b: Point) -> float:
-    """`haversine_km` of the two prepared coordinates, bit for bit: the same
-    expression in the same order, with each point's cosine computed once by
-    `prepare_point` instead of once per pair."""
-    lat_a, lon_a, cos_a = a
-    lat_b, lon_b, cos_b = b
-    h = (math.sin(math.radians(lat_b - lat_a) / 2.0) ** 2
-         + cos_a * cos_b * math.sin(math.radians(lon_b - lon_a) / 2.0) ** 2)
+def km_row(points: Sequence[Point], hub: Coordinate) -> list[float]:
+    """`haversine_km(point, hub)` of every prepared point, bit for bit, which is
+    also `haversine_km(hub, point)`: the same expression in the same order,
+    with the hub's cosine computed once per row and each point's by `prepare_point`."""
+    lat_b, lon_b = hub
+    cos_b = math.cos(math.radians(lat_b))
+    sin, radians, asin, sqrt = math.sin, math.radians, math.asin, math.sqrt
+    diameter = 2.0 * EARTH_RADIUS_KM
     # `min(1.0, h)` as a comparison: the same float, without a builtin call
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h if h < 1.0 else 1.0))
+    return [diameter * asin(sqrt(h if h < 1.0 else 1.0)) for h in [
+        sin(radians(lat_b - lat_a) / 2.0) ** 2
+        + cos_a * cos_b * sin(radians(lon_b - lon_a) / 2.0) ** 2
+        for lat_a, lon_a, cos_a in points]]
 
 
 # a host `host_of` splits itself; any other character goes to `urlparse`
@@ -169,14 +174,14 @@ def resolve_location(endpoint: str, table: LocationTable) -> Coordinate:
 def load_region_catalog(document: str) -> RegionCatalog:
     """Parse a catalog document: {"regions": [{"id", "probe_host", "lat", "lon"}]}."""
     data = load_document(document, "region catalog")
-    check_fields(data, ["regions"], [], "catalog")
+    check_fields(data, _CATALOG_FIELDS, "catalog")
     raw = data["regions"]
     if not isinstance(raw, list):
         raise CatalogError("catalog 'regions' must be a list")
     regions = []
     for i, entry in enumerate(raw):
         ctx = f"regions[{i}]"
-        check_fields(entry, ["id", "probe_host", "lat", "lon"], [], ctx)
+        check_fields(entry, _REGION_FIELDS, ctx)
         try:
             regions.append(
                 Region(

@@ -21,23 +21,25 @@ def load_document(text: str, what: str = "document") -> Any:
         ) from exc
 
 
-def check_fields(
-    obj: Any,
-    required: Iterable[str],
-    optional: Iterable[str],
-    context: str,
-) -> dict:
-    """Require `obj` to be a mapping with exactly the allowed fields."""
+def field_sets(required: Iterable[str], optional: Iterable[str]) -> tuple[frozenset, frozenset]:
+    """A document kind's (required, allowed) fields, built once for `check_fields`."""
+    required = frozenset(required)
+    return required, required.union(optional)
+
+
+def check_fields(obj: Any, fields: tuple[frozenset, frozenset], context: str) -> dict:
+    """Require `obj` to be a mapping with every required field of `fields` and
+    no field it does not allow. The field lists are sorted only to word an error."""
     if not isinstance(obj, dict):
         raise DocumentFormatError(f"{context}: expected an object, got {type(obj).__name__}")
-    required = set(required)
-    allowed = required | set(optional)
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise DocumentFormatError(f"{context}: unknown field(s): {', '.join(unknown)}")
-    missing = sorted(required - set(obj))
-    if missing:
-        raise DocumentFormatError(f"{context}: missing required field(s): {', '.join(missing)}")
+    required, allowed = fields
+    keys = obj.keys()
+    if not keys <= allowed:
+        raise DocumentFormatError(
+            f"{context}: unknown field(s): {', '.join(sorted(keys - allowed))}")
+    if not keys >= required:
+        raise DocumentFormatError(
+            f"{context}: missing required field(s): {', '.join(sorted(required - keys))}")
     return obj
 
 

@@ -29,7 +29,7 @@ from .geo import (
     haversine_km,
     host_of,
 )
-from .jsondoc import check_fields
+from .jsondoc import check_fields, field_sets
 from .records import Checked
 from .workflow import WorkflowSpec
 
@@ -191,6 +191,7 @@ def check_measured(values, samples, success, taken_at) -> None:
 
 # fields a measurement cache record must have; `note` is optional
 _RECORD_FIELDS = ("src", "dst", "metric", "value", "unit", "samples", "success", "taken_at")
+_RECORD_FIELD_SETS = field_sets(_RECORD_FIELDS, ["note"])
 
 
 def _measurement(
@@ -412,7 +413,7 @@ def _bad_record(record, where: str, exc: Exception) -> DocumentFormatError:
     """The load error for a record that is not a valid measurement, worded
     as the field check, `Metric(...)`, the endpoint type check or
     `Measurement(...)` words it."""
-    check_fields(record, _RECORD_FIELDS, ("note",), where)
+    check_fields(record, _RECORD_FIELD_SETS, where)
     try:
         Metric(record["metric"])
     except ValueError as metric_exc:

@@ -10,7 +10,7 @@ from typing import Mapping, NamedTuple
 
 from .candidates import CandidateGraph, Metric, Pair, hub_legs, weighted_pairs
 from .errors import MissingMeasurementError
-from .geo import RegionCatalog, prepare_point, prepared_km
+from .geo import RegionCatalog, km_row, prepare_point
 from .measurement import (
     Measurement,
     MeasurementStore,
@@ -191,14 +191,13 @@ def rank_regions(
     memos: dict[int, dict[Pair, float]] = {}  # the kilometre memos of the providers that reuse them
     kms_of: dict[str, list[float]] = {}  # region -> its legs' kilometres, in leg order
     if Metric.DISTANCE not in providers:
-        # from the coordinates: `prepared_km` gives the same bits either way round a leg
+        # from the coordinates: `km_row` gives the same bits either way round a leg
         table = location_index(spec, catalog)
         memos = {id(p.km): p.km for p in providers.values()
                  if type(p) is SyntheticProvider and p.locations.entries == table.entries}
         points = [prepare_point(table.locate(end)) for end, _ in legs]
         for region in catalog.regions:
-            hub = prepare_point(table.locate(region.probe_host))
-            kms = [prepared_km(point, hub) for point in points]
+            kms = km_row(points, table.locate(region.probe_host))
             if memos:
                 kms_of[region.id] = kms
             distance_scores[region.id] = GraphScore(region.id, Metric.DISTANCE,

@@ -9,7 +9,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CycleError, SpecValidationError
 from .geo import Coordinate, bundled_text
-from .jsondoc import as_number, as_string, check_fields, load_document
+from .jsondoc import as_number, as_string, check_fields, field_sets, load_document
 from .records import Checked
 
 
@@ -45,7 +45,8 @@ class WorkflowNode(Checked, _WorkflowNodeFields):
         service_time_ms: float = 0.0,
     ):
         # a role name becomes its member, since roles are told apart by identity
-        return tuple.__new__(cls, (id, endpoint, NodeRole(role), location, service_time_ms))
+        role = role if type(role) is NodeRole else NodeRole(role)
+        return tuple.__new__(cls, (id, endpoint, role, location, service_time_ms))
 
 
 class WorkflowEdge(NamedTuple):
@@ -99,19 +100,22 @@ def _peel(node_ids: Iterable[str], edges: Iterable[WorkflowEdge]) -> tuple[list[
 def validate_dag(spec: WorkflowSpec) -> list[str]:
     """Check every workflow invariant; returns all violations (empty list = ok)."""
     violations = _node_violations(spec.nodes, "node")
+    if not spec.nodes:
+        violations.append("workflow has no nodes")
 
     known = {n.id for n in spec.nodes}
     usable_edges = []
     for edge in spec.edges:
-        dangling = [nid for nid in (edge.src, edge.dst) if nid not in known]
-        for nid in dangling:
-            violations.append(f"dangling edge {edge.src}->{edge.dst}: unknown node id '{nid}'")
+        usable = edge.src in known and edge.dst in known
+        if not usable:
+            violations.extend(f"dangling edge {edge.src}->{edge.dst}: unknown node id '{nid}'"
+                              for nid in (edge.src, edge.dst) if nid not in known)
         if edge.src == edge.dst:
             violations.append(f"self-loop edge on node '{edge.src}'")
             continue
         if edge.payload_kb < 0:
             violations.append(f"edge {edge.src}->{edge.dst}: negative payload_kb")
-        if not dangling:
+        if usable:
             usable_edges.append(edge)
 
     _, cyclic = _peel(known, usable_edges)
@@ -156,8 +160,15 @@ def topological_order(spec: WorkflowSpec) -> list[str]:
     return order
 
 
+_WORKFLOW_FIELDS = field_sets(["name", "nodes", "edges"], [])
+_NODE_FIELDS = field_sets(["id", "endpoint", "role"], ["location", "service_time_ms"])
+_LOCATION_FIELDS = field_sets(["lat", "lon"], [])
+_EDGE_FIELDS = field_sets(["from", "to"], ["payload_kb"])
+_POOL_FIELDS = field_sets(["nodes"], [])
+
+
 def _parse_node(entry: object, ctx: str) -> WorkflowNode:
-    check_fields(entry, ["id", "endpoint", "role"], ["location", "service_time_ms"], ctx)
+    check_fields(entry, _NODE_FIELDS, ctx)
     role_text = as_string(entry["role"], f"{ctx}.role")
     try:
         role = NodeRole(role_text)
@@ -165,12 +176,10 @@ def _parse_node(entry: object, ctx: str) -> WorkflowNode:
         raise SpecValidationError(f"{ctx}.role: must be 'source' or 'service', got {role_text!r}")
     location = None
     if "location" in entry:
-        loc = check_fields(entry["location"], ["lat", "lon"], [], f"{ctx}.location")
+        loc = check_fields(entry["location"], _LOCATION_FIELDS, f"{ctx}.location")
         try:
-            location = Coordinate(
-                as_number(loc["lat"], f"{ctx}.location.lat"),
-                as_number(loc["lon"], f"{ctx}.location.lon"),
-            )
+            location = Coordinate(as_number(loc["lat"], f"{ctx}.location.lat"),
+                                  as_number(loc["lon"], f"{ctx}.location.lon"))
         except ValueError as exc:
             raise SpecValidationError(f"{ctx}.location: {exc}") from exc
     return WorkflowNode(
@@ -182,29 +191,22 @@ def _parse_node(entry: object, ctx: str) -> WorkflowNode:
     )
 
 
+def _parse_edge(entry: object, ctx: str) -> WorkflowEdge:
+    check_fields(entry, _EDGE_FIELDS, ctx)
+    return WorkflowEdge(as_string(entry["from"], f"{ctx}.from"),
+                        as_string(entry["to"], f"{ctx}.to"),
+                        as_number(entry.get("payload_kb", 0.0), f"{ctx}.payload_kb"))
+
+
 def parse_workflow(document: str) -> WorkflowSpec:
     """Parse and fully validate a workflow document."""
     data = load_document(document, "workflow")
-    check_fields(data, ["name", "nodes", "edges"], [], "workflow")
+    check_fields(data, _WORKFLOW_FIELDS, "workflow")
     if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
         raise SpecValidationError("workflow 'nodes' and 'edges' must be lists")
     nodes = tuple(_parse_node(entry, f"nodes[{i}]") for i, entry in enumerate(data["nodes"]))
-    edges = []
-    for i, entry in enumerate(data["edges"]):
-        ctx = f"edges[{i}]"
-        check_fields(entry, ["from", "to"], ["payload_kb"], ctx)
-        edges.append(
-            WorkflowEdge(
-                src=as_string(entry["from"], f"{ctx}.from"),
-                dst=as_string(entry["to"], f"{ctx}.to"),
-                payload_kb=as_number(entry.get("payload_kb", 0.0), f"{ctx}.payload_kb"),
-            )
-        )
-    spec = WorkflowSpec(
-        name=as_string(data["name"], "workflow.name"),
-        nodes=nodes,
-        edges=tuple(edges),
-    )
+    edges = tuple(_parse_edge(entry, f"edges[{i}]") for i, entry in enumerate(data["edges"]))
+    spec = WorkflowSpec(as_string(data["name"], "workflow.name"), nodes, edges)
     violations = validate_dag(spec)
     if violations:
         raise SpecValidationError("; ".join(violations))
@@ -233,7 +235,7 @@ def render_workflow(spec: WorkflowSpec) -> str:
 def parse_node_pool(document: str) -> list[WorkflowNode]:
     """Parse a node pool document: {"nodes": [...]} with the workflow node schema."""
     data = load_document(document, "node pool")
-    check_fields(data, ["nodes"], [], "pool")
+    check_fields(data, _POOL_FIELDS, "pool")
     if not isinstance(data["nodes"], list):
         raise SpecValidationError("pool 'nodes' must be a list")
     nodes = [_parse_node(entry, f"nodes[{i}]") for i, entry in enumerate(data["nodes"])]

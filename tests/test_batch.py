@@ -272,10 +272,10 @@ def test_synthetic_batch_reads_the_clock_once(monkeypatch):
 @pytest.mark.parametrize("shortlist_n", [None, 3])
 def test_a_synthetic_ranking_computes_each_distance_once(fig1_spec, catalog, monkeypatch,
                                                          shortlist_n):
-    # distance: once per (region, leg) through the kilometre kernel; ping and
-    # HTTP of the shortlist read those kilometres, with no kernel call of their own
+    # distance: one kilometre row per region through the kernel; ping and HTTP
+    # of the shortlist read those kilometres, with no kernel call of their own
     calls = {scoring: [], measurement: []}
-    for module, name in ((scoring, "prepared_km"), (measurement, "haversine_km")):
+    for module, name in ((scoring, "km_row"), (measurement, "haversine_km")):
         kernel, log = getattr(module, name), calls[module]
         monkeypatch.setattr(module, name,
                             lambda a, b, kernel=kernel, log=log: log.append(1) or kernel(a, b))
@@ -283,8 +283,7 @@ def test_a_synthetic_ranking_computes_each_distance_once(fig1_spec, catalog, mon
     providers = synthetic_providers(MODEL, location_index(fig1_spec, catalog))
     report = rank_regions(fig1_spec, catalog, store, providers,
                           ScoringConfig(shortlist_n=shortlist_n))
-    legs = sum(len(folded_hub_pairs(fig1_spec, region.probe_host)) for region in catalog.regions)
-    assert len(calls[scoring]) == legs
+    assert len(calls[scoring]) == len(catalog.regions)
     assert calls[measurement] == []
     shortlisted = {canonical_key(pair, Metric.PING) for e in report.entries if e.shortlisted
                    for pair in folded_hub_pairs(fig1_spec, catalog.by_id(e.region).probe_host)}

@@ -609,6 +609,14 @@ def test_bad_env_integer_rejected(fig1_file, capsys, monkeypatch):
     assert "samples_per_pair" in err
 
 
+def test_a_bad_environment_setting_names_its_variable(fig1_file, no_setting_env, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("CLOUDFORECAST_SEED", "abc")
+    code, out, err = run_cli(["analyze", "-w", fig1_file], capsys)
+    assert (code, out, err) == (2, "", "error: CLOUDFORECAST_SEED: seed must be an integer, "
+                                       "got 'abc'\n")
+
+
 @pytest.mark.parametrize(
     "flag, field",
     [

@@ -17,7 +17,7 @@ from cloudforecast import (
     load_region_catalog,
     resolve_location,
 )
-from cloudforecast.geo import EARTH_RADIUS_KM, host_of, prepare_point, prepared_km
+from cloudforecast.geo import EARTH_RADIUS_KM, host_of, km_row, prepare_point
 from helpers import (
     EDGE_COORDS,
     NON_FINITE,
@@ -109,22 +109,21 @@ def test_host_extraction():
         host_of("")
 
 
-# a point and a second one: itself, its antipode, or any edge coordinate
-KERNEL_PAIRS = EDGE_COORDS.flatmap(
-    lambda a: st.tuples(st.just(a), st.one_of(st.just(a), st.just(antipode(a)), EDGE_COORDS))
-)
+# a hub and a row of points: each the hub itself, its antipode, or any edge coordinate
+KERNEL_ROWS = EDGE_COORDS.flatmap(lambda hub: st.tuples(st.just(hub), st.lists(
+    st.one_of(st.just(hub), st.just(antipode(hub)), EDGE_COORDS), min_size=1, max_size=6)))
 
 
 @settings(max_examples=500, deadline=None)
-@given(pair=KERNEL_PAIRS)
-@example(pair=(Coordinate(-87.5, 0.0), Coordinate(87.5, -180.0)))  # h rounds above 1.0
-def test_the_kilometre_kernel_is_haversine_km_to_the_bit_in_both_directions(pair):
-    a, b = pair
-    pa, pb = prepare_point(a), prepare_point(b)
-    assert prepared_km(pa, pb).hex() == haversine_km(a, b).hex()
-    assert prepared_km(pb, pa).hex() == haversine_km(b, a).hex()
+@given(row=KERNEL_ROWS)
+@example(row=(Coordinate(87.5, -180.0), [Coordinate(-87.5, 0.0)]))  # h rounds above 1.0
+def test_the_kilometre_kernel_is_haversine_km_to_the_bit_in_both_directions(row):
+    hub, points = row
+    kms = [km.hex() for km in km_row([prepare_point(p) for p in points], hub)]
+    assert kms == [haversine_km(p, hub).hex() for p in points]
+    assert kms == [haversine_km(hub, p).hex() for p in points]
     # symmetric to the bit: what lets a ranking and a simulation skip a leg's direction
-    assert prepared_km(pa, pb).hex() == prepared_km(pb, pa).hex()
+    assert kms == [km_row([prepare_point(hub)], p)[0].hex() for p in points]
 
 
 def _outcome(function, endpoint):

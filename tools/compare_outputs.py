@@ -24,7 +24,12 @@ compared are:
   of whose endpoints is another region's probe host, with the edges as
   written and reversed, through `cloudforecast.cli.main` with a stand-in
   `AgentClient` that answers `1 + crc32(f"{base_url}>{target}") % 100` ms,
-  so the report shows which agent measured each leg.
+  so the report shows which agent measured each leg;
+- the exit code, stdout and stderr of the command that reads each malformed
+  workflow, pool and catalog document of tests/malformed_documents.py (taken
+  from this tool's own checkout, so both trees get the same corpus), and of
+  `analyze` of its empty workflow, through `cloudforecast.cli.main`. Error
+  wording is thereby an output the tool guards.
 
 It also prints, for each tree, whether every generated ranking's dump with
 the edges reversed is bit-identical to the one with the edges as written
@@ -154,7 +159,39 @@ def dump_generated() -> dict[str, str]:
                 v.id: executor.simulate_execution(spec, v, model, locations).finish_ms
                 for v in vantages
             }), indent=1)
+    outputs.update(malformed_outputs())
     outputs.update(agent_rankings())
+    return outputs
+
+
+def malformed_outputs() -> dict[str, str]:
+    """What the CLI does with each malformed document, and with the empty
+    workflow, written under bad/ in the working directory."""
+    import contextlib
+    import io
+
+    from cloudforecast import cli
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                                    "tests"))
+    from malformed_documents import COMMANDS, EMPTY_WORKFLOW, MALFORMED, WORKFLOW, document_text
+
+    cases = [(name, kind, document) for name, kind, document, *_ in MALFORMED]
+    cases.append(("empty-workflow", "workflow", EMPTY_WORKFLOW))
+    os.makedirs("bad", exist_ok=True)
+    good = os.path.join("bad", "good.workflow")
+    with open(good, "w") as fh:
+        fh.write(document_text(WORKFLOW))
+    outputs = {}
+    for name, kind, document in cases:
+        path = os.path.join("bad", f"{name}.json")
+        with open(path, "w") as fh:
+            fh.write(document_text(document))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([a.format(path=path, good=good) for a in COMMANDS[kind]])
+        outputs[f"malformed/{name}"] = (f"exit {code}\n--- stdout\n{out.getvalue()}"
+                                        f"--- stderr\n{err.getvalue()}")
     return outputs
 
 
