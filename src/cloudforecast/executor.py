@@ -5,7 +5,11 @@ The timing model: a node may start once every input has arrived; each edge
 through the orchestrator; transfers overlap fully (no bandwidth contention).
 A simulation computes one kilometre, so one latency, per node, in one
 `km_row` over the nodes: the kernel gives the same bits in either direction,
-so a node's leg to the vantage and its leg back cost the same.
+so a node's leg to the vantage and its leg back cost the same. It peels the
+DAG once (`workflow._peel`, which also refuses a dangling edge or a cycle)
+and, walking that order, pushes each node's finish time plus both legs of
+an edge to each child, keeping the latest: a node finishes at its service
+time when nothing arrives, and at service + latest arrival otherwise.
 """
 
 import csv
@@ -29,7 +33,7 @@ from .measurement import (
 )
 from .records import Checked
 from .scoring import ScoringConfig, rank_regions
-from .workflow import WorkflowSpec, topological_order
+from .workflow import WorkflowSpec, _peel, topological_order
 
 
 def __getattr__(name: str):
@@ -91,24 +95,22 @@ def simulate_execution(
     locations: LocationTable,
 ) -> ExecutionResult:
     """Deterministic makespan under the synthetic latency model."""
-    order = topological_order(spec)
+    order, children = _peel([node.id for node in spec.nodes], spec.edges)
     kms = km_row([prepare_point(resolve_location(node.endpoint, locations))
                   for node in spec.nodes], vantage.location)
     hub_ms = {node.id: model.ping_ms(km) for node, km in zip(spec.nodes, kms)}
     service = {node.id: node.service_time_ms for node in spec.nodes}
 
-    in_edges: dict[str, list] = {nid: [] for nid in order}
-    for edge in spec.edges:
-        in_edges[edge.dst].append(edge)
-
+    arrival: dict[str, float] = {}
     finish: dict[str, float] = {}
     for nid in order:
-        incoming = in_edges[nid]
-        if not incoming:
-            finish[nid] = service[nid]
-            continue
-        arrival = max(finish[e.src] + hub_ms[e.src] + hub_ms[e.dst] for e in incoming)
-        finish[nid] = service[nid] + arrival
+        done = service[nid] + arrival[nid] if nid in arrival else service[nid]
+        finish[nid] = done
+        sent = done + hub_ms[nid]
+        for child in children[nid]:
+            at = sent + hub_ms[child]
+            if child not in arrival or at > arrival[child]:
+                arrival[child] = at
 
     return ExecutionResult(spec.name, vantage.id, max(finish.values(), default=0.0), finish,
                            Transport.SIMULATED)

@@ -78,23 +78,31 @@ def _node_violations(nodes: Iterable[WorkflowNode], label: str) -> list[str]:
     return violations
 
 
-def _peel(node_ids: Iterable[str], edges: Iterable[WorkflowEdge]) -> tuple[list[str], list[str]]:
-    """Kahn peeling, ties broken lexicographically: (order, sorted ids left on a cycle)."""
-    indeg = {nid: 0 for nid in node_ids}
-    out = defaultdict(list)
-    for edge in edges:
-        indeg[edge.dst] += 1
-        out[edge.src].append(edge.dst)
+def _peel(node_ids: Iterable[str], edges: Iterable[WorkflowEdge]
+          ) -> tuple[list[str], dict[str, list[str]]]:
+    """Kahn peeling, ties broken lexicographically: (order, each node's children
+    in edge order). Raises `SpecValidationError` on an edge with an unknown end
+    and `CycleError`, naming the sorted ids left over, on a cycle."""
+    indeg = dict.fromkeys(node_ids, 0)
+    children: dict[str, list[str]] = {nid: [] for nid in indeg}
+    for src, dst, _ in edges:
+        if src not in indeg or dst not in indeg:
+            raise SpecValidationError(f"dangling edge {src}->{dst}: unknown node id")
+        indeg[dst] += 1
+        children[src].append(dst)
     heap = sorted(nid for nid, d in indeg.items() if d == 0)
     order: list[str] = []
     while heap:
         nid = heapq.heappop(heap)
         order.append(nid)
-        for child in out[nid]:
+        for child in children[nid]:
             indeg[child] -= 1
             if indeg[child] == 0:
                 heapq.heappush(heap, child)
-    return order, sorted(nid for nid, d in indeg.items() if d > 0)
+    if len(order) < len(indeg):
+        raise CycleError("cycle involving nodes {%s}"
+                         % ", ".join(sorted(nid for nid, d in indeg.items() if d > 0)))
+    return order, children
 
 
 def validate_dag(spec: WorkflowSpec) -> list[str]:
@@ -118,9 +126,10 @@ def validate_dag(spec: WorkflowSpec) -> list[str]:
         if usable:
             usable_edges.append(edge)
 
-    _, cyclic = _peel(known, usable_edges)
-    if cyclic:
-        violations.append("cycle involving nodes {%s}" % ", ".join(cyclic))
+    try:
+        _peel(known, usable_edges)
+    except CycleError as exc:
+        violations.append(str(exc))
 
     incoming = {e.dst for e in usable_edges}
     for node in spec.nodes:
@@ -148,16 +157,7 @@ def validate_dag(spec: WorkflowSpec) -> list[str]:
 
 def topological_order(spec: WorkflowSpec) -> list[str]:
     """Topological order of node ids, ties broken lexicographically."""
-    known = {n.id for n in spec.nodes}
-    for edge in spec.edges:
-        if edge.src not in known or edge.dst not in known:
-            raise SpecValidationError(
-                f"dangling edge {edge.src}->{edge.dst}: unknown node id"
-            )
-    order, cyclic = _peel(known, spec.edges)
-    if cyclic:
-        raise CycleError("cycle involving nodes {%s}" % ", ".join(cyclic))
-    return order
+    return _peel([n.id for n in spec.nodes], spec.edges)[0]
 
 
 _WORKFLOW_FIELDS = field_sets(["name", "nodes", "edges"], [])
@@ -187,7 +187,9 @@ def _parse_node(entry: object, ctx: str) -> WorkflowNode:
         endpoint=as_string(entry["endpoint"], f"{ctx}.endpoint"),
         role=role,
         location=location,
-        service_time_ms=as_number(entry.get("service_time_ms", 0.0), f"{ctx}.service_time_ms"),
+        # + 0.0 reads -0.0 as 0.0 and leaves every other float as it is
+        service_time_ms=as_number(entry.get("service_time_ms", 0.0),
+                                  f"{ctx}.service_time_ms") + 0.0,
     )
 
 

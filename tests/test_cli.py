@@ -223,6 +223,20 @@ def test_simulate_region_vantage_json(fig1_file, capsys):
     assert set(doc["finish_ms"]) == {"wikimedia", "princeton", "sfu"}
 
 
+def test_simulate_reads_a_negative_zero_service_time_as_zero(tmp_path, capsys):
+    workflow = tmp_path / "zero.workflow"
+    workflow.write_text(json.dumps({"name": "zero", "nodes": [
+        {"id": "a", "endpoint": "a.example.org", "role": "source",
+         "location": {"lat": 0, "lon": 0}, "service_time_ms": -0.0}], "edges": []}))
+    argv = ["simulate", "-w", str(workflow), "--vantage", "0,0"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "makespan_ms: 0.000\n" in out and "  a: 0.000\n" in out and "-0" not in out
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert '"a": 0.0' in out and "-0" not in out
+
+
 def test_simulate_unknown_vantage(fig1_file, capsys):
     code, _, err = run_cli(["simulate", "-w", fig1_file, "--vantage", "mars-1"], capsys)
     assert code == 2

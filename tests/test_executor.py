@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from cloudforecast import (
     Coordinate,
+    CycleError,
     NodeUnreachableError,
     ProbeConfig,
     Region,
     RegionCatalog,
     ScoringConfig,
+    SpecValidationError,
     SyntheticNetworkModel,
     Vantage,
     WorkflowEdge,
@@ -21,6 +23,7 @@ from cloudforecast import (
     run_experiment,
     simulate_execution,
     speedup_percent,
+    topological_order,
 )
 from cloudforecast.measurement import location_index
 from cloudforecast.services import StubNodeHandler, make_node_server, start_in_thread
@@ -120,6 +123,53 @@ def test_simulation_matches_the_per_edge_latency_oracle_to_the_bit(data):
     assert {k: v.hex() for k, v in result.finish_ms.items()} == {
         k: v.hex() for k, v in expected.items()
     }
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_finish_times_match_the_oracle_to_the_bit_in_topological_order(data):
+    # ids in drawn order, so the lexicographic order ("n10" < "n2") is not the DAG's;
+    # the first two never receive an edge, so there are at least two sources
+    n = data.draw(st.integers(min_value=3, max_value=12))
+    ids = data.draw(st.permutations([f"n{i}" for i in range(n)]))
+    nodes = tuple(
+        WorkflowNode(id=nid, endpoint=f"{nid}.example.org", location=data.draw(EDGE_COORDS),
+                     service_time_ms=data.draw(st.floats(min_value=0.0, max_value=500.0)))
+        for nid in data.draw(st.permutations(ids))
+    )
+    links = data.draw(st.lists(st.integers(2, n - 1).flatmap(
+        lambda v: st.tuples(st.integers(0, v - 1), st.just(v))), max_size=20))
+    if links:
+        links += data.draw(st.lists(st.sampled_from(links), min_size=1, max_size=8))
+    edges = tuple(WorkflowEdge(ids[u], ids[v]) for u, v in data.draw(st.permutations(links)))
+    spec = WorkflowSpec(name="duplicated", nodes=nodes, edges=edges)
+    vantage = data.draw(EDGE_COORDS)
+    model = SyntheticNetworkModel(*data.draw(st.tuples(*[st.floats(0.0, 100.0)] * 3)))
+    result = simulate_execution(spec, Vantage("v", vantage), model, location_index(spec))
+    expected = per_edge_finish_ms(spec, vantage, model)
+    assert {k: v.hex() for k, v in result.finish_ms.items()} == {
+        k: v.hex() for k, v in expected.items()
+    }
+    assert list(result.finish_ms) == topological_order(spec)
+
+
+def test_simulating_a_cycle_names_its_nodes_in_sorted_order():
+    spec = _path_spec([1, 2, 3, 4])._replace(edges=(
+        WorkflowEdge("A", "B"), WorkflowEdge("D", "C"), WorkflowEdge("C", "B"),
+        WorkflowEdge("B", "D")))
+    with pytest.raises(CycleError) as info:
+        simulate_execution(spec, ORIGIN, ZERO_MODEL, location_index(spec))
+    assert str(info.value) == "cycle involving nodes {B, C, D}"
+
+
+def test_simulating_a_dangling_edge_words_it_as_topological_order_does():
+    spec = _path_spec([1, 2])._replace(edges=(WorkflowEdge("A", "B"), WorkflowEdge("B", "Z")))
+    with pytest.raises(SpecValidationError) as info:
+        simulate_execution(spec, ORIGIN, ZERO_MODEL, location_index(spec))
+    assert str(info.value) == "dangling edge B->Z: unknown node id"
+    with pytest.raises(SpecValidationError) as by_order:
+        topological_order(spec)
+    assert str(by_order.value) == str(info.value)
 
 
 def test_makespan_monotone_in_latency():

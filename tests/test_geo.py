@@ -56,6 +56,15 @@ def test_antipodal_on_equator_is_half_circumference():
     )
 
 
+def test_a_haversine_term_rounded_above_one_is_clamped_to_half_a_circumference():
+    # the term comes to 1.0000000000000004, 2 ulps above 1, where asin has no value
+    a = Coordinate(64.15196897125202, 88.19023981582438)
+    b = Coordinate(-64.15196897025201, -91.80976018417572)
+    for p, q in ((a, b), (b, a)):
+        assert haversine_km(p, q) == 20015.086796020572
+        assert km_row([prepare_point(p)], q) == [20015.086796020572]
+
+
 def test_longitude_seam_is_zero_distance():
     assert haversine_km(Coordinate(10, -180), Coordinate(10, 180)) == pytest.approx(0.0, abs=1e-6)
 

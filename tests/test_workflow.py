@@ -19,6 +19,7 @@ from cloudforecast import (
     topological_order,
     validate_dag,
 )
+from cloudforecast.workflow import parse_node_pool
 from conftest import FIG1_DOC
 from helpers import NON_FINITE, all_topological_orders, with_raw_value
 
@@ -131,6 +132,13 @@ def test_a_pool_node_rejects_a_number_that_is_not_a_finite_float(raw, shown):
     with pytest.raises(DocumentFormatError) as info:
         parse_node_pool(with_raw_value(pool, ("nodes", 0, "service_time_ms"), raw))
     assert str(info.value) == f"nodes[0].service_time_ms: expected a finite number, got {shown}"
+
+
+def test_a_pool_reads_a_negative_zero_service_time_as_zero():
+    pool = parse_node_pool(json.dumps({"nodes": [
+        {"id": "a", "endpoint": "a.example.org", "role": "source", "service_time_ms": -0.0},
+        {"id": "b", "endpoint": "b.example.org", "role": "service", "service_time_ms": 2.5}]}))
+    assert [node.service_time_ms.hex() for node in pool] == ["0x0.0p+0", (2.5).hex()]
 
 
 def test_parse_rejects_missing_required_field():

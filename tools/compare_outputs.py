@@ -11,6 +11,9 @@ compared are:
   `--metrics distance,ping --shortlist 3`;
 - `experiment --seed 7`: its stdout, experiment.csv and speedup_chart.dat;
 - `simulate --vantage us-east-1`, and `--vantage 40,-74 --format json`;
+- `simulate` as table and json through `cloudforecast.cli.main`, of this
+  tool's own samples/fig1.workflow from every default region, and of a
+  workflow whose node `a` has the service time -0.0 from 0,0;
 - synthetic `probe` of fig1;
 - the `float.hex` of every score, with the config and the provenance, of
   rankings of inputs from bench/workloads.py's generators (200 nodes x 64
@@ -159,19 +162,64 @@ def dump_generated() -> dict[str, str]:
                 v.id: executor.simulate_execution(spec, v, model, locations).finish_ms
                 for v in vantages
             }), indent=1)
+    outputs.update(simulate_outputs())
     outputs.update(malformed_outputs())
     outputs.update(agent_rankings())
+    return outputs
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """`cloudforecast.cli.main(argv)` in this process: (exit code, stdout, stderr)."""
+    import contextlib
+    import io
+
+    from cloudforecast import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# node a's service time is written as -0.0
+NEGATIVE_ZERO_DOC = {
+    "name": "negative-zero",
+    "nodes": [
+        {"id": "a", "endpoint": "a.example.org", "role": "source",
+         "location": {"lat": 10, "lon": 10}, "service_time_ms": -0.0},
+        {"id": "b", "endpoint": "b.example.org", "role": "service",
+         "location": {"lat": 20, "lon": 20}, "service_time_ms": 1.5},
+    ],
+    "edges": [{"from": "a", "to": "b"}],
+}
+
+
+def simulate_outputs() -> dict[str, str]:
+    """`simulate` as table and json of this tool's samples/fig1.workflow from
+    every default region, and of `NEGATIVE_ZERO_DOC`, written to the working
+    directory, from 0,0."""
+    from cloudforecast import geo
+
+    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
+                        "fig1.workflow")
+    runs = {f"fig1/{r.id}": (fig1, r.id) for r in geo.default_region_catalog().regions}
+    with open("negative-zero.workflow", "w") as fh:
+        json.dump(NEGATIVE_ZERO_DOC, fh)
+    runs["negative-zero/0,0"] = ("negative-zero.workflow", "0,0")
+    outputs = {}
+    for name, (workflow, vantage) in runs.items():
+        for fmt in ("table", "json"):
+            code, out, err = run_main(["simulate", "-w", workflow, "--vantage", vantage,
+                                       "--format", fmt])
+            if code != 0:
+                raise CommandFailed(f"simulate of {name} as {fmt} exited {code}:\n{err}")
+            outputs[f"simulate/{name}/{fmt}"] = out
     return outputs
 
 
 def malformed_outputs() -> dict[str, str]:
     """What the CLI does with each malformed document, and with the empty
     workflow, written under bad/ in the working directory."""
-    import contextlib
-    import io
-
-    from cloudforecast import cli
-
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                                     "tests"))
     from malformed_documents import COMMANDS, EMPTY_WORKFLOW, MALFORMED, WORKFLOW, document_text
@@ -187,11 +235,8 @@ def malformed_outputs() -> dict[str, str]:
         path = os.path.join("bad", f"{name}.json")
         with open(path, "w") as fh:
             fh.write(document_text(document))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([a.format(path=path, good=good) for a in COMMANDS[kind]])
-        outputs[f"malformed/{name}"] = (f"exit {code}\n--- stdout\n{out.getvalue()}"
-                                        f"--- stderr\n{err.getvalue()}")
+        code, out, err = run_main([a.format(path=path, good=good) for a in COMMANDS[kind]])
+        outputs[f"malformed/{name}"] = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
     return outputs
 
 
@@ -233,10 +278,7 @@ class CrcAgentClient:
 def agent_rankings() -> dict[str, str]:
     """`analyze --probe-mode agent` of `AGENT_DOC` with the edges as written
     and reversed, answered by `CrcAgentClient`."""
-    import contextlib
-    import io
-
-    from cloudforecast import cli, measurement
+    from cloudforecast import measurement
 
     measurement.AgentClient = CrcAgentClient
     outputs = {}
@@ -249,14 +291,12 @@ def agent_rankings() -> dict[str, str]:
             workflow = os.path.join(scratch, f"{order}.workflow")
             with open(workflow, "w") as fh:
                 json.dump(dict(AGENT_DOC, edges=edges), fh)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(["analyze", "-w", workflow, "--regions", regions,
-                                 "--probe-mode", "agent", "--samples-per-pair", "1",
-                                 "--format", "json", "--no-timestamps"])
+            code, out, _ = run_main(["analyze", "-w", workflow, "--regions", regions,
+                                     "--probe-mode", "agent", "--samples-per-pair", "1",
+                                     "--format", "json", "--no-timestamps"])
             if code != 0:
                 raise CommandFailed(f"agent-mode analyze of {order} edges exited {code}")
-            outputs[f"rank/agent-order/{order}/agent"] = out.getvalue()
+            outputs[f"rank/agent-order/{order}/agent"] = out
     return outputs
 
 
