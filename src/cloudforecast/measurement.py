@@ -102,6 +102,17 @@ def check_finite(config, names: tuple[str, ...]) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def check_count(config, names: tuple[str, ...]) -> None:
+    """Reject a value of any of the named count fields that is not an `int`
+    (a bool is refused too), and then one below 1."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 class _ProbeConfigFields(NamedTuple):  # the defaults are `ProbeConfig`'s
     samples_per_pair: int
     timeout_ms: float
@@ -124,12 +135,9 @@ class ProbeConfig(Checked, _ProbeConfigFields):
             cls, (samples_per_pair, timeout_ms, Aggregator(aggregator), max_parallel_probes)
         )
         check_finite(self, ("samples_per_pair", "timeout_ms", "max_parallel_probes"))
-        if samples_per_pair < 1:
-            raise ValueError("samples_per_pair must be >= 1")
+        check_count(self, ("samples_per_pair", "max_parallel_probes"))
         if timeout_ms <= 0:
             raise ValueError("timeout_ms must be positive")
-        if max_parallel_probes < 1:
-            raise ValueError("max_parallel_probes must be >= 1")
         return self
 
 
@@ -323,14 +331,15 @@ class MeasurementStore:
                 if not now - entry[1].taken_at > ttl_s
             ]
             entries.sort(key=_pair_of_entry)
-            # record fields in sorted order, as the file format has them
+            # record fields in sorted order, as the file format has them; each
+            # line is the `json.dumps` of the record as a dict, to the byte
             lines = [
-                json.dumps({
-                    "dst": m.dst, "metric": m.metric.value, "note": m.note,
-                    "samples": m.samples, "src": m.src, "success": m.success,
-                    "taken_at": m.taken_at, "unit": m.unit, "value": m.value,
-                })
-                for _, m in entries
+                f'{{"dst": {_json_value(dst)}, "metric": {_encode_str(metric.value)}, '
+                f'"note": {_json_value(note)}, "samples": {_json_value(samples)}, '
+                f'"src": {_json_value(src)}, "success": {"true" if success else "false"}, '
+                f'"taken_at": {_json_value(taken_at)}, "unit": {_json_value(unit)}, '
+                f'"value": {_json_value(value)}}}'
+                for _, (src, dst, metric, value, unit, samples, success, taken_at, note) in entries
             ]
             tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
             try:
@@ -398,6 +407,23 @@ _pair_of_entry = operator.itemgetter(0)
 # builds a `Measurement` from values already passed through `check_measured`
 _new_measurement = tuple.__new__
 _raw_decode = json.JSONDecoder().raw_decode
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _json_value(value) -> str:
+    """`json.dumps(value)`, through the primitive it calls for a str, a finite
+    float or an int; any other value (a bool, None, a non-finite float, a
+    subclass) goes to `json.dumps` itself."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float and _isfinite(value):
+        return _float_repr(value)
+    if kind is int:
+        return _int_repr(value)
+    return json.dumps(value)
 
 
 def _file_identity(file: str | int) -> tuple[int, int, int, int] | None:

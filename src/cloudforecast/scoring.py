@@ -16,6 +16,7 @@ from .measurement import (
     MeasurementStore,
     PairProvider,
     SyntheticProvider,
+    check_count,
     check_finite,
     collect_measurements,
     location_index,
@@ -52,8 +53,8 @@ class ScoringConfig(Checked, _ScoringConfigFields):
     ):
         self = tuple.__new__(cls, (shortlist_n, weight_ping, weight_http, failure_penalty))
         check_finite(self, ("weight_ping", "weight_http", "failure_penalty"))
-        if shortlist_n is not None and shortlist_n < 1:
-            raise ValueError("shortlist_n must be >= 1")
+        if shortlist_n is not None:
+            check_count(self, ("shortlist_n",))
         if weight_ping < 0 or weight_http < 0:
             raise ValueError("metric weights must be non-negative")
         if weight_ping + weight_http <= 0:

@@ -158,6 +158,17 @@ def with_raw_value(document: str, path: tuple, raw: str) -> str:
     return json.dumps(doc).replace('"@raw@"', raw)
 
 
+def json_dumps_line(m: Measurement) -> str:
+    """A cache line as `MeasurementStore.save` once wrote it, with one
+    `json.dumps` call per record: the record's fields as a dict in the file's
+    sorted key order (reference for the store's formatted lines)."""
+    return json.dumps({
+        "dst": m.dst, "metric": m.metric.value, "note": m.note, "samples": m.samples,
+        "src": m.src, "success": m.success, "taken_at": m.taken_at, "unit": m.unit,
+        "value": m.value,
+    })
+
+
 def fixed_value_provider(
     metric: Metric,
     values: dict[Pair, float],

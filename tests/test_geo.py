@@ -95,10 +95,21 @@ def test_symmetry_and_nonnegativity(a, b):
     assert d_ab == haversine_km(b, a)
 
 
+# Haversine in binary64 loses accuracy near antipodes. h = sin^2(dlat/2) +
+# cos*cos*sin^2(dlon/2) carries a rounding error e of a few units of 2**-53,
+# and d = 2R*asin(sqrt(h)) is steepest as h reaches 1: with h = 1 - x, d is
+# about 2R*(pi/2 - sqrt(x)), so an error e in h moves d by up to 2R*sqrt(e).
+# With e = 4 * 2**-53 that is 2.7e-4 km (over 300,000 near-antipodal pairs
+# the worst error against an atan2 reference was 2.685e-4 km), and each of
+# the triangle's three sides may carry it.
+TRIANGLE_SLACK_KM = 1e-6 + 3 * 2 * EARTH_RADIUS_KM * math.sqrt(4 * 2**-53)
+
+
 @given(coords, coords, coords)
+@example(Coordinate(0.0, 180.0), Coordinate(1.0, 0.0), Coordinate(1.192092896e-07, 0.0))
 @settings(max_examples=300)
 def test_triangle_inequality(a, b, c):
-    assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + 1e-6
+    assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + TRIANGLE_SLACK_KM
 
 
 def test_coordinate_range_validation():

@@ -109,6 +109,10 @@ CHECKS = [
     (Vantage, dict(id=""), ValueError, "vantage id must be non-empty"),
     (RegionCatalog, dict(regions=()), CatalogError, "region catalog is empty"),
     (RegionCatalog, dict(regions=(REGION, REGION)), CatalogError, "duplicate region id: r1"),
+    (ProbeConfig, dict(samples_per_pair=2.5), ValueError,
+     "samples_per_pair must be an integer, got 2.5"),
+    (ProbeConfig, dict(max_parallel_probes=True), ValueError,
+     "max_parallel_probes must be an integer, got True"),
     (ProbeConfig, dict(samples_per_pair=0), ValueError, "samples_per_pair must be >= 1"),
     (ProbeConfig, dict(timeout_ms=0.0), ValueError, "timeout_ms must be positive"),
     (ProbeConfig, dict(max_parallel_probes=0), ValueError, "max_parallel_probes must be >= 1"),
@@ -119,6 +123,8 @@ CHECKS = [
      "ms_per_100km must be non-negative"),
     (SyntheticNetworkModel, dict(http_overhead_ms=-1.0), ValueError,
      "http_overhead_ms must be non-negative"),
+    (ScoringConfig, dict(shortlist_n=math.nan), ValueError,
+     "shortlist_n must be an integer, got nan"),
     (ScoringConfig, dict(shortlist_n=0), ValueError, "shortlist_n must be >= 1"),
     (ScoringConfig, dict(weight_http=-1.0), ValueError, "metric weights must be non-negative"),
     (ScoringConfig, dict(weight_ping=0.0, weight_http=0.0), ValueError,
@@ -129,8 +135,12 @@ CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("cls, changes, error, message", CHECKS,
-                         ids=[f"{c.__name__}-{'-'.join(ch)}" for c, ch, *_ in CHECKS])
+# type and changed fields; a type check of a field is told from its range check
+CHECK_IDS = [f"{c.__name__}-{'-'.join(ch)}" + ("-not-an-integer" if "an integer" in m else "")
+             for c, ch, _, m in CHECKS]
+
+
+@pytest.mark.parametrize("cls, changes, error, message", CHECKS, ids=CHECK_IDS)
 def test_every_construction_checks(cls, changes, error, message):
     fields = {**RECORDS[cls], **changes}
     builds = {

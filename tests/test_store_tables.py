@@ -1,9 +1,11 @@
 """The store's per-metric tables seen from outside: a warm ranking over a
 loaded cache equals the cold one, `load` checks a record with or without its
-optional `note` alike, and a ranking builds each region's pairs once for all
-per-pair metrics, and only for the regions such a metric scores."""
+optional `note` alike, `save` writes each line as `json.dumps` would, and a
+ranking builds each region's pairs once for all per-pair metrics, and only
+for the regions such a metric scores."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -23,7 +25,8 @@ from cloudforecast.measurement import (
 )
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowSpec
-from helpers import SUBSETS, synthetic_inputs
+from cache_corpus import CACHE_CORPUS
+from helpers import SUBSETS, json_dumps_line, synthetic_inputs
 
 
 def _scores(report):
@@ -193,3 +196,87 @@ def test_save_orders_records_by_pair_then_metric_across_the_tables(tmp_path):
     # and records sort by key, so ping's ("c", "a") sits with the ("a", "c") records
     assert keys == [("a", "b", "distance"), ("a", "b", "http_rtt"), ("a", "b", "ping"),
                     ("a", "c", "distance"), ("a", "c", "http_rtt"), ("c", "a", "ping")]
+
+
+# -- the lines of `save` ---------------------------------------------------------------
+
+# a high surrogate followed by a low one is read back as one character, so
+# drawn texts hold none; the corpus holds a lone one
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
+AHEAD = 4102444800  # 2100-01-01: no drawn record expires
+
+
+@st.composite
+def accepted_records(draw):
+    """A `Measurement` the store accepts, odd fields included: any JSON scalar
+    as a failed value, unit or note, a bool, float, inf or nan `samples`."""
+    success = draw(st.booleans())
+    if success:
+        value = draw(st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.just(-0.0),
+                               st.integers(min_value=0, max_value=10**300), st.booleans()))
+    else:
+        value = draw(SCALARS)
+    return Measurement(
+        src=draw(st.text(max_size=8)), dst=draw(st.text(max_size=8)),
+        metric=draw(st.sampled_from(Metric)), value=value, unit=draw(SCALARS),
+        samples=draw(st.one_of(st.integers(min_value=1), st.just(True),
+                               st.floats(min_value=1.0), st.just(math.nan))),
+        success=success,
+        taken_at=draw(st.one_of(st.floats(min_value=AHEAD, max_value=1e300),
+                                st.integers(min_value=AHEAD, max_value=10**300))),
+        note=draw(SCALARS),
+    )
+
+
+CORPUS_RECORDS = [Measurement(**{"note": "", **record, "metric": Metric(record["metric"])})
+                  for record in CACHE_CORPUS]
+
+
+def _store_key(m):
+    return (min(m.src, m.dst), max(m.src, m.dst), m.metric.value)
+
+
+@given(st.lists(st.one_of(accepted_records(), st.sampled_from(CORPUS_RECORDS)),
+                max_size=6, unique_by=_store_key))
+@settings(max_examples=300, deadline=None)
+def test_saved_lines_are_json_dumps_of_each_record_and_load_back_equal(records):
+    store = MeasurementStore()
+    store.put_many(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "probes.cache")
+        store.save(path)
+        with open(path) as fh:
+            text = fh.read()
+        loaded = MeasurementStore.load(path)
+    ordered = sorted(records, key=_store_key)
+    assert text == "".join(json_dumps_line(m) + "\n" for m in ordered)
+    assert len(loaded) == len(records)
+    for m in records:
+        # repr tells 1 from 1.0 and True, and shows every nan alike
+        assert list(map(repr, loaded.get((m.src, m.dst), m.metric))) == list(map(repr, m))
+
+
+# subclasses whose own repr must not reach the file: `json.dumps` writes the
+# base type's form
+class _Float(float):
+    def __repr__(self):
+        return "_Float"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int"
+
+
+class _Str(str):
+    pass
+
+
+def test_subclass_values_are_saved_as_json_dumps_writes_them(tmp_path):
+    m = Measurement(_Str("a\u00e9"), "b", Metric.PING, _Float(2.5), _Str("ms"), _Int(3), True,
+                    _Float(AHEAD), _Str("n\n"))
+    store = MeasurementStore()
+    store.put_many([m])
+    path = tmp_path / "probes.cache"
+    store.save(str(path))
+    assert path.read_text() == json_dumps_line(m) + "\n"

@@ -32,7 +32,10 @@ compared are:
   workflow, pool and catalog document of tests/malformed_documents.py (taken
   from this tool's own checkout, so both trees get the same corpus), and of
   `analyze` of its empty workflow, through `cloudforecast.cli.main`. Error
-  wording is thereby an output the tool guards.
+  wording is thereby an output the tool guards;
+- the bytes `MeasurementStore.save` writes for the records of
+  tests/cache_corpus.py (taken from this tool's own checkout), loaded from
+  a cache file and saved to a new path.
 
 It also prints, for each tree, whether every generated ranking's dump with
 the edges reversed is bit-identical to the one with the edges as written
@@ -69,6 +72,8 @@ CLI = [
 EXPERIMENT_FILES = ("experiment.csv", "speedup_chart.dat")
 # (nodes, regions, seed, shortlist) of the generated rankings
 GENERATED = ((200, 64, 41, 16), (60, 30, 41, 7))
+# this tool's own tests/, whose corpora both trees get
+TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
 
 
 class CommandFailed(Exception):
@@ -165,6 +170,7 @@ def dump_generated() -> dict[str, str]:
     outputs.update(simulate_outputs())
     outputs.update(malformed_outputs())
     outputs.update(agent_rankings())
+    outputs.update(cache_outputs())
     return outputs
 
 
@@ -220,8 +226,7 @@ def simulate_outputs() -> dict[str, str]:
 def malformed_outputs() -> dict[str, str]:
     """What the CLI does with each malformed document, and with the empty
     workflow, written under bad/ in the working directory."""
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                                    "tests"))
+    sys.path.insert(0, TESTS)
     from malformed_documents import COMMANDS, EMPTY_WORKFLOW, MALFORMED, WORKFLOW, document_text
 
     cases = [(name, kind, document) for name, kind, document, *_ in MALFORMED]
@@ -298,6 +303,24 @@ def agent_rankings() -> dict[str, str]:
                 raise CommandFailed(f"agent-mode analyze of {order} edges exited {code}")
             outputs[f"rank/agent-order/{order}/agent"] = out
     return outputs
+
+
+def cache_outputs() -> dict[str, str]:
+    """The file `MeasurementStore.save` writes after loading the corpus of
+    tests/cache_corpus.py, written as cache/corpus.cache in the working
+    directory."""
+    sys.path.insert(0, TESTS)
+    from cache_corpus import corpus_text
+
+    from cloudforecast import measurement
+
+    os.makedirs("cache", exist_ok=True)
+    corpus, saved = os.path.join("cache", "corpus.cache"), os.path.join("cache", "saved.cache")
+    with open(corpus, "w") as fh:
+        fh.write(corpus_text())
+    measurement.MeasurementStore.load(corpus).save(saved)
+    with open(saved, "rb") as fh:
+        return {"cache/corpus-saved": fh.read().decode("latin-1")}  # one char per byte
 
 
 def special_rankings(spec, catalog, config, model, dumped) -> dict[str, str]:
