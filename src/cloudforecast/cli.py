@@ -24,6 +24,7 @@ from .errors import (
     DocumentFormatError,
     SpecValidationError,
     UnknownLocationError,
+    UsageError,
 )
 from .executor import (
     Transport,
@@ -144,7 +145,7 @@ def load_settings(args: argparse.Namespace) -> dict:
         try:
             return SETTINGS[key].convert(value)
         except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"{source}: {exc}") from None
+            raise UsageError(f"{source}: {exc}") from None
 
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
@@ -152,14 +153,14 @@ def load_settings(args: argparse.Namespace) -> dict:
             with open(config_path) as f:
                 file_values = json.load(f)
         except OSError as exc:
-            raise ValueError(f"cannot read config file: {exc}")
+            raise UsageError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
-            raise ValueError(f"config file: line {exc.lineno}: {exc.msg}")
+            raise UsageError(f"config file: line {exc.lineno}: {exc.msg}")
         if not isinstance(file_values, dict):
-            raise ValueError(f"config file: expected an object, got {type(file_values).__name__}")
+            raise UsageError(f"config file: expected an object, got {type(file_values).__name__}")
         unknown = sorted(set(file_values) - set(SETTINGS))
         if unknown:
-            raise ValueError(f"config file: unknown key(s): {', '.join(unknown)}")
+            raise UsageError(f"config file: unknown key(s): {', '.join(unknown)}")
         for key, value in file_values.items():
             settings[key] = converted(key, value, "config file")
 
@@ -173,15 +174,24 @@ def load_settings(args: argparse.Namespace) -> dict:
 
     formats = getattr(args, "formats", None)  # set by the commands that lack a layout
     if formats is not None and settings["format"] not in formats:
-        raise ValueError(
+        raise UsageError(
             f"format: {args.command} prints {' or '.join(formats)}, not {settings['format']!r}"
         )
     return settings
 
 
+def _checked(build, *args, **kwargs):
+    """`build(*args, **kwargs)`, where `build` checks settings: its ValueError
+    is a `UsageError`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def config_from(cls, settings: dict):
     """A probe, scoring or synthetic-model config from the settings named as its fields."""
-    return cls(**{name: settings[name] for name in cls._fields})
+    return _checked(cls, **{name: settings[name] for name in cls._fields})
 
 
 def _read_file(path: str, parse):
@@ -220,17 +230,17 @@ def _load_pool(settings: dict):
 def _parse_metrics(text: str) -> list[Metric]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
-        raise ValueError("metrics list is empty")
+        raise UsageError("metrics list is empty")
     metrics = []
     for name in names:
         try:
             metric = Metric(name)
         except ValueError:
-            raise ValueError(
+            raise UsageError(
                 f"unknown metric {name!r} (choose from distance, ping, http_rtt)"
             )
         if metric in metrics:
-            raise ValueError(f"duplicate metric: {name}")
+            raise UsageError(f"duplicate metric: {name}")
         metrics.append(metric)
     return metrics
 
@@ -246,22 +256,20 @@ def _coordinate(text: str, field: str) -> Coordinate | None:
     try:
         return Coordinate(lat, lon)
     except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from None
+        raise UsageError(f"{field}: {exc}") from None
 
 
 def _parse_listen(text: str) -> tuple[str, int]:
     host, _, port_text = text.rpartition(":")
     if not host or not port_text.isdigit() or int(port_text) > 65535:
-        raise ValueError(f"expected 'host:port' with a port in 0..65535, got {text!r}")
+        raise UsageError(f"expected 'host:port' with a port in 0..65535, got {text!r}")
     return host, int(port_text)
 
 
 def _open_store(settings: dict) -> MeasurementStore:
+    store = _checked(MeasurementStore, ttl_s=settings["cache_ttl_s"])
     cache = settings["cache"]
-    ttl = settings["cache_ttl_s"]
-    if cache:
-        return MeasurementStore.load(cache, ttl_s=ttl)
-    return MeasurementStore(ttl_s=ttl)
+    return MeasurementStore.load(cache, ttl_s=store.ttl_s) if cache else store
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -283,7 +291,7 @@ def _analysis_setup(args: argparse.Namespace, settings: dict):
     elif settings["probe_mode"] == "local":
         providers = local_providers(pconfig, locations)
     else:
-        providers = agent_providers(catalog, pconfig, agent_port=settings["agent_port"])
+        providers = _checked(agent_providers, catalog, pconfig, agent_port=settings["agent_port"])
     # ping before HTTP; distance has no provider, ranking computes it from the coordinates
     providers = {metric: p for metric, p in providers.items() if metric in metrics}
     store = _open_store(settings)
@@ -351,7 +359,7 @@ def cmd_simulate(args: argparse.Namespace, settings: dict) -> int:
         for item in args.node_url or []:
             node_id, _, url = item.partition("=")
             if not node_id or not url:
-                raise ValueError(f"expected 'node-id=URL', got {item!r}")
+                raise UsageError(f"expected 'node-id=URL', got {item!r}")
             node_urls[node_id] = url
         config = config_from(ProbeConfig, settings)
         for _ in range(args.repeat):
@@ -368,7 +376,7 @@ def cmd_simulate(args: argparse.Namespace, settings: dict) -> int:
             try:
                 region = catalog.by_id(vantage_text)
             except KeyError:
-                raise ValueError(f"vantage {vantage_text!r} is neither 'lat,lon' nor a region id")
+                raise UsageError(f"vantage {vantage_text!r} is neither 'lat,lon' nor a region id")
             vantage = Vantage(region.id, region.location)
         locations = location_index(spec, catalog)
         model = config_from(SyntheticNetworkModel, settings)
@@ -458,14 +466,14 @@ def _experiment_specs(args: argparse.Namespace, settings: dict) -> list:
             except SpecValidationError as exc:
                 raise SpecValidationError(f"{where}[{i}]: {exc}") from exc
     if not specs:
-        raise ValueError("experiment needs at least one workflow")
+        raise UsageError("experiment needs at least one workflow")
     return specs
 
 
 def cmd_experiment(args: argparse.Namespace, settings: dict) -> int:
     location = _coordinate(settings["local"], "local")
     if location is None:
-        raise ValueError(f"local: expected 'lat,lon', got {settings['local']!r}")
+        raise UsageError(f"local: expected 'lat,lon', got {settings['local']!r}")
     local = Vantage("local", location)
     specs = _experiment_specs(args, settings)
     catalog = _load_catalog(settings)
@@ -605,8 +613,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:  # every command's settings are checked before it starts
         return args.func(args, load_settings(args))
-    except (DocumentFormatError, SpecValidationError, CatalogError, ValueError,
-            argparse.ArgumentTypeError) as exc:
+    except (DocumentFormatError, SpecValidationError, CatalogError, UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except UnknownLocationError as exc:

@@ -17,6 +17,10 @@ class CycleError(SpecValidationError):
     """The edge set contains a directed cycle."""
 
 
+class UsageError(CloudForecastError):
+    """A command line, setting or config file the CLI cannot use."""
+
+
 class CatalogError(CloudForecastError):
     """A region catalog is malformed (duplicate ids, empty, bad fields)."""
 

@@ -5,11 +5,13 @@ The timing model: a node may start once every input has arrived; each edge
 through the orchestrator; transfers overlap fully (no bandwidth contention).
 A simulation computes one kilometre, so one latency, per node, in one
 `km_row` over the nodes: the kernel gives the same bits in either direction,
-so a node's leg to the vantage and its leg back cost the same. It peels the
-DAG once (`workflow._peel`, which also refuses a dangling edge or a cycle)
-and, walking that order, pushes each node's finish time plus both legs of
-an edge to each child, keeping the latest: a node finishes at its service
-time when nothing arrives, and at service + latest arrival otherwise.
+so a node's leg to the vantage and its leg back cost the same. It walks the
+spec's `plan`, the DAG peel that validation already made (`parse_workflow`
+peels each spec once; a spec built directly peels on its first simulation,
+which also refuses a dangling edge or a cycle), by node position, and pushes
+each node's finish time plus both legs of an edge to each child, keeping the
+latest: a node finishes at its service time when nothing arrives, and at
+service + latest arrival otherwise.
 """
 
 import csv
@@ -20,7 +22,7 @@ import time
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import NodeUnreachableError
+from .errors import NodeUnreachableError, SpecValidationError
 from .geo import (Coordinate, LocationTable, RegionCatalog, km_row, prepare_point,
                   resolve_location)
 from .measurement import (
@@ -33,7 +35,7 @@ from .measurement import (
 )
 from .records import Checked
 from .scoring import ScoringConfig, rank_regions
-from .workflow import WorkflowSpec, _peel, topological_order
+from .workflow import WorkflowSpec, topological_order
 
 
 def __getattr__(name: str):
@@ -95,24 +97,27 @@ def simulate_execution(
     locations: LocationTable,
 ) -> ExecutionResult:
     """Deterministic makespan under the synthetic latency model."""
-    order, children = _peel([node.id for node in spec.nodes], spec.edges)
-    kms = km_row([prepare_point(resolve_location(node.endpoint, locations))
-                  for node in spec.nodes], vantage.location)
-    hub_ms = {node.id: model.ping_ms(km) for node, km in zip(spec.nodes, kms)}
-    service = {node.id: node.service_time_ms for node in spec.nodes}
+    order, children = spec.plan
+    nodes = spec.nodes
+    kms = km_row([prepare_point(resolve_location(node.endpoint, locations)) for node in nodes],
+                 vantage.location)
+    ping_ms = model.ping_ms
+    hub_ms = [ping_ms(km) for km in kms]
 
-    arrival: dict[str, float] = {}
-    finish: dict[str, float] = {}
-    for nid in order:
-        done = service[nid] + arrival[nid] if nid in arrival else service[nid]
-        finish[nid] = done
-        sent = done + hub_ms[nid]
-        for child in children[nid]:
+    arrival: list[float | None] = [None] * len(nodes)  # None: nothing has arrived
+    finish = [0.0] * len(nodes)
+    for i in order:
+        at = arrival[i]
+        done = nodes[i].service_time_ms if at is None else nodes[i].service_time_ms + at
+        finish[i] = done
+        sent = done + hub_ms[i]
+        for child in children[i]:
             at = sent + hub_ms[child]
-            if child not in arrival or at > arrival[child]:
+            if arrival[child] is None or at > arrival[child]:
                 arrival[child] = at
 
-    return ExecutionResult(spec.name, vantage.id, max(finish.values(), default=0.0), finish,
+    finish_ms = {nodes[i].id: finish[i] for i in order}
+    return ExecutionResult(spec.name, vantage.id, max(finish_ms.values(), default=0.0), finish_ms,
                            Transport.SIMULATED)
 
 
@@ -232,13 +237,17 @@ def run_experiment(
         candidate = simulate_execution(
             spec, Vantage(best_region.id, best_region.location), model, locations
         )
+        try:  # a workflow and model that take no time have no speedup
+            speedup = speedup_percent(baseline.makespan_ms, candidate.makespan_ms)
+        except ValueError as exc:
+            raise SpecValidationError(f"workflow {spec.name!r}: {exc}") from None
         rows.append(
             ExperimentRow(
                 workflow=spec.name,
                 baseline_ms=baseline.makespan_ms,
                 best_region=best_id,
                 best_ms=candidate.makespan_ms,
-                speedup_pct=speedup_percent(baseline.makespan_ms, candidate.makespan_ms),
+                speedup_pct=speedup,
             )
         )
     return ExperimentReport(

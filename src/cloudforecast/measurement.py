@@ -161,23 +161,29 @@ class Measurement(Checked, _MeasurementFields):
     __slots__ = ()
 
     def __new__(cls, src, dst, metric, value, unit, samples, success, taken_at, note=""):
-        check_measured((value,), samples, success, taken_at)
+        check_measured((value,), samples, success, taken_at, unit, UNIT_BY_METRIC.get(metric))
         return tuple.__new__(cls, (src, dst, metric, value, unit, samples, success, taken_at, note))
 
 
 _isfinite = math.isfinite
 
 
-def check_measured(values, samples, success, taken_at) -> None:
+def check_measured(values, samples, success, taken_at, unit, metric_unit) -> None:
     """The rule every measurement keeps, for values that share the other
-    fields: a successful value is finite and >= 0, there is at least one
-    sample, success is a bool and the time is finite. `Measurement` checks
+    fields: a successful value is finite and >= 0, `samples` is an integer
+    (not a bool) >= 1, success is a bool, the time is finite and the unit is
+    `metric_unit`, the unit of the measurement's metric. `Measurement` checks
     its one value with it, a batch builder all of a batch's values at once
     before building the rows unchecked."""
     if success and values and min(values) < 0:
         raise ValueError("successful measurement value must be >= 0")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if type(samples) is not int or samples < 1:  # one test on the path every record takes
+        if not isinstance(samples, int) or isinstance(samples, bool):
+            raise ValueError(f"samples must be an integer, got {samples!r}")
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
+    if unit != metric_unit:
+        raise ValueError(f"unit must be {metric_unit!r} for this metric, got {unit!r}")
     if success is not True and success is not False:
         raise ValueError(f"success must be true or false, got {success!r}")
     try:
@@ -361,8 +367,10 @@ class MeasurementStore:
             fh = open(path)
         except FileNotFoundError:
             return store
-        # the store is not shared yet, so records go straight into its tables
-        tables = store._entries
+        # the store is not shared yet, so records go straight into its tables:
+        # a metric's value -> its member, its unit and its table
+        tables = {metric.value: (metric, unit, store._entries[metric])
+                  for metric, unit in UNIT_BY_METRIC.items()}
         records, now, expired = 0, time.time(), False
         with fh:
             for lineno, line in enumerate(fh, 1):
@@ -385,12 +393,12 @@ class MeasurementStore:
                      note) = _record_values(record)
                     if not (isinstance(src, str) and isinstance(dst, str)):
                         raise TypeError  # worded by `_bad_record`
-                    metric = _METRIC_BY_VALUE[metric]
-                    check_measured((value,), samples, success, taken_at)
+                    metric, metric_unit, table = tables[metric]
+                    check_measured((value,), samples, success, taken_at, unit, metric_unit)
                     m = _new_measurement(
                         Measurement, (src, dst, metric, value, unit, samples, success, taken_at, note)
                     )
-                    tables[metric][(dst, src) if dst < src else (src, dst)] = m
+                    table[(dst, src) if dst < src else (src, dst)] = m
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise _bad_record(record, f"{path}:{lineno}", exc) from exc
                 records += 1
@@ -400,7 +408,6 @@ class MeasurementStore:
         return store
 
 
-_METRIC_BY_VALUE = {metric.value: metric for metric in Metric}
 # a record's values in `Measurement` field order
 _record_values = operator.itemgetter(*_RECORD_FIELDS, "note")
 _pair_of_entry = operator.itemgetter(0)
@@ -518,7 +525,7 @@ class SyntheticProvider:
         kms = [memo[pair] for pair in pairs]
         metric, unit, now = self.metric, UNIT_BY_METRIC[self.metric], time.time()
         values = _synthetic_values(kms, metric, self.model)
-        check_measured(values, 1, True, now)
+        check_measured(values, 1, True, now, unit, unit)
         new = _new_measurement
         return [
             new(Measurement, (src, dst, metric, value, unit, 1, True, now, "synthetic"))

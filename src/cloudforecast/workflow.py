@@ -5,6 +5,7 @@ import json
 import random
 from collections import defaultdict
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CycleError, SpecValidationError
@@ -55,10 +56,27 @@ class WorkflowEdge(NamedTuple):
     payload_kb: float = 0.0
 
 
-class WorkflowSpec(NamedTuple):
+class _WorkflowSpecFields(NamedTuple):  # the defaults are `WorkflowSpec`'s
     name: str
     nodes: tuple[WorkflowNode, ...] = ()
     edges: tuple[WorkflowEdge, ...] = ()
+
+
+class WorkflowSpec(_WorkflowSpecFields):
+    """A workflow: its name, nodes and edges. Its fields are read-only;
+    `plan` is a memo, the DAG's peel, that the first reader fills."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    @cached_property
+    def plan(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """`_peel` of the nodes and edges, by node position: the topological
+        order and each node's children, as tuples, since every reader shares
+        them. A peel that raises is not kept, so every read of an invalid spec
+        raises again."""
+        order, children = _peel([node.id for node in self.nodes], self.edges)
+        return tuple(order), tuple(map(tuple, children))
 
 
 def _node_violations(nodes: Iterable[WorkflowNode], label: str) -> list[str]:
@@ -78,30 +96,34 @@ def _node_violations(nodes: Iterable[WorkflowNode], label: str) -> list[str]:
     return violations
 
 
-def _peel(node_ids: Iterable[str], edges: Iterable[WorkflowEdge]
-          ) -> tuple[list[str], dict[str, list[str]]]:
-    """Kahn peeling, ties broken lexicographically: (order, each node's children
-    in edge order). Raises `SpecValidationError` on an edge with an unknown end
-    and `CycleError`, naming the sorted ids left over, on a cycle."""
-    indeg = dict.fromkeys(node_ids, 0)
-    children: dict[str, list[str]] = {nid: [] for nid in indeg}
-    for src, dst, _ in edges:
-        if src not in indeg or dst not in indeg:
-            raise SpecValidationError(f"dangling edge {src}->{dst}: unknown node id")
-        indeg[dst] += 1
-        children[src].append(dst)
-    heap = sorted(nid for nid, d in indeg.items() if d == 0)
-    order: list[str] = []
+def _peel(node_ids: Sequence[str], edges: Iterable[WorkflowEdge]
+          ) -> tuple[list[int], list[list[int]]]:
+    """Kahn peeling by position in `node_ids`, ties broken lexicographically by
+    id: (order, each position's children in edge order). A repeated id stands
+    for its last position. Raises `SpecValidationError` on an edge with an
+    unknown end and `CycleError`, naming the sorted ids left over, on a cycle."""
+    position = {nid: i for i, nid in enumerate(node_ids)}
+    indeg = [0] * len(node_ids)
+    children: list[list[int]] = [[] for _ in node_ids]
+    try:
+        for src, dst, _ in edges:
+            v = position[dst]
+            children[position[src]].append(v)
+            indeg[v] += 1
+    except KeyError:
+        raise SpecValidationError(f"dangling edge {src}->{dst}: unknown node id") from None
+    heap = sorted(nid for nid, i in position.items() if not indeg[i])
+    order: list[int] = []
     while heap:
-        nid = heapq.heappop(heap)
-        order.append(nid)
-        for child in children[nid]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                heapq.heappush(heap, child)
-    if len(order) < len(indeg):
+        i = position[heapq.heappop(heap)]
+        order.append(i)
+        for v in children[i]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                heapq.heappush(heap, node_ids[v])
+    if len(order) < len(position):
         raise CycleError("cycle involving nodes {%s}"
-                         % ", ".join(sorted(nid for nid, d in indeg.items() if d > 0)))
+                         % ", ".join(sorted(nid for nid, i in position.items() if indeg[i])))
     return order, children
 
 
@@ -126,8 +148,11 @@ def validate_dag(spec: WorkflowSpec) -> list[str]:
         if usable:
             usable_edges.append(edge)
 
-    try:
-        _peel(known, usable_edges)
+    try:  # with every edge usable, the peel is the spec's plan, kept for later readers
+        if len(usable_edges) == len(spec.edges):
+            spec.plan
+        else:
+            _peel([n.id for n in spec.nodes], usable_edges)
     except CycleError as exc:
         violations.append(str(exc))
 
@@ -157,7 +182,8 @@ def validate_dag(spec: WorkflowSpec) -> list[str]:
 
 def topological_order(spec: WorkflowSpec) -> list[str]:
     """Topological order of node ids, ties broken lexicographically."""
-    return _peel([n.id for n in spec.nodes], spec.edges)[0]
+    nodes = spec.nodes
+    return [nodes[i].id for i in spec.plan[0]]
 
 
 _WORKFLOW_FIELDS = field_sets(["name", "nodes", "edges"], [])

@@ -1,8 +1,9 @@
 """Measurement cache records that `MeasurementStore.load` accepts, with the
 odd values a line writer must get right: ASCII and non-ASCII texts (escapes,
 control characters, a character outside the BMP, a lone surrogate), int and
-float values, a failed record whose value is NaN, a null note, a bool
-`samples` and a record without a note. Every `taken_at` lies centuries
+float values, a failed record whose value is NaN, a null note and a record
+without a note. A bool `samples` is refused
+(`tests/test_measurement.py::POISONED`). Every `taken_at` lies centuries
 ahead, so no record expires. `tests/test_store_tables.py` draws from these
 records, and `tools/compare_outputs.py` saves them in two trees. Standard
 library only, so the tool can import it without a tree's package on the
@@ -26,7 +27,7 @@ CACHE_CORPUS = [
     {"dst": "zürich.example.ch", "metric": "http_rtt", "note": "icmp/timeout", "samples": 3,
      "src": "b.example.org", "success": False, "taken_at": _AHEAD + 1.5, "unit": "ms",
      "value": math.nan},
-    {"dst": "c.example.org", "metric": "ping", "note": None, "samples": True,
+    {"dst": "c.example.org", "metric": "ping", "note": None, "samples": 1,
      "src": "b.example.org", "success": True, "taken_at": 32503680000, "unit": "ms",
      "value": 1e-07},
     {"dst": "c.example.org", "metric": "http_rtt", "note": "lone \ud800 surrogate",

@@ -38,7 +38,8 @@ GOOD = dict(src="a", dst="b", metric=Metric.PING, value=1.5, unit="ms", samples=
 
 def _m(src, dst, metric=Metric.PING, value=1.0, taken_at=None):
     taken_at = time.time() if taken_at is None else taken_at
-    return Measurement(src, dst, metric, value, "ms", 1, True, taken_at)
+    return Measurement(src, dst, metric, value, measurement.UNIT_BY_METRIC[metric], 1, True,
+                       taken_at)
 
 
 class Counting:

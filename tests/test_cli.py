@@ -327,6 +327,38 @@ def test_experiment_empty_dir_is_error(tmp_path, capsys):
     assert "at least one workflow" in err
 
 
+def test_an_experiment_whose_workflow_takes_no_time_exits_2_naming_it(tmp_path, capsys):
+    wf_dir = tmp_path / "flows"
+    wf_dir.mkdir()
+    (wf_dir / "pair.workflow").write_text(TWO_NODE_DOC)
+    code, out, err = run_cli(["experiment", "--workflow-dir", str(wf_dir), "--base-latency-ms",
+                              "0", "--ms-per-100km", "0", "--out-dir", str(tmp_path / "o")],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: workflow 'pair': makespans must be positive, "
+                   "got baseline=0.0, candidate=0.0\n")
+
+
+@pytest.mark.parametrize("command, call", [
+    (["analyze"], "rank_regions"),
+    (["simulate", "--vantage", "us-east-1"], "simulate_execution"),
+    (["experiment", "--workflow-dir", "{dir}", "--out-dir", "{dir}"], "run_experiment"),
+])
+def test_a_value_error_from_a_fault_is_not_reported_as_a_usage_error(
+        fig1_file, tmp_path, monkeypatch, command, call):
+    from cloudforecast import cli
+
+    def fault(*args, **kwargs):
+        raise ValueError("a fault, not an input")
+
+    monkeypatch.setattr(cli, call, fault)
+    argv = [a.format(dir=os.path.dirname(fig1_file)) for a in command]
+    if command[0] != "experiment":
+        argv += ["-w", fig1_file]
+    with pytest.raises(ValueError, match="a fault, not an input"):
+        main(argv)
+
+
 def test_analyze_probe_failures_are_ranked_not_fatal(tmp_path, capsys):
     # local mode against unresolvable hosts: every ping/http probe fails, yet
     # the analysis completes with penalty-dominated scores and exit code 0
@@ -714,6 +746,28 @@ def test_a_cache_number_too_large_for_a_float_exits_2_naming_file_and_line(
     code, out, err = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
     assert code == 2 and out == ""
     assert f"{cache}:2: {message}, got {shown}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, raw, message", [
+    ("samples", "true", "samples must be an integer, got True"),
+    ("samples", "2.5", "samples must be an integer, got 2.5"),
+    ("samples", "NaN", "samples must be an integer, got nan"),
+    ("samples", "Infinity", "samples must be an integer, got inf"),
+    ("samples", "0", "samples must be >= 1"),
+    ("unit", "null", "unit must be 'ms' for this metric, got None"),
+    ("unit", '"km"', "unit must be 'ms' for this metric, got 'km'"),
+], ids=["bool-samples", "float-samples", "nan-samples", "inf-samples", "zero-samples",
+        "null-unit", "distance-unit"])
+def test_a_cache_record_with_bad_samples_or_unit_exits_2_naming_file_and_line(
+        fig1_file, tmp_path, capsys, field, raw, message):
+    cache = tmp_path / "probes.cache"
+    code, _, _ = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
+    assert code == 0
+    lines = cache.read_text().splitlines()
+    lines[1] = with_raw_value(lines[1], (field,), raw)
+    cache.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
+    assert (code, out, err) == (2, "", f"error: {cache}:2: {message}\n")
 
 
 def test_analyze_cache_rerun_leaves_the_file_untouched(fig1_file, tmp_path, capsys):

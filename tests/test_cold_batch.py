@@ -235,10 +235,14 @@ def test_the_batch_provider_rejects_a_batch_when_measurement_rejects_one_value(v
 
 
 def test_check_measured_is_the_rule_of_every_field():
-    check_measured([], 1, True, 0.0)  # an empty batch has nothing to reject
+    check_measured([], 1, True, 0.0, "ms", "ms")  # an empty batch has nothing to reject
     for args, message in [
         (((-1.0,), 1, True, 0.0), "successful measurement value must be >= 0"),
         (((1.0,), 0, True, 0.0), "samples must be >= 1"),
+        (((1.0,), True, True, 0.0), "samples must be an integer, got True"),
+        (((1.0,), 2.5, True, 0.0), "samples must be an integer, got 2.5"),
+        (((1.0,), math.nan, True, 0.0), "samples must be an integer, got nan"),
+        (((1.0,), math.inf, True, 0.0), "samples must be an integer, got inf"),
         (((1.0,), 1, "false", 0.0), "success must be true or false, got 'false'"),
         (((math.nan,), 1, True, 0.0), "successful measurement value must be finite, got nan"),
         (((1.0,), 1, True, math.inf), "taken_at must be a finite number, got inf"),
@@ -249,10 +253,14 @@ def test_check_measured_is_the_rule_of_every_field():
          "taken_at must be a finite number, got an integer too large for a float"),
     ]:
         with pytest.raises(ValueError) as info:
-            check_measured(*args)
+            check_measured(*args, "ms", "ms")
         assert str(info.value) == message
+    for unit in ("km", None, 1):
+        with pytest.raises(ValueError) as info:
+            check_measured((1.0,), 1, True, 0.0, unit, "ms")
+        assert str(info.value) == f"unit must be 'ms' for this metric, got {unit!r}"
     # a failure may carry any value, a non-finite one included
-    check_measured((math.nan, -math.inf), 1, False, 0.0)
+    check_measured((math.nan, -math.inf), 1, False, 0.0, "ms", "ms")
 
 
 # -- a batch of lone misses ---------------------------------------------------------------

@@ -20,11 +20,14 @@ from cloudforecast import (
     WorkflowNode,
     WorkflowSpec,
     live_execute,
+    parse_workflow,
+    render_workflow,
     run_experiment,
     simulate_execution,
     speedup_percent,
     topological_order,
 )
+from cloudforecast import workflow
 from cloudforecast.measurement import location_index
 from cloudforecast.services import StubNodeHandler, make_node_server, start_in_thread
 from helpers import EDGE_COORDS, longest_path_ms, per_edge_finish_ms
@@ -170,6 +173,119 @@ def test_simulating_a_dangling_edge_words_it_as_topological_order_does():
     with pytest.raises(SpecValidationError) as by_order:
         topological_order(spec)
     assert str(by_order.value) == str(info.value)
+
+
+# -- the spec's plan: one peel per spec -------------------------------------------
+
+@pytest.fixture
+def peels(monkeypatch):
+    """The number of `workflow._peel` calls so far."""
+    calls = []
+    real = workflow._peel
+
+    def counted(node_ids, edges):
+        calls.append(None)
+        return real(node_ids, edges)
+
+    monkeypatch.setattr(workflow, "_peel", counted)
+    return lambda: len(calls)
+
+
+def test_a_parsed_spec_is_peeled_once_by_validation_for_every_later_reader(fig1_doc, peels):
+    spec = parse_workflow(fig1_doc)
+    assert peels() == 1
+    locations = location_index(spec)
+    first = simulate_execution(spec, ORIGIN, SyntheticNetworkModel(), locations)
+    second = simulate_execution(spec, Vantage("v", Coordinate(40, -74)), SyntheticNetworkModel(),
+                                locations)
+    assert topological_order(spec) == list(first.finish_ms) == list(second.finish_ms)
+    assert peels() == 1
+    with pytest.raises(AttributeError):
+        spec.plan = ((), ())
+
+
+def test_a_spec_built_directly_is_peeled_on_its_first_simulation_only(peels):
+    spec = _path_spec([1, 2, 3])
+    assert peels() == 0
+    for _ in range(2):
+        assert simulate_execution(spec, ORIGIN, ZERO_MODEL, location_index(spec)).makespan_ms == 6
+        assert peels() == 1
+
+
+def test_a_replaced_spec_is_peeled_on_its_own(peels):
+    spec = _path_spec([1, 2, 3])
+    simulate_execution(spec, ORIGIN, ZERO_MODEL, location_index(spec))
+    shorter = spec._replace(edges=spec.edges[:1])
+    result = simulate_execution(shorter, ORIGIN, ZERO_MODEL, location_index(shorter))
+    assert peels() == 2
+    assert result.finish_ms == {"A": 1, "C": 3, "B": 3}
+    assert simulate_execution(spec, ORIGIN, ZERO_MODEL, location_index(spec)).makespan_ms == 6
+    assert peels() == 2
+
+
+@pytest.mark.parametrize("edges, error, message", [
+    ((("A", "B"), ("B", "C"), ("C", "A")), CycleError, "cycle involving nodes {A, B, C}"),
+    ((("A", "B"), ("B", "Z")), SpecValidationError, "dangling edge B->Z: unknown node id"),
+], ids=["cycle", "dangling-edge"])
+def test_an_invalid_spec_raises_on_every_simulation(peels, edges, error, message):
+    spec = _path_spec([1, 2, 3])._replace(edges=tuple(WorkflowEdge(a, b) for a, b in edges))
+    for attempt in (1, 2):
+        with pytest.raises(error) as info:
+            simulate_execution(spec, ORIGIN, ZERO_MODEL, location_index(spec))
+        assert str(info.value) == message
+        assert peels() == attempt
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_parsed_spec_and_an_equal_spec_built_directly_finish_alike_to_the_bit(data):
+    # ids in drawn order; every node after the first has an earlier parent
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    ids = data.draw(st.permutations([f"n{i}" for i in range(n)]))
+    links = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n > 1:  # more edges, repeated ones too
+        links += data.draw(st.lists(st.integers(1, n - 1).flatmap(
+            lambda v: st.tuples(st.integers(0, v - 1), st.just(v))), max_size=8))
+    edges = tuple(WorkflowEdge(ids[u], ids[v]) for u, v in data.draw(st.permutations(links)))
+    fed = {edge.dst for edge in edges}
+    nodes = tuple(
+        WorkflowNode(id=nid, endpoint=f"{nid}.example.org", location=data.draw(EDGE_COORDS),
+                     role="service" if nid in fed else "source",
+                     service_time_ms=data.draw(st.floats(min_value=0.0, max_value=500.0)))
+        for nid in ids
+    )
+    direct = WorkflowSpec(name="alike", nodes=nodes, edges=edges)
+    parsed = parse_workflow(render_workflow(direct))
+    assert parsed == direct
+    model = SyntheticNetworkModel(*data.draw(st.tuples(*[st.floats(0.0, 100.0)] * 3)))
+    locations = location_index(direct)
+    for at in data.draw(st.lists(EDGE_COORDS, min_size=2, max_size=4)):
+        results = [simulate_execution(spec, Vantage("v", at), model, locations)
+                   for spec in (parsed, direct)]
+        hexed = [[(k, v.hex()) for k, v in r.finish_ms.items()] for r in results]
+        assert hexed[0] == hexed[1]
+        assert results[0].makespan_ms.hex() == results[1].makespan_ms.hex()
+
+
+def test_a_repeated_node_id_simulates_as_its_last_node():
+    # the last node with an id gives it its service time and location, and
+    # the id finishes once, in the order of the spec without the earlier nodes
+    a1 = WorkflowNode("A", "a1.example.org", location=Coordinate(0, 0), service_time_ms=1.0)
+    a2 = WorkflowNode("A", "a2.example.org", location=Coordinate(20, 20), service_time_ms=5.0)
+    b = WorkflowNode("B", "b.example.org", location=Coordinate(10, 10), service_time_ms=2.0)
+    c = WorkflowNode("C", "c.example.org", location=Coordinate(-10, 40), service_time_ms=3.0)
+    edges = (WorkflowEdge("A", "C"), WorkflowEdge("B", "C"))
+    repeated = WorkflowSpec("repeated", (c, a1, b, a2), edges)
+    once = WorkflowSpec("repeated", (c, b, a2), edges)
+    locations = location_index(repeated)
+    model = SyntheticNetworkModel()
+    for at in (Coordinate(0, 0), Coordinate(40, -74), Coordinate(-33, 151)):
+        got = simulate_execution(repeated, Vantage("v", at), model, locations)
+        want = simulate_execution(once, Vantage("v", at), model, locations)
+        assert [(k, v.hex()) for k, v in got.finish_ms.items()] == [
+            (k, v.hex()) for k, v in want.finish_ms.items()]
+        assert list(got.finish_ms) == ["A", "B", "C"] == topological_order(repeated)
+        assert got.finish_ms["A"] == 5.0
 
 
 def test_makespan_monotone_in_latency():

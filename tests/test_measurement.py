@@ -157,7 +157,7 @@ def _measurement(src="s", dst="d", metric=Metric.PING, value=1.0, taken_at=None)
         dst=dst,
         metric=metric,
         value=value,
-        unit="ms",
+        unit=measurement.UNIT_BY_METRIC[metric],
         samples=1,
         success=True,
         taken_at=time.time() if taken_at is None else taken_at,
@@ -700,7 +700,8 @@ def test_agent_providers_reject_a_port_out_of_range(catalog, port):
         agent_providers(catalog, ProbeConfig(), agent_port=port)
 
 
-# a cache record that would rank with a nan, count a string as a success or never expire
+# a cache record that would rank with a nan, count a string as a success, never
+# expire, or hold a count or unit no measurement has
 HUGE, TOO_LARGE = NON_FINITE["huge"]
 POISONED = {
     "nan-value": ("value", "NaN", "successful measurement value must be finite, got nan"),
@@ -710,6 +711,13 @@ POISONED = {
     "inf-taken-at": ("taken_at", "-Infinity", "taken_at must be a finite number, got -inf"),
     "huge-value": ("value", HUGE, f"successful measurement value must be finite, got {TOO_LARGE}"),
     "huge-taken-at": ("taken_at", HUGE, f"taken_at must be a finite number, got {TOO_LARGE}"),
+    "bool-samples": ("samples", "true", "samples must be an integer, got True"),
+    "float-samples": ("samples", "2.5", "samples must be an integer, got 2.5"),
+    "nan-samples": ("samples", "NaN", "samples must be an integer, got nan"),
+    "inf-samples": ("samples", "Infinity", "samples must be an integer, got inf"),
+    "string-samples": ("samples", '"2"', "samples must be an integer, got '2'"),
+    "null-unit": ("unit", "null", "unit must be 'ms' for this metric, got None"),
+    "distance-unit": ("unit", '"km"', "unit must be 'ms' for this metric, got 'km'"),
 }
 
 
@@ -722,7 +730,8 @@ def test_store_load_rejects_a_poisoned_record_naming_file_and_line(tmp_path, fie
     fields[field] = value
     poisoned = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
     path = tmp_path / "poisoned.cache"
-    path.write_text(good.replace('"ping"', '"distance"') + "\n" + poisoned + "\n")
+    first = good.replace('"ping"', '"distance"').replace('"ms"', '"km"')
+    path.write_text(first + "\n" + poisoned + "\n")
     with pytest.raises(DocumentFormatError) as info:
         MeasurementStore.load(str(path))
     assert str(info.value) == f"{path}:2: {message}"

@@ -5,7 +5,6 @@ ranking builds each region's pairs once for all per-pair metrics, and only
 for the regions such a metric scores."""
 
 import json
-import math
 import os
 import tempfile
 
@@ -19,6 +18,7 @@ from cloudforecast.errors import DocumentFormatError
 from cloudforecast.measurement import (
     Measurement,
     MeasurementStore,
+    UNIT_BY_METRIC,
     SyntheticNetworkModel,
     location_index,
     synthetic_providers,
@@ -184,7 +184,7 @@ def test_putting_nothing_keeps_a_loaded_store_in_sync_with_its_file(tmp_path, mo
 def test_save_orders_records_by_pair_then_metric_across_the_tables(tmp_path):
     store = MeasurementStore()
     store.put_many([
-        Measurement(src, dst, metric, 1.0, "ms", 1, True, 1.0e12)
+        Measurement(src, dst, metric, 1.0, UNIT_BY_METRIC[metric], 1, True, 1.0e12)
         for metric in (Metric.PING, Metric.HTTP_RTT, Metric.DISTANCE)
         for src, dst in (("b", "a"), ("a", "b"), ("a", "c"))
     ] + [Measurement("c", "a", Metric.PING, 2.0, "ms", 1, True, 1.0e12)])
@@ -209,18 +209,18 @@ AHEAD = 4102444800  # 2100-01-01: no drawn record expires
 @st.composite
 def accepted_records(draw):
     """A `Measurement` the store accepts, odd fields included: any JSON scalar
-    as a failed value, unit or note, a bool, float, inf or nan `samples`."""
+    as a failed value or note, and any `samples` >= 1."""
     success = draw(st.booleans())
     if success:
         value = draw(st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.just(-0.0),
                                st.integers(min_value=0, max_value=10**300), st.booleans()))
     else:
         value = draw(SCALARS)
+    metric = draw(st.sampled_from(Metric))
     return Measurement(
         src=draw(st.text(max_size=8)), dst=draw(st.text(max_size=8)),
-        metric=draw(st.sampled_from(Metric)), value=value, unit=draw(SCALARS),
-        samples=draw(st.one_of(st.integers(min_value=1), st.just(True),
-                               st.floats(min_value=1.0), st.just(math.nan))),
+        metric=metric, value=value, unit=UNIT_BY_METRIC[metric],
+        samples=draw(st.integers(min_value=1)),
         success=success,
         taken_at=draw(st.one_of(st.floats(min_value=AHEAD, max_value=1e300),
                                 st.integers(min_value=AHEAD, max_value=10**300))),

@@ -20,6 +20,10 @@ compared are:
   regions at seed 41 with shortlist 16, and 60 x 30 with shortlist 7),
   under each metric set and with the edges as written and reversed; and of
   the simulated finish times of every node from every region and from 0,0;
+- on the 60 x 30 input as written, the same finish times of two specs built
+  directly, not parsed, so never validated: one with the parsed spec's
+  fields, and one that adds a second node under the id of its fourth, with
+  another endpoint, location and service time;
 - on the 200 x 64 input as written, the `float.hex` of a ranking whose
   store is seeded with ping and HTTP records the model never gives, and of
   a ranking whose synthetic providers locate a moved first node;
@@ -35,7 +39,11 @@ compared are:
   wording is thereby an output the tool guards;
 - the bytes `MeasurementStore.save` writes for the records of
   tests/cache_corpus.py (taken from this tool's own checkout), loaded from
-  a cache file and saved to a new path.
+  a cache file and saved to a new path;
+- the exit code, stdout and stderr of `analyze` of this tool's
+  samples/fig1.workflow with a `--cache` file of one record whose `samples`
+  is not a positive integer (true, 2.5, NaN, Infinity) or whose `unit` is
+  not its metric's (null, km for a ping), through `cloudforecast.cli.main`.
 
 It also prints, for each tree, whether every generated ranking's dump with
 the edges reversed is bit-identical to the one with the edges as written
@@ -163,10 +171,22 @@ def dump_generated() -> dict[str, str]:
                 outputs.update(special_rankings(spec, catalog, config, model, dumped))
             vantages = [executor.Vantage("local", geo.Coordinate(0.0, 0.0))]
             vantages += [executor.Vantage(g.id, g.location) for g in catalog.regions]
-            outputs[f"simulate/{n}x{r}/{order}"] = json.dumps(hexed({
-                v.id: executor.simulate_execution(spec, v, model, locations).finish_ms
-                for v in vantages
-            }), indent=1)
+
+            def simulated(spec, locations):
+                return json.dumps(hexed({
+                    v.id: executor.simulate_execution(spec, v, model, locations).finish_ms
+                    for v in vantages
+                }), indent=1)
+
+            outputs[f"simulate/{n}x{r}/{order}"] = simulated(spec, locations)
+            if (n, r, order) == (60, 30, "as-written"):
+                direct = workflow.WorkflowSpec(spec.name, spec.nodes, spec.edges)
+                outputs[f"simulate/{n}x{r}/direct"] = simulated(direct, locations)
+                twin = spec.nodes[3]._replace(endpoint="twin.example.org", service_time_ms=7.25,
+                                              location=geo.Coordinate(-33.9, 151.2))
+                repeated = workflow.WorkflowSpec(spec.name, spec.nodes + (twin,), spec.edges)
+                outputs[f"simulate/{n}x{r}/direct-repeated-id"] = simulated(
+                    repeated, measurement.location_index(repeated, catalog))
     outputs.update(simulate_outputs())
     outputs.update(malformed_outputs())
     outputs.update(agent_rankings())
@@ -305,10 +325,22 @@ def agent_rankings() -> dict[str, str]:
     return outputs
 
 
+# a cache record of fig1's first leg to us-east-1, and the odd values given
+# to one of its fields in turn
+CACHE_RECORD = {"dst": "probe.us-east-1.example", "metric": "ping", "note": "", "samples": 1,
+                "src": "wikimedia.org", "success": True, "taken_at": 4102444800, "unit": "ms",
+                "value": 12.5}
+REFUSED_CACHE_FIELDS = {"bool-samples": ("samples", True), "float-samples": ("samples", 2.5),
+                        "nan-samples": ("samples", float("nan")),
+                        "inf-samples": ("samples", float("inf")),
+                        "null-unit": ("unit", None), "distance-unit": ("unit", "km")}
+
+
 def cache_outputs() -> dict[str, str]:
     """The file `MeasurementStore.save` writes after loading the corpus of
     tests/cache_corpus.py, written as cache/corpus.cache in the working
-    directory."""
+    directory, and what `analyze` does with each record of
+    `REFUSED_CACHE_FIELDS`, written under cache/ too."""
     sys.path.insert(0, TESTS)
     from cache_corpus import corpus_text
 
@@ -320,7 +352,16 @@ def cache_outputs() -> dict[str, str]:
         fh.write(corpus_text())
     measurement.MeasurementStore.load(corpus).save(saved)
     with open(saved, "rb") as fh:
-        return {"cache/corpus-saved": fh.read().decode("latin-1")}  # one char per byte
+        outputs = {"cache/corpus-saved": fh.read().decode("latin-1")}  # one char per byte
+    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
+                        "fig1.workflow")
+    for name, (field, value) in REFUSED_CACHE_FIELDS.items():
+        path = os.path.join("cache", f"{name}.cache")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(dict(CACHE_RECORD, **{field: value})) + "\n")
+        code, out, err = run_main(["analyze", "-w", fig1, "--cache", path, "--no-timestamps"])
+        outputs[f"cache/refused/{name}"] = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+    return outputs
 
 
 def special_rankings(spec, catalog, config, model, dumped) -> dict[str, str]:
