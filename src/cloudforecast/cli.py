@@ -351,10 +351,17 @@ def cmd_generate(args: argparse.Namespace, settings: dict) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, settings: dict) -> int:
+    live = args.transport == Transport.LIVE.value
+    # a flag the chosen transport would ignore is refused
+    if live and args.vantage is not None:
+        raise UsageError("--vantage applies only to --transport simulated")
+    for flag, given in (("--repeat", args.repeat != 1), ("--node-url", bool(args.node_url))):
+        if given and not live:
+            raise UsageError(f"{flag} applies only to --transport live")
     spec = _load_workflow(args.workflow)
     runs_ms: list[float] = []
 
-    if args.transport == Transport.LIVE.value:
+    if live:
         node_urls = {}
         for item in args.node_url or []:
             node_id, _, url = item.partition("=")
@@ -579,13 +586,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[shared],
                        help="execute a workflow (simulated or live) and report makespan")
     p.add_argument("-w", "--workflow", required=True)
-    p.add_argument("--vantage", help="'lat,lon' or a region id (default: the local setting)")
+    p.add_argument("--vantage", help="'lat,lon' or a region id, for simulated transport "
+                   "(default: the local setting)")
     p.add_argument("--transport", choices=tuple(t.value for t in Transport),
                    default=Transport.SIMULATED.value)
     p.add_argument("--node-url", action="append",
-                   help="node-id=URL mapping for live transport (repeatable)")
+                   help="node-id=URL mapping, for live transport (repeatable)")
     p.add_argument("--repeat", type=_positive_int, default=1,
-                   help="live runs to execute; the reported makespan is their mean")
+                   help="live runs to execute, for live transport; the reported makespan "
+                   "is their mean")
     p.set_defaults(func=cmd_simulate, formats=("table", "json"))
 
     p = sub.add_parser("experiment", parents=[shared],

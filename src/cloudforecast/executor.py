@@ -22,6 +22,7 @@ import time
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
+from .candidates import Metric
 from .errors import NodeUnreachableError, SpecValidationError
 from .geo import (Coordinate, LocationTable, RegionCatalog, km_row, prepare_point,
                   resolve_location)
@@ -29,6 +30,7 @@ from .measurement import (
     MeasurementStore,
     ProbeConfig,
     SyntheticNetworkModel,
+    _synthetic_values,
     lazy_requests,
     location_index,
     synthetic_providers,
@@ -101,8 +103,7 @@ def simulate_execution(
     nodes = spec.nodes
     kms = km_row([prepare_point(resolve_location(node.endpoint, locations)) for node in nodes],
                  vantage.location)
-    ping_ms = model.ping_ms
-    hub_ms = [ping_ms(km) for km in kms]
+    hub_ms = _synthetic_values(kms, Metric.PING, model)
 
     arrival: list[float | None] = [None] * len(nodes)  # None: nothing has arrived
     finish = [0.0] * len(nodes)

@@ -236,7 +236,8 @@ class _SyntheticNetworkModelFields(NamedTuple):  # the defaults are `SyntheticNe
 
 
 class SyntheticNetworkModel(Checked, _SyntheticNetworkModelFields):
-    """Deterministic stand-in for live probing: latency grows linearly with distance."""
+    """Deterministic stand-in for live probing: latency grows linearly with
+    distance, by the formula `_synthetic_values` applies."""
 
     __slots__ = ()
 
@@ -249,12 +250,6 @@ class SyntheticNetworkModel(Checked, _SyntheticNetworkModelFields):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         return self
-
-    def ping_ms(self, km: float) -> float:
-        return self.base_latency_ms + self.ms_per_100km * (km / 100.0)
-
-    def http_ms(self, km: float) -> float:
-        return self.ping_ms(km) + self.http_overhead_ms
 
 
 class MeasurementStore:
@@ -315,6 +310,45 @@ class MeasurementStore:
                 src, dst = m.src, m.dst
                 tables[m.metric][(dst, src) if dst < src else (src, dst)] = m
                 self._synced = None
+
+    def put_synthetic(
+        self, pairs: list[Pair], values: list[float], metric: Metric
+    ) -> dict[Pair, Measurement]:
+        """`collect_measurements` with a synthetic provider of the metric, for
+        a caller that has the model's value of each pair: store the synthetic
+        record of every key with no unexpired entry, built from the key's
+        first pair and that pair's value, and return the entries found, by
+        pair. One clock reading is the expiry time and every record's time,
+        and the lookups and the inserts are one lock hold. An empty table is
+        not searched, and a batch that stores nothing keeps the store synced."""
+        now = time.time()
+        found: dict[Pair, Measurement] = {}
+        first: dict[Pair, int] = {}  # each missing key -> the index of its first pair
+        with self._lock:
+            table = self._entries[metric]
+            if table:
+                ttl_s = self.ttl_s
+                for i, pair in enumerate(pairs):
+                    key = (pair[1], pair[0]) if pair[1] < pair[0] else pair
+                    entry = table.get(key)
+                    if entry is not None and now - entry.taken_at > ttl_s:
+                        del table[key]
+                        self._synced = None
+                        entry = None
+                    if entry is None:
+                        first.setdefault(key, i)
+                    else:
+                        found[pair] = entry
+            else:
+                for i, (src, dst) in enumerate(pairs):
+                    first.setdefault((dst, src) if dst < src else (src, dst), i)
+            if first:
+                if len(first) < len(pairs):  # else every pair is its own missing key
+                    pairs = [pairs[i] for i in first.values()]
+                    values = [values[i] for i in first.values()]
+                table.update(zip(first, _synthetic_records(pairs, values, metric, now)))
+                self._synced = None
+        return found
 
     def __len__(self) -> int:
         with self._lock:
@@ -483,54 +517,58 @@ def synthetic_measure(
     """Deterministic model measurement derived purely from coordinates."""
     a = locations.locate(pair[0])
     b = locations.locate(pair[1])
-    (value,) = _synthetic_values([haversine_km(a, b)], metric, model)
-    return _measurement(pair, metric, value, 1, "synthetic")
+    values = _synthetic_values([haversine_km(a, b)], metric, model)
+    return _synthetic_records([pair], values, metric, time.time())[0]
 
 
 def _synthetic_values(kms: list[float], metric: Metric, model: SyntheticNetworkModel) -> list[float]:
-    """The model's value of the metric for each great-circle distance."""
+    """The model's value of the metric for each great-circle distance, the
+    one place its formula is written: ping is `base + slope * km/100`, and
+    HTTP that ping plus the overhead."""
     if metric is Metric.DISTANCE:
         return kms
-    formula = model.ping_ms if metric is Metric.PING else model.http_ms
-    return [formula(km) for km in kms]
+    base, slope = model.base_latency_ms, model.ms_per_100km
+    pings = [base + slope * (km / 100.0) for km in kms]
+    if metric is Metric.PING:
+        return pings
+    overhead = model.http_overhead_ms
+    return [ping + overhead for ping in pings]
+
+
+def _synthetic_records(
+    pairs: list[Pair], values: list[float], metric: Metric, now: float
+) -> list[Measurement]:
+    """The synthetic record of each pair with its value, taken at `now`: the
+    values are checked once, by the rule every `Measurement` keeps, and the
+    records built unchecked."""
+    unit = UNIT_BY_METRIC[metric]
+    check_measured(values, 1, True, now, unit, unit)
+    new = _new_measurement
+    return [
+        new(Measurement, (src, dst, metric, value, unit, 1, True, now, "synthetic"))
+        for (src, dst), value in zip(pairs, values)
+    ]
 
 
 class SyntheticProvider:
     """The synthetic model's provider of one metric. Called with a pair it is
-    `synthetic_measure`; `many` measures a batch at one clock reading from
-    `km`, the kilometres of each pair, which the ping and HTTP providers of
-    one `synthetic_providers` call share. A pair not in `km` is computed
-    once for both, by `haversine_km`. `rank_regions` fills `km` with its
-    distance pass's kilometres if `locations` has the entries of that
-    pass's table."""
+    `synthetic_measure`; `many` measures a batch at one clock reading, each
+    pair's kilometres from `haversine_km`. `rank_regions` calls neither when
+    `locations` has the entries of its distance pass's table: it scores the
+    shortlist from that pass's kilometres and stores the records through
+    `MeasurementStore.put_synthetic`."""
 
-    def __init__(
-        self,
-        metric: Metric,
-        model: SyntheticNetworkModel,
-        locations: LocationTable,
-        km: dict[Pair, float],
-    ):
-        self.metric, self.model, self.locations, self.km = metric, model, locations, km
+    def __init__(self, metric: Metric, model: SyntheticNetworkModel, locations: LocationTable):
+        self.metric, self.model, self.locations = metric, model, locations
 
     def __call__(self, pair: Pair) -> Measurement:
         return synthetic_measure(pair, self.metric, self.model, self.locations)
 
     def many(self, pairs: list[Pair]) -> list[Measurement]:
-        memo = self.km
-        missing = [pair for pair in pairs if pair not in memo]
-        if missing:
-            locate = self.locations.locate
-            memo.update((pair, haversine_km(locate(pair[0]), locate(pair[1]))) for pair in missing)
-        kms = [memo[pair] for pair in pairs]
-        metric, unit, now = self.metric, UNIT_BY_METRIC[self.metric], time.time()
-        values = _synthetic_values(kms, metric, self.model)
-        check_measured(values, 1, True, now, unit, unit)
-        new = _new_measurement
-        return [
-            new(Measurement, (src, dst, metric, value, unit, 1, True, now, "synthetic"))
-            for (src, dst), value in zip(pairs, values)
-        ]
+        locate = self.locations.locate
+        kms = [haversine_km(locate(src), locate(dst)) for src, dst in pairs]
+        values = _synthetic_values(kms, self.metric, self.model)
+        return _synthetic_records(pairs, values, self.metric, time.time())
 
 
 def _icmp_checksum(data: bytes) -> int:
@@ -756,9 +794,8 @@ def synthetic_providers(
     model: SyntheticNetworkModel,
     locations: LocationTable,
 ) -> dict[Metric, SyntheticProvider]:
-    """The model's ping and HTTP providers over one kilometre memo."""
-    km: dict[Pair, float] = {}
-    return {metric: SyntheticProvider(metric, model, locations, km)
+    """The model's ping and HTTP providers over the location table."""
+    return {metric: SyntheticProvider(metric, model, locations)
             for metric in (Metric.PING, Metric.HTTP_RTT)}
 
 

@@ -16,6 +16,7 @@ from .measurement import (
     MeasurementStore,
     PairProvider,
     SyntheticProvider,
+    _synthetic_values,
     check_count,
     check_finite,
     collect_measurements,
@@ -128,6 +129,32 @@ def score_pairs(
     return GraphScore(region, metric, _leg_sum(pairs.values(), values), failed)
 
 
+def score_row(
+    region: str,
+    metric: Metric,
+    pairs: Mapping[Pair, int],
+    row: list[float],
+    found: Mapping[Pair, Measurement],
+    failure_penalty: float = DEFAULT_FAILURE_PENALTY,
+) -> GraphScore:
+    """`score_pairs` of the pairs whose values are `row`, in pair order,
+    except that a pair in `found` has the value, or the failure penalty, of
+    its measurement there."""
+    failed = 0
+    if found:
+        row = list(row)
+        for i, (pair, n) in enumerate(pairs.items()):
+            measurement = found.get(pair)
+            if measurement is None:
+                continue
+            if measurement.success:
+                row[i] = measurement.value
+            else:
+                row[i] = failure_penalty
+                failed += n
+    return GraphScore(region, metric, _leg_sum(pairs.values(), row), failed)
+
+
 def shortlist_by_distance(
     distance_scores: list[GraphScore],
     n: int,
@@ -167,13 +194,19 @@ def rank_regions(
     carries, so edge order changes no bit of it while a pair's value does
     not depend on its direction. A metric is one batch over the pairs of
     the regions it scores: all for distance, the shortlist for ping and
-    HTTP. A `SyntheticProvider` whose table has the entries of the distance
-    pass's `location_index(spec, catalog)` finds the shortlist's kilometres
-    in its `km` memo, so it measures the store misses with no kernel call.
+    HTTP. When the computed distance pass runs and a metric's provider is a
+    `SyntheticProvider` of that metric whose table has the entries of the
+    pass's `location_index(spec, catalog)`, the metric is scored from the
+    model's values of the pass's kilometre rows, and
+    `MeasurementStore.put_synthetic` stores the records and returns the
+    unexpired ones already there, whose values win: the scores, records
+    and store are those of `collect_measurements` with that provider.
     """
     legs = hub_legs(spec)
     hub_of = {region.id: region.probe_host for region in catalog.regions}
     pairs_of: dict[str, dict[Pair, int]] = {}
+    kms_of: dict[str, list[float]] = {}  # region -> its legs' kilometres, in leg order
+    from_rows: set[Metric] = set()  # the metrics scored from `kms_of`
 
     def scored(metric: Metric, region_ids: list[str]) -> dict[str, GraphScore]:
         if metric not in providers:
@@ -181,37 +214,37 @@ def rank_regions(
         pairs_of.update((r, weighted_pairs(legs, hub_of[r])) for r in region_ids
                         if r not in pairs_of)
         batch = [pair for region_id in region_ids for pair in pairs_of[region_id]]
+        penalty = config.failure_penalty
+        if metric in from_rows:
+            model = providers[metric].model
+            rows = [_synthetic_values(kms_of[region_id], metric, model) for region_id in region_ids]
+            found = store.put_synthetic(batch, [value for row in rows for value in row], metric)
+            return {
+                region_id: score_row(region_id, metric, pairs_of[region_id], row, found, penalty)
+                for region_id, row in zip(region_ids, rows)
+            }
         measured = collect_measurements(store, batch, metric, providers[metric], max_parallel)
         return {
-            region_id: score_pairs(region_id, metric, pairs_of[region_id], measured,
-                                   config.failure_penalty)
+            region_id: score_pairs(region_id, metric, pairs_of[region_id], measured, penalty)
             for region_id in region_ids
         }
 
     distance_scores = scored(Metric.DISTANCE, list(hub_of))
-    memos: dict[int, dict[Pair, float]] = {}  # the kilometre memos of the providers that reuse them
-    kms_of: dict[str, list[float]] = {}  # region -> its legs' kilometres, in leg order
     if Metric.DISTANCE not in providers:
         # from the coordinates: `km_row` gives the same bits either way round a leg
         table = location_index(spec, catalog)
-        memos = {id(p.km): p.km for p in providers.values()
-                 if type(p) is SyntheticProvider and p.locations.entries == table.entries}
+        from_rows.update(metric for metric, p in providers.items()
+                         if type(p) is SyntheticProvider and p.metric is metric
+                         and p.locations.entries == table.entries)
         points = [prepare_point(table.locate(end)) for end, _ in legs]
         for region in catalog.regions:
             kms = km_row(points, table.locate(region.probe_host))
-            if memos:
+            if from_rows:
                 kms_of[region.id] = kms
             distance_scores[region.id] = GraphScore(region.id, Metric.DISTANCE,
                                                     _leg_sum(legs.values(), kms))
     n = min(config.shortlist_n or len(catalog.regions), len(catalog.regions))
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)
-
-    # the shortlist's kilometres fill the memos `SyntheticProvider.many` reads
-    for region_id in shortlisted_ids if memos else ():
-        pairs_of[region_id] = weighted_pairs(legs, hub_of[region_id])
-        for memo in memos.values():
-            memo.update(zip(pairs_of[region_id], kms_of[region_id]))
-    kms_of.clear()
 
     ping_scores = scored(Metric.PING, shortlisted_ids)
     http_scores = scored(Metric.HTTP_RTT, shortlisted_ids)

@@ -97,11 +97,14 @@ def per_edge_finish_ms(spec: WorkflowSpec, vantage: Coordinate, model) -> dict[s
         incoming[e.dst].append(e)
     finish: dict[str, float] = {}
 
+    def ping_ms(km: float) -> float:
+        return model.base_latency_ms + model.ms_per_100km * (km / 100.0)
+
     def finish_of(nid: str) -> float:
         if nid not in finish:
             arrivals = [
-                finish_of(e.src) + model.ping_ms(haversine_km(node[e.src].location, vantage))
-                + model.ping_ms(haversine_km(vantage, node[nid].location))
+                finish_of(e.src) + ping_ms(haversine_km(node[e.src].location, vantage))
+                + ping_ms(haversine_km(vantage, node[nid].location))
                 for e in incoming[nid]
             ]
             service = node[nid].service_time_ms

@@ -1,9 +1,12 @@
 """The batch measurement path: the store's `get_many` / `put_many`,
-`collect_measurements` over a batch, the synthetic batch provider and the
-tuple-built `Measurement`."""
+`collect_measurements` over a batch, the synthetic batch provider, the
+tuple-built `Measurement`, and the synthetic shortlist scored from the
+distance pass's kilometre rows with its records stored by
+`MeasurementStore.put_synthetic`."""
 
 import concurrent.futures
 import json
+import tempfile
 import time
 from pathlib import Path
 
@@ -14,7 +17,13 @@ from hypothesis import strategies as st
 from cloudforecast import measurement, scoring
 from cloudforecast.candidates import METRIC_ORDER, Metric, hub_legs, weighted_pairs
 from cloudforecast.cli import main
-from cloudforecast.geo import Coordinate, LocationTable, RegionCatalog, default_region_catalog
+from cloudforecast.geo import (
+    Coordinate,
+    LocationTable,
+    Region,
+    RegionCatalog,
+    default_region_catalog,
+)
 from cloudforecast.measurement import (
     EchoProber,
     Measurement,
@@ -26,9 +35,9 @@ from cloudforecast.measurement import (
     synthetic_providers,
 )
 from cloudforecast.scoring import ScoringConfig, rank_regions
-from cloudforecast.workflow import parse_workflow
+from cloudforecast.workflow import WorkflowEdge, WorkflowSpec, parse_workflow
 from conftest import FIG1_DOC
-from helpers import canonical_key, folded_hub_pairs
+from helpers import COORDS, SUBSETS, canonical_key, folded_hub_pairs, synthetic_inputs
 
 MODEL = SyntheticNetworkModel()
 
@@ -250,7 +259,7 @@ def test_synthetic_batch_equals_the_per_pair_model_bit_for_bit(coords, pairs, or
     table = LocationTable(dict(zip(HOSTS, coords)))
     providers = synthetic_providers(MODEL, table)
     assert set(providers) == {Metric.PING, Metric.HTTP_RTT}  # ranking computes distance
-    for metric in order:  # the later metric reads the kilometres the first one computed
+    for metric in order:  # each metric computes its own kilometres
         batch = providers[metric].many(pairs)
         assert len(batch) == len(pairs)
         for got, pair in zip(batch, pairs):
@@ -303,12 +312,14 @@ def _exact(report):
              bits(e.ping_score), bits(e.http_score)) for e in report.entries]
 
 
-def _per_pair_ranking(spec, catalog, table, config):
+def _per_pair_ranking(spec, catalog, table, config, store=None,
+                      metrics=(Metric.PING, Metric.HTTP_RTT)):
     """The ranking through per-pair `synthetic_measure` providers over `table`
-    (oracle: no batch, no kilometre memo)."""
+    (oracle: no batch, no kilometre rows), into `store` or a fresh one."""
     providers = {metric: lambda pair, metric=metric: synthetic_measure(pair, metric, MODEL, table)
-                 for metric in (Metric.PING, Metric.HTTP_RTT)}
-    return rank_regions(spec, catalog, MeasurementStore(), providers, config)
+                 for metric in metrics}
+    store = MeasurementStore() if store is None else store
+    return rank_regions(spec, catalog, store, providers, config)
 
 
 def test_a_seeded_store_record_wins_over_the_reused_kilometres(fig1_spec, catalog):
@@ -366,6 +377,161 @@ def test_a_hub_endpoint_and_a_shared_probe_host_rank_as_the_per_pair_model(catal
         report = rank_regions(spec, both, MeasurementStore(), synthetic_providers(MODEL, table),
                               config)
         assert _exact(report) == _exact(_per_pair_ranking(spec, both, table, config))
+
+
+# -- the shortlist scored from kilometre rows, its records stored by key ----------------
+
+TTL_S = 3600.0
+
+
+def _saved_records(store):
+    """The store's records as `save` writes them, each without its time."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "store.cache"
+        store.save(str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        assert isinstance(record.pop("taken_at"), float)
+        record["value"] = float(record["value"]).hex()
+    return records
+
+
+@st.composite
+def row_inputs(draw):
+    """Drawn synthetic inputs with a twin region on another region's probe
+    host, two regions whose probe hosts are node endpoints, and the records to
+    seed: ping and HTTP values the model never gives, in either direction of
+    their pair, one failed record and one expired one."""
+    spec, catalog = draw(synthetic_inputs())
+    edges = dict.fromkeys((WorkflowEdge("n0", "n1"),) + spec.edges)
+    spec = WorkflowSpec(spec.name, spec.nodes, tuple(edges))
+    twin_of = draw(st.sampled_from(catalog.regions))
+    regions = catalog.regions + (Region("twin", twin_of.probe_host, Coordinate(*draw(COORDS))),)
+    # two hubs at node endpoints: each may be an endpoint of the other's pairs
+    for i, node in enumerate(draw(st.lists(st.sampled_from(spec.nodes), min_size=2, max_size=2))):
+        regions += (Region(f"at-node-{i}", node.endpoint, node.location),)
+    catalog = RegionCatalog(tuple(draw(st.permutations(regions))))
+    legs = hub_legs(spec)
+    pairs = sorted({pair for region in catalog.regions
+                    for pair in weighted_pairs(legs, region.probe_host)})
+    seeded = st.tuples(st.sampled_from(pairs), st.sampled_from([Metric.PING, Metric.HTTP_RTT]),
+                       st.booleans())
+    now = time.time()
+
+    def record(seed, value, success=True, taken_at=now):
+        (src, dst), metric, reverse = seed
+        if reverse:
+            src, dst = dst, src
+        return Measurement(src, dst, metric, value, "ms", 3, success, taken_at, "seeded")
+
+    records = [record(seed, 7000.0 + i) for i, seed in enumerate(draw(st.lists(seeded)))]
+    records += [record(draw(seeded), 0.0, success=False),
+                record(draw(seeded), 9000.0, taken_at=now - 2 * TTL_S)]
+    return spec, catalog, draw(st.permutations(records))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inputs=row_inputs(),
+    subset=st.sampled_from(sorted(SUBSETS)),
+    shortlist_n=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+)
+def test_rows_rank_and_store_as_the_per_pair_oracle(inputs, subset, shortlist_n):
+    spec, catalog, records = inputs
+    table = location_index(spec, catalog)
+    config = ScoringConfig(shortlist_n=shortlist_n)
+    metrics = [metric for metric in (Metric.PING, Metric.HTTP_RTT) if metric in SUBSETS[subset]]
+    stores = []
+    for _ in range(2):
+        stores.append(MeasurementStore(ttl_s=TTL_S))
+        stores[-1].put_many(records)
+    providers = {metric: p for metric, p in synthetic_providers(MODEL, table).items()
+                 if metric in metrics}
+    report = rank_regions(spec, catalog, stores[0], providers, config)
+    oracle = _per_pair_ranking(spec, catalog, table, config, stores[1], metrics)
+    assert _exact(report) == _exact(oracle)
+    assert report.provenance == oracle.provenance
+    assert _saved_records(stores[0]) == _saved_records(stores[1])
+
+
+def test_the_rows_measure_nothing_and_read_the_clock_once_per_metric(fig1_spec, catalog,
+                                                                   monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("measured through a provider")
+
+    monkeypatch.setattr(scoring, "collect_measurements", refuse)
+    monkeypatch.setattr(measurement.SyntheticProvider, "many", refuse)
+    monkeypatch.setattr(measurement.SyntheticProvider, "__call__", refuse)
+    monkeypatch.setattr(MeasurementStore, "get_many", refuse)
+    lookups = []
+
+    class Table(dict):  # a store table that counts the lookups made in it
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            lookups.append(key)
+            return super().__contains__(key)
+
+    clock = []
+
+    def tick():
+        clock.append(1)
+        return 1.0e9 + len(clock) - 1
+
+    monkeypatch.setattr(measurement.time, "time", tick)
+    providers = synthetic_providers(MODEL, location_index(fig1_spec, catalog))
+    for warm in (False, True):
+        store = MeasurementStore(ttl_s=1.0e12)
+        tables = {metric: Table() for metric in Metric}
+        store._entries = tables  # white-box: the tables count the lookups made in them
+        if warm:  # one ping record: ping looks up every pair, HTTP none
+            store.put_many([_m("wikimedia.org", "probe.us-east-1.example", taken_at=1.0)])
+        lookups.clear()
+        clock.clear()
+        report = rank_regions(fig1_spec, catalog, store, providers, ScoringConfig(shortlist_n=3))
+        batch = [pair for e in report.entries if e.shortlisted
+                 for pair in weighted_pairs(hub_legs(fig1_spec), catalog.by_id(e.region).probe_host)]
+        assert len(lookups) == (len(batch) if warm else 0)
+        assert len(clock) == 3  # ping, HTTP and the report's time
+        times = {metric: {m.taken_at for m in tables[metric].values()}
+                 for metric in (Metric.PING, Metric.HTTP_RTT)}
+        assert times == {Metric.PING: {1.0e9} | ({1.0} if warm else set()),
+                         Metric.HTTP_RTT: {1.0e9 + 1}}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_put_synthetic_stores_each_missing_key_once_from_its_first_pair(warm):
+    store = MeasurementStore()
+    held = _m("c", "b", value=4.0)
+    if warm:
+        store.put_many([held])
+    pairs = [("y", "x"), ("b", "c"), ("x", "y"), ("c", "b"), ("z", "z")]
+    found = store.put_synthetic(pairs, [1.0, 2.0, 3.0, 5.0, 6.0], Metric.PING)
+    made = {("x", "y"): ("y", "x", 1.0), ("z", "z"): ("z", "z", 6.0)}
+    if warm:
+        assert found == {("b", "c"): held, ("c", "b"): held}
+        assert store.get(("b", "c"), Metric.PING) is held
+    else:
+        assert found == {}
+        made[("b", "c")] = ("b", "c", 2.0)
+    assert len(store) == 3
+    for pair, (src, dst, value) in made.items():
+        m = store.get(pair, Metric.PING)
+        assert (m.src, m.dst, m.value, m.unit, m.samples, m.success, m.note) == (
+            src, dst, value, "ms", 1, True, "synthetic")
+
+
+def test_put_synthetic_refuses_a_value_measurement_refuses_and_stores_nothing():
+    store = MeasurementStore()
+    with pytest.raises(ValueError, match="successful measurement value must be >= 0"):
+        store.put_synthetic([("a", "b"), ("c", "d")], [1.0, -1.0], Metric.HTTP_RTT)
+    assert len(store) == 0
 
 
 # -- the CLI over the batch path ------------------------------------------------------
@@ -464,3 +630,23 @@ def test_synthetic_analyze_output_does_not_depend_on_the_probe_fan_out(fig1_file
     code8, eight, err = run_cli(argv + ["--max-parallel-probes", "8"], capsys)
     assert code == code8 == 0, err
     assert eight == one
+
+
+def test_a_warm_synthetic_analyze_writes_nothing_to_its_own_cache(fig1_file, tmp_path,
+                                                                  monkeypatch, capsys):
+    cache = tmp_path / "probes.cache"
+    argv = ["analyze", "-w", fig1_file, "--cache", str(cache), "--format", "json",
+            "--no-timestamps"]
+    code, cold, err = run_cli(argv, capsys)
+    assert code == 0, err
+    before = (cache.read_bytes(), cache.stat().st_mtime_ns, cache.stat().st_ino)
+
+    def refuse(src, dst):
+        raise AssertionError(f"rewrote {dst}")
+
+    monkeypatch.setattr("cloudforecast.measurement.os.replace", refuse)
+    code, warm, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert warm == cold
+    assert (cache.read_bytes(), cache.stat().st_mtime_ns, cache.stat().st_ino) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1.workflow", "probes.cache"]

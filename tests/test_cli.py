@@ -876,6 +876,34 @@ def test_simulate_bad_node_url_rejected(fig1_file, capsys):
     assert "node-id=URL" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--repeat", "3"], "--repeat"),
+    (["--transport", "simulated", "--repeat", "2"], "--repeat"),
+    (["--node-url", "a=http://x"], "--node-url"),
+    (["--vantage", "us-east-1", "--node-url", "a=http://x", "--node-url", "b=http://y"],
+     "--node-url"),
+    (["--transport", "live", "--vantage", "us-east-1"], "--vantage"),
+    (["--transport", "live", "--vantage", "0,0", "--repeat", "2"], "--vantage"),
+], ids=["repeat", "simulated-repeat", "node-url", "node-urls", "live-vantage",
+        "live-vantage-repeat"])
+def test_simulate_refuses_a_flag_its_transport_ignores(fig1_file, argv, flag, capsys):
+    code, out, err = run_cli(["simulate", "-w", fig1_file, *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+
+
+def test_simulate_accepts_one_repeat_under_either_transport(fig1_file, capsys):
+    code, out, err = run_cli(["simulate", "-w", fig1_file, "--repeat", "1"], capsys)
+    assert code == 0, err
+    assert "runs_ms" not in out
+    # live with one repeat and no node URL gets as far as the missing URL
+    code, out, err = run_cli(["simulate", "-w", fig1_file, "--transport", "live",
+                              "--repeat", "1"], capsys)
+    assert code == 1
+    assert "no URL configured" in err
+
+
 def test_experiment_custom_recipe_file(tmp_path, capsys):
     recipe = tmp_path / "recipe.json"
     recipe.write_text(

@@ -111,11 +111,24 @@ def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, s
                  if metric in metrics}
     if distance_provider:  # measured through the store; otherwise computed without it
         providers[Metric.DISTANCE] = lambda pair: measurement.measure_distance(pair, locations)
-    lookups = []
+    # a batch through a provider, or, with the distance computed, the synthetic
+    # batch the store keeps from the distance pass's kilometre rows
+    lookups, batches = [], {"provider": 0, "rows": 0}
+
+    def provided(store, pairs, metric, *rest):
+        lookups.append((metric, pairs))
+        batches["provider"] += 1
+        return collect_measurements(store, pairs, metric, *rest)
+
+    def from_rows(store, pairs, values, metric):
+        lookups.append((metric, pairs))
+        batches["rows"] += 1
+        return put_synthetic(store, pairs, values, metric)
+
+    put_synthetic = MeasurementStore.put_synthetic
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(scoring, "collect_measurements",
-                            lambda store, pairs, metric, *rest: lookups.append((metric, pairs))
-                            or collect_measurements(store, pairs, metric, *rest))
+        monkeypatch.setattr(scoring, "collect_measurements", provided)
+        monkeypatch.setattr(MeasurementStore, "put_synthetic", from_rows)
         report = rank_regions(spec, catalog, MeasurementStore(), providers,
                               ScoringConfig(shortlist_n=shortlist_n))
 
@@ -134,6 +147,9 @@ def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, s
         for metric in (Metric.PING, Metric.HTTP_RTT) if metric in metrics
     ]
     assert lookups == expected
+    measured = len(metrics) - 1  # ping and HTTP, as asked
+    assert batches == ({"provider": 1 + measured, "rows": 0} if distance_provider
+                       else {"provider": 0, "rows": measured})
 
 
 def _ranked(report):

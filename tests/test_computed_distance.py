@@ -156,7 +156,8 @@ def test_a_computed_distance_ranks_as_the_per_pair_distance_provider(inputs, mod
 def test_the_inputs_reach_both_a_ranking_and_a_location_error():
     outcomes = set()
 
-    @settings(max_examples=100, deadline=None, database=None)
+    # the same draws every run, so the check does not depend on a seed
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(inputs=located_inputs())
     def run(inputs):
         outcome = _outcome("synthetic", *inputs, SUBSETS["distance"], ScoringConfig(), False)

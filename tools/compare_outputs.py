@@ -43,7 +43,15 @@ compared are:
 - the exit code, stdout and stderr of `analyze` of this tool's
   samples/fig1.workflow with a `--cache` file of one record whose `samples`
   is not a positive integer (true, 2.5, NaN, Infinity) or whose `unit` is
-  not its metric's (null, km for a ping), through `cloudforecast.cli.main`.
+  not its metric's (null, km for a ping), through `cloudforecast.cli.main`;
+- with `time.time` pinned, the bytes `MeasurementStore.save` writes after a
+  synthetic ranking of this tool's samples/fig1.workflow (default catalog
+  and config) and of the 200 x 64 input as written, over three stores: an
+  empty one, one seeded with ping and HTTP records the model never gives,
+  some stored the other way round and one of them failed, and one holding
+  an expired record of a shortlisted pair; and the cache file after
+  `analyze --cache` of that fig1 through `cloudforecast.cli.main`, run
+  twice over the same file.
 
 It also prints, for each tree, whether every generated ranking's dump with
 the edges reversed is bit-identical to the one with the edges as written
@@ -54,6 +62,7 @@ called. Exit status: 0 when every output is the same, 1 when one differs,
 2 when a command fails in either tree.
 """
 
+import contextlib
 import difflib
 import json
 import os
@@ -169,6 +178,7 @@ def dump_generated() -> dict[str, str]:
                 outputs[f"rank/{n}x{r}/{order}/{metrics_name}"] = dumped(report)
             if (n, r, order) == (200, 64, "as-written"):
                 outputs.update(special_rankings(spec, catalog, config, model, dumped))
+                outputs.update(synthetic_caches(f"{n}x{r}", spec, catalog, config, model))
             vantages = [executor.Vantage("local", geo.Coordinate(0.0, 0.0))]
             vantages += [executor.Vantage(g.id, g.location) for g in catalog.regions]
 
@@ -191,12 +201,12 @@ def dump_generated() -> dict[str, str]:
     outputs.update(malformed_outputs())
     outputs.update(agent_rankings())
     outputs.update(cache_outputs())
+    outputs.update(fig1_synthetic_caches(model))
     return outputs
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:
     """`cloudforecast.cli.main(argv)` in this process: (exit code, stdout, stderr)."""
-    import contextlib
     import io
 
     from cloudforecast import cli
@@ -361,6 +371,87 @@ def cache_outputs() -> dict[str, str]:
             fh.write(json.dumps(dict(CACHE_RECORD, **{field: value})) + "\n")
         code, out, err = run_main(["analyze", "-w", fig1, "--cache", path, "--no-timestamps"])
         outputs[f"cache/refused/{name}"] = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+    return outputs
+
+
+# the clock of the synthetic cache outputs: 2100-01-01
+PINNED_TIME = 4102444800.0
+
+
+@contextlib.contextmanager
+def pinned_clock():
+    """`time.time` returns `PINNED_TIME` in this interpreter until the block ends."""
+    real = time.time
+    time.time = lambda: PINNED_TIME
+    try:
+        yield
+    finally:
+        time.time = real
+
+
+def synthetic_caches(name, spec, catalog, config, model) -> dict[str, str]:
+    """With the clock pinned, the file `save` writes after a synthetic ranking
+    of the spec into an empty store, into one seeded with ping and HTTP
+    records the model never gives for every third pair of the shortlist
+    (every other one stored the other way round, the second one failed), and
+    into one holding an expired ping record of the shortlist's first pair;
+    each written under cache/synthetic/ in the working directory."""
+    from cloudforecast import measurement, scoring
+    from cloudforecast.candidates import Metric, hub_legs, weighted_pairs
+
+    providers = measurement.synthetic_providers(model, measurement.location_index(spec, catalog))
+    reference = scoring.rank_regions(spec, catalog, measurement.MeasurementStore(), providers,
+                                     config)
+    legs = hub_legs(spec)
+    pairs = [pair for e in reference.entries if e.shortlisted
+             for pair in weighted_pairs(legs, catalog.by_id(e.region).probe_host)]
+
+    def record(i, pair, metric, taken_at=PINNED_TIME):
+        src, dst = pair[::-1] if i % 2 else pair
+        return measurement.Measurement(src, dst, metric, 0.0 if i == 1 else 5000.0 + i, "ms", 2,
+                                       i != 1, taken_at, "seeded")
+
+    expired_at = PINNED_TIME - 2 * measurement.DEFAULT_TTL_S
+    stores = {
+        "empty": [],
+        "seeded": [record(i, pair, metric) for i, pair in enumerate(pairs[::3])
+                   for metric in (Metric.PING, Metric.HTTP_RTT)],
+        "expired": [record(0, pairs[0], Metric.PING, taken_at=expired_at)],
+    }
+    os.makedirs(os.path.join("cache", "synthetic"), exist_ok=True)
+    outputs = {}
+    with pinned_clock():
+        for store_name, records in stores.items():
+            store = measurement.MeasurementStore()
+            store.put_many(records)
+            scoring.rank_regions(spec, catalog, store, providers, config)
+            path = os.path.join("cache", "synthetic", f"{name}-{store_name}.cache")
+            store.save(path)
+            with open(path, "rb") as fh:
+                outputs[f"cache/synthetic/{name}/{store_name}"] = fh.read().decode("latin-1")
+    return outputs
+
+
+def fig1_synthetic_caches(model) -> dict[str, str]:
+    """`synthetic_caches` of this tool's samples/fig1.workflow over the
+    default catalog and config, and, with the clock pinned, the cache file
+    after `analyze --cache` of it, run twice over the same file."""
+    from cloudforecast import geo, scoring, workflow
+
+    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
+                        "fig1.workflow")
+    with open(fig1) as fh:
+        spec = workflow.parse_workflow(fh.read())
+    outputs = synthetic_caches("fig1", spec, geo.default_region_catalog(),
+                               scoring.ScoringConfig(), model)
+    path = os.path.join("cache", "synthetic", "fig1-analyze.cache")
+    with pinned_clock():
+        for run in ("first", "second"):
+            code, _, err = run_main(["analyze", "-w", fig1, "--cache", path, "--no-timestamps"])
+            if code != 0:
+                raise CommandFailed(f"{run} analyze --cache of fig1 exited {code}:\n{err}")
+    with open(path, "rb") as fh:
+        outputs["cache/synthetic/fig1/analyze-twice"] = fh.read().decode("latin-1")
     return outputs
 
 
