@@ -37,7 +37,7 @@ from .measurement import (
 )
 from .records import Checked
 from .scoring import ScoringConfig, rank_regions
-from .workflow import WorkflowSpec, topological_order
+from .workflow import WorkflowSpec
 
 
 def __getattr__(name: str):
@@ -151,19 +151,20 @@ def live_execute(
 ) -> ExecutionResult:
     """Orchestrate the workflow against live stub nodes, pulling each node's
     output once all of its inputs have been pulled; wall-clock makespan."""
-    order = topological_order(spec)
-    for nid in order:
-        if nid not in node_urls:
-            raise NodeUnreachableError(nid, "no URL configured")
+    order, children = spec.plan
+    nodes = spec.nodes
+    for i in order:
+        if nodes[i].id not in node_urls:
+            raise NodeUnreachableError(nodes[i].id, "no URL configured")
 
-    service = {node.id: node.service_time_ms for node in spec.nodes}
-    pending_parents = {nid: set() for nid in order}
-    # a child once per parent, in edge order, however many edges join them
-    children: dict[str, dict[str, None]] = {nid: {} for nid in order}
-    out_kb = dict.fromkeys(order, 0)
+    # inputs still to arrive, by position, one per edge: a repeated edge is
+    # counted twice and, being twice in its parent's child list, released once
+    pending = [0] * len(nodes)
+    for child_list in children:
+        for child in child_list:
+            pending[child] += 1
+    out_kb = dict.fromkeys((node.id for node in nodes), 0)
     for edge in spec.edges:
-        pending_parents[edge.dst].add(edge.src)
-        children[edge.src][edge.dst] = None
         out_kb[edge.src] += edge.payload_kb
 
     finish_ms: dict[str, float] = {}
@@ -171,30 +172,31 @@ def live_execute(
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
     _requests()
     start = time.perf_counter()
-    ready = [nid for nid in order if not pending_parents[nid]]
+    ready = [i for i in order if not pending[i]]
     running = {}
     with ThreadPoolExecutor(max_workers=config.max_parallel_probes) as pool:
         while ready or running:
-            for nid in ready:
+            for i in ready:
+                node = nodes[i]
                 running[
                     pool.submit(
                         _fetch_node_output,
-                        nid,
-                        node_urls[nid],
-                        service[nid],
-                        int(out_kb[nid] * 1024),
+                        node.id,
+                        node_urls[node.id],
+                        node.service_time_ms,
+                        int(out_kb[node.id] * 1024),
                         config,
                     )
-                ] = nid
+                ] = i
             ready = []
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             for future in done:
-                nid = running.pop(future)
+                i = running.pop(future)
                 future.result()  # NodeUnreachableError propagates and aborts
-                finish_ms[nid] = (time.perf_counter() - start) * 1000.0
-                for child in children[nid]:
-                    pending_parents[child].discard(nid)
-                    if not pending_parents[child]:
+                finish_ms[nodes[i].id] = (time.perf_counter() - start) * 1000.0
+                for child in children[i]:
+                    pending[child] -= 1
+                    if not pending[child]:
                         ready.append(child)
 
     makespan = max(finish_ms.values(), default=0.0)

@@ -1,12 +1,10 @@
 """Edge-weight measurement: distance, echo latency, HTTP round-trip, synthetic model.
 
-Providers are callables `(src, dst) -> Measurement` for one metric; one may
-also carry `many(pairs) -> list[Measurement]`, which measures a batch in one
-call. Every mode's providers measure ping and HTTP only: ranking computes
-distance from the coordinates (`measure_distance` is its per-pair form).
-Live probe failures never raise; they come back as success=False
-measurements so scoring can penalize unreachable endpoints instead of
-aborting the analysis.
+Providers are callables `(src, dst) -> Measurement` for one metric. Every
+mode's providers measure ping and HTTP only: ranking computes distance from
+the coordinates (`measure_distance` is its per-pair form). Live probe
+failures never raise; they come back as success=False measurements so
+scoring can penalize unreachable endpoints instead of aborting the analysis.
 """
 
 import json
@@ -18,7 +16,7 @@ import sys
 import threading
 import time
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .candidates import Metric, Pair
 from .errors import DocumentFormatError
@@ -276,54 +274,15 @@ class MeasurementStore:
         return self.get_many((pair,), metric, now)[0].get(pair)
 
     def get_many(
-        self, pairs: Iterable[Pair], metric: Metric, now: float | None = None
-    ) -> tuple[dict[Pair, Measurement], dict[Pair, list[Pair]]]:
-        """The unexpired entries of the pairs, in pair order, and the other
-        pairs grouped by store key, in first-seen order: one pass under the
-        lock, at one clock reading. An expired entry is dropped from the
-        store."""
+        self, pairs: Sequence[Pair], metric: Metric, now: float | None = None
+    ) -> tuple[dict[Pair, Measurement], dict[Pair, int]]:
+        """The unexpired entries of the pairs, by pair, and each store key
+        with none mapped to the index of its first pair, in first-seen order:
+        one pass under the lock, at one clock reading. An expired entry is
+        dropped from the store, and an empty table is not searched."""
         now = time.time() if now is None else now
-        ttl_s = self.ttl_s
         found: dict[Pair, Measurement] = {}
-        missing: dict[Pair, list[Pair]] = {}
-        with self._lock:
-            table = self._entries[metric]
-            for pair in pairs:
-                key = (pair[1], pair[0]) if pair[1] < pair[0] else pair
-                entry = table.get(key)
-                if entry is not None and now - entry.taken_at > ttl_s:
-                    del table[key]
-                    self._synced = None
-                    entry = None
-                if entry is None:
-                    missing.setdefault(key, []).append(pair)
-                else:
-                    found[pair] = entry
-        return found, missing
-
-    def put_many(self, measurements: Iterable[Measurement]) -> None:
-        """Store each measurement under the key of its own pair and metric, in
-        one pass under the lock."""
-        with self._lock:
-            tables = self._entries
-            for m in measurements:
-                src, dst = m.src, m.dst
-                tables[m.metric][(dst, src) if dst < src else (src, dst)] = m
-                self._synced = None
-
-    def put_synthetic(
-        self, pairs: list[Pair], values: list[float], metric: Metric
-    ) -> dict[Pair, Measurement]:
-        """`collect_measurements` with a synthetic provider of the metric, for
-        a caller that has the model's value of each pair: store the synthetic
-        record of every key with no unexpired entry, built from the key's
-        first pair and that pair's value, and return the entries found, by
-        pair. One clock reading is the expiry time and every record's time,
-        and the lookups and the inserts are one lock hold. An empty table is
-        not searched, and a batch that stores nothing keeps the store synced."""
-        now = time.time()
-        found: dict[Pair, Measurement] = {}
-        first: dict[Pair, int] = {}  # each missing key -> the index of its first pair
+        first: dict[Pair, int] = {}
         with self._lock:
             table = self._entries[metric]
             if table:
@@ -342,11 +301,37 @@ class MeasurementStore:
             else:
                 for i, (src, dst) in enumerate(pairs):
                     first.setdefault((dst, src) if dst < src else (src, dst), i)
-            if first:
-                if len(first) < len(pairs):  # else every pair is its own missing key
-                    pairs = [pairs[i] for i in first.values()]
-                    values = [values[i] for i in first.values()]
-                table.update(zip(first, _synthetic_records(pairs, values, metric, now)))
+        return found, first
+
+    def put_many(self, measurements: Iterable[Measurement]) -> None:
+        """Store each measurement under the key of its own pair and metric, in
+        one pass under the lock."""
+        with self._lock:
+            tables = self._entries
+            for m in measurements:
+                src, dst = m.src, m.dst
+                tables[m.metric][(dst, src) if dst < src else (src, dst)] = m
+                self._synced = None
+
+    def put_synthetic(
+        self, pairs: list[Pair], values: list[float], metric: Metric
+    ) -> dict[Pair, Measurement]:
+        """`collect_measurements` with a synthetic provider of the metric, for
+        a caller that has the model's value of each pair: store the synthetic
+        record of every key `get_many` finds no unexpired entry for, built
+        from the key's first pair and that pair's value, and return the
+        entries found, by pair. One clock reading is the expiry time and every
+        record's time. The records are inserted in one lock hold after the
+        lookup's, and a batch that stores nothing keeps the store synced."""
+        now = time.time()
+        found, first = self.get_many(pairs, metric, now)
+        if first:
+            if len(first) < len(pairs):  # else every pair is its own missing key
+                pairs = [pairs[i] for i in first.values()]
+                values = [values[i] for i in first.values()]
+            records = _synthetic_records(pairs, values, metric, now)
+            with self._lock:
+                self._entries[metric].update(zip(first, records))
                 self._synced = None
         return found
 
@@ -551,11 +536,10 @@ def _synthetic_records(
 
 
 class SyntheticProvider:
-    """The synthetic model's provider of one metric. Called with a pair it is
-    `synthetic_measure`; `many` measures a batch at one clock reading, each
-    pair's kilometres from `haversine_km`. `rank_regions` calls neither when
-    `locations` has the entries of its distance pass's table: it scores the
-    shortlist from that pass's kilometres and stores the records through
+    """The synthetic model's provider of one metric: called with a pair, it
+    is `synthetic_measure`. `rank_regions` does not call it when `locations`
+    has the entries of its distance pass's table: it scores the shortlist
+    from that pass's kilometres and stores the records through
     `MeasurementStore.put_synthetic`."""
 
     def __init__(self, metric: Metric, model: SyntheticNetworkModel, locations: LocationTable):
@@ -563,12 +547,6 @@ class SyntheticProvider:
 
     def __call__(self, pair: Pair) -> Measurement:
         return synthetic_measure(pair, self.metric, self.model, self.locations)
-
-    def many(self, pairs: list[Pair]) -> list[Measurement]:
-        locate = self.locations.locate
-        kms = [haversine_km(locate(src), locate(dst)) for src, dst in pairs]
-        values = _synthetic_values(kms, self.metric, self.model)
-        return _synthetic_records(pairs, values, self.metric, time.time())
 
 
 def _icmp_checksum(data: bytes) -> int:
@@ -752,42 +730,25 @@ def collect_measurements(
     max_parallel: int = 1,
 ) -> dict[Pair, Measurement]:
     """Measure (or fetch from cache) every pair as one batch: one store
-    lookup, one measurement per missing store key, one store write. A
-    provider with `many` measures the batch in one call; a per-pair provider
-    is fanned out over up to `max_parallel` threads."""
-    found, missing = store.get_many(pairs, metric)
-    if not missing:
+    lookup, one measurement per missing store key, from its first pair,
+    fanned out over up to `max_parallel` threads, and one store write."""
+    found, first = store.get_many(pairs, metric)
+    if not first:
         return found
-    # every pair its own miss: the misses are the pairs, in pair order
-    alone = len(missing) == len(pairs)
-    measured = _measure_each(
-        provider, pairs if alone else [group[0] for group in missing.values()], max_parallel
-    )
+    misses = [pairs[i] for i in first.values()]
+    if max_parallel <= 1 or len(misses) <= 1:
+        measured = [provider(pair) for pair in misses]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=min(max_parallel, len(misses))) as pool:
+            measured = list(pool.map(provider, misses))
     for m in measured:
         if m.metric is not metric:
             raise ValueError(f"provider returned {m.metric.value}, expected {metric.value}")
     store.put_many(measured)
-    if alone:
-        return dict(zip(pairs, measured))
-    for group, m in zip(missing.values(), measured):
-        for pair in group:
-            found[pair] = m
-    return {pair: found[pair] for pair in pairs}
-
-
-def _measure_each(provider: PairProvider, pairs: list[Pair], max_parallel: int) -> list[Measurement]:
-    """One measurement per pair, in pair order."""
-    many = getattr(provider, "many", None)
-    if many is not None:
-        measured = list(many(pairs))
-        if len(measured) != len(pairs):
-            raise ValueError(f"provider measured {len(measured)} pairs, asked for {len(pairs)}")
-        return measured
-    if max_parallel <= 1 or len(pairs) <= 1:
-        return [provider(pair) for pair in pairs]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(max_parallel, len(pairs))) as pool:
-        return list(pool.map(provider, pairs))
+    by_key = dict(zip(first, measured))
+    return {pair: found[pair] if pair in found
+            else by_key[(pair[1], pair[0]) if pair[1] < pair[0] else pair] for pair in pairs}
 
 
 def synthetic_providers(

@@ -198,9 +198,10 @@ def rank_regions(
     `SyntheticProvider` of that metric whose table has the entries of the
     pass's `location_index(spec, catalog)`, the metric is scored from the
     model's values of the pass's kilometre rows, and
-    `MeasurementStore.put_synthetic` stores the records and returns the
-    unexpired ones already there, whose values win: the scores, records
-    and store are those of `collect_measurements` with that provider.
+    `MeasurementStore.put_synthetic` stores the records of the keys with no
+    unexpired entry and returns the entries found, whose values win: the
+    scores, records and store are those of `collect_measurements` with that
+    provider.
     """
     legs = hub_legs(spec)
     hub_of = {region.id: region.probe_host for region in catalog.regions}

@@ -1,8 +1,7 @@
 """The batch measurement path: the store's `get_many` / `put_many`,
-`collect_measurements` over a batch, the synthetic batch provider, the
-tuple-built `Measurement`, and the synthetic shortlist scored from the
-distance pass's kilometre rows with its records stored by
-`MeasurementStore.put_synthetic`."""
+`collect_measurements` over a batch, the synthetic records, the tuple-built
+`Measurement`, and the synthetic shortlist scored from the distance pass's
+kilometre rows with its records stored by `MeasurementStore.put_synthetic`."""
 
 import concurrent.futures
 import json
@@ -23,6 +22,8 @@ from cloudforecast.geo import (
     Region,
     RegionCatalog,
     default_region_catalog,
+    km_row,
+    prepare_point,
 )
 from cloudforecast.measurement import (
     EchoProber,
@@ -60,21 +61,6 @@ class Counting:
     def __call__(self, pair):
         self.pairs.append(pair)
         return _m(pair[0], pair[1], self.metric)
-
-
-class CountingBatch(Counting):
-    """Provider with `many`, recording each batch it is asked for."""
-
-    def __init__(self, metric=Metric.PING, extra=0):
-        super().__init__(metric)
-        self.batches, self.extra = [], extra
-
-    def many(self, pairs):
-        self.batches.append(list(pairs))
-        measured = [self(pair) for pair in pairs]
-        if self.extra < 0:
-            return measured[: self.extra]
-        return measured + measured[: self.extra]
 
 
 # -- Measurement: an immutable, checked value ------------------------------------
@@ -131,15 +117,14 @@ def test_measurements_with_equal_fields_are_equal_and_hash_alike():
 
 # -- the store's batch API --------------------------------------------------------
 
-def test_get_many_groups_misses_by_key_in_first_seen_order():
+def test_get_many_maps_each_missing_key_to_its_first_pair_in_first_seen_order():
     store = MeasurementStore()
     hit = _m("a", "b")
     store.put_many([hit])
-    pairs = [("c", "d"), ("b", "a"), ("d", "c"), ("a", "b"), ("e", "f"), ("c", "d")]
-    found, missing = store.get_many(pairs, Metric.PING)
+    pairs = [("c", "d"), ("b", "a"), ("d", "c"), ("a", "b"), ("f", "e"), ("c", "d")]
+    found, first = store.get_many(pairs, Metric.PING)
     assert list(found) == [("b", "a"), ("a", "b")] and set(found.values()) == {hit}
-    assert missing == {("c", "d"): [("c", "d"), ("d", "c"), ("c", "d")], ("e", "f"): [("e", "f")]}
-    assert list(missing) == [("c", "d"), ("e", "f")]
+    assert list(first.items()) == [(("c", "d"), 0), (("e", "f"), 4)]
 
 
 def test_get_many_reads_the_clock_once(monkeypatch):
@@ -172,8 +157,8 @@ def _cache_with_an_expired_record(path):
 def test_an_expired_entry_read_through_get_many_is_dropped_and_the_file_rewritten(tmp_path):
     path = tmp_path / "probes.cache"
     store = _cache_with_an_expired_record(path)
-    found, missing = store.get_many([("a", "b"), ("c", "d")], Metric.PING)
-    assert list(found) == [("c", "d")] and list(missing) == [("a", "b")]
+    found, first = store.get_many([("a", "b"), ("c", "d")], Metric.PING)
+    assert list(found) == [("c", "d")] and first == {("a", "b"): 0}
     assert len(store) == 1
     store.save(str(path))  # the eviction alone makes the file stale
     assert [json.loads(line)["src"] for line in path.read_text().splitlines()] == ["c"]
@@ -205,45 +190,57 @@ def test_both_directions_of_a_pair_in_one_batch_are_measured_once(max_parallel):
     assert len(store) == 3
 
 
-def test_a_batch_provider_is_asked_for_each_missing_key_once():
+def test_a_provider_is_asked_for_each_missing_key_once():
     store = MeasurementStore()
     store.put_many([_m("hub", "y")])
-    provider = CountingBatch()
+    provider = Counting()
     measured = collect_measurements(store, BOTH_WAYS, Metric.PING, provider, max_parallel=8)
-    assert provider.batches == [[("x", "hub"), ("hub", "hub")]]
+    assert sorted(provider.pairs) == [("hub", "hub"), ("x", "hub")]
     assert list(measured) == BOTH_WAYS
     again = collect_measurements(store, BOTH_WAYS, Metric.PING, provider)
-    assert again == measured and len(provider.batches) == 1
+    assert again == measured and len(provider.pairs) == 2
 
 
-@pytest.mark.parametrize("provider", [Counting(Metric.DISTANCE), CountingBatch(Metric.DISTANCE)],
-                         ids=["per-pair", "batch"])
-def test_a_provider_returning_another_metric_is_refused(provider):
+def test_a_provider_returning_another_metric_is_refused():
     store = MeasurementStore()
     with pytest.raises(ValueError, match="provider returned distance, expected ping"):
-        collect_measurements(store, BOTH_WAYS, Metric.PING, provider)
+        collect_measurements(store, BOTH_WAYS, Metric.PING, Counting(Metric.DISTANCE))
     assert len(store) == 0
 
 
-@pytest.mark.parametrize("extra", [-1, 1])
-def test_a_batch_of_the_wrong_length_is_refused(extra):
+def _counting_lookups(store):
+    """Swap the store's tables for dicts that count the lookups made in
+    them (white-box); returns the list each lookup's key is appended to."""
+    lookups = []
+
+    class Table(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            lookups.append(key)
+            return super().__contains__(key)
+
+    store._entries = {metric: Table() for metric in Metric}
+    return lookups
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_collect_looks_nothing_up_in_an_empty_table_and_each_pair_up_once_otherwise(warm):
     store = MeasurementStore()
-    with pytest.raises(ValueError, match=r"provider measured \d+ pairs, asked for 3"):
-        collect_measurements(store, BOTH_WAYS, Metric.PING, CountingBatch(extra=extra))
-    assert len(store) == 0
+    lookups = _counting_lookups(store)
+    if warm:  # one entry of the metric, for none of the batch's pairs
+        store.put_many([_m("p", "q")])
+    collect_measurements(store, BOTH_WAYS, Metric.PING, Counting())
+    assert len(lookups) == (len(BOTH_WAYS) if warm else 0)
 
 
-def test_a_batch_provider_is_never_fanned_out(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    measured = collect_measurements(MeasurementStore(), BOTH_WAYS, Metric.PING,
-                                    CountingBatch(), max_parallel=8)
-    assert list(measured) == BOTH_WAYS
-
-
-# -- the synthetic batch provider ---------------------------------------------------
+# -- the synthetic records ----------------------------------------------------------
 
 HOSTS = [f"h{i}.example.org" for i in range(6)]
 coordinates = st.builds(Coordinate, st.floats(-90, 90), st.floats(-180, 180))
@@ -255,28 +252,25 @@ coordinates = st.builds(Coordinate, st.floats(-90, 90), st.floats(-180, 180))
     pairs=st.lists(st.tuples(st.sampled_from(HOSTS), st.sampled_from(HOSTS)), max_size=20),
     order=st.permutations([Metric.PING, Metric.HTTP_RTT]),
 )
-def test_synthetic_batch_equals_the_per_pair_model_bit_for_bit(coords, pairs, order):
+def test_put_synthetic_stores_the_per_pair_models_records_bit_for_bit(coords, pairs, order):
     table = LocationTable(dict(zip(HOSTS, coords)))
     providers = synthetic_providers(MODEL, table)
     assert set(providers) == {Metric.PING, Metric.HTTP_RTT}  # ranking computes distance
-    for metric in order:  # each metric computes its own kilometres
-        batch = providers[metric].many(pairs)
-        assert len(batch) == len(pairs)
-        for got, pair in zip(batch, pairs):
-            want = synthetic_measure(pair, metric, MODEL, table)
+    store = MeasurementStore()
+    first = {}  # each store key -> its first pair, whose record the store keeps
+    for pair in pairs:
+        first.setdefault(tuple(sorted(pair)), pair)
+    for metric in order:  # the values as a ranking has them, from kilometre rows
+        kms = [km_row([prepare_point(table.locate(src))], table.locate(dst))[0]
+               for src, dst in pairs]
+        store.put_synthetic(pairs, measurement._synthetic_values(kms, metric, MODEL), metric)
+        for pair in pairs:
+            got = store.get(pair, metric)
+            want = providers[metric](first[tuple(sorted(pair))])
+            assert want.note == "synthetic"
             assert got._replace(taken_at=0.0) == want._replace(taken_at=0.0)
             assert got.value.hex() == want.value.hex()
-        assert len({m.taken_at for m in batch}) <= 1
-
-
-def test_synthetic_batch_reads_the_clock_once(monkeypatch):
-    table = LocationTable({h: Coordinate(i, i) for i, h in enumerate(HOSTS)})
-    provider = synthetic_providers(MODEL, table)[Metric.PING]
-    clock = []
-    monkeypatch.setattr(measurement.time, "time", lambda: clock.append(1) or 1.0e9)
-    batch = provider.many([(HOSTS[0], h) for h in HOSTS])
-    assert len(clock) == 1 and {m.taken_at for m in batch} == {1.0e9}
-    assert provider((HOSTS[0], HOSTS[1])).note == "synthetic"  # the per-pair call
+    assert len(store) == 2 * len(first)
 
 
 @pytest.mark.parametrize("shortlist_n", [None, 3])
@@ -460,24 +454,7 @@ def test_the_rows_measure_nothing_and_read_the_clock_once_per_metric(fig1_spec, 
         raise AssertionError("measured through a provider")
 
     monkeypatch.setattr(scoring, "collect_measurements", refuse)
-    monkeypatch.setattr(measurement.SyntheticProvider, "many", refuse)
     monkeypatch.setattr(measurement.SyntheticProvider, "__call__", refuse)
-    monkeypatch.setattr(MeasurementStore, "get_many", refuse)
-    lookups = []
-
-    class Table(dict):  # a store table that counts the lookups made in it
-        def get(self, key, default=None):
-            lookups.append(key)
-            return super().get(key, default)
-
-        def __getitem__(self, key):
-            lookups.append(key)
-            return super().__getitem__(key)
-
-        def __contains__(self, key):
-            lookups.append(key)
-            return super().__contains__(key)
-
     clock = []
 
     def tick():
@@ -488,8 +465,8 @@ def test_the_rows_measure_nothing_and_read_the_clock_once_per_metric(fig1_spec, 
     providers = synthetic_providers(MODEL, location_index(fig1_spec, catalog))
     for warm in (False, True):
         store = MeasurementStore(ttl_s=1.0e12)
-        tables = {metric: Table() for metric in Metric}
-        store._entries = tables  # white-box: the tables count the lookups made in them
+        lookups = _counting_lookups(store)
+        tables = store._entries
         if warm:  # one ping record: ping looks up every pair, HTTP none
             store.put_many([_m("wikimedia.org", "probe.us-east-1.example", taken_at=1.0)])
         lookups.clear()
@@ -615,6 +592,16 @@ def test_local_probe_sends_one_round_of_probes_per_store_key(workflow, parallel,
     assert len(probes) == 2 * len(keys[Metric.PING])
     assert len(gets) == 2 * len(keys[Metric.HTTP_RTT])
     assert "FAIL" not in out
+
+
+def test_a_synthetic_probe_starts_no_thread_pool(fig1_file, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    code, out, err = run_cli(["probe", "-w", fig1_file, "--max-parallel-probes", "8"], capsys)
+    assert code == 0, err
+    assert out and "FAIL" not in out
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

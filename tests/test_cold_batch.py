@@ -1,9 +1,9 @@
 """The cold batch path: a ranking counts the workflow's legs once, an
 endpoint's two directions folded into one, instead of folding each region's
 pairs, and measures each metric as one batch over every region it scores,
-the synthetic batch provider checks a batch's values once by the rule every
-`Measurement` keeps, and a batch whose pairs are each their own miss is
-returned without regrouping."""
+`MeasurementStore.put_synthetic` checks a batch's values once by the rule
+every `Measurement` keeps, and `collect_measurements` answers in pair order
+whether or not pairs share a store key."""
 
 import concurrent.futures
 import math
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cloudforecast import default_region_catalog, measurement, parse_workflow, scoring
 from cloudforecast.candidates import Metric, hub_legs, weighted_pairs
 from cloudforecast.cli import main
-from cloudforecast.geo import Coordinate, LocationTable, Region, RegionCatalog
+from cloudforecast.geo import Coordinate, Region, RegionCatalog
 from cloudforecast.measurement import (
     Measurement,
     MeasurementStore,
@@ -212,7 +212,6 @@ def test_a_local_run_builds_one_pool_per_metric_and_probes_each_key_once(command
 
 # -- one check per batch --------------------------------------------------------------
 
-TABLE = LocationTable({"a.example.org": Coordinate(0, 0), "b.example.org": Coordinate(1, 1)})
 PAIR = ("a.example.org", "b.example.org")
 CANDIDATES = [0.0, -0.0, 1.5, 1e308, -1e-300, -1.0, math.nan, math.inf, -math.inf]
 
@@ -225,28 +224,30 @@ def _measurement_error(value):
     return None
 
 
-def _batch_error(values, monkeypatch):
-    monkeypatch.setattr(measurement, "_synthetic_values", lambda kms, metric, model: list(values))
-    provider = synthetic_providers(SyntheticNetworkModel(), TABLE)[Metric.PING]
+def _batch_error(values):
+    """`put_synthetic`'s error for the values of distinct pairs, None if it stores them."""
+    store = MeasurementStore()
+    pairs = [(f"h{i}.example.org", "hub.example.org") for i in range(len(values))]
     try:
-        batch = provider.many([PAIR] * len(values))
+        store.put_synthetic(pairs, list(values), Metric.PING)
     except ValueError as exc:
+        assert len(store) == 0  # a refused batch stores nothing
         return str(exc)
-    assert all(type(m) is Measurement for m in batch)
-    assert [m.value for m in batch] == list(values)
+    records = [store.get(pair, Metric.PING) for pair in pairs]
+    assert all(type(m) is Measurement for m in records)
+    assert [m.value for m in records] == list(values)
     return None
 
 
 @pytest.mark.parametrize("value", CANDIDATES, ids=repr)
-def test_the_batch_provider_rejects_a_value_as_measurement_does(value, monkeypatch):
-    assert _batch_error([value], monkeypatch) == _measurement_error(value)
+def test_put_synthetic_rejects_a_value_as_measurement_does(value):
+    assert _batch_error([value]) == _measurement_error(value)
 
 
 @settings(max_examples=150, deadline=None)
 @given(values=st.lists(st.sampled_from(CANDIDATES), min_size=1, max_size=6))
-def test_the_batch_provider_rejects_a_batch_when_measurement_rejects_one_value(values):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        rejected = _batch_error(values, monkeypatch) is not None
+def test_put_synthetic_rejects_a_batch_when_measurement_rejects_one_value(values):
+    rejected = _batch_error(values) is not None
     assert rejected == any(_measurement_error(v) is not None for v in values)
 
 
@@ -279,16 +280,18 @@ def test_check_measured_is_the_rule_of_every_field():
     check_measured((math.nan, -math.inf), 1, False, 0.0, "ms", "ms")
 
 
-# -- a batch of lone misses ---------------------------------------------------------------
+# -- pair order, whether or not pairs share a key ---------------------------------------
 
-class Batch:
+class Recorder:
+    """Per-pair provider that records each pair it is asked for."""
+
     def __init__(self):
         self.asked = []
 
-    def many(self, pairs):
-        self.asked.append(list(pairs))
-        return [Measurement(s, d, Metric.PING, float(len(s + d)), "ms", 1, True, 1.0e12)
-                for s, d in pairs]
+    def __call__(self, pair):
+        self.asked.append(pair)
+        s, d = pair
+        return Measurement(s, d, Metric.PING, float(len(s + d)), "ms", 1, True, 1.0e12)
 
 
 @pytest.mark.parametrize("pairs, asked", [
@@ -296,9 +299,9 @@ class Batch:
     ([("a", "b"), ("b", "a"), ("a", "b"), ("c", "a")], [("a", "b"), ("c", "a")]),
 ], ids=["each-its-own-miss", "shared-keys"])
 def test_collect_measurements_answers_in_pair_order_either_way(pairs, asked):
-    store, provider = MeasurementStore(), Batch()
+    store, provider = MeasurementStore(), Recorder()
     measured = collect_measurements(store, pairs, Metric.PING, provider)
-    assert provider.asked == [asked]
+    assert provider.asked == asked
     assert list(measured) == list(dict.fromkeys(pairs))
     for (src, dst), m in measured.items():
         assert {m.src, m.dst} == {src, dst}

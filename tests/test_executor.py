@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -511,3 +512,28 @@ def test_live_execute_asks_each_node_for_its_service_time_and_out_bytes(monkeypa
         for n in spec.nodes
     }
     assert asked["A"] == (5, 1792) and asked["C"] == (11, 0)
+
+
+def test_live_execute_pulls_a_fan_in_node_once_after_both_parents_over_a_repeated_edge(
+        monkeypatch):
+    spec = WorkflowSpec(
+        name="fan-in",
+        nodes=tuple(WorkflowNode(id=nid, endpoint=f"{nid.lower()}.example.org",
+                                 role="service" if nid == "C" else "source") for nid in "ABC"),
+        edges=(WorkflowEdge("A", "C"), WorkflowEdge("A", "C"), WorkflowEdge("B", "C")),
+    )
+    events = []
+
+    def fetch(node_id, base_url, delay_ms, out_bytes, config):
+        events.append(("start", node_id))
+        if node_id == "B":  # A finishes first, and C must still wait for B
+            time.sleep(0.2)
+        events.append(("end", node_id))
+        return b""
+
+    monkeypatch.setattr("cloudforecast.executor._fetch_node_output", fetch)
+    result = live_execute(spec, {nid: "http://unused" for nid in "ABC"}, ProbeConfig())
+    assert [event for event in events if event[1] == "C"] == [("start", "C"), ("end", "C")]
+    assert events.index(("start", "C")) > max(events.index(("end", "A")),
+                                              events.index(("end", "B")))
+    assert list(result.finish_ms) == ["A", "B", "C"]

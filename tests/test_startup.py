@@ -47,14 +47,15 @@ assert loaded() == [], loaded()
 outputs = {}
 for argv in (["analyze", "-w", "samples/fig1.workflow"],
              ["simulate", "-w", "samples/fig1.workflow", "--vantage", "us-east-1"],
-             ["experiment", "--out-dir", sys.argv[1]]):
+             ["experiment", "--out-dir", sys.argv[1]],
+             ["probe", "-w", "samples/fig1.workflow"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0, argv
     outputs[argv[0]] = out.getvalue()
     assert loaded() == [], (argv, loaded())
 assert len(outputs["analyze"].splitlines()) == 11, outputs["analyze"]
-assert outputs["simulate"] and outputs["experiment"], outputs
+assert outputs["simulate"] and outputs["experiment"] and outputs["probe"], outputs
 
 # the first GET imports `requests` itself
 from cloudforecast.measurement import http_get_ms

@@ -39,7 +39,7 @@ def _scores(report):
 
 
 class Refusing:
-    """Provider that records every call, per pair or per batch, and measures nothing."""
+    """Provider that records every pair it is asked for and measures nothing."""
 
     def __init__(self, calls):
         self.calls = calls
@@ -47,10 +47,6 @@ class Refusing:
     def __call__(self, pair):
         self.calls.append(pair)
         raise AssertionError(f"a warm ranking measured {pair}")
-
-    def many(self, pairs):
-        self.calls.append(pairs)
-        raise AssertionError(f"a warm ranking measured {pairs}")
 
 
 # -- warm equals cold ---------------------------------------------------------------

@@ -51,7 +51,15 @@ compared are:
   some stored the other way round and one of them failed, and one holding
   an expired record of a shortlisted pair; and the cache file after
   `analyze --cache` of that fig1 through `cloudforecast.cli.main`, run
-  twice over the same file.
+  twice over the same file;
+- with `time.time` pinned, `EchoProber.probe` and `measurement.http_get_ms`
+  replaced by stand-ins that answer `1 + crc32(host or url) % 100` ms and
+  the prober's mode fixed as icmp, through `cloudforecast.cli.main`: the
+  report of `analyze --probe-mode local --format json --cache` of this
+  tool's samples/fig1.workflow, run twice over the same file, with the
+  cache file after each run; and the stdout of `probe --probe-mode local`
+  of that fig1. These run the per-pair `collect_measurements` path, with
+  its probe fan-out, over a cold and a warm store.
 
 It also prints, for each tree, whether every generated ranking's dump with
 the edges reversed is bit-identical to the one with the edges as written
@@ -202,6 +210,7 @@ def dump_generated() -> dict[str, str]:
     outputs.update(agent_rankings())
     outputs.update(cache_outputs())
     outputs.update(fig1_synthetic_caches(model))
+    outputs.update(local_outputs())
     return outputs
 
 
@@ -452,6 +461,42 @@ def fig1_synthetic_caches(model) -> dict[str, str]:
                 raise CommandFailed(f"{run} analyze --cache of fig1 exited {code}:\n{err}")
     with open(path, "rb") as fh:
         outputs["cache/synthetic/fig1/analyze-twice"] = fh.read().decode("latin-1")
+    return outputs
+
+
+def crc_ms(name: str) -> float:
+    """A stand-in round trip: `1 + crc32(name) % 100` ms."""
+    return float(1 + zlib.crc32(name.encode()) % 100)
+
+
+def local_outputs() -> dict[str, str]:
+    """With the clock pinned and the echo probe and the GET answered by
+    `crc_ms`, `analyze --probe-mode local` of this tool's
+    samples/fig1.workflow twice over one cache file, written under
+    cache/local/ in the working directory, and `probe --probe-mode local` of it."""
+    from cloudforecast import measurement
+
+    measurement.EchoProber.mode = "icmp"
+    measurement.EchoProber.probe = lambda self, host, timeout_s: crc_ms(host)
+    measurement.http_get_ms = lambda url, timeout_s: crc_ms(url)
+    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
+                        "fig1.workflow")
+    os.makedirs(os.path.join("cache", "local"), exist_ok=True)
+    path = os.path.join("cache", "local", "fig1-analyze.cache")
+    outputs = {}
+    with pinned_clock():
+        for run in ("first", "second"):
+            code, out, err = run_main(["analyze", "-w", fig1, "--probe-mode", "local",
+                                       "--format", "json", "--cache", path])
+            if code != 0:
+                raise CommandFailed(f"{run} local analyze --cache of fig1 exited {code}:\n{err}")
+            outputs[f"local/fig1/analyze-{run}"] = out
+            with open(path, "rb") as fh:
+                outputs[f"local/fig1/analyze-{run}.cache"] = fh.read().decode("latin-1")
+        code, out, err = run_main(["probe", "-w", fig1, "--probe-mode", "local"])
+    if code != 0:
+        raise CommandFailed(f"local probe of fig1 exited {code}:\n{err}")
+    outputs["local/fig1/probe"] = out
     return outputs
 
 
