@@ -273,6 +273,24 @@ def test_put_synthetic_stores_the_per_pair_models_records_bit_for_bit(coords, pa
     assert len(store) == 2 * len(first)
 
 
+def test_synthetic_batch_reads_the_clock_once(monkeypatch):
+    pairs = [(HOSTS[0], h) for h in HOSTS]
+    values = [float(i + 1) for i in range(len(pairs))]
+    hit = _m(HOSTS[0], HOSTS[1], taken_at=1.0e9 - 1)
+    for warm in (False, True):  # a warm table is searched with the same reading
+        store = MeasurementStore(ttl_s=1.0e12)  # the records outlive the pinned clock
+        if warm:
+            store.put_many([hit])
+        clock = []
+        monkeypatch.setattr(measurement.time, "time", lambda: clock.append(1) or 1.0e9)
+        found = store.put_synthetic(pairs, values, Metric.PING)
+        monkeypatch.undo()
+        assert len(clock) == 1
+        assert found == ({pairs[1]: hit} if warm else {})
+        stored = [store.get(pair, Metric.PING) for pair in pairs if pair not in found]
+        assert {(m.taken_at, m.note) for m in stored} == {(1.0e9, "synthetic")}
+
+
 @pytest.mark.parametrize("shortlist_n", [None, 3])
 def test_a_synthetic_ranking_computes_each_distance_once(fig1_spec, catalog, monkeypatch,
                                                          shortlist_n):
