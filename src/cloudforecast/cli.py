@@ -9,6 +9,7 @@ import json
 import math
 import os
 import sys
+import time
 from typing import NamedTuple
 
 from .candidates import (
@@ -44,6 +45,8 @@ from .measurement import (
     MeasurementStore,
     ProbeConfig,
     SyntheticNetworkModel,
+    SyntheticProvider,
+    _synthetic_values,
     agent_providers,
     collect_measurements,
     local_providers,
@@ -323,12 +326,20 @@ def cmd_probe(args: argparse.Namespace, settings: dict) -> int:
     legs = hub_legs(spec)
     pairs_of = {region.id: weighted_pairs(legs, region.probe_host) for region in catalog.regions}
     batch = [pair for pairs in pairs_of.values() for pair in pairs]
+    # computed from the coordinates, never stored; synthetic ping and HTTP derive from them
+    distances = {pair: measure_distance(pair, locations) for pair in batch}
+    kms = [distances[pair].value for pair in batch]
     lines = []
     for metric in (Metric.DISTANCE, *providers):
-        if metric is Metric.DISTANCE:  # computed from the coordinates, never stored
-            measured = {pair: measure_distance(pair, locations) for pair in batch}
+        provider = providers.get(metric)
+        if metric is Metric.DISTANCE:
+            measured = distances
+        elif type(provider) is SyntheticProvider:
+            now = time.time()
+            store.put_synthetic(batch, _synthetic_values(kms, metric, provider.model), metric, now)
+            measured = store.get_many(batch, metric, now)[0]
         else:
-            measured = collect_measurements(store, batch, metric, providers[metric], max_parallel)
+            measured = collect_measurements(store, batch, metric, provider, max_parallel)
         for region_id, pairs in pairs_of.items():
             for pair in pairs:
                 m = measured[pair]

@@ -10,6 +10,8 @@ from .jsondoc import as_number, as_string, check_fields, field_sets, load_docume
 from .records import Checked
 
 EARTH_RADIUS_KM = 6371.0
+# the largest value `haversine_km` and `km_row` give: half a great circle
+LONGEST_KM = 2.0 * EARTH_RADIUS_KM * math.asin(1.0)
 _CATALOG_FIELDS = field_sets(["regions"], [])
 _REGION_FIELDS = field_sets(["id", "probe_host", "lat", "lon"], [])
 

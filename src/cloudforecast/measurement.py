@@ -21,6 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .candidates import Metric, Pair
 from .errors import DocumentFormatError
 from .geo import (
+    LONGEST_KM,
     LocationTable,
     RegionCatalog,
     build_location_table,
@@ -235,7 +236,8 @@ class _SyntheticNetworkModelFields(NamedTuple):  # the defaults are `SyntheticNe
 
 class SyntheticNetworkModel(Checked, _SyntheticNetworkModelFields):
     """Deterministic stand-in for live probing: latency grows linearly with
-    distance, by the formula `_synthetic_values` applies."""
+    distance, by the formula `_synthetic_values` applies. The constants must
+    give a finite latency at every great-circle distance."""
 
     __slots__ = ()
 
@@ -247,6 +249,12 @@ class SyntheticNetworkModel(Checked, _SyntheticNetworkModelFields):
         for name in cls._fields:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        # the formula grows with the distance, and HTTP is the larger value
+        if not _isfinite(_synthetic_values([LONGEST_KM], Metric.HTTP_RTT, self)[0]):
+            raise ValueError(
+                "base_latency_ms + ms_per_100km * km / 100 + http_overhead_ms must be finite"
+                f" at the longest great-circle distance ({LONGEST_KM:.1f} km)"
+            )
         return self
 
 
@@ -256,7 +264,10 @@ class MeasurementStore:
 
     Thread-safe; concurrent misses may probe twice (last write wins). The
     store remembers the cache file its entries equal, so saving them back
-    to it writes nothing.
+    to it writes nothing. A `put_synthetic` batch's records are built when
+    something first reads or writes its metric's table (`get_many`, `get`,
+    another `put_synthetic` of the metric) or every table (`put_many`,
+    `save`); until then the batch is one pending row, which `len` counts.
     """
 
     def __init__(self, ttl_s: float = DEFAULT_TTL_S):
@@ -266,9 +277,19 @@ class MeasurementStore:
         if ttl_s <= 0:
             raise ValueError("ttl_s must be positive")
         self._entries: dict[Metric, dict[Pair, Measurement]] = {metric: {} for metric in Metric}
+        # metric -> the keys a synthetic batch stores (none in the table), their
+        # first pairs, those pairs' values and the batch's clock reading
+        self._pending: dict[Metric, tuple[dict[Pair, int], list[Pair], list[float], float]] = {}
         self._lock = threading.Lock()
         # identity of the file whose records equal the unexpired entries, if any
         self._synced: tuple[int, int, int, int] | None = None
+
+    def _settle(self, *metrics: Metric) -> None:
+        """Insert the records of the metrics' pending rows into their tables;
+        the caller holds the lock."""
+        for metric in metrics:
+            keys, pairs, values, now = self._pending.pop(metric)
+            self._entries[metric].update(zip(keys, _synthetic_records(pairs, values, metric, now)))
 
     def get(self, pair: Pair, metric: Metric, now: float | None = None) -> Measurement | None:
         return self.get_many((pair,), metric, now)[0].get(pair)
@@ -281,32 +302,42 @@ class MeasurementStore:
         one pass under the lock, at one clock reading. An expired entry is
         dropped from the store, and an empty table is not searched."""
         now = time.time() if now is None else now
+        with self._lock:
+            return self._lookup(pairs, metric, now)
+
+    def _lookup(
+        self, pairs: Sequence[Pair], metric: Metric, now: float
+    ) -> tuple[dict[Pair, Measurement], dict[Pair, int]]:
+        """`get_many` for a caller that holds the lock; the metric's pending
+        row is settled first."""
+        if metric in self._pending:
+            self._settle(metric)
         found: dict[Pair, Measurement] = {}
         first: dict[Pair, int] = {}
-        with self._lock:
-            table = self._entries[metric]
-            if table:
-                ttl_s = self.ttl_s
-                for i, pair in enumerate(pairs):
-                    key = (pair[1], pair[0]) if pair[1] < pair[0] else pair
-                    entry = table.get(key)
-                    if entry is not None and now - entry.taken_at > ttl_s:
-                        del table[key]
-                        self._synced = None
-                        entry = None
-                    if entry is None:
-                        first.setdefault(key, i)
-                    else:
-                        found[pair] = entry
-            else:
-                for i, (src, dst) in enumerate(pairs):
-                    first.setdefault((dst, src) if dst < src else (src, dst), i)
+        table = self._entries[metric]
+        if table:
+            ttl_s = self.ttl_s
+            for i, pair in enumerate(pairs):
+                key = (pair[1], pair[0]) if pair[1] < pair[0] else pair
+                entry = table.get(key)
+                if entry is not None and now - entry.taken_at > ttl_s:
+                    del table[key]
+                    self._synced = None
+                    entry = None
+                if entry is None:
+                    first.setdefault(key, i)
+                else:
+                    found[pair] = entry
+        else:
+            for i, (src, dst) in enumerate(pairs):
+                first.setdefault((dst, src) if dst < src else (src, dst), i)
         return found, first
 
     def put_many(self, measurements: Iterable[Measurement]) -> None:
         """Store each measurement under the key of its own pair and metric, in
-        one pass under the lock."""
+        one pass under the lock, after every pending row is settled."""
         with self._lock:
+            self._settle(*self._pending)
             tables = self._entries
             for m in measurements:
                 src, dst = m.src, m.dst
@@ -314,30 +345,40 @@ class MeasurementStore:
                 self._synced = None
 
     def put_synthetic(
-        self, pairs: list[Pair], values: list[float], metric: Metric
+        self, pairs: list[Pair], values: list[float], metric: Metric, now: float | None = None
     ) -> dict[Pair, Measurement]:
         """`collect_measurements` with a synthetic provider of the metric, for
         a caller that has the model's value of each pair: store the synthetic
         record of every key `get_many` finds no unexpired entry for, built
         from the key's first pair and that pair's value, and return the
-        entries found, by pair. One clock reading is the expiry time and every
-        record's time. The records are inserted in one lock hold after the
-        lookup's, and a batch that stores nothing keeps the store synced."""
-        now = time.time()
-        found, first = self.get_many(pairs, metric, now)
-        if first:
-            if len(first) < len(pairs):  # else every pair is its own missing key
-                pairs = [pairs[i] for i in first.values()]
-                values = [values[i] for i in first.values()]
-            records = _synthetic_records(pairs, values, metric, now)
-            with self._lock:
-                self._entries[metric].update(zip(first, records))
+        entries found, by pair. One clock reading (`now` if given) is the
+        expiry time and every record's time. The lookup, the check of the
+        values stored by the rule every `Measurement` keeps, and the store
+        are one lock hold; the records are built later, from the metric's
+        pending row, as the class says. A batch that stores nothing keeps
+        the store synced."""
+        now = time.time() if now is None else now
+        with self._lock:
+            found, first = self._lookup(pairs, metric, now)
+            if first:
+                # new lists: the records are built later, from the values given now
+                if len(first) < len(pairs):
+                    pairs = [pairs[i] for i in first.values()]
+                    values = [values[i] for i in first.values()]
+                else:  # every pair is its own missing key
+                    pairs, values = list(pairs), list(values)
+                unit = UNIT_BY_METRIC[metric]
+                check_measured(values, 1, True, now, unit, unit)
+                self._pending[metric] = (first, pairs, values, now)
                 self._synced = None
         return found
 
     def __len__(self) -> int:
+        """The number of keys stored, pending ones included: a pending key had
+        no entry when its batch was stored, so each is counted once."""
         with self._lock:
-            return sum(map(len, self._entries.values()))
+            return (sum(map(len, self._entries.values()))
+                    + sum(len(keys) for keys, *_ in self._pending.values()))
 
     def save(self, path: str) -> None:
         """One JSON record per unexpired key, sorted, so later runs reuse probes.
@@ -348,6 +389,7 @@ class MeasurementStore:
         with self._lock:
             if self._synced is not None and self._synced == _file_identity(path):
                 return
+            self._settle(*self._pending)
             now, ttl_s = time.time(), self.ttl_s
             # sorted by (src, dst, metric) key: a stable sort by pair of the
             # tables taken in metric order
@@ -538,9 +580,9 @@ def _synthetic_records(
 class SyntheticProvider:
     """The synthetic model's provider of one metric: called with a pair, it
     is `synthetic_measure`. `rank_regions` does not call it when `locations`
-    has the entries of its distance pass's table: it scores the shortlist
-    from that pass's kilometres and stores the records through
-    `MeasurementStore.put_synthetic`."""
+    has the entries of its distance pass's table, nor does the CLI's
+    `probe`: each takes the model's values of the kilometres it already has
+    and stores the records through `MeasurementStore.put_synthetic`."""
 
     def __init__(self, metric: Metric, model: SyntheticNetworkModel, locations: LocationTable):
         self.metric, self.model, self.locations = metric, model, locations

@@ -106,8 +106,12 @@ def score_graph(
 
 
 def _leg_sum(weights, values) -> float:
-    """Every score's sum of multiplicity x value per leg, correctly rounded, so order-free."""
-    return math.fsum(map(mul, weights, values))
+    """Every score's sum of multiplicity x value per leg, correctly rounded, so
+    order-free; inf where the sum is past the float range (no term is negative)."""
+    try:
+        return math.fsum(map(mul, weights, values))
+    except OverflowError:  # fsum's "intermediate overflow"
+        return math.inf
 
 
 def score_pairs(
@@ -169,11 +173,13 @@ def shortlist_by_distance(
 
 def final_score(ping: GraphScore | None, http: GraphScore | None, config: ScoringConfig) -> float:
     """Weighted sum of whichever of the ping and HTTP sums were measured
-    (penalties already folded in); 0.0 if neither was."""
+    (penalties already folded in); 0.0 if neither was. A sum with weight 0
+    is left out, so an infinite one adds no nan."""
     if ping and http and ping.region != http.region:
         raise ValueError(f"region mismatch: {ping.region} vs {http.region}")
     return sum((weight * score.value for weight, score
-                in ((config.weight_ping, ping), (config.weight_http, http)) if score), 0.0)
+                in ((config.weight_ping, ping), (config.weight_http, http)) if score and weight),
+               0.0)
 
 
 def rank_regions(

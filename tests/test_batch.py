@@ -467,7 +467,7 @@ def test_rows_rank_and_store_as_the_per_pair_oracle(inputs, subset, shortlist_n)
 
 
 def test_the_rows_measure_nothing_and_read_the_clock_once_per_metric(fig1_spec, catalog,
-                                                                   monkeypatch):
+                                                                   monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("measured through a provider")
 
@@ -484,7 +484,6 @@ def test_the_rows_measure_nothing_and_read_the_clock_once_per_metric(fig1_spec, 
     for warm in (False, True):
         store = MeasurementStore(ttl_s=1.0e12)
         lookups = _counting_lookups(store)
-        tables = store._entries
         if warm:  # one ping record: ping looks up every pair, HTTP none
             store.put_many([_m("wikimedia.org", "probe.us-east-1.example", taken_at=1.0)])
         lookups.clear()
@@ -494,7 +493,9 @@ def test_the_rows_measure_nothing_and_read_the_clock_once_per_metric(fig1_spec, 
                  for pair in weighted_pairs(hub_legs(fig1_spec), catalog.by_id(e.region).probe_host)]
         assert len(lookups) == (len(batch) if warm else 0)
         assert len(clock) == 3  # ping, HTTP and the report's time
-        times = {metric: {m.taken_at for m in tables[metric].values()}
+        store.save(str(tmp_path / "rows.cache"))  # every record, built or not
+        records = [json.loads(line) for line in (tmp_path / "rows.cache").read_text().splitlines()]
+        times = {metric: {r["taken_at"] for r in records if r["metric"] == metric.value}
                  for metric in (Metric.PING, Metric.HTTP_RTT)}
         assert times == {Metric.PING: {1.0e9} | ({1.0} if warm else set()),
                          Metric.HTTP_RTT: {1.0e9 + 1}}

@@ -591,6 +591,19 @@ def test_probe_prints_measurements(fig1_file, capsys):
     assert all("ok" in line for line in lines)
 
 
+def test_a_synthetic_probe_derives_ping_and_http_from_its_distances(fig1_file, capsys,
+                                                                    monkeypatch):
+    calls = []
+    monkeypatch.setattr(measurement, "haversine_km",
+                        lambda a, b: calls.append((a, b)) or haversine_km(a, b))
+    code, out, err = run_cli(["probe", "-w", fig1_file], capsys)
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert Counter(line.split()[0] for line in lines) == {"distance": 24, "ping": 24,
+                                                          "http_rtt": 24}
+    assert len(calls) == 24  # one kilometre evaluation per printed distance
+
+
 def test_local_probe_prints_each_measured_pair_once_with_its_destinations_answer(
         fig1_file, capsys, monkeypatch):
     def answer(name):  # a different round trip for each host or URL
@@ -681,6 +694,34 @@ def test_non_finite_setting_exits_2(fig1_file, capsys, flag, field, value):
     assert code == 2
     assert out == ""
     assert f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "-w", "{workflow}"],
+    ["experiment", "--out-dir", "{out}"],
+    ["probe", "-w", "{workflow}"],
+    ["simulate", "-w", "{workflow}"],
+], ids=lambda argv: argv[0])
+def test_model_constants_that_overflow_a_latency_exit_2(fig1_file, tmp_path, capsys, command):
+    argv = [a.format(workflow=fig1_file, out=tmp_path / "out") for a in command]
+    code, out, err = run_cli(argv + ["--ms-per-100km", "1e308"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: base_latency_ms + ms_per_100km * km / 100 + http_overhead_ms must be"
+                   " finite at the longest great-circle distance (20015.1 km)\n")
+
+
+def test_a_score_past_the_float_range_is_infinite_and_ranks_last(tmp_path, capsys):
+    workflow = tmp_path / "pair.workflow"
+    workflow.write_text(TWO_NODE_DOC)
+    # every leg is 1e308 ms: a region's sum over its two legs overflows
+    code, out, err = run_cli(["analyze", "-w", str(workflow), "--format", "json",
+                              "--base-latency-ms", "1e308", "--ms-per-100km", "0",
+                              "--http-overhead-ms", "0", "--shortlist", "3"], capsys)
+    assert code == 0, err
+    entries = json.loads(out)["entries"]
+    assert [e["final_score"] for e in entries[:3]] == [float("inf")] * 3
+    assert [e["ping_score"]["value"] for e in entries[:3]] == [float("inf")] * 3
+    assert [e["rank"] for e in entries] == list(range(1, 9))
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "config"])

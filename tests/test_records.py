@@ -123,6 +123,9 @@ CHECKS = [
      "ms_per_100km must be non-negative"),
     (SyntheticNetworkModel, dict(http_overhead_ms=-1.0), ValueError,
      "http_overhead_ms must be non-negative"),
+    (SyntheticNetworkModel, dict(base_latency_ms=1e308, http_overhead_ms=1e308), ValueError,
+     "base_latency_ms + ms_per_100km * km / 100 + http_overhead_ms must be finite"
+     " at the longest great-circle distance (20015.1 km)"),
     (ScoringConfig, dict(shortlist_n=math.nan), ValueError,
      "shortlist_n must be an integer, got nan"),
     (ScoringConfig, dict(shortlist_n=0), ValueError, "shortlist_n must be >= 1"),

@@ -1,4 +1,5 @@
 import json
+import math
 import zlib
 
 import pytest
@@ -34,7 +35,7 @@ from cloudforecast.measurement import (
     location_index,
     synthetic_providers,
 )
-from cloudforecast.scoring import report_to_json, RankingReport
+from cloudforecast.scoring import report_to_json, RankingReport, score_pairs
 from conftest import EXPECTED_RANKING, REFERENCE_FINAL_SCORES
 from helpers import (
     CrcAgentClient,
@@ -144,6 +145,19 @@ def test_final_score_weighted_sum():
     http = GraphScore("r", Metric.HTTP_RTT, 200.0)
     assert final_score(ping, http, ScoringConfig()) == 300.0
     assert final_score(ping, http, ScoringConfig(weight_ping=1, weight_http=0)) == 100.0
+
+
+def test_a_sum_past_the_float_range_is_infinite():
+    # two failed legs at a penalty near the float maximum
+    measured = {("a", "h"): Measurement("a", "h", Metric.PING, 0.0, "ms", 1, False, 0.0),
+                ("b", "h"): Measurement("b", "h", Metric.PING, 0.0, "ms", 1, False, 0.0)}
+    pairs = {("a", "h"): 1, ("b", "h"): 1}
+    score = score_pairs("r", Metric.PING, pairs, measured, failure_penalty=1.7e308)
+    assert (score.value, score.failed_edges) == (math.inf, 2)
+    http = GraphScore("r", Metric.HTTP_RTT, 5.0)
+    # a weight of 0 leaves the infinite sum out, so the final score is no nan
+    assert final_score(score, http, ScoringConfig(weight_ping=0.0)) == 5.0
+    assert final_score(score, http, ScoringConfig()) == math.inf
 
 
 def test_final_score_region_mismatch():

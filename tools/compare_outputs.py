@@ -49,9 +49,12 @@ compared are:
   and config) and of the 200 x 64 input as written, over three stores: an
   empty one, one seeded with ping and HTTP records the model never gives,
   some stored the other way round and one of them failed, and one holding
-  an expired record of a shortlisted pair; and the cache file after
+  an expired record of a shortlisted pair; the cache file after
   `analyze --cache` of that fig1 through `cloudforecast.cli.main`, run
-  twice over the same file;
+  twice over the same file; the bytes `save` writes after two synthetic
+  rankings of that fig1 over one store, the first with shortlist 3 and the
+  second with shortlist 5, so the second one's reads build the first one's
+  records; and the cache file after a synthetic `probe --cache` of that fig1;
 - with `time.time` pinned, `EchoProber.probe` and `measurement.http_get_ms`
   replaced by stand-ins that answer `1 + crc32(host or url) % 100` ms and
   the prober's mode fixed as icmp, through `cloudforecast.cli.main`: the
@@ -443,24 +446,40 @@ def synthetic_caches(name, spec, catalog, config, model) -> dict[str, str]:
 
 def fig1_synthetic_caches(model) -> dict[str, str]:
     """`synthetic_caches` of this tool's samples/fig1.workflow over the
-    default catalog and config, and, with the clock pinned, the cache file
-    after `analyze --cache` of it, run twice over the same file."""
-    from cloudforecast import geo, scoring, workflow
+    default catalog and config, and, with the clock pinned: the cache file
+    after `analyze --cache` of it, run twice over the same file; the file
+    `save` writes after rankings with shortlists 3 and then 5 over one
+    store; and the cache file after `probe --cache` of it."""
+    from cloudforecast import geo, measurement, scoring, workflow
 
     fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
                         "fig1.workflow")
     with open(fig1) as fh:
         spec = workflow.parse_workflow(fh.read())
-    outputs = synthetic_caches("fig1", spec, geo.default_region_catalog(),
-                               scoring.ScoringConfig(), model)
-    path = os.path.join("cache", "synthetic", "fig1-analyze.cache")
+    catalog = geo.default_region_catalog()
+    outputs = synthetic_caches("fig1", spec, catalog, scoring.ScoringConfig(), model)
+    directory = os.path.join("cache", "synthetic")
+    path = os.path.join(directory, "fig1-analyze.cache")
     with pinned_clock():
         for run in ("first", "second"):
             code, _, err = run_main(["analyze", "-w", fig1, "--cache", path, "--no-timestamps"])
             if code != 0:
                 raise CommandFailed(f"{run} analyze --cache of fig1 exited {code}:\n{err}")
-    with open(path, "rb") as fh:
-        outputs["cache/synthetic/fig1/analyze-twice"] = fh.read().decode("latin-1")
+        store = measurement.MeasurementStore()
+        providers = measurement.synthetic_providers(model, measurement.location_index(spec, catalog))
+        for shortlist in (3, 5):
+            scoring.rank_regions(spec, catalog, store, providers,
+                                 scoring.ScoringConfig(shortlist_n=shortlist))
+        store.save(os.path.join(directory, "fig1-two-rankings.cache"))
+        code, _, err = run_main(["probe", "-w", fig1, "--cache",
+                                 os.path.join(directory, "fig1-probe.cache")])
+        if code != 0:
+            raise CommandFailed(f"probe --cache of fig1 exited {code}:\n{err}")
+    for name, file in (("analyze-twice", "fig1-analyze.cache"),
+                       ("two-rankings", "fig1-two-rankings.cache"),
+                       ("probe", "fig1-probe.cache")):
+        with open(os.path.join(directory, file), "rb") as fh:
+            outputs[f"cache/synthetic/fig1/{name}"] = fh.read().decode("latin-1")
     return outputs
 
 
