@@ -298,9 +298,7 @@ def _analysis_setup(args: argparse.Namespace, settings: dict):
     # ping before HTTP; distance has no provider, ranking computes it from the coordinates
     providers = {metric: p for metric, p in providers.items() if metric in metrics}
     store = _open_store(settings)
-    # the model has nothing to wait on, so synthetic mode measures without a thread pool
-    fan_out = 1 if settings["probe_mode"] == "synthetic" else pconfig.max_parallel_probes
-    return spec, catalog, metrics, locations, providers, store, fan_out
+    return spec, catalog, metrics, locations, providers, store, pconfig.max_parallel_probes
 
 
 def cmd_analyze(args: argparse.Namespace, settings: dict) -> int:

@@ -211,9 +211,10 @@ def live_execute(
 
 def speedup_percent(baseline_ms: float, candidate_ms: float) -> float:
     """(baseline / candidate - 1) * 100; 188% means baseline is 2.88x candidate."""
-    if baseline_ms <= 0 or candidate_ms <= 0:
+    if not (0 < baseline_ms < math.inf and 0 < candidate_ms < math.inf):  # inf: an overflowed path
+        rule = "positive" if baseline_ms <= 0 or candidate_ms <= 0 else "finite"
         raise ValueError(
-            f"makespans must be positive, got baseline={baseline_ms}, candidate={candidate_ms}"
+            f"makespans must be {rule}, got baseline={baseline_ms}, candidate={candidate_ms}"
         )
     return (baseline_ms / candidate_ms - 1.0) * 100.0
 
@@ -240,7 +241,7 @@ def run_experiment(
         candidate = simulate_execution(
             spec, Vantage(best_region.id, best_region.location), model, locations
         )
-        try:  # a workflow and model that take no time have no speedup
+        try:  # a path that takes no time, or overflows to inf, has no speedup
             speedup = speedup_percent(baseline.makespan_ms, candidate.makespan_ms)
         except ValueError as exc:
             raise SpecValidationError(f"workflow {spec.name!r}: {exc}") from None

@@ -114,51 +114,6 @@ def _leg_sum(weights, values) -> float:
         return math.inf
 
 
-def score_pairs(
-    region: str,
-    metric: Metric,
-    pairs: Mapping[Pair, int],
-    measurements: Mapping[Pair, Measurement],
-    failure_penalty: float = DEFAULT_FAILURE_PENALTY,
-) -> GraphScore:
-    """`score_graph` from the unique pairs: the `_leg_sum` of their values or failure penalties."""
-    failed, values = 0, []
-    for pair, n in pairs.items():
-        measurement = measurements[pair]
-        if measurement.success:
-            values.append(measurement.value)
-        else:
-            values.append(failure_penalty)
-            failed += n
-    return GraphScore(region, metric, _leg_sum(pairs.values(), values), failed)
-
-
-def score_row(
-    region: str,
-    metric: Metric,
-    pairs: Mapping[Pair, int],
-    row: list[float],
-    found: Mapping[Pair, Measurement],
-    failure_penalty: float = DEFAULT_FAILURE_PENALTY,
-) -> GraphScore:
-    """`score_pairs` of the pairs whose values are `row`, in pair order,
-    except that a pair in `found` has the value, or the failure penalty, of
-    its measurement there."""
-    failed = 0
-    if found:
-        row = list(row)
-        for i, (pair, n) in enumerate(pairs.items()):
-            measurement = found.get(pair)
-            if measurement is None:
-                continue
-            if measurement.success:
-                row[i] = measurement.value
-            else:
-                row[i] = failure_penalty
-                failed += n
-    return GraphScore(region, metric, _leg_sum(pairs.values(), row), failed)
-
-
 def shortlist_by_distance(
     distance_scores: list[GraphScore],
     n: int,
@@ -198,22 +153,26 @@ def rank_regions(
     shortlisted after the shortlist. Each score is the `_leg_sum` over the
     region's unique (endpoint, hub) pairs, weighted by the edges each
     carries, so edge order changes no bit of it while a pair's value does
-    not depend on its direction. A metric is one batch over the pairs of
-    the regions it scores: all for distance, the shortlist for ping and
-    HTTP. When the computed distance pass runs and a metric's provider is a
-    `SyntheticProvider` of that metric whose table has the entries of the
-    pass's `location_index(spec, catalog)`, the metric is scored from the
-    model's values of the pass's kilometre rows, and
-    `MeasurementStore.put_synthetic` stores the records of the keys with no
-    unexpired entry and returns the entries found, whose values win: the
-    scores, records and store are those of `collect_measurements` with that
-    provider.
+    not depend on its direction. A region's pairs are its legs, so all
+    regions share one weight list. A metric is one batch over the pairs of
+    the regions it scores (all for distance, the shortlist for ping and
+    HTTP) and one flat list of values over it, in leg order: the model's
+    values of the computed distance pass's kilometres when the metric's
+    provider is a `SyntheticProvider` of that metric over the pass's
+    `location_index(spec, catalog)`, zeros otherwise. The store's answers
+    overlay that list: the unexpired entries `MeasurementStore.put_synthetic`
+    finds as it stores the other keys' records, or every pair's measurement
+    from `collect_measurements`. A failed answer puts the failure penalty in
+    its place and counts its leg's edges as failed. Either way the scores,
+    records and store are those of `collect_measurements` with the provider.
     """
     legs = hub_legs(spec)
+    weights = list(legs.values())
+    size = len(weights)
     hub_of = {region.id: region.probe_host for region in catalog.regions}
     pairs_of: dict[str, dict[Pair, int]] = {}
     kms_of: dict[str, list[float]] = {}  # region -> its legs' kilometres, in leg order
-    from_rows: set[Metric] = set()  # the metrics scored from `kms_of`
+    from_rows: set[Metric] = set()  # the metrics whose values start from `kms_of`
 
     def scored(metric: Metric, region_ids: list[str]) -> dict[str, GraphScore]:
         if metric not in providers:
@@ -221,20 +180,28 @@ def rank_regions(
         pairs_of.update((r, weighted_pairs(legs, hub_of[r])) for r in region_ids
                         if r not in pairs_of)
         batch = [pair for region_id in region_ids for pair in pairs_of[region_id]]
-        penalty = config.failure_penalty
         if metric in from_rows:
-            model = providers[metric].model
-            rows = [_synthetic_values(kms_of[region_id], metric, model) for region_id in region_ids]
-            found = store.put_synthetic(batch, [value for row in rows for value in row], metric)
-            return {
-                region_id: score_row(region_id, metric, pairs_of[region_id], row, found, penalty)
-                for region_id, row in zip(region_ids, rows)
-            }
-        measured = collect_measurements(store, batch, metric, providers[metric], max_parallel)
-        return {
-            region_id: score_pairs(region_id, metric, pairs_of[region_id], measured, penalty)
-            for region_id in region_ids
-        }
+            kms = [km for region_id in region_ids for km in kms_of[region_id]]
+            values = _synthetic_values(kms, metric, providers[metric].model)
+            answers = store.put_synthetic(batch, values, metric)
+        else:
+            values = [0.0] * len(batch)
+            answers = collect_measurements(store, batch, metric, providers[metric], max_parallel)
+        failed = [0] * len(region_ids)
+        if answers:
+            penalty = config.failure_penalty
+            for i, pair in enumerate(batch):
+                measurement = answers.get(pair)
+                if measurement is None:
+                    continue
+                if measurement.success:
+                    values[i] = measurement.value
+                else:
+                    values[i] = penalty
+                    failed[i // size] += weights[i % size]
+        return {region_id: GraphScore(region_id, metric,
+                                      _leg_sum(weights, values[k * size:(k + 1) * size]), failed[k])
+                for k, region_id in enumerate(region_ids)}
 
     distance_scores = scored(Metric.DISTANCE, list(hub_of))
     if Metric.DISTANCE not in providers:
@@ -249,7 +216,7 @@ def rank_regions(
             if from_rows:
                 kms_of[region.id] = kms
             distance_scores[region.id] = GraphScore(region.id, Metric.DISTANCE,
-                                                    _leg_sum(legs.values(), kms))
+                                                    _leg_sum(weights, kms))
     n = min(config.shortlist_n or len(catalog.regions), len(catalog.regions))
     shortlisted_ids, remainder_ids = shortlist_by_distance(list(distance_scores.values()), n)
 

@@ -16,6 +16,7 @@ from cloudforecast import Coordinate, Metric, UnknownLocationError, WorkflowSpec
 from cloudforecast.candidates import Pair
 from cloudforecast.geo import Region, RegionCatalog, haversine_km
 from cloudforecast.measurement import Measurement
+from cloudforecast.scoring import DEFAULT_FAILURE_PENALTY, GraphScore
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode
 
 EARTH_RADIUS_KM = 6371.0
@@ -139,6 +140,28 @@ def folded_hub_pairs(spec: WorkflowSpec, hub: str) -> dict[Pair, int]:
         for pair in ((endpoint[edge.src], hub), (hub, endpoint[edge.dst])):
             pairs[pair] = pairs.get(pair, 0) + 1
     return fold_pairs(pairs)
+
+
+def score_pairs(
+    region: str,
+    metric: Metric,
+    pairs: dict[Pair, int],
+    measurements: dict[Pair, Measurement],
+    failure_penalty: float = DEFAULT_FAILURE_PENALTY,
+) -> GraphScore:
+    """Each pair's value, or the failure penalty, times its multiplicity,
+    summed correctly rounded; inf past the float range (oracle for the
+    scores `rank_regions` forms from its flat rows)."""
+    terms, failed = [], 0
+    for pair, n in pairs.items():
+        measurement = measurements[pair]
+        terms.append(n * (measurement.value if measurement.success else failure_penalty))
+        failed += 0 if measurement.success else n
+    try:
+        value = math.fsum(terms)
+    except OverflowError:
+        value = math.inf
+    return GraphScore(region, metric, value, failed)
 
 
 # JSON number texts a document must not take for a float, and how the error shows each

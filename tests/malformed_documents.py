@@ -126,6 +126,8 @@ MALFORMED = [
      "DocumentFormatError", "edges[0].payload_kb: expected a number, got '64'"),
     ("edge-payload-inf", "workflow", _edit(WORKFLOW, EDGE + ("payload_kb",), float("inf")),
      "DocumentFormatError", "edges[0].payload_kb: expected a finite number, got inf"),
+    ("edge-payload-negative", "workflow", _edit(WORKFLOW, EDGE + ("payload_kb",), -1),
+     "SpecValidationError", "edge a->b: negative payload_kb"),
     # workflow: the graph
     ("edge-dangling", "workflow", _edit(WORKFLOW, EDGE + ("to",), "c"), "SpecValidationError",
      "dangling edge a->c: unknown node id 'c'; workflow is not weakly connected"),
@@ -134,6 +136,9 @@ MALFORMED = [
     ("node-duplicate", "workflow", _edit(WORKFLOW, ("nodes", 1, "id"), "a"),
      "SpecValidationError",
      "duplicate node id: a; dangling edge a->b: unknown node id 'b'"),
+    ("node-id-empty", "workflow", _edit(WORKFLOW, NODE + ("id",), ""), "SpecValidationError",
+     "node with empty id; dangling edge a->b: unknown node id 'a'; "
+     "workflow is not weakly connected"),
     # pool
     ("pool-not-object", "pool", "nodes", "DocumentFormatError",
      "pool: expected an object, got str"),

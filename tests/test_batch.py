@@ -38,7 +38,8 @@ from cloudforecast.measurement import (
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowEdge, WorkflowSpec, parse_workflow
 from conftest import FIG1_DOC
-from helpers import COORDS, SUBSETS, canonical_key, folded_hub_pairs, synthetic_inputs
+from helpers import (COORDS, SUBSETS, canonical_key, folded_hub_pairs, score_pairs,
+                     synthetic_inputs)
 
 MODEL = SyntheticNetworkModel()
 
@@ -353,7 +354,7 @@ def test_a_seeded_store_record_wins_over_the_reused_kilometres(fig1_spec, catalo
         for metric, got in ((Metric.PING, entry.ping_score), (Metric.HTTP_RTT, entry.http_score)):
             measured = {pair: seeded.get((pair, metric))
                         or synthetic_measure(pair, metric, MODEL, table) for pair in weighted}
-            want = scoring.score_pairs(entry.region, metric, weighted, measured)
+            want = score_pairs(entry.region, metric, weighted, measured)
             assert got.value.hex() == want.value.hex()
     assert len(store) == 2 * len(set(pairs))
 

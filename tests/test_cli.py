@@ -339,6 +339,19 @@ def test_an_experiment_whose_workflow_takes_no_time_exits_2_naming_it(tmp_path, 
                    "got baseline=0.0, candidate=0.0\n")
 
 
+def test_an_experiment_whose_latencies_overflow_exits_2_naming_it(tmp_path, capsys):
+    wf_dir = tmp_path / "flows"
+    wf_dir.mkdir()
+    (wf_dir / "pair.workflow").write_text(TWO_NODE_DOC)
+    # every path's latency is past the float range: no speedup, not "nan%"
+    code, out, err = run_cli(["experiment", "--workflow-dir", str(wf_dir), "--base-latency-ms",
+                              "1e308", "--out-dir", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: workflow 'pair': makespans must be finite, "
+                   "got baseline=inf, candidate=inf\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, call", [
     (["analyze"], "rank_regions"),
     (["simulate", "--vantage", "us-east-1"], "simulate_execution"),
@@ -1098,6 +1111,8 @@ BAD_VALUES = [
      "max_parallel_probes must be >= 1"),
     ("agent_port", "--agent-port", "0", 0, "agent_port must be in 1..65535, got 0"),
     ("agent_port", "--agent-port", "70000", 70000, "agent_port must be in 1..65535, got 70000"),
+    ("metrics", "--metrics", "", "", "metrics list is empty"),
+    ("metrics", "--metrics", "ping,ping", "ping,ping", "duplicate metric: ping"),
 ]
 
 
@@ -1210,14 +1225,19 @@ def test_help_shows_each_setting_default_as_declared(command, capsys):
     assert "--cache-ttl" not in options
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+# the TTL has no flag: it is set from the environment or a config file
+@pytest.mark.parametrize("value, message", [
+    pytest.param("nan", "ttl_s must be finite, got nan", id="nan"),
+    pytest.param("inf", "ttl_s must be finite, got inf", id="inf"),
+    pytest.param("0", "ttl_s must be positive", id="0"),
+])
 def test_non_finite_cache_ttl_exits_2(fig1_file, tmp_path, no_setting_env, capsys, monkeypatch,
-                                      value):
+                                      value, message):
     cache = tmp_path / "probes.cache"
     monkeypatch.setenv("CLOUDFORECAST_CACHE_TTL_S", value)
     code, out, err = run_cli(["analyze", "-w", fig1_file, "--cache", str(cache)], capsys)
     assert code == 2 and out == ""
-    assert f"ttl_s must be finite, got {value}" in err
+    assert message in err
     assert not cache.exists()
 
 

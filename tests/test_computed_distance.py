@@ -26,10 +26,10 @@ from cloudforecast.measurement import (
     measure_distance,
     synthetic_providers,
 )
-from cloudforecast.scoring import ScoringConfig, rank_regions, score_pairs
+from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 from conftest import FIG1_DOC
-from helpers import COORDS, EDGE_COORDS, SUBSETS, antipode
+from helpers import COORDS, EDGE_COORDS, SUBSETS, antipode, score_pairs
 
 
 def answer(name: str) -> float:

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -357,6 +358,9 @@ def test_speedup_rejects_non_positive():
         speedup_percent(0, 10)
     with pytest.raises(ValueError):
         speedup_percent(10, 0)
+    for baseline, candidate in ((math.inf, 10), (10, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="makespans must be finite"):
+            speedup_percent(baseline, candidate)
 
 
 def _experiment_catalog():

@@ -35,7 +35,7 @@ from cloudforecast.measurement import (
     location_index,
     synthetic_providers,
 )
-from cloudforecast.scoring import report_to_json, RankingReport, score_pairs
+from cloudforecast.scoring import report_to_json, RankingReport
 from conftest import EXPECTED_RANKING, REFERENCE_FINAL_SCORES
 from helpers import (
     CrcAgentClient,
@@ -43,6 +43,7 @@ from helpers import (
     fixed_value_provider,
     fold_pairs,
     per_region_edge_providers,
+    score_pairs,
 )
 
 REGION = Region("r1", "r1.example.org", Coordinate(0, 0))
@@ -133,6 +134,11 @@ def test_shortlist_n_covering_everything():
     scores = [_dscore(r, i) for i, r in enumerate("ABCDEFGH")]
     shortlisted, remainder = shortlist_by_distance(scores, 8)
     assert len(shortlisted) == 8 and remainder == []
+
+
+def test_a_shortlist_of_no_region_is_refused():
+    with pytest.raises(ValueError, match="shortlist size must be >= 1"):
+        shortlist_by_distance([_dscore("A", 10)], 0)
 
 
 def test_shortlist_tie_breaks_lexicographically():

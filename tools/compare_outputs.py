@@ -62,7 +62,14 @@ compared are:
   tool's samples/fig1.workflow, run twice over the same file, with the
   cache file after each run; and the stdout of `probe --probe-mode local`
   of that fig1. These run the per-pair `collect_measurements` path, with
-  its probe fan-out, over a cold and a warm store.
+  its probe fan-out, over a cold and a warm store. Then, with eu-west-1's
+  probe host answering neither stand-in, the report of
+  `analyze --probe-mode local --format json --no-timestamps` of that fig1,
+  so a failed leg's penalty and `failed_edges` are compared too;
+- the exit code, stdout and stderr of `experiment` and of
+  `simulate --vantage us-east-1` of a two-node workflow with
+  `--base-latency-ms 1e308`, whose every path's latency overflows to inf,
+  through `cloudforecast.cli.main`.
 
 It also prints, for each tree, whether every generated ranking's dump with
 the edges reversed is bit-identical to the one with the edges as written
@@ -214,6 +221,7 @@ def dump_generated() -> dict[str, str]:
     outputs.update(cache_outputs())
     outputs.update(fig1_synthetic_caches(model))
     outputs.update(local_outputs())
+    outputs.update(overflow_outputs())
     return outputs
 
 
@@ -488,11 +496,17 @@ def crc_ms(name: str) -> float:
     return float(1 + zlib.crc32(name.encode()) % 100)
 
 
+# the probe host of the default catalog's eu-west-1
+DOWN_HOST = "ec2.eu-west-1.amazonaws.com"
+
+
 def local_outputs() -> dict[str, str]:
     """With the clock pinned and the echo probe and the GET answered by
     `crc_ms`, `analyze --probe-mode local` of this tool's
     samples/fig1.workflow twice over one cache file, written under
-    cache/local/ in the working directory, and `probe --probe-mode local` of it."""
+    cache/local/ in the working directory, and `probe --probe-mode local` of
+    it; then, with `DOWN_HOST` answering neither stand-in, `analyze
+    --probe-mode local` of it once more."""
     from cloudforecast import measurement
 
     measurement.EchoProber.mode = "icmp"
@@ -516,6 +530,46 @@ def local_outputs() -> dict[str, str]:
     if code != 0:
         raise CommandFailed(f"local probe of fig1 exited {code}:\n{err}")
     outputs["local/fig1/probe"] = out
+    measurement.EchoProber.probe = lambda self, host, timeout_s: (
+        None if host == DOWN_HOST else crc_ms(host))
+    measurement.http_get_ms = lambda url, timeout_s: None if DOWN_HOST in url else crc_ms(url)
+    code, out, err = run_main(["analyze", "-w", fig1, "--probe-mode", "local", "--format", "json",
+                               "--no-timestamps"])
+    if code != 0:
+        raise CommandFailed(f"local analyze of fig1 with {DOWN_HOST} down exited {code}:\n{err}")
+    outputs["local/fig1/analyze-host-down"] = out
+    return outputs
+
+
+# a two-node workflow; with `--base-latency-ms 1e308` every path's latency is inf
+OVERFLOW_DOC = {
+    "name": "pair",
+    "nodes": [
+        {"id": "X", "endpoint": "x.example.org", "role": "source",
+         "location": {"lat": 48.85, "lon": 2.35}},
+        {"id": "Y", "endpoint": "y.example.org", "role": "service",
+         "location": {"lat": 35.68, "lon": 139.69}},
+    ],
+    "edges": [{"from": "X", "to": "Y"}],
+}
+
+
+def overflow_outputs() -> dict[str, str]:
+    """What `experiment` and `simulate` do with `OVERFLOW_DOC`, written under
+    overflow/ in the working directory, at `--base-latency-ms 1e308`."""
+    os.makedirs(os.path.join("overflow", "flows"), exist_ok=True)
+    workflow = os.path.join("overflow", "flows", "pair.workflow")
+    with open(workflow, "w") as fh:
+        json.dump(OVERFLOW_DOC, fh)
+    runs = {
+        "experiment": ["experiment", "--workflow-dir", os.path.dirname(workflow),
+                       "--out-dir", os.path.join("overflow", "out")],
+        "simulate": ["simulate", "-w", workflow, "--vantage", "us-east-1"],
+    }
+    outputs = {}
+    for name, argv in runs.items():
+        code, out, err = run_main(argv + ["--base-latency-ms", "1e308"])
+        outputs[f"overflow/{name}"] = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
     return outputs
 
 
