@@ -522,6 +522,7 @@ def _serve(make_server, listen: str, label: str) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: cannot bind {listen}: {exc}\n")
         return 1
+    host, port = server.server_address  # the port bound, where `listen` asked for 0
     sys.stdout.write(f"{label} listening on {host}:{port}\n")
     sys.stdout.flush()
     try:

@@ -66,10 +66,19 @@ class RegionCatalog(Checked, _RegionCatalogFields):
         if not regions:
             raise CatalogError("region catalog is empty")
         seen = set()
+        at_host = {}  # probe host -> the first region probed there
         for region in regions:
             if region.id in seen:
                 raise CatalogError(f"duplicate region id: {region.id}")
             seen.add(region.id)
+            try:
+                host = host_of(region.probe_host)
+            except UnknownLocationError:
+                continue  # unreadable hosts fail later, where they are located
+            first = at_host.setdefault(host, region)
+            if first.location != region.location:
+                raise CatalogError(f"regions '{first.id}' and '{region.id}' share probe host "
+                                   f"'{host}' at different coordinates")
         return tuple.__new__(cls, (regions,))
 
     def by_id(self, region_id: str) -> Region:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cloudforecast import default_region_catalog, parse_workflow
+from cloudforecast.geo import default_region_catalog
+from cloudforecast.workflow import parse_workflow
 
 FIG1_DOC = json.dumps(
     {

@@ -12,12 +12,12 @@ from urllib.parse import urlparse
 
 from hypothesis import strategies as st
 
-from cloudforecast import Coordinate, Metric, UnknownLocationError, WorkflowSpec
-from cloudforecast.candidates import Pair
-from cloudforecast.geo import Region, RegionCatalog, haversine_km
+from cloudforecast.candidates import Metric, Pair
+from cloudforecast.errors import UnknownLocationError
+from cloudforecast.geo import Coordinate, Region, RegionCatalog, haversine_km
 from cloudforecast.measurement import Measurement
 from cloudforecast.scoring import DEFAULT_FAILURE_PENALTY, GraphScore
-from cloudforecast.workflow import WorkflowEdge, WorkflowNode
+from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 
 EARTH_RADIUS_KM = 6371.0
 

@@ -10,31 +10,32 @@ import time
 import pytest
 import requests
 
-from cloudforecast import (
+from cloudforecast.candidates import Metric, enumerate_candidates
+from cloudforecast.cli import main as cli_main
+from cloudforecast.executor import Vantage, simulate_execution
+from cloudforecast.geo import (
     Coordinate,
-    MeasurementStore,
-    Metric,
     Region,
     RegionCatalog,
-    ScoringConfig,
+    default_region_catalog,
+    haversine_km,
+)
+from cloudforecast.measurement import (
+    MeasurementStore,
     SyntheticNetworkModel,
-    Vantage,
+    location_index,
+    synthetic_providers,
+)
+from cloudforecast.scoring import GraphScore, ScoringConfig, rank_regions, shortlist_by_distance
+from cloudforecast.services import make_agent_server, make_node_server, start_in_thread
+from cloudforecast.workflow import (
     WorkflowEdge,
     WorkflowNode,
     WorkflowPattern,
     WorkflowSpec,
     default_node_pool,
-    default_region_catalog,
-    enumerate_candidates,
     generate_random_workflow,
-    haversine_km,
-    rank_regions,
-    simulate_execution,
 )
-from cloudforecast.cli import main as cli_main
-from cloudforecast.measurement import location_index, synthetic_providers
-from cloudforecast.scoring import GraphScore, shortlist_by_distance
-from cloudforecast.services import make_agent_server, make_node_server, start_in_thread
 from conftest import EXPECTED_RANKING, REFERENCE_FINAL_SCORES
 from helpers import longest_path_ms, per_region_edge_providers, slc_km, spearman
 

@@ -38,8 +38,7 @@ from cloudforecast.measurement import (
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowEdge, WorkflowSpec, parse_workflow
 from conftest import FIG1_DOC
-from helpers import (COORDS, SUBSETS, canonical_key, folded_hub_pairs, score_pairs,
-                     synthetic_inputs)
+from helpers import SUBSETS, canonical_key, folded_hub_pairs, score_pairs, synthetic_inputs
 
 MODEL = SyntheticNetworkModel()
 
@@ -412,14 +411,14 @@ def _saved_records(store):
 @st.composite
 def row_inputs(draw):
     """Drawn synthetic inputs with a twin region on another region's probe
-    host, two regions whose probe hosts are node endpoints, and the records to
-    seed: ping and HTTP values the model never gives, in either direction of
-    their pair, one failed record and one expired one."""
+    host and position, two regions whose probe hosts are node endpoints, and
+    the records to seed: ping and HTTP values the model never gives, in either
+    direction of their pair, one failed record and one expired one."""
     spec, catalog = draw(synthetic_inputs())
     edges = dict.fromkeys((WorkflowEdge("n0", "n1"),) + spec.edges)
     spec = WorkflowSpec(spec.name, spec.nodes, tuple(edges))
     twin_of = draw(st.sampled_from(catalog.regions))
-    regions = catalog.regions + (Region("twin", twin_of.probe_host, Coordinate(*draw(COORDS))),)
+    regions = catalog.regions + (Region("twin", twin_of.probe_host, twin_of.location),)
     # two hubs at node endpoints: each may be an endpoint of the other's pairs
     for i, node in enumerate(draw(st.lists(st.sampled_from(spec.nodes), min_size=2, max_size=2))):
         regions += (Region(f"at-node-{i}", node.endpoint, node.location),)

@@ -2,20 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import (
-    Coordinate,
+from cloudforecast.candidates import (
+    Leg,
     Metric,
-    Region,
-    RegionCatalog,
-    WorkflowEdge,
-    WorkflowNode,
-    WorkflowSpec,
     build_candidate_graph,
     dump_graph,
     enumerate_candidates,
     measurement_pairs,
 )
-from cloudforecast.candidates import Leg
+from cloudforecast.geo import Coordinate, Region, RegionCatalog
+from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 
 US_EAST = Region("us-east-1", "ec2.us-east-1.amazonaws.com", Coordinate(38.95, -77.45))
 

@@ -1,20 +1,21 @@
 import json
 import os
+import select
+import signal
+import subprocess
+import sys
+import urllib.request
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from cloudforecast import (
-    Coordinate,
-    default_region_catalog,
-    haversine_km,
-    measurement,
-    parse_workflow,
-)
+from cloudforecast import measurement
 from cloudforecast.cli import main
-from cloudforecast.geo import host_of
+from cloudforecast.geo import Coordinate, default_region_catalog, haversine_km, host_of
 from cloudforecast.measurement import EchoProber, as_url
+from cloudforecast.workflow import parse_workflow
 from conftest import FIG1_DOC
 from helpers import NON_FINITE, CrcAgentClient, crc_rtt_ms, with_raw_value
 
@@ -1006,6 +1007,33 @@ def test_node_bind_conflict_exits_1(capsys):
         server.server_close()
 
 
+@pytest.mark.parametrize("command, label", [("node", "stub node"), ("agent", "agent")])
+def test_a_server_on_port_0_prints_the_port_it_bound_and_stops_on_sigint(command, label):
+    root = Path(__file__).resolve().parent.parent
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("CLOUDFORECAST_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "cloudforecast.cli", command, "--listen",
+                             "127.0.0.1:0"], cwd=root, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        assert select.select([proc.stdout], [], [], 30)[0], "no line within 30 s"
+        line = proc.stdout.readline()
+        prefix = f"{label} listening on 127.0.0.1:"
+        assert line.startswith(prefix) and line.endswith("\n"), line
+        port = int(line[len(prefix):])
+        assert port != 0
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/v1/health", timeout=10) as reply:
+            assert json.loads(reply.read()) == {"ok": True}
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        assert (proc.returncode, out, err) == (0, "", "")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+
 def test_bad_listen_spec_exits_2(capsys):
     code, _, err = run_cli(["agent", "--listen", "nonsense"], capsys)
     assert code == 2
@@ -1182,7 +1210,8 @@ def _option_help(help_text, flag):
 
 
 def _declared_help_defaults():
-    from cloudforecast import ProbeConfig, ScoringConfig, SyntheticNetworkModel
+    from cloudforecast.measurement import ProbeConfig, SyntheticNetworkModel
+    from cloudforecast.scoring import ScoringConfig
 
     probe, scoring, model = ProbeConfig(), ScoringConfig(), SyntheticNetworkModel()
     return {

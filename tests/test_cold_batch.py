@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import default_region_catalog, measurement, parse_workflow, scoring
+from cloudforecast import measurement, scoring
 from cloudforecast.candidates import Metric, hub_legs, weighted_pairs
 from cloudforecast.cli import main
-from cloudforecast.geo import Coordinate, Region, RegionCatalog
+from cloudforecast.geo import Coordinate, Region, RegionCatalog, default_region_catalog
 from cloudforecast.measurement import (
     Measurement,
     MeasurementStore,
@@ -25,7 +25,7 @@ from cloudforecast.measurement import (
     synthetic_providers,
 )
 from cloudforecast.scoring import ScoringConfig, rank_regions
-from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
+from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec, parse_workflow
 from conftest import FIG1_DOC
 from helpers import SUBSETS, canonical_key, folded_hub_pairs, synthetic_inputs
 

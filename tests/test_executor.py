@@ -7,31 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import (
-    Coordinate,
-    CycleError,
-    NodeUnreachableError,
-    ProbeConfig,
-    Region,
-    RegionCatalog,
-    ScoringConfig,
-    SpecValidationError,
-    SyntheticNetworkModel,
+from cloudforecast import workflow
+from cloudforecast.cli import main
+from cloudforecast.errors import CycleError, NodeUnreachableError, SpecValidationError
+from cloudforecast.executor import (
     Vantage,
-    WorkflowEdge,
-    WorkflowNode,
-    WorkflowSpec,
     live_execute,
-    parse_workflow,
-    render_workflow,
     run_experiment,
     simulate_execution,
     speedup_percent,
+)
+from cloudforecast.geo import Coordinate, Region, RegionCatalog
+from cloudforecast.measurement import ProbeConfig, SyntheticNetworkModel, location_index
+from cloudforecast.scoring import ScoringConfig
+from cloudforecast.services import StubNodeHandler, make_node_server, start_in_thread
+from cloudforecast.workflow import (
+    WorkflowEdge,
+    WorkflowNode,
+    WorkflowSpec,
+    parse_workflow,
+    render_workflow,
     topological_order,
 )
-from cloudforecast import workflow
-from cloudforecast.measurement import location_index
-from cloudforecast.services import StubNodeHandler, make_node_server, start_in_thread
 from helpers import EDGE_COORDS, longest_path_ms, per_edge_finish_ms
 
 ZERO_MODEL = SyntheticNetworkModel(base_latency_ms=0.0, ms_per_100km=0.0, http_overhead_ms=0.0)
@@ -435,6 +432,24 @@ def test_live_execute_two_node_workflow(stub_nodes):
     assert result.makespan_ms > 0
     assert result.finish_ms["A"] <= result.finish_ms["B"]
     assert result.makespan_ms >= 50.0  # at least the stub service delays
+
+
+def test_simulate_live_with_repeat_lists_the_runs_that_average_to_its_makespan(
+        stub_nodes, tmp_path, capsys):
+    workflow = tmp_path / "live2.workflow"
+    workflow.write_text(render_workflow(_path_spec([10, 10], name="live2")))
+    code = main(["simulate", "-w", str(workflow), "--transport", "live",
+                 "--node-url", f"A={stub_nodes[0]}", "--node-url", f"B={stub_nodes[1]}",
+                 "--repeat", "2"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["workflow: live2", "vantage: live (live)"]
+    makespan = float(lines[2].removeprefix("makespan_ms: "))
+    assert lines[3].startswith("runs_ms: ")
+    runs = [float(ms) for ms in lines[3].removeprefix("runs_ms: ").split(", ")]
+    assert len(runs) == 2 and min(runs) >= 20.0
+    assert makespan == pytest.approx(sum(runs) / 2, abs=1e-3)  # each printed to 3 places
 
 
 def test_live_execute_single_source_only(stub_nodes):

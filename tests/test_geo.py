@@ -6,18 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import (
-    CatalogError,
+from cloudforecast.errors import CatalogError, DocumentFormatError, UnknownLocationError
+from cloudforecast.geo import (
+    EARTH_RADIUS_KM,
     Coordinate,
-    DocumentFormatError,
     LocationTable,
-    UnknownLocationError,
+    Region,
+    RegionCatalog,
     default_region_catalog,
     haversine_km,
+    host_of,
+    km_row,
     load_region_catalog,
+    prepare_point,
     resolve_location,
 )
-from cloudforecast.geo import EARTH_RADIUS_KM, host_of, km_row, prepare_point
 from helpers import (
     EDGE_COORDS,
     NON_FINITE,
@@ -226,6 +229,16 @@ def test_catalog_duplicate_id_rejected():
         load_region_catalog(doc)
 
 
+def test_catalog_regions_share_a_probe_host_only_at_one_position():
+    here, there = Coordinate(0, 0), Coordinate(10, 10)
+    shared = RegionCatalog((Region("a", "h.example", here), Region("b", "H.example:80", here)))
+    assert [r.id for r in shared.regions] == ["a", "b"]
+    with pytest.raises(CatalogError, match="regions 'a' and 'b' share probe host 'h.example'"):
+        RegionCatalog((Region("a", "h.example", here), Region("b", "http://h.example/", there)))
+    # a host that cannot be read is refused where it is located, as before
+    RegionCatalog((Region("a", "http://", here), Region("b", "http://", there)))
+
+
 @pytest.mark.parametrize("raw, shown", NON_FINITE.values(), ids=list(NON_FINITE))
 def test_catalog_rejects_a_lat_that_is_not_a_finite_float(raw, shown):
     doc = json.dumps({"regions": [{"id": "r", "probe_host": "r.example.org", "lat": 1, "lon": 2}]})
@@ -246,8 +259,6 @@ def test_catalog_unknown_field_rejected():
 
 
 def test_region_invariants():
-    from cloudforecast import Region
-
     with pytest.raises(ValueError):
         Region("", "host", Coordinate(0, 0))
     with pytest.raises(ValueError):

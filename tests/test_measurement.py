@@ -11,25 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import (
-    Coordinate,
-    DocumentFormatError,
-    LocationTable,
+from cloudforecast import measurement
+from cloudforecast.candidates import Metric
+from cloudforecast.errors import DocumentFormatError, UnknownLocationError
+from cloudforecast.geo import EARTH_RADIUS_KM, Coordinate, LocationTable
+from cloudforecast.measurement import (
+    Aggregator,
     Measurement,
     MeasurementStore,
-    Metric,
     ProbeConfig,
-    ScoringConfig,
     SyntheticNetworkModel,
-    UnknownLocationError,
+    aggregate,
+    as_url,
+    collect_measurements,
     measure_distance,
     measure_http_rtt,
     measure_latency,
     synthetic_measure,
 )
-from cloudforecast.geo import EARTH_RADIUS_KM
-from cloudforecast import measurement
-from cloudforecast.measurement import Aggregator, aggregate, as_url, collect_measurements
+from cloudforecast.scoring import ScoringConfig
 from cloudforecast.services import make_node_server, start_in_thread
 from helpers import NON_FINITE, canonical_key, slc_km
 
@@ -519,7 +519,7 @@ def test_latency_loopback_smoke():
 
 
 def test_tcp_fallback_counts_refusal_as_round_trip():
-    from cloudforecast import EchoProber
+    from cloudforecast.measurement import EchoProber
 
     prober = EchoProber()
     prober._mode = "tcp-connect"  # force the fallback path
@@ -537,7 +537,7 @@ def test_latency_unroutable_fails_within_budget(monkeypatch):
     # every probe connect runs to its timeout. No outside address can be
     # trusted to stay silent (192.0.2.1 is a live gateway on some networks).
     import cloudforecast.measurement
-    from cloudforecast import EchoProber
+    from cloudforecast.measurement import EchoProber
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     fillers = []
@@ -662,7 +662,7 @@ def _no_connect(sock, address):
 
 
 def test_echo_probe_of_an_unencodable_host_is_a_failed_sample(monkeypatch):
-    from cloudforecast import EchoProber
+    from cloudforecast.measurement import EchoProber
 
     monkeypatch.setattr(socket.socket, "connect", _no_connect)
     assert EchoProber().probe(UNENCODABLE, 0.1) is None

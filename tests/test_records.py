@@ -8,34 +8,20 @@ import math
 
 import pytest
 
-from cloudforecast import (
-    CandidateEdge,
-    CandidateGraph,
-    CatalogError,
-    Coordinate,
+from cloudforecast.candidates import CandidateEdge, CandidateGraph, Leg, Metric
+from cloudforecast.cli import Setting
+from cloudforecast.errors import CatalogError
+from cloudforecast.executor import (
     ExecutionResult,
     ExperimentReport,
     ExperimentRow,
-    GraphScore,
-    Leg,
-    LocationTable,
-    Metric,
-    NodeRole,
-    ProbeConfig,
-    RankingEntry,
-    RankingReport,
-    Region,
-    RegionCatalog,
-    ScoringConfig,
-    SyntheticNetworkModel,
     Transport,
     Vantage,
-    WorkflowEdge,
-    WorkflowNode,
-    WorkflowSpec,
 )
-from cloudforecast.cli import Setting
-from cloudforecast.measurement import Aggregator
+from cloudforecast.geo import Coordinate, LocationTable, Region, RegionCatalog
+from cloudforecast.measurement import Aggregator, ProbeConfig, SyntheticNetworkModel
+from cloudforecast.scoring import GraphScore, RankingEntry, RankingReport, ScoringConfig
+from cloudforecast.workflow import NodeRole, WorkflowEdge, WorkflowNode, WorkflowSpec
 
 HERE = Coordinate(10.0, 20.0)
 REGION = Region("r1", "r1.example.org", HERE)

@@ -6,36 +6,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import (
-    Coordinate,
-    GraphScore,
+from cloudforecast import measurement
+from cloudforecast.candidates import (
+    Metric,
+    build_candidate_graph,
+    hub_legs,
+    measurement_pairs,
+    weighted_pairs,
+)
+from cloudforecast.errors import MissingMeasurementError
+from cloudforecast.geo import Coordinate, Region, RegionCatalog
+from cloudforecast.measurement import (
     Measurement,
     MeasurementStore,
-    Metric,
-    MissingMeasurementError,
-    Region,
-    RegionCatalog,
-    ScoringConfig,
-    WorkflowEdge,
-    WorkflowNode,
-    WorkflowSpec,
-    build_candidate_graph,
-    final_score,
-    rank_regions,
-    render_report,
-    score_graph,
-    shortlist_by_distance,
-)
-from cloudforecast.candidates import hub_legs, measurement_pairs, weighted_pairs
-from cloudforecast import measurement
-from cloudforecast.measurement import (
     ProbeConfig,
     SyntheticNetworkModel,
     agent_providers,
     location_index,
     synthetic_providers,
 )
-from cloudforecast.scoring import report_to_json, RankingReport
+from cloudforecast.scoring import (
+    GraphScore,
+    RankingReport,
+    ScoringConfig,
+    final_score,
+    rank_regions,
+    render_report,
+    report_to_json,
+    score_graph,
+    shortlist_by_distance,
+)
+from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 from conftest import EXPECTED_RANKING, REFERENCE_FINAL_SCORES
 from helpers import (
     CrcAgentClient,

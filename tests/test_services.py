@@ -6,15 +6,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from cloudforecast import (
-    AgentClient,
-    Coordinate,
-    Metric,
-    ProbeConfig,
-    Region,
-    RegionCatalog,
-)
-from cloudforecast.measurement import agent_providers
+from cloudforecast.candidates import Metric
+from cloudforecast.geo import Coordinate, Region, RegionCatalog
+from cloudforecast.measurement import AgentClient, ProbeConfig, agent_providers
 from cloudforecast.services import (
     MAX_BYTES,
     MAX_DELAY_MS,

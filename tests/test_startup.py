@@ -108,9 +108,11 @@ def test_synthetic_commands_load_no_unused_stdlib_module_without_site(tmp_path):
 
 STAND_INS = r"""
 import pytest
-from cloudforecast import Coordinate, Metric, ProbeConfig, Region, RegionCatalog
 from cloudforecast import executor, measurement
+from cloudforecast.candidates import Metric
 from cloudforecast.errors import NodeUnreachableError
+from cloudforecast.geo import Coordinate, Region, RegionCatalog
+from cloudforecast.measurement import ProbeConfig
 
 
 class Response:
@@ -180,7 +182,8 @@ def test_each_module_sends_its_gets_through_its_own_requests_attribute():
 LIVE_CLOCK = r"""
 import sys
 import time
-from cloudforecast import ProbeConfig, executor
+from cloudforecast import executor
+from cloudforecast.measurement import ProbeConfig
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 
 EARLY = ("requests", "concurrent.futures")
@@ -216,7 +219,8 @@ def test_a_live_run_imports_requests_before_its_clock_starts():
 PROBE_CLOCK = r"""
 import sys
 import time
-from cloudforecast import ProbeConfig, measurement
+from cloudforecast import measurement
+from cloudforecast.measurement import ProbeConfig
 
 assert "socket" not in sys.modules
 loaded_at_clock = []

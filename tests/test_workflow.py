@@ -4,22 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import (
-    CycleError,
-    DocumentFormatError,
-    SpecValidationError,
+from cloudforecast.errors import CycleError, DocumentFormatError, SpecValidationError
+from cloudforecast.workflow import (
     WorkflowEdge,
     WorkflowNode,
     WorkflowPattern,
     WorkflowSpec,
     default_node_pool,
     generate_random_workflow,
+    parse_node_pool,
     parse_workflow,
     render_workflow,
     topological_order,
     validate_dag,
 )
-from cloudforecast.workflow import parse_node_pool
 from conftest import FIG1_DOC
 from helpers import NON_FINITE, all_topological_orders, with_raw_value
 
