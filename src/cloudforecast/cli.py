@@ -135,8 +135,24 @@ SETTINGS = {setting.name: setting for setting in (
 
 DEFAULTS: dict = {name: setting.default for name, setting in SETTINGS.items()}
 
-# no flag, or a flag that only some commands take; every other flag is shared
-NOT_SHARED = ("cache_ttl_s", "metrics", "local")
+# The flags each command takes: one for each setting it reads, then "config"
+# where it reads one and "out" where it prints a report or document. The
+# environment and a config file still set, and are checked for, every
+# setting of every command.
+COMMAND_FLAGS = {
+    "analyze": ("probe_mode", "regions", "format", "cache", "metrics", *ScoringConfig._fields,
+                *ProbeConfig._fields, *SyntheticNetworkModel._fields, "agent_port",
+                "config", "out"),
+    "probe": ("probe_mode", "regions", "format", "cache", "metrics", *ProbeConfig._fields,
+              *SyntheticNetworkModel._fields, "agent_port", "config", "out"),
+    "generate": ("seed", "pool", "config", "out"),
+    "simulate": ("regions", "format", *ProbeConfig._fields, *SyntheticNetworkModel._fields,
+                 "config", "out"),
+    "experiment": ("regions", "format", "seed", *ScoringConfig._fields,
+                   *SyntheticNetworkModel._fields, "pool", "local", "config"),
+    "agent": (),
+    "node": (),
+}
 
 
 def load_settings(args: argparse.Namespace) -> dict:
@@ -467,7 +483,7 @@ def _experiment_specs(args: argparse.Namespace, settings: dict) -> list:
                        if os.path.splitext(name)[1] in (".workflow", ".json"))
         specs = [_load_workflow(os.path.join(args.workflow_dir, name)) for name in names]
     else:
-        if args.recipe == "default":
+        if args.recipe in (None, "default"):
             where, recipe = "default recipe", DEFAULT_RECIPE
         else:
             where, recipe = _read_recipe(args.recipe)
@@ -555,48 +571,47 @@ def _positive_int(text: str) -> int:
 
 
 def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
-    s = SETTINGS[name]
-    shown = s.help if s.default is None else f"{s.help} (default: {s.default})"
-    parser.add_argument(*s.flags or ["--" + name.replace("_", "-")], dest=name, type=s.convert,
-                        choices=s.choices, help=shown)
+    if name == "out":
+        parser.add_argument("--out", help="write output to this file instead of stdout")
+    elif name == "config":
+        parser.add_argument("--config", help="JSON config file merged below env and flags")
+    else:
+        s = SETTINGS[name]
+        shown = s.help if s.default is None else f"{s.help} (default: {s.default})"
+        parser.add_argument(*s.flags or ["--" + name.replace("_", "-")], dest=name,
+                            type=s.convert, choices=s.choices, help=shown)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    for name in SETTINGS:
-        if name not in NOT_SHARED:
-            _add_flag(shared, name)
-    shared.add_argument("--out", help="write output to this file instead of stdout")
-    shared.add_argument("--config", help="JSON config file merged below env and flags")
-
     parser = argparse.ArgumentParser(
         prog="cloudforecast",
         description="Rank cloud regions by predicted workflow execution time.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[shared],
-                       help="rank regions for a workflow")
+    def add_command(command: str, help: str, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(command, help=help, **kwargs)
+        for name in COMMAND_FLAGS[command]:
+            _add_flag(p, name)
+        return p
+
+    p = add_command("analyze", "rank regions for a workflow")
     p.add_argument("-w", "--workflow", required=True, help="workflow file")
-    _add_flag(p, "metrics")
     p.add_argument("--dump-candidates", help="write the candidate-graph edge lists to this file")
     p.add_argument("--no-timestamps", action="store_true", help="omit timestamps from the report")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("probe", parents=[shared],
-                       help="measure all workflow/region pairs and print them")
+    p = add_command("probe", "measure all workflow/region pairs and print them")
     p.add_argument("-w", "--workflow", required=True)
-    _add_flag(p, "metrics")
     p.set_defaults(func=cmd_probe, formats=("table",))
 
-    p = sub.add_parser("generate", parents=[shared], help="generate a random workflow")
+    p = add_command("generate", "generate a random workflow")
     p.add_argument("-p", "--pattern", required=True,
                    choices=tuple(pattern.value for pattern in WorkflowPattern))
     p.add_argument("-n", "--nodes", required=True, type=_positive_int)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("simulate", parents=[shared],
-                       help="execute a workflow (simulated or live) and report makespan")
+    p = add_command("simulate", "execute a workflow (simulated or live) and report makespan")
     p.add_argument("-w", "--workflow", required=True)
     p.add_argument("--vantage", help="'lat,lon' or a region id, for simulated transport "
                    "(default: the local setting)")
@@ -609,20 +624,22 @@ def build_parser() -> argparse.ArgumentParser:
                    "is their mean")
     p.set_defaults(func=cmd_simulate, formats=("table", "json"))
 
-    p = sub.add_parser("experiment", parents=[shared],
-                       help="rank + simulate a batch of workflows and report speedups")
-    p.add_argument("--recipe", default="default",
-                   help="'default' or a JSON recipe file (default: bundled recipe)")
-    p.add_argument("--workflow-dir", help="run every .workflow/.json file in this directory")
-    _add_flag(p, "local")
+    # no abbreviations: `experiment --out F` is refused, not read as `--out-dir F`
+    p = add_command("experiment", "rank + simulate a batch of workflows and report speedups",
+                    allow_abbrev=False)
+    workflows = p.add_mutually_exclusive_group()
+    workflows.add_argument("--recipe",
+                           help="'default' or a JSON recipe file (default: bundled recipe)")
+    workflows.add_argument("--workflow-dir",
+                           help="run every .workflow/.json file in this directory")
     p.add_argument("--out-dir", default=".", help="directory for experiment.csv and chart data")
     p.set_defaults(func=cmd_experiment, formats=("table",))
 
-    p = sub.add_parser("agent", parents=[shared], help="run the probe agent service")
+    p = add_command("agent", "run the probe agent service")
     p.add_argument("--listen", default=f"127.0.0.1:{DEFAULT_AGENT_PORT}", help="host:port to bind")
     p.set_defaults(func=cmd_agent)
 
-    p = sub.add_parser("node", parents=[shared], help="run a stub workflow node")
+    p = add_command("node", "run a stub workflow node")
     p.add_argument("--listen", default="127.0.0.1:9002", help="host:port to bind")
     p.set_defaults(func=cmd_node)
 

@@ -5,7 +5,7 @@ import os
 from typing import Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import urlparse
 
-from .errors import CatalogError, UnknownLocationError
+from .errors import CatalogError, SpecValidationError, UnknownLocationError
 from .jsondoc import as_number, as_string, check_fields, field_sets, load_document
 from .records import Checked
 
@@ -66,19 +66,10 @@ class RegionCatalog(Checked, _RegionCatalogFields):
         if not regions:
             raise CatalogError("region catalog is empty")
         seen = set()
-        at_host = {}  # probe host -> the first region probed there
         for region in regions:
             if region.id in seen:
                 raise CatalogError(f"duplicate region id: {region.id}")
             seen.add(region.id)
-            try:
-                host = host_of(region.probe_host)
-            except UnknownLocationError:
-                continue  # unreadable hosts fail later, where they are located
-            first = at_host.setdefault(host, region)
-            if first.location != region.location:
-                raise CatalogError(f"regions '{first.id}' and '{region.id}' share probe host "
-                                   f"'{host}' at different coordinates")
         return tuple.__new__(cls, (regions,))
 
     def by_id(self, region_id: str) -> Region:
@@ -222,9 +213,10 @@ def default_region_catalog() -> RegionCatalog:
 
 def build_location_table(*sources: Iterable[tuple[str, Coordinate]]) -> LocationTable:
     """Merge (endpoint, coordinate) streams, keyed by `host_of(endpoint)` as
-    `resolve_location` looks them up; later sources win on conflict. Each
-    endpoint is parsed once, and the table starts out knowing where every
-    merged endpoint is, so `locate` parses none of them again."""
+    `resolve_location` looks them up. A host placed at two coordinates is a
+    `SpecValidationError` naming it and both endpoints. Each endpoint is
+    parsed once, and the table starts out knowing where every merged
+    endpoint is, so `locate` parses none of them again."""
     merged: dict[str, Coordinate] = {}
     hosts: dict[str, str] = {}
     for source in sources:
@@ -232,7 +224,14 @@ def build_location_table(*sources: Iterable[tuple[str, Coordinate]]) -> Location
             host = hosts.get(endpoint)
             if host is None:
                 host = hosts[endpoint] = host_of(endpoint)
-            merged[host] = coord
+            known = merged.setdefault(host, coord)
+            if known != coord:
+                first = next(e for e, h in hosts.items() if h == host)
+                raise SpecValidationError(
+                    f"host '{host}' is placed at two coordinates: endpoint {first!r} at "
+                    f"({known.lat}, {known.lon}) and endpoint {endpoint!r} at "
+                    f"({coord.lat}, {coord.lon})"
+                )
     table = LocationTable(merged)
     table._located.update((endpoint, merged[host]) for endpoint, host in hosts.items())
     return table

@@ -184,9 +184,6 @@ MALFORMED = [
      "regions[0]: region id must be non-empty"),
     ("region-duplicate", "catalog", _edit(CATALOG, ("regions", 1, "id"), "r1"), "CatalogError",
      "duplicate region id: r1"),
-    ("region-probe-host-shared", "catalog",
-     _edit(CATALOG, ("regions", 1, "probe_host"), "http://R1.example.org:8080/"), "CatalogError",
-     "regions 'r1' and 'r2' share probe host 'r1.example.org' at different coordinates"),
 ]
 
 

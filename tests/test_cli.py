@@ -553,8 +553,8 @@ def test_analyze_agent_mode_against_loopback(tmp_path, capsys):
             server.server_close()
 
 
-# node y's endpoint is region b's probe host, so region a's leg to it runs
-# between two probe hosts, and either agent could measure it
+# node y's endpoint is region b's probe host, at b's position, so region a's
+# leg to it runs between two probe hosts, and either agent could measure it
 AGENT_ORDER_DOC = {
     "name": "agent-order",
     "nodes": [
@@ -569,7 +569,7 @@ AGENT_ORDER_DOC = {
 }
 AGENT_ORDER_REGIONS = {"regions": [
     {"id": "a", "probe_host": "a.example.org", "lat": 0, "lon": 0},
-    {"id": "b", "probe_host": "b.example.org", "lat": 5, "lon": 5},
+    {"id": "b", "probe_host": "b.example.org", "lat": 20, "lon": 20},
 ]}
 
 
@@ -595,6 +595,59 @@ def test_agent_mode_measures_a_leg_between_probe_hosts_from_the_host_that_sorts_
     agent = "http://a.example.org:9001"
     assert ping["a"] == (crc_rtt_ms(agent, "x.example.org") + crc_rtt_ms(agent, "z.example.org")
                          + 2 * crc_rtt_ms(agent, "b.example.org"))
+
+
+# a host placed at two coordinates, by a region's probe host and fig1's source
+# node, by the probe hosts of two regions, and by two endpoints of one workflow
+REGION_AT_FIG1_SOURCE = {"regions": [
+    {"id": "a", "probe_host": "wikimedia.org", "lat": 0, "lon": 0},
+    {"id": "b", "probe_host": "b.example", "lat": 10, "lon": 10},
+]}
+TWO_REGIONS_AT_ONE_HOST = {"regions": [
+    {"id": "r1", "probe_host": "r1.example.org", "lat": 1.0, "lon": 2.0},
+    {"id": "r2", "probe_host": "http://R1.example.org:8080/", "lat": -3.0, "lon": 4.0},
+]}
+ONE_HOST_TWO_PLACES = {
+    "name": "one-host",
+    "nodes": [
+        {"id": "x", "endpoint": "x.example", "role": "source", "location": {"lat": 10, "lon": 10}},
+        {"id": "y", "endpoint": "x.example:8080", "role": "service",
+         "location": {"lat": 50, "lon": 50}},
+    ],
+    "edges": [{"from": "x", "to": "y"}],
+}
+
+
+@pytest.mark.parametrize("case, argv, message", [
+    pytest.param("region", ["analyze", "--metrics", "distance"],
+                 "host 'wikimedia.org' is placed at two coordinates: endpoint "
+                 "'wikimedia.org' at (37.79, -122.4) and endpoint 'wikimedia.org' at (0.0, 0.0)",
+                 id="region-analyze"),
+    pytest.param("region", ["simulate", "--vantage", "b"],
+                 "host 'wikimedia.org' is placed at two coordinates", id="region-simulate"),
+    pytest.param("regions", ["analyze", "--metrics", "distance"],
+                 "host 'r1.example.org' is placed at two coordinates: endpoint "
+                 "'r1.example.org' at (1.0, 2.0) and endpoint 'http://R1.example.org:8080/' at "
+                 "(-3.0, 4.0)", id="regions-analyze"),
+    pytest.param("regions", ["simulate", "--vantage", "r2"],
+                 "host 'r1.example.org' is placed at two coordinates", id="regions-simulate"),
+    pytest.param("nodes", ["analyze", "--metrics", "distance"],
+                 "host 'x.example' is placed at two coordinates: endpoint 'x.example' at "
+                 "(10.0, 10.0) and endpoint 'x.example:8080' at (50.0, 50.0)", id="nodes-analyze"),
+    pytest.param("nodes", ["simulate", "--vantage", "10,10"],
+                 "host 'x.example' is placed at two coordinates", id="nodes-simulate"),
+])
+def test_a_host_placed_at_two_coordinates_exits_2_naming_it_and_both_endpoints(
+        fig1_file, tmp_path, capsys, case, argv, message):
+    regions = tmp_path / "regions.json"
+    regions.write_text(json.dumps(REGION_AT_FIG1_SOURCE if case == "region"
+                                  else TWO_REGIONS_AT_ONE_HOST))
+    workflow = tmp_path / "one-host.workflow"
+    workflow.write_text(json.dumps(ONE_HOST_TWO_PLACES))
+    where = ["-w", str(workflow)] if case == "nodes" else ["-w", fig1_file, "-r", str(regions)]
+    code, out, err = run_cli(argv + where, capsys)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_probe_prints_measurements(fig1_file, capsys):
@@ -982,6 +1035,22 @@ def test_experiment_custom_recipe_file(tmp_path, capsys):
     assert len(rows) == 3  # header + 2 recipe entries
 
 
+@pytest.mark.parametrize("recipe", ["zigzag", "default"])
+def test_experiment_refuses_a_recipe_with_a_workflow_dir(tmp_path, fig1_file, capsys, recipe):
+    flows = tmp_path / "flows"
+    flows.mkdir()
+    (flows / "fig1.workflow").write_text(FIG1_DOC)
+    if recipe == "zigzag":
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text('[{"pattern": "zigzag", "nodes": 3}]')
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["experiment", "--recipe", str(recipe), "--workflow-dir", str(flows),
+                              "--out-dir", str(out_dir)], capsys)
+    assert code == 2 and out == ""
+    assert "argument --workflow-dir: not allowed with argument --recipe" in err
+    assert not out_dir.exists()
+
+
 def test_bad_probe_mode_env_rejected(fig1_file, capsys, monkeypatch):
     monkeypatch.setenv("CLOUDFORECAST_PROBE_MODE", "psychic")
     code, _, err = run_cli(["analyze", "-w", fig1_file], capsys)
@@ -1046,14 +1115,34 @@ def test_listen_port_out_of_range_exits_2(command, capsys):
     assert "port in 0..65535" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "command", ["analyze", "probe", "generate", "simulate", "experiment", "agent", "node"]
-)
+_SCORING_FLAGS = ["--shortlist", "--weight-ping", "--weight-http", "--failure-penalty"]
+_PROBE_FLAGS = ["--samples-per-pair", "--timeout-ms", "--aggregator", "--max-parallel-probes"]
+_MODEL_FLAGS = ["--base-latency-ms", "--ms-per-100km", "--http-overhead-ms"]
+
+# the setting flags, --config and --out each command takes: one for each
+# setting it reads, --config where it reads one, --out where it prints a file
+COMMAND_FLAGS = {
+    "analyze": ["--probe-mode", "--regions", "--format", "--cache", "--metrics", *_SCORING_FLAGS,
+                *_PROBE_FLAGS, *_MODEL_FLAGS, "--agent-port", "--config", "--out"],
+    "probe": ["--probe-mode", "--regions", "--format", "--cache", "--metrics", *_PROBE_FLAGS,
+              *_MODEL_FLAGS, "--agent-port", "--config", "--out"],
+    "generate": ["--seed", "--pool", "--config", "--out"],
+    "simulate": ["--regions", "--format", *_PROBE_FLAGS, *_MODEL_FLAGS, "--config", "--out"],
+    "experiment": ["--regions", "--format", "--seed", *_SCORING_FLAGS, *_MODEL_FLAGS, "--pool",
+                   "--local", "--config"],
+    "agent": [],
+    "node": [],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
 def test_every_command_has_help(command, capsys):
     code, out, _ = run_cli([command, "--help"], capsys)
     assert code == 0
     assert "usage:" in out
-    assert "--probe-mode" in out
+    options = " " + " ".join(out.split("options:", 1)[1].split()) + " "
+    listed = [flag for flag in FLAG_VALUES if f" {flag} " in options]
+    assert sorted(listed) == sorted(COMMAND_FLAGS[command])
 
 
 # Every setting that has a flag, as (name, argv before the value, text, value).
@@ -1083,6 +1172,12 @@ SETTING_CASES = [
 ]
 
 
+# a value for every setting flag, --config and --out
+FLAG_VALUES = {("--regions" if flag == ["-r"] else flag[0]): text
+               for _, flag, text, _ in SETTING_CASES}
+FLAG_VALUES.update({"--config": "c.json", "--out": "out.txt"})
+
+
 @pytest.fixture
 def no_setting_env(monkeypatch):
     for key in list(os.environ):
@@ -1101,7 +1196,8 @@ def _settings_from(argv):
 def test_flag_environment_and_config_file_give_the_same_value(
     no_setting_env, tmp_path, monkeypatch, name, flag, text, value
 ):
-    command = ["experiment"] if name == "local" else ["analyze", "-w", "unused"]
+    # a command that takes the setting's flag
+    command = ["experiment"] if name in ("seed", "pool", "local") else ["analyze", "-w", "unused"]
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({name: json.loads(text) if isinstance(value, (int, float))
                                   else text}))
@@ -1152,12 +1248,15 @@ def test_bad_setting_is_refused_from_every_source_before_any_work(
 ):
     import cloudforecast.cli as cli
 
-    def no_ranking(*args, **kwargs):
-        raise AssertionError("ranking started with a bad setting")
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started with a bad setting")
 
-    monkeypatch.setattr(cli, "rank_regions", no_ranking)
+    for work in ("rank_regions", "generate_random_workflow"):
+        monkeypatch.setattr(cli, work, no_work)
     workflow, regions = _loopback_workflow_and_catalog(tmp_path, 1)
-    argv = ["analyze", "-w", workflow, "-r", regions]
+    # a command that takes the setting's flag
+    argv = (["generate", "-p", "sequential", "-n", "2"] if name == "seed"
+            else ["analyze", "-w", workflow, "-r", regions])
     if name == "agent_port":
         argv += ["--probe-mode", "agent"]
     if source == "flag":
@@ -1232,26 +1331,61 @@ def _declared_help_defaults():
         "--http-overhead-ms": model.http_overhead_ms,
         "--agent-port": 9001,
         "--pool": "bundled pool",
+        "--metrics": "distance,ping,http_rtt",
+        "--local": "0,0",
     }
 
 
-@pytest.mark.parametrize(
-    "command", ["analyze", "probe", "generate", "simulate", "experiment", "agent", "node"]
-)
+# the flags with no default, so `--help` shows none for them
+_NO_HELP_DEFAULT = ("--cache", "--config", "--out")
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
 def test_help_shows_each_setting_default_as_declared(command, capsys):
     code, out, _ = run_cli([command, "--help"], capsys)
     assert code == 0
     defaults = _declared_help_defaults()
-    if command in ("analyze", "probe"):
-        defaults["--metrics"] = "distance,ping,http_rtt"
-    if command == "experiment":
-        defaults["--local"] = "0,0"
-    for flag, default in defaults.items():
-        assert f"(default: {default})" in _option_help(out, flag), flag
-    options = out.split("options:", 1)[1]
-    assert ("--metrics " in options) == (command in ("analyze", "probe"))
-    assert ("--local " in options) == (command == "experiment")
-    assert "--cache-ttl" not in options
+    for flag in COMMAND_FLAGS[command]:
+        shown = _option_help(out, flag)
+        if flag in _NO_HELP_DEFAULT:
+            assert "(default:" not in shown, flag
+        else:
+            assert f"(default: {defaults[flag]})" in shown, flag
+    assert "--cache-ttl" not in out.split("options:", 1)[1]
+
+
+_COMMAND_ARGV = {
+    "analyze": ["analyze", "-w", "{fig1}"],
+    "probe": ["probe", "-w", "{fig1}"],
+    "generate": ["generate", "-p", "sequential", "-n", "2"],
+    "simulate": ["simulate", "-w", "{fig1}"],
+    "experiment": ["experiment", "--out-dir", "{out}"],
+    "agent": ["agent", "--listen", "127.0.0.1:0"],
+    "node": ["node", "--listen", "127.0.0.1:0"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in COMMAND_FLAGS for flag in FLAG_VALUES
+    if flag not in COMMAND_FLAGS[command]
+])
+def test_a_flag_of_a_setting_the_command_does_not_read_exits_2_before_any_work(
+    fig1_file, tmp_path, capsys, monkeypatch, command, flag
+):
+    import cloudforecast.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started with {flag}")
+
+    for name in ("cmd_analyze", "cmd_probe", "cmd_generate", "cmd_simulate", "cmd_experiment",
+                 "_serve"):
+        monkeypatch.setattr(cli, name, no_work)
+    out_dir = tmp_path / "out"
+    argv = [a.format(fig1=fig1_file, out=out_dir) for a in _COMMAND_ARGV[command]]
+    code, out, err = run_cli(argv + [flag, FLAG_VALUES[flag]], capsys)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in err
+    assert not out_dir.exists()
 
 
 # the TTL has no flag: it is set from the environment or a config file
@@ -1339,11 +1473,15 @@ def test_format_a_command_lacks_is_refused_from_every_source_before_any_work(
 @pytest.mark.parametrize("command, fmt", [("probe", "table"), ("experiment", "table"),
                                           ("generate", "json")])
 def test_format_a_command_has_or_ignores_is_accepted(fig1_file, no_setting_env, tmp_path,
-                                                     capsys, command, fmt):
+                                                     capsys, monkeypatch, command, fmt):
     argv = {"probe": ["probe", "-w", fig1_file, "--metrics", "distance"],
             "experiment": ["experiment", "--out-dir", str(tmp_path)],
             "generate": ["generate", "-p", "sequential", "-n", "2"]}[command]
-    code, out, err = run_cli(argv + ["--format", fmt], capsys)
+    if command == "generate":  # no --format flag; a format from the environment is ignored
+        monkeypatch.setenv("CLOUDFORECAST_FORMAT", fmt)
+    else:
+        argv += ["--format", fmt]
+    code, out, err = run_cli(argv, capsys)
     assert code == 0, err
     assert out
 

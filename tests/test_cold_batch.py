@@ -72,9 +72,10 @@ def test_hub_legs_counts_an_edge_between_two_nodes_of_one_endpoint_as_one_leg():
 
 SPEC = WorkflowSpec(
     name="folds",
-    nodes=tuple(WorkflowNode(id=n, endpoint=e, location=Coordinate(i, i))
-                for i, (n, e) in enumerate([("a", "x.example.org"), ("b", "y.example.org"),
-                                            ("c", "x.example.org"), ("d", "r1.example.org")])),
+    nodes=tuple(WorkflowNode(id=n, endpoint=e, location=Coordinate(*at))
+                for n, e, at in [("a", "x.example.org", (0, 0)), ("b", "y.example.org", (1, 1)),
+                                 ("c", "x.example.org", (0, 0)),
+                                 ("d", "r1.example.org", (10, -10))]),
     edges=(WorkflowEdge("a", "b"), WorkflowEdge("b", "c"), WorkflowEdge("c", "d")),
 )
 

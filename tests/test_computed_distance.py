@@ -84,10 +84,12 @@ def located_inputs(draw):
     """A random DAG whose endpoints come in every form the package accepts:
     nodes may share a host, a node's host may be a hub's, and a node without
     a location is found through another node's or a region's host, or not
-    at all."""
+    at all. Each host has one coordinate."""
+    where = {host: Coordinate(*draw(COORDS))
+             for host in NODE_HOSTS + REGION_HOSTS + [UNKNOWN_HOST]}
     region_hosts = draw(st.lists(st.sampled_from(NODE_HOSTS + REGION_HOSTS),
                                  min_size=1, max_size=4, unique=True))
-    catalog = RegionCatalog(tuple(Region(f"r{i}", host, Coordinate(*draw(COORDS)))
+    catalog = RegionCatalog(tuple(Region(f"r{i}", host, where[host])
                                   for i, host in enumerate(region_hosts)))
     n = draw(st.integers(min_value=2, max_value=7))
     nodes = []
@@ -96,7 +98,7 @@ def located_inputs(draw):
         located = draw(st.integers(min_value=0, max_value=3)) > 0
         nodes.append(WorkflowNode(
             id=f"n{i}", endpoint=draw(st.sampled_from(FORMS)).format(host),
-            location=Coordinate(*draw(COORDS)) if located else None,
+            location=where[host] if located else None,
         ))
     links = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
     edges = tuple(dict.fromkeys(

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cloudforecast.errors import CatalogError, DocumentFormatError, UnknownLocationError
+from cloudforecast.errors import (
+    CatalogError,
+    DocumentFormatError,
+    SpecValidationError,
+    UnknownLocationError,
+)
 from cloudforecast.geo import (
     EARTH_RADIUS_KM,
     Coordinate,
@@ -229,14 +234,20 @@ def test_catalog_duplicate_id_rejected():
         load_region_catalog(doc)
 
 
-def test_catalog_regions_share_a_probe_host_only_at_one_position():
-    here, there = Coordinate(0, 0), Coordinate(10, 10)
+def test_regions_share_a_probe_host_only_at_one_position():
+    from cloudforecast.measurement import location_index
+    from cloudforecast.workflow import WorkflowSpec
+
+    here, there = Coordinate(0.0, 0.0), Coordinate(10.0, 10.0)
     shared = RegionCatalog((Region("a", "h.example", here), Region("b", "H.example:80", here)))
-    assert [r.id for r in shared.regions] == ["a", "b"]
-    with pytest.raises(CatalogError, match="regions 'a' and 'b' share probe host 'h.example'"):
-        RegionCatalog((Region("a", "h.example", here), Region("b", "http://h.example/", there)))
-    # a host that cannot be read is refused where it is located, as before
-    RegionCatalog((Region("a", "http://", here), Region("b", "http://", there)))
+    assert location_index(WorkflowSpec("none"), shared).entries == {"h.example": here}
+    # the catalog holds both; locating its probe hosts refuses the second position
+    moved = RegionCatalog((Region("a", "h.example", here), Region("b", "http://h.example/", there)))
+    with pytest.raises(SpecValidationError) as raised:
+        location_index(WorkflowSpec("none"), moved)
+    assert str(raised.value) == ("host 'h.example' is placed at two coordinates: endpoint "
+                                 "'h.example' at (0.0, 0.0) and endpoint 'http://h.example/' "
+                                 "at (10.0, 10.0)")
 
 
 @pytest.mark.parametrize("raw, shown", NON_FINITE.values(), ids=list(NON_FINITE))
@@ -289,7 +300,7 @@ def test_locate_raises_for_an_unknown_host():
         table.locate("lost.example.org")
 
 
-def test_build_location_table_parses_each_endpoint_once_and_later_sources_win(monkeypatch):
+def test_build_location_table_parses_each_endpoint_once(monkeypatch):
     import cloudforecast.geo as geo
 
     parsed = []
@@ -297,12 +308,32 @@ def test_build_location_table_parses_each_endpoint_once_and_later_sources_win(mo
     monkeypatch.setattr(geo, "host_of", lambda e: parsed.append(e) or real_host_of(e))
     nodes = [("http://paris.example.org/run", PARIS), ("paris.example.org:8080", PARIS),
              ("http://paris.example.org/run", PARIS), ("london.example.org", LONDON)]
-    # a region whose probe host is a node's host: the later source's coordinate wins
-    regions = [("PARIS.example.org", LONDON)]
+    # a region whose probe host is a node's host, at the node's position
+    regions = [("PARIS.example.org", PARIS)]
     table = geo.build_location_table(nodes, regions)
     endpoints = list(dict.fromkeys(e for e, _ in nodes + regions))
     assert parsed == endpoints
     for endpoint in endpoints:
-        assert table.locate(endpoint) == LONDON
+        assert table.locate(endpoint) == (LONDON if "london" in endpoint else PARIS)
     assert parsed == endpoints  # `locate` parsed none of them again
-    assert table.entries["paris.example.org"] == LONDON
+    assert table.entries == {"paris.example.org": PARIS, "london.example.org": LONDON}
+
+
+@pytest.mark.parametrize("sources, first, second", [
+    pytest.param([[("http://paris.example.org/run", PARIS)], [("PARIS.example.org", LONDON)]],
+                 "'http://paris.example.org/run' at (48.8566, 2.3522)",
+                 "'PARIS.example.org' at (51.5074, -0.1278)", id="node-and-region"),
+    pytest.param([[("paris.example.org", PARIS), ("paris.example.org:8080", LONDON)]],
+                 "'paris.example.org' at (48.8566, 2.3522)",
+                 "'paris.example.org:8080' at (51.5074, -0.1278)", id="two-nodes"),
+    pytest.param([[("paris.example.org", PARIS), ("paris.example.org", LONDON)]],
+                 "'paris.example.org' at (48.8566, 2.3522)",
+                 "'paris.example.org' at (51.5074, -0.1278)", id="one-endpoint"),
+])
+def test_build_location_table_refuses_a_host_placed_at_two_coordinates(sources, first, second):
+    from cloudforecast.geo import build_location_table
+
+    with pytest.raises(SpecValidationError) as raised:
+        build_location_table(*sources)
+    assert str(raised.value) == (f"host 'paris.example.org' is placed at two coordinates: "
+                                 f"endpoint {first} and endpoint {second}")

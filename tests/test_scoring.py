@@ -589,13 +589,13 @@ COORDS = st.tuples(
 
 @st.composite
 def workflows(draw, min_nodes=1):
-    """Random DAGs over a small endpoint pool, so nodes share endpoints."""
+    """Random DAGs over a small endpoint pool, so nodes share endpoints (one
+    location per endpoint)."""
+    where = {host: Coordinate(*draw(COORDS)) for host in POOL}
     n = draw(st.integers(min_value=min_nodes, max_value=7))
-    nodes = tuple(
-        WorkflowNode(id=f"n{i}", endpoint=draw(st.sampled_from(POOL)),
-                     location=Coordinate(*draw(COORDS)))
-        for i in range(n)
-    )
+    endpoints = [draw(st.sampled_from(POOL)) for _ in range(n)]
+    nodes = tuple(WorkflowNode(id=f"n{i}", endpoint=e, location=where[e])
+                  for i, e in enumerate(endpoints))
     links = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
     edges = tuple(dict.fromkeys(
         WorkflowEdge(f"n{min(u, v)}", f"n{max(u, v)}") for u, v in links if u != v
@@ -656,7 +656,8 @@ def test_edge_order_does_not_change_the_synthetic_report(spec, regions, data):
 # in the last place, so an order-dependent sum ranks them by edge order
 ULP_TIE_NODES = tuple(
     WorkflowNode(id=f"n{i}", endpoint=f"h{h}.example.org", location=Coordinate(0, lon))
-    for i, (h, lon) in enumerate([(2, 0), (0, 0), (0, 0), (1, 0), (0, 0), (2, -8.453125)])
+    for i, (h, lon) in enumerate([(2, -8.453125), (0, 0), (0, 0), (1, 0), (0, 0),
+                                  (2, -8.453125)])
 )
 ULP_TIE_CATALOG = RegionCatalog(
     (Region("r0", "r0.example.org", Coordinate(0, 0)),
@@ -719,10 +720,11 @@ def test_edge_order_does_not_change_a_report_with_failures(spec, hosts, failing,
 def test_edge_order_does_not_change_an_agent_report(spec, hosts, data):
     # probe hosts drawn from the endpoint pool: a leg between an endpoint that
     # is one region's probe host and another region's probe host has two
-    # agents, and `CrcAgentClient` answers differently from each
-    catalog = RegionCatalog(
-        tuple(Region(f"r{i}", host, Coordinate(0, i)) for i, host in enumerate(hosts))
-    )
+    # agents, and `CrcAgentClient` answers differently from each. A region
+    # probed at a node's host sits at that node's position.
+    placed = {node.endpoint: node.location for node in spec.nodes}
+    catalog = RegionCatalog(tuple(Region(f"r{i}", host, placed.get(host, Coordinate(0, i)))
+                                  for i, host in enumerate(hosts)))
     permuted = WorkflowSpec(
         name=spec.name, nodes=spec.nodes, edges=tuple(data.draw(st.permutations(spec.edges)))
     )

@@ -69,7 +69,18 @@ compared are:
 - the exit code, stdout and stderr of `experiment` and of
   `simulate --vantage us-east-1` of a two-node workflow with
   `--base-latency-ms 1e308`, whose every path's latency overflows to inf,
-  through `cloudforecast.cli.main`.
+  through `cloudforecast.cli.main`;
+- the exit code, stdout and stderr, through `cloudforecast.cli.main`, of
+  `experiment --probe-mode agent` and `generate -p sequential -n 2
+  --format json` (a flag of a setting the command does not read), of
+  `experiment` with both a recipe (one invalid entry) and a
+  `--workflow-dir` holding fig1, and of `analyze --metrics distance` and
+  `simulate` where one host is placed at two coordinates: by a region
+  probed at fig1's source node's host (`--vantage b`), and by two endpoints
+  of one workflow (`--vantage 10,10`); and of `analyze --metrics distance`
+  of fig1 with a catalog of two regions probed at one host at different
+  coordinates. No `agent` or `node` case is run,
+  since a tree that accepts the flag starts serving.
 
 It also prints, for each tree, whether every generated ranking's dump with
 the edges reversed is bit-identical to the one with the edges as written
@@ -222,6 +233,7 @@ def dump_generated() -> dict[str, str]:
     outputs.update(fig1_synthetic_caches(model))
     outputs.update(local_outputs())
     outputs.update(overflow_outputs())
+    outputs.update(refusal_outputs())
     return outputs
 
 
@@ -233,7 +245,10 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's refusals
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -295,7 +310,8 @@ def malformed_outputs() -> dict[str, str]:
     return outputs
 
 
-# node y's endpoint is region b's probe host: region a's leg to it has two agents
+# node y's endpoint is region b's probe host, at b's position: region a's leg
+# to it has two agents
 AGENT_DOC = {
     "name": "agent-order",
     "nodes": [
@@ -310,7 +326,7 @@ AGENT_DOC = {
 }
 AGENT_REGIONS = {"regions": [
     {"id": "a", "probe_host": "a.example.org", "lat": 0, "lon": 0},
-    {"id": "b", "probe_host": "b.example.org", "lat": 5, "lon": 5},
+    {"id": "b", "probe_host": "b.example.org", "lat": 20, "lon": 20},
 ]}
 
 
@@ -570,6 +586,71 @@ def overflow_outputs() -> dict[str, str]:
     for name, argv in runs.items():
         code, out, err = run_main(argv + ["--base-latency-ms", "1e308"])
         outputs[f"overflow/{name}"] = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+    return outputs
+
+
+# a host placed at two coordinates, by a region's probe host and fig1's source
+# node, by the probe hosts of two regions, and by two endpoints of one workflow
+REGION_AT_FIG1_SOURCE = {"regions": [
+    {"id": "a", "probe_host": "wikimedia.org", "lat": 0, "lon": 0},
+    {"id": "b", "probe_host": "b.example", "lat": 10, "lon": 10},
+]}
+TWO_REGIONS_AT_ONE_HOST = {"regions": [
+    {"id": "r1", "probe_host": "r1.example.org", "lat": 1.0, "lon": 2.0},
+    {"id": "r2", "probe_host": "http://R1.example.org:8080/", "lat": -3.0, "lon": 4.0},
+]}
+ONE_HOST_TWO_PLACES = {
+    "name": "one-host",
+    "nodes": [
+        {"id": "x", "endpoint": "x.example", "role": "source", "location": {"lat": 10, "lon": 10}},
+        {"id": "y", "endpoint": "x.example:8080", "role": "service",
+         "location": {"lat": 50, "lon": 50}},
+    ],
+    "edges": [{"from": "x", "to": "y"}],
+}
+
+
+def refusal_outputs() -> dict[str, str]:
+    """What the CLI does, under refusals/ in the working directory, with a
+    flag of a setting the command does not read, a recipe with a workflow
+    directory, and a host placed at two coordinates."""
+    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
+                        "fig1.workflow")
+    path = {name: os.path.join("refusals", name)
+            for name in ("flows", "out", "recipe.json", "regions.json", "two-regions.json",
+                         "one-host.workflow")}
+    os.makedirs(path["flows"], exist_ok=True)
+    with open(fig1) as fh, open(os.path.join(path["flows"], "fig1.workflow"), "w") as copy:
+        copy.write(fh.read())
+    for name, doc in (("recipe.json", [{"pattern": "zigzag", "nodes": 3}]),
+                      ("regions.json", REGION_AT_FIG1_SOURCE),
+                      ("two-regions.json", TWO_REGIONS_AT_ONE_HOST),
+                      ("one-host.workflow", ONE_HOST_TWO_PLACES)):
+        with open(path[name], "w") as fh:
+            json.dump(doc, fh)
+    runs = {
+        "experiment-probe-mode-agent": ["experiment", "--probe-mode", "agent",
+                                        "--out-dir", path["out"]],
+        "generate-format-json": ["generate", "-p", "sequential", "-n", "2", "--format", "json"],
+        "experiment-recipe-and-workflow-dir": ["experiment", "--recipe", path["recipe.json"],
+                                               "--workflow-dir", path["flows"],
+                                               "--out-dir", path["out"]],
+        "host-at-two-places/region/analyze": ["analyze", "-w", fig1, "-r", path["regions.json"],
+                                              "--metrics", "distance", "--no-timestamps"],
+        "host-at-two-places/region/simulate": ["simulate", "-w", fig1,
+                                               "-r", path["regions.json"], "--vantage", "b"],
+        "host-at-two-places/regions/analyze": ["analyze", "-w", fig1,
+                                               "-r", path["two-regions.json"],
+                                               "--metrics", "distance", "--no-timestamps"],
+        "host-at-two-places/nodes/analyze": ["analyze", "-w", path["one-host.workflow"],
+                                             "--metrics", "distance", "--no-timestamps"],
+        "host-at-two-places/nodes/simulate": ["simulate", "-w", path["one-host.workflow"],
+                                              "--vantage", "10,10"],
+    }
+    outputs = {}
+    for name, argv in runs.items():
+        code, out, err = run_main(argv)
+        outputs[f"refusal/{name}"] = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
     return outputs
 
 
