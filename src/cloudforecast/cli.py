@@ -45,10 +45,7 @@ from .measurement import (
     MeasurementStore,
     ProbeConfig,
     SyntheticNetworkModel,
-    SyntheticProvider,
-    _synthetic_values,
     agent_providers,
-    collect_measurements,
     local_providers,
     location_index,
     measure_distance,
@@ -146,8 +143,9 @@ COMMAND_FLAGS = {
     "probe": ("probe_mode", "regions", "format", "cache", "metrics", *ProbeConfig._fields,
               *SyntheticNetworkModel._fields, "agent_port", "config", "out"),
     "generate": ("seed", "pool", "config", "out"),
-    "simulate": ("regions", "format", *ProbeConfig._fields, *SyntheticNetworkModel._fields,
-                 "config", "out"),
+    # a live run reads the probe timeout and fan-out only
+    "simulate": ("regions", "format", "timeout_ms", "max_parallel_probes",
+                 *SyntheticNetworkModel._fields, "config", "out"),
     "experiment": ("regions", "format", "seed", *ScoringConfig._fields,
                    *SyntheticNetworkModel._fields, "pool", "local", "config"),
     "agent": (),
@@ -337,23 +335,18 @@ def cmd_analyze(args: argparse.Namespace, settings: dict) -> int:
 
 def cmd_probe(args: argparse.Namespace, settings: dict) -> int:
     spec, catalog, _, locations, providers, store, max_parallel = _analysis_setup(args, settings)
+    # every entry a whole-catalog ranking stores or finds is unexpired at a clock read before it
+    now = time.time()
+    rank_regions(spec, catalog, store, providers, ScoringConfig(), max_parallel)
     legs = hub_legs(spec)
     pairs_of = {region.id: weighted_pairs(legs, region.probe_host) for region in catalog.regions}
     batch = [pair for pairs in pairs_of.values() for pair in pairs]
-    # computed from the coordinates, never stored; synthetic ping and HTTP derive from them
-    distances = {pair: measure_distance(pair, locations) for pair in batch}
-    kms = [distances[pair].value for pair in batch]
     lines = []
     for metric in (Metric.DISTANCE, *providers):
-        provider = providers.get(metric)
-        if metric is Metric.DISTANCE:
-            measured = distances
-        elif type(provider) is SyntheticProvider:
-            now = time.time()
-            store.put_synthetic(batch, _synthetic_values(kms, metric, provider.model), metric, now)
-            measured = store.get_many(batch, metric, now)[0]
+        if metric is Metric.DISTANCE:  # computed from the coordinates, never stored
+            measured = {pair: measure_distance(pair, locations) for pair in batch}
         else:
-            measured = collect_measurements(store, batch, metric, provider, max_parallel)
+            measured = store.get_many(batch, metric, now)[0]
         for region_id, pairs in pairs_of.items():
             for pair in pairs:
                 m = measured[pair]
@@ -593,6 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help, **kwargs)
         for name in COMMAND_FLAGS[command]:
             _add_flag(p, name)
+        p.set_defaults(parser=p)
         return p
 
     p = add_command("analyze", "rank regions for a workflow")
@@ -647,8 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported with the usage of the command they follow
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:  # every command's settings are checked before it starts
         return args.func(args, load_settings(args))
     except (DocumentFormatError, SpecValidationError, CatalogError, UsageError) as exc:

@@ -344,20 +344,18 @@ class MeasurementStore:
                 tables[m.metric][(dst, src) if dst < src else (src, dst)] = m
                 self._synced = None
 
-    def put_synthetic(
-        self, pairs: list[Pair], values: list[float], metric: Metric, now: float | None = None
-    ) -> dict[Pair, Measurement]:
+    def put_synthetic(self, pairs: list[Pair], values: list[float],
+                      metric: Metric) -> dict[Pair, Measurement]:
         """`collect_measurements` with a synthetic provider of the metric, for
         a caller that has the model's value of each pair: store the synthetic
         record of every key `get_many` finds no unexpired entry for, built
         from the key's first pair and that pair's value, and return the
-        entries found, by pair. One clock reading (`now` if given) is the
-        expiry time and every record's time. The lookup, the check of the
-        values stored by the rule every `Measurement` keeps, and the store
-        are one lock hold; the records are built later, from the metric's
-        pending row, as the class says. A batch that stores nothing keeps
-        the store synced."""
-        now = time.time() if now is None else now
+        entries found, by pair. One clock reading is the expiry time and
+        every record's time. The lookup, the check of the values stored by
+        the rule every `Measurement` keeps, and the store are one lock hold;
+        the records are built later, from the metric's pending row, as the
+        class says. A batch that stores nothing keeps the store synced."""
+        now = time.time()
         with self._lock:
             found, first = self._lookup(pairs, metric, now)
             if first:
@@ -580,9 +578,9 @@ def _synthetic_records(
 class SyntheticProvider:
     """The synthetic model's provider of one metric: called with a pair, it
     is `synthetic_measure`. `rank_regions` does not call it when `locations`
-    has the entries of its distance pass's table, nor does the CLI's
-    `probe`: each takes the model's values of the kilometres it already has
-    and stores the records through `MeasurementStore.put_synthetic`."""
+    has the entries of its distance pass's table: it takes the model's
+    values of the kilometres it already has and stores the records through
+    `MeasurementStore.put_synthetic`."""
 
     def __init__(self, metric: Metric, model: SyntheticNetworkModel, locations: LocationTable):
         self.metric, self.model, self.locations = metric, model, locations

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from cloudforecast import measurement
+from cloudforecast.candidates import hub_legs, weighted_pairs
 from cloudforecast.cli import main
 from cloudforecast.geo import Coordinate, default_region_catalog, haversine_km, host_of
 from cloudforecast.measurement import EchoProber, as_url
@@ -671,14 +672,21 @@ def test_a_synthetic_probe_derives_ping_and_http_from_its_distances(fig1_file, c
     assert len(calls) == 24  # one kilometre evaluation per printed distance
 
 
-def test_local_probe_prints_each_measured_pair_once_with_its_destinations_answer(
-        fig1_file, capsys, monkeypatch):
-    def answer(name):  # a different round trip for each host or URL
+def _crc_local_mode(monkeypatch):
+    """Local mode's echo probe and GET answer `1 + crc32(host or URL) % 100`
+    ms; returns that answer as a function of the host or URL."""
+    def answer(name):
         return 1.0 + zlib.crc32(name.encode()) % 100
 
     monkeypatch.setattr(EchoProber, "mode", "icmp")
     monkeypatch.setattr(EchoProber, "probe", lambda self, host, timeout_s: answer(host))
     monkeypatch.setattr(measurement, "http_get_ms", lambda url, timeout_s: answer(url))
+    return answer
+
+
+def test_local_probe_prints_each_measured_pair_once_with_its_destinations_answer(
+        fig1_file, capsys, monkeypatch):
+    answer = _crc_local_mode(monkeypatch)  # a different round trip for each host or URL
     code, out, err = run_cli(["probe", "-w", fig1_file, "--probe-mode", "local",
                               "--samples-per-pair", "1"], capsys)
     assert code == 0, err
@@ -692,6 +700,71 @@ def test_local_probe_prints_each_measured_pair_once_with_its_destinations_answer
     # every (metric, region, store key) once: 8 regions x 3 keys per metric
     assert len(keys) == len(set(keys)) == 8 * 3 * 3
     assert Counter(metric for metric, _, _ in keys) == {"distance": 24, "ping": 24, "http_rtt": 24}
+
+
+def _probe_lines(out):
+    """Each line `probe` printed as (metric, region, src, dst, value)."""
+    return [(metric, region, src, dst, value)
+            for metric, region, src, _, dst, value, *_ in map(str.split, out.splitlines())]
+
+
+# A and B are the probe hosts of eu-west-1 and us-east-1, so those regions
+# share the store key of the pair between them, whose first pair is another
+# in catalog order than in distance order
+HUB_ENDPOINT_DOC = {
+    "name": "hub-endpoints",
+    "nodes": [
+        {"id": "A", "endpoint": "ec2.eu-west-1.amazonaws.com", "role": "source",
+         "location": {"lat": 53.33, "lon": -6.25}},
+        {"id": "B", "endpoint": "ec2.us-east-1.amazonaws.com", "role": "source",
+         "location": {"lat": 38.95, "lon": -77.45}},
+        {"id": "C", "endpoint": "http://www.ucl.ac.uk/process", "role": "service",
+         "location": {"lat": 51.52, "lon": -0.13}},
+    ],
+    "edges": [{"from": "A", "to": "C"}, {"from": "B", "to": "C"}],
+}
+
+
+def test_local_probe_prints_and_stores_what_analyze_scored_where_regions_share_a_key(
+        tmp_path, capsys, monkeypatch):
+    _crc_local_mode(monkeypatch)
+    workflow = tmp_path / "hub.workflow"
+    workflow.write_text(json.dumps(HUB_ENDPOINT_DOC))
+    records, outs = {}, {}
+    for command in ("analyze", "probe"):
+        cache = tmp_path / f"{command}.cache"
+        code, outs[command], err = run_cli([command, "-w", str(workflow), "--probe-mode", "local",
+                                            "--cache", str(cache)], capsys)
+        assert code == 0, err
+        records[command] = [dict(json.loads(line), taken_at=None)
+                            for line in cache.read_text().splitlines()]
+    assert records["probe"] == records["analyze"]
+    scored = {(r["metric"], frozenset((r["src"], r["dst"]))): r["value"]
+              for r in records["analyze"]}
+    lines = _probe_lines(outs["probe"])
+    shared = ("ping", "us-east-1", "ec2.eu-west-1.amazonaws.com", "ec2.us-east-1.amazonaws.com")
+    assert [value for *line, value in lines if tuple(line) == shared] == ["97.000"]
+    for metric, _, src, dst, value in lines:
+        if metric != "distance":
+            assert float(value) == scored[metric, frozenset((src, dst))]
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "local"])
+def test_probe_reads_back_every_entry_of_its_ranking_under_a_tiny_ttl(
+        fig1_file, fig1_spec, tmp_path, capsys, monkeypatch, mode):
+    _crc_local_mode(monkeypatch)
+    monkeypatch.setenv("CLOUDFORECAST_CACHE_TTL_S", "1e-9")
+    legs = hub_legs(fig1_spec)
+    expected = {(metric, region.id, src, dst) for metric in ("distance", "ping", "http_rtt")
+                for region in default_region_catalog().regions
+                for src, dst in weighted_pairs(legs, region.probe_host)}
+    cache = tmp_path / "probe.cache"
+    for _ in range(2):
+        code, out, err = run_cli(["probe", "-w", fig1_file, "--probe-mode", mode,
+                                  "--cache", str(cache)], capsys)
+        assert code == 0, err
+        lines = [tuple(line) for *line, _ in _probe_lines(out)]
+        assert len(lines) == len(expected) and set(lines) == expected
 
 
 def test_env_overrides_default_format(fig1_file, capsys, monkeypatch):
@@ -1127,7 +1200,8 @@ COMMAND_FLAGS = {
     "probe": ["--probe-mode", "--regions", "--format", "--cache", "--metrics", *_PROBE_FLAGS,
               *_MODEL_FLAGS, "--agent-port", "--config", "--out"],
     "generate": ["--seed", "--pool", "--config", "--out"],
-    "simulate": ["--regions", "--format", *_PROBE_FLAGS, *_MODEL_FLAGS, "--config", "--out"],
+    "simulate": ["--regions", "--format", "--timeout-ms", "--max-parallel-probes", *_MODEL_FLAGS,
+                 "--config", "--out"],
     "experiment": ["--regions", "--format", "--seed", *_SCORING_FLAGS, *_MODEL_FLAGS, "--pool",
                    "--local", "--config"],
     "agent": [],
@@ -1384,6 +1458,7 @@ def test_a_flag_of_a_setting_the_command_does_not_read_exits_2_before_any_work(
     argv = [a.format(fig1=fig1_file, out=out_dir) for a in _COMMAND_ARGV[command]]
     code, out, err = run_cli(argv + [flag, FLAG_VALUES[flag]], capsys)
     assert code == 2 and out == ""
+    assert f"usage: cloudforecast {command}" in err
     assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in err
     assert not out_dir.exists()
 

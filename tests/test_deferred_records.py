@@ -36,8 +36,8 @@ METRICS = (Metric.PING, Metric.HTTP_RTT)
 class EagerStore(MeasurementStore):
     """The store whose `put_synthetic` builds and inserts every record at once."""
 
-    def put_synthetic(self, pairs, values, metric, now=None):
-        now = time.time() if now is None else now
+    def put_synthetic(self, pairs, values, metric):
+        now = time.time()
         found, first = self.get_many(pairs, metric, now)
         if first:
             keep = list(first.values())

@@ -60,9 +60,12 @@ compared are:
   the prober's mode fixed as icmp, through `cloudforecast.cli.main`: the
   report of `analyze --probe-mode local --format json --cache` of this
   tool's samples/fig1.workflow, run twice over the same file, with the
-  cache file after each run; and the stdout of `probe --probe-mode local`
-  of that fig1. These run the per-pair `collect_measurements` path, with
-  its probe fan-out, over a cold and a warm store. Then, with eu-west-1's
+  cache file after each run; the stdout of `probe --probe-mode local` of
+  that fig1; and the stdout and cache file of `probe --probe-mode local
+  --cache` of a workflow two of whose endpoints are region probe hosts, so
+  two regions share the store key between them. These run the per-pair
+  `collect_measurements` path, with its probe fan-out, over a cold and a
+  warm store. Then, with eu-west-1's
   probe host answering neither stand-in, the report of
   `analyze --probe-mode local --format json --no-timestamps` of that fig1,
   so a failed leg's penalty and `failed_edges` are compared too;
@@ -515,14 +518,31 @@ def crc_ms(name: str) -> float:
 # the probe host of the default catalog's eu-west-1
 DOWN_HOST = "ec2.eu-west-1.amazonaws.com"
 
+# A and B are the probe hosts of eu-west-1 and us-east-1, so those regions
+# share the store key of the pair between them, whose first pair is another
+# in catalog order than in distance order
+HUB_ENDPOINT_DOC = {
+    "name": "hub-endpoints",
+    "nodes": [
+        {"id": "A", "endpoint": DOWN_HOST, "role": "source",
+         "location": {"lat": 53.33, "lon": -6.25}},
+        {"id": "B", "endpoint": "ec2.us-east-1.amazonaws.com", "role": "source",
+         "location": {"lat": 38.95, "lon": -77.45}},
+        {"id": "C", "endpoint": "http://www.ucl.ac.uk/process", "role": "service",
+         "location": {"lat": 51.52, "lon": -0.13}},
+    ],
+    "edges": [{"from": "A", "to": "C"}, {"from": "B", "to": "C"}],
+}
+
 
 def local_outputs() -> dict[str, str]:
     """With the clock pinned and the echo probe and the GET answered by
     `crc_ms`, `analyze --probe-mode local` of this tool's
     samples/fig1.workflow twice over one cache file, written under
-    cache/local/ in the working directory, and `probe --probe-mode local` of
-    it; then, with `DOWN_HOST` answering neither stand-in, `analyze
-    --probe-mode local` of it once more."""
+    cache/local/ in the working directory, `probe --probe-mode local` of
+    it, and `probe --probe-mode local --cache` of `HUB_ENDPOINT_DOC`,
+    written there too; then, with `DOWN_HOST` answering neither stand-in,
+    `analyze --probe-mode local` of fig1 once more."""
     from cloudforecast import measurement
 
     measurement.EchoProber.mode = "icmp"
@@ -543,9 +563,19 @@ def local_outputs() -> dict[str, str]:
             with open(path, "rb") as fh:
                 outputs[f"local/fig1/analyze-{run}.cache"] = fh.read().decode("latin-1")
         code, out, err = run_main(["probe", "-w", fig1, "--probe-mode", "local"])
-    if code != 0:
-        raise CommandFailed(f"local probe of fig1 exited {code}:\n{err}")
-    outputs["local/fig1/probe"] = out
+        if code != 0:
+            raise CommandFailed(f"local probe of fig1 exited {code}:\n{err}")
+        outputs["local/fig1/probe"] = out
+        hub = os.path.join("cache", "local", "hub-endpoints.workflow")
+        with open(hub, "w") as fh:
+            json.dump(HUB_ENDPOINT_DOC, fh)
+        code, out, err = run_main(["probe", "-w", hub, "--probe-mode", "local",
+                                   "--cache", f"{hub}.cache"])
+        if code != 0:
+            raise CommandFailed(f"local probe --cache of hub-endpoints exited {code}:\n{err}")
+        outputs["local/hub-endpoints/probe"] = out
+        with open(f"{hub}.cache", "rb") as fh:
+            outputs["local/hub-endpoints/probe.cache"] = fh.read().decode("latin-1")
     measurement.EchoProber.probe = lambda self, host, timeout_s: (
         None if host == DOWN_HOST else crc_ms(host))
     measurement.http_get_ms = lambda url, timeout_s: None if DOWN_HOST in url else crc_ms(url)
