@@ -5,7 +5,7 @@ taking defaults.
 """
 
 import json
-import math
+from math import isfinite
 from typing import Any, Iterable
 
 from .errors import DocumentFormatError
@@ -48,7 +48,7 @@ def as_number(value: Any, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentFormatError(f"{context}: expected a number, got {value!r}")
     try:
-        if math.isfinite(value):
+        if isfinite(value):
             return float(value)
         shown = repr(value)
     except OverflowError:
@@ -66,3 +66,18 @@ def as_string(value: Any, context: str) -> str:
     if not isinstance(value, str):
         raise DocumentFormatError(f"{context}: expected a string, got {value!r}")
     return value
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def json_value(value) -> str:
+    """`json.dumps(value)`, the package's one JSON scalar writer: through the
+    primitive `json.dumps` calls for a str, a finite float or an int; any other
+    value (a bool, None, a non-finite float, a subclass) goes to `json.dumps`."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float and isfinite(value) or kind is int:
+        return repr(value)
+    return json.dumps(value)

@@ -28,7 +28,7 @@ from .geo import (
     haversine_km,
     host_of,
 )
-from .jsondoc import check_fields, field_sets
+from .jsondoc import check_fields, field_sets, json_value
 from .records import Checked
 from .workflow import WorkflowSpec
 
@@ -399,11 +399,11 @@ class MeasurementStore:
             # record fields in sorted order, as the file format has them; each
             # line is the `json.dumps` of the record as a dict, to the byte
             lines = [
-                f'{{"dst": {_json_value(dst)}, "metric": {_encode_str(metric.value)}, '
-                f'"note": {_json_value(note)}, "samples": {_json_value(samples)}, '
-                f'"src": {_json_value(src)}, "success": {"true" if success else "false"}, '
-                f'"taken_at": {_json_value(taken_at)}, "unit": {_json_value(unit)}, '
-                f'"value": {_json_value(value)}}}'
+                f'{{"dst": {json_value(dst)}, "metric": {json_value(metric.value)}, '
+                f'"note": {json_value(note)}, "samples": {json_value(samples)}, '
+                f'"src": {json_value(src)}, "success": {"true" if success else "false"}, '
+                f'"taken_at": {json_value(taken_at)}, "unit": {json_value(unit)}, '
+                f'"value": {json_value(value)}}}'
                 for _, (src, dst, metric, value, unit, samples, success, taken_at, note) in entries
             ]
             tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
@@ -473,23 +473,6 @@ _pair_of_entry = operator.itemgetter(0)
 # builds a `Measurement` from values already passed through `check_measured`
 _new_measurement = tuple.__new__
 _raw_decode = json.JSONDecoder().raw_decode
-_encode_str = json.encoder.encode_basestring_ascii
-_float_repr = float.__repr__
-_int_repr = int.__repr__
-
-
-def _json_value(value) -> str:
-    """`json.dumps(value)`, through the primitive it calls for a str, a finite
-    float or an int; any other value (a bool, None, a non-finite float, a
-    subclass) goes to `json.dumps` itself."""
-    kind = type(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is float and _isfinite(value):
-        return _float_repr(value)
-    if kind is int:
-        return _int_repr(value)
-    return json.dumps(value)
 
 
 def _file_identity(file: str | int) -> tuple[int, int, int, int] | None:
@@ -518,12 +501,18 @@ def _bad_record(record, where: str, exc: Exception) -> DocumentFormatError:
 
 
 def location_index(spec: WorkflowSpec, catalog: RegionCatalog | None = None) -> LocationTable:
-    """Host -> coordinate table over workflow nodes and (optionally) catalog regions."""
-    node_entries = ((n.endpoint, n.location) for n in spec.nodes if n.location is not None)
-    region_entries = (
-        ((r.probe_host, r.location) for r in catalog.regions) if catalog else ()
-    )
-    return build_location_table(node_entries, region_entries)
+    """Host -> coordinate table over workflow nodes and (optionally) catalog
+    regions. The last table built is kept on the spec with the catalog object
+    it was built for, as `WorkflowSpec.plan` is kept, so a ranking reuses the
+    table its caller built; no reader writes to a table's `entries`."""
+    kept = spec.__dict__.get("_locations")
+    if kept is not None and kept[0] is catalog:
+        return kept[1]
+    table = build_location_table(
+        ((n.endpoint, n.location) for n in spec.nodes if n.location is not None),
+        ((r.probe_host, r.location) for r in catalog.regions) if catalog else ())
+    spec.__dict__["_locations"] = (catalog, table)
+    return table
 
 
 def measure_distance(pair: Pair, locations: LocationTable) -> Measurement:

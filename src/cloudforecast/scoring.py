@@ -11,6 +11,7 @@ from typing import Mapping, NamedTuple
 from .candidates import CandidateGraph, Metric, Pair, hub_legs, weighted_pairs
 from .errors import MissingMeasurementError
 from .geo import RegionCatalog, km_row, prepare_point
+from .jsondoc import json_value
 from .measurement import (
     Measurement,
     MeasurementStore,
@@ -259,30 +260,28 @@ def rank_regions(
     )
 
 
-def _score_to_json(score: GraphScore | None) -> dict | None:
-    return None if score is None else score._asdict()
+def _score_json(s: GraphScore | None) -> str:
+    return "null" if s is None else (
+        f'{{\n        "region": {json_value(s.region)},\n        "metric": '
+        f'{json_value(s.metric.value)},\n        "value": {json_value(s.value)},\n'
+        f'        "failed_edges": {json_value(s.failed_edges)}\n      }}')
 
 
 def report_to_json(report: RankingReport) -> str:
-    doc = {
-        "workflow": report.workflow,
-        "config": report.config,
-        "provenance": report.provenance,
-        "generated_at": report.generated_at,
-        "entries": [
-            {
-                "rank": e.rank,
-                "region": e.region,
-                "final_score": e.final_score,
-                "shortlisted": e.shortlisted,
-                "distance_score": _score_to_json(e.distance_score),
-                "ping_score": _score_to_json(e.ping_score),
-                "http_score": _score_to_json(e.http_score),
-            }
-            for e in report.entries
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """`json.dumps(indent=2)` of the report as a document, to the byte: the
+    head through `json.dumps` itself, then each entry as one string over
+    the scalars `json_value` writes as `json.dumps` does."""
+    head = json.dumps({"workflow": report.workflow, "config": report.config,
+                       "provenance": report.provenance, "generated_at": report.generated_at,
+                       "entries": []}, indent=2)
+    entries = ",\n".join(
+        f'    {{\n      "rank": {json_value(e.rank)},\n      "region": {json_value(e.region)},\n'
+        f'      "final_score": {json_value(e.final_score)},\n      "shortlisted": '
+        f'{"true" if e.shortlisted else "false"},\n      "distance_score": '
+        f'{_score_json(e.distance_score)},\n      "ping_score": {_score_json(e.ping_score)},\n'
+        f'      "http_score": {_score_json(e.http_score)}\n    }}' for e in report.entries)
+    # the head ends in `"entries": []\n}`
+    return f"{head[:-4]}[\n{entries}\n  ]\n}}\n" if entries else head + "\n"
 
 
 def render_report(report: RankingReport, format: str = "table") -> str:

@@ -6,6 +6,8 @@ import random
 from collections import defaultdict
 from enum import Enum
 from functools import cached_property
+from itertools import count
+from math import isfinite
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CycleError, SpecValidationError
@@ -64,7 +66,8 @@ class _WorkflowSpecFields(NamedTuple):  # the defaults are `WorkflowSpec`'s
 
 class WorkflowSpec(_WorkflowSpecFields):
     """A workflow: its name, nodes and edges. Its fields are read-only;
-    `plan` is a memo, the DAG's peel, that the first reader fills."""
+    `plan` is a memo, the DAG's peel, that the first reader fills, and
+    `measurement.location_index` keeps its last table in the same way."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
@@ -193,37 +196,53 @@ _EDGE_FIELDS = field_sets(["from", "to"], ["payload_kb"])
 _POOL_FIELDS = field_sets(["nodes"], [])
 
 
-def _parse_node(entry: object, ctx: str) -> WorkflowNode:
-    check_fields(entry, _NODE_FIELDS, ctx)
-    role_text = as_string(entry["role"], f"{ctx}.role")
-    try:
-        role = NodeRole(role_text)
-    except ValueError:
-        raise SpecValidationError(f"{ctx}.role: must be 'source' or 'service', got {role_text!r}")
+_ROLES = {role.value: role for role in NodeRole}
+
+
+def _parse_node(entry: object, i: int) -> WorkflowNode:
+    """`nodes[i]` of a document. Each field is checked inline, in the order
+    errors are reported; the `jsondoc` helpers run only where a check fails,
+    to word the error or to convert an int."""
+    if type(entry) is not dict or not _NODE_FIELDS[0] <= entry.keys() <= _NODE_FIELDS[1]:
+        check_fields(entry, _NODE_FIELDS, f"nodes[{i}]")
+    text = entry["role"]
+    role = _ROLES.get(text) if type(text) is str else as_string(text, f"nodes[{i}].role")
+    if role is None:
+        raise SpecValidationError(f"nodes[{i}].role: must be 'source' or 'service', got {text!r}")
     location = None
     if "location" in entry:
-        loc = check_fields(entry["location"], _LOCATION_FIELDS, f"{ctx}.location")
+        loc = entry["location"]
+        if type(loc) is not dict or not _LOCATION_FIELDS[0] <= loc.keys() <= _LOCATION_FIELDS[1]:
+            check_fields(loc, _LOCATION_FIELDS, f"nodes[{i}].location")
+        lat, lon = loc["lat"], loc["lon"]
+        if not (type(lat) is float and isfinite(lat) and type(lon) is float and isfinite(lon)):
+            lat = as_number(lat, f"nodes[{i}].location.lat")
+            lon = as_number(lon, f"nodes[{i}].location.lon")
         try:
-            location = Coordinate(as_number(loc["lat"], f"{ctx}.location.lat"),
-                                  as_number(loc["lon"], f"{ctx}.location.lon"))
+            location = Coordinate(lat, lon)
         except ValueError as exc:
-            raise SpecValidationError(f"{ctx}.location: {exc}") from exc
-    return WorkflowNode(
-        id=as_string(entry["id"], f"{ctx}.id"),
-        endpoint=as_string(entry["endpoint"], f"{ctx}.endpoint"),
-        role=role,
-        location=location,
-        # + 0.0 reads -0.0 as 0.0 and leaves every other float as it is
-        service_time_ms=as_number(entry.get("service_time_ms", 0.0),
-                                  f"{ctx}.service_time_ms") + 0.0,
-    )
+            raise SpecValidationError(f"nodes[{i}].location: {exc}") from exc
+    nid, endpoint, service = entry["id"], entry["endpoint"], entry.get("service_time_ms", 0.0)
+    if type(nid) is not str or type(endpoint) is not str:
+        as_string(nid, f"nodes[{i}].id")
+        as_string(endpoint, f"nodes[{i}].endpoint")
+    if not (type(service) is float and isfinite(service)):
+        service = as_number(service, f"nodes[{i}].service_time_ms")
+    # + 0.0 reads -0.0 as 0.0 and leaves every other float as it is
+    return tuple.__new__(WorkflowNode, (nid, endpoint, role, location, service + 0.0))
 
 
-def _parse_edge(entry: object, ctx: str) -> WorkflowEdge:
-    check_fields(entry, _EDGE_FIELDS, ctx)
-    return WorkflowEdge(as_string(entry["from"], f"{ctx}.from"),
-                        as_string(entry["to"], f"{ctx}.to"),
-                        as_number(entry.get("payload_kb", 0.0), f"{ctx}.payload_kb"))
+def _parse_edge(entry: object, i: int) -> WorkflowEdge:
+    """`edges[i]` of a document, checked as `_parse_node` checks a node."""
+    if type(entry) is not dict or not _EDGE_FIELDS[0] <= entry.keys() <= _EDGE_FIELDS[1]:
+        check_fields(entry, _EDGE_FIELDS, f"edges[{i}]")
+    src, dst, payload = entry["from"], entry["to"], entry.get("payload_kb", 0.0)
+    if type(src) is not str or type(dst) is not str:
+        as_string(src, f"edges[{i}].from")
+        as_string(dst, f"edges[{i}].to")
+    if not (type(payload) is float and isfinite(payload)):
+        payload = as_number(payload, f"edges[{i}].payload_kb")
+    return tuple.__new__(WorkflowEdge, (src, dst, payload))
 
 
 def parse_workflow(document: str) -> WorkflowSpec:
@@ -232,8 +251,8 @@ def parse_workflow(document: str) -> WorkflowSpec:
     check_fields(data, _WORKFLOW_FIELDS, "workflow")
     if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
         raise SpecValidationError("workflow 'nodes' and 'edges' must be lists")
-    nodes = tuple(_parse_node(entry, f"nodes[{i}]") for i, entry in enumerate(data["nodes"]))
-    edges = tuple(_parse_edge(entry, f"edges[{i}]") for i, entry in enumerate(data["edges"]))
+    nodes = tuple(map(_parse_node, data["nodes"], count()))
+    edges = tuple(map(_parse_edge, data["edges"], count()))
     spec = WorkflowSpec(as_string(data["name"], "workflow.name"), nodes, edges)
     violations = validate_dag(spec)
     if violations:
@@ -266,7 +285,7 @@ def parse_node_pool(document: str) -> list[WorkflowNode]:
     check_fields(data, _POOL_FIELDS, "pool")
     if not isinstance(data["nodes"], list):
         raise SpecValidationError("pool 'nodes' must be a list")
-    nodes = [_parse_node(entry, f"nodes[{i}]") for i, entry in enumerate(data["nodes"])]
+    nodes = list(map(_parse_node, data["nodes"], count()))
     violations = _node_violations(nodes, "pool node")
     if violations:
         raise SpecValidationError("; ".join(violations))

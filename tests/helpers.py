@@ -195,6 +195,33 @@ def json_dumps_line(m: Measurement) -> str:
     })
 
 
+def dict_report_json(report) -> str:
+    """A report as `scoring.report_to_json` once wrote it: the whole report
+    as one dict, given to one `json.dumps(indent=2)` call (reference for the
+    formatted entries)."""
+    def score(s):
+        return None if s is None else s._asdict()
+
+    return json.dumps({
+        "workflow": report.workflow,
+        "config": report.config,
+        "provenance": report.provenance,
+        "generated_at": report.generated_at,
+        "entries": [
+            {
+                "rank": e.rank,
+                "region": e.region,
+                "final_score": e.final_score,
+                "shortlisted": e.shortlisted,
+                "distance_score": score(e.distance_score),
+                "ping_score": score(e.ping_score),
+                "http_score": score(e.http_score),
+            }
+            for e in report.entries
+        ],
+    }, indent=2) + "\n"
+
+
 def fixed_value_provider(
     metric: Metric,
     values: dict[Pair, float],

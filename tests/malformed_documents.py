@@ -76,6 +76,8 @@ MALFORMED = [
      "DocumentFormatError", "nodes[0].endpoint: expected a string, got ['a']"),
     ("node-role-type", "workflow", _edit(WORKFLOW, NODE + ("role",), None),
      "DocumentFormatError", "nodes[0].role: expected a string, got None"),
+    ("node-role-list", "workflow", _edit(WORKFLOW, NODE + ("role",), ["source"]),
+     "DocumentFormatError", "nodes[0].role: expected a string, got ['source']"),
     ("node-role-bad", "workflow", _edit(WORKFLOW, NODE + ("role",), "sink"),
      "SpecValidationError", "nodes[0].role: must be 'source' or 'service', got 'sink'"),
     ("node-role-case", "workflow", _edit(WORKFLOW, ("nodes", 1, "role"), "Service"),
@@ -96,7 +98,18 @@ MALFORMED = [
     ("node-role-before-id", "workflow",
      _edit(_edit(WORKFLOW, NODE + ("id",), 1), NODE + ("role",), "sink"),
      "SpecValidationError", "nodes[0].role: must be 'source' or 'service', got 'sink'"),
+    ("node-role-before-location", "workflow",
+     _edit(_edit(WORKFLOW, NODE + ("role",), ["source"]), LOCATION, None),
+     "DocumentFormatError", "nodes[0].role: expected a string, got ['source']"),
+    ("node-location-before-id", "workflow",
+     _edit(_edit(WORKFLOW, NODE + ("id",), 3), LOCATION + ("lat",), True),
+     "DocumentFormatError", "nodes[0].location.lat: expected a number, got True"),
+    ("node-endpoint-before-service-time", "workflow",
+     _edit(_edit(WORKFLOW, NODE + ("endpoint",), None), NODE + ("service_time_ms",), "5"),
+     "DocumentFormatError", "nodes[0].endpoint: expected a string, got None"),
     # workflow: nodes[i].location
+    ("location-null", "workflow", _edit(WORKFLOW, LOCATION, None), "DocumentFormatError",
+     "nodes[0].location: expected an object, got NoneType"),
     ("location-not-object", "workflow", _edit(WORKFLOW, LOCATION, [10, 20]),
      "DocumentFormatError", "nodes[0].location: expected an object, got list"),
     ("location-unknown", "workflow", _edit(WORKFLOW, LOCATION + ("alt",), 3),
@@ -107,6 +120,19 @@ MALFORMED = [
      "DocumentFormatError", "nodes[0].location.lat: expected a number, got '10'"),
     ("location-lon-inf", "workflow", _edit(WORKFLOW, LOCATION + ("lon",), float("-inf")),
      "DocumentFormatError", "nodes[0].location.lon: expected a finite number, got -inf"),
+    ("location-lat-bool", "workflow", _edit(WORKFLOW, LOCATION + ("lat",), True),
+     "DocumentFormatError", "nodes[0].location.lat: expected a number, got True"),
+    ("location-lon-bool", "workflow", _edit(WORKFLOW, LOCATION + ("lon",), True),
+     "DocumentFormatError", "nodes[0].location.lon: expected a number, got True"),
+    ("location-lat-huge", "workflow", _edit(WORKFLOW, LOCATION + ("lat",), 10**400),
+     "DocumentFormatError",
+     "nodes[0].location.lat: expected a finite number, got an integer too large for a float"),
+    ("location-lon-huge", "workflow", _edit(WORKFLOW, LOCATION + ("lon",), 10**400),
+     "DocumentFormatError",
+     "nodes[0].location.lon: expected a finite number, got an integer too large for a float"),
+    ("location-int-lat-then-lon-type", "workflow",
+     _edit(_edit(WORKFLOW, LOCATION + ("lat",), 10), LOCATION + ("lon",), "20"),
+     "DocumentFormatError", "nodes[0].location.lon: expected a number, got '20'"),
     ("location-lat-range", "workflow", _edit(WORKFLOW, LOCATION + ("lat",), 90.5),
      "SpecValidationError", "nodes[0].location: latitude out of range [-90, 90]: 90.5"),
     ("location-lon-range", "workflow", _edit(WORKFLOW, LOCATION + ("lon",), -181),
@@ -122,10 +148,20 @@ MALFORMED = [
      "edges[0].from: expected a string, got 0"),
     ("edge-to-type", "workflow", _edit(WORKFLOW, EDGE + ("to",), {"id": "b"}),
      "DocumentFormatError", "edges[0].to: expected a string, got {'id': 'b'}"),
+    ("edge-to-int", "workflow", _edit(WORKFLOW, EDGE + ("to",), 1), "DocumentFormatError",
+     "edges[0].to: expected a string, got 1"),
+    ("edge-from-before-payload", "workflow",
+     _edit(_edit(WORKFLOW, EDGE + ("from",), 2), EDGE + ("payload_kb",), "x"),
+     "DocumentFormatError", "edges[0].from: expected a string, got 2"),
     ("edge-payload-type", "workflow", _edit(WORKFLOW, EDGE + ("payload_kb",), "64"),
      "DocumentFormatError", "edges[0].payload_kb: expected a number, got '64'"),
     ("edge-payload-inf", "workflow", _edit(WORKFLOW, EDGE + ("payload_kb",), float("inf")),
      "DocumentFormatError", "edges[0].payload_kb: expected a finite number, got inf"),
+    ("edge-payload-bool", "workflow", _edit(WORKFLOW, EDGE + ("payload_kb",), True),
+     "DocumentFormatError", "edges[0].payload_kb: expected a number, got True"),
+    ("edge-payload-huge", "workflow", _edit(WORKFLOW, EDGE + ("payload_kb",), 10**400),
+     "DocumentFormatError",
+     "edges[0].payload_kb: expected a finite number, got an integer too large for a float"),
     ("edge-payload-negative", "workflow", _edit(WORKFLOW, EDGE + ("payload_kb",), -1),
      "SpecValidationError", "edge a->b: negative payload_kb"),
     # workflow: the graph

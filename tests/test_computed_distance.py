@@ -14,7 +14,13 @@ from cloudforecast import measurement
 from cloudforecast.candidates import Metric, hub_legs, weighted_pairs
 from cloudforecast.cli import main
 from cloudforecast.errors import UnknownLocationError
-from cloudforecast.geo import Coordinate, Region, RegionCatalog, bundled_text
+from cloudforecast.geo import (
+    Coordinate,
+    Region,
+    RegionCatalog,
+    bundled_text,
+    default_region_catalog,
+)
 from cloudforecast.measurement import (
     EchoProber,
     MeasurementStore,
@@ -271,3 +277,33 @@ def test_a_cached_run_ranks_a_moved_region_by_its_new_coordinates(argv, fig1_fil
     assert moved["rank"] > 1
     assert moved["shortlisted"] == ("--shortlist" not in argv)
     assert moved["distance_score"]["value"] > 4 * before["entries"][0]["distance_score"]["value"]
+
+
+# -- one location table per spec and catalog ----------------------------------------------
+
+def test_a_ranking_reuses_the_table_its_caller_built(fig1_spec, monkeypatch):
+    build, built = measurement.build_location_table, []
+
+    def counted(*sources):
+        built.append(build(*sources))
+        return built[-1]
+
+    catalog = default_region_catalog()
+    spec = WorkflowSpec(*fig1_spec)  # a spec no other test has located
+    monkeypatch.setattr(measurement, "build_location_table", counted)
+    table = location_index(spec, catalog)
+    providers = synthetic_providers(SyntheticNetworkModel(), table)
+    first = rank_regions(spec, catalog, MeasurementStore(), providers, ScoringConfig())
+    assert built == [table] and location_index(spec, catalog) is table
+
+    # an equal catalog that is another object gets a table of its own, and
+    # ranks the same from it
+    twin = RegionCatalog(catalog.regions)
+    assert twin == catalog and location_index(spec, twin) is built[-1] is not table
+    again = rank_regions(spec, twin, MeasurementStore(), providers, ScoringConfig())
+    assert len(built) == 2 and again.entries == first.entries
+
+    # a replaced spec starts with no table
+    renamed = spec._replace(name="renamed")
+    assert location_index(renamed, twin) is built[-1] is not built[1]
+    assert len(built) == 3

@@ -20,6 +20,12 @@ compared are:
   regions at seed 41 with shortlist 16, and 60 x 30 with shortlist 7),
   under each metric set and with the edges as written and reversed; and of
   the simulated finish times of every node from every region and from 0,0;
+- the bytes of `render_report(report, "json")`, with `generated_at` pinned,
+  of each of those rankings, of a ranking of the 60 x 30 input whose
+  synthetic model's base latency (1e307 ms) makes every ping, HTTP and
+  final score overflow to inf, and of a ranking of that input over its
+  catalog with region ids that need escaping (quote, backslash, control,
+  non-ASCII and line-separator characters);
 - on the 60 x 30 input as written, the same finish times of two specs built
   directly, not parsed, so never validated: one with the parsed spec's
   fields, and one that adds a second node under the id of its fourth, with
@@ -188,6 +194,9 @@ def dump_generated() -> dict[str, str]:
             "entries": report.entries,
         }), indent=1)
 
+    def rendered(report):
+        return scoring.render_report(report._replace(generated_at=PINNED_TIME), "json")
+
     metric_sets = {"all": tuple(Metric), "distance+ping": (Metric.DISTANCE, Metric.PING),
                    "distance+http_rtt": (Metric.DISTANCE, Metric.HTTP_RTT),
                    "distance": (Metric.DISTANCE,)}
@@ -208,6 +217,7 @@ def dump_generated() -> dict[str, str]:
                 report = scoring.rank_regions(spec, catalog, measurement.MeasurementStore(),
                                               chosen, config)
                 outputs[f"rank/{n}x{r}/{order}/{metrics_name}"] = dumped(report)
+                outputs[f"rank/{n}x{r}/{order}/{metrics_name}/json"] = rendered(report)
             if (n, r, order) == (200, 64, "as-written"):
                 outputs.update(special_rankings(spec, catalog, config, model, dumped))
                 outputs.update(synthetic_caches(f"{n}x{r}", spec, catalog, config, model))
@@ -222,6 +232,7 @@ def dump_generated() -> dict[str, str]:
 
             outputs[f"simulate/{n}x{r}/{order}"] = simulated(spec, locations)
             if (n, r, order) == (60, 30, "as-written"):
+                outputs.update(report_outputs(spec, catalog, config, rendered))
                 direct = workflow.WorkflowSpec(spec.name, spec.nodes, spec.edges)
                 outputs[f"simulate/{n}x{r}/direct"] = simulated(direct, locations)
                 twin = spec.nodes[3]._replace(endpoint="twin.example.org", service_time_ms=7.25,
@@ -712,6 +723,30 @@ def special_rankings(spec, catalog, config, model, dumped) -> dict[str, str]:
         "rank/200x64/seeded-store": dumped(seeded),
         "rank/200x64/moved-node-providers": dumped(scoring.rank_regions(
             spec, catalog, measurement.MeasurementStore(), elsewhere, config)),
+    }
+
+
+# region ids whose JSON strings need escapes
+ESCAPED_IDS = ['quote"d', "back\\slash", "tab\tbell\x07", "caf\u00e9", "\u6771\u4eac",
+               "line\u2028sep", "nul\x00"]
+
+
+def report_outputs(spec, catalog, config, rendered) -> dict[str, str]:
+    """The JSON report of a synthetic ranking whose every measured score
+    overflows to inf, and of one over the catalog with escaped region ids."""
+    from cloudforecast import geo, measurement, scoring
+
+    def ranked(catalog, model):
+        providers = measurement.synthetic_providers(model, measurement.location_index(spec, catalog))
+        return rendered(scoring.rank_regions(spec, catalog, measurement.MeasurementStore(),
+                                             providers, config))
+
+    renamed = geo.RegionCatalog(tuple(
+        region._replace(id=f"{ESCAPED_IDS[j % len(ESCAPED_IDS)]}-{j}")
+        for j, region in enumerate(catalog.regions)))
+    return {
+        "report/60x30/overflow": ranked(catalog, measurement.SyntheticNetworkModel(1e307)),
+        "report/60x30/escaped-ids": ranked(renamed, measurement.SyntheticNetworkModel()),
     }
 
 
