@@ -382,8 +382,9 @@ class MeasurementStore:
         """One JSON record per unexpired key, sorted, so later runs reuse probes.
 
         Nothing is written when `path` is still the file the entries were
-        loaded from or last saved to. Otherwise the file is replaced
-        atomically: a failed save leaves the old one."""
+        loaded from or last saved to. Otherwise each line goes to a temporary
+        file as it is formatted, so no copy of the whole text is held, and
+        that file replaces `path` atomically: a failed save leaves the old one."""
         with self._lock:
             if self._synced is not None and self._synced == _file_identity(path):
                 return
@@ -398,18 +399,18 @@ class MeasurementStore:
             entries.sort(key=_pair_of_entry)
             # record fields in sorted order, as the file format has them; each
             # line is the `json.dumps` of the record as a dict, to the byte
-            lines = [
+            lines = (
                 f'{{"dst": {json_value(dst)}, "metric": {json_value(metric.value)}, '
                 f'"note": {json_value(note)}, "samples": {json_value(samples)}, '
                 f'"src": {json_value(src)}, "success": {"true" if success else "false"}, '
                 f'"taken_at": {json_value(taken_at)}, "unit": {json_value(unit)}, '
-                f'"value": {json_value(value)}}}'
+                f'"value": {json_value(value)}}}\n'
                 for _, (src, dst, metric, value, unit, samples, success, taken_at, note) in entries
-            ]
+            )
             tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
             try:
                 with open(tmp, "w") as fh:
-                    fh.write("\n".join(lines) + ("\n" if lines else ""))
+                    fh.writelines(lines)
                 os.replace(tmp, path)
             except BaseException:
                 if os.path.exists(tmp):
@@ -420,7 +421,9 @@ class MeasurementStore:
     @classmethod
     def load(cls, path: str, ttl_s: float = DEFAULT_TTL_S) -> "MeasurementStore":
         """Read a cache file; on duplicate keys the later record wins. The
-        next `save` rewrites a file that holds an expired record."""
+        next `save` rewrites a file that holds an expired record. Records
+        share one object per distinct string of the file; one test passes
+        the usual record, and `check_measured` checks any other."""
         store = cls(ttl_s=ttl_s)
         try:
             fh = open(path)
@@ -430,6 +433,9 @@ class MeasurementStore:
         # a metric's value -> its member, its unit and its table
         tables = {metric.value: (metric, unit, store._entries[metric])
                   for metric, unit in UNIT_BY_METRIC.items()}
+        # a string -> its first copy; only strings, since 1, 1.0 and true are
+        # equal keys that the file writes differently
+        share, inf = {}.setdefault, math.inf
         records, now, expired = 0, time.time(), False
         with fh:
             for lineno, line in enumerate(fh, 1):
@@ -450,13 +456,19 @@ class MeasurementStore:
                         raise KeyError
                     (src, dst, metric, value, unit, samples, success, taken_at,
                      note) = _record_values(record)
-                    if not (isinstance(src, str) and isinstance(dst, str)):
-                        raise TypeError  # worded by `_bad_record`
-                    metric, metric_unit, table = tables[metric]
-                    check_measured((value,), samples, success, taken_at, unit, metric_unit)
-                    m = _new_measurement(
-                        Measurement, (src, dst, metric, value, unit, samples, success, taken_at, note)
-                    )
+                    metric, unit_of_metric, table = tables[metric]
+                    if not (type(src) is str and type(dst) is str and unit == unit_of_metric
+                            and type(samples) is int and samples >= 1 and success is True
+                            and type(value) is float and 0.0 <= value < inf
+                            and type(taken_at) is float and -inf < taken_at < inf):
+                        if not (isinstance(src, str) and isinstance(dst, str)):
+                            raise TypeError  # worded by `_bad_record`
+                        check_measured((value,), samples, success, taken_at, unit, unit_of_metric)
+                    if type(note) is str:
+                        note = share(note, note)
+                    src, dst = share(src, src), share(dst, dst)
+                    m = _new_measurement(Measurement, (src, dst, metric, value, unit_of_metric,
+                                                       samples, success, taken_at, note))
                     table[(dst, src) if dst < src else (src, dst)] = m
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise _bad_record(record, f"{path}:{lineno}", exc) from exc

@@ -2,7 +2,11 @@
 odd values a line writer must get right: ASCII and non-ASCII texts (escapes,
 control characters, a character outside the BMP, a lone surrogate), int and
 float values, a failed record whose value is NaN, a null note and a record
-without a note. A bool `samples` is refused
+without a note. Notes that are equal as dict keys but written differently
+(`1`, `1.0` and `true`; `0`, `-0.0` and `false`) and successful values `0.0`
+and `-0.0` each have a record of their own, so a loader that shares equal
+values rather than equal strings reads some of them back wrong. A bool
+`samples` is refused
 (`tests/test_measurement.py::POISONED`). Every `taken_at` lies centuries
 ahead, so no record expires. `tests/test_store_tables.py` draws from these
 records, and `tools/compare_outputs.py` saves them in two trees. Standard
@@ -45,6 +49,22 @@ CACHE_CORPUS = [
     {"dst": "e.example.org", "metric": "ping", "note": "exponent", "samples": 2,
      "src": "d.example.org", "success": True, "taken_at": _AHEAD, "unit": "ms",
      "value": 1e22},
+    {"dst": "g.example.org", "metric": "ping", "note": 1, "samples": 1, "src": "f.example.org",
+     "success": True, "taken_at": _AHEAD + 2.0, "unit": "ms", "value": 0.0},
+    {"dst": "g.example.org", "metric": "http_rtt", "note": 1.0, "samples": 1,
+     "src": "f.example.org", "success": True, "taken_at": _AHEAD + 2.0, "unit": "ms",
+     "value": -0.0},
+    {"dst": "g.example.org", "metric": "distance", "note": True, "samples": 1,
+     "src": "f.example.org", "success": True, "taken_at": _AHEAD + 2.0, "unit": "km",
+     "value": 1.0},
+    {"dst": "h.example.org", "metric": "ping", "note": 0, "samples": 1, "src": "g.example.org",
+     "success": True, "taken_at": _AHEAD + 2.0, "unit": "ms", "value": -0.0},
+    {"dst": "h.example.org", "metric": "http_rtt", "note": -0.0, "samples": 1,
+     "src": "g.example.org", "success": True, "taken_at": _AHEAD + 2.0, "unit": "ms",
+     "value": 0.0},
+    {"dst": "h.example.org", "metric": "distance", "note": False, "samples": 1,
+     "src": "g.example.org", "success": True, "taken_at": _AHEAD + 2.0, "unit": "km",
+     "value": 0},
 ]
 
 

@@ -1,9 +1,13 @@
+import gc
+import json
 import math
 import os
 import socket
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
 
 from urllib.parse import urlsplit
 
@@ -276,6 +280,52 @@ def test_store_save_failing_halfway_keeps_old_file(tmp_path, monkeypatch):
         store.save(str(path))
     assert path.read_text() == old
     assert [p.name for p in tmp_path.iterdir()] == ["probes.cache"]  # no temp file left
+
+
+def test_store_save_failing_while_writing_lines_keeps_old_file(tmp_path):
+    path = tmp_path / "probes.cache"
+    store = MeasurementStore(ttl_s=3600)
+    store.put_many([_measurement("a", "b", Metric.PING, 1.0)])
+    store.save(str(path))
+    old = path.read_bytes()
+    # enough lines before the bad one that some reach the temp file first
+    store.put_many(_measurement(f"c{i:05}", "d", Metric.PING, 2.0) for i in range(3000))
+    store.put_many([_measurement("z", "zz", Metric.PING, 3.0)._replace(note=object())])
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        store.save(str(path))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["probes.cache"]  # no temp file left
+
+
+def test_store_save_and_load_hold_less_than_a_copy_of_the_file(tmp_path):
+    now = time.time()
+    store = MeasurementStore(ttl_s=3600)
+    store.put_many(_measurement(f"node-{i % 500}.example.org", f"probe.r{i // 500}.example",
+                                (Metric.PING, Metric.HTTP_RTT)[i % 2], 1.0 + i / 7, now)
+                   for i in range(20000))
+    assert len(store) == 20000
+    path = tmp_path / "probes.cache"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        store.save(str(path))
+        save_peak = tracemalloc.get_traced_memory()[1] - start
+        size = path.stat().st_size
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = MeasurementStore.load(str(path))
+        gc.collect()
+        load_kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # the lines are written as they are formatted, not joined first
+    assert save_peak < size
+    # each distinct string of the file is held once
+    assert load_kept < 1.6 * size
+    first = loaded.get(("node-0.example.org", "probe.r0.example"), Metric.PING, now=now)
+    second = loaded.get(("node-0.example.org", "probe.r1.example"), Metric.PING, now=now)
+    assert first.src is second.src
 
 
 def test_store_save_writes_sorted_record_fields(tmp_path):
@@ -718,6 +768,8 @@ POISONED = {
     "string-samples": ("samples", '"2"', "samples must be an integer, got '2'"),
     "null-unit": ("unit", "null", "unit must be 'ms' for this metric, got None"),
     "distance-unit": ("unit", '"km"', "unit must be 'ms' for this metric, got 'km'"),
+    "negative-value": ("value", "-1e-300", "successful measurement value must be >= 0"),
+    "zero-samples": ("samples", "0", "samples must be >= 1"),
 }
 
 
@@ -735,6 +787,43 @@ def test_store_load_rejects_a_poisoned_record_naming_file_and_line(tmp_path, fie
     with pytest.raises(DocumentFormatError) as info:
         MeasurementStore.load(str(path))
     assert str(info.value) == f"{path}:2: {message}"
+
+
+# any JSON scalar, with the edges of `load`'s one test for the usual record
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.sampled_from(["ms", "km"]), st.text(max_size=3),
+)
+# each field of a usual record; a drawn record takes any scalar in some fields
+USUAL = {"value": st.floats(min_value=0.0, allow_infinity=False), "samples": st.integers(1),
+         "success": st.just(True), "taken_at": st.floats(allow_nan=False, allow_infinity=False)}
+
+
+@given(metric=st.sampled_from(Metric), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_store_load_of_one_record_is_the_measurement_built_from_it(metric, data):
+    usual = dict(USUAL, unit=st.just(measurement.UNIT_BY_METRIC[metric]))
+    odd = data.draw(st.sets(st.sampled_from(sorted(usual)), max_size=2), label="odd fields")
+    record = {"dst": "b", "metric": metric.value, "note": "n", "src": "a",
+              **{name: data.draw(SCALARS if name in odd else usual[name], label=name)
+                 for name in sorted(usual)}}
+    try:
+        expected = Measurement(**dict(record, metric=metric))
+    except (TypeError, ValueError) as exc:
+        expected = exc
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "one.cache")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(record) + "\n")
+        if isinstance(expected, Exception):
+            with pytest.raises(DocumentFormatError) as info:
+                MeasurementStore.load(path)
+            assert str(info.value) == f"{path}:1: {expected}"
+            return
+        loaded = MeasurementStore.load(path).get(("a", "b"), metric, now=record["taken_at"])
+    # repr tells 1 from 1.0 and True, and -0.0 from 0.0
+    assert list(map(repr, loaded)) == list(map(repr, expected))
 
 
 def test_store_load_keeps_a_failed_record_whatever_its_value(tmp_path):

@@ -25,7 +25,7 @@ from cloudforecast.measurement import (
 )
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowSpec
-from cache_corpus import CACHE_CORPUS
+from cache_corpus import CACHE_CORPUS, corpus_text
 from helpers import SUBSETS, json_dumps_line, synthetic_inputs
 
 
@@ -250,6 +250,20 @@ def test_saved_lines_are_json_dumps_of_each_record_and_load_back_equal(records):
     for m in records:
         # repr tells 1 from 1.0 and True, and shows every nan alike
         assert list(map(repr, loaded.get((m.src, m.dst), m.metric))) == list(map(repr, m))
+
+
+def test_the_corpus_file_loads_to_its_records_and_saves_as_json_dumps(tmp_path):
+    corpus, saved = tmp_path / "corpus.cache", tmp_path / "saved.cache"
+    corpus.write_text(corpus_text())
+    loaded = MeasurementStore.load(str(corpus))
+    assert len(loaded) == len(CORPUS_RECORDS)
+    for m in CORPUS_RECORDS:
+        # repr tells 1 from 1.0 and True, and -0.0 from 0.0
+        assert list(map(repr, loaded.get((m.src, m.dst), m.metric, now=m.taken_at))) == list(
+            map(repr, m))
+    loaded.save(str(saved))
+    assert saved.read_text() == "".join(json_dumps_line(m) + "\n"
+                                        for m in sorted(CORPUS_RECORDS, key=_store_key))
 
 
 # subclasses whose own repr must not reach the file: `json.dumps` writes the

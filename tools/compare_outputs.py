@@ -48,8 +48,9 @@ compared are:
   a cache file and saved to a new path;
 - the exit code, stdout and stderr of `analyze` of this tool's
   samples/fig1.workflow with a `--cache` file of one record whose `samples`
-  is not a positive integer (true, 2.5, NaN, Infinity) or whose `unit` is
-  not its metric's (null, km for a ping), through `cloudforecast.cli.main`;
+  is not a positive integer (true, 2.5, NaN, Infinity, 0), whose `unit` is
+  not its metric's (null, km for a ping) or whose successful value is
+  negative (-1e-300), through `cloudforecast.cli.main`;
 - with `time.time` pinned, the bytes `MeasurementStore.save` writes after a
   synthetic ranking of this tool's samples/fig1.workflow (default catalog
   and config) and of the 200 x 64 input as written, over three stores: an
@@ -393,7 +394,8 @@ CACHE_RECORD = {"dst": "probe.us-east-1.example", "metric": "ping", "note": "", 
 REFUSED_CACHE_FIELDS = {"bool-samples": ("samples", True), "float-samples": ("samples", 2.5),
                         "nan-samples": ("samples", float("nan")),
                         "inf-samples": ("samples", float("inf")),
-                        "null-unit": ("unit", None), "distance-unit": ("unit", "km")}
+                        "null-unit": ("unit", None), "distance-unit": ("unit", "km"),
+                        "negative-value": ("value", -1e-300), "zero-samples": ("samples", 0)}
 
 
 def cache_outputs() -> dict[str, str]:
