@@ -22,9 +22,6 @@ class Metric(str, Enum):
     HTTP_RTT = "http_rtt"
 
 
-METRIC_ORDER: tuple[Metric, ...] = (Metric.DISTANCE, Metric.PING, Metric.HTTP_RTT)
-
-
 class Leg(str, Enum):
     TO_ORCHESTRATOR = "to_orchestrator"
     FROM_ORCHESTRATOR = "from_orchestrator"
@@ -71,7 +68,7 @@ def enumerate_candidates(
         if metric in seen:
             raise ValueError(f"duplicate metric: {metric.value}")
         seen.add(metric)
-    ordered = [m for m in METRIC_ORDER if m in seen]
+    ordered = [m for m in Metric if m in seen]
     return [
         build_candidate_graph(spec, region, metric)
         for region in catalog.regions

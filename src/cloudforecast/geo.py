@@ -113,16 +113,6 @@ class LocationTable:
         raise UnknownLocationError(f"no known location for host '{host}'")
 
 
-def haversine_km(a: Coordinate, b: Coordinate) -> float:
-    """Great-circle distance on a sphere of mean Earth radius 6371.0 km."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, h)))
-
-
 Point = tuple[float, float, float]
 
 
@@ -132,9 +122,10 @@ def prepare_point(c: Coordinate) -> Point:
 
 
 def km_row(points: Sequence[Point], hub: Coordinate) -> list[float]:
-    """`haversine_km(point, hub)` of every prepared point, bit for bit, which is
-    also `haversine_km(hub, point)`: the same expression in the same order,
-    with the hub's cosine computed once per row and each point's by `prepare_point`."""
+    """The great-circle distance, on a sphere of mean Earth radius 6371.0 km,
+    from every prepared point to the hub: the package's one haversine kernel.
+    The expression gives the same bits with the point and the hub swapped,
+    and computes the hub's cosine once per row and each point's by `prepare_point`."""
     lat_b, lon_b = hub
     cos_b = math.cos(math.radians(lat_b))
     sin, radians, asin, sqrt = math.sin, math.radians, math.asin, math.sqrt
@@ -144,6 +135,11 @@ def km_row(points: Sequence[Point], hub: Coordinate) -> list[float]:
         sin(radians(lat_b - lat_a) / 2.0) ** 2
         + cos_a * cos_b * sin(radians(lon_b - lon_a) / 2.0) ** 2
         for lat_a, lon_a, cos_a in points]]
+
+
+def haversine_km(a: Coordinate, b: Coordinate) -> float:
+    """The great-circle distance between two coordinates: `km_row` for one point."""
+    return km_row([prepare_point(a)], b)[0]
 
 
 # a host `host_of` splits itself; any other character goes to `urlparse`

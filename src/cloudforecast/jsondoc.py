@@ -10,6 +10,8 @@ from typing import Any, Iterable
 
 from .errors import DocumentFormatError
 
+TOO_LARGE = "an integer too large for a float"  # as a finiteness error shows one
+
 
 def load_document(text: str, what: str = "document") -> Any:
     """Parse JSON text, reporting the position on syntax errors."""
@@ -52,7 +54,7 @@ def as_number(value: Any, context: str) -> float:
             return float(value)
         shown = repr(value)
     except OverflowError:
-        shown = "an integer too large for a float"
+        shown = TOO_LARGE
     raise DocumentFormatError(f"{context}: expected a finite number, got {shown}")
 
 

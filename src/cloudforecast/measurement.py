@@ -28,7 +28,7 @@ from .geo import (
     haversine_km,
     host_of,
 )
-from .jsondoc import check_fields, field_sets, json_value
+from .jsondoc import TOO_LARGE, check_fields, field_sets, json_value
 from .records import Checked
 from .workflow import WorkflowSpec
 
@@ -85,9 +85,6 @@ def aggregate(values: list[float], aggregator: Aggregator) -> float:
     return min(values)
 
 
-_TOO_LARGE = "an integer too large for a float"
-
-
 def check_finite(config, names: tuple[str, ...]) -> None:
     """Reject a nan or infinite value, or an integer too large for a float,
     in any of the named numeric fields."""
@@ -96,7 +93,7 @@ def check_finite(config, names: tuple[str, ...]) -> None:
         try:
             finite = math.isfinite(value)
         except OverflowError:
-            finite, value = False, _TOO_LARGE
+            finite, value = False, TOO_LARGE
         if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
 
@@ -191,13 +188,13 @@ def check_measured(values, samples, success, taken_at, unit, metric_unit) -> Non
             bad = next(value for value in values if not _isfinite(value))
             raise ValueError(f"successful measurement value must be finite, got {bad}")
     except OverflowError:  # an integer value past the float range
-        raise ValueError(f"successful measurement value must be finite, got {_TOO_LARGE}") from None
+        raise ValueError(f"successful measurement value must be finite, got {TOO_LARGE}") from None
     try:
         finite = _isfinite(taken_at)
     except TypeError:
         finite = False
     except OverflowError:
-        raise ValueError(f"taken_at must be a finite number, got {_TOO_LARGE}") from None
+        raise ValueError(f"taken_at must be a finite number, got {TOO_LARGE}") from None
     if not finite:  # a nan time would never expire: `age > ttl` is always false
         raise ValueError(f"taken_at must be a finite number, got {taken_at!r}")
 
@@ -280,7 +277,8 @@ class MeasurementStore:
         # metric -> the keys a synthetic batch stores (none in the table), their
         # first pairs, those pairs' values and the batch's clock reading
         self._pending: dict[Metric, tuple[dict[Pair, int], list[Pair], list[float], float]] = {}
-        self._lock = threading.Lock()
+        # reentrant: `put_synthetic` looks up through `get_many` within its own hold
+        self._lock = threading.RLock()
         # identity of the file whose records equal the unexpired entries, if any
         self._synced: tuple[int, int, int, int] | None = None
 
@@ -300,37 +298,31 @@ class MeasurementStore:
         """The unexpired entries of the pairs, by pair, and each store key
         with none mapped to the index of its first pair, in first-seen order:
         one pass under the lock, at one clock reading. An expired entry is
-        dropped from the store, and an empty table is not searched."""
+        dropped from the store, and an empty table is not searched. The
+        metric's pending row is settled first."""
         now = time.time() if now is None else now
-        with self._lock:
-            return self._lookup(pairs, metric, now)
-
-    def _lookup(
-        self, pairs: Sequence[Pair], metric: Metric, now: float
-    ) -> tuple[dict[Pair, Measurement], dict[Pair, int]]:
-        """`get_many` for a caller that holds the lock; the metric's pending
-        row is settled first."""
-        if metric in self._pending:
-            self._settle(metric)
         found: dict[Pair, Measurement] = {}
         first: dict[Pair, int] = {}
-        table = self._entries[metric]
-        if table:
-            ttl_s = self.ttl_s
-            for i, pair in enumerate(pairs):
-                key = (pair[1], pair[0]) if pair[1] < pair[0] else pair
-                entry = table.get(key)
-                if entry is not None and now - entry.taken_at > ttl_s:
-                    del table[key]
-                    self._synced = None
-                    entry = None
-                if entry is None:
-                    first.setdefault(key, i)
-                else:
-                    found[pair] = entry
-        else:
-            for i, (src, dst) in enumerate(pairs):
-                first.setdefault((dst, src) if dst < src else (src, dst), i)
+        with self._lock:
+            if metric in self._pending:
+                self._settle(metric)
+            table = self._entries[metric]
+            if table:
+                ttl_s = self.ttl_s
+                for i, pair in enumerate(pairs):
+                    key = (pair[1], pair[0]) if pair[1] < pair[0] else pair
+                    entry = table.get(key)
+                    if entry is not None and now - entry.taken_at > ttl_s:
+                        del table[key]
+                        self._synced = None
+                        entry = None
+                    if entry is None:
+                        first.setdefault(key, i)
+                    else:
+                        found[pair] = entry
+            else:
+                for i, (src, dst) in enumerate(pairs):
+                    first.setdefault((dst, src) if dst < src else (src, dst), i)
         return found, first
 
     def put_many(self, measurements: Iterable[Measurement]) -> None:
@@ -357,7 +349,7 @@ class MeasurementStore:
         class says. A batch that stores nothing keeps the store synced."""
         now = time.time()
         with self._lock:
-            found, first = self._lookup(pairs, metric, now)
+            found, first = self.get_many(pairs, metric, now)
             if first:
                 # new lists: the records are built later, from the values given now
                 if len(first) < len(pairs):

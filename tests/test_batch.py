@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudforecast import measurement, scoring
-from cloudforecast.candidates import METRIC_ORDER, Metric, hub_legs, weighted_pairs
+from cloudforecast.candidates import Metric, hub_legs, weighted_pairs
 from cloudforecast.cli import main
 from cloudforecast.geo import (
     Coordinate,
@@ -571,7 +571,7 @@ def _probe_lines(spec, catalog, store):
     locations = location_index(spec, catalog)
     legs = hub_legs(spec)
     lines = []
-    for metric in METRIC_ORDER:
+    for metric in Metric:
         for region in catalog.regions:
             for pair in weighted_pairs(legs, region.probe_host):
                 m = store.get(pair, metric)

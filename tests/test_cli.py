@@ -1155,9 +1155,10 @@ def test_a_server_on_port_0_prints_the_port_it_bound_and_stops_on_sigint(command
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("CLOUDFORECAST_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "cloudforecast.cli", command, "--listen",
-                             "127.0.0.1:0"], cwd=root, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
+    # faulthandler: on SIGABRT the child writes every thread's stack to stderr
+    proc = subprocess.Popen([sys.executable, "-X", "faulthandler", "-m", "cloudforecast.cli",
+                             command, "--listen", "127.0.0.1:0"], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         assert select.select([proc.stdout], [], [], 30)[0], "no line within 30 s"
         line = proc.stdout.readline()
@@ -1168,7 +1169,12 @@ def test_a_server_on_port_0_prints_the_port_it_bound_and_stops_on_sigint(command
         with urllib.request.urlopen(f"http://127.0.0.1:{port}/v1/health", timeout=10) as reply:
             assert json.loads(reply.read()) == {"ok": True}
         proc.send_signal(signal.SIGINT)
-        out, err = proc.communicate(timeout=30)
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGABRT)
+            out, err = proc.communicate(timeout=30)
+            pytest.fail(f"no exit within 30 s of SIGINT; where each thread waited:\n{err}")
         assert (proc.returncode, out, err) == (0, "", "")
     finally:
         if proc.poll() is None:

@@ -3,6 +3,7 @@
 public call answers as a store that built the records at once, at the same
 clock reading."""
 
+import json
 import os
 import sys
 import tempfile
@@ -130,6 +131,59 @@ def test_concurrent_batches_store_and_count_each_key_once(tmp_path):
     assert len(counts) == 8 * ROUNDS and max(counts) <= len(stored)  # a key is never counted twice
     store.save(path)
     assert len(store) == len(MeasurementStore.load(path)) == len(stored)
+
+
+def test_concurrent_lookups_evict_while_batches_store_and_each_key_ends_once(
+        fig1_spec, catalog, tmp_path):
+    """`get_many` drops expired entries while `put_synthetic` looks the same
+    keys up and stores the missing ones: no key is lost or stored twice."""
+    legs = hub_legs(fig1_spec)
+    pairs = [pair for region in catalog.regions
+             for pair in weighted_pairs(legs, region.probe_host)]
+    keys = {tuple(sorted(pair)) for pair in pairs}
+    path = str(tmp_path / "evicted.cache")
+
+    def trial():
+        store = MeasurementStore(ttl_s=TTL_S)
+        stale = time.time() - 2 * TTL_S
+        store.put_many(Measurement(src, dst, Metric.PING, 1.0, "ms", 1, True, stale, "stale")
+                       for src, dst in sorted(keys)[::2])
+        start = threading.Barrier(8)
+        counts = []
+
+        def work(worker):
+            start.wait()
+            for _ in range(5):
+                if worker % 2:
+                    store.get_many(pairs, Metric.PING)
+                else:
+                    store.put_synthetic(pairs, [float(worker)] * len(pairs), Metric.PING)
+                counts.append(len(store))
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert max(counts) <= len(keys)  # a key is never counted twice
+        now = time.time()
+        for key in keys:
+            entry = store.get(key, Metric.PING)
+            assert entry.note == "synthetic" and now - entry.taken_at <= TTL_S
+        assert len(store) == len(keys)
+        store.save(path)
+        with open(path, encoding="utf-8") as f:
+            saved = [tuple(sorted((r["src"], r["dst"]))) for r in map(json.loads, f)]
+        assert sorted(saved) == sorted(keys)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            trial()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- every public call answers as the eager store ------------------------------
