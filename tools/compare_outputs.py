@@ -1,6 +1,7 @@
 """Compare what two checkouts of cloudforecast output, byte for byte.
 
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+    python3 tools/compare_outputs.py --digest TREE > tests/output_digests.txt
 
 Each tree runs in interpreters of its own, with `PYTHONPATH=<tree>/src` and
 no CLOUDFORECAST_* settings, in a scratch directory of its own. The outputs
@@ -96,15 +97,24 @@ It also prints, for each tree, whether every generated ranking's dump with
 the edges reversed is bit-identical to the one with the edges as written
 (`order-free  parent: no  change: yes`).
 
+With `--digest TREE` it prints, after a header naming the interpreter and
+platform (the `float.hex` outputs depend on the libm), one
+`name sha256 size` line per output of that one tree, each hash and size
+taken of the output's UTF-8 bytes. tests/output_digests.txt holds those
+lines for the committed tree, and a tier-1 test compares them.
+
 The generators are imported from the tree's bench/ directory and only
-called. Exit status: 0 when every output is the same, 1 when one differs,
-2 when a command fails in either tree.
+called. Exit status: 0 when every output is the same and both trees are
+order-free, 1 when an output differs or a tree's rankings change with the
+order of its edges, 2 when a command fails in either tree.
 """
 
 import contextlib
 import difflib
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -759,6 +769,21 @@ def order_free(outputs: dict[str, str]) -> bool:
                if name.startswith("rank/") and "/as-written/" in name)
 
 
+def digest_header() -> str:
+    """The first line of a digest listing: the interpreter and platform it was made on."""
+    return (f"# python {sys.version_info.major}.{sys.version_info.minor} "
+            f"{sys.platform} {platform.machine()}")
+
+
+def digest_lines(outputs: dict[str, str]) -> list[str]:
+    """`name sha256 size` of each output's UTF-8 bytes."""
+    lines = []
+    for name, text in outputs.items():
+        data = text.encode("utf-8", "surrogatepass")
+        lines.append(f"{name} {hashlib.sha256(data).hexdigest()} {len(data)}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--dump-generated"]:  # the child `collect` starts in each tree
         print(json.dumps(dump_generated()))
@@ -766,11 +791,16 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.stderr.write(__doc__)
         return 2
+    digest = argv[0] == "--digest"
     try:
-        parent, change = collect(argv[0]), collect(argv[1])
+        trees = [collect(tree) for tree in argv[digest:]]
     except CommandFailed as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    if digest:
+        print("\n".join([digest_header(), *digest_lines(trees[0])]))
+        return 0
+    parent, change = trees
     differing = [name for name in parent if parent[name] != change.get(name)]
     for name in parent:
         print(f"{'DIFFERS' if name in differing else 'same':8} {name}")
@@ -778,10 +808,11 @@ def main(argv: list[str]) -> int:
         diff = difflib.unified_diff(parent[name].splitlines(), change[name].splitlines(),
                                     f"parent/{name}", f"change/{name}", lineterm="", n=1)
         print("\n".join(list(diff)[:40]))
+    free = order_free(parent), order_free(change)
     yes = {True: "yes", False: "no"}
-    print(f"order-free  parent: {yes[order_free(parent)]}  change: {yes[order_free(change)]}")
+    print(f"order-free  parent: {yes[free[0]]}  change: {yes[free[1]]}")
     print(f"{len(differing)} of {len(parent)} outputs differ")
-    return 1 if differing else 0
+    return 1 if differing or not all(free) else 0
 
 
 if __name__ == "__main__":
