@@ -8,6 +8,6 @@ stub nodes) validates the rankings. Each name is imported from the module
 that defines it, for example `from cloudforecast.scoring import rank_regions`.
 """
 
-from . import candidates, errors, executor, geo, measurement, scoring, workflow
+from . import candidates, errors, geo, measurement, scoring, workflow
 
 __version__ = "0.1.0"

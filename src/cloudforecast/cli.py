@@ -27,6 +27,9 @@ from .errors import (
     UnknownLocationError,
     UsageError,
 )
+# loaded with the CLI, though only `simulate` and `experiment` run it:
+# bench/cli_child.py installs its tracer right after importing this module,
+# and the tracer wraps the functions of a loaded `cloudforecast.executor`
 from .executor import (
     Transport,
     Vantage,

@@ -14,7 +14,6 @@ latest: a node finishes at its service time when nothing arrives, and at
 service + latest arrival otherwise.
 """
 
-import csv
 import io
 import math
 import sys
@@ -261,6 +260,8 @@ def run_experiment(
 
 
 def experiment_csv(report: ExperimentReport) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["workflow", "baseline_ms", "best_region", "best_ms", "speedup_pct"])

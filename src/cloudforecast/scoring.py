@@ -1,6 +1,5 @@
 """Scoring of candidate graphs, distance shortlisting, and the ranked region report."""
 
-import csv
 import io
 import json
 import math
@@ -289,6 +288,8 @@ def render_report(report: RankingReport, format: str = "table") -> str:
     if format == "json":
         return report_to_json(report)
     if format == "csv":
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(

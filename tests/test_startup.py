@@ -4,7 +4,7 @@
 run never loads it, and each keeps it as its own module attribute, which a
 tracer or a test may replace. The standard-library modules that only probes,
 thread pools and live runs use are imported by the code that uses them, and
-before any clock it reads starts. The records are `NamedTuple`s, so no
+before any clock it reads starts; so is `csv`, which only CSV output uses. The records are `NamedTuple`s, so no
 command loads `dataclasses` or, with it, `inspect`. Each check runs in a fresh interpreter,
 since other tests import `requests` and the services into this one.
 """
@@ -104,6 +104,32 @@ for argv in (["analyze", "-w", "samples/fig1.workflow"],
 def test_synthetic_commands_load_no_unused_stdlib_module_without_site(tmp_path):
     # -S: no site hook (a .pth file may import importlib.resources and pathlib)
     run_fresh(NO_SITE, str(tmp_path), flags=("-S",))
+
+
+ANALYZE_AND_PROBE = r"""
+import contextlib, io, sys
+
+import cloudforecast
+assert "cloudforecast.executor" not in sys.modules
+from cloudforecast import cli
+for argv in (["analyze", "-w", "samples/fig1.workflow"],
+             ["analyze", "-w", "samples/fig1.workflow", "--format", "json"],
+             ["probe", "-w", "samples/fig1.workflow"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    assert out.getvalue(), argv
+    assert "csv" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["analyze", "-w", "samples/fig1.workflow", "--format", "csv"]) == 0
+assert "csv" in sys.modules
+"""
+
+
+def test_analyze_and_probe_load_no_csv_and_the_package_loads_no_executor():
+    # -S, as above; the CLI itself still loads the executor, whose functions
+    # bench/cli_child.py's tracer wraps right after importing it
+    run_fresh(ANALYZE_AND_PROBE, flags=("-S",))
 
 
 STAND_INS = r"""
