@@ -10,7 +10,8 @@ from .jsondoc import as_number, as_string, check_fields, field_sets, load_docume
 from .records import Checked
 
 EARTH_RADIUS_KM = 6371.0
-# the largest value `haversine_km` and `km_row` give: half a great circle
+# half a great circle, pi*R: the largest value `haversine_km` and `km_row`
+# give, and what they give for a point and its exact antipode
 LONGEST_KM = 2.0 * EARTH_RADIUS_KM * math.asin(1.0)
 _CATALOG_FIELDS = field_sets(["regions"], [])
 _REGION_FIELDS = field_sets(["id", "probe_host", "lat", "lon"], [])
@@ -115,30 +116,44 @@ class LocationTable:
 
 Point = tuple[float, float, float]
 
+# from this |a - b|**2 of unit vectors on (about 174.3 degrees), `km_row`
+# measures from the antipode
+_NEAR_ANTIPODE = 3.99
+
 
 def prepare_point(c: Coordinate) -> Point:
-    """(lat, lon, cos(radians(lat))): what `km_row` needs of a coordinate."""
-    return (c.lat, c.lon, math.cos(math.radians(c.lat)))
+    """The unit vector (cos(lat)cos(lon), cos(lat)sin(lon), sin(lat)) of a
+    coordinate: what `km_row` needs of it."""
+    lat, lon = math.radians(c.lat), math.radians(c.lon)
+    cos_lat = math.cos(lat)
+    return (cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat))
 
 
 def km_row(points: Sequence[Point], hub: Coordinate) -> list[float]:
     """The great-circle distance, on a sphere of mean Earth radius 6371.0 km,
-    from every prepared point to the hub: the package's one haversine kernel.
-    The expression gives the same bits with the point and the hub swapped,
-    and computes the hub's cosine once per row and each point's by `prepare_point`."""
-    lat_b, lon_b = hub
-    cos_b = math.cos(math.radians(lat_b))
-    sin, radians, asin, sqrt = math.sin, math.radians, math.asin, math.sqrt
+    from every prepared point to the hub: the package's one kilometre kernel,
+    2R*asin(|a - b| / 2) of the unit vectors. Near the antipode, where that
+    asin is ill-conditioned, it gives LONGEST_KM - 2R*asin(|a + b| / 2), so
+    no asin argument exceeds 1 and no distance exceeds LONGEST_KM. The
+    expression gives the same bits with the point and the hub swapped."""
+    hx, hy, hz = prepare_point(hub)
+    asin, sqrt = math.asin, math.sqrt
     diameter = 2.0 * EARTH_RADIUS_KM
-    # `min(1.0, h)` as a comparison: the same float, without a builtin call
-    return [diameter * asin(sqrt(h if h < 1.0 else 1.0)) for h in [
-        sin(radians(lat_b - lat_a) / 2.0) ** 2
-        + cos_a * cos_b * sin(radians(lon_b - lon_a) / 2.0) ** 2
-        for lat_a, lon_a, cos_a in points]]
+    kms = []
+    for x, y, z in points:
+        dx, dy, dz = x - hx, y - hy, z - hz
+        h = dx * dx + dy * dy + dz * dz  # squares as products: `**` goes through pow
+        if h < _NEAR_ANTIPODE:
+            kms.append(diameter * asin(sqrt(h) / 2.0))
+        else:
+            sx, sy, sz = x + hx, y + hy, z + hz
+            kms.append(LONGEST_KM - diameter * asin(sqrt(sx * sx + sy * sy + sz * sz) / 2.0))
+    return kms
 
 
 def haversine_km(a: Coordinate, b: Coordinate) -> float:
-    """The great-circle distance between two coordinates: `km_row` for one point."""
+    """The great-circle distance between two coordinates: `km_row` for one
+    point (named for the haversine formula the kernel once used)."""
     return km_row([prepare_point(a)], b)[0]
 
 

@@ -38,6 +38,30 @@ def slc_km(a: Coordinate, b: Coordinate) -> float:
     return EARTH_RADIUS_KM * math.acos(max(-1.0, min(1.0, cosine)))
 
 
+def haversine_reference_km(a: Coordinate, b: Coordinate) -> float:
+    """The haversine formula as the package's kernel wrote it before it took
+    unit vectors: within 1e-14 relative of the true distance away from
+    antipodes (oracle for `geo.km_row`'s accuracy)."""
+    lat_a, lon_a, lat_b, lon_b = a.lat, a.lon, b.lat, b.lon
+    h = (math.sin(math.radians(lat_b - lat_a) / 2.0) ** 2
+         + math.cos(math.radians(lat_a)) * math.cos(math.radians(lat_b))
+         * math.sin(math.radians(lon_b - lon_a) / 2.0) ** 2)
+    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(min(1.0, h)))
+
+
+def _unit_vector(c: Coordinate) -> tuple[float, float, float]:
+    lat, lon = math.radians(c.lat), math.radians(c.lon)
+    return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+
+
+def atan2_km(a: Coordinate, b: Coordinate) -> float:
+    """R*atan2(|u x v|, u.v) of the coordinates' unit vectors: well conditioned
+    at every angle, antipodes included (oracle for `geo.km_row` near them)."""
+    (ux, uy, uz), (vx, vy, vz) = _unit_vector(a), _unit_vector(b)
+    cross = math.hypot(uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+    return EARTH_RADIUS_KM * math.atan2(cross, ux * vx + uy * vy + uz * vz)
+
+
 def urlparse_host_of(endpoint: str) -> str:
     """The host of an endpoint as `urlparse` alone reads it (oracle for
     `geo.host_of`, which splits plain endpoints itself)."""
@@ -49,7 +73,7 @@ def urlparse_host_of(endpoint: str) -> str:
 
 
 def antipode(c: Coordinate) -> Coordinate:
-    """The point opposite `c`: distances to it reach the haversine's 1.0 clamp."""
+    """The point opposite `c`, where `geo.km_row` measures from the antipode."""
     return Coordinate(-c.lat, c.lon - 180.0 if c.lon >= 0 else c.lon + 180.0)
 
 

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cloudforecast.errors import (
@@ -14,6 +14,7 @@ from cloudforecast.errors import (
 )
 from cloudforecast.geo import (
     EARTH_RADIUS_KM,
+    LONGEST_KM,
     Coordinate,
     LocationTable,
     Region,
@@ -30,6 +31,8 @@ from helpers import (
     EDGE_COORDS,
     NON_FINITE,
     antipode,
+    atan2_km,
+    haversine_reference_km,
     slc_km,
     urlparse_host_of,
     with_raw_value,
@@ -64,13 +67,70 @@ def test_antipodal_on_equator_is_half_circumference():
     )
 
 
-def test_a_haversine_term_rounded_above_one_is_clamped_to_half_a_circumference():
-    # the term comes to 1.0000000000000004, 2 ulps above 1, where asin has no value
+def test_a_pair_whose_haversine_term_rounds_above_one_gets_its_true_distance():
+    # the haversine term comes to 1.0000000000000004, 2 ulps above 1, where
+    # asin has no value, and a clamp to 1 gives pi*R; measured from the
+    # antipode, the pair is 20015.086795909377391 km apart
     a = Coordinate(64.15196897125202, 88.19023981582438)
     b = Coordinate(-64.15196897025201, -91.80976018417572)
     for p, q in ((a, b), (b, a)):
-        assert haversine_km(p, q) == 20015.086796020572
-        assert km_row([prepare_point(p)], q) == [20015.086796020572]
+        assert abs(haversine_km(p, q) - 20015.086795909377391) <= 1e-11
+        assert km_row([prepare_point(p)], q) == [haversine_km(p, q)]
+
+
+# exactly antipodal in degrees: each pair's unit vectors sum to within an ulp of 0
+@pytest.mark.parametrize("a, b", [
+    ((0, 0), (0, 180)), ((0, 90), (0, -90)), ((90, 0), (-90, 0)), ((90, 37), (-90, -12)),
+    ((45, 135), (-45, -45)), ((-30.5, 100.25), (30.5, -79.75)), ((0, -180), (0, 0)),
+    ((60, 180), (-60, 0)),
+])
+def test_exact_antipodes_are_half_a_great_circle_apart(a, b):
+    assert LONGEST_KM == math.pi * EARTH_RADIUS_KM
+    for p, q in ((a, b), (b, a)):
+        assert haversine_km(Coordinate(*p), Coordinate(*q)) == LONGEST_KM
+
+
+@given(EDGE_COORDS)
+def test_a_point_is_0_km_from_itself(c):
+    assert haversine_km(c, c) == 0.0
+    assert km_row([prepare_point(c)], c) == [0.0]
+
+
+def _nearby(c: Coordinate, degrees: float):
+    """Coordinates within `degrees` of `c` in latitude and longitude."""
+    step = st.floats(min_value=-degrees, max_value=degrees)
+    return st.builds(lambda dlat, dlon: Coordinate(min(90.0, max(-90.0, c.lat + dlat)),
+                                                   min(180.0, max(-180.0, c.lon + dlon))),
+                     step, step)
+
+
+# any two coordinates, or two at most 1e-3 degrees (about 100 m) apart
+PAIRS = st.one_of(st.tuples(EDGE_COORDS, EDGE_COORDS),
+                  EDGE_COORDS.flatmap(lambda c: st.tuples(st.just(c), _nearby(c, 1e-3))))
+
+
+@settings(max_examples=500)
+@given(PAIRS)
+def test_the_kernel_is_within_1e_13_relative_plus_1e_11_km_of_the_haversine_below_179_degrees(
+        pair):
+    # unit vectors round to about 1e-16 each, so at metre scale only an
+    # absolute bound holds; near antipodes the haversine itself is ill-conditioned
+    a, b = pair
+    km, reference = haversine_km(a, b), haversine_reference_km(a, b)
+    assert 0.0 <= km <= LONGEST_KM
+    assume(reference <= 179.0 / 180.0 * LONGEST_KM)
+    assert abs(km - reference) <= 1e-13 * reference + 1e-11
+
+
+@settings(max_examples=500)
+@given(EDGE_COORDS.flatmap(lambda c: st.tuples(st.just(c), _nearby(antipode(c), 1e-3))))
+@example((Coordinate(64.15196897125202, 88.19023981582438),
+          Coordinate(-64.15196897025201, -91.80976018417572)))
+def test_near_antipodes_the_kernel_is_within_2e_11_km_of_the_atan2_form(pair):
+    a, b = pair
+    km = haversine_km(a, b)
+    assert 0.0 <= km <= LONGEST_KM
+    assert abs(km - atan2_km(a, b)) <= 2e-11
 
 
 def test_longitude_seam_is_zero_distance():
@@ -99,18 +159,16 @@ def test_oracle_agreement_on_random_pairs():
 @given(coords, coords)
 def test_symmetry_and_nonnegativity(a, b):
     d_ab = haversine_km(a, b)
-    assert d_ab >= 0.0
+    assert 0.0 <= d_ab <= LONGEST_KM
     assert d_ab == haversine_km(b, a)
 
 
-# Haversine in binary64 loses accuracy near antipodes. h = sin^2(dlat/2) +
-# cos*cos*sin^2(dlon/2) carries a rounding error e of a few units of 2**-53,
-# and d = 2R*asin(sqrt(h)) is steepest as h reaches 1: with h = 1 - x, d is
-# about 2R*(pi/2 - sqrt(x)), so an error e in h moves d by up to 2R*sqrt(e).
-# With e = 4 * 2**-53 that is 2.7e-4 km (over 300,000 near-antipodal pairs
-# the worst error against an atan2 reference was 2.685e-4 km), and each of
-# the triangle's three sides may carry it.
-TRIANGLE_SLACK_KM = 1e-6 + 3 * 2 * EARTH_RADIUS_KM * math.sqrt(4 * 2**-53)
+# Against a 40-digit reference, over random, near-antipodal, antipodal and
+# 1-100 m pairs, each distance was within 5.1e-15 relative plus 4e-12 km of
+# the true one; over 300,000 triangles with one vertex on the great circle
+# between the other two, the worst excess was 4.1e-11 km. Each of the
+# triangle's three sides may carry 1e-14 relative plus 1e-11 km.
+TRIANGLE_SLACK_KM = 3 * (1e-14 * LONGEST_KM + 1e-11)
 
 
 @given(coords, coords, coords)
@@ -144,7 +202,7 @@ KERNEL_ROWS = EDGE_COORDS.flatmap(lambda hub: st.tuples(st.just(hub), st.lists(
 
 @settings(max_examples=500, deadline=None)
 @given(row=KERNEL_ROWS)
-@example(row=(Coordinate(87.5, -180.0), [Coordinate(-87.5, 0.0)]))  # h rounds above 1.0
+@example(row=(Coordinate(87.5, -180.0), [Coordinate(-87.5, 0.0)]))  # measured from the antipode
 def test_the_kilometre_kernel_is_haversine_km_to_the_bit_in_both_directions(row):
     hub, points = row
     kms = [km.hex() for km in km_row([prepare_point(p) for p in points], hub)]

@@ -652,12 +652,14 @@ def test_edge_order_does_not_change_the_synthetic_report(spec, regions, data):
                 assert y.value == x.value
 
 
-# hosts h2, h0, h0, h1, h0, h2: the sums of r0 and r1 fall within one unit
-# in the last place, so an order-dependent sum ranks them by edge order
+# hosts h2, h0, h0, h1, h0, h2: the distance sums of r0 and r1 are one unit
+# in the last place apart, and a sum of the legs in leg order (h2, h0, h1 as
+# written, h2, h1, h0 permuted) ranks them by edge order, by distance and by
+# HTTP round trip
 ULP_TIE_NODES = tuple(
     WorkflowNode(id=f"n{i}", endpoint=f"h{h}.example.org", location=Coordinate(0, lon))
-    for i, (h, lon) in enumerate([(2, -8.453125), (0, 0), (0, 0), (1, 0), (0, 0),
-                                  (2, -8.453125)])
+    for i, (h, lon) in enumerate([(2, -1.41015625), (0, 0), (0, 0), (1, 0), (0, 0),
+                                  (2, -1.41015625)])
 )
 ULP_TIE_CATALOG = RegionCatalog(
     (Region("r0", "r0.example.org", Coordinate(0, 0)),
@@ -680,6 +682,9 @@ def test_two_regions_one_ulp_apart_rank_the_same_under_any_edge_order():
     as_written, permuted = ranking([1, 3, 2]), ranking([3, 1, 2])
     assert permuted == as_written
     assert [row[0] for row in as_written] == ["r1", "r0"]
+    # still a tie: the regions' distance scores are neighbouring floats
+    r1_km, r0_km = (float.fromhex(row[2]) for row in as_written)
+    assert r1_km == math.nextafter(r0_km, 0.0)
 
 
 @given(
