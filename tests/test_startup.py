@@ -4,9 +4,10 @@
 run never loads it, and each keeps it as its own module attribute, which a
 tracer or a test may replace. The standard-library modules that only probes,
 thread pools and live runs use are imported by the code that uses them, and
-before any clock it reads starts; so is `csv`, which only CSV output uses. The records are `NamedTuple`s, so no
-command loads `dataclasses` or, with it, `inspect`. Each check runs in a fresh interpreter,
-since other tests import `requests` and the services into this one.
+before any clock it reads starts; so is `csv`, which only CSV output uses.
+The records are `NamedTuple`s, so no command loads `dataclasses` or, with
+it, `inspect`. Each check runs in a fresh interpreter, since other tests
+import `requests` and the services into this one.
 """
 
 import os

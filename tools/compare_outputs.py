@@ -779,7 +779,7 @@ def digest_lines(outputs: dict[str, str]) -> list[str]:
     """`name sha256 size` of each output's UTF-8 bytes."""
     lines = []
     for name, text in outputs.items():
-        data = text.encode("utf-8", "surrogatepass")
+        data = text.encode()
         lines.append(f"{name} {hashlib.sha256(data).hexdigest()} {len(data)}")
     return lines
 
