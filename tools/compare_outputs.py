@@ -63,6 +63,12 @@ compared are:
   rankings of that fig1 over one store, the first with shortlist 3 and the
   second with shortlist 5, so the second one's reads build the first one's
   records; and the cache file after a synthetic `probe --cache` of that fig1;
+- with `time.time` pinned, for two synthetic inputs in which two
+  shortlisted regions share a store key (a workflow two of whose endpoints
+  are region probe hosts, and fig1 over a catalog in which two regions
+  share one probe host): the report of `analyze --format json --cache`
+  with shortlist 3 and then 6 over one file, the file after each run, and
+  the stdout of `probe`;
 - with `time.time` pinned, `EchoProber.probe` and `measurement.http_get_ms`
   replaced by stand-ins that answer `1 + crc32(host or url) % 100` ms and
   the prober's mode fixed as icmp, through `cloudforecast.cli.main`: the
@@ -256,6 +262,7 @@ def dump_generated() -> dict[str, str]:
     outputs.update(agent_rankings())
     outputs.update(cache_outputs())
     outputs.update(fig1_synthetic_caches(model))
+    outputs.update(collision_outputs())
     outputs.update(local_outputs())
     outputs.update(overflow_outputs())
     outputs.update(refusal_outputs())
@@ -607,6 +614,46 @@ def local_outputs() -> dict[str, str]:
     if code != 0:
         raise CommandFailed(f"local analyze of fig1 with {DOWN_HOST} down exited {code}:\n{err}")
     outputs["local/fig1/analyze-host-down"] = out
+    return outputs
+
+
+def collision_outputs() -> dict[str, str]:
+    """With the clock pinned, for `HUB_ENDPOINT_DOC` over the default catalog
+    and for this tool's samples/fig1.workflow over the default catalog plus
+    us-west-2-twin, at us-west-2's probe host and position, both synthetic
+    and written under collision/ in the working directory: the report of
+    `analyze --format json --cache` with shortlist 3 and then 6 over one
+    cache file, that file after each run, and `probe`. In both inputs two
+    shortlisted regions share a store key."""
+    from cloudforecast import geo
+
+    regions = [{"id": r.id, "probe_host": r.probe_host, "lat": r.location.lat,
+                "lon": r.location.lon} for r in geo.default_region_catalog().regions]
+    regions += [dict(r, id="us-west-2-twin") for r in regions if r["id"] == "us-west-2"]
+    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
+                        "fig1.workflow")
+    os.makedirs("collision", exist_ok=True)
+    hub, twin = (os.path.join("collision", name) for name in ("hub.workflow", "twin.json"))
+    for path, doc in ((hub, HUB_ENDPOINT_DOC), (twin, {"regions": regions})):
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    outputs = {}
+    with pinned_clock():
+        for name, inputs in (("hub-endpoint", ["-w", hub]),
+                             ("twin-hub", ["-w", fig1, "-r", twin])):
+            cache = os.path.join("collision", f"{name}.cache")
+            for run, shortlist in (("first", "3"), ("second", "6")):
+                code, out, err = run_main(["analyze", *inputs, "--format", "json", "--cache", cache,
+                                           "--shortlist", shortlist, "--no-timestamps"])
+                if code != 0:
+                    raise CommandFailed(f"{run} analyze --cache of {name} exited {code}:\n{err}")
+                outputs[f"collision/{name}/analyze-{run}"] = out
+                with open(cache, "rb") as fh:
+                    outputs[f"collision/{name}/analyze-{run}.cache"] = fh.read().decode("latin-1")
+            code, out, err = run_main(["probe", *inputs])
+            if code != 0:
+                raise CommandFailed(f"probe of {name} exited {code}:\n{err}")
+            outputs[f"collision/{name}/probe"] = out
     return outputs
 
 
