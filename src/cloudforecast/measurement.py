@@ -18,7 +18,7 @@ import time
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .candidates import Metric, Pair
+from .candidates import Legs, Metric, Pair, weighted_pairs
 from .errors import DocumentFormatError
 from .geo import (
     LONGEST_KM,
@@ -261,10 +261,12 @@ class MeasurementStore:
 
     Thread-safe; concurrent misses may probe twice (last write wins). The
     store remembers the cache file its entries equal, so saving them back
-    to it writes nothing. A `put_synthetic` batch's records are built when
-    something first reads or writes its metric's table (`get_many`, `get`,
-    another `put_synthetic` of the metric) or every table (`put_many`,
-    `save`); until then the batch is one pending row, which `len` counts.
+    to it writes nothing. A `put_synthetic` batch is kept as it was given,
+    hubs, legs and values, with its clock reading and the number of keys
+    it stores, as one pending row per metric, which `len` counts. Its pairs,
+    keys and records are built when something first reads or writes its
+    metric's table (`get_many`, `get`, another `put_synthetic` of the
+    metric) or every table (`put_many`, `save`).
     """
 
     def __init__(self, ttl_s: float = DEFAULT_TTL_S):
@@ -274,20 +276,25 @@ class MeasurementStore:
         if ttl_s <= 0:
             raise ValueError("ttl_s must be positive")
         self._entries: dict[Metric, dict[Pair, Measurement]] = {metric: {} for metric in Metric}
-        # metric -> the keys a synthetic batch stores (none in the table), their
-        # first pairs, those pairs' values and the batch's clock reading
-        self._pending: dict[Metric, tuple[dict[Pair, int], list[Pair], list[float], float]] = {}
+        # metric -> a synthetic batch's hubs, legs and values, its clock reading
+        # and the number of keys it stores (none in the table)
+        self._pending: dict[Metric, tuple[tuple[str, ...], Legs, list[float], float, int]] = {}
         # reentrant: `put_synthetic` looks up through `get_many` within its own hold
         self._lock = threading.RLock()
         # identity of the file whose records equal the unexpired entries, if any
         self._synced: tuple[int, int, int, int] | None = None
 
     def _settle(self, *metrics: Metric) -> None:
-        """Insert the records of the metrics' pending rows into their tables;
-        the caller holds the lock."""
+        """Insert the records of the metrics' pending rows into their tables:
+        each key with no entry at the row's clock reading gets the record of
+        its first pair; the caller holds the lock."""
         for metric in metrics:
-            keys, pairs, values, now = self._pending.pop(metric)
-            self._entries[metric].update(zip(keys, _synthetic_records(pairs, values, metric, now)))
+            hubs, legs, values, now, _ = self._pending.pop(metric)
+            pairs = _row_pairs(hubs, legs)
+            first = self.get_many(pairs, metric, now)[1]  # the row is no longer pending
+            keep = first.values()
+            self._entries[metric].update(zip(first, _synthetic_records(
+                [pairs[i] for i in keep], [values[i] for i in keep], metric, now)))
 
     def get(self, pair: Pair, metric: Metric, now: float | None = None) -> Measurement | None:
         return self.get_many((pair,), metric, now)[0].get(pair)
@@ -336,30 +343,38 @@ class MeasurementStore:
                 tables[m.metric][(dst, src) if dst < src else (src, dst)] = m
                 self._synced = None
 
-    def put_synthetic(self, pairs: list[Pair], values: list[float],
+    def put_synthetic(self, hubs: Sequence[str], legs: Legs, values: list[float],
                       metric: Metric) -> dict[Pair, Measurement]:
         """`collect_measurements` with a synthetic provider of the metric, for
-        a caller that has the model's value of each pair: store the synthetic
-        record of every key `get_many` finds no unexpired entry for, built
-        from the key's first pair and that pair's value, and return the
-        entries found, by pair. One clock reading is the expiry time and
-        every record's time. The lookup, the check of the values stored by
-        the rule every `Measurement` keeps, and the store are one lock hold;
-        the records are built later, from the metric's pending row, as the
-        class says. A batch that stores nothing keeps the store synced."""
+        a caller that has the model's value of each pair, in row form: the
+        pairs are `weighted_pairs(legs, hub)` of each hub in turn, and
+        `values` theirs in that order. Store the synthetic record of every
+        key `get_many` finds no unexpired entry for, built from the key's
+        first pair and that pair's value, and return the entries found, by
+        pair. One clock reading is the expiry time and every record's time.
+        The lookup, the check of the values stored by the rule every
+        `Measurement` keeps, and the store are one lock hold; the records are
+        built later, from the metric's pending row, as the class says. When
+        the metric's table is empty with nothing pending, and the rows' keys
+        are distinct (the hubs distinct, the legs' endpoints distinct and
+        none a hub), every key is missing: no pair is built or looked up,
+        and nothing is found. A batch that stores nothing keeps the store
+        synced."""
         now = time.time()
+        ends = {end for end, _ in legs}
         with self._lock:
-            found, first = self.get_many(pairs, metric, now)
-            if first:
-                # new lists: the records are built later, from the values given now
-                if len(first) < len(pairs):
-                    pairs = [pairs[i] for i in first.values()]
-                    values = [values[i] for i in first.values()]
-                else:  # every pair is its own missing key
-                    pairs, values = list(pairs), list(values)
+            if (not self._entries[metric] and metric not in self._pending
+                    and len(ends) == len(legs) and len(set(hubs)) == len(hubs)
+                    and ends.isdisjoint(hubs)):
+                found, count, stored = {}, len(hubs) * len(legs), values
+            else:
+                found, first = self.get_many(_row_pairs(hubs, legs), metric, now)
+                count, stored = len(first), [values[i] for i in first.values()]
+            if count:
                 unit = UNIT_BY_METRIC[metric]
-                check_measured(values, 1, True, now, unit, unit)
-                self._pending[metric] = (first, pairs, values, now)
+                check_measured(stored, 1, True, now, unit, unit)
+                # copies: the records are built later, from the rows given now
+                self._pending[metric] = (tuple(hubs), dict(legs), list(values), now, count)
                 self._synced = None
         return found
 
@@ -368,7 +383,7 @@ class MeasurementStore:
         no entry when its batch was stored, so each is counted once."""
         with self._lock:
             return (sum(map(len, self._entries.values()))
-                    + sum(len(keys) for keys, *_ in self._pending.values()))
+                    + sum(count for *_, count in self._pending.values()))
 
     def save(self, path: str) -> None:
         """One JSON record per unexpired key, sorted, so later runs reuse probes.
@@ -469,6 +484,11 @@ class MeasurementStore:
             if records == len(store) and not expired:  # none overridden by a later one
                 store._synced = _file_identity(fh.fileno())
         return store
+
+
+def _row_pairs(hubs: Sequence[str], legs: Legs) -> list[Pair]:
+    """The pairs of a synthetic batch in row form, hub by hub."""
+    return [pair for hub in hubs for pair in weighted_pairs(legs, hub)]
 
 
 # a record's values in `Measurement` field order

@@ -161,10 +161,13 @@ def rank_regions(
     provider is a `SyntheticProvider` of that metric over the pass's
     `location_index(spec, catalog)`, zeros otherwise. The store's answers
     overlay that list: the unexpired entries `MeasurementStore.put_synthetic`
-    finds as it stores the other keys' records, or every pair's measurement
-    from `collect_measurements`. A failed answer puts the failure penalty in
-    its place and counts its leg's edges as failed. Either way the scores,
-    records and store are those of `collect_measurements` with the provider.
+    finds as it stores the other keys' records, given the model's values as
+    rows (the regions' hubs and the legs), or every pair's measurement from
+    `collect_measurements`. A synthetic batch's pairs are built here only
+    when the store answered, and the store builds them only when it has to
+    look them up, so a fresh synthetic ranking builds none. A failed answer puts the failure penalty in its place and
+    counts its leg's edges as failed. Either way the scores, records and
+    store are those of `collect_measurements` with the provider.
     """
     legs = hub_legs(spec)
     weights = list(legs.values())
@@ -174,17 +177,21 @@ def rank_regions(
     kms_of: dict[str, list[float]] = {}  # region -> its legs' kilometres, in leg order
     from_rows: set[Metric] = set()  # the metrics whose values start from `kms_of`
 
+    def batch_of(region_ids: list[str]) -> list[Pair]:
+        pairs_of.update((r, weighted_pairs(legs, hub_of[r])) for r in region_ids
+                        if r not in pairs_of)
+        return [pair for region_id in region_ids for pair in pairs_of[region_id]]
+
     def scored(metric: Metric, region_ids: list[str]) -> dict[str, GraphScore]:
         if metric not in providers:
             return {}
-        pairs_of.update((r, weighted_pairs(legs, hub_of[r])) for r in region_ids
-                        if r not in pairs_of)
-        batch = [pair for region_id in region_ids for pair in pairs_of[region_id]]
         if metric in from_rows:
             kms = [km for region_id in region_ids for km in kms_of[region_id]]
             values = _synthetic_values(kms, metric, providers[metric].model)
-            answers = store.put_synthetic(batch, values, metric)
+            answers = store.put_synthetic([hub_of[r] for r in region_ids], legs, values, metric)
+            batch = batch_of(region_ids) if answers else []
         else:
+            batch = batch_of(region_ids)
             values = [0.0] * len(batch)
             answers = collect_measurements(store, batch, metric, providers[metric], max_parallel)
         failed = [0] * len(region_ids)

@@ -246,24 +246,32 @@ HOSTS = [f"h{i}.example.org" for i in range(6)]
 coordinates = st.builds(Coordinate, st.floats(-90, 90), st.floats(-180, 180))
 
 
+def _row_pairs(hubs, legs):
+    """The pairs of a batch in row form: each hub's `weighted_pairs` in turn."""
+    return [pair for hub in hubs for pair in weighted_pairs(legs, hub)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     coords=st.lists(coordinates, min_size=len(HOSTS), max_size=len(HOSTS)),
-    pairs=st.lists(st.tuples(st.sampled_from(HOSTS), st.sampled_from(HOSTS)), max_size=20),
+    hubs=st.lists(st.sampled_from(HOSTS), max_size=4),
+    legs=st.dictionaries(st.tuples(st.sampled_from(HOSTS), st.booleans()),
+                         st.integers(1, 3), max_size=6),
     order=st.permutations([Metric.PING, Metric.HTTP_RTT]),
 )
-def test_put_synthetic_stores_the_per_pair_models_records_bit_for_bit(coords, pairs, order):
+def test_put_synthetic_stores_the_per_pair_models_records_bit_for_bit(coords, hubs, legs, order):
     table = LocationTable(dict(zip(HOSTS, coords)))
     providers = synthetic_providers(MODEL, table)
     assert set(providers) == {Metric.PING, Metric.HTTP_RTT}  # ranking computes distance
     store = MeasurementStore()
+    pairs = _row_pairs(hubs, legs)
     first = {}  # each store key -> its first pair, whose record the store keeps
     for pair in pairs:
         first.setdefault(tuple(sorted(pair)), pair)
     for metric in order:  # the values as a ranking has them, from kilometre rows
         kms = [km_row([prepare_point(table.locate(src))], table.locate(dst))[0]
                for src, dst in pairs]
-        store.put_synthetic(pairs, measurement._synthetic_values(kms, metric, MODEL), metric)
+        store.put_synthetic(hubs, legs, measurement._synthetic_values(kms, metric, MODEL), metric)
         for pair in pairs:
             got = store.get(pair, metric)
             want = providers[metric](first[tuple(sorted(pair))])
@@ -273,22 +281,26 @@ def test_put_synthetic_stores_the_per_pair_models_records_bit_for_bit(coords, pa
     assert len(store) == 2 * len(first)
 
 
-def test_synthetic_batch_reads_the_clock_once(monkeypatch):
-    pairs = [(HOSTS[0], h) for h in HOSTS]
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("ends", [HOSTS[1:], HOSTS], ids=["hub-not-an-endpoint", "hub-endpoint"])
+def test_synthetic_batch_reads_the_clock_once(monkeypatch, warm, ends):
+    # a warm table is searched with the same reading; a cold one is searched
+    # only when an endpoint is the hub
+    legs = {(h, False): 1 for h in ends}
+    pairs = [(HOSTS[0], h) for h in ends]
     values = [float(i + 1) for i in range(len(pairs))]
     hit = _m(HOSTS[0], HOSTS[1], taken_at=1.0e9 - 1)
-    for warm in (False, True):  # a warm table is searched with the same reading
-        store = MeasurementStore(ttl_s=1.0e12)  # the records outlive the pinned clock
-        if warm:
-            store.put_many([hit])
-        clock = []
-        monkeypatch.setattr(measurement.time, "time", lambda: clock.append(1) or 1.0e9)
-        found = store.put_synthetic(pairs, values, Metric.PING)
-        monkeypatch.undo()
-        assert len(clock) == 1
-        assert found == ({pairs[1]: hit} if warm else {})
-        stored = [store.get(pair, Metric.PING) for pair in pairs if pair not in found]
-        assert {(m.taken_at, m.note) for m in stored} == {(1.0e9, "synthetic")}
+    store = MeasurementStore(ttl_s=1.0e12)  # the records outlive the pinned clock
+    if warm:
+        store.put_many([hit])
+    clock = []
+    monkeypatch.setattr(measurement.time, "time", lambda: clock.append(1) or 1.0e9)
+    found = store.put_synthetic([HOSTS[0]], legs, values, Metric.PING)
+    monkeypatch.undo()
+    assert len(clock) == 1
+    assert found == ({(HOSTS[0], HOSTS[1]): hit} if warm else {})
+    stored = [store.get(pair, Metric.PING) for pair in pairs if pair not in found]
+    assert {(m.taken_at, m.note) for m in stored} == {(1.0e9, "synthetic")}
 
 
 @pytest.mark.parametrize("shortlist_n", [None, 3])
@@ -507,27 +519,33 @@ def test_put_synthetic_stores_each_missing_key_once_from_its_first_pair(warm):
     held = _m("c", "b", value=4.0)
     if warm:
         store.put_many([held])
-    pairs = [("y", "x"), ("b", "c"), ("x", "y"), ("c", "b"), ("z", "z")]
-    found = store.put_synthetic(pairs, [1.0, 2.0, 3.0, 5.0, 6.0], Metric.PING)
-    made = {("x", "y"): ("y", "x", 1.0), ("z", "z"): ("z", "z", 6.0)}
+    # the pairs (c, y) (b, c) (c, c) around c, then (b, y) (b, b) (c, b) around b:
+    # the key of (b, c) and (c, b) is stored once, from the first of them
+    legs = {("y", False): 1, ("b", True): 1, ("c", True): 2}
+    found = store.put_synthetic(["c", "b"], legs, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], Metric.PING)
+    made = {("y", "c"): ("c", "y", 1.0), ("c", "c"): ("c", "c", 3.0),
+            ("y", "b"): ("b", "y", 4.0), ("b", "b"): ("b", "b", 5.0)}
     if warm:
         assert found == {("b", "c"): held, ("c", "b"): held}
         assert store.get(("b", "c"), Metric.PING) is held
     else:
         assert found == {}
-        made[("b", "c")] = ("b", "c", 2.0)
-    assert len(store) == 3
+        made[("c", "b")] = ("b", "c", 2.0)
+    assert len(store) == 5
     for pair, (src, dst, value) in made.items():
         m = store.get(pair, Metric.PING)
         assert (m.src, m.dst, m.value, m.unit, m.samples, m.success, m.note) == (
             src, dst, value, "ms", 1, True, "synthetic")
 
 
-def test_put_synthetic_refuses_a_value_measurement_refuses_and_stores_nothing():
+@pytest.mark.parametrize("hub", ["d", "a"], ids=["distinct-keys", "hub-endpoint"])
+def test_put_synthetic_refuses_a_value_measurement_refuses_and_stores_nothing(hub):
     store = MeasurementStore()
     with pytest.raises(ValueError, match="successful measurement value must be >= 0"):
-        store.put_synthetic([("a", "b"), ("c", "d")], [1.0, -1.0], Metric.HTTP_RTT)
+        store.put_synthetic([hub], {("a", True): 1, ("c", True): 1}, [1.0, -1.0],
+                            Metric.HTTP_RTT)
     assert len(store) == 0
+    assert store.get_many([("a", hub), ("c", hub)], Metric.HTTP_RTT)[0] == {}
 
 
 # -- the CLI over the batch path ------------------------------------------------------

@@ -121,10 +121,10 @@ def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, s
         batches["provider"] += 1
         return collect_measurements(store, pairs, metric, *rest)
 
-    def from_rows(store, pairs, values, metric):
-        lookups.append((metric, pairs))
+    def from_rows(store, hubs, legs, values, metric):
+        lookups.append((metric, [pair for hub in hubs for pair in weighted_pairs(legs, hub)]))
         batches["rows"] += 1
-        return put_synthetic(store, pairs, values, metric)
+        return put_synthetic(store, hubs, legs, values, metric)
 
     put_synthetic = MeasurementStore.put_synthetic
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -225,14 +225,18 @@ def _measurement_error(value):
     return None
 
 
-def _batch_error(values):
-    """`put_synthetic`'s error for the values of distinct pairs, None if it stores them."""
+def _batch_error(values, warm=False):
+    """`put_synthetic`'s error for the values of distinct pairs, None if it
+    stores them; a warm store holds another key, so the batch is looked up."""
     store = MeasurementStore()
-    pairs = [(f"h{i}.example.org", "hub.example.org") for i in range(len(values))]
+    if warm:
+        store.put_many([Measurement("x", "y", Metric.PING, 1.0, "ms", 1, True, 1.0e12)])
+    legs = {(f"h{i}.example.org", True): 1 for i in range(len(values))}
+    pairs = list(weighted_pairs(legs, "hub.example.org"))
     try:
-        store.put_synthetic(pairs, list(values), Metric.PING)
+        store.put_synthetic(["hub.example.org"], legs, list(values), Metric.PING)
     except ValueError as exc:
-        assert len(store) == 0  # a refused batch stores nothing
+        assert len(store) == int(warm)  # a refused batch stores nothing
         return str(exc)
     records = [store.get(pair, Metric.PING) for pair in pairs]
     assert all(type(m) is Measurement for m in records)
@@ -240,15 +244,16 @@ def _batch_error(values):
     return None
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("value", CANDIDATES, ids=repr)
-def test_put_synthetic_rejects_a_value_as_measurement_does(value):
-    assert _batch_error([value]) == _measurement_error(value)
+def test_put_synthetic_rejects_a_value_as_measurement_does(value, warm):
+    assert _batch_error([value], warm) == _measurement_error(value)
 
 
 @settings(max_examples=150, deadline=None)
-@given(values=st.lists(st.sampled_from(CANDIDATES), min_size=1, max_size=6))
-def test_put_synthetic_rejects_a_batch_when_measurement_rejects_one_value(values):
-    rejected = _batch_error(values) is not None
+@given(values=st.lists(st.sampled_from(CANDIDATES), min_size=1, max_size=6), warm=st.booleans())
+def test_put_synthetic_rejects_a_batch_when_measurement_rejects_one_value(values, warm):
+    rejected = _batch_error(values, warm) is not None
     assert rejected == any(_measurement_error(v) is not None for v in values)
 
 

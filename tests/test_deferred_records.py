@@ -1,10 +1,11 @@
 """A synthetic batch's records are built only when something reads them:
-`MeasurementStore.put_synthetic` keeps a pending row per metric, and every
-public call answers as a store that built the records at once, at the same
-clock reading."""
+`MeasurementStore.put_synthetic` keeps a pending row per metric, in the row
+form it was given (hubs, legs and values), and every public call answers as
+a store that built each pair's record at once, at the same clock reading."""
 
 import json
 import os
+import random
 import sys
 import tempfile
 import threading
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import measurement
+from cloudforecast import measurement, scoring
 from cloudforecast.candidates import Metric, hub_legs, weighted_pairs
+from cloudforecast.geo import Coordinate, Region, RegionCatalog
 from cloudforecast.measurement import (
     UNIT_BY_METRIC,
     Measurement,
@@ -26,6 +28,7 @@ from cloudforecast.measurement import (
     synthetic_providers,
 )
 from cloudforecast.scoring import ScoringConfig, rank_regions
+from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 
 MODEL = SyntheticNetworkModel()
 NOW = 1.0e9
@@ -34,11 +37,19 @@ HOSTS = ("a", "b", "c", "d")
 METRICS = (Metric.PING, Metric.HTTP_RTT)
 
 
-class EagerStore(MeasurementStore):
-    """The store whose `put_synthetic` builds and inserts every record at once."""
+def _row_pairs(hubs, legs):
+    """The pairs of a batch in row form: each hub's `weighted_pairs` in turn."""
+    return [pair for hub in hubs for pair in weighted_pairs(legs, hub)]
 
-    def put_synthetic(self, pairs, values, metric):
+
+class EagerStore(MeasurementStore):
+    """The per-pair reference: its `put_synthetic` builds the rows' pairs,
+    looks every one up and inserts the record of each missing key's first
+    pair at once."""
+
+    def put_synthetic(self, hubs, legs, values, metric):
         now = time.time()
+        pairs = _row_pairs(hubs, legs)
         found, first = self.get_many(pairs, metric, now)
         if first:
             keep = list(first.values())
@@ -75,13 +86,59 @@ def test_a_cold_synthetic_ranking_builds_no_records(fig1_spec, catalog, monkeypa
     assert len((tmp_path / "fig1.cache").read_text().splitlines()) == len(store) == 48
 
 
-def test_a_pending_row_keeps_the_values_given_when_it_was_stored():
+def _stress_inputs(nodes=200, regions=64, seed=41):
+    """A workflow of `nodes` random endpoints, each after a random earlier
+    one and some after two, and a catalog of `regions` random regions."""
+    rng = random.Random(seed)
+
+    def place():
+        return Coordinate(rng.uniform(-60, 70), rng.uniform(-180, 180))
+
+    spec = WorkflowSpec(
+        name="stress",
+        nodes=tuple(WorkflowNode(id=f"n{i}", endpoint=f"n{i}.example.org", location=place())
+                    for i in range(nodes)),
+        edges=tuple(WorkflowEdge(f"n{rng.randrange(i)}", f"n{i}")
+                    for i in range(1, nodes) for _ in range(1 + (i % 5 == 0))))
+    catalog = RegionCatalog(tuple(Region(f"r{j}", f"probe.r{j}.example", place())
+                                  for j in range(regions)))
+    return spec, catalog
+
+
+def test_a_fresh_stress_scale_ranking_builds_no_pair_and_no_record(monkeypatch, tmp_path):
+    spec, catalog = _stress_inputs()
+    calls = _counting_records(monkeypatch)
+    built = []
+    for module in (scoring, measurement):
+        monkeypatch.setattr(module, "weighted_pairs",
+                            lambda legs, hub: built.append(hub) or weighted_pairs(legs, hub))
     store = MeasurementStore()
-    pairs, values = [("a", "b"), ("c", "d")], [1.0, 2.0]
-    store.put_synthetic(pairs, values, Metric.PING)
-    pairs[0], values[0] = ("x", "y"), 9.0
+    providers = synthetic_providers(MODEL, location_index(spec, catalog))
+    report = rank_regions(spec, catalog, store, providers, ScoringConfig(shortlist_n=16))
+    assert built == [] and calls == []
+    legs = hub_legs(spec)
+    assert report.provenance["cache_entries"] == len(store) == 2 * 16 * len(legs)
+    # `get_many` builds its own metric's pairs and records, and `save` the rest
+    hubs = [catalog.by_id(e.region).probe_host for e in report.entries if e.shortlisted]
+    pairs = [pair for hub in hubs for pair in weighted_pairs(legs, hub)]
+    assert len(store.get_many(pairs, Metric.PING)[0]) == len(pairs)
+    assert calls == [Metric.PING] and sorted(built) == sorted(hubs)
+    store.save(str(tmp_path / "stress.cache"))
+    assert calls == [Metric.PING, Metric.HTTP_RTT] and sorted(built) == sorted(hubs * 2)
+    assert len((tmp_path / "stress.cache").read_text().splitlines()) == len(store)
+
+
+@pytest.mark.parametrize("hubs", [["b", "d"], ["b", "a"]], ids=["distinct-keys", "hub-endpoint"])
+def test_a_pending_row_keeps_the_rows_given_when_it_was_stored(hubs):
+    store = MeasurementStore()
+    legs, values = {("a", True): 1}, [1.0, 2.0]
+    store.put_synthetic(hubs, legs, values, Metric.PING)
+    hubs[0], values[0] = "x", 9.0
+    legs[("z", True)] = 1
     assert store.get(("b", "a"), Metric.PING).value == 1.0
-    assert store.get(("x", "y"), Metric.PING) is None
+    assert store.get(("a", "x"), Metric.PING) is None
+    assert store.get(("z", "b"), Metric.PING) is None
+    assert len(store) == 2
 
 
 ROUNDS = 100
@@ -90,26 +147,29 @@ ROUNDS = 100
 def test_concurrent_batches_store_and_count_each_key_once(tmp_path):
     path = str(tmp_path / "synthetic.cache")
     store = MeasurementStore()
-    keys = [(f"h{i:02d}", f"h{j:02d}") for i in range(12) for j in range(i, 12)]
+    hosts = [f"h{i:02d}" for i in range(12)]
 
     def batch(worker, i):
-        """A key of the batch's own, then a window of keys that other batches
-        share, some pairs the other way round."""
-        start = (worker * 7 + i * 5) % len(keys)
-        pairs = [(f"w{worker}", f"i{i:03d}")] + (keys + keys)[start:start + 20]
-        return [pair[::-1] if (worker + i) % 3 else pair for pair in pairs], METRICS[(worker + i) % 2]
+        """Rows around two hubs over an endpoint of the batch's own, then a
+        window of endpoints that other batches use as hubs, in either
+        direction; every other batch's window holds its second hub."""
+        start, to_hub = (worker * 7 + i * 5) % len(hosts), bool((worker + i) % 3)
+        ends = [f"w{worker}-i{i:03d}"] + (hosts + hosts)[start + 1 + i % 2:start + 5 + i % 2]
+        return (hosts + hosts)[start:start + 2], {(end, to_hub): 1 for end in ends}, \
+            METRICS[(worker + i) % 2]
 
     stored = set()  # (metric, key) of every record the batches store
     for worker in range(8):
         for i in range(ROUNDS):
-            pairs, metric = batch(worker, i)
-            stored.update((metric, tuple(sorted(pair))) for pair in pairs)
+            hubs, legs, metric = batch(worker, i)
+            stored.update((metric, tuple(sorted(pair))) for pair in _row_pairs(hubs, legs))
     counts, misses = [], []
 
     def work(worker):
         for i in range(ROUNDS):
-            pairs, metric = batch(worker, i)
-            store.put_synthetic(pairs, [float(worker)] * len(pairs), metric)
+            hubs, legs, metric = batch(worker, i)
+            pairs = _row_pairs(hubs, legs)
+            store.put_synthetic(hubs, legs, [float(worker)] * len(pairs), metric)
             counts.append(len(store))
             if store.get(pairs[0], metric) is None:  # the batch's own key
                 misses.append(pairs[0])
@@ -138,8 +198,8 @@ def test_concurrent_lookups_evict_while_batches_store_and_each_key_ends_once(
     """`get_many` drops expired entries while `put_synthetic` looks the same
     keys up and stores the missing ones: no key is lost or stored twice."""
     legs = hub_legs(fig1_spec)
-    pairs = [pair for region in catalog.regions
-             for pair in weighted_pairs(legs, region.probe_host)]
+    hubs = [region.probe_host for region in catalog.regions]
+    pairs = _row_pairs(hubs, legs)
     keys = {tuple(sorted(pair)) for pair in pairs}
     path = str(tmp_path / "evicted.cache")
 
@@ -157,7 +217,7 @@ def test_concurrent_lookups_evict_while_batches_store_and_each_key_ends_once(
                 if worker % 2:
                     store.get_many(pairs, Metric.PING)
                 else:
-                    store.put_synthetic(pairs, [float(worker)] * len(pairs), Metric.PING)
+                    store.put_synthetic(hubs, legs, [float(worker)] * len(pairs), Metric.PING)
                 counts.append(len(store))
 
         threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
@@ -208,11 +268,16 @@ def records(draw):
 
 @st.composite
 def synthetic_batches(draw):
-    pairs = draw(pairs_strategy.filter(bool))
-    values = draw(st.lists(st.floats(0.0, 1e4), min_size=len(pairs), max_size=len(pairs)))
+    """Rows: hubs with repeats, and legs whose endpoints may be hubs, or
+    another host; an endpoint may even have both directions."""
+    hubs = draw(st.lists(st.sampled_from(HOSTS), min_size=1, max_size=3))
+    legs = draw(st.dictionaries(st.tuples(st.sampled_from(HOSTS + ("e",)), st.booleans()),
+                                st.integers(1, 3), min_size=1, max_size=4))
+    size = len(hubs) * len(legs)
+    values = draw(st.lists(st.floats(0.0, 1e4), min_size=size, max_size=size))
     if draw(st.integers(0, 7)) == 0:  # a negative value is refused, by both stores alike
-        values[draw(st.integers(0, len(values) - 1))] = -1.0
-    return pairs, values, draw(metrics)
+        values[draw(st.integers(0, size - 1))] = -1.0
+    return hubs, legs, values, draw(metrics)
 
 
 calls = st.one_of(
@@ -239,9 +304,9 @@ def _answer(store, call, path):
     if kind == "put_many":
         return store.put_many(call[1])
     if kind == "put_synthetic":
-        pairs, values, metric = call[1]
+        hubs, legs, values, metric = call[1]
         try:
-            return repr(store.put_synthetic(list(pairs), list(values), metric))
+            return repr(store.put_synthetic(list(hubs), dict(legs), list(values), metric))
         except ValueError as exc:
             return f"ValueError: {exc}"
     store.save(path)

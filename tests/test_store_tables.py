@@ -1,8 +1,9 @@
 """The store's per-metric tables seen from outside: a warm ranking over a
 loaded cache equals the cold one, `load` checks a record with or without its
 optional `note` alike, `save` writes each line as `json.dumps` would, and a
-ranking builds each region's pairs once for all per-pair metrics, and only
-for the regions such a metric scores."""
+ranking builds each region's pairs at most once for all per-pair metrics,
+only for the regions such a metric scores, and not at all when the store
+answers a synthetic ranking nothing."""
 
 import json
 import os
@@ -99,24 +100,32 @@ def test_a_warm_ranking_over_the_saved_cache_equals_the_cold_one(inputs, subset,
             assert y == pytest.approx(x, rel=1e-9, abs=1e-9)  # summed in another order
 
 
-# -- the pairs of a region are built once ---------------------------------------------
+# -- the pairs of a region are built at most once -----------------------------------
 
 @pytest.mark.parametrize("shortlist_n", [None, 3])
 @pytest.mark.parametrize("subset", sorted(SUBSETS))
-def test_a_ranking_builds_each_regions_pairs_once(fig1_spec, catalog, monkeypatch,
-                                                  subset, shortlist_n):
+def test_a_ranking_builds_each_regions_pairs_at_most_once(fig1_spec, catalog, monkeypatch,
+                                                          subset, shortlist_n):
     built = []
     weighted_pairs = scoring.weighted_pairs
     monkeypatch.setattr(scoring, "weighted_pairs",
                         lambda legs, hub: built.append(hub) or weighted_pairs(legs, hub))
     synthetic = synthetic_providers(SyntheticNetworkModel(), location_index(fig1_spec, catalog))
     providers = {metric: p for metric, p in synthetic.items() if metric in SUBSETS[subset]}
+    per_pair = {metric: (lambda pair, p=p: p(pair)) for metric, p in providers.items()}
     config = ScoringConfig(shortlist_n=shortlist_n)
-    report = rank_regions(fig1_spec, catalog, MeasurementStore(), providers, config)
-    # at most once, and only for the regions a per-pair metric scores: the shortlist
-    scored = [catalog.by_id(e.region).probe_host for e in report.entries
-              if e.shortlisted and providers]
-    assert sorted(built) == sorted(scored)
+    store = MeasurementStore()
+    # a fresh store answers a synthetic ranking nothing: no pair is built
+    rank_regions(fig1_spec, catalog, store, providers, config)
+    assert built == []
+    # a store that answers (the records just stored), or per-pair providers:
+    # at most once, and only for the regions a per-pair metric scores
+    for store, chosen in ((store, providers), (MeasurementStore(), per_pair)):
+        built.clear()
+        report = rank_regions(fig1_spec, catalog, store, chosen, config)
+        scored = [catalog.by_id(e.region).probe_host for e in report.entries
+                  if e.shortlisted and providers]
+        assert sorted(built) == sorted(scored)
     for metric, attr in ((Metric.PING, "ping_score"), (Metric.HTTP_RTT, "http_score")):
         scored = sum(getattr(e, attr) is not None for e in report.entries)
         assert scored == ((shortlist_n or len(catalog.regions)) if metric in providers else 0)
