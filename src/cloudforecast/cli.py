@@ -40,7 +40,7 @@ from .executor import (
     simulate_execution,
 )
 from .geo import Coordinate, default_region_catalog, load_region_catalog
-from .jsondoc import as_int, as_string, check_fields, field_sets, load_document
+from .jsondoc import as_int, as_string, check_fields, field_sets, load_document, utf8_errors
 from .measurement import (
     DEFAULT_AGENT_PORT,
     DEFAULT_TTL_S,
@@ -170,7 +170,7 @@ def load_settings(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         try:
-            with open(config_path) as f:
+            with open(config_path, encoding="utf-8") as f, utf8_errors(config_path):
                 file_values = json.load(f)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}")
@@ -215,8 +215,9 @@ def config_from(cls, settings: dict):
 
 
 def _read_file(path: str, parse):
-    """`parse` of the text of the file at `path`; a document error names the file."""
-    with open(path) as f:
+    """`parse` of the text of the file at `path`, read as UTF-8; a document
+    error names the file."""
+    with open(path, encoding="utf-8") as f, utf8_errors(path):
         text = f.read()
     try:
         return parse(text)
@@ -225,7 +226,7 @@ def _read_file(path: str, parse):
 
 
 def _write_file(path: str, text: str) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
 

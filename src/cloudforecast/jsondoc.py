@@ -5,6 +5,7 @@ taking defaults.
 """
 
 import json
+from contextlib import contextmanager
 from math import isfinite
 from typing import Any, Iterable
 
@@ -21,6 +22,26 @@ def load_document(text: str, what: str = "document") -> Any:
         raise DocumentFormatError(
             f"invalid {what}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+@contextmanager
+def utf8_errors(path: str):
+    """A block that reads the file at `path` as UTF-8: bytes that are not
+    raise a `DocumentFormatError` at `path:line` of the first one that does
+    not decode. Only then is the file read again, to find it, since a
+    decoder reading by chunks counts from the chunk."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DocumentFormatError(
+            f"{path}:{line}: not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def field_sets(required: Iterable[str], optional: Iterable[str]) -> tuple[frozenset, frozenset]:

@@ -28,7 +28,7 @@ from .geo import (
     haversine_km,
     host_of,
 )
-from .jsondoc import TOO_LARGE, check_fields, field_sets, json_value
+from .jsondoc import TOO_LARGE, check_fields, field_sets, json_value, utf8_errors
 from .records import Checked
 from .workflow import WorkflowSpec
 
@@ -416,7 +416,7 @@ class MeasurementStore:
             )
             tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
             try:
-                with open(tmp, "w") as fh:
+                with open(tmp, "w", encoding="utf-8") as fh:
                     fh.writelines(lines)
                 os.replace(tmp, path)
             except BaseException:
@@ -433,7 +433,7 @@ class MeasurementStore:
         the usual record, and `check_measured` checks any other."""
         store = cls(ttl_s=ttl_s)
         try:
-            fh = open(path)
+            fh = open(path, encoding="utf-8")
         except FileNotFoundError:
             return store
         # the store is not shared yet, so records go straight into its tables:
@@ -444,7 +444,7 @@ class MeasurementStore:
         # equal keys that the file writes differently
         share, inf = {}.setdefault, math.inf
         records, now, expired = 0, time.time(), False
-        with fh:
+        with fh, utf8_errors(path):
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
