@@ -292,9 +292,9 @@ class MeasurementStore:
             hubs, legs, values, now, _ = self._pending.pop(metric)
             pairs = _row_pairs(hubs, legs)
             first = self.get_many(pairs, metric, now)[1]  # the row is no longer pending
-            keep = first.values()
             self._entries[metric].update(zip(first, _synthetic_records(
-                [pairs[i] for i in keep], [values[i] for i in keep], metric, now)))
+                [pairs[i] for i in first.values()], [values[i] for i in first.values()],
+                metric, now)))
 
     def get(self, pair: Pair, metric: Metric, now: float | None = None) -> Measurement | None:
         return self.get_many((pair,), metric, now)[0].get(pair)
@@ -347,7 +347,8 @@ class MeasurementStore:
                       metric: Metric) -> dict[Pair, Measurement]:
         """`collect_measurements` with a synthetic provider of the metric, for
         a caller that has the model's value of each pair, in row form: the
-        pairs are `weighted_pairs(legs, hub)` of each hub in turn, and
+        pairs are `weighted_pairs(legs, hub)` of each hub in turn, over legs
+        with one direction per endpoint as `hub_legs` gives them, and
         `values` theirs in that order. Store the synthetic record of every
         key `get_many` finds no unexpired entry for, built from the key's
         first pair and that pair's value, and return the entries found, by
@@ -356,16 +357,14 @@ class MeasurementStore:
         `Measurement` keeps, and the store are one lock hold; the records are
         built later, from the metric's pending row, as the class says. When
         the metric's table is empty with nothing pending, and the rows' keys
-        are distinct (the hubs distinct, the legs' endpoints distinct and
-        none a hub), every key is missing: no pair is built or looked up,
-        and nothing is found. A batch that stores nothing keeps the store
+        are distinct (the hubs distinct and no endpoint a hub), every key is
+        missing: no pair is built or looked up, and nothing is found. A batch that stores nothing keeps the store
         synced."""
         now = time.time()
         ends = {end for end, _ in legs}
         with self._lock:
             if (not self._entries[metric] and metric not in self._pending
-                    and len(ends) == len(legs) and len(set(hubs)) == len(hubs)
-                    and ends.isdisjoint(hubs)):
+                    and len(set(hubs)) == len(hubs) and ends.isdisjoint(hubs)):
                 found, count, stored = {}, len(hubs) * len(legs), values
             else:
                 found, first = self.get_many(_row_pairs(hubs, legs), metric, now)

@@ -255,11 +255,12 @@ def _row_pairs(hubs, legs):
 @given(
     coords=st.lists(coordinates, min_size=len(HOSTS), max_size=len(HOSTS)),
     hubs=st.lists(st.sampled_from(HOSTS), max_size=4),
-    legs=st.dictionaries(st.tuples(st.sampled_from(HOSTS), st.booleans()),
-                         st.integers(1, 3), max_size=6),
+    ends=st.dictionaries(st.sampled_from(HOSTS), st.tuples(st.booleans(), st.integers(1, 3)),
+                         max_size=6),
     order=st.permutations([Metric.PING, Metric.HTTP_RTT]),
 )
-def test_put_synthetic_stores_the_per_pair_models_records_bit_for_bit(coords, hubs, legs, order):
+def test_put_synthetic_stores_the_per_pair_models_records_bit_for_bit(coords, hubs, ends, order):
+    legs = {(end, to_hub): n for end, (to_hub, n) in ends.items()}  # as `hub_legs` gives them
     table = LocationTable(dict(zip(HOSTS, coords)))
     providers = synthetic_providers(MODEL, table)
     assert set(providers) == {Metric.PING, Metric.HTTP_RTT}  # ranking computes distance

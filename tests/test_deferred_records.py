@@ -268,11 +268,12 @@ def records(draw):
 
 @st.composite
 def synthetic_batches(draw):
-    """Rows: hubs with repeats, and legs whose endpoints may be hubs, or
-    another host; an endpoint may even have both directions."""
+    """Rows: hubs with repeats, and legs, one direction per endpoint as
+    `hub_legs` gives them, whose endpoints may be hubs or another host."""
     hubs = draw(st.lists(st.sampled_from(HOSTS), min_size=1, max_size=3))
-    legs = draw(st.dictionaries(st.tuples(st.sampled_from(HOSTS + ("e",)), st.booleans()),
-                                st.integers(1, 3), min_size=1, max_size=4))
+    ends = draw(st.dictionaries(st.sampled_from(HOSTS + ("e",)),
+                                st.tuples(st.booleans(), st.integers(1, 3)), min_size=1, max_size=4))
+    legs = {(end, to_hub): n for end, (to_hub, n) in ends.items()}
     size = len(hubs) * len(legs)
     values = draw(st.lists(st.floats(0.0, 1e4), min_size=size, max_size=size))
     if draw(st.integers(0, 7)) == 0:  # a negative value is refused, by both stores alike
@@ -316,23 +317,27 @@ def _answer(store, call, path):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    start=st.sampled_from(["empty", "warm", "expired"]),
+    start=st.sampled_from(["empty", "warm", "expired", "pending"]),
     seeded=st.lists(records(), min_size=1, max_size=6),
+    pending=synthetic_batches(),
     batch=synthetic_batches(),
     sequence=st.lists(calls, max_size=8),
 )
-def test_every_call_answers_as_a_store_given_the_records_at_once(start, seeded, batch,
+def test_every_call_answers_as_a_store_given_the_records_at_once(start, seeded, pending, batch,
                                                                   sequence):
+    """Row form answers as the per-pair reference from an empty store, one
+    with live or expired records, and one with another batch pending."""
     stores = [MeasurementStore(ttl_s=TTL_S), EagerStore(ttl_s=TTL_S)]
-    if start != "empty":
+    if start in ("warm", "expired"):
         age = 2 * TTL_S if start == "expired" else 0.0
         for store in stores:
             store.put_many(m._replace(taken_at=NOW - age) for m in seeded)
+    first = [("put_synthetic", pending, 0.0)] if start == "pending" else []
     clock = [NOW]
     with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as mp:
         mp.setattr(measurement.time, "time", lambda: clock[0])
         paths = [os.path.join(scratch, name) for name in ("deferred.cache", "eager.cache")]
-        for call in [("put_synthetic", batch, 0.0), *sequence]:
+        for call in [*first, ("put_synthetic", batch, 0.0), *sequence]:
             clock[0] = NOW + (call[-1] if call[0] in ("get", "get_many", "put_synthetic",
                                                       "save") else 0.0)
             answers = [_answer(store, call, path) for store, path in zip(stores, paths)]
