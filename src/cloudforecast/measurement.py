@@ -358,13 +358,13 @@ class MeasurementStore:
         built later, from the metric's pending row, as the class says. When
         the metric's table is empty with nothing pending, and the rows' keys
         are distinct (the hubs distinct and no endpoint a hub), every key is
-        missing: no pair is built or looked up, and nothing is found. A batch that stores nothing keeps the store
-        synced."""
+        missing: no pair is built or looked up, and nothing is found. A batch
+        that stores nothing keeps the store synced."""
         now = time.time()
-        ends = {end for end, _ in legs}
         with self._lock:
             if (not self._entries[metric] and metric not in self._pending
-                    and len(set(hubs)) == len(hubs) and ends.isdisjoint(hubs)):
+                    and len(set(hubs)) == len(hubs)
+                    and {end for end, _ in legs}.isdisjoint(hubs)):
                 found, count, stored = {}, len(hubs) * len(legs), values
             else:
                 found, first = self.get_many(_row_pairs(hubs, legs), metric, now)

@@ -165,9 +165,10 @@ def rank_regions(
     rows (the regions' hubs and the legs), or every pair's measurement from
     `collect_measurements`. A synthetic batch's pairs are built here only
     when the store answered, and the store builds them only when it has to
-    look them up, so a fresh synthetic ranking builds none. A failed answer puts the failure penalty in its place and
-    counts its leg's edges as failed. Either way the scores, records and
-    store are those of `collect_measurements` with the provider.
+    look them up, so a fresh synthetic ranking builds none. A failed answer
+    puts the failure penalty in its place and counts its leg's edges as
+    failed. Either way the scores, records and store are those of
+    `collect_measurements` with the provider.
     """
     legs = hub_legs(spec)
     weights = list(legs.values())

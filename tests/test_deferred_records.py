@@ -155,8 +155,8 @@ def test_concurrent_batches_store_and_count_each_key_once(tmp_path):
         direction; every other batch's window holds its second hub."""
         start, to_hub = (worker * 7 + i * 5) % len(hosts), bool((worker + i) % 3)
         ends = [f"w{worker}-i{i:03d}"] + (hosts + hosts)[start + 1 + i % 2:start + 5 + i % 2]
-        return (hosts + hosts)[start:start + 2], {(end, to_hub): 1 for end in ends}, \
-            METRICS[(worker + i) % 2]
+        hubs = (hosts + hosts)[start:start + 2]
+        return hubs, {(end, to_hub): 1 for end in ends}, METRICS[(worker + i) % 2]
 
     stored = set()  # (metric, key) of every record the batches store
     for worker in range(8):
