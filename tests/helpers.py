@@ -12,7 +12,7 @@ from urllib.parse import urlparse
 
 from hypothesis import strategies as st
 
-from cloudforecast.candidates import Metric, Pair
+from cloudforecast.candidates import Legs, Metric, Pair, weighted_pairs
 from cloudforecast.errors import UnknownLocationError
 from cloudforecast.geo import Coordinate, Region, RegionCatalog, haversine_km
 from cloudforecast.measurement import Measurement
@@ -153,6 +153,11 @@ def fold_pairs(pairs: dict[Pair, int]) -> dict[Pair, int]:
         kept = first.setdefault(frozenset(pair), pair)
         folded[kept] = folded.get(kept, 0) + n
     return folded
+
+
+def row_pairs(hubs: list[str], legs: Legs) -> list[Pair]:
+    """The pairs of a synthetic batch in row form: each hub's `weighted_pairs` in turn."""
+    return [pair for hub in hubs for pair in weighted_pairs(legs, hub)]
 
 
 def folded_hub_pairs(spec: WorkflowSpec, hub: str) -> dict[Pair, int]:

@@ -38,7 +38,8 @@ from cloudforecast.measurement import (
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowEdge, WorkflowSpec, parse_workflow
 from conftest import FIG1_DOC
-from helpers import SUBSETS, canonical_key, folded_hub_pairs, score_pairs, synthetic_inputs
+from helpers import (SUBSETS, canonical_key, folded_hub_pairs, row_pairs, score_pairs,
+                     synthetic_inputs)
 
 MODEL = SyntheticNetworkModel()
 
@@ -246,11 +247,6 @@ HOSTS = [f"h{i}.example.org" for i in range(6)]
 coordinates = st.builds(Coordinate, st.floats(-90, 90), st.floats(-180, 180))
 
 
-def _row_pairs(hubs, legs):
-    """The pairs of a batch in row form: each hub's `weighted_pairs` in turn."""
-    return [pair for hub in hubs for pair in weighted_pairs(legs, hub)]
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     coords=st.lists(coordinates, min_size=len(HOSTS), max_size=len(HOSTS)),
@@ -265,7 +261,7 @@ def test_put_synthetic_stores_the_per_pair_models_records_bit_for_bit(coords, hu
     providers = synthetic_providers(MODEL, table)
     assert set(providers) == {Metric.PING, Metric.HTTP_RTT}  # ranking computes distance
     store = MeasurementStore()
-    pairs = _row_pairs(hubs, legs)
+    pairs = row_pairs(hubs, legs)
     first = {}  # each store key -> its first pair, whose record the store keeps
     for pair in pairs:
         first.setdefault(tuple(sorted(pair)), pair)

@@ -27,7 +27,7 @@ from cloudforecast.measurement import (
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec, parse_workflow
 from conftest import FIG1_DOC
-from helpers import SUBSETS, canonical_key, folded_hub_pairs, synthetic_inputs
+from helpers import SUBSETS, canonical_key, folded_hub_pairs, row_pairs, synthetic_inputs
 
 # node id -> endpoint: "a" and "c" share one, and "hub" is also a hub drawn below
 NODES = {"a": "e0", "b": "e1", "c": "e0", "d": "hub", "f": "e2"}
@@ -122,7 +122,7 @@ def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, s
         return collect_measurements(store, pairs, metric, *rest)
 
     def from_rows(store, hubs, legs, values, metric):
-        lookups.append((metric, [pair for hub in hubs for pair in weighted_pairs(legs, hub)]))
+        lookups.append((metric, row_pairs(hubs, legs)))
         batches["rows"] += 1
         return put_synthetic(store, hubs, legs, values, metric)
 

@@ -29,17 +29,13 @@ from cloudforecast.measurement import (
 )
 from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
+from helpers import row_pairs
 
 MODEL = SyntheticNetworkModel()
 NOW = 1.0e9
 TTL_S = 100.0
 HOSTS = ("a", "b", "c", "d")
 METRICS = (Metric.PING, Metric.HTTP_RTT)
-
-
-def _row_pairs(hubs, legs):
-    """The pairs of a batch in row form: each hub's `weighted_pairs` in turn."""
-    return [pair for hub in hubs for pair in weighted_pairs(legs, hub)]
 
 
 class EagerStore(MeasurementStore):
@@ -49,7 +45,7 @@ class EagerStore(MeasurementStore):
 
     def put_synthetic(self, hubs, legs, values, metric):
         now = time.time()
-        pairs = _row_pairs(hubs, legs)
+        pairs = row_pairs(hubs, legs)
         found, first = self.get_many(pairs, metric, now)
         if first:
             keep = list(first.values())
@@ -120,7 +116,7 @@ def test_a_fresh_stress_scale_ranking_builds_no_pair_and_no_record(monkeypatch, 
     assert report.provenance["cache_entries"] == len(store) == 2 * 16 * len(legs)
     # `get_many` builds its own metric's pairs and records, and `save` the rest
     hubs = [catalog.by_id(e.region).probe_host for e in report.entries if e.shortlisted]
-    pairs = [pair for hub in hubs for pair in weighted_pairs(legs, hub)]
+    pairs = row_pairs(hubs, legs)
     assert len(store.get_many(pairs, Metric.PING)[0]) == len(pairs)
     assert calls == [Metric.PING] and sorted(built) == sorted(hubs)
     store.save(str(tmp_path / "stress.cache"))
@@ -162,13 +158,13 @@ def test_concurrent_batches_store_and_count_each_key_once(tmp_path):
     for worker in range(8):
         for i in range(ROUNDS):
             hubs, legs, metric = batch(worker, i)
-            stored.update((metric, tuple(sorted(pair))) for pair in _row_pairs(hubs, legs))
+            stored.update((metric, tuple(sorted(pair))) for pair in row_pairs(hubs, legs))
     counts, misses = [], []
 
     def work(worker):
         for i in range(ROUNDS):
             hubs, legs, metric = batch(worker, i)
-            pairs = _row_pairs(hubs, legs)
+            pairs = row_pairs(hubs, legs)
             store.put_synthetic(hubs, legs, [float(worker)] * len(pairs), metric)
             counts.append(len(store))
             if store.get(pairs[0], metric) is None:  # the batch's own key
@@ -199,7 +195,7 @@ def test_concurrent_lookups_evict_while_batches_store_and_each_key_ends_once(
     keys up and stores the missing ones: no key is lost or stored twice."""
     legs = hub_legs(fig1_spec)
     hubs = [region.probe_host for region in catalog.regions]
-    pairs = _row_pairs(hubs, legs)
+    pairs = row_pairs(hubs, legs)
     keys = {tuple(sorted(pair)) for pair in pairs}
     path = str(tmp_path / "evicted.cache")
 
