@@ -261,12 +261,11 @@ class MeasurementStore:
 
     Thread-safe; concurrent misses may probe twice (last write wins). The
     store remembers the cache file its entries equal, so saving them back
-    to it writes nothing. A `put_synthetic` batch is kept as it was given,
-    hubs, legs and values, with its clock reading and the number of keys
-    it stores, as one pending row per metric, which `len` counts. Its pairs,
-    keys and records are built when something first reads or writes its
-    metric's table (`get_many`, `get`, another `put_synthetic` of the
-    metric) or every table (`put_many`, `save`).
+    to it writes nothing. A batch `put_synthetic` accepts is kept as it
+    was given, hubs, legs and values, with its clock reading, as one
+    pending row per metric, which `len` counts. Its pairs, keys and records
+    are built when something first reads its metric's table (`get_many`,
+    `get`), writes any table (`put_many`) or saves them (`save`).
     """
 
     def __init__(self, ttl_s: float = DEFAULT_TTL_S):
@@ -276,25 +275,22 @@ class MeasurementStore:
         if ttl_s <= 0:
             raise ValueError("ttl_s must be positive")
         self._entries: dict[Metric, dict[Pair, Measurement]] = {metric: {} for metric in Metric}
-        # metric -> a synthetic batch's hubs, legs and values, its clock reading
-        # and the number of keys it stores (none in the table)
-        self._pending: dict[Metric, tuple[tuple[str, ...], Legs, list[float], float, int]] = {}
-        # reentrant: `put_synthetic` looks up through `get_many` within its own hold
-        self._lock = threading.RLock()
+        # metric -> a synthetic batch's hubs, legs and values and its clock
+        # reading; the metric's table is empty while it is pending
+        self._pending: dict[Metric, tuple[tuple[str, ...], Legs, list[float], float]] = {}
+        self._lock = threading.Lock()
         # identity of the file whose records equal the unexpired entries, if any
         self._synced: tuple[int, int, int, int] | None = None
 
     def _settle(self, *metrics: Metric) -> None:
-        """Insert the records of the metrics' pending rows into their tables:
-        each key with no entry at the row's clock reading gets the record of
-        its first pair; the caller holds the lock."""
+        """Insert the records of the metrics' pending rows into their empty
+        tables, each pair's under its own key; the caller holds the lock."""
         for metric in metrics:
-            hubs, legs, values, now, _ = self._pending.pop(metric)
-            pairs = _row_pairs(hubs, legs)
-            first = self.get_many(pairs, metric, now)[1]  # the row is no longer pending
-            self._entries[metric].update(zip(first, _synthetic_records(
-                [pairs[i] for i in first.values()], [values[i] for i in first.values()],
-                metric, now)))
+            hubs, legs, values, now = self._pending.pop(metric)
+            pairs = [pair for hub in hubs for pair in weighted_pairs(legs, hub)]
+            self._entries[metric].update(zip(
+                [(dst, src) if dst < src else (src, dst) for src, dst in pairs],
+                _synthetic_records(pairs, values, metric, now)))
 
     def get(self, pair: Pair, metric: Metric, now: float | None = None) -> Measurement | None:
         return self.get_many((pair,), metric, now)[0].get(pair)
@@ -344,45 +340,38 @@ class MeasurementStore:
                 self._synced = None
 
     def put_synthetic(self, hubs: Sequence[str], legs: Legs, values: list[float],
-                      metric: Metric) -> dict[Pair, Measurement]:
-        """`collect_measurements` with a synthetic provider of the metric, for
-        a caller that has the model's value of each pair, in row form: the
-        pairs are `weighted_pairs(legs, hub)` of each hub in turn, over legs
-        with one direction per endpoint as `hub_legs` gives them, and
-        `values` theirs in that order. Store the synthetic record of every
-        key `get_many` finds no unexpired entry for, built from the key's
-        first pair and that pair's value, and return the entries found, by
-        pair. One clock reading is the expiry time and every record's time.
-        The lookup, the check of the values stored by the rule every
-        `Measurement` keeps, and the store are one lock hold; the records are
-        built later, from the metric's pending row, as the class says. When
-        the metric's table is empty with nothing pending, and the rows' keys
-        are distinct (the hubs distinct and no endpoint a hub), every key is
-        missing: no pair is built or looked up, and nothing is found. A batch
-        that stores nothing keeps the store synced."""
-        now = time.time()
+                      metric: Metric) -> bool:
+        """Store a synthetic batch of the metric in row form, when every one
+        of its pairs is a key the store does not hold: the pairs are
+        `weighted_pairs(legs, hub)` of each hub in turn, over legs with one
+        direction per endpoint as `hub_legs` gives them, and `values` theirs
+        in that order. That holds, and the batch is kept as the metric's
+        pending row, when the metric's table is empty with nothing pending,
+        the hubs are distinct and no endpoint is a hub; the values are then
+        checked by the rule every `Measurement` keeps, and one clock reading
+        is every record's time. Otherwise nothing is stored and the answer
+        is False: the caller measures the batch through
+        `collect_measurements`. A batch that stores nothing keeps the store
+        synced."""
         with self._lock:
-            if (not self._entries[metric] and metric not in self._pending
-                    and len(set(hubs)) == len(hubs)
-                    and {end for end, _ in legs}.isdisjoint(hubs)):
-                found, count, stored = {}, len(hubs) * len(legs), values
-            else:
-                found, first = self.get_many(_row_pairs(hubs, legs), metric, now)
-                count, stored = len(first), [values[i] for i in first.values()]
-            if count:
-                unit = UNIT_BY_METRIC[metric]
-                check_measured(stored, 1, True, now, unit, unit)
+            if (self._entries[metric] or metric in self._pending
+                    or len(set(hubs)) != len(hubs)
+                    or not {end for end, _ in legs}.isdisjoint(hubs)):
+                return False
+            now, unit = time.time(), UNIT_BY_METRIC[metric]
+            check_measured(values, 1, True, now, unit, unit)
+            if values:
                 # copies: the records are built later, from the rows given now
-                self._pending[metric] = (tuple(hubs), dict(legs), list(values), now, count)
+                self._pending[metric] = (tuple(hubs), dict(legs), list(values), now)
                 self._synced = None
-        return found
+        return True
 
     def __len__(self) -> int:
-        """The number of keys stored, pending ones included: a pending key had
-        no entry when its batch was stored, so each is counted once."""
+        """The number of keys stored, pending ones included: a pending row's
+        keys are distinct and its table empty, so each is counted once."""
         with self._lock:
             return (sum(map(len, self._entries.values()))
-                    + sum(count for *_, count in self._pending.values()))
+                    + sum(len(hubs) * len(legs) for hubs, legs, *_ in self._pending.values()))
 
     def save(self, path: str) -> None:
         """One JSON record per unexpired key, sorted, so later runs reuse probes.
@@ -485,11 +474,6 @@ class MeasurementStore:
         return store
 
 
-def _row_pairs(hubs: Sequence[str], legs: Legs) -> list[Pair]:
-    """The pairs of a synthetic batch in row form, hub by hub."""
-    return [pair for hub in hubs for pair in weighted_pairs(legs, hub)]
-
-
 # a record's values in `Measurement` field order
 _record_values = operator.itemgetter(*_RECORD_FIELDS, "note")
 _pair_of_entry = operator.itemgetter(0)
@@ -589,10 +573,10 @@ def _synthetic_records(
 
 class SyntheticProvider:
     """The synthetic model's provider of one metric: called with a pair, it
-    is `synthetic_measure`. `rank_regions` does not call it when `locations`
-    has the entries of its distance pass's table: it takes the model's
-    values of the kilometres it already has and stores the records through
-    `MeasurementStore.put_synthetic`."""
+    is `synthetic_measure`. When `locations` has the entries of its distance
+    pass's table, `rank_regions` gives the model's values of the kilometres
+    it already has to `MeasurementStore.put_synthetic`, and calls it only
+    for the keys of a batch the store refuses."""
 
     def __init__(self, metric: Metric, model: SyntheticNetworkModel, locations: LocationTable):
         self.metric, self.model, self.locations = metric, model, locations

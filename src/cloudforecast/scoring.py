@@ -156,18 +156,15 @@ def rank_regions(
     not depend on its direction. A region's pairs are its legs, so all
     regions share one weight list. A metric is one batch over the pairs of
     the regions it scores (all for distance, the shortlist for ping and
-    HTTP) and one flat list of values over it, in leg order: the model's
-    values of the computed distance pass's kilometres when the metric's
-    provider is a `SyntheticProvider` of that metric over the pass's
-    `location_index(spec, catalog)`, zeros otherwise. The store's answers
-    overlay that list: the unexpired entries `MeasurementStore.put_synthetic`
-    finds as it stores the other keys' records, given the model's values as
-    rows (the regions' hubs and the legs), or every pair's measurement from
-    `collect_measurements`. A synthetic batch's pairs are built here only
-    when the store answered, and the store builds them only when it has to
-    look them up, so a fresh synthetic ranking builds none. A failed answer
-    puts the failure penalty in its place and counts its leg's edges as
-    failed. Either way the scores, records and store are those of
+    HTTP) and one flat list of values over it, in leg order. When the
+    metric's provider is a `SyntheticProvider` of that metric over the
+    pass's `location_index(spec, catalog)`, the values are the model's of
+    the computed pass's kilometres, given to `MeasurementStore.put_synthetic`
+    as rows (the regions' hubs and the legs), so a fresh store takes them
+    with no pair built. Otherwise, or when the store refuses them, they are
+    every pair's measurement from `collect_measurements`, a failed one
+    replaced by the failure penalty with its leg's edges counted as failed.
+    Either way the scores, records and store are those of
     `collect_measurements` with the provider.
     """
     legs = hub_legs(spec)
@@ -186,26 +183,23 @@ def rank_regions(
     def scored(metric: Metric, region_ids: list[str]) -> dict[str, GraphScore]:
         if metric not in providers:
             return {}
+        failed = [0] * len(region_ids)
+        values = None
         if metric in from_rows:
             kms = [km for region_id in region_ids for km in kms_of[region_id]]
             values = _synthetic_values(kms, metric, providers[metric].model)
-            answers = store.put_synthetic([hub_of[r] for r in region_ids], legs, values, metric)
-            batch = batch_of(region_ids) if answers else []
-        else:
+            if not store.put_synthetic([hub_of[r] for r in region_ids], legs, values, metric):
+                values = None
+        if values is None:
             batch = batch_of(region_ids)
-            values = [0.0] * len(batch)
             answers = collect_measurements(store, batch, metric, providers[metric], max_parallel)
-        failed = [0] * len(region_ids)
-        if answers:
-            penalty = config.failure_penalty
+            values = []
             for i, pair in enumerate(batch):
-                measurement = answers.get(pair)
-                if measurement is None:
-                    continue
+                measurement = answers[pair]
                 if measurement.success:
-                    values[i] = measurement.value
+                    values.append(measurement.value)
                 else:
-                    values[i] = penalty
+                    values.append(config.failure_penalty)
                     failed[i // size] += weights[i % size]
         return {region_id: GraphScore(region_id, metric,
                                       _leg_sum(weights, values[k * size:(k + 1) * size]), failed[k])

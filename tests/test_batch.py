@@ -262,27 +262,30 @@ def test_put_synthetic_stores_the_per_pair_models_records_bit_for_bit(coords, hu
     assert set(providers) == {Metric.PING, Metric.HTTP_RTT}  # ranking computes distance
     store = MeasurementStore()
     pairs = row_pairs(hubs, legs)
-    first = {}  # each store key -> its first pair, whose record the store keeps
-    for pair in pairs:
-        first.setdefault(tuple(sorted(pair)), pair)
+    # a fresh table takes rows whose pairs are each their own key, and no others
+    distinct = len(set(hubs)) == len(hubs) and not set(hubs) & {end for end, _ in legs}
     for metric in order:  # the values as a ranking has them, from kilometre rows
         kms = [km_row([prepare_point(table.locate(src))], table.locate(dst))[0]
                for src, dst in pairs]
-        store.put_synthetic(hubs, legs, measurement._synthetic_values(kms, metric, MODEL), metric)
+        values = measurement._synthetic_values(kms, metric, MODEL)
+        assert store.put_synthetic(hubs, legs, values, metric) is distinct
         for pair in pairs:
             got = store.get(pair, metric)
-            want = providers[metric](first[tuple(sorted(pair))])
+            if not distinct:
+                assert got is None
+                continue
+            want = providers[metric](pair)
             assert want.note == "synthetic"
             assert got._replace(taken_at=0.0) == want._replace(taken_at=0.0)
             assert got.value.hex() == want.value.hex()
-    assert len(store) == 2 * len(first)
+    assert len(store) == (2 * len(pairs) if distinct else 0)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("ends", [HOSTS[1:], HOSTS], ids=["hub-not-an-endpoint", "hub-endpoint"])
-def test_synthetic_batch_reads_the_clock_once(monkeypatch, warm, ends):
-    # a warm table is searched with the same reading; a cold one is searched
-    # only when an endpoint is the hub
+def test_synthetic_batch_reads_the_clock_once_or_not_at_all(monkeypatch, warm, ends):
+    # a stored batch reads it once for every record; a refused one (a warm
+    # table, or an endpoint that is the hub) does not read it
     legs = {(h, False): 1 for h in ends}
     pairs = [(HOSTS[0], h) for h in ends]
     values = [float(i + 1) for i in range(len(pairs))]
@@ -292,12 +295,15 @@ def test_synthetic_batch_reads_the_clock_once(monkeypatch, warm, ends):
         store.put_many([hit])
     clock = []
     monkeypatch.setattr(measurement.time, "time", lambda: clock.append(1) or 1.0e9)
-    found = store.put_synthetic([HOSTS[0]], legs, values, Metric.PING)
+    accepted = store.put_synthetic([HOSTS[0]], legs, values, Metric.PING)
     monkeypatch.undo()
-    assert len(clock) == 1
-    assert found == ({(HOSTS[0], HOSTS[1]): hit} if warm else {})
-    stored = [store.get(pair, Metric.PING) for pair in pairs if pair not in found]
-    assert {(m.taken_at, m.note) for m in stored} == {(1.0e9, "synthetic")}
+    assert accepted is (not warm and HOSTS[0] not in ends)
+    assert len(clock) == int(accepted)
+    stored = [store.get(pair, Metric.PING) for pair in pairs]
+    if accepted:
+        assert {(m.taken_at, m.note) for m in stored} == {(1.0e9, "synthetic")}
+    else:
+        assert [m for m in stored if m is not None] == ([hit] if warm else [])
 
 
 @pytest.mark.parametrize("shortlist_n", [None, 3])
@@ -400,6 +406,45 @@ def test_a_hub_endpoint_and_a_shared_probe_host_rank_as_the_per_pair_model(catal
         assert _exact(report) == _exact(_per_pair_ranking(spec, both, table, config))
 
 
+# the ways a ranking's rows are refused: records of its metrics already
+# stored, by a cache file or by an earlier ranking, or rows whose pairs share
+# keys (a region's probe host at a node endpoint, or two regions on one host)
+REFUSED_RANKINGS = ["cache-holds-records", "second-ranking", "hub-endpoint", "shared-probe-host"]
+
+
+@pytest.mark.parametrize("case", REFUSED_RANKINGS)
+def test_a_refused_ranking_measures_each_missing_key_through_its_provider(case, catalog,
+                                                                          monkeypatch, tmp_path):
+    spec = parse_workflow(HUB_NODE_DOC if case == "hub-endpoint" else FIG1_DOC)
+    if case == "shared-probe-host":
+        catalog = RegionCatalog(catalog.regions + (catalog.regions[0]._replace(id="twin"),))
+    table = location_index(spec, catalog)
+    config = ScoringConfig()  # every region shortlisted: the shared keys are in the batch
+    stores = []
+    for _ in range(2):
+        stores.append(MeasurementStore())
+        if case == "cache-holds-records":  # a file with one record of each metric
+            path = tmp_path / f"{len(stores)}.cache"
+            stores[-1].put_many([_m("x", "y", metric) for metric in (Metric.PING, Metric.HTTP_RTT)])
+            stores[-1].save(str(path))
+            stores[-1] = MeasurementStore.load(str(path))
+    if case == "second-ranking":
+        rank_regions(spec, catalog, stores[0], synthetic_providers(MODEL, table), config)
+        _per_pair_ranking(spec, catalog, table, config, stores[1])
+    held = len(stores[0])
+    measured = []
+    provide = measurement.SyntheticProvider.__call__
+    monkeypatch.setattr(measurement.SyntheticProvider, "__call__",
+                        lambda self, pair: measured.append(self.metric) or provide(self, pair))
+    report = rank_regions(spec, catalog, stores[0], synthetic_providers(MODEL, table), config)
+    assert _exact(report) == _exact(_per_pair_ranking(spec, catalog, table, config, stores[1]))
+    assert _saved_records(stores[0]) == _saved_records(stores[1])
+    # one provider call per key the store did not hold, none for a key it did
+    assert len(measured) == len(stores[0]) - held
+    assert measured.count(Metric.PING) == measured.count(Metric.HTTP_RTT)
+    assert measured or case == "second-ranking"
+
+
 # -- the shortlist scored from kilometre rows, its records stored by key ----------------
 
 TTL_S = 3600.0
@@ -477,11 +522,10 @@ def test_rows_rank_and_store_as_the_per_pair_oracle(inputs, subset, shortlist_n)
 
 def test_the_rows_measure_nothing_and_read_the_clock_once_per_metric(fig1_spec, catalog,
                                                                    monkeypatch, tmp_path):
-    def refuse(*args, **kwargs):
-        raise AssertionError("measured through a provider")
-
-    monkeypatch.setattr(scoring, "collect_measurements", refuse)
-    monkeypatch.setattr(measurement.SyntheticProvider, "__call__", refuse)
+    measured = []
+    provide = measurement.SyntheticProvider.__call__
+    monkeypatch.setattr(measurement.SyntheticProvider, "__call__",
+                        lambda self, pair: measured.append(self.metric) or provide(self, pair))
     clock = []
 
     def tick():
@@ -493,56 +537,73 @@ def test_the_rows_measure_nothing_and_read_the_clock_once_per_metric(fig1_spec, 
     for warm in (False, True):
         store = MeasurementStore(ttl_s=1.0e12)
         lookups = _counting_lookups(store)
-        if warm:  # one ping record: ping looks up every pair, HTTP none
-            store.put_many([_m("wikimedia.org", "probe.us-east-1.example", taken_at=1.0)])
+        # one ping record: ping is refused as rows and measured through the
+        # provider, one lookup per pair and one clock reading per missing key
+        held = _m("wikimedia.org", "probe.us-east-1.example", taken_at=1.0)
+        if warm:
+            store.put_many([held])
         lookups.clear()
         clock.clear()
+        measured.clear()
         report = rank_regions(fig1_spec, catalog, store, providers, ScoringConfig(shortlist_n=3))
         batch = [pair for e in report.entries if e.shortlisted
                  for pair in weighted_pairs(hub_legs(fig1_spec), catalog.by_id(e.region).probe_host)]
+        misses = len({canonical_key(pair, Metric.PING) for pair in batch}
+                     - {canonical_key((held.src, held.dst), Metric.PING)}) if warm else 0
         assert len(lookups) == (len(batch) if warm else 0)
-        assert len(clock) == 3  # ping, HTTP and the report's time
+        assert measured == [Metric.PING] * misses
+        # ping (its lookup, then each missing key's record when warm), HTTP
+        # and the report's time
+        assert len(clock) == 3 + misses
         store.save(str(tmp_path / "rows.cache"))  # every record, built or not
         records = [json.loads(line) for line in (tmp_path / "rows.cache").read_text().splitlines()]
-        times = {metric: {r["taken_at"] for r in records if r["metric"] == metric.value}
+        times = {metric: sorted(r["taken_at"] for r in records if r["metric"] == metric.value)
                  for metric in (Metric.PING, Metric.HTTP_RTT)}
-        assert times == {Metric.PING: {1.0e9} | ({1.0} if warm else set()),
-                         Metric.HTTP_RTT: {1.0e9 + 1}}
+        if warm:
+            assert times == {Metric.PING: [1.0] + [1.0e9 + 1 + i for i in range(misses)],
+                             Metric.HTTP_RTT: [1.0e9 + 1 + misses] * len(batch)}
+        else:
+            assert times == {Metric.PING: [1.0e9] * len(batch),
+                             Metric.HTTP_RTT: [1.0e9 + 1] * len(batch)}
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_put_synthetic_stores_each_missing_key_once_from_its_first_pair(warm):
-    store = MeasurementStore()
-    held = _m("c", "b", value=4.0)
-    if warm:
-        store.put_many([held])
-    # the pairs (c, y) (b, c) (c, c) around c, then (b, y) (b, b) (c, b) around b:
-    # the key of (b, c) and (c, b) is stored once, from the first of them
-    legs = {("y", False): 1, ("b", True): 1, ("c", True): 2}
-    found = store.put_synthetic(["c", "b"], legs, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], Metric.PING)
-    made = {("y", "c"): ("c", "y", 1.0), ("c", "c"): ("c", "c", 3.0),
-            ("y", "b"): ("b", "y", 4.0), ("b", "b"): ("b", "b", 5.0)}
-    if warm:
-        assert found == {("b", "c"): held, ("c", "b"): held}
-        assert store.get(("b", "c"), Metric.PING) is held
-    else:
-        assert found == {}
-        made[("c", "b")] = ("b", "c", 2.0)
-    assert len(store) == 5
-    for pair, (src, dst, value) in made.items():
-        m = store.get(pair, Metric.PING)
-        assert (m.src, m.dst, m.value, m.unit, m.samples, m.success, m.note) == (
-            src, dst, value, "ms", 1, True, "synthetic")
-
-
-@pytest.mark.parametrize("hub", ["d", "a"], ids=["distinct-keys", "hub-endpoint"])
-def test_put_synthetic_refuses_a_value_measurement_refuses_and_stores_nothing(hub):
+def test_put_synthetic_refuses_a_value_measurement_refuses_and_stores_nothing():
     store = MeasurementStore()
     with pytest.raises(ValueError, match="successful measurement value must be >= 0"):
-        store.put_synthetic([hub], {("a", True): 1, ("c", True): 1}, [1.0, -1.0],
+        store.put_synthetic(["d"], {("a", True): 1, ("c", True): 1}, [1.0, -1.0],
                             Metric.HTTP_RTT)
     assert len(store) == 0
-    assert store.get_many([("a", hub), ("c", hub)], Metric.HTTP_RTT)[0] == {}
+    assert store.get_many([("a", "d"), ("c", "d")], Metric.HTTP_RTT)[0] == {}
+
+
+# each start, then the rows of a batch a fresh table would take, or the hubs
+# and legs that keep it from taking them
+REFUSALS = {
+    "table-holds-records": (Metric.PING, ["h1", "h2"], {("e", True): 1, ("f", False): 2}),
+    "metric-pending": (Metric.HTTP_RTT, ["h1", "h2"], {("e", True): 1, ("f", False): 2}),
+    "hubs-repeat": (Metric.HTTP_RTT, ["h1", "h1"], {("e", True): 1, ("f", False): 2}),
+    "endpoint-is-a-hub": (Metric.HTTP_RTT, ["h1", "h2"], {("e", True): 1, ("h1", False): 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_put_synthetic_refuses_a_batch_whose_keys_a_fresh_table_would_not_take(case, tmp_path):
+    path = tmp_path / "probes.cache"
+    held = MeasurementStore()
+    held.put_many([_m("a", "b")])  # one ping record
+    held.save(str(path))
+    store = MeasurementStore.load(str(path))
+    if case == "metric-pending":
+        assert store.put_synthetic(["p"], {("q", True): 1}, [3.0], Metric.HTTP_RTT)
+    metric, hubs, legs = REFUSALS[case]
+    pairs = row_pairs(hubs, legs)
+    before = (len(store), store._synced)
+    assert store.put_synthetic(hubs, legs, [1.0] * len(pairs), metric) is False
+    assert (len(store), store._synced) == before
+    assert store.get_many(pairs, metric)[0] == {}
+    inode = path.stat().st_ino
+    store.save(str(path))  # a store still synced to the file it loaded does not rewrite it
+    assert (path.stat().st_ino == inode) is (case != "metric-pending")
 
 
 # -- the CLI over the batch path ------------------------------------------------------

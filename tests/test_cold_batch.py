@@ -113,7 +113,8 @@ def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, s
     if distance_provider:  # measured through the store; otherwise computed without it
         providers[Metric.DISTANCE] = lambda pair: measurement.measure_distance(pair, locations)
     # a batch through a provider, or, with the distance computed, the synthetic
-    # batch the store keeps from the distance pass's kilometre rows
+    # batch the store keeps from the distance pass's kilometre rows when it
+    # takes them
     lookups, batches = [], {"provider": 0, "rows": 0}
 
     def provided(store, pairs, metric, *rest):
@@ -122,9 +123,11 @@ def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, s
         return collect_measurements(store, pairs, metric, *rest)
 
     def from_rows(store, hubs, legs, values, metric):
-        lookups.append((metric, row_pairs(hubs, legs)))
-        batches["rows"] += 1
-        return put_synthetic(store, hubs, legs, values, metric)
+        accepted = put_synthetic(store, hubs, legs, values, metric)
+        if accepted:
+            lookups.append((metric, row_pairs(hubs, legs)))
+            batches["rows"] += 1
+        return accepted
 
     put_synthetic = MeasurementStore.put_synthetic
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -149,8 +152,12 @@ def test_a_ranking_looks_up_each_regions_folded_pairs_for_every_metric(inputs, s
     ]
     assert lookups == expected
     measured = len(metrics) - 1  # ping and HTTP, as asked
-    assert batches == ({"provider": 1 + measured, "rows": 0} if distance_provider
-                       else {"provider": 0, "rows": measured})
+    # a fresh table takes the rows when each pair is its own key
+    hubs = [catalog.by_id(e.region).probe_host for e in shortlist]
+    rows = (not distance_provider and len(set(hubs)) == len(hubs)
+            and not set(hubs) & {end for end, _ in hub_legs(spec)})
+    assert batches == ({"provider": 0, "rows": measured} if rows
+                       else {"provider": int(distance_provider) + measured, "rows": 0})
 
 
 def _ranked(report):
@@ -225,18 +232,16 @@ def _measurement_error(value):
     return None
 
 
-def _batch_error(values, warm=False):
+def _batch_error(values):
     """`put_synthetic`'s error for the values of distinct pairs, None if it
-    stores them; a warm store holds another key, so the batch is looked up."""
+    stores them."""
     store = MeasurementStore()
-    if warm:
-        store.put_many([Measurement("x", "y", Metric.PING, 1.0, "ms", 1, True, 1.0e12)])
     legs = {(f"h{i}.example.org", True): 1 for i in range(len(values))}
     pairs = list(weighted_pairs(legs, "hub.example.org"))
     try:
-        store.put_synthetic(["hub.example.org"], legs, list(values), Metric.PING)
+        assert store.put_synthetic(["hub.example.org"], legs, list(values), Metric.PING)
     except ValueError as exc:
-        assert len(store) == int(warm)  # a refused batch stores nothing
+        assert len(store) == 0  # a rejected batch stores nothing
         return str(exc)
     records = [store.get(pair, Metric.PING) for pair in pairs]
     assert all(type(m) is Measurement for m in records)
@@ -244,16 +249,15 @@ def _batch_error(values, warm=False):
     return None
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("value", CANDIDATES, ids=repr)
-def test_put_synthetic_rejects_a_value_as_measurement_does(value, warm):
-    assert _batch_error([value], warm) == _measurement_error(value)
+def test_put_synthetic_rejects_a_value_as_measurement_does(value):
+    assert _batch_error([value]) == _measurement_error(value)
 
 
 @settings(max_examples=150, deadline=None)
-@given(values=st.lists(st.sampled_from(CANDIDATES), min_size=1, max_size=6), warm=st.booleans())
-def test_put_synthetic_rejects_a_batch_when_measurement_rejects_one_value(values, warm):
-    rejected = _batch_error(values, warm) is not None
+@given(values=st.lists(st.sampled_from(CANDIDATES), min_size=1, max_size=6))
+def test_put_synthetic_rejects_a_batch_when_measurement_rejects_one_value(values):
+    rejected = _batch_error(values) is not None
     assert rejected == any(_measurement_error(v) is not None for v in values)
 
 

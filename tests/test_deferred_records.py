@@ -24,6 +24,7 @@ from cloudforecast.measurement import (
     MeasurementStore,
     SyntheticNetworkModel,
     _synthetic_records,
+    collect_measurements,
     location_index,
     synthetic_providers,
 )
@@ -39,19 +40,16 @@ METRICS = (Metric.PING, Metric.HTTP_RTT)
 
 
 class EagerStore(MeasurementStore):
-    """The per-pair reference: its `put_synthetic` builds the rows' pairs,
-    looks every one up and inserts the record of each missing key's first
-    pair at once."""
+    """The per-pair reference: its `put_synthetic` takes a batch when its
+    metric's table is empty, its hubs distinct and none of them an
+    endpoint, and then inserts every pair's record at once."""
 
     def put_synthetic(self, hubs, legs, values, metric):
-        now = time.time()
-        pairs = row_pairs(hubs, legs)
-        found, first = self.get_many(pairs, metric, now)
-        if first:
-            keep = list(first.values())
-            self.put_many(_synthetic_records([pairs[i] for i in keep],
-                                             [values[i] for i in keep], metric, now))
-        return found
+        if (self._entries[metric] or len(set(hubs)) < len(hubs)
+                or set(hubs) & {end for end, _ in legs}):
+            return False
+        self.put_many(_synthetic_records(row_pairs(hubs, legs), values, metric, time.time()))
+        return True
 
 
 def _counting_records(monkeypatch):
@@ -124,13 +122,13 @@ def test_a_fresh_stress_scale_ranking_builds_no_pair_and_no_record(monkeypatch, 
     assert len((tmp_path / "stress.cache").read_text().splitlines()) == len(store)
 
 
-@pytest.mark.parametrize("hubs", [["b", "d"], ["b", "a"]], ids=["distinct-keys", "hub-endpoint"])
-def test_a_pending_row_keeps_the_rows_given_when_it_was_stored(hubs):
+def test_a_pending_row_keeps_the_rows_given_when_it_was_stored():
     store = MeasurementStore()
-    legs, values = {("a", True): 1}, [1.0, 2.0]
-    store.put_synthetic(hubs, legs, values, Metric.PING)
+    hubs, legs, values = ["b", "d"], {("a", True): 1}, [1.0, 2.0]
+    assert store.put_synthetic(hubs, legs, values, Metric.PING)
     hubs[0], values[0] = "x", 9.0
     legs[("z", True)] = 1
+    assert len(store) == 2
     assert store.get(("b", "a"), Metric.PING).value == 1.0
     assert store.get(("a", "x"), Metric.PING) is None
     assert store.get(("z", "b"), Metric.PING) is None
@@ -138,6 +136,11 @@ def test_a_pending_row_keeps_the_rows_given_when_it_was_stored(hubs):
 
 
 ROUNDS = 100
+
+
+def _valued(value, metric):
+    """A per-pair provider of the synthetic record of `value`, now."""
+    return lambda pair: _synthetic_records([pair], [value], metric, time.time())[0]
 
 
 def test_concurrent_batches_store_and_count_each_key_once(tmp_path):
@@ -165,7 +168,9 @@ def test_concurrent_batches_store_and_count_each_key_once(tmp_path):
         for i in range(ROUNDS):
             hubs, legs, metric = batch(worker, i)
             pairs = row_pairs(hubs, legs)
-            store.put_synthetic(hubs, legs, [float(worker)] * len(pairs), metric)
+            # a batch the store refuses as rows is measured key by key, as a ranking does
+            if not store.put_synthetic(hubs, legs, [float(worker)] * len(pairs), metric):
+                collect_measurements(store, pairs, metric, _valued(float(worker), metric))
             counts.append(len(store))
             if store.get(pairs[0], metric) is None:  # the batch's own key
                 misses.append(pairs[0])
@@ -191,8 +196,9 @@ def test_concurrent_batches_store_and_count_each_key_once(tmp_path):
 
 def test_concurrent_lookups_evict_while_batches_store_and_each_key_ends_once(
         fig1_spec, catalog, tmp_path):
-    """`get_many` drops expired entries while `put_synthetic` looks the same
-    keys up and stores the missing ones: no key is lost or stored twice."""
+    """`get_many` drops expired entries while batches of the same keys are
+    stored, as rows when the emptied table takes them and key by key
+    otherwise: no key is lost or stored twice."""
     legs = hub_legs(fig1_spec)
     hubs = [region.probe_host for region in catalog.regions]
     pairs = row_pairs(hubs, legs)
@@ -212,8 +218,10 @@ def test_concurrent_lookups_evict_while_batches_store_and_each_key_ends_once(
             for _ in range(5):
                 if worker % 2:
                     store.get_many(pairs, Metric.PING)
-                else:
-                    store.put_synthetic(hubs, legs, [float(worker)] * len(pairs), Metric.PING)
+                elif not store.put_synthetic(hubs, legs, [float(worker)] * len(pairs),
+                                             Metric.PING):
+                    collect_measurements(store, pairs, Metric.PING,
+                                         _valued(float(worker), Metric.PING))
                 counts.append(len(store))
 
         threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]

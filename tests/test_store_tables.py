@@ -1,9 +1,9 @@
 """The store's per-metric tables seen from outside: a warm ranking over a
 loaded cache equals the cold one, `load` checks a record with or without its
 optional `note` alike, `save` writes each line as `json.dumps` would, and a
-ranking builds each region's pairs at most once for all per-pair metrics,
-only for the regions such a metric scores, and not at all when the store
-answers a synthetic ranking nothing."""
+ranking builds each region's pairs once for all per-pair metrics, only for
+the regions such a metric scores, and not at all when the store takes a
+synthetic ranking's rows."""
 
 import json
 import os
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import scoring
+from cloudforecast import measurement, scoring
 from cloudforecast.candidates import Metric
 from cloudforecast.errors import DocumentFormatError
 from cloudforecast.measurement import (
@@ -105,22 +105,26 @@ def test_a_warm_ranking_over_the_saved_cache_equals_the_cold_one(inputs, subset,
 @pytest.mark.parametrize("shortlist_n", [None, 3])
 @pytest.mark.parametrize("subset", sorted(SUBSETS))
 def test_a_ranking_builds_each_regions_pairs_at_most_once(fig1_spec, catalog, monkeypatch,
-                                                          subset, shortlist_n):
+                                                          tmp_path, subset, shortlist_n):
     built = []
-    weighted_pairs = scoring.weighted_pairs
-    monkeypatch.setattr(scoring, "weighted_pairs",
-                        lambda legs, hub: built.append(hub) or weighted_pairs(legs, hub))
+    for module in (scoring, measurement):
+        monkeypatch.setattr(module, "weighted_pairs",
+                            lambda legs, hub, build=module.weighted_pairs:
+                            built.append(hub) or build(legs, hub))
     synthetic = synthetic_providers(SyntheticNetworkModel(), location_index(fig1_spec, catalog))
     providers = {metric: p for metric, p in synthetic.items() if metric in SUBSETS[subset]}
     per_pair = {metric: (lambda pair, p=p: p(pair)) for metric, p in providers.items()}
     config = ScoringConfig(shortlist_n=shortlist_n)
     store = MeasurementStore()
-    # a fresh store answers a synthetic ranking nothing: no pair is built
+    # a fresh store takes a synthetic ranking's rows: no pair is built
     rank_regions(fig1_spec, catalog, store, providers, config)
     assert built == []
-    # a store that answers (the records just stored), or per-pair providers:
-    # at most once, and only for the regions a per-pair metric scores
-    for store, chosen in ((store, providers), (MeasurementStore(), per_pair)):
+    path = str(tmp_path / "probes.cache")
+    store.save(path)  # builds the records
+    # a store loaded from the records just saved, or per-pair providers: once
+    # in all, and only for the regions a per-pair metric scores
+    for store, chosen in ((MeasurementStore.load(path), providers),
+                          (MeasurementStore(), per_pair)):
         built.clear()
         report = rank_regions(fig1_spec, catalog, store, chosen, config)
         scored = [catalog.by_id(e.region).probe_host for e in report.entries
