@@ -662,6 +662,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    sys.stdout.reconfigure(encoding="utf-8")  # as every file is written, under any locale
     raise SystemExit(main())
 
 

@@ -111,8 +111,10 @@ def test_a_cache_that_is_not_utf8_is_refused_at_its_line(tmp_path, monkeypatch, 
 
 
 def test_a_workflow_is_read_and_a_report_written_as_utf8_under_any_locale(tmp_path):
-    (tmp_path / "named.workflow").write_text(
-        FIG1_DOC.replace('"image-pipeline"', '"café-東京"'), encoding="utf-8")
+    named = FIG1_DOC.replace('"image-pipeline"', '"café-東京"')
+    (tmp_path / "named.workflow").write_text(named, encoding="utf-8")
+    (tmp_path / "workflows").mkdir()
+    (tmp_path / "workflows" / "named.workflow").write_text(named, encoding="utf-8")
     env = {key: value for key, value in os.environ.items()
            if not key.startswith(("CLOUDFORECAST_", "LC_", "LANG"))}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -120,14 +122,22 @@ def test_a_workflow_is_read_and_a_report_written_as_utf8_under_any_locale(tmp_pa
     for utf8_mode in ("1", "0"):  # UTF-8 mode, then the C locale's ASCII
         locale = dict(env, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8=utf8_mode)
         runs = []
-        for argv in (["--format", "json"], ["--out", f"report-{utf8_mode}.txt"]):
-            done = subprocess.run([sys.executable, "-m", "cloudforecast.cli", "analyze",
-                                   "-w", "named.workflow", "--no-timestamps", *argv],
+        analyze = ["analyze", "-w", "named.workflow", "--no-timestamps"]
+        for argv in (analyze + ["--format", "json"],
+                     analyze + ["--out", f"report-{utf8_mode}.txt"],
+                     analyze,
+                     ["simulate", "-w", "named.workflow"],
+                     ["experiment", "--workflow-dir", "workflows",
+                      "--out-dir", f"out-{utf8_mode}"]):
+            done = subprocess.run([sys.executable, "-m", "cloudforecast.cli", *argv],
                                   cwd=tmp_path, env=locale, capture_output=True, timeout=60)
-            assert (done.returncode, done.stderr) == (0, b"")
+            assert (done.returncode, done.stderr) == (0, b""), argv
             runs.append(done.stdout)
         runs.append((tmp_path / f"report-{utf8_mode}.txt").read_bytes())
+        runs.append((tmp_path / f"out-{utf8_mode}" / "experiment.csv").read_bytes())
         outputs.append(runs)
     assert outputs[0] == outputs[1]
-    assert b'"workflow": "caf\\u00e9-\\u6771\\u4eac"' in outputs[0][0]
-    assert "café-東京".encode() in outputs[0][2]
+    json_out, _, table, simulated, experiment, report, csv = outputs[0]
+    assert b'"workflow": "caf\\u00e9-\\u6771\\u4eac"' in json_out
+    for text in (table, simulated, experiment, report, csv):
+        assert "café-東京".encode() in text
