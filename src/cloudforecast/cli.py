@@ -40,7 +40,8 @@ from .executor import (
     simulate_execution,
 )
 from .geo import Coordinate, default_region_catalog, load_region_catalog
-from .jsondoc import as_int, as_string, check_fields, field_sets, load_document, utf8_errors
+from .jsondoc import (as_int, as_string, check_fields, decode_error, field_sets, load_document,
+                      utf8_errors)
 from .measurement import (
     DEFAULT_AGENT_PORT,
     DEFAULT_TTL_S,
@@ -176,6 +177,8 @@ def load_settings(args: argparse.Namespace) -> dict:
             raise UsageError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file: line {exc.lineno}: {exc.msg}")
+        except (RecursionError, ValueError) as exc:
+            raise UsageError(f"config file {config_path}: {decode_error(exc)}")
         if not isinstance(file_values, dict):
             raise UsageError(f"config file: expected an object, got {type(file_values).__name__}")
         unknown = sorted(set(file_values) - set(SETTINGS))

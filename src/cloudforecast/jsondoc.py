@@ -22,6 +22,18 @@ def load_document(text: str, what: str = "document") -> Any:
         raise DocumentFormatError(
             f"invalid {what}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        raise DocumentFormatError(f"invalid {what}: {decode_error(exc)}") from exc
+
+
+def decode_error(exc: RecursionError | ValueError) -> str:
+    """What a JSON decoder's error says of the text: a syntax error's
+    message, or the limit it is past, the depth of nesting (a
+    `RecursionError`) or the digits of an integer (any other `ValueError`)."""
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    deep = isinstance(exc, RecursionError)
+    return "nested too deeply" if deep else "an integer has too many digits"
 
 
 @contextmanager

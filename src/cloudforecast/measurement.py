@@ -28,7 +28,7 @@ from .geo import (
     haversine_km,
     host_of,
 )
-from .jsondoc import TOO_LARGE, check_fields, field_sets, json_value, utf8_errors
+from .jsondoc import TOO_LARGE, check_fields, decode_error, field_sets, json_value, utf8_errors
 from .records import Checked
 from .workflow import WorkflowSpec
 
@@ -441,9 +441,9 @@ class MeasurementStore:
                     record, end = _raw_decode(line)
                     if end != len(line):
                         raise json.JSONDecodeError("Extra data", line, end)
-                except json.JSONDecodeError as exc:
+                except (RecursionError, ValueError) as exc:  # a JSONDecodeError too
                     raise DocumentFormatError(
-                        f"{path}:{lineno}: not a JSON record: {exc.msg}"
+                        f"{path}:{lineno}: not a JSON record: {decode_error(exc)}"
                     ) from exc
                 try:
                     record.setdefault("note", "")  # AttributeError: not an object

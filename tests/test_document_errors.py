@@ -141,3 +141,40 @@ def test_a_workflow_is_read_and_a_report_written_as_utf8_under_any_locale(tmp_pa
     assert b'"workflow": "caf\\u00e9-\\u6771\\u4eac"' in json_out
     for text in (table, simulated, experiment, report, csv):
         assert "café-東京".encode() in text
+
+
+# -- documents past the decoder's limits -------------------------------------------------
+
+DEEP = "[" * 100_000 + "]" * 100_000  # far past the interpreter's recursion limit
+LONG = "7" * 5000  # past its default limit on the digits of an integer (4,300)
+# (file, its text, the flags that read it, the error): each file is read by
+# its own decode site, and exits 2 naming the file, with the line of a cache
+PAST_LIMITS = {
+    "workflow-deep": ("bad.workflow", f'{{"name": {DEEP}}}', ["-w", "bad.workflow"],
+                      "bad.workflow: invalid workflow: nested too deeply"),
+    "workflow-digits": ("bad.workflow", f'{{"name": "w", "nodes": {LONG}}}',
+                        ["-w", "bad.workflow"],
+                        "bad.workflow: invalid workflow: an integer has too many digits"),
+    "cache-deep": ("bad.cache", CACHE_LINE + f'{{"src": {DEEP}}}\n',
+                   ["-w", "fig1.workflow", "--cache", "bad.cache"],
+                   "bad.cache:2: not a JSON record: nested too deeply"),
+    "cache-digits": ("bad.cache", CACHE_LINE + f'{{"samples": {LONG}}}\n',
+                     ["-w", "fig1.workflow", "--cache", "bad.cache"],
+                     "bad.cache:2: not a JSON record: an integer has too many digits"),
+    "config-deep": ("bad.json", f'{{"seed": {DEEP}}}',
+                    ["-w", "fig1.workflow", "--config", "bad.json"],
+                    "config file bad.json: nested too deeply"),
+    "config-digits": ("bad.json", f'{{"seed": {LONG}}}',
+                      ["-w", "fig1.workflow", "--config", "bad.json"],
+                      "config file bad.json: an integer has too many digits"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_LIMITS))
+def test_a_file_past_the_decoders_limits_is_refused_naming_it(case, tmp_path, monkeypatch,
+                                                              capsys):
+    name, text, flags, message = PAST_LIMITS[case]
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "fig1.workflow").write_text(FIG1_DOC, encoding="utf-8")
+    assert _main(["analyze", *flags], tmp_path, monkeypatch, capsys) == (
+        2, "", f"error: {message}\n")
