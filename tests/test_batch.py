@@ -406,6 +406,15 @@ def test_a_hub_endpoint_and_a_shared_probe_host_rank_as_the_per_pair_model(catal
         assert _exact(report) == _exact(_per_pair_ranking(spec, both, table, config))
 
 
+def _provider_calls(monkeypatch):
+    """The metric of each `SyntheticProvider` call, in call order."""
+    calls = []
+    provide = measurement.SyntheticProvider.__call__
+    monkeypatch.setattr(measurement.SyntheticProvider, "__call__",
+                        lambda self, pair: calls.append(self.metric) or provide(self, pair))
+    return calls
+
+
 # the ways a ranking's rows are refused: records of its metrics already
 # stored, by a cache file or by an earlier ranking, or rows whose pairs share
 # keys (a region's probe host at a node endpoint, or two regions on one host)
@@ -425,17 +434,15 @@ def test_a_refused_ranking_measures_each_missing_key_through_its_provider(case, 
         stores.append(MeasurementStore())
         if case == "cache-holds-records":  # a file with one record of each metric
             path = tmp_path / f"{len(stores)}.cache"
-            stores[-1].put_many([_m("x", "y", metric) for metric in (Metric.PING, Metric.HTTP_RTT)])
+            stores[-1].put_many([_m("x", "y", metric)
+                                 for metric in (Metric.PING, Metric.HTTP_RTT)])
             stores[-1].save(str(path))
             stores[-1] = MeasurementStore.load(str(path))
     if case == "second-ranking":
         rank_regions(spec, catalog, stores[0], synthetic_providers(MODEL, table), config)
         _per_pair_ranking(spec, catalog, table, config, stores[1])
     held = len(stores[0])
-    measured = []
-    provide = measurement.SyntheticProvider.__call__
-    monkeypatch.setattr(measurement.SyntheticProvider, "__call__",
-                        lambda self, pair: measured.append(self.metric) or provide(self, pair))
+    measured = _provider_calls(monkeypatch)
     report = rank_regions(spec, catalog, stores[0], synthetic_providers(MODEL, table), config)
     assert _exact(report) == _exact(_per_pair_ranking(spec, catalog, table, config, stores[1]))
     assert _saved_records(stores[0]) == _saved_records(stores[1])
@@ -522,10 +529,7 @@ def test_rows_rank_and_store_as_the_per_pair_oracle(inputs, subset, shortlist_n)
 
 def test_the_rows_measure_nothing_and_read_the_clock_once_per_metric(fig1_spec, catalog,
                                                                    monkeypatch, tmp_path):
-    measured = []
-    provide = measurement.SyntheticProvider.__call__
-    monkeypatch.setattr(measurement.SyntheticProvider, "__call__",
-                        lambda self, pair: measured.append(self.metric) or provide(self, pair))
+    measured = _provider_calls(monkeypatch)
     clock = []
 
     def tick():
