@@ -40,8 +40,7 @@ from .executor import (
     simulate_execution,
 )
 from .geo import Coordinate, default_region_catalog, load_region_catalog
-from .jsondoc import (as_int, as_string, check_fields, decode_error, field_sets, load_document,
-                      utf8_errors)
+from .jsondoc import as_int, as_string, check_fields, field_sets, load_document, utf8_errors
 from .measurement import (
     DEFAULT_AGENT_PORT,
     DEFAULT_TTL_S,
@@ -171,21 +170,17 @@ def load_settings(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         try:
-            with open(config_path, encoding="utf-8") as f, utf8_errors(config_path):
-                file_values = json.load(f)
+            file_values = _read_file(config_path, lambda text: load_document(text, "config file"))
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file: line {exc.lineno}: {exc.msg}")
-        except (RecursionError, ValueError) as exc:
-            raise UsageError(f"config file {config_path}: {decode_error(exc)}")
+        source = f"{config_path}: config file"
         if not isinstance(file_values, dict):
-            raise UsageError(f"config file: expected an object, got {type(file_values).__name__}")
+            raise UsageError(f"{source}: expected an object, got {type(file_values).__name__}")
         unknown = sorted(set(file_values) - set(SETTINGS))
         if unknown:
-            raise UsageError(f"config file: unknown key(s): {', '.join(unknown)}")
+            raise UsageError(f"{source}: unknown key(s): {', '.join(unknown)}")
         for key, value in file_values.items():
-            settings[key] = converted(key, value, "config file")
+            settings[key] = converted(key, value, source)
 
     for key in SETTINGS:
         env_name = ENV_PREFIX + key.upper()
@@ -229,7 +224,7 @@ def _read_file(path: str, parse):
 
 
 def _write_file(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as f:
         f.write(text)
 
 
@@ -261,10 +256,10 @@ def _parse_metrics(text: str) -> list[Metric]:
             metric = Metric(name)
         except ValueError:
             raise UsageError(
-                f"unknown metric {name!r} (choose from distance, ping, http_rtt)"
+                f"metrics: unknown metric {name!r} (choose from distance, ping, http_rtt)"
             )
         if metric in metrics:
-            raise UsageError(f"duplicate metric: {name}")
+            raise UsageError(f"metrics: duplicate metric: {name}")
         metrics.append(metric)
     return metrics
 
@@ -665,7 +660,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.stdout.reconfigure(encoding="utf-8")  # as every file is written, under any locale
+    # UTF-8 under any locale, as every file is written; a lone surrogate as its escape
+    sys.stdout.reconfigure(encoding="utf-8", errors="backslashreplace")
     raise SystemExit(main())
 
 

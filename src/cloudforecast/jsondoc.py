@@ -14,8 +14,9 @@ from .errors import DocumentFormatError
 TOO_LARGE = "an integer too large for a float"  # as a finiteness error shows one
 
 
-def load_document(text: str, what: str = "document") -> Any:
-    """Parse JSON text, reporting the position on syntax errors."""
+def load_document(text: str | bytes, what: str = "document") -> Any:
+    """Parse JSON text, or bytes as `json.loads` reads them, reporting the
+    position on syntax errors."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -28,10 +29,13 @@ def load_document(text: str, what: str = "document") -> Any:
 
 def decode_error(exc: RecursionError | ValueError) -> str:
     """What a JSON decoder's error says of the text: a syntax error's
-    message, or the limit it is past, the depth of nesting (a
-    `RecursionError`) or the digits of an integer (any other `ValueError`)."""
+    message, bytes that do not decode, or the limit it is past, the depth of
+    nesting (a `RecursionError`) or the digits of an integer (any other
+    `ValueError`)."""
     if isinstance(exc, json.JSONDecodeError):
         return exc.msg
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not UTF-8: {exc.reason} at byte {exc.start}"
     deep = isinstance(exc, RecursionError)
     return "nested too deeply" if deep else "an integer has too many digits"
 

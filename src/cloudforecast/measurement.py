@@ -28,7 +28,8 @@ from .geo import (
     haversine_km,
     host_of,
 )
-from .jsondoc import TOO_LARGE, check_fields, decode_error, field_sets, json_value, utf8_errors
+from .jsondoc import (TOO_LARGE, check_fields, decode_error, field_sets, json_value,
+                      load_document, utf8_errors)
 from .records import Checked
 from .workflow import WorkflowSpec
 
@@ -301,31 +302,25 @@ class MeasurementStore:
         """The unexpired entries of the pairs, by pair, and each store key
         with none mapped to the index of its first pair, in first-seen order:
         one pass under the lock, at one clock reading. An expired entry is
-        dropped from the store, and an empty table is not searched. The
-        metric's pending row is settled first."""
+        dropped from the store. The metric's pending row is settled first."""
         now = time.time() if now is None else now
         found: dict[Pair, Measurement] = {}
         first: dict[Pair, int] = {}
         with self._lock:
             if metric in self._pending:
                 self._settle(metric)
-            table = self._entries[metric]
-            if table:
-                ttl_s = self.ttl_s
-                for i, pair in enumerate(pairs):
-                    key = (pair[1], pair[0]) if pair[1] < pair[0] else pair
-                    entry = table.get(key)
-                    if entry is not None and now - entry.taken_at > ttl_s:
-                        del table[key]
-                        self._synced = None
-                        entry = None
-                    if entry is None:
-                        first.setdefault(key, i)
-                    else:
-                        found[pair] = entry
-            else:
-                for i, (src, dst) in enumerate(pairs):
-                    first.setdefault((dst, src) if dst < src else (src, dst), i)
+            table, ttl_s = self._entries[metric], self.ttl_s
+            for i, pair in enumerate(pairs):
+                key = (pair[1], pair[0]) if pair[1] < pair[0] else pair
+                entry = table.get(key)
+                if entry is not None and now - entry.taken_at > ttl_s:
+                    del table[key]
+                    self._synced = None
+                    entry = None
+                if entry is None:
+                    first.setdefault(key, i)
+                else:
+                    found[pair] = entry
         return found, first
 
     def put_many(self, measurements: Iterable[Measurement]) -> None:
@@ -743,9 +738,9 @@ class AgentClient:
             f"{self.base_url}{endpoint}", params=params, timeout=self.request_timeout_s
         )
         response.raise_for_status()
-        # decoded here, so a body that is not JSON raises json's own error,
-        # not requests' (which is also a transport error)
-        return json.loads(response.content)
+        # decoded here, so a body that is not JSON, or is past the decoder's
+        # limits, raises a document error, not requests' (a transport error)
+        return load_document(response.content, "agent reply")
 
     def ping(self, host: str, samples: int, timeout_ms: float) -> dict:
         return self._call(
@@ -796,13 +791,9 @@ def synthetic_providers(
             for metric in (Metric.PING, Metric.HTTP_RTT)}
 
 
-def local_providers(
-    config: ProbeConfig,
-    locations: LocationTable,
-    prober: EchoProber | None = None,
-) -> dict[Metric, PairProvider]:
+def local_providers(config: ProbeConfig, locations: LocationTable) -> dict[Metric, PairProvider]:
     """Probe each pair's dst from the analysis machine (vantage approximation)."""
-    prober = prober or EchoProber()
+    prober = EchoProber()
     return {
         Metric.PING: lambda pair: measure_latency(pair, config, prober),
         Metric.HTTP_RTT: lambda pair: measure_http_rtt(pair, config),
@@ -840,7 +831,7 @@ def agent_providers(
             reply = ask(agent, target)
         except _requests().HTTPError as exc:  # the agent answered, and refused
             return _failed(pair, metric, samples, f"agent/http-{exc.response.status_code}")
-        except (json.JSONDecodeError, UnicodeDecodeError):  # an answer that is not JSON text
+        except DocumentFormatError:  # not JSON text, or past the decoder's limits
             return _failed(pair, metric, samples, "agent/bad-reply")
         except (_requests().RequestException, ValueError):
             return _failed(pair, metric, samples, "agent/unreachable")

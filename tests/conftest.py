@@ -4,6 +4,7 @@ import pytest
 
 from cloudforecast.geo import default_region_catalog
 from cloudforecast.workflow import parse_workflow
+import netlab
 
 FIG1_DOC = json.dumps(
     {
@@ -81,3 +82,9 @@ def fig1_file(tmp_path):
     path = tmp_path / "fig1.workflow"
     path.write_text(FIG1_DOC)
     return str(path)
+
+
+@pytest.fixture
+def lab(monkeypatch):
+    """The stand-in network of `netlab`, installed for one test."""
+    return netlab.install(monkeypatch.setattr)

@@ -26,7 +26,6 @@ from cloudforecast.geo import (
     prepare_point,
 )
 from cloudforecast.measurement import (
-    EchoProber,
     Measurement,
     MeasurementStore,
     SyntheticNetworkModel,
@@ -232,13 +231,13 @@ def _counting_lookups(store):
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_collect_looks_nothing_up_in_an_empty_table_and_each_pair_up_once_otherwise(warm):
+def test_collect_looks_each_pair_up_once_in_an_empty_or_a_warm_table(warm):
     store = MeasurementStore()
     lookups = _counting_lookups(store)
     if warm:  # one entry of the metric, for none of the batch's pairs
         store.put_many([_m("p", "q")])
     collect_measurements(store, BOTH_WAYS, Metric.PING, Counting())
-    assert len(lookups) == (len(BOTH_WAYS) if warm else 0)
+    assert len(lookups) == len(BOTH_WAYS)
 
 
 # -- the synthetic records ----------------------------------------------------------
@@ -673,12 +672,7 @@ def test_probe_prints_each_pair_from_the_per_pair_model(workflow, parallel, caps
 
 
 @pytest.mark.parametrize("parallel", ["1", "4"])
-def test_local_probe_sends_one_round_of_probes_per_store_key(workflow, parallel, monkeypatch,
-                                                             capsys):
-    probes, gets = [], []
-    monkeypatch.setattr(EchoProber, "mode", "icmp")
-    monkeypatch.setattr(EchoProber, "probe", lambda self, host, timeout_s: probes.append(host) or 1.0)
-    monkeypatch.setattr(measurement, "http_get_ms", lambda url, timeout_s: gets.append(url) or 2.0)
+def test_local_probe_sends_one_round_of_probes_per_store_key(workflow, parallel, lab, capsys):
     code, out, err = run_cli(["probe", "-w", workflow, "--probe-mode", "local",
                               "--samples-per-pair", "2", "--max-parallel-probes", parallel], capsys)
     assert code == 0, err
@@ -688,8 +682,8 @@ def test_local_probe_sends_one_round_of_probes_per_store_key(workflow, parallel,
     keys = {metric: {canonical_key(pair, metric) for region in catalog.regions
                      for pair in weighted_pairs(legs, region.probe_host)}
             for metric in (Metric.PING, Metric.HTTP_RTT)}
-    assert len(probes) == 2 * len(keys[Metric.PING])
-    assert len(gets) == 2 * len(keys[Metric.HTTP_RTT])
+    assert len(lab.probes) == 2 * len(keys[Metric.PING])
+    assert len(lab.gets) == 2 * len(keys[Metric.HTTP_RTT])
     assert "FAIL" not in out
 
 

@@ -5,7 +5,6 @@ import signal
 import subprocess
 import sys
 import urllib.request
-import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -15,10 +14,11 @@ from cloudforecast import measurement
 from cloudforecast.candidates import hub_legs, weighted_pairs
 from cloudforecast.cli import main
 from cloudforecast.geo import Coordinate, default_region_catalog, haversine_km, host_of
-from cloudforecast.measurement import EchoProber, as_url
+from cloudforecast.measurement import as_url
 from cloudforecast.workflow import parse_workflow
 from conftest import FIG1_DOC
-from helpers import NON_FINITE, CrcAgentClient, crc_rtt_ms, with_raw_value
+from helpers import NON_FINITE, with_raw_value
+from netlab import crc_ms
 
 
 def run_cli(argv, capsys):
@@ -575,8 +575,7 @@ AGENT_ORDER_REGIONS = {"regions": [
 
 
 def test_agent_mode_measures_a_leg_between_probe_hosts_from_the_host_that_sorts_first(
-        tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(measurement, "AgentClient", CrcAgentClient)
+        tmp_path, capsys, lab):
     regions = tmp_path / "regions.json"
     regions.write_text(json.dumps(AGENT_ORDER_REGIONS))
     outputs = []
@@ -594,8 +593,8 @@ def test_agent_mode_measures_a_leg_between_probe_hosts_from_the_host_that_sorts_
     ping = {e["region"]: e["ping_score"]["value"] for e in json.loads(outputs[0])["entries"]}
     # a's agent measures x, z and, sorting before b.example.org, the leg to y twice
     agent = "http://a.example.org:9001"
-    assert ping["a"] == (crc_rtt_ms(agent, "x.example.org") + crc_rtt_ms(agent, "z.example.org")
-                         + 2 * crc_rtt_ms(agent, "b.example.org"))
+    assert ping["a"] == (crc_ms(f"{agent}>x.example.org") + crc_ms(f"{agent}>z.example.org")
+                         + 2 * crc_ms(f"{agent}>b.example.org"))
 
 
 # a host placed at two coordinates, by a region's probe host and fig1's source
@@ -672,21 +671,8 @@ def test_a_synthetic_probe_derives_ping_and_http_from_its_distances(fig1_file, c
     assert len(calls) == 24  # one kilometre evaluation per printed distance
 
 
-def _crc_local_mode(monkeypatch):
-    """Local mode's echo probe and GET answer `1 + crc32(host or URL) % 100`
-    ms; returns that answer as a function of the host or URL."""
-    def answer(name):
-        return 1.0 + zlib.crc32(name.encode()) % 100
-
-    monkeypatch.setattr(EchoProber, "mode", "icmp")
-    monkeypatch.setattr(EchoProber, "probe", lambda self, host, timeout_s: answer(host))
-    monkeypatch.setattr(measurement, "http_get_ms", lambda url, timeout_s: answer(url))
-    return answer
-
-
 def test_local_probe_prints_each_measured_pair_once_with_its_destinations_answer(
-        fig1_file, capsys, monkeypatch):
-    answer = _crc_local_mode(monkeypatch)  # a different round trip for each host or URL
+        fig1_file, capsys, lab):
     code, out, err = run_cli(["probe", "-w", fig1_file, "--probe-mode", "local",
                               "--samples-per-pair", "1"], capsys)
     assert code == 0, err
@@ -696,7 +682,7 @@ def test_local_probe_prints_each_measured_pair_once_with_its_destinations_answer
         keys.append((metric, region, frozenset((src, dst))))
         if metric != "distance":  # the value probed is the destination's
             probed = host_of(dst) if metric == "ping" else as_url(dst)
-            assert float(value) == answer(probed), line
+            assert float(value) == crc_ms(probed), line
     # every (metric, region, store key) once: 8 regions x 3 keys per metric
     assert len(keys) == len(set(keys)) == 8 * 3 * 3
     assert Counter(metric for metric, _, _ in keys) == {"distance": 24, "ping": 24, "http_rtt": 24}
@@ -726,8 +712,7 @@ HUB_ENDPOINT_DOC = {
 
 
 def test_local_probe_prints_and_stores_what_analyze_scored_where_regions_share_a_key(
-        tmp_path, capsys, monkeypatch):
-    _crc_local_mode(monkeypatch)
+        tmp_path, capsys, lab):
     workflow = tmp_path / "hub.workflow"
     workflow.write_text(json.dumps(HUB_ENDPOINT_DOC))
     records, outs = {}, {}
@@ -751,8 +736,7 @@ def test_local_probe_prints_and_stores_what_analyze_scored_where_regions_share_a
 
 @pytest.mark.parametrize("mode", ["synthetic", "local"])
 def test_probe_reads_back_every_entry_of_its_ranking_under_a_tiny_ttl(
-        fig1_file, fig1_spec, tmp_path, capsys, monkeypatch, mode):
-    _crc_local_mode(monkeypatch)
+        fig1_file, fig1_spec, tmp_path, capsys, monkeypatch, lab, mode):
     monkeypatch.setenv("CLOUDFORECAST_CACHE_TTL_S", "1e-9")
     legs = hub_legs(fig1_spec)
     expected = {(metric, region.id, src, dst) for metric in ("distance", "ping", "http_rtt")
@@ -984,7 +968,7 @@ def test_config_file_value_must_have_its_settings_type(fig1_file, tmp_path, caps
     config.write_text(text)
     code, out, err = run_cli(["analyze", "-w", fig1_file, "--config", str(config)], capsys)
     assert code == 2 and out == ""
-    assert f"config file: {message}" in err
+    assert f"{config}: config file: {message}" in err
 
 
 @pytest.mark.parametrize("text", ["[1]", '["format"]', '"csv"'])
@@ -993,7 +977,7 @@ def test_config_file_that_is_not_an_object_exits_2(fig1_file, tmp_path, capsys, 
     config.write_text(text)
     code, out, err = run_cli(["analyze", "-w", fig1_file, "--config", str(config)], capsys)
     assert code == 2 and out == ""
-    assert "config file: expected an object" in err
+    assert f"{config}: config file: expected an object" in err
 
 
 def test_config_file_accepts_nulls_for_unset_defaults_and_numbers(fig1_file, tmp_path, capsys):

@@ -194,8 +194,8 @@ def test_permuting_the_catalog_leaves_the_ranking_unchanged(inputs, subset, shor
 
 @pytest.mark.parametrize("command", ["analyze", "probe"])
 def test_a_local_run_builds_one_pool_per_metric_and_probes_each_key_once(command, fig1_file,
-                                                                         capsys, monkeypatch):
-    pools, pinged, fetched = [], [], []
+                                                                         capsys, monkeypatch, lab):
+    pools = []
 
     class Pool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
@@ -203,10 +203,6 @@ def test_a_local_run_builds_one_pool_per_metric_and_probes_each_key_once(command
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(measurement.EchoProber, "probe",
-                        lambda self, host, timeout_s: pinged.append(host) or 1.0)
-    monkeypatch.setattr(measurement, "http_get_ms",
-                        lambda url, timeout_s: fetched.append(url) or 2.0)
     code = main([command, "-w", fig1_file, "--probe-mode", "local", "--samples-per-pair", "1",
                  "--max-parallel-probes", "8"])
     assert code == 0, capsys.readouterr().err
@@ -215,7 +211,7 @@ def test_a_local_run_builds_one_pool_per_metric_and_probes_each_key_once(command
     spec, catalog = parse_workflow(FIG1_DOC), default_region_catalog()
     keys = {canonical_key(pair, Metric.PING) for region in catalog.regions
             for pair in weighted_pairs(hub_legs(spec), region.probe_host)}
-    assert len(pinged) == len(fetched) == len(keys)
+    assert len(lab.probes) == len(lab.gets) == len(keys)
 
 
 # -- one check per batch --------------------------------------------------------------

@@ -4,7 +4,6 @@ ranking scores every region's distance itself, bit for bit as the per-pair
 cached run ranks by the coordinates as they are now."""
 
 import json
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,6 @@ from cloudforecast.geo import (
     default_region_catalog,
 )
 from cloudforecast.measurement import (
-    EchoProber,
     MeasurementStore,
     ProbeConfig,
     SyntheticNetworkModel,
@@ -36,26 +34,14 @@ from cloudforecast.scoring import ScoringConfig, rank_regions
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 from conftest import FIG1_DOC
 from helpers import COORDS, EDGE_COORDS, SUBSETS, antipode, score_pairs
-
-
-def answer(name: str) -> float:
-    """A fake round trip, different for each host or URL."""
-    return 1.0 + zlib.crc32(name.encode()) % 100
-
-
-class FakeProber:
-    mode = "fake"
-
-    def probe(self, host, timeout_s):
-        return answer(host)
-
+import netlab
 
 def _providers(mode, spec, catalog, metrics, distance_provider):
     locations = location_index(spec, catalog)
     if mode == "synthetic":
         providers = synthetic_providers(SyntheticNetworkModel(), locations)
     else:
-        providers = local_providers(ProbeConfig(samples_per_pair=1), locations, FakeProber())
+        providers = local_providers(ProbeConfig(samples_per_pair=1), locations)
     providers = {metric: p for metric, p in providers.items() if metric in metrics}
     if distance_provider:
         providers[Metric.DISTANCE] = lambda pair: measure_distance(pair, locations)
@@ -155,7 +141,7 @@ def test_a_computed_distance_ranks_as_the_per_pair_distance_provider(inputs, mod
     spec, catalog = inputs
     config = ScoringConfig(shortlist_n=shortlist_n)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(measurement, "http_get_ms", lambda url, timeout_s: answer(url))
+        netlab.install(monkeypatch.setattr)
         computed, measured = (_outcome(mode, spec, catalog, SUBSETS[subset], config, provider)
                               for provider in (False, True))
     assert computed == measured
@@ -176,31 +162,20 @@ def test_the_inputs_reach_both_a_ranking_and_a_location_error():
 
 
 @pytest.mark.parametrize("mode", ["synthetic", "local"])
-def test_an_endpoint_without_a_location_exits_3_before_any_probe(mode, tmp_path, capsys,
-                                                                 monkeypatch):
+def test_an_endpoint_without_a_location_exits_3_before_any_probe(mode, tmp_path, capsys, lab):
     doc = json.loads(FIG1_DOC)
     doc["nodes"].append({"id": "lost", "endpoint": f"http://{UNKNOWN_HOST}/x", "role": "service"})
     doc["edges"].append({"from": "sfu", "to": "lost"})
     path = tmp_path / "lost.workflow"
     path.write_text(json.dumps(doc))
-    probed = []
-    monkeypatch.setattr(EchoProber, "probe", lambda self, host, timeout_s: probed.append(host))
-    monkeypatch.setattr(measurement, "http_get_ms", lambda url, timeout_s: probed.append(url))
     code = main(["analyze", "-w", str(path), "--probe-mode", mode, "--samples-per-pair", "1"])
     captured = capsys.readouterr()
     assert code == 3
     assert f"no known location for host '{UNKNOWN_HOST}'" in captured.err
-    assert captured.out == "" and probed == []
+    assert captured.out == "" and lab.probes == lab.gets == []
 
 
 # -- the cache holds no distance --------------------------------------------------------
-
-@pytest.fixture
-def fake_probes(monkeypatch):
-    monkeypatch.setattr(EchoProber, "mode", "icmp")
-    monkeypatch.setattr(EchoProber, "probe", lambda self, host, timeout_s: answer(host))
-    monkeypatch.setattr(measurement, "http_get_ms", lambda url, timeout_s: answer(url))
-
 
 def _analyze(capsys, *argv):
     code = main(["analyze", "--format", "json", "--no-timestamps", "--samples-per-pair", "1",
@@ -215,7 +190,7 @@ def _records(path):
 
 
 @pytest.mark.parametrize("mode", ["synthetic", "local"])
-def test_a_cache_holds_no_distance_record(mode, fig1_file, tmp_path, capsys, fake_probes):
+def test_a_cache_holds_no_distance_record(mode, fig1_file, tmp_path, capsys, lab):
     cache = tmp_path / "probes.cache"
     report = _analyze(capsys, "-w", fig1_file, "--probe-mode", mode, "--cache", str(cache))
     records = _records(cache)
@@ -227,7 +202,7 @@ def test_a_cache_holds_no_distance_record(mode, fig1_file, tmp_path, capsys, fak
 @pytest.mark.parametrize("poisoned", [False, True])
 @pytest.mark.parametrize("mode", ["synthetic", "local"])
 def test_a_cache_with_distance_records_loads_and_ranks_as_without_them(
-        mode, poisoned, fig1_file, fig1_spec, catalog, tmp_path, capsys, fake_probes):
+        mode, poisoned, fig1_file, fig1_spec, catalog, tmp_path, capsys, lab):
     # the distance records a cache file held when every mode stored distance
     cache = tmp_path / "probes.cache"
     args = ["-w", fig1_file, "--probe-mode", mode]

@@ -1,15 +1,20 @@
 """Every malformed document of `malformed_documents.MALFORMED` is refused with
 its exact message and error class, by its parser and through the CLI; a
 document, config or cache file that is not UTF-8 is refused at its line, and
-a UTF-8 one reads the same under any locale."""
+a UTF-8 one reads the same under any locale; and any one mutation of a
+valid document of each kind the CLI reads exits 0 or 2 and never raises."""
 
+import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudforecast import cli
 from cloudforecast.geo import load_region_catalog
@@ -110,8 +115,17 @@ def test_a_cache_that_is_not_utf8_is_refused_at_its_line(tmp_path, monkeypatch, 
     assert (tmp_path / "bad.cache").read_bytes().count(b"\n") == 302  # left as it was
 
 
-def test_a_workflow_is_read_and_a_report_written_as_utf8_under_any_locale(tmp_path):
-    named = FIG1_DOC.replace('"image-pipeline"', '"café-東京"')
+# a workflow name as its document writes it, as a JSON report shows it and as
+# every other output shows it: a lone surrogate, which UTF-8 cannot encode,
+# is written as its escape
+NAMES = {"non-ascii": ("café-東京", '"caf\\u00e9-\\u6771\\u4eac"', "café-東京"),
+         "lone-surrogate": ("bad-\\ud800", '"bad-\\ud800"', "bad-\\ud800")}
+
+
+@pytest.mark.parametrize("written, in_json, shown", NAMES.values(), ids=list(NAMES))
+def test_a_workflow_is_read_and_a_report_written_as_utf8_under_any_locale(written, in_json,
+                                                                          shown, tmp_path):
+    named = FIG1_DOC.replace('"image-pipeline"', f'"{written}"')
     (tmp_path / "named.workflow").write_text(named, encoding="utf-8")
     (tmp_path / "workflows").mkdir()
     (tmp_path / "workflows" / "named.workflow").write_text(named, encoding="utf-8")
@@ -138,9 +152,9 @@ def test_a_workflow_is_read_and_a_report_written_as_utf8_under_any_locale(tmp_pa
         outputs.append(runs)
     assert outputs[0] == outputs[1]
     json_out, _, table, simulated, experiment, report, csv = outputs[0]
-    assert b'"workflow": "caf\\u00e9-\\u6771\\u4eac"' in json_out
+    assert f'"workflow": {in_json}'.encode() in json_out
     for text in (table, simulated, experiment, report, csv):
-        assert "café-東京".encode() in text
+        assert shown.encode() in text
 
 
 # -- documents past the decoder's limits -------------------------------------------------
@@ -163,10 +177,10 @@ PAST_LIMITS = {
                      "bad.cache:2: not a JSON record: an integer has too many digits"),
     "config-deep": ("bad.json", f'{{"seed": {DEEP}}}',
                     ["-w", "fig1.workflow", "--config", "bad.json"],
-                    "config file bad.json: nested too deeply"),
+                    "bad.json: invalid config file: nested too deeply"),
     "config-digits": ("bad.json", f'{{"seed": {LONG}}}',
                       ["-w", "fig1.workflow", "--config", "bad.json"],
-                      "config file bad.json: an integer has too many digits"),
+                      "bad.json: invalid config file: an integer has too many digits"),
 }
 
 
@@ -178,3 +192,136 @@ def test_a_file_past_the_decoders_limits_is_refused_naming_it(case, tmp_path, mo
     (tmp_path / "fig1.workflow").write_text(FIG1_DOC, encoding="utf-8")
     assert _main(["analyze", *flags], tmp_path, monkeypatch, capsys) == (
         2, "", f"error: {message}\n")
+
+
+# -- any mutation of a valid document exits 0 or 2 ---------------------------------------
+
+# a valid seed of each kind the CLI reads. Each node's host is also a region's
+# probe host at the node's position, so a node without a location is still
+# placed, and nothing the config can set starts a probe or a server
+SEED_WORKFLOW = {
+    "name": "seed",
+    "nodes": [{"id": "a", "endpoint": "a.example.org", "role": "source",
+               "location": {"lat": 10.0, "lon": 20.0}, "service_time_ms": 5},
+              {"id": "b", "endpoint": "http://b.example.org/x", "role": "service",
+               "location": {"lat": -3.0, "lon": 4.0}, "service_time_ms": 1.5}],
+    "edges": [{"from": "a", "to": "b", "payload_kb": 64}],
+}
+SEED_CATALOG = {"regions": [{"id": "r1", "probe_host": "a.example.org", "lat": 10.0, "lon": 20.0},
+                            {"id": "r2", "probe_host": "b.example.org", "lat": -3.0, "lon": 4.0}]}
+SEEDS = {
+    "workflow": SEED_WORKFLOW,
+    "catalog": SEED_CATALOG,
+    "pool": {"nodes": SEED_WORKFLOW["nodes"]},
+    "recipe": {"workflows": [{"pattern": "sequential", "nodes": 2, "seed": 1},
+                             {"pattern": "mixed", "nodes": 3}]},
+    "config": {"format": "json", "seed": 7, "shortlist_n": 1, "samples_per_pair": 2,
+               "timeout_ms": 100.0, "base_latency_ms": 5.0, "metrics": "distance,ping"},
+    # a cache is one record a line: a ping, an HTTP and a failed record of the seed's legs
+    "cache": [json.loads(CACHE_LINE),
+              dict(json.loads(CACHE_LINE), metric="http_rtt", note=None, samples=2, value=3),
+              dict(json.loads(CACHE_LINE), src="b.example.org", success=False, value=0.0)],
+}
+# the command that reads the file "bad.json" as a document of each kind
+READERS = {
+    "workflow": ["analyze", "-w", "bad.json", "-r", "good.json"],
+    "catalog": ["analyze", "-w", "good.workflow", "-r", "bad.json"],
+    "pool": ["generate", "--pattern", "sequential", "--nodes", "2", "--pool", "bad.json"],
+    "recipe": ["experiment", "--recipe", "bad.json", "-r", "good.json", "--out-dir", "out"],
+    "config": ["analyze", "-w", "good.workflow", "-r", "good.json", "--config", "bad.json"],
+    "cache": ["analyze", "-w", "good.workflow", "-r", "good.json", "--cache", "bad.json",
+              "--format", "json"],
+}
+# JSON texts a value is swapped for: past the decoder's limits, not finite,
+# negative zero, of another type, or a string with a lone surrogate, a NUL or
+# a raw line separator
+ODD_VALUES = [DEEP, LONG, "NaN", "Infinity", "-Infinity", "-0.0", "1e400", "true", "false",
+              "null", '"x\\ud800"', '"x\\u0000"', '"x\u2028y"']
+
+
+def _at(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+def _paths(value, path=()):
+    """The path (keys and indexes) of every value in the document, its own first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _text(kind, document) -> str:
+    """The document as its file holds it: a cache one record a line."""
+    return ("".join(json.dumps(record) + "\n" for record in document) if kind == "cache"
+            else json.dumps(document))
+
+
+@st.composite
+def mutated_documents(draw, kind):
+    """The file bytes of the seed of `kind` with one mutation: a value swapped
+    for an odd one, a key dropped or repeated, a byte made invalid UTF-8, or
+    the file cut short."""
+    seed = SEEDS[kind]
+    how = draw(st.sampled_from(["swap", "drop", "repeat", "byte", "truncate"]))
+    if how in ("byte", "truncate"):
+        data = _text(kind, seed).encode()
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + b"\xff" + data[at + 1:] if how == "byte" else data[:at]
+    paths = [p for p in _paths(seed) if p or kind != "cache"]
+    if how != "swap":
+        paths = [p for p in paths if isinstance(_at(seed, p), dict) and _at(seed, p)]
+    path = draw(st.sampled_from(paths))
+    document = copy.deepcopy(seed)
+    if how == "swap":
+        raw = draw(st.sampled_from(ODD_VALUES))
+        if not path:
+            return raw.encode()
+        _at(document, path[:-1])[path[-1]] = "@raw@"
+        return _text(kind, document).replace('"@raw@"', raw).encode()
+    target = _at(document, path)
+    key = draw(st.sampled_from(sorted(target)))
+    if how == "drop":
+        del target[key]
+        return _text(kind, document).encode()
+    target["@dup@"] = "@raw@"
+    raw = draw(st.sampled_from([json.dumps(target[key])] + ODD_VALUES))
+    return _text(kind, document).replace('"@dup@"', json.dumps(key)).replace(
+        '"@raw@"', raw).encode()
+
+
+def _about_another_source(kind, err) -> bool:
+    """Whether a refusal that does not name the document names what it is
+    about: a host the workflow and the catalog place at two coordinates, or a
+    config value's setting, whose range is checked where it is used, the same
+    whichever source set it."""
+    if kind == "config":
+        return err.startswith(tuple(f"error: {name}" for name in SEEDS["config"]))
+    return kind in ("workflow", "catalog") and "is placed at two coordinates" in err
+
+
+@pytest.mark.parametrize("kind", sorted(SEEDS))
+def test_a_mutated_document_exits_0_or_2_naming_it(kind, tmp_path, monkeypatch, capsys):
+    (tmp_path / "good.workflow").write_text(json.dumps(SEED_WORKFLOW))
+    (tmp_path / "good.json").write_text(json.dumps(SEED_CATALOG))
+    (tmp_path / "bad.json").write_text(_text(kind, SEEDS[kind]))
+    assert _main(READERS[kind], tmp_path, monkeypatch, capsys)[0] == 0  # the seed is valid
+    sys.stdout.reconfigure(errors="backslashreplace")  # as `cli.run` sets it
+
+    # the same draws every run, so the check does not depend on a seed
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(data=mutated_documents(kind))
+    def run(data):
+        (tmp_path / "bad.json").write_bytes(data)
+        code, out, err = _main(READERS[kind], tmp_path, monkeypatch, capsys)
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "bad.json" in err or _about_another_source(kind, err), err
+        else:
+            assert not re.search(r"\bnan\b", out, re.IGNORECASE), out
+
+    run()

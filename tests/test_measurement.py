@@ -696,11 +696,9 @@ def test_as_url_of_a_plain_host_or_host_port_appends_the_root_path(host, port):
     assert as_url(f"http://{host}{port}") == f"http://{host}{port}/"
 
 
-def test_an_http_probe_sends_the_query_of_its_endpoint(monkeypatch):
-    sent = []
-    monkeypatch.setattr(measurement, "http_get_ms", lambda url, timeout_s: sent.append(url) or 1.0)
+def test_an_http_probe_sends_the_query_of_its_endpoint(lab):
     m = measure_http_rtt(("here", "http://h.example.org?x=1"), ProbeConfig(samples_per_pair=1))
-    assert m.success and sent == ["http://h.example.org/?x=1"]
+    assert m.success and lab.gets == ["http://h.example.org/?x=1"]
 
 
 # a 64-character label is no DNS name: encoding it fails before any packet is sent

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudforecast import measurement
 from cloudforecast.candidates import (
     Metric,
     build_candidate_graph,
@@ -39,13 +38,13 @@ from cloudforecast.scoring import (
 from cloudforecast.workflow import WorkflowEdge, WorkflowNode, WorkflowSpec
 from conftest import EXPECTED_RANKING, REFERENCE_FINAL_SCORES
 from helpers import (
-    CrcAgentClient,
     canonical_key,
     fixed_value_provider,
     fold_pairs,
     per_region_edge_providers,
     score_pairs,
 )
+import netlab
 
 REGION = Region("r1", "r1.example.org", Coordinate(0, 0))
 
@@ -725,7 +724,7 @@ def test_edge_order_does_not_change_a_report_with_failures(spec, hosts, failing,
 def test_edge_order_does_not_change_an_agent_report(spec, hosts, data):
     # probe hosts drawn from the endpoint pool: a leg between an endpoint that
     # is one region's probe host and another region's probe host has two
-    # agents, and `CrcAgentClient` answers differently from each. A region
+    # agents, and `netlab.CrcAgentClient` answers differently from each. A region
     # probed at a node's host sits at that node's position.
     placed = {node.endpoint: node.location for node in spec.nodes}
     catalog = RegionCatalog(tuple(Region(f"r{i}", host, placed.get(host, Coordinate(0, i)))
@@ -740,7 +739,7 @@ def test_edge_order_does_not_change_an_agent_report(spec, hosts, data):
         return report_to_json(ranked._replace(generated_at=None))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measurement, "AgentClient", CrcAgentClient)
+        netlab.install(mp.setattr)
         assert report(permuted) == report(spec)
 
 

@@ -269,6 +269,9 @@ AGENT_ANSWERS = {
     "html": ((200, b"<html>not json</html>"), "agent/bad-reply"),
     "not-utf8": ((200, b"\x80\xff not json"), "agent/bad-reply"),
     "empty": ((200, b""), "agent/bad-reply"),
+    # past the decoder's limits: nesting depth, and the digits of an integer
+    "deep": ((200, b"[" * 100_000), "agent/bad-reply"),
+    "digits": ((200, b'{"ok": true, "rtts_ms": [' + b"7" * 5000 + b"]}"), "agent/bad-reply"),
     "unavailable": ((503, b"<html>busy</html>"), "agent/http-503"),
 }
 

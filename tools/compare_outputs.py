@@ -36,8 +36,8 @@ compared are:
   a ranking whose synthetic providers locate a moved first node;
 - `analyze --probe-mode agent --format json` of a three-node workflow one
   of whose endpoints is another region's probe host, with the edges as
-  written and reversed, through `cloudforecast.cli.main` with a stand-in
-  `AgentClient` that answers `1 + crc32(f"{base_url}>{target}") % 100` ms,
+  written and reversed, through `cloudforecast.cli.main` with the stand-in
+  network installed, whose agents answer `crc_ms(f"{base_url}>{target}")`,
   so the report shows which agent measured each leg;
 - the exit code, stdout and stderr of the command that reads each malformed
   workflow, pool and catalog document of tests/malformed_documents.py (taken
@@ -69,9 +69,9 @@ compared are:
   share one probe host): the report of `analyze --format json --cache`
   with shortlist 3 and then 6 over one file, the file after each run, and
   the stdout of `probe`;
-- with `time.time` pinned, `EchoProber.probe` and `measurement.http_get_ms`
-  replaced by stand-ins that answer `1 + crc32(host or url) % 100` ms and
-  the prober's mode fixed as icmp, through `cloudforecast.cli.main`: the
+- with `time.time` pinned and the stand-in network installed, whose echo
+  probe and GET answer `crc_ms` of the host or URL, through
+  `cloudforecast.cli.main`: the
   report of `analyze --probe-mode local --format json --cache` of this
   tool's samples/fig1.workflow, run twice over the same file, with the
   cache file after each run; the stdout of `probe --probe-mode local` of
@@ -79,8 +79,8 @@ compared are:
   --cache` of a workflow two of whose endpoints are region probe hosts, so
   two regions share the store key between them. These run the per-pair
   `collect_measurements` path, with its probe fan-out, over a cold and a
-  warm store. Then, with eu-west-1's
-  probe host answering neither stand-in, the report of
+  warm store. Then, with eu-west-1's probe host answering neither an echo
+  probe nor a GET, the report of
   `analyze --probe-mode local --format json --no-timestamps` of that fig1,
   so a failed leg's penalty and `failed_edges` are compared too;
 - the exit code, stdout and stderr of `experiment` and of
@@ -110,7 +110,12 @@ taken of the output's UTF-8 bytes. tests/output_digests.txt holds those
 lines for the committed tree, and a tier-1 test compares them.
 
 The generators are imported from the tree's bench/ directory and only
-called. Exit status: 0 when every output is the same and both trees are
+called. The stand-in network is `netlab.install` of this tool's own
+tests/netlab.py, as the corpora are this tool's own, bound at the
+package's echo-probe, GET and agent seams: every round trip is
+`netlab.crc_ms` of the host, URL or `agent>target` asked for, a checksum
+in 1..100 ms, so both trees are answered alike and nothing is sent. Exit
+status: 0 when every output is the same and both trees are
 order-free, 1 when an output differs or a tree's rankings change with the
 order of its edges, 2 when a command fails in either tree.
 """
@@ -125,7 +130,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import zlib
 
 CLI = [
     ("analyze-table", ["analyze", "-w", "{fig1}", "--no-timestamps"]),
@@ -144,8 +148,11 @@ CLI = [
 EXPERIMENT_FILES = ("experiment.csv", "speedup_chart.dat")
 # (nodes, regions, seed, shortlist) of the generated rankings
 GENERATED = ((200, 64, 41, 16), (60, 30, 41, 7))
-# this tool's own tests/, whose corpora both trees get
+# this tool's own tests/, whose corpora and stand-in network both trees get,
+# and its own samples/fig1.workflow
 TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
+FIG1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
+                    "fig1.workflow")
 
 
 class CommandFailed(Exception):
@@ -284,6 +291,20 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def run_ok(argv: list[str], what: str) -> str:
+    """The stdout of `run_main(argv)`; a nonzero exit fails the comparison, naming `what`."""
+    code, out, err = run_main(argv)
+    if code != 0:
+        raise CommandFailed(f"{what} exited {code}:\n{err}")
+    return out
+
+
+def read_output(path: str) -> str:
+    """The bytes of the file at `path`, one char per byte."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("latin-1")
+
+
 # node a's service time is written as -0.0
 NEGATIVE_ZERO_DOC = {
     "name": "negative-zero",
@@ -303,20 +324,16 @@ def simulate_outputs() -> dict[str, str]:
     directory, from 0,0."""
     from cloudforecast import geo
 
-    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
-                        "fig1.workflow")
-    runs = {f"fig1/{r.id}": (fig1, r.id) for r in geo.default_region_catalog().regions}
+    runs = {f"fig1/{r.id}": (FIG1, r.id) for r in geo.default_region_catalog().regions}
     with open("negative-zero.workflow", "w") as fh:
         json.dump(NEGATIVE_ZERO_DOC, fh)
     runs["negative-zero/0,0"] = ("negative-zero.workflow", "0,0")
     outputs = {}
     for name, (workflow, vantage) in runs.items():
         for fmt in ("table", "json"):
-            code, out, err = run_main(["simulate", "-w", workflow, "--vantage", vantage,
-                                       "--format", fmt])
-            if code != 0:
-                raise CommandFailed(f"simulate of {name} as {fmt} exited {code}:\n{err}")
-            outputs[f"simulate/{name}/{fmt}"] = out
+            outputs[f"simulate/{name}/{fmt}"] = run_ok(
+                ["simulate", "-w", workflow, "--vantage", vantage, "--format", fmt],
+                f"simulate of {name} as {fmt}")
     return outputs
 
 
@@ -362,28 +379,19 @@ AGENT_REGIONS = {"regions": [
 ]}
 
 
-class CrcAgentClient:
-    """Sends nothing: a round trip is a checksum of the agent's URL and the target."""
+def install_lab(down=()):
+    """tests/netlab.py's stand-in network, taken from this tool's own
+    checkout, installed in this interpreter until it exits."""
+    sys.path.insert(0, TESTS)
+    import netlab
 
-    def __init__(self, base_url, request_timeout_s=60.0):
-        self.base_url = base_url
-
-    def _reply(self, target):
-        return {"ok": True, "rtts_ms": [1 + zlib.crc32(f"{self.base_url}>{target}".encode()) % 100]}
-
-    def ping(self, host, samples, timeout_ms):
-        return self._reply(host)
-
-    def http(self, url, samples, timeout_ms):
-        return self._reply(url)
+    netlab.install(setattr, down)
 
 
 def agent_rankings() -> dict[str, str]:
     """`analyze --probe-mode agent` of `AGENT_DOC` with the edges as written
-    and reversed, answered by `CrcAgentClient`."""
-    from cloudforecast import measurement
-
-    measurement.AgentClient = CrcAgentClient
+    and reversed, answered by the stand-in network's agents."""
+    install_lab()
     outputs = {}
     with tempfile.TemporaryDirectory(prefix="compare-outputs-agent-") as scratch:
         regions = os.path.join(scratch, "regions.json")
@@ -394,12 +402,10 @@ def agent_rankings() -> dict[str, str]:
             workflow = os.path.join(scratch, f"{order}.workflow")
             with open(workflow, "w") as fh:
                 json.dump(dict(AGENT_DOC, edges=edges), fh)
-            code, out, _ = run_main(["analyze", "-w", workflow, "--regions", regions,
-                                     "--probe-mode", "agent", "--samples-per-pair", "1",
-                                     "--format", "json", "--no-timestamps"])
-            if code != 0:
-                raise CommandFailed(f"agent-mode analyze of {order} edges exited {code}")
-            outputs[f"rank/agent-order/{order}/agent"] = out
+            outputs[f"rank/agent-order/{order}/agent"] = run_ok(
+                ["analyze", "-w", workflow, "--regions", regions, "--probe-mode", "agent",
+                 "--samples-per-pair", "1", "--format", "json", "--no-timestamps"],
+                f"agent-mode analyze of {order} edges")
     return outputs
 
 
@@ -430,15 +436,12 @@ def cache_outputs() -> dict[str, str]:
     with open(corpus, "w") as fh:
         fh.write(corpus_text())
     measurement.MeasurementStore.load(corpus).save(saved)
-    with open(saved, "rb") as fh:
-        outputs = {"cache/corpus-saved": fh.read().decode("latin-1")}  # one char per byte
-    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
-                        "fig1.workflow")
+    outputs = {"cache/corpus-saved": read_output(saved)}
     for name, (field, value) in REFUSED_CACHE_FIELDS.items():
         path = os.path.join("cache", f"{name}.cache")
         with open(path, "w") as fh:
             fh.write(json.dumps(dict(CACHE_RECORD, **{field: value})) + "\n")
-        code, out, err = run_main(["analyze", "-w", fig1, "--cache", path, "--no-timestamps"])
+        code, out, err = run_main(["analyze", "-w", FIG1, "--cache", path, "--no-timestamps"])
         outputs[f"cache/refused/{name}"] = f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
     return outputs
 
@@ -496,8 +499,7 @@ def synthetic_caches(name, spec, catalog, config, model) -> dict[str, str]:
             scoring.rank_regions(spec, catalog, store, providers, config)
             path = os.path.join("cache", "synthetic", f"{name}-{store_name}.cache")
             store.save(path)
-            with open(path, "rb") as fh:
-                outputs[f"cache/synthetic/{name}/{store_name}"] = fh.read().decode("latin-1")
+            outputs[f"cache/synthetic/{name}/{store_name}"] = read_output(path)
     return outputs
 
 
@@ -509,9 +511,7 @@ def fig1_synthetic_caches(model) -> dict[str, str]:
     store; and the cache file after `probe --cache` of it."""
     from cloudforecast import geo, measurement, scoring, workflow
 
-    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
-                        "fig1.workflow")
-    with open(fig1) as fh:
+    with open(FIG1) as fh:
         spec = workflow.parse_workflow(fh.read())
     catalog = geo.default_region_catalog()
     outputs = synthetic_caches("fig1", spec, catalog, scoring.ScoringConfig(), model)
@@ -519,30 +519,21 @@ def fig1_synthetic_caches(model) -> dict[str, str]:
     path = os.path.join(directory, "fig1-analyze.cache")
     with pinned_clock():
         for run in ("first", "second"):
-            code, _, err = run_main(["analyze", "-w", fig1, "--cache", path, "--no-timestamps"])
-            if code != 0:
-                raise CommandFailed(f"{run} analyze --cache of fig1 exited {code}:\n{err}")
+            run_ok(["analyze", "-w", FIG1, "--cache", path, "--no-timestamps"],
+                   f"{run} analyze --cache of fig1")
         store = measurement.MeasurementStore()
         providers = measurement.synthetic_providers(model, measurement.location_index(spec, catalog))
         for shortlist in (3, 5):
             scoring.rank_regions(spec, catalog, store, providers,
                                  scoring.ScoringConfig(shortlist_n=shortlist))
         store.save(os.path.join(directory, "fig1-two-rankings.cache"))
-        code, _, err = run_main(["probe", "-w", fig1, "--cache",
-                                 os.path.join(directory, "fig1-probe.cache")])
-        if code != 0:
-            raise CommandFailed(f"probe --cache of fig1 exited {code}:\n{err}")
+        run_ok(["probe", "-w", FIG1, "--cache", os.path.join(directory, "fig1-probe.cache")],
+               "probe --cache of fig1")
     for name, file in (("analyze-twice", "fig1-analyze.cache"),
                        ("two-rankings", "fig1-two-rankings.cache"),
                        ("probe", "fig1-probe.cache")):
-        with open(os.path.join(directory, file), "rb") as fh:
-            outputs[f"cache/synthetic/fig1/{name}"] = fh.read().decode("latin-1")
+        outputs[f"cache/synthetic/fig1/{name}"] = read_output(os.path.join(directory, file))
     return outputs
-
-
-def crc_ms(name: str) -> float:
-    """A stand-in round trip: `1 + crc32(name) % 100` ms."""
-    return float(1 + zlib.crc32(name.encode()) % 100)
 
 
 # the probe host of the default catalog's eu-west-1
@@ -566,54 +557,36 @@ HUB_ENDPOINT_DOC = {
 
 
 def local_outputs() -> dict[str, str]:
-    """With the clock pinned and the echo probe and the GET answered by
-    `crc_ms`, `analyze --probe-mode local` of this tool's
-    samples/fig1.workflow twice over one cache file, written under
-    cache/local/ in the working directory, `probe --probe-mode local` of
-    it, and `probe --probe-mode local --cache` of `HUB_ENDPOINT_DOC`,
-    written there too; then, with `DOWN_HOST` answering neither stand-in,
-    `analyze --probe-mode local` of fig1 once more."""
-    from cloudforecast import measurement
-
-    measurement.EchoProber.mode = "icmp"
-    measurement.EchoProber.probe = lambda self, host, timeout_s: crc_ms(host)
-    measurement.http_get_ms = lambda url, timeout_s: crc_ms(url)
-    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
-                        "fig1.workflow")
+    """With the clock pinned and the stand-in network installed,
+    `analyze --probe-mode local` of this tool's samples/fig1.workflow twice
+    over one cache file, written under cache/local/ in the working
+    directory, `probe --probe-mode local` of it, and `probe --probe-mode
+    local --cache` of `HUB_ENDPOINT_DOC`, written there too; then, with
+    `DOWN_HOST` answering neither an echo probe nor a GET, `analyze
+    --probe-mode local` of fig1 once more."""
+    install_lab()
     os.makedirs(os.path.join("cache", "local"), exist_ok=True)
     path = os.path.join("cache", "local", "fig1-analyze.cache")
     outputs = {}
     with pinned_clock():
         for run in ("first", "second"):
-            code, out, err = run_main(["analyze", "-w", fig1, "--probe-mode", "local",
-                                       "--format", "json", "--cache", path])
-            if code != 0:
-                raise CommandFailed(f"{run} local analyze --cache of fig1 exited {code}:\n{err}")
-            outputs[f"local/fig1/analyze-{run}"] = out
-            with open(path, "rb") as fh:
-                outputs[f"local/fig1/analyze-{run}.cache"] = fh.read().decode("latin-1")
-        code, out, err = run_main(["probe", "-w", fig1, "--probe-mode", "local"])
-        if code != 0:
-            raise CommandFailed(f"local probe of fig1 exited {code}:\n{err}")
-        outputs["local/fig1/probe"] = out
+            outputs[f"local/fig1/analyze-{run}"] = run_ok(
+                ["analyze", "-w", FIG1, "--probe-mode", "local", "--format", "json",
+                 "--cache", path], f"{run} local analyze --cache of fig1")
+            outputs[f"local/fig1/analyze-{run}.cache"] = read_output(path)
+        outputs["local/fig1/probe"] = run_ok(["probe", "-w", FIG1, "--probe-mode", "local"],
+                                             "local probe of fig1")
         hub = os.path.join("cache", "local", "hub-endpoints.workflow")
         with open(hub, "w") as fh:
             json.dump(HUB_ENDPOINT_DOC, fh)
-        code, out, err = run_main(["probe", "-w", hub, "--probe-mode", "local",
-                                   "--cache", f"{hub}.cache"])
-        if code != 0:
-            raise CommandFailed(f"local probe --cache of hub-endpoints exited {code}:\n{err}")
-        outputs["local/hub-endpoints/probe"] = out
-        with open(f"{hub}.cache", "rb") as fh:
-            outputs["local/hub-endpoints/probe.cache"] = fh.read().decode("latin-1")
-    measurement.EchoProber.probe = lambda self, host, timeout_s: (
-        None if host == DOWN_HOST else crc_ms(host))
-    measurement.http_get_ms = lambda url, timeout_s: None if DOWN_HOST in url else crc_ms(url)
-    code, out, err = run_main(["analyze", "-w", fig1, "--probe-mode", "local", "--format", "json",
-                               "--no-timestamps"])
-    if code != 0:
-        raise CommandFailed(f"local analyze of fig1 with {DOWN_HOST} down exited {code}:\n{err}")
-    outputs["local/fig1/analyze-host-down"] = out
+        outputs["local/hub-endpoints/probe"] = run_ok(
+            ["probe", "-w", hub, "--probe-mode", "local", "--cache", f"{hub}.cache"],
+            "local probe --cache of hub-endpoints")
+        outputs["local/hub-endpoints/probe.cache"] = read_output(f"{hub}.cache")
+    install_lab(down={DOWN_HOST})
+    outputs["local/fig1/analyze-host-down"] = run_ok(
+        ["analyze", "-w", FIG1, "--probe-mode", "local", "--format", "json", "--no-timestamps"],
+        f"local analyze of fig1 with {DOWN_HOST} down")
     return outputs
 
 
@@ -630,8 +603,6 @@ def collision_outputs() -> dict[str, str]:
     regions = [{"id": r.id, "probe_host": r.probe_host, "lat": r.location.lat,
                 "lon": r.location.lon} for r in geo.default_region_catalog().regions]
     regions += [dict(r, id="us-west-2-twin") for r in regions if r["id"] == "us-west-2"]
-    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
-                        "fig1.workflow")
     os.makedirs("collision", exist_ok=True)
     hub, twin = (os.path.join("collision", name) for name in ("hub.workflow", "twin.json"))
     for path, doc in ((hub, HUB_ENDPOINT_DOC), (twin, {"regions": regions})):
@@ -640,20 +611,14 @@ def collision_outputs() -> dict[str, str]:
     outputs = {}
     with pinned_clock():
         for name, inputs in (("hub-endpoint", ["-w", hub]),
-                             ("twin-hub", ["-w", fig1, "-r", twin])):
+                             ("twin-hub", ["-w", FIG1, "-r", twin])):
             cache = os.path.join("collision", f"{name}.cache")
             for run, shortlist in (("first", "3"), ("second", "6")):
-                code, out, err = run_main(["analyze", *inputs, "--format", "json", "--cache", cache,
-                                           "--shortlist", shortlist, "--no-timestamps"])
-                if code != 0:
-                    raise CommandFailed(f"{run} analyze --cache of {name} exited {code}:\n{err}")
-                outputs[f"collision/{name}/analyze-{run}"] = out
-                with open(cache, "rb") as fh:
-                    outputs[f"collision/{name}/analyze-{run}.cache"] = fh.read().decode("latin-1")
-            code, out, err = run_main(["probe", *inputs])
-            if code != 0:
-                raise CommandFailed(f"probe of {name} exited {code}:\n{err}")
-            outputs[f"collision/{name}/probe"] = out
+                outputs[f"collision/{name}/analyze-{run}"] = run_ok(
+                    ["analyze", *inputs, "--format", "json", "--cache", cache, "--shortlist",
+                     shortlist, "--no-timestamps"], f"{run} analyze --cache of {name}")
+                outputs[f"collision/{name}/analyze-{run}.cache"] = read_output(cache)
+            outputs[f"collision/{name}/probe"] = run_ok(["probe", *inputs], f"probe of {name}")
     return outputs
 
 
@@ -714,13 +679,11 @@ def refusal_outputs() -> dict[str, str]:
     """What the CLI does, under refusals/ in the working directory, with a
     flag of a setting the command does not read, a recipe with a workflow
     directory, and a host placed at two coordinates."""
-    fig1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples",
-                        "fig1.workflow")
     path = {name: os.path.join("refusals", name)
             for name in ("flows", "out", "recipe.json", "regions.json", "two-regions.json",
                          "one-host.workflow")}
     os.makedirs(path["flows"], exist_ok=True)
-    with open(fig1) as fh, open(os.path.join(path["flows"], "fig1.workflow"), "w") as copy:
+    with open(FIG1) as fh, open(os.path.join(path["flows"], "fig1.workflow"), "w") as copy:
         copy.write(fh.read())
     for name, doc in (("recipe.json", [{"pattern": "zigzag", "nodes": 3}]),
                       ("regions.json", REGION_AT_FIG1_SOURCE),
@@ -735,11 +698,11 @@ def refusal_outputs() -> dict[str, str]:
         "experiment-recipe-and-workflow-dir": ["experiment", "--recipe", path["recipe.json"],
                                                "--workflow-dir", path["flows"],
                                                "--out-dir", path["out"]],
-        "host-at-two-places/region/analyze": ["analyze", "-w", fig1, "-r", path["regions.json"],
+        "host-at-two-places/region/analyze": ["analyze", "-w", FIG1, "-r", path["regions.json"],
                                               "--metrics", "distance", "--no-timestamps"],
-        "host-at-two-places/region/simulate": ["simulate", "-w", fig1,
+        "host-at-two-places/region/simulate": ["simulate", "-w", FIG1,
                                                "-r", path["regions.json"], "--vantage", "b"],
-        "host-at-two-places/regions/analyze": ["analyze", "-w", fig1,
+        "host-at-two-places/regions/analyze": ["analyze", "-w", FIG1,
                                                "-r", path["two-regions.json"],
                                                "--metrics", "distance", "--no-timestamps"],
         "host-at-two-places/nodes/analyze": ["analyze", "-w", path["one-host.workflow"],
